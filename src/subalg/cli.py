@@ -290,10 +290,6 @@ def _add_common(p):
                    help="emit machine-readable JSON")
     p.add_argument("--field", metavar="MODULUS", default=None,
                    help="work over Q[t]/(MODULUS), e.g. 't^4+1'")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="numeric tolerance (default 1e-8)")
-    p.add_argument("--bound", type=int, default=None,
-                   help="degree-bound override for iterative searches")
 
 
 def build_parser():
@@ -323,6 +319,8 @@ def build_parser():
     p.add_argument("generators", nargs="+")
     p.add_argument("--exact", action="store_true",
                    help="require exact spectrum points")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="numeric tolerance (default 1e-8)")
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 

@@ -10,14 +10,16 @@ the condition presentation and the generator presentation.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .errors import (DegenerateConditions, NotSubalgebraConditions,
                      PowerBoundExceeded, SpectrumNotExact, SubalgError)
 from .fields import (QQ, common_field, field_of, format_scalar,
                      is_zero_scalar, scalar_to_json)
-from .linalg import nullspace, rank, rref
+from .linalg import echelon_nullspace, nullspace, reduce_vector, rref
 from .poly import Poly
 from .sagbi import SagbiBasis, sagbi_complete, subduce
+from .semigroup import DegreeSemigroup
 
 
 class LinearFunctional:
@@ -81,6 +83,24 @@ class LinearFunctional:
             value = f.derivative(order)(_coerce(point, field))
             acc = acc + _coerce(coeff, field) * value
         return acc
+
+    def monomial_row(self, degree, field):
+        """(L(1), L(x), …, L(x^degree)), with entries in `field`.
+
+        A term c·f^(j)(α) contributes c · k!/(k−j)! · α^(k−j) to L(x^k);
+        each term keeps one running falling factorial and one running power
+        of α, so no polynomial is built.
+        """
+        row = [field.zero] * (degree + 1)
+        for order, point, coeff in self.terms:
+            point = _coerce(point, field)
+            scaled_power = _coerce(coeff, field)
+            falling = factorial(order)
+            for k in range(order, degree + 1):
+                row[k] = row[k] + scaled_power * falling
+                scaled_power = scaled_power * point
+                falling = falling * (k + 1) // (k + 1 - order)
+        return row
 
     def points(self):
         return [point for _, point, _ in self.terms]
@@ -157,37 +177,66 @@ def _conditions_field(conds):
     return field
 
 
-def _monomial_kernel(conds, degree_bound, field):
-    """Polynomials of degree <= bound annihilated by every condition."""
-    x = Poly.x(field)
-    equations = []
+def _order_and_point_count(conds):
+    """(N, s): one more than the highest derivative order the conditions
+    read, and the number of distinct points they read it at."""
+    points = []
     for L in conds:
-        equations.append([L.apply(x ** k) for k in range(degree_bound + 1)])
-    vectors = nullspace(equations, degree_bound + 1, field)
-    return [Poly(v, field) for v in vectors]
+        for p in L.points():
+            if p not in points:
+                points.append(p)
+    return max(L.max_order() for L in conds) + 1, len(points)
 
 
-def is_subalgebra_condition_set(conds, degree_bound=None):
+def _monomial_kernel(rows, degree_bound, field):
+    """(rank, kernel) of the condition rows on 1, x, …, x^bound.
+
+    One reduction with ascending degree columns: every kernel polynomial is
+    x^d plus terms at pivot degrees below d, so its leading degree d is a
+    free column and the kernel comes out sorted by degree.
+    """
+    ncols = degree_bound + 1
+    red, pivots = rref([row[:ncols] for row in rows], ncols, field)
+    kernel = [Poly(v, field)
+              for v in echelon_nullspace(red, pivots, ncols, field)]
+    return len(red), kernel
+
+
+def _closed_under_products(rows, kernel, low, field):
+    """Is the kernel V of the condition rows closed under multiplication?
+
+    Every condition reads f only through f^(k)(α) with k < N at the s
+    points, so V contains the ideal π^N·K[x] (π = ∏(x − α)) and
+    V = V_{<low} ⊕ π^N·K[x] with low = N·s.  Products with the ideal stay
+    in it, so V is an algebra iff every product of two elements of
+    V_{<low} satisfies every condition.  `kernel` must contain a basis of
+    V_{<low}; `rows` must reach degree 2·low − 2.
+    """
+    small = [p for p in kernel if 1 <= p.degree < low]
+    for i, p in enumerate(small):
+        for q in small[i:]:
+            coeffs = (p * q).coeffs
+            for row in rows:
+                value = sum((r * c for r, c in zip(row, coeffs)), field.zero)
+                if not is_zero_scalar(value):
+                    return False
+    return True
+
+
+def is_subalgebra_condition_set(conds):
     """Does the joint kernel of the conditions form a subalgebra?
 
-    Computes a kernel basis up to the degree bound and checks that every
-    pairwise product still satisfies all conditions.
+    Exact: checks the products of kernel elements of degree < N·s (see
+    `_closed_under_products`).
     """
     if not conds:
         return True
     field = _conditions_field(conds)
-    n = len(conds)
-    bound = degree_bound if degree_bound is not None else 2 * n + 2
-    if bound < 2 * n + 2:
-        bound = 2 * n + 2
-    kernel = _monomial_kernel(conds, bound, field)
-    for i, p in enumerate(kernel):
-        for q in kernel[i:]:
-            prod = p * q
-            for L in conds:
-                if not is_zero_scalar(L.apply(prod)):
-                    return False
-    return True
+    N, s = _order_and_point_count(conds)
+    low = N * s
+    rows = [L.monomial_row(2 * low - 2, field) for L in conds]
+    _, kernel = _monomial_kernel(rows, low - 1, field)
+    return _closed_under_products(rows, kernel, low, field)
 
 
 class Subalgebra:
@@ -278,40 +327,48 @@ class Subalgebra:
 def kernel_subalgebra(conds):
     """The subalgebra of all polynomials satisfying the conditions.
 
-    Exact nullspace of the condition matrix on monomials up to degree
-    N·s + 2n + 2 (N = max derivative order + 1, s = point count, n =
-    condition count), echelonized and completed to a SAGBI basis.
+    Row-reduces the condition matrix on 1, x, …, x^B once, with ascending
+    degree columns (B = N·s + 2n + 2; N = max derivative order + 1, s =
+    point count, n = condition count).  Fewer than n pivots means dependent
+    conditions.  Otherwise each kernel vector is x^d plus terms at pivot
+    degrees, so the free columns d ≥ 1 are the degree semigroup S up to B,
+    and the kernel vectors at the minimal generators of S form the SAGBI
+    basis; no completion is run.  B covers those generators: n < N·s, and
+    every minimal generator of a genus-n semigroup is at most 3n.
+
+    Closure is checked exactly: the kernel is an algebra iff every product
+    of two kernel elements of degree < N·s satisfies every condition
+    (`_closed_under_products`).  Leading degrees that are not closed under
+    addition up to B, or whose genus is not n, are rejected too.
     """
     if not conds:
         raise SubalgError("kernel_subalgebra needs at least one condition")
     field = _conditions_field(conds)
     n = len(conds)
-    points = []
-    for L in conds:
-        for p in L.points():
-            if p not in points:
-                points.append(p)
-    s = len(points)
-    N = max(L.max_order() for L in conds) + 1
-    bound = N * s + 2 * n + 2
-    x = Poly.x(field)
-    matrix = [[L.apply(x ** k) for k in range(bound + 1)] for L in conds]
-    r = rank(matrix, bound + 1, field)
+    N, s = _order_and_point_count(conds)
+    low = N * s
+    bound = low + 2 * n + 2
+    rows = [L.monomial_row(max(bound, 2 * low - 2), field) for L in conds]
+    r, kernel = _monomial_kernel(rows, bound, field)
     if r < n:
         raise DegenerateConditions(
             f"only {r} of {n} conditions are independent", reduced_count=r)
-    kernel = _monomial_kernel(conds, bound, field)
-    kernel = [p for p in kernel if p.degree >= 1]
-    basis = sagbi_complete(kernel)
-    if basis.semigroup.genus != n:
+    if not _closed_under_products(rows, kernel, low, field):
         raise NotSubalgebraConditions(
-            "kernel is not multiplicatively closed: its algebra has "
-            f"codimension {basis.semigroup.genus}, expected {n}")
-    for e in basis.elements:
-        for L in conds:
-            if not is_zero_scalar(L.apply(e)):
-                raise NotSubalgebraConditions(
-                    "kernel is not closed under multiplication")
+            "kernel is not closed under multiplication: a product of two "
+            f"kernel elements of degree < {low} fails a condition")
+    by_degree = {p.degree: p for p in kernel if p.degree >= 1}
+    if any(a + b <= bound and a + b not in by_degree
+           for a in by_degree for b in by_degree):
+        raise NotSubalgebraConditions(
+            "kernel leading degrees are not closed under addition")
+    semigroup = DegreeSemigroup(by_degree)
+    if semigroup.genus != n:
+        raise NotSubalgebraConditions(
+            f"kernel degree semigroup has genus {semigroup.genus}, "
+            f"expected {n}")
+    basis = SagbiBasis([by_degree[d] for d in semigroup.generators],
+                       semigroup)
     return Subalgebra(conditions=_normalize_conditions(conds), _sagbi=basis)
 
 
@@ -455,19 +512,21 @@ def intersect_and_join(A1, A2):
     conds = list(A1.conditions())
     for L in A2.conditions():
         conds.append(L)
-    # drop dependent conditions
+    # drop dependent conditions: reduce each row against a running echelon
+    # form and keep the condition when a residual is left
     field = _conditions_field(conds)
-    n = len(conds)
-    bound = (max(L.max_order() for L in conds) + 1) * \
-        len({p for L in conds for p in L.points()}) + 2 * n + 2
-    x = Poly.x(field)
-    kept = []
-    rows = []
+    N, s = _order_and_point_count(conds)
+    bound = N * s + 2 * len(conds) + 2
+    kept, red, pivots = [], [], []
     for L in conds:
-        row = [L.apply(x ** k) for k in range(bound + 1)]
-        if rank(rows + [row], bound + 1, field) > len(kept):
+        row = reduce_vector(L.monomial_row(bound, field), red, pivots)
+        pc = next((c for c, v in enumerate(row) if not is_zero_scalar(v)),
+                  None)
+        if pc is not None:
+            inv = field.one / row[pc]
+            red.append([v * inv for v in row])
+            pivots.append(pc)
             kept.append(L)
-            rows.append(row)
     intersection = kernel_subalgebra(kept)
 
     gens = list(A1.sagbi_basis().elements) + list(A2.sagbi_basis().elements)

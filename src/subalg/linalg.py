@@ -48,6 +48,13 @@ def rank(rows, ncols, field):
 def nullspace(rows, ncols, field):
     """Basis of {v : M v = 0} where the rows of M are the given equations."""
     red, pivots = rref(rows, ncols, field)
+    return echelon_nullspace(red, pivots, ncols, field)
+
+
+def echelon_nullspace(red, pivots, ncols, field):
+    """Nullspace basis from a reduced echelon form, one vector per free
+    column in increasing order; each is 1 at its free column and 0 at
+    every other free column."""
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []

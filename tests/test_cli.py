@@ -80,6 +80,16 @@ def test_kernel_from_file(tmp_path, capsys):
     assert code == 0 and "codimension: 3" in out
 
 
+def test_kernel_rejects_bound_flag(tmp_path, capsys):
+    path = tmp_path / "conds.json"
+    path.write_text(json.dumps([{"kind": "diff", "alpha": "0",
+                                 "beta": "1"}]))
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "--bound", "3", "--conditions", str(path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bound" in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "charpoly", "x +", "x^2")
     assert code == 2 and "parse error" in err
