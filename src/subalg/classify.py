@@ -247,17 +247,6 @@ def type_of(A):
 
 # --- invariants of a given subalgebra -----------------------------------
 
-def _degree_reps(basis, bound):
-    from .semigroup import NOT_MEMBER
-    S = basis.semigroup
-    out = [Poly.constant(basis.field.one, basis.field)]
-    for d in range(1, bound + 1):
-        rep = S.represent(d)
-        if rep is not NOT_MEMBER:
-            out.append(basis.product_for(rep))
-    return out
-
-
 def _ann_coeffs(basis, terms, field):
     """Coefficient vectors c with sum c_i f^(o_i)(p_i) = 0 on all of A.
 
@@ -265,7 +254,7 @@ def _ann_coeffs(basis, terms, field):
     annihilator of A inside the span of those derivative functionals.
     """
     bound = basis.semigroup.conductor + max(o for o, _ in terms) + 6
-    reps = _degree_reps(basis, bound)
+    reps = basis.degree_products(bound)
     rows = [[p.derivative(order)(point) for order, point in terms]
             for p in reps]
     return nullspace(rows, len(terms), field)
@@ -285,7 +274,7 @@ def _single_ann(basis, terms, field, label):
 def _pure_vanishes(basis, order, point, field):
     bound = basis.semigroup.conductor + order + 6
     return all(is_zero_scalar(p.derivative(order)(point))
-               for p in _degree_reps(basis, bound))
+               for p in basis.degree_products(bound))
 
 
 def _exact_clusters(A):

@@ -16,7 +16,7 @@ from .errors import (DegenerateConditions, NotSubalgebraConditions,
                      PowerBoundExceeded, SpectrumNotExact, SubalgError)
 from .fields import (QQ, common_field, field_of, format_scalar,
                      is_zero_scalar, scalar_to_json)
-from .linalg import echelon_nullspace, nullspace, reduce_vector, rref
+from .linalg import echelon_nullspace, extend_echelon, nullspace, rref
 from .poly import Poly
 from .sagbi import SagbiBasis, sagbi_complete, subduce
 from .semigroup import DegreeSemigroup
@@ -255,6 +255,7 @@ class Subalgebra:
         self._sagbi = _sagbi
         self._spectrum = None
         self._clusters = None
+        self._char_poly = None
 
     @classmethod
     def from_generators(cls, generators):
@@ -290,6 +291,13 @@ class Subalgebra:
             spectrum = self.spectrum(mode="exact")
             self._conditions = conditions_from_subalgebra(self, spectrum)
         return self._conditions
+
+    def char_poly(self):
+        """The characteristic polynomial χ of A, computed once."""
+        if self._char_poly is None:
+            from .spectrum import characteristic_polynomial
+            self._char_poly = characteristic_polynomial(self)
+        return self._char_poly
 
     def spectrum(self, mode="hybrid", nf=None, candidates=None, tol=1e-8):
         if self._spectrum is None:
@@ -395,30 +403,46 @@ def _normalize_conditions(conds):
     return conds
 
 
-def _algebra_degree_basis(basis, degree_bound):
-    """One algebra element per semigroup degree <= bound (spans A there)."""
-    from .semigroup import NOT_MEMBER
-    S = basis.semigroup
-    out = [Poly.constant(basis.field.one, basis.field)]
-    for d in range(1, degree_bound + 1):
-        rep = S.represent(d)
-        if rep is not NOT_MEMBER:
-            out.append(basis.product_for(rep))
-    return out
+def conductor_power(basis, pi):
+    """Smallest N >= 1 with π^N·K[x] ⊆ A, A the algebra of `basis`.
+
+    Exact: let d be the smallest positive degree of A and p ∈ A of degree
+    d; then K[x] = ⊕_{i<d} x^i·K[p], so π^N·K[x] ⊆ A iff every x^i·π^N
+    with i < d subduces to a constant.  `pi` and `basis` share one field.
+    Raises PowerBoundExceeded past N = 2n + 2 (n = codimension): π then
+    misses part of the spectrum.
+    """
+    n = basis.semigroup.genus
+    d = basis.degrees[0]
+    x = Poly.x(pi.field)
+    power = Poly.constant(pi.field.one, pi.field)
+    for N in range(1, 2 * n + 3):
+        power = power * pi
+        probe = power
+        for _ in range(d):
+            rem, _ = subduce(probe, basis)
+            if rem.degree >= 1:
+                break
+            probe = probe * x
+        else:
+            return N
+    raise PowerBoundExceeded(
+        f"no power up to {2 * n + 2} of the spectrum polynomial "
+        "multiplies into A: spectrum likely inexact or incomplete")
 
 
 def conditions_from_subalgebra(A, spectrum):
     """Independent conditions cutting out A, derived from its spectrum.
 
-    Searches for the smallest power N such that x^i · π^N lies in A for
-    all i (π = product of x − α over the spectrum), then finds all
-    derivative-evaluation functionals of order < N at spectrum points that
-    annihilate A up to the induced degree bound.  Exactly codim(A) such
-    functionals exist; order-0 parts are rewritten as point differences
-    where possible.
+    With π the product of x − α over the s spectrum points and N the
+    smallest power with π^N·K[x] ⊆ A (`conductor_power`), A is spanned by
+    its degree products of degree < N·s plus π^N·K[x].  Functionals of
+    order < N at the spectrum points vanish on π^N·K[x], so those that
+    annihilate A are exactly those that annihilate the degree products
+    below N·s: codim(A) of them.  Order-0 parts are rewritten as point
+    differences where possible.
     """
     basis = A.sagbi_basis() if hasattr(A, "sagbi_basis") else A
-    n = basis.semigroup.genus
     points = []
     for p in spectrum:
         value = getattr(p, "value", p)
@@ -437,49 +461,14 @@ def conditions_from_subalgebra(A, spectrum):
     if s == 0:
         raise SpectrumNotExact("empty spectrum")
 
-    pi = Poly.from_roots(points, field)
-    conductor = basis.semigroup.conductor
-    N = None
-    for cand in range(1, 2 * n + 3):
-        power = pi ** cand
-        ok = True
-        probe = Poly.constant(field.one, field)
-        x = Poly.x(field)
-        for i in range(conductor + 2):
-            rem, _ = subduce(probe * power, basis)
-            if rem.degree >= 1:
-                ok = False
-                break
-            probe = probe * x
-        if ok:
-            N = cand
-            break
-    if N is None:
-        raise PowerBoundExceeded(
-            f"no power up to {2 * n + 2} of the spectrum polynomial "
-            "multiplies into A: spectrum likely inexact or incomplete")
-
-    bound = max(N * s, conductor) + 2 * n + 2
-    for _ in range(4):
-        span = _algebra_degree_basis(basis, bound)
-        # coordinates: (order, point) with higher orders first, so reduced
-        # rows with only order-0 support surface as pure differences
-        coords = [(order, j) for order in range(N - 1, -1, -1)
-                  for j in range(s)]
-        equations = []
-        for g in span:
-            row = []
-            for order, j in coords:
-                row.append(g.derivative(order)(points[j]))
-            equations.append(row)
-        W = nullspace(equations, len(coords), field)
-        if len(W) == n:
-            break
-        bound += conductor + 4
-    else:
-        raise SubalgError(
-            f"annihilator dimension {len(W)} never stabilized at "
-            f"codimension {n}")
+    N = conductor_power(basis, Poly.from_roots(points, field))
+    # coordinates: (order, point) with higher orders first, so reduced
+    # rows with only order-0 support surface as pure differences
+    coords = [(order, j) for order in range(N - 1, -1, -1)
+              for j in range(s)]
+    equations = [[g.derivative(order)(points[j]) for order, j in coords]
+                 for g in basis.degree_products(N * s - 1)]
+    W = nullspace(equations, len(coords), field)
     W, _ = rref(W, len(coords), field)
 
     functionals = []
@@ -517,16 +506,10 @@ def intersect_and_join(A1, A2):
     field = _conditions_field(conds)
     N, s = _order_and_point_count(conds)
     bound = N * s + 2 * len(conds) + 2
-    kept, red, pivots = [], [], []
-    for L in conds:
-        row = reduce_vector(L.monomial_row(bound, field), red, pivots)
-        pc = next((c for c, v in enumerate(row) if not is_zero_scalar(v)),
-                  None)
-        if pc is not None:
-            inv = field.one / row[pc]
-            red.append([v * inv for v in row])
-            pivots.append(pc)
-            kept.append(L)
+    red, pivots = [], []
+    kept = [L for L in conds
+            if extend_echelon(L.monomial_row(bound, field), red, pivots,
+                              field)]
     intersection = kernel_subalgebra(kept)
 
     gens = list(A1.sagbi_basis().elements) + list(A2.sagbi_basis().elements)

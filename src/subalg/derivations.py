@@ -4,6 +4,13 @@ An α-derivation of A is a linear functional D with D(fg) = D(f)·g(α) +
 f(α)·D(g); equivalently D annihilates constants and the square of the
 maximal ideal M_α = {f ∈ A : f(α) = 0}.  The number k_α = dim M_α/M_α²
 bounds the derivation space and is conjectured to equal its dimension.
+
+Both are exact linear algebra modulo one polynomial G; no degree bound is
+grown.  π, the square-free part of the characteristic polynomial, vanishes
+on the whole spectrum, and A contains π^N·K[x] for the smallest such power
+N (`conductor_power`).  With H = π^N, times (x − α) when π(α) ≠ 0, H·K[x]
+lies in M_α, so G = H² gives G·K[x] ⊆ M_α², and M_α, M_α² are determined
+by their images in K[x]/(G), a space of dimension deg G.
 """
 
 from __future__ import annotations
@@ -11,12 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .conditions import LinearFunctional
-from .errors import EvenInput, NoStabilization, SubalgError
+from .conditions import LinearFunctional, conductor_power
+from .errors import EvenInput, SubalgError
 from .fields import common_field, field_of, is_zero_scalar
-from .linalg import nullspace, rank, rref
-from .poly import Poly
+from .linalg import extend_echelon, nullspace, rref
+from .poly import Poly, squarefree_part
 from .sagbi import subduce
+from .spectrum import char_poly_of
 
 
 class NotIntegral:
@@ -57,76 +65,87 @@ def _basis_of(A):
     return A.sagbi_basis() if hasattr(A, "sagbi_basis") else A
 
 
-def _degree_products(basis, bound):
-    """One algebra element per semigroup degree 1..bound."""
-    from .semigroup import NOT_MEMBER
-    S = basis.semigroup
-    out = []
-    for d in range(1, bound + 1):
-        rep = S.represent(d)
-        if rep is not NOT_MEMBER:
-            out.append(basis.product_for(rep))
-    return out
+def _dot(a, b, zero):
+    acc = zero
+    for u, v in zip(a, b):
+        if not is_zero_scalar(u):
+            acc = acc + u * v
+    return acc
 
 
-def _coeff_rows(polys, bound, field):
-    return [[field.coerce(p.coeff(k)) if k <= p.degree else field.zero
-             for k in range(bound + 1)] for p in polys]
+class _Jets:
+    """M_α and M_α² modulo G, for G as in the module docstring.
 
+    `m` lists m_d = P_d − P_d(α) for the semigroup degrees 1 <= d < D =
+    deg G (P_d the degree product of degree d); M_α = span(m) ⊕ G·K[x],
+    and `m_rows` are their coefficient vectors on 1, x, …, x^(D−1).
+    Since M_α = Σ_g u_g·A with u_g = e_g − e_g(α) over the SAGBI elements
+    e_g, M_α² = Σ_g u_g·M_α, so the remainders (u_g·m_d) mod G span
+    M_α² modulo G; `E` is a running echelon form of them (pivot columns
+    `pivots`, see `extend_echelon`).
+    """
 
-def _ideal_spans(basis, alpha, bound):
-    """Spanning sets of M_α and M_α² up to the degree bound."""
-    field = common_field(basis.field, field_of(alpha))
-    basis = basis.coerce_to(field)
-    alpha = field.coerce(alpha) if field is not basis.field else alpha
-    m_alpha = [p - p(alpha) for p in _degree_products(basis, bound)]
-    m_alpha = [p for p in m_alpha if p.degree >= 1]
-    squares = []
-    for i, p in enumerate(m_alpha):
-        for q in m_alpha[i:]:
-            if p.degree + q.degree <= bound:
-                squares.append(p * q)
-    return m_alpha, squares, field
-
-
-def k_alpha(A, alpha, max_bound=None):
-    """dim M_α/M_α², stabilized over a doubling degree bound."""
-    basis = _basis_of(A)
-    conductor = basis.semigroup.conductor
-    step = max(conductor, 4)
-    bound = max(2 * conductor + 4, 8)
-    cap = max_bound or bound + 12 * step
-    prev = None
-    stable = 0
-    while bound <= cap:
-        m1, m2, field = _ideal_spans(basis, alpha, bound)
-        d1 = rank(_coeff_rows(m1, bound, field), bound + 1, field)
-        d2 = rank(_coeff_rows(m2, bound, field), bound + 1, field)
-        value = d1 - d2
-        if value == prev:
-            stable += 1
-            if stable >= 2:
-                return value
+    def __init__(self, A, alpha):
+        basis = _basis_of(A)
+        n = basis.semigroup.genus
+        if n == 0:
+            pi = Poly.constant(basis.field.one, basis.field)
         else:
-            stable = 0
-        prev = value
-        bound += step
-    raise NoStabilization(
-        f"k_alpha did not stabilize below degree bound {cap}")
+            pi = squarefree_part(char_poly_of(A))
+        self.N = conductor_power(basis, pi)
+        field = common_field(basis.field, field_of(alpha))
+        basis = basis.coerce_to(field)
+        alpha = field.coerce(alpha)
+        self.pi = pi.coerce_to(field)
+        H = self.pi ** self.N
+        if not is_zero_scalar(self.pi(alpha)):
+            H = H * Poly((-alpha, field.one), field)
+        G = H * H
+        D = G.degree
+        self.m = [p - p(alpha) for p in basis.degree_products(D - 1)[1:]]
+        assert len(self.m) == D - 1 - n
+        self.m_rows = [self._row(p, D, field) for p in self.m]
+        self.E, self.pivots = [], []
+        for e in basis.elements:
+            u = e - e(alpha)
+            for p in self.m:
+                extend_echelon(self._row((u * p) % G, D, field), self.E,
+                               self.pivots, field)
+        self.basis, self.field, self.alpha, self.degree = \
+            basis, field, alpha, D
+
+    @staticmethod
+    def _row(p, D, field):
+        return list(p.coeffs) + [field.zero] * (D - len(p.coeffs))
+
+    @property
+    def k_alpha(self):
+        return len(self.m) - len(self.E)
+
+    def multiplicity(self, beta):
+        """The multiplicity of β as a root of G."""
+        if is_zero_scalar(self.pi(beta)):
+            return 2 * self.N
+        return 2 if beta == self.alpha else 0
+
+
+def k_alpha(A, alpha):
+    """dim M_α/M_α² = (D − 1 − n) − rank of M_α² modulo G (see `_Jets`)."""
+    return _Jets(A, alpha).k_alpha
 
 
 def _cluster_points(A, alpha, field):
-    """Spectrum points equivalent to α (α itself always included)."""
-    points = [field.coerce(alpha)]
+    """Spectrum points equivalent to α (α itself always included).
+
+    Errors from computing the clusters propagate: a partial cluster would
+    give a wrong derivation space.
+    """
+    points = [alpha]
     if not hasattr(A, "clusters"):
         return points
-    try:
-        clusters = A.clusters()
-    except SubalgError:
-        return points
-    for cluster in clusters:
+    for cluster in A.clusters():
         values = [p.value for p in cluster.members if p.exact]
-        if any(field.coerce(v) == points[0] for v in values):
+        if any(field.coerce(v) == alpha for v in values):
             for v in values:
                 cv = field.coerce(v)
                 if cv not in points:
@@ -139,47 +158,41 @@ def derivation_space(A, alpha, max_order=None):
     """All α-derivations of A as combinations of derivatives at the
     cluster of α.
 
-    Solves exactly for coefficients c_ij with Σ c_ij f^(i)(α_j) = 0 on a
-    spanning set of M_α²; the Leibniz identity is then re-verified on
-    products.  For α outside the spectrum the space is span{f ↦ f′(α)}.
+    Solves exactly for coefficients c_ij with Σ c_ij f^(i)(α_j) = 0 on
+    M_α²: on the rows of `_Jets.E`, with the orders i >= mult_{α_j}(G)
+    set to zero, since those functionals cannot vanish on G·K[x] ⊆ M_α².
+    Solutions that act on A as a combination of earlier ones are dropped;
+    if fewer than k_α remain, the orders are raised once.  The Leibniz
+    identity is then re-verified on products.  For α outside the spectrum
+    the space is span{f ↦ f′(α)}.
     """
-    basis = _basis_of(A)
-    field = common_field(basis.field, field_of(alpha))
-    basis = basis.coerce_to(field)
-    conductor = basis.semigroup.conductor
+    jets = _Jets(A, alpha)
+    field, zero, k = jets.field, jets.field.zero, jets.k_alpha
+    points = _cluster_points(A, jets.alpha, field)
+    conductor = jets.basis.semigroup.conductor
     if max_order is None:
         max_order = conductor + 2
     if max_order < 2:
         max_order = 2
-    k = k_alpha(basis, alpha)
-    points = _cluster_points(A, alpha, field)
-    bound = max(2 * conductor + 4, 2 * max_order + 4)
 
     for attempt in range(2):
-        coords = [(order, j) for order in range(1, max_order + 1)
-                  for j in range(len(points))]
-        _, squares, _ = _ideal_spans(basis, field.coerce(alpha), bound)
-        equations = []
-        for h in squares:
-            equations.append([h.derivative(order)(points[j])
-                              for order, j in coords])
-        vectors = nullspace(equations, len(coords), field)
-        vectors, _ = rref(vectors, len(coords), field)
-        # drop functionals that vanish on all of A: they act as the zero
-        # derivation and must not inflate the dimension
-        aprods = _degree_products(basis, bound)
-        value_rows = []
-        chosen = []
+        coords = [(order, point) for order in range(1, max_order + 1)
+                  for point in points if order < jets.multiplicity(point)]
+        jet_rows = [LinearFunctional.derivative_combo([(order, point,
+                                                        field.one)])
+                    .monomial_row(jets.degree - 1, field)
+                    for order, point in coords]
+        equations = [[_dot(e, r, zero) for r in jet_rows] for e in jets.E]
+        vectors, _ = rref(nullspace(equations, len(coords), field),
+                          len(coords), field)
+        # drop functionals that act on A (spanned by 1 and the m_d) as a
+        # combination of earlier ones: they add no derivation
+        values = [[_dot(m, r, zero) for r in jet_rows] for m in jets.m_rows]
+        chosen, red, pivots = [], [], []
         for vec in vectors:
-            row = []
-            for p in aprods:
-                acc = field.zero
-                for (order, j), coeff in zip(coords, vec):
-                    acc = acc + coeff * p.derivative(order)(points[j])
-                row.append(acc)
-            if rank(value_rows + [row], len(aprods), field) > len(chosen):
+            if extend_echelon([_dot(vec, v, zero) for v in values], red,
+                              pivots, field):
                 chosen.append(vec)
-                value_rows.append(row)
         vectors = chosen
         if len(vectors) >= k or attempt == 1:
             break
@@ -187,39 +200,39 @@ def derivation_space(A, alpha, max_order=None):
 
     combos = []
     for vec in vectors:
-        terms = [(order, points[j], coeff)
-                 for (order, j), coeff in zip(coords, vec)
+        terms = [(order, point, coeff)
+                 for (order, point), coeff in zip(coords, vec)
                  if not is_zero_scalar(coeff)]
         combos.append(LinearFunctional.derivative_combo(terms))
 
-    _verify_leibniz(combos, basis, field.coerce(alpha), conductor + 4)
+    _verify_leibniz(combos, jets.basis, jets.alpha, conductor + 4)
 
-    # quotient witnesses: elements of M_alpha completing M_alpha^2
-    m1, m2, _ = _ideal_spans(basis, field.coerce(alpha), bound)
-    red2, piv2 = rref(_coeff_rows(m2, bound, field), bound + 1, field)
-    witnesses = []
-    rows, pivots = list(red2), list(piv2)
-    for p in m1:
-        row = _coeff_rows([p], bound, field)[0]
-        new, new_piv = rref(rows + [row], bound + 1, field)
-        if len(new) > len(rows):
-            witnesses.append(p)
-            rows, pivots = list(new), list(new_piv)
-    return DerivationSpace(alpha=field.coerce(alpha), k_alpha=k,
-                           combo_basis=combos,
+    # quotient witnesses: the m_d that complete M_alpha^2 to M_alpha
+    red, pivots = [list(r) for r in jets.E], list(jets.pivots)
+    witnesses = [p for p, row in zip(jets.m, jets.m_rows)
+                 if extend_echelon(row, red, pivots, field)]
+    return DerivationSpace(alpha=jets.alpha, k_alpha=k, combo_basis=combos,
                            quotient_witnesses=witnesses)
 
 
 def _verify_leibniz(combos, basis, alpha, degree_bound):
-    products = _degree_products(basis, degree_bound)
+    """Check D(fg) = D(f)·g(α) + f(α)·D(g) for every combo D and every
+    pair of degree products of degree 1..degree_bound; D is applied
+    through its monomial row."""
+    field, zero = basis.field, basis.field.zero
+    products = basis.degree_products(degree_bound)[1:]
+    at_alpha = [f(alpha) for f in products]
+    pairs = [(i, j, (f * g).coeffs) for i, f in enumerate(products)
+             for j, g in enumerate(products) if i <= j]
     for D in combos:
-        for i, f in enumerate(products):
-            for g in products[i:]:
-                left = D.apply(f * g)
-                right = D.apply(f) * g(alpha) + f(alpha) * D.apply(g)
-                if not is_zero_scalar(left - right):
-                    raise SubalgError(
-                        "solved functional violates the Leibniz identity")
+        row = D.monomial_row(2 * degree_bound, field)
+        value = [_dot(f.coeffs, row, zero) for f in products]
+        for i, j, coeffs in pairs:
+            if not is_zero_scalar(_dot(coeffs, row, zero) -
+                                  value[i] * at_alpha[j] -
+                                  at_alpha[i] * value[j]):
+                raise SubalgError(
+                    "solved functional violates the Leibniz identity")
 
 
 def conjecture_dim_check(A, alpha):

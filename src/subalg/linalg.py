@@ -1,8 +1,9 @@
 """Exact linear algebra over Q or a number field (dense, fraction-based).
 
 Matrices are plain lists of row lists whose entries are Fractions or
-FieldElems of one common field.  Everything here is small (desk scale), so
-classical Gauss-Jordan with exact division is the right tool.
+FieldElems of one common field; both are falsy exactly when zero, which the
+elimination loops use to skip zero entries.  Everything here is small (desk
+scale), so classical Gauss-Jordan with exact division is the right tool.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ def rref(rows, ncols, field):
         for i in range(len(mat)):
             if i != r and not is_zero_scalar(mat[i][c]):
                 factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+                mat[i] = [a - factor * b if b else a
+                          for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -73,8 +75,22 @@ def reduce_vector(vec, red, pivots):
     for row, pc in zip(red, pivots):
         c = vec[pc]
         if not is_zero_scalar(c):
-            vec = [a - c * b for a, b in zip(vec, row)]
+            vec = [a - c * b if b else a for a, b in zip(vec, row)]
     return vec
+
+
+def extend_echelon(vec, red, pivots, field):
+    """Reduce vec against a running echelon form (rows `red`, pivot columns
+    `pivots`).  If a residual is left, append it, scaled to 1 at its first
+    nonzero column, and return True; return False when vec is dependent."""
+    row = reduce_vector(vec, red, pivots)
+    pc = next((c for c, v in enumerate(row) if not is_zero_scalar(v)), None)
+    if pc is None:
+        return False
+    inv = field.one / row[pc]
+    red.append([v * inv for v in row])
+    pivots.append(pc)
+    return True
 
 
 def in_row_space(vec, red, pivots):

@@ -58,6 +58,14 @@ class SagbiBasis:
         self._product_cache[rep] = prod
         return prod
 
+    def degree_products(self, bound):
+        """One algebra element per semigroup degree 0..bound: the monic
+        product for each degree's representation, the constant 1 first.
+        They span the algebra up to degree `bound`."""
+        S = self.semigroup
+        return [self.product_for(S.represent(d)) for d in range(bound + 1)
+                if S.contains(d)]
+
     def coerce_to(self, field):
         if field is self.field:
             return self

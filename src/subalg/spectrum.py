@@ -72,10 +72,9 @@ def characteristic_polynomial(A, max_pairs=6):
     multi-generator characteristic polynomial when no coprime pair exists.
     """
     basis = _basis_of(A)
-    S = basis.semigroup
-    degrees = [d for d in range(1, S.conductor + max(basis.degrees) + 1)
-               if S.contains(d)]
-    products = {d: basis.product_for(S.represent(d)) for d in degrees}
+    products = {p.degree: p for p in basis.degree_products(
+        basis.semigroup.conductor + max(basis.degrees))[1:]}
+    degrees = list(products)
     pairs = []
     for i, d1 in enumerate(degrees):
         for d2 in degrees[i + 1:]:
@@ -99,6 +98,13 @@ def characteristic_polynomial(A, max_pairs=6):
     return chi.monic()
 
 
+def char_poly_of(A):
+    """χ of A: cached on a Subalgebra, computed from a bare SAGBI basis."""
+    if hasattr(A, "char_poly"):
+        return A.char_poly()
+    return characteristic_polynomial(A)
+
+
 def compute_spectrum(A, mode="hybrid", nf=None, candidates=None,
                      tol=PAIR_TOL):
     """The spectrum of A as classified SpectrumPoints.
@@ -108,7 +114,7 @@ def compute_spectrum(A, mode="hybrid", nf=None, candidates=None,
     mode = "hybrid" (default): exact where possible, numeric otherwise.
     """
     basis = _basis_of(A)
-    chi = characteristic_polynomial(basis)
+    chi = char_poly_of(A)
     if chi.degree < 1:
         return []
     if nf is None and basis.field is not QQ:

@@ -7,11 +7,12 @@ from subalg.classify import construct_case
 from subalg.conditions import (LinearFunctional, Subalgebra,
                                _conditions_field, _monomial_kernel,
                                _order_and_point_count,
-                               conditions_from_subalgebra,
+                               conditions_from_subalgebra, conductor_power,
                                intersect_and_join,
                                is_subalgebra_condition_set,
                                kernel_subalgebra)
-from subalg.errors import DegenerateConditions, NotSubalgebraConditions
+from subalg.errors import (DegenerateConditions, NotSubalgebraConditions,
+                           PowerBoundExceeded)
 from subalg.fields import NumberField
 from subalg.oracle import oracle_codimension
 from subalg.parsing import parse_poly as P
@@ -151,3 +152,13 @@ def test_intersect_drops_dependent_conditions():
     assert len(inter.conditions()) == 3
     same, _ = intersect_and_join(A, A)
     assert same == A and len(same.conditions()) == 2
+
+
+def test_conductor_power():
+    # x*K[x] is not inside <x^2, x^3>, x^2*K[x] is; (x - 1)^N never is
+    basis = sagbi_complete([P("x^2"), P("x^3")])
+    assert conductor_power(basis, P("x")) == 2
+    assert conductor_power(sagbi_complete([P("x")]), Poly.constant(F(1))) \
+        == 1
+    with pytest.raises(PowerBoundExceeded):
+        conductor_power(basis, P("x - 1"))

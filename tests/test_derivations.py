@@ -2,12 +2,19 @@ from fractions import Fraction as F
 
 import pytest
 
+from case_draws import all_draws
+from subalg.classify import construct_case
 from subalg.conditions import LinearFunctional, Subalgebra, kernel_subalgebra
-from subalg.derivations import (NOT_INTEGRAL, conjecture_dim_check,
-                                derivation_space, integral_derivation,
-                                k_alpha, ln_coefficients)
-from subalg.errors import EvenInput
+from subalg.derivations import (NOT_INTEGRAL, _cluster_points,
+                                conjecture_dim_check, derivation_space,
+                                integral_derivation, k_alpha,
+                                ln_coefficients)
+from subalg.errors import EvenInput, SubalgError
+from subalg.fields import common_field, field_of, is_zero_scalar
+from subalg.linalg import extend_echelon, nullspace, rref
 from subalg.parsing import parse_poly as P
+from subalg.poly import Poly
+from subalg.sagbi import sagbi_complete
 
 
 def alg(*srcs):
@@ -92,3 +99,129 @@ def test_integral_rejected_when_product_leaves():
     A = alg("x^3", "x^5")
     L = deriv((1, 0, 1))
     assert integral_derivation(B, A, L, P("x")) is NOT_INTEGRAL
+
+
+def test_partial_cluster_is_an_error():
+    # the Q(i) draw moved by x -> x + 1: its spectrum is not found exactly,
+    # so the cluster of alpha is unknown and no derivation space is given
+    label, params, _ = next(d for d in all_draws()
+                            if any(hasattr(v, "field")
+                                   for v in d[1].values()))
+    moved = {k: v + 1 if k in ("alpha", "beta", "gamma") else v
+             for k, v in params.items()}
+    A = construct_case(label, moved)
+    with pytest.raises(SubalgError):
+        derivation_space(A, moved["alpha"])
+
+
+# --- the bound-growing path that the exact presentation replaced ----------
+
+def _old_spans(basis, alpha, bound):
+    """Spanning sets of M_α and of M_α² up to the degree bound."""
+    m1 = [p - p(alpha) for p in basis.degree_products(bound)[1:]]
+    m1 = [p for p in m1 if p.degree >= 1]
+    m2 = [p * q for i, p in enumerate(m1) for q in m1[i:]
+          if p.degree + q.degree <= bound]
+    return m1, m2
+
+
+def _old_row(p, bound):
+    return [p.coeff(k) for k in range(bound + 1)]
+
+
+def _old_k_alpha(basis, alpha, field):
+    """dim M_α/M_α², stable twice over a growing degree bound.
+
+    The ranks of both spans at each bound are kept in running echelon
+    forms, padded with zero columns as the bound grows.
+    """
+    conductor = basis.semigroup.conductor
+    step = max(conductor, 4)
+    start = max(2 * conductor + 4, 8)
+    forms = ([], [], []), ([], [], [])   # (rows, pivots, added) per span
+    prev, stable, low = None, 0, 0
+    for bound in range(start, start + 12 * step + 1, step):
+        spans = _old_spans(basis, alpha, bound)
+        for (red, pivots, added), span in zip(forms, spans):
+            red[:] = [r + [field.zero] * (bound + 1 - len(r)) for r in red]
+            added += [extend_echelon(_old_row(h, bound), red, pivots, field)
+                      for h in span if h.degree > low]
+        low = bound
+        value = sum(forms[0][2]) - sum(forms[1][2])
+        if value == prev:
+            stable += 1
+            if stable >= 2:
+                return value
+        else:
+            stable = 0
+        prev = value
+    raise AssertionError("old k_alpha did not stabilize")
+
+
+def _old_derivation_space(A, alpha):
+    """(k_α, combo terms, witnesses) from spans up to a degree bound."""
+    basis = A.sagbi_basis() if hasattr(A, "sagbi_basis") else A
+    field = common_field(basis.field, field_of(alpha))
+    basis = basis.coerce_to(field)
+    alpha = field.coerce(alpha)
+    conductor = basis.semigroup.conductor
+    max_order = max(conductor + 2, 2)
+    k = _old_k_alpha(basis, alpha, field)
+    points = _cluster_points(A, alpha, field)
+    bound = max(2 * conductor + 4, 2 * max_order + 4)
+    m1, m2 = _old_spans(basis, alpha, bound)
+    # equations on a basis of span(m2): same row space, fewer rows
+    red2, piv2 = rref([_old_row(h, bound) for h in m2], bound + 1, field)
+    squares = [Poly(row, field) for row in red2]
+    aprods = basis.degree_products(bound)[1:]
+    for attempt in range(2):
+        coords = [(order, j) for order in range(1, max_order + 1)
+                  for j in range(len(points))]
+        equations = [[h.derivative(order)(points[j]) for order, j in coords]
+                     for h in squares]
+        vectors = nullspace(equations, len(coords), field)
+        vectors, _ = rref(vectors, len(coords), field)
+        values = [[p.derivative(order)(points[j]) for order, j in coords]
+                  for p in aprods]
+        chosen, red, pivots = [], [], []
+        for vec in vectors:
+            row = [sum((c * v for c, v in zip(vec, pv)), field.zero)
+                   for pv in values]
+            if extend_echelon(row, red, pivots, field):
+                chosen.append(vec)
+        vectors = chosen
+        if len(vectors) >= k or attempt == 1:
+            break
+        max_order += conductor + 2
+    combos = [tuple((order, points[j], c)
+                    for (order, j), c in zip(coords, vec)
+                    if not is_zero_scalar(c)) for vec in vectors]
+    witnesses = [p for p in m1
+                 if extend_echelon(_old_row(p, bound), red2, piv2, field)]
+    return k, combos, witnesses
+
+
+def _differential_cases():
+    # one draw per family, plus the number-field draw
+    seen = {}
+    for label, params, _ in all_draws():
+        number_field = any(hasattr(v, "field") for v in params.values())
+        seen.setdefault((label, number_field), params)
+    cases = []
+    for (label, _), params in seen.items():
+        A = construct_case(label, params)
+        alpha = params.get("alpha", params.get("gamma"))
+        off = F(11, 3)
+        assert not is_zero_scalar(A.char_poly()(off))
+        cases += [(label, A, alpha), (label, A, off)]
+    cases.append(("codim0", sagbi_complete([P("x"), P("x^2+1")]), F(3)))
+    return cases
+
+
+def test_exact_path_matches_bound_growing_path():
+    for label, A, alpha in _differential_cases():
+        space = derivation_space(A, alpha)
+        k, combos, witnesses = _old_derivation_space(A, alpha)
+        assert space.k_alpha == k_alpha(A, alpha) == k, (label, alpha)
+        assert [D.terms for D in space.combo_basis] == combos, (label, alpha)
+        assert space.quotient_witnesses == witnesses, (label, alpha)

@@ -64,3 +64,11 @@ def test_coerce_to_number_field():
     basis = sagbi_complete([P("x^3 - x"), P("x^2")]).coerce_to(nf)
     assert basis.field is nf
     assert sorted(basis.degrees) == [2, 3]
+
+
+def test_degree_products_one_per_semigroup_degree():
+    basis = sagbi_complete([P("x^3 - x"), P("x^2")])
+    products = basis.degree_products(6)
+    assert [p.degree for p in products] == [0, 2, 3, 4, 5, 6]
+    assert products[0] == 1
+    assert all(membership(p, basis)[0] for p in products)
