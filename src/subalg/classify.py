@@ -18,7 +18,7 @@ from importlib import resources
 
 from .conditions import LinearFunctional, Subalgebra, kernel_subalgebra
 from .errors import (ClassificationError, InexactSpectrum,
-                     ParameterDegeneracy, SpectrumNotExact, SubalgError,
+                     ParameterDegeneracy, SpectrumNotExact,
                      UnsupportedCodimension)
 from .fields import QQ, common_field, field_of, is_zero_scalar
 from .linalg import nullspace
@@ -241,8 +241,7 @@ def construct_case(label, params):
 
 def type_of(A):
     """Minimal generator degrees of the degree semigroup of A."""
-    basis = A.sagbi_basis() if hasattr(A, "sagbi_basis") else A
-    return tuple(basis.semigroup.generators)
+    return tuple(Subalgebra.of(A).semigroup().generators)
 
 
 # --- invariants of a given subalgebra -----------------------------------
@@ -302,9 +301,7 @@ def classify(A, nf=None):
     symmetries), and the canonical basis of the matched type branch.  nf
     names the number field containing the spectrum when it is not Q.
     """
-    if not isinstance(A, Subalgebra):
-        A = Subalgebra(_sagbi=A) if hasattr(A, "semigroup") \
-            else Subalgebra.from_generators(list(A))
+    A = Subalgebra.of(A)
     basis = A.sagbi_basis()
     n = basis.semigroup.genus
     if n == 0:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from fractions import Fraction
 
@@ -25,20 +23,10 @@ from .poly import Poly, format_poly
 from .resultants import char_poly_multi, char_poly_pair
 from .verify import run_verify
 
-log = logging.getLogger("subalg")
-
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
-
-
-def _configure_logging():
-    level = os.environ.get("SUBALG_LOG", "off").lower()
-    mapping = {"off": logging.CRITICAL, "info": logging.INFO,
-               "debug": logging.DEBUG}
-    logging.basicConfig(level=mapping.get(level, logging.CRITICAL),
-                        format="%(name)s %(levelname)s %(message)s")
 
 
 def _field_from_arg(modulus):
@@ -388,7 +376,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

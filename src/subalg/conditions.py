@@ -149,11 +149,6 @@ class LinearFunctional:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def apply(functional, f):
-    """Exact value of the functional on the polynomial."""
-    return functional.apply(f)
-
-
 def _coerce(value, field):
     if field is QQ:
         return Fraction(value) if not hasattr(value, "field") else \
@@ -258,6 +253,24 @@ class Subalgebra:
         self._char_poly = None
 
     @classmethod
+    def of(cls, A):
+        """A as a Subalgebra: a Subalgebra itself, the algebra of a
+        SagbiBasis, or the algebra generated by an iterable of Polys."""
+        if isinstance(A, Subalgebra):
+            return A
+        if isinstance(A, SagbiBasis):
+            return cls(_sagbi=A)
+        try:
+            gens = list(A)
+        except TypeError:
+            gens = None
+        if not gens or not all(isinstance(g, Poly) for g in gens):
+            raise SubalgError(
+                "expected a Subalgebra, a SagbiBasis or generator "
+                f"polynomials, got {type(A).__name__}")
+        return cls.from_generators(gens)
+
+    @classmethod
     def from_generators(cls, generators):
         return cls(generators=generators)
 
@@ -299,17 +312,29 @@ class Subalgebra:
             self._char_poly = characteristic_polynomial(self)
         return self._char_poly
 
-    def spectrum(self, mode="hybrid", nf=None, candidates=None, tol=1e-8):
-        if self._spectrum is None:
-            from .spectrum import compute_spectrum
+    def spectrum(self, mode="hybrid", nf=None, tol=1e-8):
+        """The spectrum (see `compute_spectrum`), cached.
+
+        "numeric" results are never cached.  The cached spectrum is reused
+        by "hybrid" without nf, and otherwise only when every point is
+        exact; else the spectrum is computed afresh and replaces it.
+        """
+        from .spectrum import compute_spectrum
+        if mode == "numeric":
+            return compute_spectrum(self, mode=mode, nf=nf, tol=tol)
+        cached = self._spectrum
+        if cached is None or not ((mode == "hybrid" and nf is None) or
+                                  all(p.exact for p in cached)):
             self._spectrum = compute_spectrum(self, mode=mode, nf=nf,
-                                              candidates=candidates, tol=tol)
+                                              tol=tol)
+            self._clusters = None
         return self._spectrum
 
-    def clusters(self, **kwargs):
+    def clusters(self):
+        """The clusters of the cached (or a new hybrid) spectrum."""
         if self._clusters is None:
             from .spectrum import compute_clusters
-            self._clusters = compute_clusters(self, **kwargs)
+            self._clusters = compute_clusters(self)
         return self._clusters
 
     def contains(self, f):
@@ -442,7 +467,7 @@ def conditions_from_subalgebra(A, spectrum):
     below N·s: codim(A) of them.  Order-0 parts are rewritten as point
     differences where possible.
     """
-    basis = A.sagbi_basis() if hasattr(A, "sagbi_basis") else A
+    basis = Subalgebra.of(A).sagbi_basis()
     points = []
     for p in spectrum:
         value = getattr(p, "value", p)
@@ -498,6 +523,7 @@ def intersect_and_join(A1, A2):
     (dependencies removed); the join is the SAGBI completion of the union
     of the generators.
     """
+    A1, A2 = Subalgebra.of(A1), Subalgebra.of(A2)
     conds = list(A1.conditions())
     for L in A2.conditions():
         conds.append(L)

@@ -18,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .conditions import LinearFunctional, conductor_power
+from .conditions import LinearFunctional, Subalgebra, conductor_power
 from .errors import EvenInput, SubalgError
 from .fields import common_field, field_of, is_zero_scalar
 from .linalg import extend_echelon, nullspace, rref
 from .poly import Poly, squarefree_part
 from .sagbi import subduce
-from .spectrum import char_poly_of
+from .spectrum import compute_clusters, compute_spectrum
 
 
 class NotIntegral:
@@ -61,10 +61,6 @@ class DerivationSpace:
         return len(self.combo_basis)
 
 
-def _basis_of(A):
-    return A.sagbi_basis() if hasattr(A, "sagbi_basis") else A
-
-
 def _dot(a, b, zero):
     acc = zero
     for u, v in zip(a, b):
@@ -86,12 +82,12 @@ class _Jets:
     """
 
     def __init__(self, A, alpha):
-        basis = _basis_of(A)
+        basis = A.sagbi_basis()
         n = basis.semigroup.genus
         if n == 0:
             pi = Poly.constant(basis.field.one, basis.field)
         else:
-            pi = squarefree_part(char_poly_of(A))
+            pi = squarefree_part(A.char_poly())
         self.N = conductor_power(basis, pi)
         field = common_field(basis.field, field_of(alpha))
         basis = basis.coerce_to(field)
@@ -131,27 +127,30 @@ class _Jets:
 
 def k_alpha(A, alpha):
     """dim M_α/M_α² = (D − 1 − n) − rank of M_α² modulo G (see `_Jets`)."""
-    return _Jets(A, alpha).k_alpha
+    return _Jets(Subalgebra.of(A), alpha).k_alpha
 
 
 def _cluster_points(A, alpha, field):
-    """Spectrum points equivalent to α (α itself always included).
+    """The cluster of α, α first; [α] when α is off the spectrum.
 
-    Errors from computing the clusters propagate: a partial cluster would
-    give a wrong derivation space.
+    `field` contains α and the field of A.  The cluster comes from the
+    spectrum over `field`, so a point of an extension field is matched
+    exactly.  α on the spectrum but in no exact cluster raises SubalgError:
+    a partial cluster would give a wrong derivation space.
     """
-    points = [alpha]
-    if not hasattr(A, "clusters"):
-        return points
-    for cluster in A.clusters():
-        values = [p.value for p in cluster.members if p.exact]
-        if any(field.coerce(v) == alpha for v in values):
-            for v in values:
-                cv = field.coerce(v)
-                if cv not in points:
-                    points.append(cv)
-            break
-    return points
+    A = Subalgebra.of(A)
+    if A.codimension() == 0 or not is_zero_scalar(A.char_poly()(alpha)):
+        return [alpha]
+    if field is A.field:
+        clusters = A.clusters()
+    else:
+        clusters = compute_clusters(A, compute_spectrum(A, nf=field))
+    for cluster in clusters:
+        values = [field.coerce(p.value) for p in cluster.members if p.exact]
+        if alpha in values:
+            return [alpha] + [v for v in values if v != alpha]
+    raise SubalgError(
+        f"spectrum point {alpha!r} lies in no exact cluster")
 
 
 def derivation_space(A, alpha, max_order=None):
@@ -166,6 +165,7 @@ def derivation_space(A, alpha, max_order=None):
     identity is then re-verified on products.  For α outside the spectrum
     the space is span{f ↦ f′(α)}.
     """
+    A = Subalgebra.of(A)
     jets = _Jets(A, alpha)
     field, zero, k = jets.field, jets.field.zero, jets.k_alpha
     points = _cluster_points(A, jets.alpha, field)
@@ -237,17 +237,17 @@ def _verify_leibniz(combos, basis, alpha, degree_bound):
 
 def conjecture_dim_check(A, alpha):
     """Compare dim of the derivation space with k_α; returns a report."""
-    basis = _basis_of(A)
+    A = Subalgebra.of(A)
     space = derivation_space(A, alpha)
-    report = {
+    n = A.codimension()
+    return {
         "alpha": alpha,
         "k_alpha": space.k_alpha,
         "dim_combo": space.dimension,
         "equal": space.k_alpha == space.dimension,
-        "codimension": basis.semigroup.genus,
-        "proved_region": basis.semigroup.genus <= 3,
+        "codimension": n,
+        "proved_region": n <= 3,
     }
-    return report
 
 
 def ln_coefficients(n):
@@ -277,8 +277,8 @@ def integral_derivation(B, A, L, a):
     subduction); returns NOT_INTEGRAL otherwise.  The result is expanded
     into a derivative combination via the Leibniz rule.
     """
-    B_basis = _basis_of(B)
-    A_basis = _basis_of(A)
+    B_basis = Subalgebra.of(B).sagbi_basis()
+    A_basis = Subalgebra.of(A).sagbi_basis()
     field = common_field(B_basis.field, common_field(A_basis.field, a.field))
     a = a.coerce_to(field)
     for f in A_basis.elements:

@@ -1,121 +1,31 @@
-"""Polynomials in auxiliary variables z_1..z_k with Poly-in-x coefficients.
+"""The algebraic relation F(P, Q) between two generators, as a sparse
+polynomial in the auxiliary variables.
 
-Used for the parametric resultant R(x, z_2, ..., z_t) and for the algebraic
-relation F(p, q) between two generators (where the "x" part is constant).
-Terms map exponent tuples over the auxiliary variables to nonzero Poly
-coefficients.
+`resultant_relation` returns F as an MPoly: terms map exponent tuples over
+the auxiliary variables to nonzero Poly coefficients (constants for F).
+The relation is checked by substituting polynomials for the variables and
+by its partial derivatives.
 """
 
 from __future__ import annotations
 
-from .fields import QQ, common_field
+from .fields import common_field
 from .poly import Poly
 
 
 class MPoly:
     __slots__ = ("terms", "nvars", "field")
 
-    def __init__(self, terms, nvars, field=None):
+    def __init__(self, terms, nvars, field):
         clean = {}
-        if field is None:
-            field = QQ
-            for p in terms.values():
-                field = common_field(field, p.field)
         for expo, p in terms.items():
-            if not isinstance(p, Poly):
-                p = Poly.constant(field.coerce(p), field)
-            else:
-                p = p.coerce_to(field)
+            p = p.coerce_to(field)
             if p:
                 clean[tuple(expo)] = p
                 assert len(expo) == nvars
         self.terms = clean
         self.nvars = nvars
         self.field = field
-
-    @classmethod
-    def zero(cls, nvars, field=QQ):
-        return cls({}, nvars, field)
-
-    @classmethod
-    def from_poly(cls, p, nvars):
-        if p.is_zero():
-            return cls.zero(nvars, p.field)
-        return cls({(0,) * nvars: p}, nvars, p.field)
-
-    @classmethod
-    def var(cls, index, nvars, field=QQ):
-        expo = [0] * nvars
-        expo[index] = 1
-        return cls({tuple(expo): Poly.constant(field.one, field)},
-                   nvars, field)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def total_degree(self):
-        """Total degree in the auxiliary variables; -1 if zero."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def coefficient(self, expo):
-        return self.terms.get(tuple(expo), Poly.zero(self.field))
-
-    # -- ring ops --------------------------------------------------------
-
-    def _co(self, other):
-        if isinstance(other, MPoly):
-            assert other.nvars == self.nvars
-            return other
-        if isinstance(other, Poly):
-            return MPoly.from_poly(other, self.nvars)
-        return MPoly.from_poly(
-            Poly.constant(self.field.coerce(other), self.field), self.nvars)
-
-    def __add__(self, other):
-        o = self._co(other)
-        terms = dict(self.terms)
-        for e, p in o.terms.items():
-            terms[e] = terms.get(e, Poly.zero(self.field)) + p
-        return MPoly(terms, self.nvars,
-                     common_field(self.field, o.field))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MPoly({e: -p for e, p in self.terms.items()}, self.nvars,
-                     self.field)
-
-    def __sub__(self, other):
-        return self + (-self._co(other))
-
-    def __mul__(self, other):
-        o = self._co(other)
-        field = common_field(self.field, o.field)
-        terms = {}
-        for e1, p1 in self.terms.items():
-            for e2, p2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = p1 * p2
-                terms[e] = terms.get(e, Poly.zero(field)) + prod
-        return MPoly(terms, self.nvars, field)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        result = MPoly.from_poly(Poly.constant(self.field.one, self.field),
-                                 self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
@@ -124,8 +34,6 @@ class MPoly:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    # -- calculus / substitution ----------------------------------------
 
     def partial(self, index):
         """Partial derivative with respect to auxiliary variable index."""
@@ -154,147 +62,7 @@ class MPoly:
             out = out + term
         return out
 
-    # -- exact division (needed by fraction-free elimination) -----------
-
-    def exact_div(self, divisor):
-        """Exact quotient self / divisor; raises if division is not exact."""
-        if isinstance(divisor, Poly):
-            divisor = MPoly.from_poly(divisor, self.nvars)
-        num = _to_recursive(self, self.nvars)
-        den = _to_recursive(divisor, self.nvars)
-        quot = _rec_exact_div(num, den, self.nvars)
-        return _from_recursive(quot, self.nvars, self.field)
-
     def __repr__(self):
         items = sorted(self.terms.items())
         body = " + ".join(f"z{e}*({p})" for e, p in items) or "0"
         return f"MPoly({body})"
-
-
-# -- recursive dense form helpers ------------------------------------------
-# level k >= 1: list of coefficients in z_k; level 0: Poly in x.
-
-
-def _to_recursive(mp, nvars):
-    if nvars == 0:
-        return mp.coefficient(())
-    deg = max((e[nvars - 1] for e in mp.terms), default=-1)
-    out = []
-    for k in range(deg + 1):
-        sub = {e[:-1]: p for e, p in mp.terms.items() if e[nvars - 1] == k}
-        out.append(_to_recursive(MPoly(sub, nvars - 1, mp.field), nvars - 1))
-    return out
-
-
-def _rec_is_zero(v, level):
-    if level == 0:
-        return v.is_zero()
-    return all(_rec_is_zero(c, level - 1) for c in v)
-
-
-def _rec_trim(v, level):
-    while v and _rec_is_zero(v[-1], level - 1):
-        v.pop()
-    return v
-
-
-def _rec_zero(level, field):
-    if level == 0:
-        return Poly.zero(field)
-    return []
-
-
-def _rec_sub_scaled(a, b, c, level, field):
-    """a - c*b at the given level (c one level down... c same level - 1)."""
-    a = list(a)
-    while len(a) < len(b):
-        a.append(_rec_zero(level - 1, field))
-    for i, bi in enumerate(b):
-        a[i] = _rec_subtract(a[i], _rec_mul(c, bi, level - 1, field),
-                             level - 1, field)
-    return _rec_trim(a, level)
-
-
-def _rec_subtract(a, b, level, field):
-    if level == 0:
-        return a - b
-    a = list(a)
-    while len(a) < len(b):
-        a.append(_rec_zero(level - 1, field))
-    for i, bi in enumerate(b):
-        a[i] = _rec_subtract(a[i], bi, level - 1, field)
-    return _rec_trim(a, level)
-
-
-def _rec_add(a, b, level, field):
-    if level == 0:
-        return a + b
-    a = list(a)
-    while len(a) < len(b):
-        a.append(_rec_zero(level - 1, field))
-    for i, bi in enumerate(b):
-        a[i] = _rec_add(a[i], bi, level - 1, field)
-    return _rec_trim(a, level)
-
-
-def _rec_mul(a, b, level, field):
-    if level == 0:
-        return a * b
-    if not a or not b:
-        return []
-    out = [_rec_zero(level - 1, field) for _ in range(len(a) + len(b) - 1)]
-    for i, ai in enumerate(a):
-        if _rec_is_zero(ai, level - 1):
-            continue
-        for j, bj in enumerate(b):
-            prod = _rec_mul(ai, bj, level - 1, field)
-            out[i + j] = _rec_add(out[i + j], prod, level - 1, field)
-    return _rec_trim(out, level)
-
-
-def _rec_exact_div(num, den, level):
-    """Exact division in (..((Q[x])[z1])..)[z_level]."""
-    if level == 0:
-        return num.exact_div(den)
-    field = _rec_field(den, level)
-    num = _rec_trim(list(num), level)
-    den = _rec_trim(list(den), level)
-    if not den:
-        raise ZeroDivisionError("exact division by zero")
-    quot = []
-    while num:
-        dn, dd = len(num) - 1, len(den) - 1
-        if dn < dd:
-            raise ValueError("exact division failed (degree)")
-        c = _rec_exact_div(num[-1], den[-1], level - 1)
-        while len(quot) < dn - dd + 1:
-            quot.append(_rec_zero(level - 1, field))
-        quot[dn - dd] = c
-        shifted = [_rec_zero(level - 1, field)] * (dn - dd) + list(den)
-        num = _rec_sub_scaled(num, shifted, c, level, field)
-    return quot
-
-
-def _rec_field(v, level):
-    if level == 0:
-        return v.field
-    for c in v:
-        f = _rec_field(c, level - 1)
-        if f is not None:
-            return f
-    return None
-
-
-def _from_recursive(v, nvars, field):
-    terms = {}
-
-    def walk(node, level, expo):
-        if level == 0:
-            if node:
-                terms[tuple(reversed(expo))] = node
-            return
-        for k, sub in enumerate(node):
-            walk(sub, level - 1, expo + [k])
-
-    walk(v, nvars, [])
-    return MPoly(terms, nvars, field)

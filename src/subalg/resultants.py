@@ -10,7 +10,7 @@ Resultants of y-polynomials whose coefficients are polynomials in x are
 computed by evaluation at integer x-points, a Euclidean remainder sequence on
 the specialized univariate polynomials, and Newton interpolation — exact
 throughout, and far cheaper than eliminating on the symbolic Sylvester
-matrix.  The Sylvester/Bareiss route is kept for MPoly entries.
+matrix.
 """
 
 from __future__ import annotations
@@ -213,100 +213,11 @@ def resultant_y_tables(f_table, g_table):
     return _newton_interpolate(points, values, field)
 
 
-def sylvester_matrix(f_coeffs, g_coeffs):
-    """Sylvester matrix with deg(g) rows of f followed by deg(f) rows of g."""
-    mf, mg = len(f_coeffs) - 1, len(g_coeffs) - 1
-    size = mf + mg
-    fd = list(reversed(f_coeffs))
-    gd = list(reversed(g_coeffs))
-    zero = None
-    rows = []
-    for i in range(mg):
-        rows.append([None] * i + list(fd) + [None] * (mg - 1 - i))
-    for i in range(mf):
-        rows.append([None] * i + list(gd) + [None] * (mf - 1 - i))
-    assert all(len(r) == size for r in rows)
-    return rows
-
-
-def _cofactor_det(rows, zero, one):
-    n = len(rows)
-    if n == 0:
-        return one
-    if n == 1:
-        return rows[0][0]
-    total = zero
-    for j in range(n):
-        a = rows[0][j]
-        if not a:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = a * _cofactor_det(minor, zero, one)
-        total = total + term if (j % 2 == 0) else total - term
-    return total
-
-
-def _bareiss_det(rows, zero, one, exact_div):
-    n = len(rows)
-    if n == 0:
-        return one
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot is None:
-                return zero
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        pkk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            for j in range(k + 1, n):
-                num = pkk * m[i][j] - mik * m[k][j]
-                m[i][j] = exact_div(num, prev)
-            m[i][k] = zero
-        prev = pkk
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else zero - det
-
-
 def resultant_y(f, g):
-    """Res_y; inputs are DividedDifference values or y-coefficient lists.
-
-    Coefficient lists may contain Poly (in x) or MPoly entries.
-    """
-    f_table = list(f.table) if isinstance(f, DividedDifference) else list(f)
-    g_table = list(g.table) if isinstance(g, DividedDifference) else list(g)
-    if any(isinstance(c, MPoly) for c in f_table + g_table):
-        nvars = next(c.nvars for c in f_table + g_table
-                     if isinstance(c, MPoly))
-        f_table = [c if isinstance(c, MPoly) else MPoly.from_poly(c, nvars)
-                   for c in f_table]
-        g_table = [c if isinstance(c, MPoly) else MPoly.from_poly(c, nvars)
-                   for c in g_table]
-        while f_table and f_table[-1].is_zero():
-            f_table.pop()
-        while g_table and g_table[-1].is_zero():
-            g_table.pop()
-        if not f_table or not g_table:
-            raise ZeroPolynomialInY("resultant of the zero polynomial in y")
-        field = f_table[0].field
-        zero = MPoly.zero(f_table[0].nvars, field)
-        one = MPoly.from_poly(Poly.constant(field.one, field),
-                              f_table[0].nvars)
-        mf, mg = len(f_table) - 1, len(g_table) - 1
-        if mf == 0:
-            return f_table[0] ** mg
-        if mg == 0:
-            return g_table[0] ** mf
-        rows = sylvester_matrix(f_table, g_table)
-        rows = [[zero if e is None else e for e in row] for row in rows]
-        if len(rows) <= 12:
-            return _cofactor_det(rows, zero, one)
-        return _bareiss_det(rows, zero, one,
-                            lambda a, b: a.exact_div(b))
+    """Res_y; inputs are DividedDifference values or y-coefficient lists
+    of Polys in x."""
+    f_table = f.table if isinstance(f, DividedDifference) else f
+    g_table = g.table if isinstance(g, DividedDifference) else g
     return resultant_y_tables(f_table, g_table)
 
 

@@ -1,6 +1,9 @@
 """Root extraction: rational roots, number-field candidate roots, and
 numeric complex roots by simultaneous (Aberth–Ehrlich) iteration.
 
+`split_roots` is the one exact cascade (rational roots, then field
+candidates); its callers differ only in what they do with the unsplit rest.
+
 Square-free decomposition lives in :mod:`subalg.poly`; it is re-exported
 here because root finding is its main consumer.
 """
@@ -10,7 +13,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import gcd as int_gcd, isqrt
+from math import gcd as int_gcd
 
 from .errors import NonConvergence, SubalgError, ZeroInput
 from .fields import QQ, is_zero_scalar
@@ -27,15 +30,6 @@ class RootSet:
     source: Poly
     exact_roots: list = dc_field(default_factory=list)     # (value, mult)
     numeric_roots: list = dc_field(default_factory=list)   # (complex, mult, residual)
-
-    def all_values(self):
-        vals = [(v, m, True) for v, m in self.exact_roots]
-        vals += [(v, m, False) for v, m, _ in self.numeric_roots]
-        return vals
-
-    def total_multiplicity(self):
-        return sum(m for _, m in self.exact_roots) + \
-            sum(m for _, m, _ in self.numeric_roots)
 
 
 # ---------------------------------------------------------------------------
@@ -265,73 +259,69 @@ def field_roots(p, nf, candidates):
     return found, leftovers
 
 
+def _default_candidates(nf):
+    """Trial roots in nf: ±t^k for k < 6·[nf:Q] + 13, then 0, ±2."""
+    out = []
+    t = nf.gen()
+    power = nf.one
+    for _ in range(6 * nf.degree + 13):
+        for c in (power, -power):
+            if c not in out:
+                out.append(c)
+        power = power * t
+    for r in (0, 1, -1, 2, -2):
+        c = nf.coerce(r)
+        if c not in out:
+            out.append(c)
+    return out
+
+
 # ---------------------------------------------------------------------------
-# Unified entry point
+# The root cascade
 # ---------------------------------------------------------------------------
 
 
-def find_roots(p, mode="numeric", nf=None, candidates=None,
-               tol=RESIDUAL_TOL):
-    """Root finding in one of three modes.
+def split_roots(p, nf=None):
+    """Exact roots of p, and the part of p they leave unsplit.
 
-    mode = "exact-rational": all rational roots with multiplicity.
-    mode = "numeric": all complex roots via Aberth iteration per factor.
-    mode = "field": linear factors over the given NumberField found by trial
-    evaluation on the candidate list (plus all rational roots).
+    Each square-free factor of p gives up its rational roots, then, over
+    the number field nf, its roots among the default candidates
+    (`field_roots`).  Returns (roots, leftover): roots lists (value,
+    multiplicity) with values in nf when nf is given; leftover lists
+    (rest, multiplicity) for each factor whose rest is nonconstant.
     """
-    if p.is_zero() or p.degree < 1:
-        raise ZeroInput("find_roots needs a nonconstant polynomial")
-    rs = RootSet(source=p)
-    if mode == "exact-rational":
-        rs.exact_roots = rational_roots(p)
-        return rs
-    if mode == "numeric":
-        for factor, mult in squarefree_decompose(p):
-            roots, residual = aberth_roots(factor, tol=tol)
-            rs.numeric_roots.extend((z, mult, residual) for z in roots)
-        return rs
-    if mode == "field":
-        if nf is None or candidates is None:
-            raise SubalgError("field mode needs a field and candidates")
-        rats = rational_roots(p) if p.to_rational() is not None else []
-        covered = set()
-        for v, m in rats:
-            rs.exact_roots.append((v, m))
-            covered.add(nf.coerce(v))
-        found, _ = field_roots(p, nf, candidates)
-        for v, m in found:
-            if v not in covered:
-                rs.exact_roots.append((v, m))
-        return rs
-    raise SubalgError(f"unknown root-finding mode {mode!r}")
+    candidates = _default_candidates(nf) if nf is not None else None
+    roots, leftover = [], []
+    for factor, mult in squarefree_decompose(p):
+        rest = factor
+        rat = rest.to_rational()
+        if rat is not None:
+            for v, _ in rational_roots(rat):
+                roots.append((v if nf is None else nf.coerce(v), mult))
+                rest = rest.exact_div(
+                    Poly((-v, 1), QQ).coerce_to(rest.field))
+        if nf is not None and rest.degree >= 1:
+            found, unsplit = field_roots(rest, nf, candidates)
+            roots.extend((v, mult) for v, _ in found)
+            rest = Poly.constant(nf.one, nf)
+            for f, _ in unsplit:
+                rest = rest * f
+        if rest.degree >= 1:
+            leftover.append((rest, mult))
+    return roots, leftover
 
 
-def hybrid_roots(p, nf=None, candidates=None, tol=RESIDUAL_TOL):
-    """Exact roots where possible, numeric for the rest.
+def hybrid_roots(p, nf=None, tol=RESIDUAL_TOL):
+    """Exact roots where possible (`split_roots`), numeric for the rest.
 
     Returns a RootSet whose exact and numeric parts together account for
     every root of p (multiplicity-correct).
     """
     if p.degree < 1:
         raise ZeroInput("hybrid_roots needs a nonconstant polynomial")
-    rs = RootSet(source=p)
-    for factor, mult in squarefree_decompose(p):
-        remaining = factor
-        rat = remaining.to_rational()
-        if rat is not None:
-            for v, _ in rational_roots(rat):
-                val = v if nf is None else nf.coerce(v)
-                rs.exact_roots.append((val, mult))
-                remaining = remaining.exact_div(
-                    Poly((-v, 1), QQ).coerce_to(remaining.field))
-        if nf is not None and remaining.degree >= 1 and candidates:
-            found, leftover = field_roots(remaining, nf, candidates)
-            for v, _ in found:
-                rs.exact_roots.append((v, mult))
-            remaining = Poly.constant(nf.one, nf)
-            for f, _ in leftover:
-                remaining = remaining * f
-        if remaining.degree >= 1:
-            roots, residual = aberth_roots(remaining, tol=tol)
-            rs.numeric_roots.extend((z, mult, residual) for z in roots)
+    exact, leftover = split_roots(p, nf)
+    rs = RootSet(source=p, exact_roots=exact)
+    for rest, mult in leftover:
+        roots, residual = aberth_roots(rest, tol=tol)
+        rs.numeric_roots.extend((z, mult, residual) for z in roots)
     return rs

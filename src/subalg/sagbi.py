@@ -274,7 +274,6 @@ def sagbi_extend(basis, functional):
 
 def membership(f, algebra):
     """Is f in the algebra?  Returns (bool, certificate)."""
-    basis = algebra.sagbi_basis() if hasattr(algebra, "sagbi_basis") \
-        else algebra
-    rem, steps = subduce(f, basis)
+    from .conditions import Subalgebra
+    rem, steps = subduce(f, Subalgebra.of(algebra).sagbi_basis())
     return rem.degree < 1, steps

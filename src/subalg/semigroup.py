@@ -127,15 +127,6 @@ def _generated_by(d, gens):
     return reachable[d]
 
 
-def semigroup_from_degrees(degrees):
-    """Public constructor (validates gcd = 1)."""
-    return DegreeSemigroup(degrees)
-
-
-def represent_degree(S, d):
-    return S.represent(d)
-
-
 def genus3_type_enumeration(genus=3):
     """The complete list of numerical-semigroup types for genus 1..3."""
     table = {

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from math import gcd
 
+from .conditions import Subalgebra, conditions_from_subalgebra
 from .errors import (BoundViolated, NoDegreeTwoElement, SpectrumNotExact,
                      SubalgError, UnpairedRoot)
 from .fields import QQ, format_scalar, is_zero_scalar, scalar_to_json
-from .poly import Poly, poly_gcd, squarefree_decompose
+from .poly import Poly, poly_gcd
 from .resultants import char_poly_multi, char_poly_pair
-from .roots import RESIDUAL_TOL, aberth_roots, field_roots, rational_roots
+from .roots import RESIDUAL_TOL, _default_candidates, aberth_roots, split_roots
 
 PAIR_TOL = 1e-8
 
@@ -60,10 +61,6 @@ class Cluster:
         return len(self.members)
 
 
-def _basis_of(A):
-    return A.sagbi_basis() if hasattr(A, "sagbi_basis") else A
-
-
 def characteristic_polynomial(A, max_pairs=6):
     """Monic candidate χ: gcd of pairwise characteristic polynomials.
 
@@ -71,7 +68,7 @@ def characteristic_polynomial(A, max_pairs=6):
     stopping when the gcd is unchanged twice; falls back to the
     multi-generator characteristic polynomial when no coprime pair exists.
     """
-    basis = _basis_of(A)
+    basis = Subalgebra.of(A).sagbi_basis()
     products = {p.degree: p for p in basis.degree_products(
         basis.semigroup.conductor + max(basis.degrees))[1:]}
     degrees = list(products)
@@ -98,53 +95,31 @@ def characteristic_polynomial(A, max_pairs=6):
     return chi.monic()
 
 
-def char_poly_of(A):
-    """χ of A: cached on a Subalgebra, computed from a bare SAGBI basis."""
-    if hasattr(A, "char_poly"):
-        return A.char_poly()
-    return characteristic_polynomial(A)
-
-
-def compute_spectrum(A, mode="hybrid", nf=None, candidates=None,
-                     tol=PAIR_TOL):
+def compute_spectrum(A, mode="hybrid", nf=None, tol=PAIR_TOL):
     """The spectrum of A as classified SpectrumPoints.
 
-    mode = "exact": all roots must be rational or found in the field;
-    mode = "numeric": complex double-precision roots;
+    The exact points come from `split_roots` over nf (default: the field
+    of A); the modes differ in what happens to the unsplit rest.
+    mode = "exact": any unsplit rest raises SpectrumNotExact;
+    mode = "numeric": every point as a complex double-precision root;
     mode = "hybrid" (default): exact where possible, numeric otherwise.
     """
-    basis = _basis_of(A)
-    chi = char_poly_of(A)
+    A = Subalgebra.of(A)
+    basis = A.sagbi_basis()
+    chi = A.char_poly()
     if chi.degree < 1:
         return []
     if nf is None and basis.field is not QQ:
         nf = basis.field
-    if nf is not None and candidates is None:
-        candidates = _default_candidates(nf)
-
-    exact, numeric = [], []
-    for factor, mult in squarefree_decompose(chi):
-        remaining = factor
-        rat = remaining.to_rational()
-        if rat is not None and rat.degree >= 1:
-            for v, _ in rational_roots(rat):
-                val = v if nf is None else nf.coerce(v)
-                exact.append((val, mult))
-                remaining = remaining.exact_div(
-                    Poly((-v, 1), QQ).coerce_to(remaining.field))
-        if nf is not None and remaining.degree >= 1:
-            found, leftover = field_roots(remaining, nf, candidates)
-            exact.extend((v, mult) for v, _ in found)
-            remaining = Poly.constant(nf.one, nf)
-            for f, _ in leftover:
-                remaining = remaining * f
-        if remaining.degree >= 1:
-            if mode == "exact":
-                raise SpectrumNotExact(
-                    f"irreducible factor of degree {remaining.degree} has "
-                    "no root in the supplied field")
-            roots, _ = aberth_roots(remaining, tol=RESIDUAL_TOL)
-            numeric.extend((z, mult) for z in roots)
+    exact, leftover = split_roots(chi, nf)
+    if leftover and mode == "exact":
+        raise SpectrumNotExact(
+            f"irreducible factor of degree {leftover[0][0].degree} has "
+            "no root in the supplied field")
+    numeric = []
+    for rest, mult in leftover:
+        roots, _ = aberth_roots(rest, tol=RESIDUAL_TOL)
+        numeric.extend((z, mult) for z in roots)
     if mode == "numeric":
         numeric = [(complex(_embed(v)), m) for v, m in exact] + numeric
         exact = []
@@ -156,22 +131,6 @@ def compute_spectrum(A, mode="hybrid", nf=None, candidates=None,
     for value, mult in numeric:
         points.append(_classify(basis, value, mult, False, all_vals, tol))
     return points
-
-
-def _default_candidates(nf):
-    out = []
-    t = nf.gen()
-    power = nf.one
-    for _ in range(6 * nf.degree + 13):
-        for c in (power, -power):
-            if c not in out:
-                out.append(c)
-        power = power * t
-    for r in (0, 1, -1, 2, -2):
-        c = nf.coerce(r)
-        if c not in out:
-            out.append(c)
-    return out
 
 
 def _embed(value):
@@ -227,10 +186,10 @@ def _scale(e, z):
 
 def compute_clusters(A, spectrum=None, tol=PAIR_TOL):
     """Partition of the spectrum: α ∼ β iff all basis elements agree."""
-    basis = _basis_of(A)
+    A = Subalgebra.of(A)
+    basis = A.sagbi_basis()
     if spectrum is None:
-        spectrum = A.spectrum() if hasattr(A, "spectrum") \
-            else compute_spectrum(A)
+        spectrum = A.spectrum()
     n = len(spectrum)
     parent = list(range(n))
 
@@ -269,11 +228,10 @@ def compute_clusters(A, spectrum=None, tol=PAIR_TOL):
 
 def spectrum_size_check(A, spectrum=None):
     """Check |Sp(A)| ≤ 2·codim; report, raising BoundViolated on failure."""
-    basis = _basis_of(A)
-    n = basis.semigroup.genus
+    A = Subalgebra.of(A)
+    n = A.codimension()
     if spectrum is None:
-        spectrum = A.spectrum() if hasattr(A, "spectrum") \
-            else compute_spectrum(A)
+        spectrum = A.spectrum()
     size = len(spectrum)
     report = {"codimension": n, "spectrum_size": size, "bound": 2 * n,
               "ok": size <= 2 * n, "all_differences": None}
@@ -281,8 +239,7 @@ def spectrum_size_check(A, spectrum=None):
         raise BoundViolated(
             f"spectrum size {size} exceeds 2·codim = {2 * n}")
     if size == 2 * n and all(p.exact for p in spectrum):
-        from .conditions import conditions_from_subalgebra
-        conds = conditions_from_subalgebra(basis, spectrum)
+        conds = conditions_from_subalgebra(A, spectrum)
         report["all_differences"] = all(L.kind == "diff" for L in conds)
     return report
 
@@ -309,7 +266,7 @@ class Deg2Description:
 
 def deg2_description(A):
     """Extract the normal form; raises NoDegreeTwoElement otherwise."""
-    basis = _basis_of(A)
+    basis = Subalgebra.of(A).sagbi_basis()
     field = basis.field
     deg2 = next((e for e in basis.elements if e.degree == 2), None)
     if deg2 is None:
@@ -332,19 +289,10 @@ def deg2_description(A):
     while m0 < h.degree + 1 and is_zero_scalar(h.coeff(m0)):
         m0 += 1
     h = Poly(h.coeffs[m0:], field)
+    roots, leftover = split_roots(h, None if field is QQ else field)
+    if leftover:
+        raise SpectrumNotExact("odd-generator roots not exact")
     pairs = []
-    remaining = h.monic()
-    rat = remaining.to_rational()
-    roots = []
-    if rat is not None:
-        roots = [(v, m) for v, m in rational_roots(rat)]
-    else:
-        found, leftover = field_roots(remaining, field,
-                                      _default_candidates(field))
-        if any(f.degree >= 1 for f, _ in leftover):
-            raise SpectrumNotExact("odd-generator roots not exact")
-        roots = found_with_mult(found, remaining, field)
-    total = 0
     for r, m in roots:
         gamma = _exact_sqrt(r, field)
         if gamma is None:
@@ -354,9 +302,6 @@ def deg2_description(A):
         alpha_i = field.coerce(alpha0) + gamma
         beta_i = field.coerce(alpha0) - gamma
         pairs.append((alpha_i, beta_i, m - 1))
-        total += m
-    if total != remaining.degree:
-        raise SpectrumNotExact("odd-generator roots not exact")
     return Deg2Description(alpha0=alpha0, m0=m0, pairs=pairs, field=field)
 
 
@@ -385,22 +330,6 @@ def _exact_sqrt(r, field):
     return None
 
 
-def found_with_mult(found, poly, field):
-    """Multiplicities of the found roots by repeated exact division."""
-    out = []
-    for v, _ in found:
-        m = 0
-        lin = Poly((-v, field.one), field)
-        while poly.degree >= 1:
-            q, r = divmod(poly, lin)
-            if not r.is_zero():
-                break
-            poly = q
-            m += 1
-        out.append((v, m))
-    return out
-
-
 def deg2_from_description(desc):
     """Inverse constructor: the two generators from the normal form."""
     field = desc.field
@@ -412,5 +341,4 @@ def deg2_from_description(desc):
     for alpha_i, beta_i, m_i in desc.pairs:
         gamma = field.coerce(alpha_i) - alpha0
         odd = odd * (y * y - gamma * gamma) ** (m_i + 1)
-    from .conditions import Subalgebra
     return Subalgebra(generators=[g2, odd])

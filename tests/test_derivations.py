@@ -10,7 +10,7 @@ from subalg.derivations import (NOT_INTEGRAL, _cluster_points,
                                 integral_derivation, k_alpha,
                                 ln_coefficients)
 from subalg.errors import EvenInput, SubalgError
-from subalg.fields import common_field, field_of, is_zero_scalar
+from subalg.fields import NumberField, common_field, field_of, is_zero_scalar
 from subalg.linalg import extend_echelon, nullspace, rref
 from subalg.parsing import parse_poly as P
 from subalg.poly import Poly
@@ -225,3 +225,18 @@ def test_exact_path_matches_bound_growing_path():
         assert space.k_alpha == k_alpha(A, alpha) == k, (label, alpha)
         assert [D.terms for D in space.combo_basis] == combos, (label, alpha)
         assert space.quotient_witnesses == witnesses, (label, alpha)
+
+
+@pytest.mark.parametrize("coefficients", ["Q", "Q(sqrt 2)"])
+def test_cluster_at_a_point_of_an_extension_field(coefficients):
+    # K[x^2, x^3 - 2x]: the spectrum {t, -t} (t^2 = 2) is one cluster, so
+    # alpha = t carries f'(t) and f'(-t) whether A is over Q or over Q(t)
+    nf = NumberField([-2, 0, 1], label="t^2-2")
+    t = nf.gen()
+    field = nf if coefficients != "Q" else None
+    A = Subalgebra.from_generators([P("x^2", field=field),
+                                    P("x^3 - 2*x", field=field)])
+    space = derivation_space(A, t)
+    assert space.k_alpha == 2
+    assert [repr(D) for D in space.combo_basis] == ["f'(t)", "f'(-t)"]
+    assert conjecture_dim_check(A, t)["equal"]

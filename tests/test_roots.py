@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from subalg.fields import NumberField
 from subalg.parsing import parse_poly as P
 from subalg.roots import (aberth_roots, field_roots, hybrid_roots,
-                          rational_roots)
+                          rational_roots, split_roots)
 
 
 def test_rational_roots_with_multiplicity():
@@ -45,3 +45,17 @@ def test_hybrid_prefers_exact():
     assert dict(rs.exact_roots) == {F(2): 1}
     assert len(rs.numeric_roots) == 2
     assert all(abs(z.imag) > 0.9 for z, _, _ in rs.numeric_roots)
+
+
+def test_split_roots_returns_the_unsplit_rest():
+    roots, leftover = split_roots(P("(x - 1)^2 * (x^2 - 2)"))
+    assert roots == [(F(1), 2)]
+    assert leftover == [(P("x^2 - 2"), 1)]
+
+
+def test_hybrid_over_a_field_splits_exactly():
+    nf = NumberField([1, 0, 1], label="t^2+1")
+    t = nf.gen()
+    rs = hybrid_roots(P("(x - 2)*(x^2 + 1)^2"), nf=nf)
+    assert dict(rs.exact_roots) == {nf.coerce(2): 1, t: 2, -t: 2}
+    assert rs.numeric_roots == []

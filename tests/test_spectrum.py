@@ -80,3 +80,24 @@ def test_deg2_description_shifted():
 def test_deg2_requires_degree_two():
     with pytest.raises(NoDegreeTwoElement):
         deg2_description(alg("x^3", "x^4"))
+
+
+def test_numeric_spectrum_is_not_cached():
+    D = alg("x^3 - x", "x^2")
+    assert not any(p.exact for p in D.spectrum(mode="numeric"))
+    assert [repr(L) for L in D.conditions()] == ["f(-1) - f(1)"]
+
+
+def test_a_field_request_ignores_an_inexact_cached_spectrum():
+    A = alg("x^2", "x^3 - 2*x")
+    assert not any(p.exact for p in A.spectrum())
+    with pytest.raises(SpectrumNotExact):
+        A.spectrum(mode="exact")
+    nf = NumberField([-2, 0, 1], label="t^2-2")
+    t = nf.gen()
+    pts = A.spectrum(nf=nf)
+    assert sorted(repr(p.value) for p in pts) == \
+        sorted(repr(v) for v in (t, -t))
+    assert A.spectrum() is pts
+    assert A.spectrum(mode="exact") is pts
+    assert [len(c) for c in A.clusters()] == [2]
