@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 
-from .conditions import LinearFunctional, Subalgebra, kernel_subalgebra
+from .conditions import (LinearFunctional, Subalgebra, annihilator,
+                         conductor_power, kernel_subalgebra)
 from .errors import (ClassificationError, InexactSpectrum,
                      ParameterDegeneracy, SpectrumNotExact,
                      UnsupportedCodimension)
 from .fields import QQ, common_field, field_of, is_zero_scalar
-from .linalg import nullspace
 from .parsing import parse_expr, parse_scalar
 from .poly import Poly
 from .sagbi import subduce
@@ -59,11 +60,6 @@ class ClassificationResult:
             "canonical_basis": [str(p) for p in self.canonical_basis],
             "symmetries": self.symmetries,
         }
-
-
-def case_labels():
-    """All family labels in the case table."""
-    return list(CASES)
 
 
 # --- template evaluation -------------------------------------------------
@@ -246,21 +242,10 @@ def type_of(A):
 
 # --- invariants of a given subalgebra -----------------------------------
 
-def _ann_coeffs(basis, terms, field):
-    """Coefficient vectors c with sum c_i f^(o_i)(p_i) = 0 on all of A.
-
-    terms is a list of (order, point); the returned list spans the
-    annihilator of A inside the span of those derivative functionals.
-    """
-    bound = basis.semigroup.conductor + max(o for o, _ in terms) + 6
-    reps = basis.degree_products(bound)
-    rows = [[p.derivative(order)(point) for order, point in terms]
-            for p in reps]
-    return nullspace(rows, len(terms), field)
-
-
-def _single_ann(basis, terms, field, label):
-    vecs = _ann_coeffs(basis, terms, field)
+def _single_ann(ann, terms, label):
+    """The one annihilating coefficient vector on `terms`, scaled to 1 at
+    its first nonzero entry."""
+    vecs = ann(terms)
     if len(vecs) != 1:
         raise ClassificationError(
             f"expected one condition of shape {terms} for {label}, "
@@ -270,10 +255,9 @@ def _single_ann(basis, terms, field, label):
     return [v / lead for v in vec]
 
 
-def _pure_vanishes(basis, order, point, field):
-    bound = basis.semigroup.conductor + order + 6
-    return all(is_zero_scalar(p.derivative(order)(point))
-               for p in basis.degree_products(bound))
+def _pure_vanishes(ann, order, point):
+    """Does f ↦ f^(order)(point) vanish on all of A?"""
+    return bool(ann([(order, point)]))
 
 
 def _exact_clusters(A):
@@ -323,10 +307,14 @@ def classify(A, nf=None):
             field = common_field(field, field_of(v))
     if field is not basis.field:
         basis = basis.coerce_to(field)
-    s = sum(len(values) for values, _ in clusters)
+    points = [v for values, _ in clusters for v in values]
+    s = len(points)
     profile = tuple(len(values) for values, _ in clusters)
+    N = conductor_power(basis, Poly.from_roots(points, field))
+    # ann(coords): the annihilator of A on (order, point) coordinates
+    ann = partial(annihilator, basis, N=N, s=s)
 
-    label, params = _dispatch(basis, field, n, s, profile, clusters)
+    label, params = _dispatch(ann, n, s, profile, clusters)
     type_degrees, canonical = canonical_case_basis(label, params)
     if type_degrees != type_of(basis):
         raise ClassificationError(
@@ -343,33 +331,32 @@ def classify(A, nf=None):
         symmetries=CASES[label].get("symmetries", ""))
 
 
-def _dispatch(basis, field, n, s, profile, clusters):
+def _dispatch(ann, n, s, profile, clusters):
     if n == 1:
-        return _dispatch_codim1(field, s, clusters)
+        return _dispatch_codim1(s, clusters)
     if n == 2:
-        return _dispatch_codim2(basis, field, s, profile, clusters)
-    return _dispatch_codim3(basis, field, s, profile, clusters)
+        return _dispatch_codim2(ann, s, profile, clusters)
+    return _dispatch_codim3(ann, s, profile, clusters)
 
 
-def _dispatch_codim1(field, s, clusters):
+def _dispatch_codim1(s, clusters):
     if s == 1:
         return "codim1/deriv", {"gamma": clusters[0][0][0]}
     values = clusters[0][0]
     return "codim1/pair", {"alpha": values[0], "beta": values[1]}
 
 
-def _dispatch_codim2(basis, field, s, profile, clusters):
+def _dispatch_codim2(ann, s, profile, clusters):
     if s == 1:
         alpha = clusters[0][0][0]
-        a, b = _single_ann(basis, [(2, alpha), (3, alpha)], field,
-                           "codim2/s=1")
+        a, b = _single_ann(ann, [(2, alpha), (3, alpha)], "codim2/s=1")
         return "codim2/s=1", {"alpha": alpha, "a": a, "b": b}
     if s == 2 and profile == (1, 1):
         return "codim2/s=2-deriv", {"alpha": clusters[0][0][0],
                                     "beta": clusters[1][0][0]}
     if s == 2:
         alpha, beta = clusters[0][0]
-        a, b = _single_ann(basis, [(1, alpha), (1, beta)], field,
+        a, b = _single_ann(ann, [(1, alpha), (1, beta)],
                            "codim2/s=2-pair")
         return "codim2/s=2-pair", {"alpha": alpha, "beta": beta,
                                    "a": a, "b": b}
@@ -389,17 +376,17 @@ def _dispatch_codim2(basis, field, s, profile, clusters):
         f"unrecognized codimension-2 cluster profile {profile}")
 
 
-def _dispatch_codim3(basis, field, s, profile, clusters):
+def _dispatch_codim3(ann, s, profile, clusters):
     if s == 1:
-        return _codim3_s1(basis, field, clusters[0][0][0])
+        return _codim3_s1(ann, clusters[0][0][0])
     if s == 2:
-        return _codim3_s2(basis, field, profile, clusters)
+        return _codim3_s2(ann, profile, clusters)
     if s == 3:
-        return _codim3_s3(basis, field, profile, clusters)
+        return _codim3_s3(ann, profile, clusters)
     if s == 4:
-        return _codim3_s4(basis, field, profile, clusters)
+        return _codim3_s4(ann, profile, clusters)
     if s == 5:
-        return _codim3_s5(basis, field, profile, clusters)
+        return _codim3_s5(ann, profile, clusters)
     if s == 6 and profile == (2, 2, 2):
         pairs = [tuple(values) for values, _ in clusters]
         params = {"alpha": pairs[0][0], "beta": pairs[0][1],
@@ -410,40 +397,38 @@ def _dispatch_codim3(basis, field, s, profile, clusters):
         f"unrecognized codimension-3 cluster profile {profile}")
 
 
-def _codim3_s1(basis, field, alpha):
-    pure = {i for i in range(1, 6)
-            if _pure_vanishes(basis, i, alpha, field)}
+def _codim3_s1(ann, alpha):
+    pure = {i for i in range(1, 6) if _pure_vanishes(ann, i, alpha)}
     if 1 not in pure:
         raise ClassificationError(
             "codimension-3 point spectrum without f'(alpha) = 0")
     if 2 in pure:
-        a, b, c = _single_ann(
-            basis, [(3, alpha), (4, alpha), (5, alpha)], field,
-            "codim3/s=1/case1")
+        a, b, c = _single_ann(ann, [(3, alpha), (4, alpha), (5, alpha)],
+                              "codim3/s=1/case1")
         return "codim3/s=1/case1", {"alpha": alpha, "a": a, "b": b, "c": c}
     if 3 in pure:
-        c, d = _single_ann(basis, [(5, alpha), (2, alpha)], field,
+        c, d = _single_ann(ann, [(5, alpha), (2, alpha)],
                            "codim3/s=1/case3")
         return "codim3/s=1/case3", {"alpha": alpha, "c": c, "d": d}
-    u, v = _single_ann(basis, [(3, alpha), (2, alpha)], field,
+    u, v = _single_ann(ann, [(3, alpha), (2, alpha)],
                        "codim3/s=1/case2")
     if is_zero_scalar(u):
         raise ClassificationError(
             "second-order condition without third-order term")
     a = v / (u + u + u)
-    p, q, r = _single_ann(basis, [(5, alpha), (4, alpha), (2, alpha)],
-                          field, "codim3/s=1/case2")
+    p, q, r = _single_ann(ann, [(5, alpha), (4, alpha), (2, alpha)],
+                          "codim3/s=1/case2")
     if is_zero_scalar(p):
         raise ClassificationError(
             "fourth-order condition without fifth-order term")
     return "codim3/s=1/case2", {"alpha": alpha, "a": a, "d": r / p}
 
 
-def _codim3_s2(basis, field, profile, clusters):
+def _codim3_s2(ann, profile, clusters):
     if profile == (1, 1):
         points = [clusters[0][0][0], clusters[1][0][0]]
         for i, pt in enumerate(points):
-            vecs = _ann_coeffs(basis, [(2, pt), (3, pt)], field)
+            vecs = ann([(2, pt), (3, pt)])
             if vecs:
                 a, b = vecs[0]
                 other = points[1 - i]
@@ -453,17 +438,17 @@ def _codim3_s2(basis, field, profile, clusters):
             "two critical points without a higher-order condition")
     p0, p1 = clusters[0][0]
     for alpha, beta in ((p0, p1), (p1, p0)):
-        if _pure_vanishes(basis, 1, alpha, field):
+        if _pure_vanishes(ann, 1, alpha):
             a, b, c = _single_ann(
-                basis, [(2, alpha), (3, alpha), (1, beta)], field,
+                ann, [(2, alpha), (3, alpha), (1, beta)],
                 "codim3/s=2/case2")
             return "codim3/s=2/case2", {"alpha": alpha, "beta": beta,
                                         "a": a, "b": b, "c": c}
-    u, v = _single_ann(basis, [(1, p0), (1, p1)], field, "codim3/s=2")
+    u, v = _single_ann(ann, [(1, p0), (1, p1)], "codim3/s=2")
     b = v / u if not is_zero_scalar(u) else None
-    if b is not None and b == field.one:
+    if b is not None and u == v:
         a, b2, _ = _single_ann(
-            basis, [(1, p0), (2, p0), (2, p1)], field, "codim3/s=2/case3")
+            ann, [(1, p0), (2, p0), (2, p1)], "codim3/s=2/case3")
         return "codim3/s=2/case3", {"alpha": p0, "beta": p1,
                                     "a": a, "b": b2}
     if b is None:
@@ -471,12 +456,12 @@ def _codim3_s2(basis, field, profile, clusters):
             "paired points with a one-sided first-order condition but no "
             "pure vanishing")
     a, c, _ = _single_ann(
-        basis, [(1, p1), (2, p0), (2, p1)], field, "codim3/s=2/case4")
+        ann, [(1, p1), (2, p0), (2, p1)], "codim3/s=2/case4")
     return "codim3/s=2/case4", {"alpha": p0, "beta": p1,
                                 "a": a, "b": b, "c": c}
 
 
-def _codim3_s3(basis, field, profile, clusters):
+def _codim3_s3(ann, profile, clusters):
     if profile == (1, 1, 1):
         pts = [c[0][0] for c in clusters]
         return "codim3/s=3/case1", {"alpha": pts[0], "beta": pts[1],
@@ -484,23 +469,23 @@ def _codim3_s3(basis, field, profile, clusters):
     if profile == (2, 1):
         alpha, beta = clusters[0][0]
         gamma = clusters[1][0][0]
-        vecs = _ann_coeffs(basis, [(2, gamma), (3, gamma)], field)
+        vecs = ann([(2, gamma), (3, gamma)])
         if vecs:
             a, b = vecs[0]
             return "codim3/s=3/case4", {"alpha": alpha, "beta": beta,
                                         "gamma": gamma, "a": a, "b": b}
-        a, b = _single_ann(basis, [(1, alpha), (1, beta)], field,
+        a, b = _single_ann(ann, [(1, alpha), (1, beta)],
                            "codim3/s=3/case2")
         return "codim3/s=3/case2", {"alpha": alpha, "beta": beta,
                                     "gamma": gamma, "a": a, "b": b}
     a, b, g = clusters[0][0]
-    ca, cb, cc = _single_ann(basis, [(1, a), (1, b), (1, g)], field,
+    ca, cb, cc = _single_ann(ann, [(1, a), (1, b), (1, g)],
                              "codim3/s=3/case3")
     return "codim3/s=3/case3", {"alpha": a, "beta": b, "gamma": g,
                                 "a": ca, "b": cb, "c": cc}
 
 
-def _codim3_s4(basis, field, profile, clusters):
+def _codim3_s4(ann, profile, clusters):
     if profile == (4,):
         vals = clusters[0][0]
         return "codim3/s=4/case1", {"alpha": vals[0], "beta": vals[1],
@@ -508,8 +493,7 @@ def _codim3_s4(basis, field, profile, clusters):
     if profile == (2, 2):
         pairs = [tuple(values) for values, _ in clusters]
         for i in (0, 1):
-            vecs = _ann_coeffs(
-                basis, [(1, pairs[i][0]), (1, pairs[i][1])], field)
+            vecs = ann([(1, pairs[i][0]), (1, pairs[i][1])])
             if vecs:
                 a, b = vecs[0]
                 return "codim3/s=4/case2", {
@@ -531,7 +515,7 @@ def _codim3_s4(basis, field, profile, clusters):
         f"unrecognized spectrum-4 cluster profile {profile}")
 
 
-def _codim3_s5(basis, field, profile, clusters):
+def _codim3_s5(ann, profile, clusters):
     if profile == (3, 2):
         a, b, l = clusters[0][0]
         g, d = clusters[1][0]

@@ -77,29 +77,18 @@ class LinearFunctional:
 
     def apply(self, f):
         field = common_field(self.field, f.field)
-        f = f.coerce_to(field)
-        acc = field.zero
-        for order, point, coeff in self.terms:
-            value = f.derivative(order)(_coerce(point, field))
-            acc = acc + _coerce(coeff, field) * value
-        return acc
+        row = self.monomial_row(f.degree, field)
+        return _dot(f.coerce_to(field).coeffs, row, field.zero)
 
     def monomial_row(self, degree, field):
-        """(L(1), L(x), …, L(x^degree)), with entries in `field`.
-
-        A term c·f^(j)(α) contributes c · k!/(k−j)! · α^(k−j) to L(x^k);
-        each term keeps one running falling factorial and one running power
-        of α, so no polynomial is built.
-        """
+        """(L(1), L(x), …, L(x^degree)), with entries in `field`: the
+        coefficient-weighted sum of the jet rows of the terms."""
         row = [field.zero] * (degree + 1)
         for order, point, coeff in self.terms:
-            point = _coerce(point, field)
-            scaled_power = _coerce(coeff, field)
-            falling = factorial(order)
+            coeff = _coerce(coeff, field)
+            jet = _jet_row(order, point, degree, field)
             for k in range(order, degree + 1):
-                row[k] = row[k] + scaled_power * falling
-                scaled_power = scaled_power * point
-                falling = falling * (k + 1) // (k + 1 - order)
+                row[k] = row[k] + coeff * jet[k]
         return row
 
     def points(self):
@@ -147,6 +136,32 @@ class LinearFunctional:
                 prefix = c + "*"
             parts.append(f"{prefix}{d}({format_scalar(point)})")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def _jet_row(order, point, degree, field):
+    """(J(1), J(x), …, J(x^degree)) for the jet J: f ↦ f^(order)(point).
+
+    J(x^k) = k!/(k−order)! · point^(k−order); one running falling factorial
+    and one running power of the point, so no polynomial is built.
+    """
+    row = [field.zero] * (degree + 1)
+    point = _coerce(point, field)
+    power = field.one
+    falling = factorial(order)
+    for k in range(order, degree + 1):
+        row[k] = power * falling
+        power = power * point
+        falling = falling * (k + 1) // (k + 1 - order)
+    return row
+
+
+def _dot(a, b, zero):
+    """Σ a_i·b_i, skipping the zero entries of a."""
+    acc = zero
+    for u, v in zip(a, b):
+        if not is_zero_scalar(u):
+            acc = acc + u * v
+    return acc
 
 
 def _coerce(value, field):
@@ -211,10 +226,9 @@ def _closed_under_products(rows, kernel, low, field):
     for i, p in enumerate(small):
         for q in small[i:]:
             coeffs = (p * q).coeffs
-            for row in rows:
-                value = sum((r * c for r, c in zip(row, coeffs)), field.zero)
-                if not is_zero_scalar(value):
-                    return False
+            if any(not is_zero_scalar(_dot(coeffs, row, field.zero))
+                   for row in rows):
+                return False
     return True
 
 
@@ -237,17 +251,18 @@ def is_subalgebra_condition_set(conds):
 class Subalgebra:
     """A finite-codimension subalgebra of K[x].
 
-    Presented by generators, by conditions, or both; the SAGBI basis,
-    degree semigroup, codimension, and spectrum are computed lazily and
-    cached.
+    Presented by generators or a SAGBI basis (`kernel_subalgebra` builds
+    one from conditions and keeps them); the SAGBI basis, degree
+    semigroup, codimension, conditions and spectrum are computed lazily
+    and cached.
     """
 
     def __init__(self, generators=None, conditions=None, _sagbi=None):
-        if generators is None and conditions is None and _sagbi is None:
-            raise SubalgError("subalgebra needs generators or conditions")
-        self._generators = list(generators) if generators else None
-        self._conditions = list(conditions) if conditions else None
+        self._generators = list(generators or ()) or None
+        self._conditions = list(conditions or ()) or None
         self._sagbi = _sagbi
+        if self._generators is None and _sagbi is None:
+            raise SubalgError("subalgebra needs generators or a SAGBI basis")
         self._spectrum = None
         self._clusters = None
         self._char_poly = None
@@ -273,10 +288,6 @@ class Subalgebra:
     @classmethod
     def from_generators(cls, generators):
         return cls(generators=generators)
-
-    @classmethod
-    def from_conditions(cls, conditions):
-        return kernel_subalgebra(conditions)
 
     @property
     def generators(self):
@@ -351,10 +362,8 @@ class Subalgebra:
             all(self.contains(e) for e in b2.elements)
 
     def __repr__(self):
-        if self._sagbi is not None or self._generators is not None:
-            gens = ", ".join(str(g) for g in self.sagbi_basis().elements)
-            return f"Subalgebra(<{gens}>)"
-        return f"Subalgebra(conditions={self._conditions!r})"
+        gens = ", ".join(str(g) for g in self.sagbi_basis().elements)
+        return f"Subalgebra(<{gens}>)"
 
 
 def kernel_subalgebra(conds):
@@ -456,16 +465,36 @@ def conductor_power(basis, pi):
         "multiplies into A: spectrum likely inexact or incomplete")
 
 
+def annihilator(basis, coords, N, s):
+    """Coefficient vectors c with Σ c_i f^(o_i)(p_i) = 0 on all of A.
+
+    `coords` lists (order o_i, point p_i) with the points on the spectrum
+    of A (the algebra of `basis`) and in its field; s is the spectrum size
+    and N the smallest power with π^N·K[x] ⊆ A, π = ∏(x − α) over the
+    spectrum (`conductor_power`).  Exact: A = A_{<N·s} ⊕ π^N·K[x], and
+    functionals of order ≤ m kill π^(m+1)·K[x], so they vanish on A iff
+    they vanish on A_{<N·s} and on π^N·x^i for i < s·(m + 1 − N), all of
+    which lie in A below degree s·max(N, m + 1).  The returned vectors
+    span the nullspace of the functionals on the degree products up to
+    that degree.
+    """
+    field = basis.field
+    bound = s * max(N, max(order for order, _ in coords) + 1) - 1
+    jets = [_jet_row(order, point, bound, field) for order, point in coords]
+    equations = [[_dot(g.coeffs, jet, field.zero) for jet in jets]
+                 for g in basis.degree_products(bound)]
+    return nullspace(equations, len(coords), field)
+
+
 def conditions_from_subalgebra(A, spectrum):
     """Independent conditions cutting out A, derived from its spectrum.
 
     With π the product of x − α over the s spectrum points and N the
-    smallest power with π^N·K[x] ⊆ A (`conductor_power`), A is spanned by
-    its degree products of degree < N·s plus π^N·K[x].  Functionals of
-    order < N at the spectrum points vanish on π^N·K[x], so those that
-    annihilate A are exactly those that annihilate the degree products
-    below N·s: codim(A) of them.  Order-0 parts are rewritten as point
-    differences where possible.
+    smallest power with π^N·K[x] ⊆ A (`conductor_power`), the conditions
+    are the functionals of order < N at the spectrum points that
+    annihilate A (`annihilator`, here on the degree products below N·s):
+    codim(A) of them.  Order-0 parts are rewritten as point differences
+    where possible.
     """
     basis = Subalgebra.of(A).sagbi_basis()
     points = []
@@ -489,19 +518,15 @@ def conditions_from_subalgebra(A, spectrum):
     N = conductor_power(basis, Poly.from_roots(points, field))
     # coordinates: (order, point) with higher orders first, so reduced
     # rows with only order-0 support surface as pure differences
-    coords = [(order, j) for order in range(N - 1, -1, -1)
-              for j in range(s)]
-    equations = [[g.derivative(order)(points[j]) for order, j in coords]
-                 for g in basis.degree_products(N * s - 1)]
-    W = nullspace(equations, len(coords), field)
-    W, _ = rref(W, len(coords), field)
+    coords = [(order, p) for order in range(N - 1, -1, -1) for p in points]
+    W, _ = rref(annihilator(basis, coords, N, s), len(coords), field)
 
     functionals = []
     for vec in W:
         terms = []
-        for (order, j), coeff in zip(coords, vec):
+        for (order, point), coeff in zip(coords, vec):
             if not is_zero_scalar(coeff):
-                terms.append((order, points[j], coeff))
+                terms.append((order, point, coeff))
         if len(terms) == 2 and terms[0][0] == 0 and terms[1][0] == 0 \
                 and is_zero_scalar(terms[0][2] + terms[1][2]):
             functionals.append(

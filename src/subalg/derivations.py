@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .conditions import LinearFunctional, Subalgebra, conductor_power
+from .conditions import (LinearFunctional, Subalgebra, _dot, _jet_row,
+                         conductor_power)
 from .errors import EvenInput, SubalgError
 from .fields import common_field, field_of, is_zero_scalar
 from .linalg import extend_echelon, nullspace, rref
@@ -61,14 +62,6 @@ class DerivationSpace:
         return len(self.combo_basis)
 
 
-def _dot(a, b, zero):
-    acc = zero
-    for u, v in zip(a, b):
-        if not is_zero_scalar(u):
-            acc = acc + u * v
-    return acc
-
-
 class _Jets:
     """M_α and M_α² modulo G, for G as in the module docstring.
 
@@ -84,10 +77,7 @@ class _Jets:
     def __init__(self, A, alpha):
         basis = A.sagbi_basis()
         n = basis.semigroup.genus
-        if n == 0:
-            pi = Poly.constant(basis.field.one, basis.field)
-        else:
-            pi = squarefree_part(A.char_poly())
+        pi = squarefree_part(A.char_poly())
         self.N = conductor_power(basis, pi)
         field = common_field(basis.field, field_of(alpha))
         basis = basis.coerce_to(field)
@@ -139,7 +129,7 @@ def _cluster_points(A, alpha, field):
     a partial cluster would give a wrong derivation space.
     """
     A = Subalgebra.of(A)
-    if A.codimension() == 0 or not is_zero_scalar(A.char_poly()(alpha)):
+    if not is_zero_scalar(A.char_poly()(alpha)):
         return [alpha]
     if field is A.field:
         clusters = A.clusters()
@@ -153,59 +143,48 @@ def _cluster_points(A, alpha, field):
         f"spectrum point {alpha!r} lies in no exact cluster")
 
 
-def derivation_space(A, alpha, max_order=None):
+def derivation_space(A, alpha):
     """All α-derivations of A as combinations of derivatives at the
     cluster of α.
 
     Solves exactly for coefficients c_ij with Σ c_ij f^(i)(α_j) = 0 on
-    M_α²: on the rows of `_Jets.E`, with the orders i >= mult_{α_j}(G)
-    set to zero, since those functionals cannot vanish on G·K[x] ⊆ M_α².
-    Solutions that act on A as a combination of earlier ones are dropped;
-    if fewer than k_α remain, the orders are raised once.  The Leibniz
-    identity is then re-verified on products.  For α outside the spectrum
-    the space is span{f ↦ f′(α)}.
+    M_α²: on the rows of `_Jets.E`, over the orders 1 <= i <
+    mult_{α_j}(G).  Higher orders need not be read: G·K[x] ⊆ M_α², and a
+    functional of order >= mult_{α_j}(G) at α_j does not vanish on it.
+    Solutions that act on A as a combination of earlier ones are dropped.
+    The Leibniz identity is then re-verified on products.  For α outside
+    the spectrum the space is span{f ↦ f′(α)}.
     """
     A = Subalgebra.of(A)
     jets = _Jets(A, alpha)
     field, zero, k = jets.field, jets.field.zero, jets.k_alpha
     points = _cluster_points(A, jets.alpha, field)
-    conductor = jets.basis.semigroup.conductor
-    if max_order is None:
-        max_order = conductor + 2
-    if max_order < 2:
-        max_order = 2
-
-    for attempt in range(2):
-        coords = [(order, point) for order in range(1, max_order + 1)
-                  for point in points if order < jets.multiplicity(point)]
-        jet_rows = [LinearFunctional.derivative_combo([(order, point,
-                                                        field.one)])
-                    .monomial_row(jets.degree - 1, field)
-                    for order, point in coords]
-        equations = [[_dot(e, r, zero) for r in jet_rows] for e in jets.E]
-        vectors, _ = rref(nullspace(equations, len(coords), field),
-                          len(coords), field)
-        # drop functionals that act on A (spanned by 1 and the m_d) as a
-        # combination of earlier ones: they add no derivation
-        values = [[_dot(m, r, zero) for r in jet_rows] for m in jets.m_rows]
-        chosen, red, pivots = [], [], []
-        for vec in vectors:
-            if extend_echelon([_dot(vec, v, zero) for v in values], red,
-                              pivots, field):
-                chosen.append(vec)
-        vectors = chosen
-        if len(vectors) >= k or attempt == 1:
-            break
-        max_order += conductor + 2
+    top = max(jets.multiplicity(point) for point in points)
+    coords = [(order, point) for order in range(1, top) for point in points
+              if order < jets.multiplicity(point)]
+    jet_rows = [_jet_row(order, point, jets.degree - 1, field)
+                for order, point in coords]
+    equations = [[_dot(e, r, zero) for r in jet_rows] for e in jets.E]
+    vectors, _ = rref(nullspace(equations, len(coords), field),
+                      len(coords), field)
+    # drop functionals that act on A (spanned by 1 and the m_d) as a
+    # combination of earlier ones: they add no derivation
+    values = [[_dot(m, r, zero) for r in jet_rows] for m in jets.m_rows]
+    chosen, red, pivots = [], [], []
+    for vec in vectors:
+        if extend_echelon([_dot(vec, v, zero) for v in values], red,
+                          pivots, field):
+            chosen.append(vec)
 
     combos = []
-    for vec in vectors:
+    for vec in chosen:
         terms = [(order, point, coeff)
                  for (order, point), coeff in zip(coords, vec)
                  if not is_zero_scalar(coeff)]
         combos.append(LinearFunctional.derivative_combo(terms))
 
-    _verify_leibniz(combos, jets.basis, jets.alpha, conductor + 4)
+    _verify_leibniz(combos, jets.basis, jets.alpha,
+                    jets.basis.semigroup.conductor + 4)
 
     # quotient witnesses: the m_d that complete M_alpha^2 to M_alpha
     red, pivots = [list(r) for r in jets.E], list(jets.pivots)
@@ -291,7 +270,9 @@ def integral_derivation(B, A, L, a):
         coeff = field.coerce(coeff)
         for k in range(order + 1):
             new_order = order + 1 - k
-            c = coeff * comb(order, k) * a.derivative(k)(point)
+            a_k = _dot(a.coeffs, _jet_row(k, point, a.degree, field),
+                       field.zero)
+            c = coeff * comb(order, k) * a_k
             if is_zero_scalar(c):
                 continue
             key = (new_order, point)

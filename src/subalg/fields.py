@@ -145,10 +145,6 @@ class NumberField:
     def one(self):
         return self.coerce(1)
 
-    def modulus_poly(self):
-        from .poly import Poly
-        return Poly(self.modulus_coeffs, QQ)
-
     # -- internal --------------------------------------------------------
 
     def _reduce(self, coeffs):

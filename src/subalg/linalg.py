@@ -43,10 +43,6 @@ def rref(rows, ncols, field):
     return mat[:r], pivots
 
 
-def rank(rows, ncols, field):
-    return len(rref(rows, ncols, field)[0])
-
-
 def nullspace(rows, ncols, field):
     """Basis of {v : M v = 0} where the rows of M are the given equations."""
     red, pivots = rref(rows, ncols, field)
@@ -91,38 +87,3 @@ def extend_echelon(vec, red, pivots, field):
     red.append([v * inv for v in row])
     pivots.append(pc)
     return True
-
-
-def in_row_space(vec, red, pivots):
-    return all(is_zero_scalar(v) for v in reduce_vector(vec, red, pivots))
-
-
-def intersect_row_spaces(rows_a, rows_b, ncols, field):
-    """Basis of the intersection of two row spaces."""
-    red_a, piv_a = rref(rows_a, ncols, field)
-    red_b, piv_b = rref(rows_b, ncols, field)
-    if not red_a or not red_b:
-        return []
-    # v = x.A = y.B  <=>  (x, y) in nullspace of [A^T | -B^T]
-    stacked = []
-    for c in range(ncols):
-        stacked.append([row[c] for row in red_a] +
-                       [-row[c] for row in red_b])
-    sols = nullspace(stacked, len(red_a) + len(red_b), field)
-    result = []
-    for s in sols:
-        vec = [field.zero] * ncols
-        for coef, row in zip(s[:len(red_a)], red_a):
-            if not is_zero_scalar(coef):
-                vec = [a + coef * b for a, b in zip(vec, row)]
-        if any(not is_zero_scalar(v) for v in vec):
-            result.append(vec)
-    red, _ = rref(result, ncols, field) if result else ([], [])
-    return red
-
-
-def same_row_space(rows_a, rows_b, ncols, field):
-    red_a, piv_a = rref(rows_a, ncols, field)
-    red_b, piv_b = rref(rows_b, ncols, field)
-    return piv_a == piv_b and all(
-        all(a == b for a, b in zip(ra, rb)) for ra, rb in zip(red_a, red_b))

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import InfiniteSolutionSet, NoStabilization, SubalgError
 from .fields import QQ, common_field, is_zero_scalar
-from .poly import Poly, poly_gcd
+from .poly import Poly, poly_gcd, squarefree_part
 
 
 class SpanBasis:
@@ -302,7 +302,7 @@ def oracle_multi_char_roots(gens, seed=20, tol=1e-8):
     """
     import random
 
-    from .roots import aberth_roots, squarefree_part
+    from .roots import aberth_roots
 
     gens = [g.monic() for g in gens]
     if len(gens) < 2:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError, UnknownSymbol
-from .fields import QQ, FieldElem
+from .fields import QQ
 from .poly import Poly
 
 _OPERATORS = set("+-*/^()")

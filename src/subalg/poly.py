@@ -75,9 +75,6 @@ class Poly:
     def is_zero(self):
         return not self.coeffs
 
-    def is_constant(self):
-        return len(self.coeffs) <= 1
-
     def leading_coeff(self):
         if not self.coeffs:
             raise ZeroInput("zero polynomial has no leading coefficient")

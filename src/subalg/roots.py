@@ -17,7 +17,7 @@ from math import gcd as int_gcd
 
 from .errors import NonConvergence, SubalgError, ZeroInput
 from .fields import QQ, is_zero_scalar
-from .poly import Poly, squarefree_decompose, squarefree_part  # noqa: F401
+from .poly import Poly, squarefree_decompose
 
 RESIDUAL_TOL = 1e-12
 MAX_ITERATIONS = 200

@@ -21,10 +21,10 @@ from .semigroup import NOT_MEMBER, DegreeSemigroup
 class SagbiBasis:
     """Monic basis elements with strictly increasing degrees."""
 
-    __slots__ = ("elements", "semigroup", "field", "normalization_point",
-                 "_by_degree", "_product_cache")
+    __slots__ = ("elements", "semigroup", "field", "_by_degree",
+                 "_product_cache")
 
-    def __init__(self, elements, semigroup=None, normalization_point=None):
+    def __init__(self, elements, semigroup=None):
         elements = sorted((e.monic() for e in elements if e.degree >= 1),
                           key=lambda e: e.degree)
         if not elements:
@@ -38,7 +38,6 @@ class SagbiBasis:
         self.elements = tuple(e.coerce_to(field) for e in elements)
         self.field = field
         self.semigroup = semigroup or DegreeSemigroup(degrees)
-        self.normalization_point = normalization_point
         self._by_degree = {e.degree: e for e in self.elements}
         self._product_cache = {}
 
@@ -70,12 +69,7 @@ class SagbiBasis:
         if field is self.field:
             return self
         return SagbiBasis([e.coerce_to(field) for e in self.elements],
-                          self.semigroup, self.normalization_point)
-
-    def normalized_at(self, alpha):
-        """Basis with every element shifted into M_alpha (value subtracted)."""
-        elems = [e - e(alpha) for e in self.elements]
-        return SagbiBasis(elems, self.semigroup, normalization_point=alpha)
+                          self.semigroup)
 
     def __repr__(self):
         return f"SagbiBasis(degrees={list(self.degrees)})"
@@ -86,7 +80,9 @@ def subduce(f, basis):
 
     Returns (remainder, certificate).  The remainder is constant or has a
     gap degree; each certificate step is (degree, coefficient, representation)
-    recording the subtracted product of basis elements.
+    recording the subtracted product of basis elements.  Every generator of
+    the semigroup is the degree of a basis element, so each representation
+    names basis elements.
     """
     field = common_field(f.field, basis.field)
     f = f.coerce_to(field)
@@ -94,7 +90,7 @@ def subduce(f, basis):
     S = basis.semigroup
     while f.degree >= 1:
         d = f.degree
-        rep = _represent_in(S, d, basis)
+        rep = S.represent(d)
         if rep is NOT_MEMBER:
             break
         c = f.leading_coeff()
@@ -102,30 +98,6 @@ def subduce(f, basis):
         f = f - c * prod
         steps.append((d, c, rep))
     return f, steps
-
-
-def _represent_in(S, d, basis):
-    """Representation of d using degrees available in the basis."""
-    rep = S.represent(d)
-    if rep is NOT_MEMBER:
-        return NOT_MEMBER
-    missing = [g for g in rep if g not in basis._by_degree]
-    if not missing:
-        return rep
-    # semigroup generator degree without a basis element (transitional state
-    # during completion): fall back to a search over element degrees
-    return _search_rep(d, sorted(set(basis.degrees), reverse=True))
-
-
-def _search_rep(d, degrees_desc):
-    if d == 0:
-        return ()
-    for g in degrees_desc:
-        if g <= d:
-            sub = _search_rep(d - g, [h for h in degrees_desc if h <= g])
-            if sub is not NOT_MEMBER:
-                return tuple(sorted(sub + (g,), reverse=True))
-    return NOT_MEMBER
 
 
 def _all_representations(d, degrees):

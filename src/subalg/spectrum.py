@@ -67,8 +67,11 @@ def characteristic_polynomial(A, max_pairs=6):
     Uses coprime-degree pairs of basis products up to the conductor,
     stopping when the gcd is unchanged twice; falls back to the
     multi-generator characteristic polynomial when no coprime pair exists.
+    K[x] itself (codimension 0) has χ = 1 and an empty spectrum.
     """
     basis = Subalgebra.of(A).sagbi_basis()
+    if basis.semigroup.genus == 0:
+        return Poly.constant(basis.field.one, basis.field)
     products = {p.degree: p for p in basis.degree_products(
         basis.semigroup.conductor + max(basis.degrees))[1:]}
     degrees = list(products)

@@ -262,6 +262,16 @@ def all_draws():
     return DRAWS + special_draws()
 
 
+def family_draws():
+    """(label, params): the first draw of each family, plus the first
+    number-field draw of a family."""
+    seen = {}
+    for label, params, _ in all_draws():
+        number_field = any(hasattr(v, "field") for v in params.values())
+        seen.setdefault((label, number_field), params)
+    return [(label, params) for (label, _), params in seen.items()]
+
+
 def affine_variants(params, transforms=((F(2), F(1)), (F(1), F(-1)),
                                         (F(1, 2), F(2)), (F(3), F(-2)))):
     """Images of a parameter set under x -> (x - mu) / lam.

@@ -52,6 +52,12 @@ def test_of_accepts_generators_and_rejects_other_values():
             Subalgebra.of(bad)
 
 
+def test_constructor_rejects_empty_generators():
+    for gens in ([], (), iter([])):
+        with pytest.raises(SubalgError):
+            Subalgebra(generators=gens)
+
+
 def test_every_export_resolves():
     missing = [name for name in subalg.__all__
                if not hasattr(subalg, name)]

@@ -2,18 +2,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from case_draws import all_draws
+from case_draws import all_draws, family_draws
 from subalg.classify import construct_case
 from subalg.conditions import (LinearFunctional, Subalgebra,
-                               _conditions_field, _monomial_kernel,
-                               _order_and_point_count,
+                               _conditions_field, _jet_row, _monomial_kernel,
+                               _order_and_point_count, annihilator,
                                conditions_from_subalgebra, conductor_power,
                                intersect_and_join,
                                is_subalgebra_condition_set,
                                kernel_subalgebra)
 from subalg.errors import (DegenerateConditions, NotSubalgebraConditions,
                            PowerBoundExceeded)
-from subalg.fields import NumberField
+from subalg.fields import NumberField, common_field, field_of
+from subalg.linalg import nullspace
 from subalg.oracle import oracle_codimension
 from subalg.parsing import parse_poly as P
 from subalg.poly import Poly
@@ -48,14 +49,57 @@ def test_monomial_row_matches_apply():
             [(1, i, qi.coerce(2)), (3, qi.coerce(1), i),
              (0, qi.zero, i), (0, i, -i)]),
     ]
+
+    def by_derivatives(L, f):
+        return sum((c * f.derivative(order)(p) for order, p, c in L.terms),
+                   f.field.zero)
+
     for L in functionals:
         x = Poly.x(L.field)
         assert L.monomial_row(12, L.field) == \
-            [L.apply(x ** k) for k in range(13)]
+            [by_derivatives(L, x ** k) for k in range(13)]
+        f = P("x^5 - 2*x^3 + x/3 + 4").coerce_to(L.field)
+        assert L.apply(f) == by_derivatives(L, f)
     # rows of rational conditions coerced into a number field
     x = Poly.x(qi)
     L = functionals[1]
-    assert L.monomial_row(9, qi) == [L.apply(x ** k) for k in range(10)]
+    assert L.monomial_row(9, qi) == \
+        [by_derivatives(L, x ** k) for k in range(10)]
+
+
+def test_jet_row_reads_derivatives():
+    qi = NumberField([1, 0, 1], label="t^2+1")
+    i = qi.gen()
+    cases = [(P("x^7 - 3*x^4 + x/2 - 5"), [F(0), F(2), F(-1, 3)]),
+             (P("x^6 + (1+t)*x^3 - t*x", field=qi), [qi.zero, i, 2 - i])]
+    for f, points in cases:
+        for k in range(f.degree + 2):
+            for p in points:
+                row = _jet_row(k, p, f.degree, f.field)
+                value = sum((c * r for c, r in zip(f.coeffs, row)),
+                            f.field.zero)
+                assert value == f.derivative(k)(p), (f, k, p)
+
+
+def test_annihilator_matches_a_large_degree_bound():
+    draws = family_draws()
+    assert any(hasattr(v, "field") for _, params in draws
+               for v in params.values())
+    for label, params in draws:
+        A = construct_case(label, params)
+        points = [p.value for p in A.spectrum(mode="exact")]
+        field = A.field
+        for p in points:
+            field = common_field(field, field_of(p))
+        basis = A.sagbi_basis().coerce_to(field)
+        s = len(points)
+        N = conductor_power(basis, Poly.from_roots(points, field))
+        coords = [(order, p) for order in range(6) for p in points]
+        bound = basis.semigroup.conductor + 4 * s + 20
+        rows = [[g.derivative(order)(p) for order, p in coords]
+                for g in basis.degree_products(bound)]
+        assert annihilator(basis, coords, N, s) == \
+            nullspace(rows, len(coords), field), label
 
 
 def test_condition_json_round_trip():

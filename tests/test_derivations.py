@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from case_draws import all_draws
+from case_draws import all_draws, family_draws
 from subalg.classify import construct_case
 from subalg.conditions import LinearFunctional, Subalgebra, kernel_subalgebra
 from subalg.derivations import (NOT_INTEGRAL, _cluster_points,
@@ -202,13 +202,8 @@ def _old_derivation_space(A, alpha):
 
 
 def _differential_cases():
-    # one draw per family, plus the number-field draw
-    seen = {}
-    for label, params, _ in all_draws():
-        number_field = any(hasattr(v, "field") for v in params.values())
-        seen.setdefault((label, number_field), params)
     cases = []
-    for (label, _), params in seen.items():
+    for label, params in family_draws():
         A = construct_case(label, params)
         alpha = params.get("alpha", params.get("gamma"))
         off = F(11, 3)

@@ -6,6 +6,7 @@ from subalg.conditions import LinearFunctional, Subalgebra, kernel_subalgebra
 from subalg.errors import NoDegreeTwoElement, SpectrumNotExact
 from subalg.fields import NumberField
 from subalg.parsing import parse_poly
+from subalg.poly import Poly
 from subalg.spectrum import (characteristic_polynomial, compute_clusters,
                              compute_spectrum, deg2_description,
                              deg2_from_description, spectrum_size_check)
@@ -22,6 +23,14 @@ def test_pair_spectrum_exact():
     assert all(p.kind == "paired" and p.exact for p in pts)
     partners = {p.value: p.partner for p in pts}
     assert partners[F(1)] == F(-1) and partners[F(-1)] == F(1)
+
+
+def test_full_algebra_has_an_empty_spectrum():
+    A = alg("x")
+    assert characteristic_polynomial(A) == Poly.constant(F(1))
+    assert A.spectrum() == [] and A.clusters() == []
+    B = alg("x + 1", "x^2")
+    assert B.spectrum(mode="exact") == []
 
 
 def test_derivative_spectrum():
