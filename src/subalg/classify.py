@@ -18,7 +18,7 @@ from functools import partial
 from importlib import resources
 
 from .conditions import (LinearFunctional, Subalgebra, annihilator,
-                         conductor_power, kernel_subalgebra)
+                         kernel_subalgebra)
 from .errors import (ClassificationError, InexactSpectrum,
                      ParameterDegeneracy, SpectrumNotExact,
                      UnsupportedCodimension)
@@ -261,18 +261,14 @@ def _pure_vanishes(ann, order, point):
 
 
 def _exact_clusters(A):
+    """The point values of each cluster, largest clusters first."""
     clusters = []
     for cluster in A.clusters():
-        values = []
-        kinds = []
-        for pt in cluster.members:
-            if not pt.exact:
-                raise InexactSpectrum(
-                    "classification requires an exact spectrum")
-            values.append(pt.value)
-            kinds.append(pt.kind)
-        clusters.append((values, kinds))
-    clusters.sort(key=lambda c: -len(c[0]))
+        if not all(pt.exact for pt in cluster.members):
+            raise InexactSpectrum(
+                "classification requires an exact spectrum")
+        clusters.append([pt.value for pt in cluster.members])
+    clusters.sort(key=lambda values: -len(values))
     return clusters
 
 
@@ -302,17 +298,15 @@ def classify(A, nf=None):
         raise InexactSpectrum(str(exc)) from exc
     clusters = _exact_clusters(A)
     field = basis.field
-    for values, _ in clusters:
+    for values in clusters:
         for v in values:
             field = common_field(field, field_of(v))
     if field is not basis.field:
         basis = basis.coerce_to(field)
-    points = [v for values, _ in clusters for v in values]
-    s = len(points)
-    profile = tuple(len(values) for values, _ in clusters)
-    N = conductor_power(basis, Poly.from_roots(points, field))
+    s = sum(len(values) for values in clusters)
+    profile = tuple(len(values) for values in clusters)
     # ann(coords): the annihilator of A on (order, point) coordinates
-    ann = partial(annihilator, basis, N=N, s=s)
+    ann = partial(annihilator, basis, c=A.conductor().coerce_to(field))
 
     label, params = _dispatch(ann, n, s, profile, clusters)
     type_degrees, canonical = canonical_case_basis(label, params)
@@ -341,44 +335,44 @@ def _dispatch(ann, n, s, profile, clusters):
 
 def _dispatch_codim1(s, clusters):
     if s == 1:
-        return "codim1/deriv", {"gamma": clusters[0][0][0]}
-    values = clusters[0][0]
+        return "codim1/deriv", {"gamma": clusters[0][0]}
+    values = clusters[0]
     return "codim1/pair", {"alpha": values[0], "beta": values[1]}
 
 
 def _dispatch_codim2(ann, s, profile, clusters):
     if s == 1:
-        alpha = clusters[0][0][0]
+        alpha = clusters[0][0]
         a, b = _single_ann(ann, [(2, alpha), (3, alpha)], "codim2/s=1")
         return "codim2/s=1", {"alpha": alpha, "a": a, "b": b}
     if s == 2 and profile == (1, 1):
-        return "codim2/s=2-deriv", {"alpha": clusters[0][0][0],
-                                    "beta": clusters[1][0][0]}
+        return "codim2/s=2-deriv", {"alpha": clusters[0][0],
+                                    "beta": clusters[1][0]}
     if s == 2:
-        alpha, beta = clusters[0][0]
+        alpha, beta = clusters[0]
         a, b = _single_ann(ann, [(1, alpha), (1, beta)],
                            "codim2/s=2-pair")
         return "codim2/s=2-pair", {"alpha": alpha, "beta": beta,
                                    "a": a, "b": b}
     if s == 3 and profile == (2, 1):
-        alpha, beta = clusters[0][0]
+        alpha, beta = clusters[0]
         return "codim2/s=3", {"alpha": alpha, "beta": beta,
-                              "gamma": clusters[1][0][0]}
+                              "gamma": clusters[1][0]}
     if s == 3:
-        a, b, g = clusters[0][0]
+        a, b, g = clusters[0]
         return "codim2/s=3-cluster", {"alpha": a, "beta": b, "gamma": g}
     if s == 4 and profile == (2, 2):
-        return "codim2/s=4", {"alpha": clusters[0][0][0],
-                              "beta": clusters[0][0][1],
-                              "gamma": clusters[1][0][0],
-                              "delta": clusters[1][0][1]}
+        return "codim2/s=4", {"alpha": clusters[0][0],
+                              "beta": clusters[0][1],
+                              "gamma": clusters[1][0],
+                              "delta": clusters[1][1]}
     raise ClassificationError(
         f"unrecognized codimension-2 cluster profile {profile}")
 
 
 def _dispatch_codim3(ann, s, profile, clusters):
     if s == 1:
-        return _codim3_s1(ann, clusters[0][0][0])
+        return _codim3_s1(ann, clusters[0][0])
     if s == 2:
         return _codim3_s2(ann, profile, clusters)
     if s == 3:
@@ -388,7 +382,7 @@ def _dispatch_codim3(ann, s, profile, clusters):
     if s == 5:
         return _codim3_s5(ann, profile, clusters)
     if s == 6 and profile == (2, 2, 2):
-        pairs = [tuple(values) for values, _ in clusters]
+        pairs = [tuple(values) for values in clusters]
         params = {"alpha": pairs[0][0], "beta": pairs[0][1],
                   "gamma": pairs[1][0], "delta": pairs[1][1],
                   "lam": pairs[2][0], "mu": pairs[2][1]}
@@ -426,7 +420,7 @@ def _codim3_s1(ann, alpha):
 
 def _codim3_s2(ann, profile, clusters):
     if profile == (1, 1):
-        points = [clusters[0][0][0], clusters[1][0][0]]
+        points = [clusters[0][0], clusters[1][0]]
         for i, pt in enumerate(points):
             vecs = ann([(2, pt), (3, pt)])
             if vecs:
@@ -436,7 +430,7 @@ def _codim3_s2(ann, profile, clusters):
                                             "a": a, "b": b}
         raise ClassificationError(
             "two critical points without a higher-order condition")
-    p0, p1 = clusters[0][0]
+    p0, p1 = clusters[0]
     for alpha, beta in ((p0, p1), (p1, p0)):
         if _pure_vanishes(ann, 1, alpha):
             a, b, c = _single_ann(
@@ -463,12 +457,12 @@ def _codim3_s2(ann, profile, clusters):
 
 def _codim3_s3(ann, profile, clusters):
     if profile == (1, 1, 1):
-        pts = [c[0][0] for c in clusters]
+        pts = [values[0] for values in clusters]
         return "codim3/s=3/case1", {"alpha": pts[0], "beta": pts[1],
                                     "gamma": pts[2]}
     if profile == (2, 1):
-        alpha, beta = clusters[0][0]
-        gamma = clusters[1][0][0]
+        alpha, beta = clusters[0]
+        gamma = clusters[1][0]
         vecs = ann([(2, gamma), (3, gamma)])
         if vecs:
             a, b = vecs[0]
@@ -478,7 +472,7 @@ def _codim3_s3(ann, profile, clusters):
                            "codim3/s=3/case2")
         return "codim3/s=3/case2", {"alpha": alpha, "beta": beta,
                                     "gamma": gamma, "a": a, "b": b}
-    a, b, g = clusters[0][0]
+    a, b, g = clusters[0]
     ca, cb, cc = _single_ann(ann, [(1, a), (1, b), (1, g)],
                              "codim3/s=3/case3")
     return "codim3/s=3/case3", {"alpha": a, "beta": b, "gamma": g,
@@ -487,11 +481,11 @@ def _codim3_s3(ann, profile, clusters):
 
 def _codim3_s4(ann, profile, clusters):
     if profile == (4,):
-        vals = clusters[0][0]
+        vals = clusters[0]
         return "codim3/s=4/case1", {"alpha": vals[0], "beta": vals[1],
                                     "gamma": vals[2], "delta": vals[3]}
     if profile == (2, 2):
-        pairs = [tuple(values) for values, _ in clusters]
+        pairs = [tuple(values) for values in clusters]
         for i in (0, 1):
             vecs = ann([(1, pairs[i][0]), (1, pairs[i][1])])
             if vecs:
@@ -503,27 +497,27 @@ def _codim3_s4(ann, profile, clusters):
         raise ClassificationError(
             "two pair clusters without a first-order condition")
     if profile == (2, 1, 1):
-        alpha, beta = clusters[0][0]
+        alpha, beta = clusters[0]
         return "codim3/s=4/case3", {"alpha": alpha, "beta": beta,
-                                    "gamma": clusters[1][0][0],
-                                    "delta": clusters[2][0][0]}
+                                    "gamma": clusters[1][0],
+                                    "delta": clusters[2][0]}
     if profile == (3, 1):
-        a, b, g = clusters[0][0]
+        a, b, g = clusters[0]
         return "codim3/s=4/case4", {"alpha": a, "beta": b, "gamma": g,
-                                    "delta": clusters[1][0][0]}
+                                    "delta": clusters[1][0]}
     raise ClassificationError(
         f"unrecognized spectrum-4 cluster profile {profile}")
 
 
 def _codim3_s5(ann, profile, clusters):
     if profile == (3, 2):
-        a, b, l = clusters[0][0]
-        g, d = clusters[1][0]
+        a, b, l = clusters[0]
+        g, d = clusters[1]
         return "codim3/s=5/case1", {"alpha": a, "beta": b, "gamma": g,
                                     "delta": d, "lam": l}
     if profile == (2, 2, 1):
-        (a, b), (g, d) = [tuple(values) for values, _ in clusters[:2]]
-        lam = clusters[2][0][0]
+        (a, b), (g, d) = [tuple(values) for values in clusters[:2]]
+        lam = clusters[2][0]
         return "codim3/s=5/case2", {"alpha": a, "beta": b, "gamma": g,
                                     "delta": d, "lam": lam}
     raise ClassificationError(

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import (DegenerateConditions, NotSubalgebraConditions,
-                     PowerBoundExceeded, SpectrumNotExact, SubalgError)
+                     SpectrumNotExact, SubalgError)
 from .fields import (QQ, common_field, field_of, format_scalar,
                      is_zero_scalar, scalar_to_json)
 from .linalg import echelon_nullspace, extend_echelon, nullspace, rref
@@ -266,6 +266,7 @@ class Subalgebra:
         self._spectrum = None
         self._clusters = None
         self._char_poly = None
+        self._conductor = None
 
     @classmethod
     def of(cls, A):
@@ -315,6 +316,12 @@ class Subalgebra:
             spectrum = self.spectrum(mode="exact")
             self._conditions = conditions_from_subalgebra(self, spectrum)
         return self._conditions
+
+    def conductor(self):
+        """The conductor c of A (see `conductor`), computed once."""
+        if self._conductor is None:
+            self._conductor = conductor(self.sagbi_basis())
+        return self._conductor
 
     def char_poly(self):
         """The characteristic polynomial χ of A, computed once."""
@@ -437,49 +444,62 @@ def _normalize_conditions(conds):
     return conds
 
 
-def conductor_power(basis, pi):
-    """Smallest N >= 1 with π^N·K[x] ⊆ A, A the algebra of `basis`.
-
-    Exact: let d be the smallest positive degree of A and p ∈ A of degree
-    d; then K[x] = ⊕_{i<d} x^i·K[p], so π^N·K[x] ⊆ A iff every x^i·π^N
-    with i < d subduces to a constant.  `pi` and `basis` share one field.
-    Raises PowerBoundExceeded past N = 2n + 2 (n = codimension): π then
-    misses part of the spectrum.
+def conductor(basis):
+    """The monic c of least degree with c·K[x] ⊆ A (A the algebra of
+    `basis`).  deg c ≤ 2n (n the codimension), so c is a combination of
+    the degree products P_k, k ≤ 2n.  With d the smallest positive degree,
+    K[x] = ⊕_{i<d} x^i·K[P_d], so c·K[x] ⊆ A iff x^i·c ∈ A for 0 < i < d,
+    that is iff its coordinates on the gap monomials vanish (K[x] = A ⊕
+    span{x^g : g a gap}); those of x^k come from one triangular pass
+    (x^k = P_k − lower terms).  Ascending degree columns make the kernel
+    vector at the lowest free column the monic c.
     """
-    n = basis.semigroup.genus
-    d = basis.degrees[0]
-    x = Poly.x(pi.field)
-    power = Poly.constant(pi.field.one, pi.field)
-    for N in range(1, 2 * n + 3):
-        power = power * pi
-        probe = power
-        for _ in range(d):
-            rem, _ = subduce(probe, basis)
-            if rem.degree >= 1:
-                break
-            probe = probe * x
+    S, d, field = basis.semigroup, basis.degrees[0], basis.field
+    n = S.genus
+    top = 2 * n
+    gaps = {g: j for j, g in enumerate(S.gaps)}
+    products = {p.degree: p for p in basis.degree_products(top + d - 1)}
+    normal = []          # normal[k]: the gap coordinates of x^k
+
+    def gap_coordinates(coeffs, shift):
+        """The gap coordinates of x^shift·Σ coeffs[k]·x^k."""
+        vec = [field.zero] * n
+        for k, a in enumerate(coeffs):
+            if not is_zero_scalar(a):
+                vec = [v + a * w for v, w in zip(vec, normal[k + shift])]
+        return vec
+
+    for k in range(top + d):
+        if k in gaps:
+            normal.append([field.one if j == gaps[k] else field.zero
+                           for j in range(n)])
         else:
-            return N
-    raise PowerBoundExceeded(
-        f"no power up to {2 * n + 2} of the spectrum polynomial "
-        "multiplies into A: spectrum likely inexact or incomplete")
+            normal.append([-v for v in
+                           gap_coordinates(products[k].coeffs[:k], 0)])
+    columns = [products[k] for k in sorted(products) if k <= top]
+    equations = [row for i in range(1, d) for row in
+                 zip(*(gap_coordinates(p.coeffs, i) for p in columns))]
+    lowest = nullspace(equations, len(columns), field)[0]
+    return sum((a * p for a, p in zip(lowest, columns)
+                if not is_zero_scalar(a)), Poly.zero(field))
 
 
-def annihilator(basis, coords, N, s):
-    """Coefficient vectors c with Σ c_i f^(o_i)(p_i) = 0 on all of A.
+def annihilator(basis, coords, c):
+    """Coefficient vectors v with Σ v_i f^(o_i)(p_i) = 0 on all of A.
 
-    `coords` lists (order o_i, point p_i) with the points on the spectrum
-    of A (the algebra of `basis`) and in its field; s is the spectrum size
-    and N the smallest power with π^N·K[x] ⊆ A, π = ∏(x − α) over the
-    spectrum (`conductor_power`).  Exact: A = A_{<N·s} ⊕ π^N·K[x], and
-    functionals of order ≤ m kill π^(m+1)·K[x], so they vanish on A iff
-    they vanish on A_{<N·s} and on π^N·x^i for i < s·(m + 1 − N), all of
-    which lie in A below degree s·max(N, m + 1).  The returned vectors
+    `coords` lists (order o_i, point p_i); c is the conductor of A (the
+    algebra of `basis`); all lie in one field.  Exact: A = A_{<deg c} ⊕
+    c·K[x], and with m the top order, a functional reads c·h at p only
+    through the (m − ord_p(c))-jet of h at p, which the h of degree
+    < Σ_p max(0, m + 1 − ord_p(c)) already take.  So it vanishes on A iff
+    it vanishes on A below degree deg c plus that sum.  The returned vectors
     span the nullspace of the functionals on the degree products up to
     that degree.
     """
     field = basis.field
-    bound = s * max(N, max(order for order, _ in coords) + 1) - 1
+    m = max(order for order, _ in coords)
+    bound = c.degree - 1 + sum(max(0, m + 1 - c.order_at(point))
+                               for point in {point for _, point in coords})
     jets = [_jet_row(order, point, bound, field) for order, point in coords]
     equations = [[_dot(g.coeffs, jet, field.zero) for jet in jets]
                  for g in basis.degree_products(bound)]
@@ -489,14 +509,15 @@ def annihilator(basis, coords, N, s):
 def conditions_from_subalgebra(A, spectrum):
     """Independent conditions cutting out A, derived from its spectrum.
 
-    With π the product of x − α over the s spectrum points and N the
-    smallest power with π^N·K[x] ⊆ A (`conductor_power`), the conditions
-    are the functionals of order < N at the spectrum points that
-    annihilate A (`annihilator`, here on the degree products below N·s):
-    codim(A) of them.  Order-0 parts are rewritten as point differences
-    where possible.
+    With c the conductor of A, the conditions are the functionals of order
+    < max ord_α(c) at the spectrum points that annihilate A
+    (`annihilator`): they vanish on c·K[x], so they read only jets of
+    order < ord_α(c) at each α, and codim(A) of them are independent.
+    Order-0 parts are rewritten as point differences where possible.
+    The points must be exactly the zeros of c.
     """
-    basis = Subalgebra.of(A).sagbi_basis()
+    A = Subalgebra.of(A)
+    basis = A.sagbi_basis()
     points = []
     for p in spectrum:
         value = getattr(p, "value", p)
@@ -511,15 +532,19 @@ def conditions_from_subalgebra(A, spectrum):
         field = common_field(field, field_of(p))
     basis = basis.coerce_to(field)
     points = [_coerce(p, field) for p in points]
-    s = len(points)
-    if s == 0:
+    if not points:
         raise SpectrumNotExact("empty spectrum")
 
-    N = conductor_power(basis, Poly.from_roots(points, field))
+    c = A.conductor().coerce_to(field)
+    orders = [c.order_at(p) for p in points]
+    if 0 in orders or sum(orders) != c.degree:
+        raise SpectrumNotExact("the points are not the zeros of the "
+                               "conductor")
     # coordinates: (order, point) with higher orders first, so reduced
     # rows with only order-0 support surface as pure differences
-    coords = [(order, p) for order in range(N - 1, -1, -1) for p in points]
-    W, _ = rref(annihilator(basis, coords, N, s), len(coords), field)
+    coords = [(order, p) for order in range(max(orders) - 1, -1, -1)
+              for p in points]
+    W, _ = rref(annihilator(basis, coords, c), len(coords), field)
 
     functionals = []
     for vec in W:

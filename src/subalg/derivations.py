@@ -6,11 +6,11 @@ maximal ideal M_α = {f ∈ A : f(α) = 0}.  The number k_α = dim M_α/M_α²
 bounds the derivation space and is conjectured to equal its dimension.
 
 Both are exact linear algebra modulo one polynomial G; no degree bound is
-grown.  π, the square-free part of the characteristic polynomial, vanishes
-on the whole spectrum, and A contains π^N·K[x] for the smallest such power
-N (`conductor_power`).  With H = π^N, times (x − α) when π(α) ≠ 0, H·K[x]
-lies in M_α, so G = H² gives G·K[x] ⊆ M_α², and M_α, M_α² are determined
-by their images in K[x]/(G), a space of dimension deg G.
+grown.  The conductor c of A vanishes exactly on the spectrum, and
+c·K[x] ⊆ A.  With H = c, times (x − α) when c(α) ≠ 0, H·K[x] lies in M_α,
+so G = H² gives G·K[x] ⊆ M_α², and M_α, M_α² are determined by their
+images in K[x]/(G), a space of dimension deg G.  The characteristic
+polynomial is never built.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .conditions import (LinearFunctional, Subalgebra, _dot, _jet_row,
-                         conductor_power)
+from .conditions import LinearFunctional, Subalgebra, _dot, _jet_row
 from .errors import EvenInput, SubalgError
 from .fields import common_field, field_of, is_zero_scalar
 from .linalg import extend_echelon, nullspace, rref
-from .poly import Poly, squarefree_part
+from .poly import Poly
 from .sagbi import subduce
 from .spectrum import compute_clusters, compute_spectrum
 
@@ -77,14 +76,11 @@ class _Jets:
     def __init__(self, A, alpha):
         basis = A.sagbi_basis()
         n = basis.semigroup.genus
-        pi = squarefree_part(A.char_poly())
-        self.N = conductor_power(basis, pi)
         field = common_field(basis.field, field_of(alpha))
         basis = basis.coerce_to(field)
         alpha = field.coerce(alpha)
-        self.pi = pi.coerce_to(field)
-        H = self.pi ** self.N
-        if not is_zero_scalar(self.pi(alpha)):
+        self.c = H = A.conductor().coerce_to(field)
+        if not is_zero_scalar(H(alpha)):
             H = H * Poly((-alpha, field.one), field)
         G = H * H
         D = G.degree
@@ -110,8 +106,8 @@ class _Jets:
 
     def multiplicity(self, beta):
         """The multiplicity of β as a root of G."""
-        if is_zero_scalar(self.pi(beta)):
-            return 2 * self.N
+        if is_zero_scalar(self.c(beta)):
+            return 2 * self.c.order_at(beta)
         return 2 if beta == self.alpha else 0
 
 
@@ -129,7 +125,7 @@ def _cluster_points(A, alpha, field):
     a partial cluster would give a wrong derivation space.
     """
     A = Subalgebra.of(A)
-    if not is_zero_scalar(A.char_poly()(alpha)):
+    if not is_zero_scalar(A.conductor()(alpha)):
         return [alpha]
     if field is A.field:
         clusters = A.clusters()

@@ -89,10 +89,6 @@ class SpectrumNotExact(SubalgError):
     """An exact spectrum was required but only numeric roots are known."""
 
 
-class PowerBoundExceeded(SubalgError):
-    """The search for N with x^i * pi_A^N in A failed below the cap."""
-
-
 # --- spectrum -----------------------------------------------------------
 
 class UnpairedRoot(SubalgError):

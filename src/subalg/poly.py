@@ -223,6 +223,13 @@ class Poly:
             p = Poly([i * c for i, c in enumerate(p.coeffs)][1:], p.field)
         return p
 
+    def order_at(self, point):
+        """How many leading derivatives vanish at the point."""
+        p, k = self, 0
+        while p.coeffs and is_zero_scalar(p(point)):
+            p, k = p.derivative(), k + 1
+        return k
+
     def __call__(self, point):
         """Horner evaluation at a scalar (exact) or complex (numeric)."""
         if isinstance(point, (complex, float)):

@@ -234,7 +234,8 @@ def _to_float(c):
 
 
 def field_roots(p, nf, candidates):
-    """Roots of p found among the candidates over the number field nf.
+    """Roots of p over the number field nf: those among the candidates,
+    and the root of any linear factor they leave.
 
     Returns (roots_with_mult, unsplit_remainder_factors).
     """
@@ -254,7 +255,9 @@ def field_roots(p, nf, candidates):
             if is_zero_scalar(f(c)):
                 found.append((c, mult))
                 f = f.exact_div(Poly((-c, nf.one), nf))
-        if f.degree >= 1:
+        if f.degree == 1:
+            found.append((-f.coeff(0) / f.leading_coeff(), mult))
+        elif f.degree > 1:
             leftovers.append((f, mult))
     return found, leftovers
 

@@ -3,20 +3,22 @@
 The spectrum of A consists of the points α where either every element of A
 has vanishing derivative (derivative-kind) or some β ≠ α satisfies
 f(α) = f(β) for all f in A (paired).  Both kinds are roots of the
-characteristic polynomial, computed here as a gcd of pairwise
-characteristic polynomials of coprime-degree elements.
+characteristic polynomial χ, a gcd of pairwise characteristic polynomials
+of coprime-degree elements.  They are read off the conductor c of A, which
+has the same zeros; χ is built only for the multiplicities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from math import gcd
 
 from .conditions import Subalgebra, conditions_from_subalgebra
 from .errors import (BoundViolated, NoDegreeTwoElement, SpectrumNotExact,
                      SubalgError, UnpairedRoot)
 from .fields import QQ, format_scalar, is_zero_scalar, scalar_to_json
-from .poly import Poly, poly_gcd
+from .poly import Poly, poly_gcd, squarefree_decompose
 from .resultants import char_poly_multi, char_poly_pair
 from .roots import RESIDUAL_TOL, _default_candidates, aberth_roots, split_roots
 
@@ -25,13 +27,27 @@ PAIR_TOL = 1e-8
 
 @dataclass
 class SpectrumPoint:
-    """One point of the spectrum with its classification."""
+    """One point of the spectrum of `algebra`, with its classification."""
 
     value: object                  # exact scalar or complex
-    multiplicity: int
     kind: str                      # "derivative" or "paired"
     partner: object = None         # paired partner's value
     exact: bool = True
+    algebra: object = dc_field(default=None, repr=False, compare=False)
+    factor: object = dc_field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def multiplicity(self):
+        """The order of the point as a root of χ, built on first read.  A
+        numeric point's `factor` of c splits exactly over the square-free
+        factors f_k of χ; the point is a root of the part smallest at it."""
+        chi = self.algebra.char_poly()
+        if self.exact:
+            return chi.order_at(self.value)
+        parts = [(poly_gcd(self.factor, f), k)
+                 for f, k in squarefree_decompose(chi)]
+        return min((abs(g(self.value)) / _scale(g, self.value), k)
+                   for g, k in parts if g.degree >= 1)[1]
 
     def to_json(self):
         if self.exact:
@@ -101,39 +117,41 @@ def characteristic_polynomial(A, max_pairs=6):
 def compute_spectrum(A, mode="hybrid", nf=None, tol=PAIR_TOL):
     """The spectrum of A as classified SpectrumPoints.
 
-    The exact points come from `split_roots` over nf (default: the field
-    of A); the modes differ in what happens to the unsplit rest.
+    The points are the zeros of the conductor c of A.  The exact ones come
+    from `split_roots` of c over nf (default: the field of A), so they are
+    ordered by their order as roots of c, then by value; the modes differ
+    in what happens to the unsplit rest.
     mode = "exact": any unsplit rest raises SpectrumNotExact;
     mode = "numeric": every point as a complex double-precision root;
     mode = "hybrid" (default): exact where possible, numeric otherwise.
+    Multiplicities are read from χ only when asked for.
     """
     A = Subalgebra.of(A)
     basis = A.sagbi_basis()
-    chi = A.char_poly()
-    if chi.degree < 1:
+    c = A.conductor()
+    if c.degree < 1:
         return []
     if nf is None and basis.field is not QQ:
         nf = basis.field
-    exact, leftover = split_roots(chi, nf)
+    exact, leftover = split_roots(c, nf)
     if leftover and mode == "exact":
         raise SpectrumNotExact(
             f"irreducible factor of degree {leftover[0][0].degree} has "
             "no root in the supplied field")
-    numeric = []
-    for rest, mult in leftover:
-        roots, _ = aberth_roots(rest, tol=RESIDUAL_TOL)
-        numeric.extend((z, mult) for z in roots)
+    exact = [v for v, _ in exact]
+    numeric = [(z, rest) for rest, _ in leftover
+               for z in aberth_roots(rest, tol=RESIDUAL_TOL)[0]]
     if mode == "numeric":
-        numeric = [(complex(_embed(v)), m) for v, m in exact] + numeric
+        numeric = [(complex(_embed(v)), Poly.from_roots([v])) for v in exact] \
+            + numeric
         exact = []
 
-    points = []
-    all_vals = [(v, True) for v, _ in exact] + [(v, False) for v, _ in numeric]
-    for value, mult in exact:
-        points.append(_classify(basis, value, mult, True, all_vals, tol))
-    for value, mult in numeric:
-        points.append(_classify(basis, value, mult, False, all_vals, tol))
-    return points
+    all_vals = [(v, True) for v in exact] + [(v, False) for v, _ in numeric]
+    return [SpectrumPoint(v, *_classify(basis, v, True, all_vals, tol),
+                          algebra=A) for v in exact] + \
+        [SpectrumPoint(z, *_classify(basis, z, False, all_vals, tol),
+                       exact=False, algebra=A, factor=rest)
+         for z, rest in numeric]
 
 
 def _embed(value):
@@ -147,14 +165,15 @@ def _embed(value):
     return float(r)
 
 
-def _classify(basis, value, mult, exact, all_vals, tol):
+def _classify(basis, value, exact, all_vals, tol):
+    """(kind, partner) of a root of c."""
     elements = basis.elements
     if exact:
         deriv = all(is_zero_scalar(e.derivative()(value)) for e in elements)
     else:
         deriv = all(abs(e.derivative()(value)) < tol for e in elements)
     if deriv:
-        return SpectrumPoint(value, mult, "derivative", exact=exact)
+        return "derivative", None
     for other, other_exact in all_vals:
         if other_exact != exact:
             continue
@@ -162,15 +181,13 @@ def _classify(basis, value, mult, exact, all_vals, tol):
             if other == value:
                 continue
             if all(e(value) == e(other) for e in elements):
-                return SpectrumPoint(value, mult, "paired", partner=other,
-                                     exact=True)
+                return "paired", other
         else:
             if abs(other - value) < tol:
                 continue
             if all(abs(e(value) - e(other)) < tol * _scale(e, value)
                    for e in elements):
-                return SpectrumPoint(value, mult, "paired", partner=other,
-                                     exact=False)
+                return "paired", other
     raise UnpairedRoot(
         f"characteristic root {value!r} is neither derivative-kind nor "
         "pairable")

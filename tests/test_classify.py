@@ -2,9 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from case_draws import family_draws
 from subalg.classify import (CASES, canonical_case_basis, classify,
                              construct_case, type_of)
 from subalg.conditions import LinearFunctional, Subalgebra, kernel_subalgebra
+from subalg.derivations import conjecture_dim_check
 from subalg.errors import (ParameterDegeneracy, UnsupportedCodimension)
 from subalg.fields import NumberField
 from subalg.parsing import parse_poly as P
@@ -87,3 +89,19 @@ def test_classification_result_json():
     import json
     json.dumps(payload)
     assert payload["label"] == "codim1/deriv"
+
+
+def test_gaussian_image_with_a_linear_factor_round_trips():
+    # the Q(i) draw moved by x -> x + 1: its conductor keeps the linear
+    # factor x - (1 + t) over Q(i), whose root is none of the trial roots
+    label, params = next((label, params) for label, params in family_draws()
+                         if any(hasattr(v, "field")
+                                for v in params.values()))
+    moved = {k: v + 1 if k in ("alpha", "beta", "gamma") else v
+             for k, v in params.items()}
+    A = construct_case(label, moved)
+    result = classify(A)
+    assert result.label == label
+    assert construct_case(result.label, result.parameters) == A
+    report = conjecture_dim_check(A, moved["alpha"])
+    assert report["k_alpha"] == report["dim_combo"] == 2

@@ -1,23 +1,25 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from case_draws import all_draws, family_draws
+from case_draws import affine_variants, all_draws, family_draws
 from subalg.classify import construct_case
 from subalg.conditions import (LinearFunctional, Subalgebra,
                                _conditions_field, _jet_row, _monomial_kernel,
                                _order_and_point_count, annihilator,
-                               conditions_from_subalgebra, conductor_power,
+                               conditions_from_subalgebra, conductor,
                                intersect_and_join,
                                is_subalgebra_condition_set,
                                kernel_subalgebra)
 from subalg.errors import (DegenerateConditions, NotSubalgebraConditions,
-                           PowerBoundExceeded)
+                           SpectrumNotExact)
 from subalg.fields import NumberField, common_field, field_of
 from subalg.linalg import nullspace
-from subalg.oracle import oracle_codimension
+from subalg.oracle import oracle_codimension, oracle_member
 from subalg.parsing import parse_poly as P
-from subalg.poly import Poly
+from subalg.poly import Poly, squarefree_part
+from subalg.resultants import char_poly_pair
 from subalg.sagbi import sagbi_complete
 
 
@@ -93,12 +95,12 @@ def test_annihilator_matches_a_large_degree_bound():
             field = common_field(field, field_of(p))
         basis = A.sagbi_basis().coerce_to(field)
         s = len(points)
-        N = conductor_power(basis, Poly.from_roots(points, field))
+        c = A.conductor().coerce_to(field)
         coords = [(order, p) for order in range(6) for p in points]
         bound = basis.semigroup.conductor + 4 * s + 20
         rows = [[g.derivative(order)(p) for order, p in coords]
                 for g in basis.degree_products(bound)]
-        assert annihilator(basis, coords, N, s) == \
+        assert annihilator(basis, coords, c) == \
             nullspace(rows, len(coords), field), label
 
 
@@ -178,6 +180,13 @@ def test_conditions_round_trip_pair():
     assert kernel_subalgebra(conds) == A
 
 
+def test_conditions_need_every_zero_of_the_conductor():
+    A = Subalgebra.from_generators([P("x^3 - x"), P("x^2")])
+    for points in ([F(1)], [F(1), F(-1), F(0)]):
+        with pytest.raises(SpectrumNotExact):
+            conditions_from_subalgebra(A, points)
+
+
 def test_intersect_and_join():
     A1 = kernel_subalgebra([deriv((1, 0, 1))])
     A2 = kernel_subalgebra([deriv((1, 1, 1))])
@@ -198,11 +207,49 @@ def test_intersect_drops_dependent_conditions():
     assert same == A and len(same.conditions()) == 2
 
 
-def test_conductor_power():
-    # x*K[x] is not inside <x^2, x^3>, x^2*K[x] is; (x - 1)^N never is
-    basis = sagbi_complete([P("x^2"), P("x^3")])
-    assert conductor_power(basis, P("x")) == 2
-    assert conductor_power(sagbi_complete([P("x")]), Poly.constant(F(1))) \
-        == 1
-    with pytest.raises(PowerBoundExceeded):
-        conductor_power(basis, P("x - 1"))
+def test_conductor_examples():
+    assert conductor(sagbi_complete([P("x^2"), P("x^3")])) == P("x^2")
+    assert conductor(sagbi_complete([P("x")])) == Poly.constant(F(1))
+    # not Gorenstein: the conductor is a proper factor of chi
+    A = construct_case("codim2/s=1", {"alpha": F(1), "a": F(2), "b": F(0)})
+    assert A.conductor() == P("(x - 1)^3")
+    assert A.char_poly() == P("(x - 1)^6")
+
+
+def _conductor_cases():
+    """Every draw, two affine images of each rational draw, and the
+    Gaussian draw moved by x -> x + 1."""
+    for label, params, _ in all_draws():
+        yield label, params
+        if not any(hasattr(v, "field") for v in params.values()):
+            for moved in affine_variants(params)[:2]:
+                yield label, moved
+    label, params = next((label, params) for label, params in family_draws()
+                         if any(hasattr(v, "field")
+                                for v in params.values()))
+    yield label, {k: v + 1 if k in ("alpha", "beta", "gamma") else v
+                  for k, v in params.items()}
+
+
+def test_conductor_is_the_conductor_of_every_draw():
+    for label, params in _conductor_cases():
+        A = construct_case(label, params)
+        basis = A.sagbi_basis()
+        c, chi = A.conductor(), A.char_poly()
+        assert c.leading_coeff() == 1 and c.degree <= 2 * A.codimension()
+        # c·K[x] ⊆ A: products of SAGBI elements up to degree D span A_{≤D}
+        x = Poly.x(c.field)
+        for i in range(basis.degrees[0]):
+            assert oracle_member(c * x ** i, list(basis.elements),
+                                 c.degree + i), label
+        assert (chi % c).is_zero(), label
+        assert squarefree_part(c) == squarefree_part(chi), label
+
+
+def test_conductor_of_a_coprime_pair_is_its_charpoly():
+    rng = random.Random(20261018)
+    for m, n in [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (2, 7)] * 2:
+        p = Poly([F(rng.randint(-3, 3)) for _ in range(m)] + [F(1)])
+        q = Poly([F(rng.randint(-3, 3)) for _ in range(n)] + [F(1)])
+        assert Subalgebra.from_generators([p, q]).conductor() == \
+            char_poly_pair(p, q).monic(), (p, q)

@@ -102,16 +102,14 @@ def test_integral_rejected_when_product_leaves():
 
 
 def test_partial_cluster_is_an_error():
-    # the Q(i) draw moved by x -> x + 1: its spectrum is not found exactly,
-    # so the cluster of alpha is unknown and no derivation space is given
-    label, params, _ = next(d for d in all_draws()
-                            if any(hasattr(v, "field")
-                                   for v in d[1].values()))
-    moved = {k: v + 1 if k in ("alpha", "beta", "gamma") else v
-             for k, v in params.items()}
-    A = construct_case(label, moved)
+    # over Q(sqrt 2) the pair {1 + t, 1 - t} is a root of x^2 - 2x - 1,
+    # which no exact root search splits: the cluster of alpha is unknown,
+    # so no derivation space is given
+    nf = NumberField([-2, 0, 1], label="t^2-2")
+    t = nf.gen()
+    A = construct_case("codim1/pair", {"alpha": 1 + t, "beta": 1 - t})
     with pytest.raises(SubalgError):
-        derivation_space(A, moved["alpha"])
+        derivation_space(A, 1 + t)
 
 
 # --- the bound-growing path that the exact presentation replaced ----------

@@ -2,11 +2,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from case_draws import all_draws
+from subalg import resultants
+from subalg.classify import classify, construct_case
 from subalg.conditions import LinearFunctional, Subalgebra, kernel_subalgebra
+from subalg.derivations import conjecture_dim_check
 from subalg.errors import NoDegreeTwoElement, SpectrumNotExact
-from subalg.fields import NumberField
+from subalg.fields import NumberField, is_zero_scalar
 from subalg.parsing import parse_poly
-from subalg.poly import Poly
+from subalg.poly import Poly, squarefree_decompose
 from subalg.spectrum import (characteristic_polynomial, compute_clusters,
                              compute_spectrum, deg2_description,
                              deg2_from_description, spectrum_size_check)
@@ -110,3 +114,39 @@ def test_a_field_request_ignores_an_inexact_cached_spectrum():
     assert A.spectrum() is pts
     assert A.spectrum(mode="exact") is pts
     assert [len(c) for c in A.clusters()] == [2]
+
+
+def test_classify_and_derivations_never_build_chi(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a characteristic polynomial was built")
+
+    monkeypatch.setattr(resultants, "resultant_y_tables", refuse)
+    algebras = []
+    for label, params, _ in all_draws():
+        A = construct_case(label, params)
+        assert classify(A).label == label
+        alpha = params.get("alpha", params.get("gamma"))
+        assert conjecture_dim_check(A, alpha)["equal"], label
+        algebras.append(A)
+    monkeypatch.undo()
+    # multiplicities are read from chi on demand: the square-free factor
+    # of chi that vanishes at the point
+    for A in algebras:
+        parts = squarefree_decompose(A.char_poly())
+        for p in A.spectrum():
+            assert p.exact
+            assert p.multiplicity == next(
+                k for f, k in parts if is_zero_scalar(f(p.value)))
+
+
+def test_numeric_multiplicities_are_read_from_chi():
+    # c = (x^3 - x - 1)(x^2 - 2) is one unsplit factor over Q, but chi
+    # vanishes twice at the cubic's roots (one three-point cluster) and
+    # once at the pair {sqrt 2, -sqrt 2}
+    A = alg("(x^3-x-1)*(x+1)",
+            *[f"(x^3-x-1)*(x^2-2)*x^{k}" for k in range(5)])
+    assert A.conductor() == parse_poly("(x^3-x-1)*(x^2-2)")
+    points = A.spectrum()
+    assert len(points) == 5 and not any(p.exact for p in points)
+    for p in points:
+        assert p.multiplicity == (1 if abs(p.value ** 2 - 2) < 1e-6 else 2)
