@@ -10,13 +10,15 @@ the condition presentation and the generator presentation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import (DegenerateConditions, NotSubalgebraConditions,
                      SpectrumNotExact, SubalgError)
 from .fields import (QQ, common_field, field_of, format_scalar,
                      is_zero_scalar, scalar_to_json)
 from .linalg import echelon_nullspace, extend_echelon, nullspace, rref
+from .modular import (ResidueRing, coordinates, crt, rational_reconstruction,
+                      word_primes)
 from .poly import Poly
 from .sagbi import SagbiBasis, sagbi_complete, subduce
 from .semigroup import DegreeSemigroup
@@ -446,42 +448,132 @@ def _normalize_conditions(conds):
 
 def conductor(basis):
     """The monic c of least degree with c·K[x] ⊆ A (A the algebra of
-    `basis`).  deg c ≤ 2n (n the codimension), so c is a combination of
+    `basis`), from images modulo word-size primes.
+
+    The system: deg c ≤ 2n (n the codimension), so c is a combination of
     the degree products P_k, k ≤ 2n.  With d the smallest positive degree,
-    K[x] = ⊕_{i<d} x^i·K[P_d], so c·K[x] ⊆ A iff x^i·c ∈ A for 0 < i < d,
-    that is iff its coordinates on the gap monomials vanish (K[x] = A ⊕
-    span{x^g : g a gap}); those of x^k come from one triangular pass
-    (x^k = P_k − lower terms).  Ascending degree columns make the kernel
-    vector at the lowest free column the monic c.
+    K[x] = ⊕_{i<d} x^i·K[P_d], so c·K[x] ⊆ A iff x^i·c ∈ A for 0 ≤ i < d;
+    for a combination of the P_k that says that the coordinates of x^i·c
+    on the gap monomials vanish for 0 < i < d (K[x] = A ⊕ span{x^g : g a
+    gap}).  With ascending degree columns, c is the kernel vector at the
+    lowest free column.
+
+    Images: modulo each prime p that divides no denominator of the basis
+    or of the field modulus, `_conductor_image` solves the system over R_p
+    (see `modular`).  Degree lemma: the reduction of every element of the
+    conductor ideal c·K[x] is a kernel vector mod p, so the lowest free
+    column mod p is at most that of c: an image never has a higher degree
+    than c.  If it has the same degree, the columns below are independent
+    mod p, so the kernel vector there is unique and the image is c mod p.
+    Only the images of the highest degree seen so far are kept; they are
+    combined by CRT, and every coefficient is rationally reconstructed.
+
+    Certificate: a candidate is accepted only if it is monic and
+    x^i·candidate subduces exactly to a constant for 0 ≤ i < d.  It is then
+    in the conductor ideal, so c divides it; its degree is at most deg c,
+    so it is c.
+
+    Termination: only finitely many primes divide a denominator, make a
+    pivot a zero divisor in R_p or drop the rank.  Every other prime gives
+    c mod p, and once the product M of those primes exceeds 2H², H the
+    largest numerator or denominator among c's coordinates, reconstruction
+    returns c.  So there is no prime cap and no stabilization rule.
     """
     S, d, field = basis.semigroup, basis.degrees[0], basis.field
-    n = S.genus
-    top = 2 * n
-    gaps = {g: j for j, g in enumerate(S.gaps)}
-    products = {p.degree: p for p in basis.degree_products(top + d - 1)}
-    normal = []          # normal[k]: the gap coordinates of x^k
-
-    def gap_coordinates(coeffs, shift):
-        """The gap coordinates of x^shift·Σ coeffs[k]·x^k."""
-        vec = [field.zero] * n
-        for k, a in enumerate(coeffs):
-            if not is_zero_scalar(a):
-                vec = [v + a * w for v, w in zip(vec, normal[k + shift])]
-        return vec
-
-    for k in range(top + d):
-        if k in gaps:
-            normal.append([field.one if j == gaps[k] else field.zero
-                           for j in range(n)])
+    e = field.degree
+    products = {P.degree: P
+                for P in basis.degree_products(2 * S.genus + d - 1)}
+    unlucky = lcm(*(a.denominator for a in field.modulus_coeffs),
+                  *(a.denominator for g in basis.elements for s in g.coeffs
+                    for a in coordinates(s)))
+    best, modulus, residues = -1, 1, []
+    for p in word_primes():
+        if unlucky % p == 0:
+            continue
+        image = _conductor_image(products, S, d,
+                                 ResidueRing(field.modulus_coeffs, p))
+        if image is None or len(image) - 1 < best:
+            continue
+        flat = [a for coeff in image for a in coeff]
+        if len(image) - 1 > best:
+            best, modulus, residues = len(image) - 1, p, flat
         else:
-            normal.append([-v for v in
-                           gap_coordinates(products[k].coeffs[:k], 0)])
-    columns = [products[k] for k in sorted(products) if k <= top]
-    equations = [row for i in range(1, d) for row in
-                 zip(*(gap_coordinates(p.coeffs, i) for p in columns))]
-    lowest = nullspace(equations, len(columns), field)[0]
-    return sum((a * p for a, p in zip(lowest, columns)
-                if not is_zero_scalar(a)), Poly.zero(field))
+            residues, modulus = crt(residues, modulus, flat, p), modulus * p
+        values = [rational_reconstruction(r, modulus) for r in residues]
+        if None in values:
+            continue
+        c = Poly([field.from_coeffs(values[k:k + e])
+                  for k in range(0, len(values), e)], field)
+        if c.degree == best and c.leading_coeff() == 1 and \
+                _in_conductor_ideal(c, basis):
+            return c
+
+
+def _in_conductor_ideal(f, basis):
+    """Is f·K[x] ⊆ A?  Exact: x^i·f subduces to a constant for every
+    0 ≤ i < d (d the smallest positive degree), x^i·f by a shift."""
+    zero = [basis.field.zero]
+    return all(subduce(Poly(zero * i + list(f.coeffs), f.field),
+                       basis)[0].degree < 1
+               for i in range(basis.degrees[0]))
+
+
+def _conductor_image(products, S, d, ring):
+    """The coefficients (in R_p) of the image of the conductor mod p: the
+    kernel vector at the lowest free column of the system of `conductor`,
+    as a combination of the products.  None when a pivot is a zero divisor
+    in R_p.
+
+    The gap coordinates of x^k come from one triangular pass
+    (x^k = P_k − lower terms).  The columns are reduced one at a time
+    against the echelon rows of the columns before them, with the
+    combination that reduces them; the first that reduces to zero is the
+    lowest free column.
+    """
+    p, e = ring.p, ring.e
+    top = 2 * S.genus
+    reduced = {k: ring.split(P.coeffs) for k, P in products.items()}
+    gap_index = {g: j for j, g in enumerate(S.gaps)}
+    normal = [[[] for _ in range(e)] for _ in S.gaps]  # [gap][coordinate]
+    for k in range(top + d):
+        if k in gap_index:
+            for j, coords in enumerate(normal):
+                for v, values in enumerate(coords):
+                    values.append(int(j == gap_index[k] and v == 0))
+        else:
+            for coords in normal:
+                for values, a in zip(coords, ring.dot(reduced[k], coords)):
+                    values.append(-a % p)
+    shifted = [[[values[i:] for values in coords] for coords in normal]
+               for i in range(1, d)]
+    columns = [k for k in sorted(reduced) if k <= top]
+    echelon = []                    # (pivot, row, combination), all mod p
+    for index, k in enumerate(columns):
+        row = [[] for _ in range(e)]
+        for block in shifted:
+            for coords in block:
+                for values, a in zip(row, ring.dot(reduced[k], coords)):
+                    values.append(a)
+        combo = [[int(j == index and v == 0) for j in range(len(columns))]
+                 for v in range(e)]
+        for pivot, prow, pcombo in echelon:
+            f = tuple(values[pivot] % p for values in row)
+            if any(f):
+                row = ring.axpy(f, prow, row)
+                combo = ring.axpy(f, pcombo, combo)
+        row = [[a % p for a in values] for values in row]
+        combo = [[a % p for a in values] for values in combo]
+        pivot = next((q for q in range(len(row[0]))
+                      if any(values[q] for values in row)), None)
+        if pivot is None:
+            used = [reduced[j] for j in columns[:index + 1]]
+            return [ring.dot(combo, [[P[v][i] if i < len(P[v]) else 0
+                                      for P in used] for v in range(e)])
+                    for i in range(k + 1)]
+        inv = ring.inverse(tuple(values[pivot] for values in row))
+        if inv is None:
+            return None
+        echelon.append((pivot, ring.scale(inv, row), ring.scale(inv, combo)))
 
 
 def annihilator(basis, coords, c):

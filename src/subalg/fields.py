@@ -55,6 +55,7 @@ class RationalField:
 
     degree = 1
     label = "Q"
+    modulus_coeffs = (_ZERO, _ONE)      # Q = Q[t]/(t)
 
     _instance = None
 
@@ -73,6 +74,9 @@ class RationalField:
             if r is not None:
                 return r
         raise FieldMismatch(f"cannot coerce {value!r} into Q")
+
+    def from_coeffs(self, coeffs):
+        return Fraction(coeffs[0])
 
     @property
     def zero(self):

@@ -17,6 +17,7 @@ from math import gcd as int_gcd
 
 from .errors import NonConvergence, SubalgError, ZeroInput
 from .fields import QQ, is_zero_scalar
+from .modular import is_prime
 from .poly import Poly, squarefree_decompose
 
 RESIDUAL_TOL = 1e-12
@@ -53,28 +54,6 @@ def _factorize(n):
     if n == 1:
         return factors
 
-    def is_probable_prime(m):
-        if m < 2:
-            return False
-        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-            if m % p == 0:
-                return m == p
-        d, s = m - 1, 0
-        while d % 2 == 0:
-            d //= 2
-            s += 1
-        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-            v = pow(a, d, m)
-            if v in (1, m - 1):
-                continue
-            for _ in range(s - 1):
-                v = v * v % m
-                if v == m - 1:
-                    break
-            else:
-                return False
-        return True
-
     def rho(m):
         if m % 2 == 0:
             return 2
@@ -96,7 +75,7 @@ def _factorize(n):
         m = stack.pop()
         if m == 1:
             continue
-        if is_probable_prime(m):
+        if is_prime(m):
             add(m)
             continue
         d = rho(m)

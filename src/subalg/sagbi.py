@@ -46,15 +46,14 @@ class SagbiBasis:
         return tuple(e.degree for e in self.elements)
 
     def product_for(self, rep):
-        """Monic product of basis elements whose degrees form `rep`."""
+        """Monic product of basis elements whose degrees form `rep`, built
+        on the cached product of its prefix."""
         rep = tuple(rep)
-        cached = self._product_cache.get(rep)
-        if cached is not None:
-            return cached
-        prod = Poly.constant(self.field.one, self.field)
-        for d in rep:
-            prod = prod * self._by_degree[d]
-        self._product_cache[rep] = prod
+        prod = self._product_cache.get(rep)
+        if prod is None:
+            prod = self.product_for(rep[:-1]) * self._by_degree[rep[-1]] \
+                if rep else Poly.constant(self.field.one, self.field)
+            self._product_cache[rep] = prod
         return prod
 
     def degree_products(self, bound):
@@ -85,19 +84,23 @@ def subduce(f, basis):
     names basis elements.
     """
     field = common_field(f.field, basis.field)
-    f = f.coerce_to(field)
+    coeffs = list(f.coerce_to(field).coeffs)
     steps = []
     S = basis.semigroup
-    while f.degree >= 1:
-        d = f.degree
+    while len(coeffs) > 1:
+        d = len(coeffs) - 1
         rep = S.represent(d)
         if rep is NOT_MEMBER:
             break
-        c = f.leading_coeff()
-        prod = basis.product_for(rep).coerce_to(field)
-        f = f - c * prod
+        c = coeffs.pop()
+        prod = basis.product_for(rep).coerce_to(field).coeffs  # monic
+        for k, b in enumerate(prod[:d]):
+            if b:
+                coeffs[k] = coeffs[k] - c * b
+        while coeffs and is_zero_scalar(coeffs[-1]):
+            coeffs.pop()
         steps.append((d, c, rep))
-    return f, steps
+    return Poly(coeffs, field), steps
 
 
 def _all_representations(d, degrees):

@@ -50,20 +50,23 @@ class SpectrumPoint:
                    for g, k in parts if g.degree >= 1)[1]
 
     def to_json(self):
-        if self.exact:
-            value = scalar_to_json(self.value)
-        else:
-            value = {"re": self.value.real, "im": self.value.imag}
-        out = {"value": value, "multiplicity": self.multiplicity,
+        out = {"value": _value_json(self.value),
+               "multiplicity": self.multiplicity,
                "kind": self.kind, "exact": self.exact}
         if self.partner is not None:
-            out["partner"] = scalar_to_json(self.partner) if self.exact \
-                else {"re": self.partner.real, "im": self.partner.imag}
+            out["partner"] = _value_json(self.partner)
         return out
 
     def __repr__(self):
         v = format_scalar(self.value) if self.exact else str(self.value)
         return f"SpectrumPoint({v}, {self.kind})"
+
+
+def _value_json(value):
+    """An exact scalar as `scalar_to_json`, a numeric one as re/im."""
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    return scalar_to_json(value)
 
 
 @dataclass
@@ -166,7 +169,9 @@ def _embed(value):
 
 
 def _classify(basis, value, exact, all_vals, tol):
-    """(kind, partner) of a root of c."""
+    """(kind, partner) of a root of c.  A partner of the same exactness is
+    preferred; an exact point and a numeric one are compared through
+    `_embed`, which raises SpectrumNotExact for a number-field point."""
     elements = basis.elements
     if exact:
         deriv = all(is_zero_scalar(e.derivative()(value)) for e in elements)
@@ -174,23 +179,25 @@ def _classify(basis, value, exact, all_vals, tol):
         deriv = all(abs(e.derivative()(value)) < tol for e in elements)
     if deriv:
         return "derivative", None
-    for other, other_exact in all_vals:
-        if other_exact != exact:
-            continue
-        if exact:
-            if other == value:
-                continue
-            if all(e(value) == e(other) for e in elements):
-                return "paired", other
-        else:
-            if abs(other - value) < tol:
-                continue
-            if all(abs(e(value) - e(other)) < tol * _scale(e, value)
-                   for e in elements):
-                return "paired", other
+    for other, other_exact in sorted(all_vals, key=lambda v: v[1] != exact):
+        if other_exact == exact and \
+                (other == value if exact else abs(other - value) < tol):
+            continue                # the point itself
+        if _agree(elements, value, other, tol):
+            return "paired", other
     raise UnpairedRoot(
         f"characteristic root {value!r} is neither derivative-kind nor "
         "pairable")
+
+
+def _agree(elements, a, b, tol):
+    """Do all elements take one value at the spectrum points a and b?
+    Exactly when both are exact, else numerically."""
+    if not isinstance(a, complex) and not isinstance(b, complex):
+        return all(e(a) == e(b) for e in elements)
+    a, b = (v if isinstance(v, complex) else complex(_embed(v))
+            for v in (a, b))
+    return all(abs(e(a) - e(b)) < tol * _scale(e, a) for e in elements)
 
 
 def _scale(e, z):
@@ -222,14 +229,8 @@ def compute_clusters(A, spectrum=None, tol=PAIR_TOL):
     witnesses = {}
     for i in range(n):
         for j in range(i + 1, n):
-            p, q = spectrum[i], spectrum[j]
-            if p.exact and q.exact:
-                same = all(e(p.value) == e(q.value) for e in basis.elements)
-            elif not p.exact and not q.exact:
-                same = all(abs(e(p.value) - e(q.value)) <
-                           tol * _scale(e, p.value) for e in basis.elements)
-            else:
-                same = False
+            same = _agree(basis.elements, spectrum[i].value,
+                          spectrum[j].value, tol)
             witnesses[(i, j)] = same
             if same:
                 parent[find(i)] = find(j)

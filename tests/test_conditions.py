@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction as F
+from itertools import count
 
 import pytest
 
 from case_draws import affine_variants, all_draws, family_draws
+from subalg import conditions
 from subalg.classify import construct_case
 from subalg.conditions import (LinearFunctional, Subalgebra,
                                _conditions_field, _jet_row, _monomial_kernel,
@@ -14,8 +16,9 @@ from subalg.conditions import (LinearFunctional, Subalgebra,
                                kernel_subalgebra)
 from subalg.errors import (DegenerateConditions, NotSubalgebraConditions,
                            SpectrumNotExact)
-from subalg.fields import NumberField, common_field, field_of
+from subalg.fields import NumberField, common_field, field_of, is_zero_scalar
 from subalg.linalg import nullspace
+from subalg.modular import is_prime
 from subalg.oracle import oracle_codimension, oracle_member
 from subalg.parsing import parse_poly as P
 from subalg.poly import Poly, squarefree_part
@@ -246,10 +249,134 @@ def test_conductor_is_the_conductor_of_every_draw():
         assert squarefree_part(c) == squarefree_part(chi), label
 
 
+def _random_pairs(seed, degrees):
+    """Monic integer pairs (p, q) of the given degrees, coefficients in
+    [−3, 3]."""
+    rng = random.Random(seed)
+    for m, n in degrees:
+        yield (Poly([F(rng.randint(-3, 3)) for _ in range(m)] + [F(1)]),
+               Poly([F(rng.randint(-3, 3)) for _ in range(n)] + [F(1)]))
+
+
 def test_conductor_of_a_coprime_pair_is_its_charpoly():
-    rng = random.Random(20261018)
-    for m, n in [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (2, 7)] * 2:
-        p = Poly([F(rng.randint(-3, 3)) for _ in range(m)] + [F(1)])
-        q = Poly([F(rng.randint(-3, 3)) for _ in range(n)] + [F(1)])
+    degrees = [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (2, 7), (5, 7),
+               (7, 8), (8, 9)]
+    for p, q in _random_pairs(20261018, degrees * 2):
         assert Subalgebra.from_generators([p, q]).conductor() == \
             char_poly_pair(p, q).monic(), (p, q)
+
+
+def reference_conductor(basis):
+    """The exact-nullspace conductor that the modular one replaced: one
+    nullspace over the degree products up to 2n, whose equations are the
+    gap coordinates of x^i·c for 0 < i < d, in Fraction arithmetic."""
+    S, d, field = basis.semigroup, basis.degrees[0], basis.field
+    n = S.genus
+    top = 2 * n
+    gaps = {g: j for j, g in enumerate(S.gaps)}
+    products = {p.degree: p for p in basis.degree_products(top + d - 1)}
+    normal = []          # normal[k]: the gap coordinates of x^k
+
+    def gap_coordinates(coeffs, shift):
+        vec = [field.zero] * n
+        for k, a in enumerate(coeffs):
+            if not is_zero_scalar(a):
+                vec = [v + a * w for v, w in zip(vec, normal[k + shift])]
+        return vec
+
+    for k in range(top + d):
+        if k in gaps:
+            normal.append([field.one if j == gaps[k] else field.zero
+                           for j in range(n)])
+        else:
+            normal.append([-v for v in
+                           gap_coordinates(products[k].coeffs[:k], 0)])
+    columns = [products[k] for k in sorted(products) if k <= top]
+    equations = [row for i in range(1, d) for row in
+                 zip(*(gap_coordinates(p.coeffs, i) for p in columns))]
+    lowest = nullspace(equations, len(columns), field)[0]
+    return sum((a * p for a, p in zip(lowest, columns)
+                if not is_zero_scalar(a)), Poly.zero(field))
+
+
+def test_conductor_matches_the_exact_nullspace():
+    nf = NumberField([-2, 0, 1], label="t^2-2")
+    t = nf.gen()
+    algebras = [construct_case(label, params)
+                for label, params in _conductor_cases()]
+    algebras.append(construct_case("codim1/pair",
+                                   {"alpha": 1 + t, "beta": 1 - t}))
+    degrees = [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (4, 7), (5, 6),
+               (5, 7), (5, 8), (6, 7), (7, 8), (8, 9)]
+    algebras += [Subalgebra.from_generators(pair)
+                 for pair in _random_pairs(20261019, degrees)]
+    for A in algebras:
+        assert A.conductor() == reference_conductor(A.sagbi_basis()), A
+
+
+def test_conductor_discards_unlucky_primes(monkeypatch):
+    """From the primes 3, 5, 7, … every discard path runs, and c is the
+    same."""
+    images, failures, verdicts = [], [], []
+    image, reconstruct, certify = (conditions._conductor_image,
+                                   conditions.rational_reconstruction,
+                                   conditions._in_conductor_ideal)
+
+    def spy_image(products, S, d, ring):
+        out = image(products, S, d, ring)
+        images.append((ring.p, None if out is None else len(out) - 1))
+        return out
+
+    def spy_reconstruct(u, modulus):
+        out = reconstruct(u, modulus)
+        if out is None:
+            failures.append(modulus)
+        return out
+
+    def spy_certify(f, basis):
+        verdicts.append(certify(f, basis))
+        return verdicts[-1]
+
+    monkeypatch.setattr(conditions, "word_primes",
+                        lambda: (p for p in count(3) if is_prime(p)))
+    monkeypatch.setattr(conditions, "_conductor_image", spy_image)
+    monkeypatch.setattr(conditions, "rational_reconstruction",
+                        spy_reconstruct)
+    monkeypatch.setattr(conditions, "_in_conductor_ideal", spy_certify)
+    qi = NumberField([1, 0, 1], label="t^2+1")
+    t = qi.gen()
+    # alpha = 1/3: 3 divides a denominator of the basis
+    A = construct_case("codim1/pair", {"alpha": F(1, 3), "beta": F(-1)})
+    images.clear()
+    c = conductor(A.sagbi_basis())
+    assert c == reference_conductor(A.sagbi_basis())
+    assert images[0][0] == 5
+    # over Q(i) with beta = 2 + t (norm 5): mod 3 the rank drops, and mod 5,
+    # where t^2 + 1 = (t - 2)(t + 2), a pivot is a zero divisor
+    B = construct_case("codim2/s=2-pair", {"alpha": qi.zero, "beta": 2 + t,
+                                           "a": qi.one, "b": qi.coerce(3)})
+    images.clear()
+    c = conductor(B.sagbi_basis())
+    assert c == reference_conductor(B.sagbi_basis())
+    assert images[0][0] == 3 and images[0][1] < c.degree
+    assert images[1] == (5, None)
+    assert failures
+    # c = (x - 1)^6: mod 3 it reconstructs to x^6 + x^3 + 1, which the
+    # certificate rejects, and the rank-dropping image mod 5 comes after
+    C = construct_case("codim3/s=1/case1",
+                       {"alpha": F(1), "a": F(0), "b": F(1), "c": F(2)})
+    images.clear()
+    verdicts.clear()
+    c = conductor(C.sagbi_basis())
+    assert c == reference_conductor(C.sagbi_basis()) == P("(x - 1)^6")
+    assert images[:2] == [(3, 6), (5, 5)]
+    assert verdicts == [False, True]
+
+
+def test_conductor_certificate_is_membership_of_every_shift():
+    # in K[x^2, x^3], x^2·K[x] ⊆ A but x ∉ A although x·x ∈ A
+    basis = sagbi_complete([P("x^2"), P("x^3")])
+    assert conditions._in_conductor_ideal(P("x^2"), basis)
+    assert conditions._in_conductor_ideal(P("x^3 + x^2"), basis)
+    assert not conditions._in_conductor_ideal(P("x"), basis)
+    assert not conditions._in_conductor_ideal(P("x^3 + x"), basis)

@@ -150,3 +150,29 @@ def test_numeric_multiplicities_are_read_from_chi():
     assert len(points) == 5 and not any(p.exact for p in points)
     for p in points:
         assert p.multiplicity == (1 if abs(p.value ** 2 - 2) < 1e-6 else 2)
+
+
+def test_a_rational_point_pairs_with_numeric_points():
+    # A = K + c·K[x] with c = (x^2 - 2)^2 (x - 1) has one cluster
+    # {1, sqrt 2, -sqrt 2}; the exact point 1 can only pair with a numeric
+    # one, and sqrt 2, -sqrt 2 are double zeros of c (derivative-kind)
+    A = alg(*[f"(x^2-2)^2*(x-1)*x^{k}" for k in range(5)])
+    points = A.spectrum()
+    assert len(points) == 3
+    one = points[0]
+    assert one.exact and one.value == 1 and one.kind == "paired"
+    assert isinstance(one.partner, complex) and \
+        abs(one.partner ** 2 - 2) < 1e-9
+    assert one.to_json()["partner"] == {"re": one.partner.real,
+                                        "im": one.partner.imag}
+    assert [p.kind for p in points[1:]] == ["derivative"] * 2
+    assert [len(c) for c in A.clusters()] == [3]
+
+
+def test_a_number_field_point_without_an_exact_partner_is_an_error():
+    # over Q(i) the point i of c = (x - t)(x^3 - x - 1) is exact, its
+    # cluster mates are not, and Q(i) has no chosen complex embedding
+    qi = NumberField([1, 0, 1], label="t^2+1")
+    A = alg(*[f"(x - t)*(x^3-x-1)*x^{k}" for k in range(4)], field=qi)
+    with pytest.raises(SpectrumNotExact):
+        A.spectrum()
