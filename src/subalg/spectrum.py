@@ -157,11 +157,17 @@ def compute_spectrum(A, mode="hybrid", nf=None, tol=PAIR_TOL):
          for z, rest in numeric]
 
 
-def _embed(value):
+def _rational(value):
+    """An exact scalar's rational value, or None for a number-field point
+    outside Q (which has no chosen complex embedding)."""
     from fractions import Fraction
     if isinstance(value, (int, Fraction)):
-        return float(value)
-    r = value.to_rational()
+        return value
+    return value.to_rational()
+
+
+def _embed(value):
+    r = _rational(value)
     if r is None:
         raise SpectrumNotExact("cannot embed a number-field point "
                                "numerically without an embedding")
@@ -171,7 +177,9 @@ def _embed(value):
 def _classify(basis, value, exact, all_vals, tol):
     """(kind, partner) of a root of c.  A partner of the same exactness is
     preferred; an exact point and a numeric one are compared through
-    `_embed`, which raises SpectrumNotExact for a number-field point."""
+    `_embed`.  A point left without a partner after a comparison that a
+    number-field point without an embedding prevented raises
+    SpectrumNotExact."""
     elements = basis.elements
     if exact:
         deriv = all(is_zero_scalar(e.derivative()(value)) for e in elements)
@@ -179,12 +187,21 @@ def _classify(basis, value, exact, all_vals, tol):
         deriv = all(abs(e.derivative()(value)) < tol for e in elements)
     if deriv:
         return "derivative", None
+    unembedded = False
     for other, other_exact in sorted(all_vals, key=lambda v: v[1] != exact):
         if other_exact == exact and \
                 (other == value if exact else abs(other - value) < tol):
             continue                # the point itself
+        if other_exact != exact and \
+                _rational(value if exact else other) is None:
+            unembedded = True
+            continue
         if _agree(elements, value, other, tol):
             return "paired", other
+    if unembedded:
+        raise SpectrumNotExact(
+            f"characteristic root {value!r} has no partner that can be "
+            "compared without a complex embedding of the number field")
     raise UnpairedRoot(
         f"characteristic root {value!r} is neither derivative-kind nor "
         "pairable")
@@ -192,11 +209,15 @@ def _classify(basis, value, exact, all_vals, tol):
 
 def _agree(elements, a, b, tol):
     """Do all elements take one value at the spectrum points a and b?
-    Exactly when both are exact, else numerically."""
+    Exactly when both are exact, else numerically.  A number-field point
+    with no rational value has no embedding to compare by, so it agrees
+    with no numeric point."""
     if not isinstance(a, complex) and not isinstance(b, complex):
         return all(e(a) == e(b) for e in elements)
-    a, b = (v if isinstance(v, complex) else complex(_embed(v))
-            for v in (a, b))
+    a, b = (v if isinstance(v, complex) else _rational(v) for v in (a, b))
+    if a is None or b is None:
+        return False
+    a, b = complex(a), complex(b)
     return all(abs(e(a) - e(b)) < tol * _scale(e, a) for e in elements)
 
 

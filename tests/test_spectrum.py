@@ -6,7 +6,7 @@ from case_draws import all_draws
 from subalg import resultants
 from subalg.classify import classify, construct_case
 from subalg.conditions import LinearFunctional, Subalgebra, kernel_subalgebra
-from subalg.derivations import conjecture_dim_check
+from subalg.derivations import conjecture_dim_check, derivation_space
 from subalg.errors import NoDegreeTwoElement, SpectrumNotExact
 from subalg.fields import NumberField, is_zero_scalar
 from subalg.parsing import parse_poly
@@ -176,3 +176,22 @@ def test_a_number_field_point_without_an_exact_partner_is_an_error():
     A = alg(*[f"(x - t)*(x^3-x-1)*x^{k}" for k in range(4)], field=qi)
     with pytest.raises(SpectrumNotExact):
         A.spectrum()
+
+
+def test_number_field_points_and_numeric_points_cluster_apart():
+    # over Q(i), A = K[x^2, x(x^2+1)(x^2-2)] has exact points t, -t and
+    # numeric points sqrt 2, -sqrt 2; a number-field point has no embedding
+    # to compare with a numeric one, so each pair is its own cluster
+    qi = NumberField([1, 0, 1], label="t^2+1")
+    t = qi.gen()
+    A = alg("x^2", "x*(x^2+1)*(x^2-2)", field=qi)
+    points = A.spectrum()
+    assert [(p.exact, p.kind) for p in points] == \
+        [(True, "paired")] * 2 + [(False, "paired")] * 2
+    clusters = A.clusters()
+    assert [len(c) for c in clusters] == [2, 2]
+    assert {p.value for p in clusters[0].members if p.exact} | \
+        {p.value for p in clusters[1].members if p.exact} == {t, -t}
+    assert all(len({p.exact for p in c.members}) == 1 for c in clusters)
+    space = derivation_space(A, t)
+    assert space.k_alpha == 2
