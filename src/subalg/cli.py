@@ -70,9 +70,8 @@ def _spectrum_rows(points):
             value = str(p.value)
         partner = ""
         if p.partner is not None:
-            partner = p.partner if isinstance(p.partner, str) \
-                else format_scalar(p.partner) if not isinstance(
-                    p.partner, (int, Fraction)) else str(p.partner)
+            partner = format_scalar(p.partner) if not isinstance(
+                p.partner, (int, Fraction)) else str(p.partner)
         rows.append((value, p.kind, p.multiplicity, partner))
     return rows
 

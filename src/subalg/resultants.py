@@ -1,21 +1,23 @@
 """Divided differences, resultants, and characteristic polynomials.
 
 The characteristic polynomial of a pair is chi_{p,q}(x) = Res_y(P, Q) where
-P, Q are the divided differences of p and q.  For t >= 3 generators the
-parametric resultant R(x, z_2, ..., z_t) = Res_y(P_1, sum z_i P_i) is
-homogeneous of degree deg(p_1) - 1 in the z variables; chi_A is the monic gcd
-of its coefficient polynomials d_{(a_2, ..., a_t)}.
+P, Q are the divided differences of p and q.  For t >= 3 generators chi_A is
+the monic gcd of the coefficients d_a(x) of the parametric resultant
+R(x, z_2, ..., z_t) = Res_y(P_1, sum z_i P_i), taken here as the gcd of its
+values at a grid of integer z (see `char_poly_multi`).
 
-Resultants of y-polynomials whose coefficients are polynomials in x are
-computed by evaluation at integer x-points, a Euclidean remainder sequence on
-the specialized univariate polynomials, and Newton interpolation — exact
-throughout, and far cheaper than eliminating on the symbolic Sylvester
-matrix.
+Every resultant of y-polynomials whose coefficients are polynomials in one
+variable goes through `resultant_y_tables`: evaluation at integer points, a
+Euclidean remainder sequence on the specialized univariate polynomials, and
+Newton interpolation — exact throughout, and far cheaper than eliminating on
+the symbolic Sylvester matrix.  The characteristic polynomials and the
+relation F(p, q) are all built on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .errors import (ConstantInput, DegreesNotCoprime, FewerThanTwoGenerators,
                      SubalgError, ZeroPolynomialInY)
@@ -143,32 +145,6 @@ def _newton_interpolate(points, values, field):
     return result
 
 
-def _newton_coeff_list(points, values, field):
-    """Newton interpolation with Poly-valued samples.
-
-    Returns the dense coefficient list (in the interpolation variable) whose
-    entries are Polys in x.
-    """
-    n = len(points)
-    pts = [field.coerce(Fraction(p)) for p in points]
-    coefs = list(values)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            inv = field.one / (pts[i] - pts[i - j])
-            coefs[i] = (coefs[i] - coefs[i - 1]) * inv
-    out = [coefs[n - 1]]
-    for i in range(n - 2, -1, -1):
-        # out = out * (w - pts[i]) + coefs[i]
-        shifted = [Poly.zero(field)] + out
-        for k, c in enumerate(out):
-            shifted[k] = shifted[k] + c * (-pts[i])
-        shifted[0] = shifted[0] + coefs[i]
-        out = shifted
-    while out and out[-1].is_zero():
-        out.pop()
-    return out
-
-
 def resultant_y_tables(f_table, g_table):
     """Res_y of two y-polynomials with Poly-in-x coefficients (exact)."""
     f_table = [c for c in f_table]
@@ -202,12 +178,10 @@ def resultant_y_tables(f_table, g_table):
     while len(points) < bound + 1:
         pt = Fraction(x0)
         x0 = -x0 if x0 > 0 else -x0 + 1  # 0, 1, -1, 2, -2, ...
-        lead_f = f_table[-1](pt)
-        lead_g = g_table[-1](pt)
-        if is_zero_scalar(lead_f) or is_zero_scalar(lead_g):
-            continue  # degree would drop; pick another sample
         A = [c(pt) for c in f_table]
         B = [c(pt) for c in g_table]
+        if is_zero_scalar(A[-1]) or is_zero_scalar(B[-1]):
+            continue  # degree would drop; pick another sample
         points.append(pt)
         values.append(_scalar_resultant(A, B, field))
     return _newton_interpolate(points, values, field)
@@ -239,6 +213,15 @@ def char_poly_pair(p, q):
 def char_poly_multi(gens, symmetrize=False):
     """chi_A for t >= 2 generators; first generator is distinguished.
 
+    chi_A is the monic gcd of the z-coefficients d_a(x) of
+    R(x, z) = Res_y(P_1, sum z_i P_i), which is homogeneous of degree
+    h = deg p_1 - 1 in z.  With z_2 = 1, the samples R(x, 1, w_3, ..., w_t)
+    over the grid w in {1..h+1}^(t-2) are the images of the d_a under a
+    tensor Vandermonde matrix, which is invertible; so samples and
+    coefficients span the same Q-space of polynomials, and a gcd depends
+    only on that span.  chi_A is therefore the running gcd of the samples,
+    which stops once it is constant, and zero when every sample is.
+
     With symmetrize=True, returns the monic gcd over all t choices of the
     distinguished generator.
     """
@@ -265,63 +248,23 @@ def char_poly_multi(gens, symmetrize=False):
         field = common_field(field, p.field)
     ps = [p.coerce_to(field) for p in ps]
     tables = [divided_difference(p).table for p in ps]
-    h = ps[0].degree - 1  # homogeneity degree in the z variables
+    h = ps[0].degree - 1
     rest = tables[1:]
     dq = max(len(t) - 1 for t in rest)
-
-    def combo_table(weights):
-        out = [Poly.zero(field) for _ in range(dq + 1)]
-        for w, table in zip(weights, rest):
-            if w == 0:
-                continue
+    chi = Poly.zero(field)
+    # Each monic p_i has leading y-coefficient 1 in P_i and every weight is
+    # positive, so the combination keeps y-degree dq at every sample.
+    for tail in product(range(1, h + 2), repeat=len(rest) - 1):
+        combo = [Poly.zero(field) for _ in range(dq + 1)]
+        for w, table in zip((1,) + tail, rest):
             for k, c in enumerate(table):
-                out[k] = out[k] + w * c
-        return out
-
-    # Evaluate at z_2 = 1 and positive integer points for z_3..z_t, then
-    # interpolate; by homogeneity a_2 = h - sum(a_3..a_t).
-    nfree = len(rest) - 1
-
-    def sample(weights_tail):
-        weights = [Fraction(1)] + [Fraction(w) for w in weights_tail]
-        table = combo_table(weights)
-        while table and table[-1].is_zero():
-            table.pop()
-        if len(table) - 1 != dq:
-            raise SubalgError("leading z-form vanished at a sample point")
-        return resultant_y_tables(tables[0], table)
-
-    def interpolate(prefix, remaining):
-        """dict over exponents of the remaining z variables -> Poly."""
-        if remaining == 0:
-            return {(): sample(prefix)}
-        pts = list(range(1, h + 2))
-        sub = [interpolate(prefix + [w], remaining - 1) for w in pts]
-        keys = set().union(*(s.keys() for s in sub))
-        out = {}
-        for key in keys:
-            series = [s.get(key, Poly.zero(field)) for s in sub]
-            for e, poly in enumerate(_newton_coeff_list(pts, series, field)):
-                if poly:
-                    out[(e,) + key] = poly
-        return out
-
-    d_polys = {}
-    for tail, poly in interpolate([], nfree).items():
-        s = sum(tail)
-        if s > h:
-            raise SubalgError("non-homogeneous parametric resultant")
-        d_polys[(h - s,) + tail] = poly
-
-    nonzero = [d for d in d_polys.values() if d]
-    if not nonzero:
-        return Poly.zero(field)
-    chi = nonzero[0]
-    for d in nonzero[1:]:
-        chi = poly_gcd(chi, d)
-        if chi.degree == 0:
-            break
-    return chi.monic()
+                combo[k] = combo[k] + w * c
+        sample = resultant_y_tables(tables[0], combo)
+        if sample:
+            chi = poly_gcd(chi, sample)
+            if chi.degree == 0:
+                break
+    return chi
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +276,9 @@ def resultant_relation(p, q):
     """F(p, q) = Res_y(p(y) - P, q(y) - Q) as an MPoly in (P, Q).
 
     F(p(x), q(x)) = 0 identically, and the support satisfies i*n + j*m <= nm.
+    F has degree m in Q: each of the m + 1 values F(P, b) at Q = b is one
+    `resultant_y_tables` call, with p(y) - P as a y-table of Polys in P,
+    and each P-coefficient is then interpolated over b.
     """
     if p.degree < 1 or q.degree < 1:
         raise ConstantInput("resultant_relation needs nonconstant inputs")
@@ -344,29 +290,17 @@ def resultant_relation(p, q):
     if p.leading_coeff() != field.one or q.leading_coeff() != field.one:
         raise SubalgError("resultant_relation requires monic inputs")
     p, q = p.coerce_to(field), q.coerce_to(field)
-    # F has degree <= n in the first variable and <= m in the second.
-    a_pts = [Fraction(i) for i in range(n + 1)]
+    P_table = [Poly((p.coeff(0), -field.one), field)] + \
+        [Poly.constant(c, field) for c in p.coeffs[1:]]
     b_pts = [Fraction(j) for j in range(m + 1)]
-    grid = []
-    for a in a_pts:
-        row = []
-        for b in b_pts:
-            A = [p.coeff(0) - field.coerce(a)] + \
-                [p.coeff(k) for k in range(1, m + 1)]
-            B = [q.coeff(0) - field.coerce(b)] + \
-                [q.coeff(k) for k in range(1, n + 1)]
-            row.append(_scalar_resultant(A, B, field))
-        grid.append(row)
-    # interpolate in b for each a, then in a coefficient-wise
-    polys_in_b = [_newton_interpolate(b_pts, row, field) for row in grid]
-    terms = {}
-    for j in range(m + 1):
-        col = [pb.coeff(j) for pb in polys_in_b]
-        pa = _newton_interpolate(a_pts, col, field)
-        for i in range(pa.degree + 1):
-            c = pa.coeff(i)
-            if not is_zero_scalar(c):
-                terms[(i, j)] = Poly.constant(c, field)
+    at_b = [resultant_y_tables(P_table, [Poly.constant(c, field) for c in
+                                         (q - field.coerce(b)).coeffs])
+            for b in b_pts]
+    in_Q = [_newton_interpolate(b_pts, [f.coeff(i) for f in at_b], field)
+            for i in range(n + 1)]
+    terms = {(i, j): Poly.constant(f.coeff(j), field)
+             for j in range(m + 1) for i, f in enumerate(in_Q)
+             if not is_zero_scalar(f.coeff(j))}
     F = MPoly(terms, 2, field)
     for (i, j) in F.terms:
         # deg_x(p^i q^j) = i*m + j*n must not exceed nm

@@ -146,13 +146,15 @@ def _eliminate_degrees(gens):
     return [by_degree[d] for d in sorted(by_degree)]
 
 
-def sagbi_complete(gens, max_rounds=64):
+def sagbi_complete(gens):
     """SAGBI basis of the algebra generated by gens.
 
     Completion loop: for every degree (up to conductor + max element degree)
     with more than one product representation, subduce the difference of the
     canonical product against each alternative; a nonconstant remainder is a
-    new basis element (its degree is a gap, so the genus strictly drops).
+    new basis element.  Its degree is a gap, so each round lowers the genus,
+    which is finite once the degrees have gcd 1: the loop ends within
+    genus-many rounds.
     """
     elements = _eliminate_degrees(list(gens))
     if not elements:
@@ -160,7 +162,7 @@ def sagbi_complete(gens, max_rounds=64):
     if reduce(gcd, (e.degree for e in elements)) != 1:
         raise InfiniteCodimension(
             "generator degrees have gcd > 1: infinite codimension")
-    for _ in range(max_rounds):
+    while True:
         basis = SagbiBasis(elements)
         degrees = basis.degrees
         bound = basis.semigroup.conductor + max(degrees)
@@ -183,7 +185,6 @@ def sagbi_complete(gens, max_rounds=64):
         if not new_elements:
             return _minimalize(basis)
         elements = _eliminate_degrees(list(elements) + new_elements)
-    raise SubalgError("SAGBI completion did not terminate")
 
 
 def _minimalize(basis):

@@ -31,14 +31,13 @@ NOT_MEMBER = NotMember()
 class DegreeSemigroup:
     """The additive semigroup generated by a set of degrees with gcd 1.
 
-    `generators` is the minimal generating set.  `representations` maps each
-    member d <= table_bound to one multiset of generators summing to d,
-    chosen greedily on the largest generator (ties broken by generator
-    order) so downstream subduction is deterministic.
+    `generators` is the minimal generating set.  `represent(d)` gives one
+    multiset of generators summing to d, chosen greedily on the largest
+    generator so downstream subduction is deterministic; it is filled on
+    demand into one table.
     """
 
-    __slots__ = ("generators", "gaps", "conductor", "genus", "table_bound",
-                 "representations")
+    __slots__ = ("generators", "gaps", "conductor", "genus", "_reps")
 
     def __init__(self, degrees):
         degrees = sorted({int(d) for d in degrees if int(d) > 0})
@@ -55,55 +54,42 @@ class DegreeSemigroup:
         for d in range(1, probe + 1):
             member[d] = any(d >= g and member[d - g] for g in degrees)
         gaps = [d for d in range(1, probe + 1) if not member[d]]
-        conductor = (gaps[-1] + 1) if gaps else 0
         self.gaps = tuple(gaps)
         self.genus = len(gaps)
-        self.conductor = conductor
-        self.table_bound = conductor + 2 * self.genus + 4
-        # minimal generators: inputs not generated by the other inputs
-        minimal = [d for d in degrees
-                   if not _generated_by(d, [g for g in degrees if g != d])]
-        self.generators = tuple(minimal if minimal else degrees[:1])
-        # greedy representation table
-        reps = {0: ()}
-        gens_desc = sorted(self.generators, reverse=True)
-        for d in range(1, self.table_bound + 1):
-            if not self._is_member(d):
-                continue
-            rep = self._greedy(d, gens_desc)
-            assert rep is not None
-            reps[d] = rep
-        self.representations = reps
+        self.conductor = (gaps[-1] + 1) if gaps else 0
+        # an input is a minimal generator iff it is no sum of two nonzero
+        # members, which are then sums of smaller inputs
+        self.generators = tuple(
+            d for d in degrees
+            if not any(member[k] and member[d - k] for k in range(1, d)))
+        self._reps = {0: ()}
 
-    def _is_member(self, d):
+    def contains(self, d):
         if d < 0:
             return False
         if d >= self.conductor:
             return True
         return d not in self.gaps
 
-    def contains(self, d):
-        return self._is_member(d)
-
-    def _greedy(self, d, gens_desc):
-        """Greedy-largest-first representation with backtracking."""
-        if d == 0:
-            return ()
-        for g in gens_desc:
-            if g <= d and self._is_member(d - g):
-                sub = self._greedy(d - g, gens_desc)
-                if sub is not None:
-                    return tuple(sorted(sub + (g,), reverse=True))
-        return None
-
     def represent(self, d):
-        """One multiset of generators summing to d, or NOT_MEMBER."""
-        if d < 0 or not self._is_member(d):
+        """One multiset of generators summing to d, or NOT_MEMBER: the
+        largest generator g with d − g in S, then d − g the same way."""
+        if not self.contains(d):
             return NOT_MEMBER
-        if d in self.representations:
-            return self.representations[d]
-        rep = self._greedy(d, sorted(self.generators, reverse=True))
-        return rep if rep is not None else NOT_MEMBER
+        chain = []
+        while d not in self._reps:
+            g = next(g for g in reversed(self.generators)
+                     if g <= d and self.contains(d - g))
+            chain.append((d, g))
+            d -= g
+        rep = self._reps[d]
+        # g is at least every generator in the representation of d − g
+        # (that one's first is also a candidate at d), so the multiset
+        # stays sorted in descending order
+        for e, g in reversed(chain):
+            rep = (g,) + rep
+            self._reps[e] = rep
+        return rep
 
     def __eq__(self, other):
         if not isinstance(other, DegreeSemigroup):
@@ -113,18 +99,6 @@ class DegreeSemigroup:
     def __repr__(self):
         return (f"DegreeSemigroup(gens={list(self.generators)}, "
                 f"gaps={list(self.gaps)})")
-
-
-def _generated_by(d, gens):
-    """Is d a nonnegative integer combination of gens?"""
-    gens = [g for g in gens if 0 < g <= d]
-    if not gens:
-        return d == 0
-    reachable = [False] * (d + 1)
-    reachable[0] = True
-    for v in range(1, d + 1):
-        reachable[v] = any(v >= g and reachable[v - g] for g in gens)
-    return reachable[d]
 
 
 def genus3_type_enumeration(genus=3):

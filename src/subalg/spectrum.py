@@ -19,10 +19,13 @@ from .errors import (BoundViolated, NoDegreeTwoElement, SpectrumNotExact,
                      SubalgError, UnpairedRoot)
 from .fields import QQ, format_scalar, is_zero_scalar, scalar_to_json
 from .poly import Poly, poly_gcd, squarefree_decompose
-from .resultants import char_poly_multi, char_poly_pair
-from .roots import RESIDUAL_TOL, _default_candidates, aberth_roots, split_roots
+from .resultants import char_poly_pair
+from .roots import RESIDUAL_TOL, aberth_roots, split_roots
 
 PAIR_TOL = 1e-8
+# How many coprime pairs `characteristic_polynomial` may use where its gcd
+# never reaches the conductor: the one stop rule that is not exact.
+STABLE_PAIRS = 6
 
 
 @dataclass
@@ -80,17 +83,26 @@ class Cluster:
         return len(self.members)
 
 
-def characteristic_polynomial(A, max_pairs=6):
-    """Monic candidate χ: gcd of pairwise characteristic polynomials.
+def characteristic_polynomial(A):
+    """Monic χ: gcd of pairwise characteristic polynomials.
 
-    Uses coprime-degree pairs of basis products up to the conductor,
-    stopping when the gcd is unchanged twice; falls back to the
-    multi-generator characteristic polynomial when no coprime pair exists.
-    K[x] itself (codimension 0) has χ = 1 and an empty spectrum.
+    Uses coprime-degree pairs of basis products up to the conductor of the
+    degree semigroup (conductor and conductor + 1 are such a pair, so one
+    exists at every genus ≥ 1), in order of degree sum.  K[x] itself
+    (codimension 0) has χ = 1 and an empty spectrum.
+
+    The gcd stops exactly when it reaches the conductor c of A: χ_{p,q}
+    generates the conductor of K[p, q] (it is F_Q(p, q)/p′, Dedekind's
+    formula for a plane curve), and K[p, q] ⊆ A gives c | χ_{p,q} for every
+    pair, so the gcd can never fall below c.  Where χ ≠ c the stop is the
+    one heuristic left: the gcd is taken as final once its degree is
+    unchanged over two more pairs, among the first `STABLE_PAIRS` pairs.
     """
-    basis = Subalgebra.of(A).sagbi_basis()
+    A = Subalgebra.of(A)
+    basis = A.sagbi_basis()
     if basis.semigroup.genus == 0:
         return Poly.constant(basis.field.one, basis.field)
+    c = A.conductor()
     products = {p.degree: p for p in basis.degree_products(
         basis.semigroup.conductor + max(basis.degrees))[1:]}
     degrees = list(products)
@@ -100,21 +112,19 @@ def characteristic_polynomial(A, max_pairs=6):
             if gcd(d1, d2) == 1:
                 pairs.append((d1, d2))
     pairs.sort(key=lambda t: t[0] + t[1])
-    if not pairs:
-        return char_poly_multi(list(basis.elements))
     chi = None
     unchanged = 0
-    for d1, d2 in pairs[:max_pairs]:
-        c = char_poly_pair(products[d1], products[d2])
-        new = c.monic() if chi is None else poly_gcd(chi, c).monic()
+    for d1, d2 in pairs[:STABLE_PAIRS]:
+        pair_chi = char_poly_pair(products[d1], products[d2])
+        new = pair_chi.monic() if chi is None else poly_gcd(chi, pair_chi)
         if chi is not None and new.degree == chi.degree:
             unchanged += 1
         else:
             unchanged = 0
         chi = new
-        if unchanged >= 2 or chi.degree == 0:
+        if chi == c or unchanged >= 2:
             break
-    return chi.monic()
+    return chi
 
 
 def compute_spectrum(A, mode="hybrid", nf=None, tol=PAIR_TOL):
@@ -336,7 +346,7 @@ def deg2_description(A):
         raise SpectrumNotExact("odd-generator roots not exact")
     pairs = []
     for r, m in roots:
-        gamma = _exact_sqrt(r, field)
+        gamma = _square_root(r, field)
         if gamma is None:
             raise SpectrumNotExact(
                 f"square root of {format_scalar(field.coerce(r))} not in "
@@ -347,29 +357,16 @@ def deg2_description(A):
     return Deg2Description(alpha0=alpha0, m0=m0, pairs=pairs, field=field)
 
 
-def _exact_sqrt(r, field):
-    """A square root of r inside the field, or None."""
-    from fractions import Fraction
-    from math import isqrt
-    value = field.coerce(r)
-    rat = value if isinstance(value, (int, Fraction)) else \
-        value.to_rational()
-    if rat is not None:
-        rat = Fraction(rat)
-        if rat < 0:
-            num = den = None
-        else:
-            num, den = isqrt(rat.numerator), isqrt(rat.denominator)
-            if num * num != rat.numerator or den * den != rat.denominator:
-                num = None
-        if num is not None:
-            return field.coerce(Fraction(num, den))
-        if field is QQ:
-            return None
-    for cand in _default_candidates(field):
-        if cand * cand == value:
-            return cand
-    return None
+def _square_root(r, field):
+    """A root of y² − r in the field (`split_roots`), or None: the
+    nonnegative one when r is a rational square, else the first found."""
+    nf = None if field is QQ else field
+    roots = [v for v, _ in split_roots(
+        Poly((-field.coerce(r), field.zero, field.one), field), nf)[0]]
+    rational = [v for v in roots if _rational(v) is not None]
+    if rational:
+        return max(rational, key=_rational)
+    return roots[0] if roots else None
 
 
 def deg2_from_description(desc):

@@ -1,3 +1,7 @@
+from functools import reduce
+from itertools import combinations
+from math import gcd
+
 import pytest
 
 from subalg.errors import InfiniteCodimension
@@ -58,3 +62,67 @@ def test_enumeration_matches_gap_counts():
         for gens in genus3_type_enumeration(genus):
             assert DegreeSemigroup(list(gens)).genus == genus
             assert DegreeSemigroup(list(gens)).generators == gens
+
+
+class ReferenceSemigroup:
+    """The DegreeSemigroup that one sieve replaced: a second sieve per
+    input for minimality, an eager greedy table up to conductor + 2·genus
+    + 4, and recursive greedy search beyond it."""
+
+    def __init__(self, degrees):
+        degrees = sorted(set(degrees))
+        probe = degrees[0] * degrees[-1] + degrees[-1] + 1
+        member = [True] + [False] * probe
+        for d in range(1, probe + 1):
+            member[d] = any(d >= g and member[d - g] for g in degrees)
+        self.gaps = tuple(d for d in range(1, probe + 1) if not member[d])
+        self.genus = len(self.gaps)
+        self.conductor = self.gaps[-1] + 1 if self.gaps else 0
+        self.generators = tuple(
+            d for d in degrees
+            if not self._generated_by(d, [g for g in degrees if g != d]))
+        self.table = {d: self._greedy(d) for d in
+                      range(self.conductor + 2 * self.genus + 5)
+                      if self._is_member(d)}
+
+    @staticmethod
+    def _generated_by(d, gens):
+        gens = [g for g in gens if 0 < g <= d]
+        if not gens:
+            return d == 0
+        reachable = [True] + [False] * d
+        for v in range(1, d + 1):
+            reachable[v] = any(v >= g and reachable[v - g] for g in gens)
+        return reachable[d]
+
+    def _is_member(self, d):
+        return d >= 0 and (d >= self.conductor or d not in self.gaps)
+
+    def _greedy(self, d):
+        if d == 0:
+            return ()
+        for g in sorted(self.generators, reverse=True):
+            if g <= d and self._is_member(d - g):
+                sub = self._greedy(d - g)
+                if sub is not None:
+                    return tuple(sorted(sub + (g,), reverse=True))
+        return None
+
+    def represent(self, d):
+        if not self._is_member(d):
+            return NOT_MEMBER
+        return self.table[d] if d in self.table else self._greedy(d)
+
+
+def test_one_sieve_matches_the_reference():
+    for size in range(1, 5):
+        for degrees in combinations(range(2, 14), size):
+            if reduce(gcd, degrees) != 1:
+                continue
+            S, R = DegreeSemigroup(degrees), ReferenceSemigroup(degrees)
+            assert (S.generators, S.gaps, S.genus, S.conductor) == \
+                (R.generators, R.gaps, R.genus, R.conductor), degrees
+            # descending, so most representations are filled on demand
+            # from a larger degree first
+            for d in range(S.conductor + 2 * max(degrees), -2, -1):
+                assert S.represent(d) == R.represent(d), (degrees, d)

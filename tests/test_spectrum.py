@@ -1,16 +1,19 @@
 from fractions import Fraction as F
+from math import gcd, isqrt
 
 import pytest
 
-from case_draws import all_draws
-from subalg import resultants
+from case_draws import affine_variants, all_draws
+from subalg import resultants, spectrum
 from subalg.classify import classify, construct_case
 from subalg.conditions import LinearFunctional, Subalgebra, kernel_subalgebra
 from subalg.derivations import conjecture_dim_check, derivation_space
-from subalg.errors import NoDegreeTwoElement, SpectrumNotExact
-from subalg.fields import NumberField, is_zero_scalar
+from subalg.errors import (NoDegreeTwoElement, ParameterDegeneracy,
+                           SpectrumNotExact)
+from subalg.fields import QQ, NumberField, is_zero_scalar
 from subalg.parsing import parse_poly
-from subalg.poly import Poly, squarefree_decompose
+from subalg.poly import Poly, poly_gcd, squarefree_decompose
+from subalg.roots import _default_candidates
 from subalg.spectrum import (characteristic_polynomial, compute_clusters,
                              compute_spectrum, deg2_description,
                              deg2_from_description, spectrum_size_check)
@@ -195,3 +198,91 @@ def test_number_field_points_and_numeric_points_cluster_apart():
     assert all(len({p.exact for p in c.members}) == 1 for c in clusters)
     space = derivation_space(A, t)
     assert space.k_alpha == 2
+
+
+def reference_characteristic_polynomial(A, pair_chi):
+    """The χ_A rule that the stop at the conductor replaced: the gcd over
+    coprime pairs, stopping only when it is unchanged twice."""
+    basis = Subalgebra.of(A).sagbi_basis()
+    products = {p.degree: p for p in basis.degree_products(
+        basis.semigroup.conductor + max(basis.degrees))[1:]}
+    degrees = list(products)
+    pairs = sorted(((d1, d2) for i, d1 in enumerate(degrees)
+                    for d2 in degrees[i + 1:] if gcd(d1, d2) == 1),
+                   key=lambda t: t[0] + t[1])
+    chi, unchanged = None, 0
+    for d1, d2 in pairs[:6]:
+        c = pair_chi(products[d1], products[d2])
+        new = c.monic() if chi is None else poly_gcd(chi, c).monic()
+        unchanged = unchanged + 1 if chi is not None and \
+            new.degree == chi.degree else 0
+        chi = new
+        if unchanged >= 2 or chi.degree == 0:
+            break
+    return chi.monic()
+
+
+def _draws_and_images():
+    for label, params, _ in all_draws():
+        yield construct_case(label, params)
+        if any(hasattr(v, "field") for v in params.values()):
+            continue
+        for moved in affine_variants(params)[:2]:
+            try:
+                yield construct_case(label, moved)
+            except ParameterDegeneracy:
+                continue
+
+
+def test_chi_stops_at_the_conductor(monkeypatch):
+    calls = []
+
+    def counted(p, q):
+        calls.append(1)
+        return resultants.char_poly_pair(p, q)
+
+    monkeypatch.setattr(spectrum, "char_poly_pair", counted)
+    at_conductor = 0
+    for A in _draws_and_images():
+        c = A.conductor()
+        calls.clear()
+        old = reference_characteristic_polynomial(A, counted)
+        old_calls = len(calls)
+        calls.clear()
+        assert characteristic_polynomial(A) == old, A
+        if old == c:
+            at_conductor += 1
+            assert len(calls) < old_calls, A
+    assert at_conductor
+
+
+def reference_exact_sqrt(r, field):
+    """The square root search that `split_roots` of y² − r replaced."""
+    value = field.coerce(r)
+    rat = value if isinstance(value, (int, F)) else value.to_rational()
+    if rat is not None:
+        rat = F(rat)
+        num = den = None
+        if rat >= 0:
+            num, den = isqrt(rat.numerator), isqrt(rat.denominator)
+            if num * num != rat.numerator or den * den != rat.denominator:
+                num = None
+        if num is not None:
+            return field.coerce(F(num, den))
+        if field is QQ:
+            return None
+    return next((c for c in _default_candidates(field) if c * c == value),
+                None)
+
+
+def test_square_roots_match_the_candidate_search():
+    qi = NumberField([1, 0, 1], label="t^2+1")
+    q2 = NumberField([-2, 0, 1], label="t^2-2")
+    for field in (QQ, qi, q2):
+        values = [F(0), F(1, 4), F(2), F(-1), F(9, 4)]
+        if field is not QQ:
+            values += [field.gen(), 2 * field.gen()]
+        for r in values:
+            got = spectrum._square_root(r, field)
+            assert got == reference_exact_sqrt(r, field), (field, r)
+            assert got is None or got * got == field.coerce(r)
