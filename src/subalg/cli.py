@@ -63,15 +63,8 @@ def _poly_json(p):
 def _spectrum_rows(points):
     rows = []
     for p in points:
-        if p.exact:
-            value = format_scalar(p.value) if not isinstance(
-                p.value, (int, Fraction)) else str(p.value)
-        else:
-            value = str(p.value)
-        partner = ""
-        if p.partner is not None:
-            partner = format_scalar(p.partner) if not isinstance(
-                p.partner, (int, Fraction)) else str(p.partner)
+        value = format_scalar(p.value) if p.exact else str(p.value)
+        partner = "" if p.partner is None else format_scalar(p.partner)
         rows.append((value, p.kind, p.multiplicity, partner))
     return rows
 
@@ -209,9 +202,8 @@ def cmd_classify(args):
              f"spectrum size: {result.spectrum_size}",
              f"type: {result.type}"]
     if result.parameters:
-        rendered = {k: format_scalar(v) if not isinstance(
-            v, (int, Fraction)) else str(v)
-            for k, v in result.parameters.items()}
+        rendered = {k: format_scalar(v)
+                    for k, v in result.parameters.items()}
         lines.append(f"parameters: {rendered}")
     lines.append("canonical basis:")
     lines += [f"  {format_poly(e)}" for e in result.canonical_basis]

@@ -266,6 +266,7 @@ class Subalgebra:
         if self._generators is None and _sagbi is None:
             raise SubalgError("subalgebra needs generators or a SAGBI basis")
         self._spectrum = None
+        self._spectrum_tol = None
         self._clusters = None
         self._char_poly = None
         self._conductor = None
@@ -336,17 +337,20 @@ class Subalgebra:
         """The spectrum (see `compute_spectrum`), cached.
 
         "numeric" results are never cached.  The cached spectrum is reused
-        by "hybrid" without nf, and otherwise only when every point is
-        exact; else the spectrum is computed afresh and replaces it.
+        only at the tol it was computed with: by "hybrid" without nf, and
+        otherwise only when every point is exact; else the spectrum is
+        computed afresh and replaces it.
         """
         from .spectrum import compute_spectrum
         if mode == "numeric":
             return compute_spectrum(self, mode=mode, nf=nf, tol=tol)
         cached = self._spectrum
-        if cached is None or not ((mode == "hybrid" and nf is None) or
-                                  all(p.exact for p in cached)):
+        if cached is None or tol != self._spectrum_tol or not (
+                (mode == "hybrid" and nf is None) or
+                all(p.exact for p in cached)):
             self._spectrum = compute_spectrum(self, mode=mode, nf=nf,
                                               tol=tol)
+            self._spectrum_tol = tol
             self._clusters = None
         return self._spectrum
 
@@ -354,7 +358,7 @@ class Subalgebra:
         """The clusters of the cached (or a new hybrid) spectrum."""
         if self._clusters is None:
             from .spectrum import compute_clusters
-            self._clusters = compute_clusters(self)
+            self._clusters = compute_clusters(self, self._spectrum)
         return self._clusters
 
     def contains(self, f):

@@ -4,7 +4,7 @@ The characteristic polynomial of a pair is chi_{p,q}(x) = Res_y(P, Q) where
 P, Q are the divided differences of p and q.  For t >= 3 generators chi_A is
 the monic gcd of the coefficients d_a(x) of the parametric resultant
 R(x, z_2, ..., z_t) = Res_y(P_1, sum z_i P_i), taken here as the gcd of its
-values at a grid of integer z (see `char_poly_multi`).
+values on a principal lattice of integer z (see `char_poly_multi`).
 
 Every resultant of y-polynomials whose coefficients are polynomials in one
 variable goes through `resultant_y_tables`: evaluation at integer points, a
@@ -17,7 +17,6 @@ relation F(p, q) are all built on it.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 from .errors import (ConstantInput, DegreesNotCoprime, FewerThanTwoGenerators,
                      SubalgError, ZeroPolynomialInY)
@@ -215,12 +214,15 @@ def char_poly_multi(gens, symmetrize=False):
 
     chi_A is the monic gcd of the z-coefficients d_a(x) of
     R(x, z) = Res_y(P_1, sum z_i P_i), which is homogeneous of degree
-    h = deg p_1 - 1 in z.  With z_2 = 1, the samples R(x, 1, w_3, ..., w_t)
-    over the grid w in {1..h+1}^(t-2) are the images of the d_a under a
-    tensor Vandermonde matrix, which is invertible; so samples and
-    coefficients span the same Q-space of polynomials, and a gcd depends
-    only on that span.  chi_A is therefore the running gcd of the samples,
-    which stops once it is constant, and zero when every sample is.
+    h = deg p_1 - 1 in z.  With z_2 = 1, R(x, 1, w) is a polynomial of
+    total degree <= h in w = (z_3, ..., z_t) whose coefficients are the
+    d_a.  The principal lattice {w in N^(t-2) : |w| <= h} is unisolvent
+    for that degree (Chung & Yao 1977), so the samples there and the d_a
+    span the same space of polynomials, and a gcd depends only on that
+    span.  A zero weight may lower the y-degree of sum w_i P_i; P_1 is
+    monic in y, so that only flips the sign of the sample.  The samples
+    are taken cheapest first (see `_lattice_gcd`).  The running gcd stops
+    once it is constant, and is zero when every sample is.
 
     With symmetrize=True, returns the monic gcd over all t choices of the
     distinguished generator.
@@ -241,30 +243,51 @@ def char_poly_multi(gens, symmetrize=False):
             elif chi:
                 result = poly_gcd(result, chi) if result else chi
         return result
+    return _lattice_gcd(gens, 0)
 
+
+def _lattice_gcd(gens, least_degree):
+    """The running monic gcd of the lattice samples of `char_poly_multi`,
+    stopped once its degree is `least_degree`.
+
+    Samples are taken by least y-degree, then least |w|, so the first is
+    Res_y(P_1, P_2).  The stop is exact when `least_degree` bounds the
+    gcd from below: 0 always, and deg c for the SAGBI basis of an algebra
+    with conductor c (see `spectrum.characteristic_polynomial`).
+    """
     ps = [g.monic() for g in gens]
     field = QQ
     for p in ps:
         field = common_field(field, p.field)
-    ps = [p.coerce_to(field) for p in ps]
-    tables = [divided_difference(p).table for p in ps]
-    h = ps[0].degree - 1
+    tables = [divided_difference(p.coerce_to(field)).table for p in ps]
     rest = tables[1:]
-    dq = max(len(t) - 1 for t in rest)
+    h = len(tables[0]) - 1
+
+    def cost(w):
+        return max(len(t) for t, wi in zip(rest, (1,) + w) if wi), sum(w), w
+
     chi = Poly.zero(field)
-    # Each monic p_i has leading y-coefficient 1 in P_i and every weight is
-    # positive, so the combination keeps y-degree dq at every sample.
-    for tail in product(range(1, h + 2), repeat=len(rest) - 1):
-        combo = [Poly.zero(field) for _ in range(dq + 1)]
-        for w, table in zip((1,) + tail, rest):
+    for w in sorted(_principal_lattice(len(rest) - 1, h), key=cost):
+        combo = [Poly.zero(field)] * max(len(t) for t in rest)
+        for wi, table in zip((1,) + w, rest):
             for k, c in enumerate(table):
-                combo[k] = combo[k] + w * c
+                combo[k] = combo[k] + wi * c
         sample = resultant_y_tables(tables[0], combo)
         if sample:
             chi = poly_gcd(chi, sample)
-            if chi.degree == 0:
+            if chi.degree <= least_degree:
                 break
     return chi
+
+
+def _principal_lattice(k, h):
+    """Every w in N^k with |w| <= h."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(h + 1):
+        for tail in _principal_lattice(k - 1, h - first):
+            yield (first,) + tail
 
 
 # ---------------------------------------------------------------------------

@@ -188,26 +188,12 @@ def sagbi_complete(gens):
 
 
 def _minimalize(basis):
-    """Drop elements whose degree is redundant and which subduce away."""
-    elements = list(basis.elements)
-    changed = True
-    while changed and len(elements) > 1:
-        changed = False
-        for i, e in enumerate(elements):
-            rest = elements[:i] + elements[i + 1:]
-            if reduce(gcd, (r.degree for r in rest)) != 1:
-                continue
-            rest_sg = DegreeSemigroup([r.degree for r in rest])
-            if not rest_sg.contains(e.degree):
-                continue
-            if rest_sg.genus != basis.semigroup.genus:
-                continue
-            rem, _ = subduce(e, SagbiBasis(rest, rest_sg))
-            if rem.degree < 1:
-                elements = rest
-                changed = True
-                break
-    return SagbiBasis(elements)
+    """Keep the elements whose degrees are minimal generators of the degree
+    semigroup: in a SAGBI basis any other element subduces away over the
+    rest, and no element at a minimal generator can be dropped."""
+    S = basis.semigroup
+    return SagbiBasis([e for e in basis.elements if e.degree in S.generators],
+                      S)
 
 
 def sagbi_extend(basis, functional):

@@ -3,8 +3,8 @@
 The spectrum of A consists of the points α where either every element of A
 has vanishing derivative (derivative-kind) or some β ≠ α satisfies
 f(α) = f(β) for all f in A (paired).  Both kinds are roots of the
-characteristic polynomial χ, a gcd of pairwise characteristic polynomials
-of coprime-degree elements.  They are read off the conductor c of A, which
+characteristic polynomial χ, the multi-generator characteristic polynomial
+of the SAGBI basis of A.  They are read off the conductor c of A, which
 has the same zeros; χ is built only for the multiplicities.
 """
 
@@ -12,20 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from math import gcd
 
 from .conditions import Subalgebra, conditions_from_subalgebra
 from .errors import (BoundViolated, NoDegreeTwoElement, SpectrumNotExact,
                      SubalgError, UnpairedRoot)
 from .fields import QQ, format_scalar, is_zero_scalar, scalar_to_json
 from .poly import Poly, poly_gcd, squarefree_decompose
-from .resultants import char_poly_pair
+from .resultants import _lattice_gcd
 from .roots import RESIDUAL_TOL, aberth_roots, split_roots
 
 PAIR_TOL = 1e-8
-# How many coprime pairs `characteristic_polynomial` may use where its gcd
-# never reaches the conductor: the one stop rule that is not exact.
-STABLE_PAIRS = 6
 
 
 @dataclass
@@ -84,47 +80,21 @@ class Cluster:
 
 
 def characteristic_polynomial(A):
-    """Monic χ: gcd of pairwise characteristic polynomials.
+    """Monic χ of A: the multi-generator χ of its SAGBI basis (see
+    `resultants._lattice_gcd`).  K[x] itself (codimension 0) has χ = 1
+    and an empty spectrum.
 
-    Uses coprime-degree pairs of basis products up to the conductor of the
-    degree semigroup (conductor and conductor + 1 are such a pair, so one
-    exists at every genus ≥ 1), in order of degree sum.  K[x] itself
-    (codimension 0) has χ = 1 and an empty spectrum.
-
-    The gcd stops exactly when it reaches the conductor c of A: χ_{p,q}
-    generates the conductor of K[p, q] (it is F_Q(p, q)/p′, Dedekind's
-    formula for a plane curve), and K[p, q] ⊆ A gives c | χ_{p,q} for every
-    pair, so the gcd can never fall below c.  Where χ ≠ c the stop is the
-    one heuristic left: the gcd is taken as final once its degree is
-    unchanged over two more pairs, among the first `STABLE_PAIRS` pairs.
+    The gcd stops exactly when it reaches the conductor c of A: each
+    nonzero sample is χ_{e, q} of two elements of A, which generates the
+    conductor of K[e, q] (it is F_Q(e, q)/e′, Dedekind's formula for a
+    plane curve), and K[e, q] ⊆ A gives c | χ_{e, q}, so the gcd can never
+    fall below c.  Where χ ≠ c every sample is taken.
     """
     A = Subalgebra.of(A)
     basis = A.sagbi_basis()
     if basis.semigroup.genus == 0:
         return Poly.constant(basis.field.one, basis.field)
-    c = A.conductor()
-    products = {p.degree: p for p in basis.degree_products(
-        basis.semigroup.conductor + max(basis.degrees))[1:]}
-    degrees = list(products)
-    pairs = []
-    for i, d1 in enumerate(degrees):
-        for d2 in degrees[i + 1:]:
-            if gcd(d1, d2) == 1:
-                pairs.append((d1, d2))
-    pairs.sort(key=lambda t: t[0] + t[1])
-    chi = None
-    unchanged = 0
-    for d1, d2 in pairs[:STABLE_PAIRS]:
-        pair_chi = char_poly_pair(products[d1], products[d2])
-        new = pair_chi.monic() if chi is None else poly_gcd(chi, pair_chi)
-        if chi is not None and new.degree == chi.degree:
-            unchanged += 1
-        else:
-            unchanged = 0
-        chi = new
-        if chi == c or unchanged >= 2:
-            break
-    return chi
+    return _lattice_gcd(basis.elements, A.conductor().degree)
 
 
 def compute_spectrum(A, mode="hybrid", nf=None, tol=PAIR_TOL):

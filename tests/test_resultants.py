@@ -192,7 +192,13 @@ def test_char_poly_multi_matches_the_z_interpolation():
     plain = triples + [
         [P("x^10"), P("x^12 + 3*x^6"), P("x^15")],
         [P("x^4 + t*x^2", field=qi), P("x^6", field=qi), P("x^9", field=qi)],
-        [P("x^4 - x^2"), P("x^6 + x^3"), P("x^7"), P("x^9")]]
+        [P("x^4 - x^2"), P("x^6 + x^3"), P("x^7"), P("x^9")],
+        # the lattice {|w| <= 3} differs from the grid {1..4}^2
+        [P("x^4 + x^2"), P("x^5"), P("x^6"), P("x^7")],
+        # x^4 + x^2 and x^6 are both even: the w = 0 sample is zero
+        [P("x^4 + x^2"), P("x^6"), P("x^7")]]
+    assert char_poly_multi(plain[-2]).degree == 4
+    assert not char_poly_pair(plain[-1][0], plain[-1][1])
     for gens in plain:
         assert char_poly_multi(gens) == reference_char_poly_multi(gens), gens
     for gens in [triples[0], [P("x^3 - x"), P("x^2")],

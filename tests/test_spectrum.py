@@ -9,7 +9,7 @@ from subalg.classify import classify, construct_case
 from subalg.conditions import LinearFunctional, Subalgebra, kernel_subalgebra
 from subalg.derivations import conjecture_dim_check, derivation_space
 from subalg.errors import (NoDegreeTwoElement, ParameterDegeneracy,
-                           SpectrumNotExact)
+                           SpectrumNotExact, UnpairedRoot)
 from subalg.fields import QQ, NumberField, is_zero_scalar
 from subalg.parsing import parse_poly
 from subalg.poly import Poly, poly_gcd, squarefree_decompose
@@ -102,6 +102,24 @@ def test_numeric_spectrum_is_not_cached():
     D = alg("x^3 - x", "x^2")
     assert not any(p.exact for p in D.spectrum(mode="numeric"))
     assert [repr(L) for L in D.conditions()] == ["f(-1) - f(1)"]
+
+
+def test_a_cached_spectrum_is_reused_only_at_its_tol():
+    # at tol = 1e-30 the numeric points of c = (x^2-2)(x^2-3) no longer
+    # agree in pairs, so a fresh spectrum there has an unpaired root
+    A = alg("x^2", "x*(x^2-2)*(x^2-3)")
+    pts = A.spectrum()
+    assert len(pts) == 4 and all(p.kind == "paired" for p in pts)
+    with pytest.raises(UnpairedRoot):
+        A.spectrum(tol=1e-30)
+    with pytest.raises(UnpairedRoot):
+        compute_spectrum(A, tol=1e-30)
+    assert A.spectrum() is pts
+    assert A.spectrum(tol=1e-8) is pts
+    # the clusters are those of the cached spectrum, whatever its tol
+    finer = A.spectrum(tol=1e-9)
+    assert finer is not pts and [len(c) for c in A.clusters()] == [2, 2]
+    assert A.spectrum(tol=1e-9) is finer
 
 
 def test_a_field_request_ignores_an_inexact_cached_spectrum():
@@ -235,24 +253,29 @@ def _draws_and_images():
 
 
 def test_chi_stops_at_the_conductor(monkeypatch):
-    calls = []
+    # every lattice sample is one `resultant_y_tables` call; where chi = c
+    # the sampler stops at the first sample that brings the gcd to c
+    samples = []
+    real = resultants.resultant_y_tables
 
-    def counted(p, q):
-        calls.append(1)
-        return resultants.char_poly_pair(p, q)
+    def recorded(f_table, g_table):
+        samples.append(real(f_table, g_table))
+        return samples[-1]
 
-    monkeypatch.setattr(spectrum, "char_poly_pair", counted)
+    monkeypatch.setattr(resultants, "resultant_y_tables", recorded)
     at_conductor = 0
     for A in _draws_and_images():
         c = A.conductor()
-        calls.clear()
-        old = reference_characteristic_polynomial(A, counted)
-        old_calls = len(calls)
-        calls.clear()
+        old = reference_characteristic_polynomial(A, resultants.char_poly_pair)
+        samples.clear()
         assert characteristic_polynomial(A) == old, A
         if old == c:
             at_conductor += 1
-            assert len(calls) < old_calls, A
+            running, reached = Poly.zero(c.field), []
+            for s in samples:
+                running = poly_gcd(running, s) if s else running
+                reached.append(running == c)
+            assert reached.index(True) == len(samples) - 1, A
     assert at_conductor
 
 
