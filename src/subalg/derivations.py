@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .conditions import LinearFunctional, Subalgebra, _dot, _jet_row
-from .errors import EvenInput, SubalgError
+from .errors import EvenInput, SpectrumNotExact, SubalgError
 from .fields import common_field, field_of, is_zero_scalar
 from .linalg import extend_echelon, nullspace, rref
 from .poly import Poly
@@ -121,8 +121,9 @@ def _cluster_points(A, alpha, field):
 
     `field` contains α and the field of A.  The cluster comes from the
     spectrum over `field`, so a point of an extension field is matched
-    exactly.  α on the spectrum but in no exact cluster raises SubalgError:
-    a partial cluster would give a wrong derivation space.
+    exactly.  α on the spectrum but in no exact cluster raises SubalgError,
+    and a cluster of α with a numeric member raises SpectrumNotExact: a
+    partial cluster would give a wrong derivation space.
     """
     A = Subalgebra.of(A)
     if not is_zero_scalar(A.conductor()(alpha)):
@@ -133,8 +134,12 @@ def _cluster_points(A, alpha, field):
         clusters = compute_clusters(A, compute_spectrum(A, nf=field))
     for cluster in clusters:
         values = [field.coerce(p.value) for p in cluster.members if p.exact]
-        if alpha in values:
-            return [alpha] + [v for v in values if v != alpha]
+        if alpha not in values:
+            continue
+        if len(values) < len(cluster):
+            raise SpectrumNotExact(
+                f"the cluster of {alpha!r} has points outside {field!r}")
+        return [alpha] + [v for v in values if v != alpha]
     raise SubalgError(
         f"spectrum point {alpha!r} lies in no exact cluster")
 

@@ -1,8 +1,11 @@
-"""Root extraction: rational roots, number-field candidate roots, and
-numeric complex roots by simultaneous (Aberth–Ehrlich) iteration.
+"""Root extraction: exact roots over Q or a number field by p-adic lifting,
+and numeric complex roots by simultaneous (Aberth–Ehrlich) iteration.
 
-`split_roots` is the one exact cascade (rational roots, then field
-candidates); its callers differ only in what they do with the unsplit rest.
+`field_roots` is the one exact search: every square-free factor gives up
+all its roots in the field (`_lifted_roots`, the same code for Q, which is
+Q[t]/(t), and for every Q[t]/(m)).  `split_roots` runs it over the field
+of the polynomial or a supplied one; its callers differ only in what they
+do with the unsplit rest.
 
 Square-free decomposition lives in :mod:`subalg.poly`; it is re-exported
 here because root finding is its main consumer.
@@ -13,12 +16,14 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import gcd as int_gcd
+from itertools import product
+from math import ceil, lcm
 
 from .errors import NonConvergence, SubalgError, ZeroInput
 from .fields import QQ, is_zero_scalar
-from .modular import is_prime
-from .poly import Poly, squarefree_decompose
+from .modular import coordinates, is_prime
+from .poly import Poly, _as_float, squarefree_decompose
+from .resultants import _scalar_resultant
 
 RESIDUAL_TOL = 1e-12
 MAX_ITERATIONS = 200
@@ -34,102 +39,184 @@ class RootSet:
 
 
 # ---------------------------------------------------------------------------
-# Rational roots
+# Exact roots by p-adic lifting
 # ---------------------------------------------------------------------------
 
 
-def _factorize(n):
-    """Prime factorization of n > 0 (trial division + Pollard rho)."""
-    factors = {}
+def _lifted_roots(f, field):
+    """Every root in `field` (QQ or a NumberField Q[t]/(m)) of a
+    square-free f over it: rational roots first, by value, then the
+    others in `_order_key` order.
 
-    def add(p):
-        factors[p] = factors.get(p, 0) + 1
+    Let e = deg m (over Q, m = t) and t̃ = μ·t with μ the least common
+    denominator of m, so that m̃(s) = μ^e·m(s/μ) is monic and integral.
+    Make f monic and let δ be the common denominator of the
+    t̃-coordinates of its coefficients.
 
-    d = 2
-    while d * d <= n and d < 100000:
-        while n % d == 0:
-            add(d)
-            n //= d
-        d += 1 if d == 2 else 2
-    if n == 1:
-        return factors
+    Denominator.  δ·α is a root of the monic polynomial δ^n·f(x/δ), whose
+    coefficients δ^k·f_(n−k) are integral, so δ·α is an algebraic
+    integer, and the algebraic integers of Q(θ̃) lie in
+    (1/disc m̃)·Z[θ̃].  Hence Δ = δ·|disc m̃| makes Δ·α = Σ A_u·t̃^u with
+    integers A_u.
 
-    def rho(m):
-        if m % 2 == 0:
-            return 2
-        c = 1
-        while True:
-            x = y = 2
-            d = 1
-            while d == 1:
-                x = (x * x + c) % m
-                y = (y * y + c) % m
-                y = (y * y + c) % m
-                d = int_gcd(abs(x - y), m)
-            if d != m:
-                return d
-            c += 1
+    Height.  Let θ̃_1, …, θ̃_e be the complex roots of m̃; by Cauchy's
+    bound |θ̃_i| ≤ R = 1 + max_(u<e) |m̃_u|.  The conjugate σ_i(α) is a
+    root of f_i = f with t̃ ↦ θ̃_i, so |σ_i(α)| ≤ B = 1 + max_(j<n)
+    Σ_u |f_(j,u)|·R^u (Cauchy's bound on f_i).  Inverting the
+    Vandermonde matrix V = (θ̃_i^u), the coordinate a_u = A_u/Δ is
+    Σ_i [x^u] L_i(x)·σ_i(α)/m̃′(θ̃_i) with L_i = Π_(j≠i) (x − θ̃_j), whose
+    coefficients are at most (1 + R)^(e−1); and 1/|m̃′(θ̃_i)| =
+    Π_(j≠i) |m̃′(θ̃_j)| / |disc m̃| ≤ M′^(e−1)/|disc m̃| with
+    M′ = Σ_k k·|m̃_k|·R^(k−1).  So
+        |A_u| ≤ H = δ·e·B·(1 + R)^(e−1)·M′^(e−1),
+    which for e = 1 is δ times Cauchy's bound on f over Q.
 
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
+    Lifting.  Take the least prime p that divides neither δ nor disc m̃,
+    modulo which m̃ has e distinct roots θ_i, and modulo which every root
+    of every f_i (t̃ ↦ θ_i) is simple; such primes exist because f is
+    square-free and m̃ splits completely modulo infinitely many primes.
+    The roots modulo p are found by trying every residue; Newton's
+    method lifts the θ_i and then the roots of the f_i to q = p^k >
+    2^65·H.  Every root α of f in the field has σ_i(α) among the lifted
+    roots of f_i (a p-adic integer, since p ∤ δ, with a simple root
+    modulo p), so α comes from one tuple of them: V^(−1) times the
+    tuple times Δ gives the A_u modulo q, and since q > 2·H the
+    symmetric residues are the A_u themselves.  A tuple whose residues
+    exceed H is no root; any other is kept only if f(α) = 0 exactly.
+    A root missing from the output is therefore not in the field.  The
+    factor 2^64 in q makes a spurious tuple pass the height test with
+    probability about 2^(−64·e), so almost no tuple reaches the exact
+    evaluation.
+    """
+    f = f.monic()
+    m = field.modulus_coeffs
+    e = len(m) - 1
+    mu = lcm(*(a.denominator for a in m))
+    mt = [int(a * mu ** (e - u)) for u, a in enumerate(m)]
+    coords = [[Fraction(a) / mu ** u for u, a in enumerate(coordinates(c))]
+              for c in f.coeffs]
+    delta = lcm(*(a.denominator for cs in coords for a in cs))
+    disc = abs(int(_scalar_resultant(
+        [Fraction(a) for a in mt],
+        [Fraction(k * a) for k, a in enumerate(mt)][1:], QQ)))
+    R = 1 + max(abs(a) for a in mt[:-1])
+    M1 = sum(k * abs(a) * R ** (k - 1) for k, a in enumerate(mt))
+    B = 1 + max(sum(abs(a) * R ** u for u, a in enumerate(cs))
+                for cs in coords[:-1])
+    H = ceil(delta * e * B * (1 + R) ** (e - 1) * M1 ** (e - 1))
+
+    p = 1
+    while True:
+        p += 1
+        if not is_prime(p) or delta % p == 0 or disc % p == 0:
             continue
-        if is_prime(m):
-            add(m)
+        thetas = [s for s in range(p) if not _horner(mt, s, p)]
+        if len(thetas) < e:
             continue
-        d = rho(m)
-        stack.extend([d, m // d])
-    return factors
+        images = [_image(coords, theta, p) for theta in thetas]
+        starts = [[r for r in range(p) if not _horner(g, r, p)]
+                  for g in images]
+        if all(_horner(_derivative(g), r, p)
+               for g, rs in zip(images, starts) for r in rs):
+            break
+    q = p
+    while q <= H << 65:
+        q *= p
+    thetas = [_lift(mt, theta, q) for theta in thetas]
+    images = [_image(coords, theta, q) for theta in thetas]
+    scale = delta * disc
+    # columns[i][r]: the contribution Δ·r·V^(−1)[·][i] of the lifted root r
+    # of f_i to the coordinates
+    columns = []
+    for i, (g, rs) in enumerate(zip(images, starts)):
+        L = [1]
+        for j, theta in enumerate(thetas):
+            if j != i:
+                L = [(hi - theta * lo) % q for lo, hi in zip(L + [0], [0] + L)]
+        w = scale * pow(_horner(L, thetas[i], q), -1, q)
+        columns.append([[a * w * _lift(g, r, q) % q for a in L] for r in rs])
+    half = q // 2
+    out = []
+    for tup in product(*columns):
+        A = [(sum(col) + half) % q - half for col in zip(*tup)]
+        if max(map(abs, A)) > H:
+            continue
+        alpha = field.from_coeffs(
+            [Fraction(a * mu ** u, scale) for u, a in enumerate(A)])
+        if is_zero_scalar(f(alpha)):
+            out.append(alpha)
+    return sorted(out, key=_order_key)
 
 
-def _divisors(n):
-    if n == 0:
-        return []
-    out = [1]
-    for p, e in _factorize(abs(n)).items():
-        out = [d * p ** k for d in out for k in range(e + 1)]
-    return out
+def _order_key(value):
+    """Rational values first, by value; then by the index of the highest
+    nonzero coordinate, then by the coordinates from the top down, larger
+    first (t before −t, t³ − t before t − t³)."""
+    c = coordinates(value)
+    top = max((u for u, a in enumerate(c) if a), default=0)
+    if top == 0:
+        return 0, (c[0],)
+    return top, tuple(-a for a in c[top::-1])
+
+
+def _horner(g, x, q):
+    acc = 0
+    for c in reversed(g):
+        acc = (acc * x + c) % q
+    return acc
+
+
+def _derivative(g):
+    return [k * c for k, c in enumerate(g)][1:]
+
+
+def _image(coords, theta, q):
+    """The coefficients of f with t̃ ↦ theta, modulo q (prime to every
+    denominator)."""
+    return [sum(a.numerator * pow(a.denominator, -1, q) * pow(theta, u, q)
+                for u, a in enumerate(cs)) % q for cs in coords]
+
+
+def _lift(g, r, q):
+    """The root modulo q of the int list g that lifts its simple root r
+    modulo the prime dividing q (Newton's method)."""
+    dg = _derivative(g)
+    while (v := _horner(g, r, q)):
+        r = (r - v * pow(_horner(dg, r, q), -1, q)) % q
+    return r
+
+
+def field_roots(p, nf):
+    """The roots of p in nf (QQ or a NumberField), and the part of p they
+    leave unsplit.
+
+    Returns (roots, leftover): roots lists (value, multiplicity), each
+    square-free factor's roots in `_lifted_roots` order; leftover lists
+    (rest, multiplicity) for each factor whose rest is nonconstant.
+    """
+    roots, leftover = [], []
+    for factor, mult in squarefree_decompose(p):
+        rest = factor.coerce_to(nf)
+        for v in _lifted_roots(rest, nf):
+            roots.append((v, mult))
+            rest = rest.exact_div(Poly((-v, nf.one), nf))
+        if rest.degree >= 1:
+            leftover.append((rest, mult))
+    return roots, leftover
 
 
 def rational_roots(p):
-    """All rational roots of p with multiplicities (exact)."""
-    if p.field is not QQ:
-        p = p.to_rational()
-        if p is None:
-            raise SubalgError("rational_roots: polynomial not over Q")
-    if p.is_zero():
-        raise ZeroInput("rational_roots of the zero polynomial")
-    out = []
-    for factor, mult in squarefree_decompose(p):
-        # integer-primitive form
-        denom = 1
-        for c in factor.coeffs:
-            denom = denom * c.denominator // int_gcd(denom, c.denominator)
-        ints = [int(c * denom) for c in factor.coeffs]
-        low = next(i for i, c in enumerate(ints) if c)
-        if low > 0:
-            out.append((Fraction(0), mult))
-            ints = ints[low:]
-        if len(ints) <= 1:
-            continue
-        a0, an = ints[0], ints[-1]
-        for num in _divisors(a0):
-            for den in _divisors(an):
-                if int_gcd(num, den) != 1:
-                    continue
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if not _eval_int(ints, cand):
-                        out.append((cand, mult))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return out
+    """All rational roots of p with multiplicities (exact), sorted."""
+    rat = p.to_rational()
+    if rat is None:
+        raise SubalgError("rational_roots: polynomial not over Q")
+    return sorted(field_roots(rat, QQ)[0])
 
 
-def _eval_int(ints, r):
-    acc = Fraction(0)
-    for c in reversed(ints):
-        acc = acc * r + c
-    return acc
+def split_roots(p, nf=None):
+    """Exact roots of p in nf (default: the field of p), and the part of
+    p they leave unsplit, as `field_roots`."""
+    return field_roots(p, p.field if nf is None else nf)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +230,7 @@ def aberth_roots(p, tol=RESIDUAL_TOL, max_iter=MAX_ITERATIONS):
     Returns (roots, residual_bound).  Residuals are backward-error scaled:
     |p(z)| <= tol * sum |c_i| |z|^i.
     """
-    coeffs = [complex(_to_float(c)) for c in p.coeffs]
+    coeffs = [complex(_as_float(c)) for c in p.coeffs]
     lead = coeffs[-1]
     coeffs = [c / lead for c in coeffs]
     n = len(coeffs) - 1
@@ -195,102 +282,6 @@ def aberth_roots(p, tol=RESIDUAL_TOL, max_iter=MAX_ITERATIONS):
             f"Aberth iteration did not converge in {max_iter} steps")
     residual = max(abs(horner(coeffs, z)) for z in roots)
     return roots, residual
-
-
-def _to_float(c):
-    from .fields import FieldElem
-    if isinstance(c, FieldElem):
-        r = c.to_rational()
-        if r is None:
-            raise SubalgError("numeric mode on non-rational coefficients")
-        return float(r)
-    return float(c)
-
-
-# ---------------------------------------------------------------------------
-# Field-mode roots
-# ---------------------------------------------------------------------------
-
-
-def field_roots(p, nf, candidates):
-    """Roots of p over the number field nf: those among the candidates,
-    and the root of any linear factor they leave.
-
-    Returns (roots_with_mult, unsplit_remainder_factors).
-    """
-    p = p.coerce_to(nf)
-    found = []
-    leftovers = []
-    for factor, mult in squarefree_decompose(p):
-        f = factor.coerce_to(nf)
-        seen = set()
-        for cand in candidates:
-            c = nf.coerce(cand)
-            if c in seen:
-                continue
-            seen.add(c)
-            if f.degree < 1:
-                break
-            if is_zero_scalar(f(c)):
-                found.append((c, mult))
-                f = f.exact_div(Poly((-c, nf.one), nf))
-        if f.degree == 1:
-            found.append((-f.coeff(0) / f.leading_coeff(), mult))
-        elif f.degree > 1:
-            leftovers.append((f, mult))
-    return found, leftovers
-
-
-def _default_candidates(nf):
-    """Trial roots in nf: ±t^k for k < 6·[nf:Q] + 13, then 0, ±2."""
-    out = []
-    t = nf.gen()
-    power = nf.one
-    for _ in range(6 * nf.degree + 13):
-        for c in (power, -power):
-            if c not in out:
-                out.append(c)
-        power = power * t
-    for r in (0, 1, -1, 2, -2):
-        c = nf.coerce(r)
-        if c not in out:
-            out.append(c)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# The root cascade
-# ---------------------------------------------------------------------------
-
-
-def split_roots(p, nf=None):
-    """Exact roots of p, and the part of p they leave unsplit.
-
-    Each square-free factor of p gives up its rational roots, then, over
-    the number field nf, its roots among the default candidates
-    (`field_roots`).  Returns (roots, leftover): roots lists (value,
-    multiplicity) with values in nf when nf is given; leftover lists
-    (rest, multiplicity) for each factor whose rest is nonconstant.
-    """
-    candidates = _default_candidates(nf) if nf is not None else None
-    roots, leftover = [], []
-    for factor, mult in squarefree_decompose(p):
-        rest = factor
-        rat = rest.to_rational()
-        if rat is not None:
-            for v, _ in rational_roots(rat):
-                roots.append((v if nf is None else nf.coerce(v), mult))
-                rest = rest.exact_div(
-                    Poly((-v, 1), QQ).coerce_to(rest.field))
-        if nf is not None and rest.degree >= 1:
-            found, unsplit = field_roots(rest, nf, candidates)
-            roots.extend((v, mult) for v, _ in found)
-            rest = Poly.constant(nf.one, nf)
-            for f, _ in unsplit:
-                rest = rest * f
-        if rest.degree >= 1:
-            leftover.append((rest, mult))
-    return roots, leftover
 
 
 def hybrid_roots(p, nf=None, tol=RESIDUAL_TOL):

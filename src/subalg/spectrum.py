@@ -16,7 +16,7 @@ from functools import cached_property
 from .conditions import Subalgebra, conditions_from_subalgebra
 from .errors import (BoundViolated, NoDegreeTwoElement, SpectrumNotExact,
                      SubalgError, UnpairedRoot)
-from .fields import QQ, format_scalar, is_zero_scalar, scalar_to_json
+from .fields import format_scalar, is_zero_scalar, scalar_to_json
 from .poly import Poly, poly_gcd, squarefree_decompose
 from .resultants import _lattice_gcd
 from .roots import RESIDUAL_TOL, aberth_roots, split_roots
@@ -102,8 +102,9 @@ def compute_spectrum(A, mode="hybrid", nf=None, tol=PAIR_TOL):
 
     The points are the zeros of the conductor c of A.  The exact ones come
     from `split_roots` of c over nf (default: the field of A), so they are
-    ordered by their order as roots of c, then by value; the modes differ
-    in what happens to the unsplit rest.
+    ordered by their order as roots of c, then rational values by value,
+    then the others as `split_roots` orders them; the modes differ in what
+    happens to the unsplit rest.
     mode = "exact": any unsplit rest raises SpectrumNotExact;
     mode = "numeric": every point as a complex double-precision root;
     mode = "hybrid" (default): exact where possible, numeric otherwise.
@@ -114,8 +115,6 @@ def compute_spectrum(A, mode="hybrid", nf=None, tol=PAIR_TOL):
     c = A.conductor()
     if c.degree < 1:
         return []
-    if nf is None and basis.field is not QQ:
-        nf = basis.field
     exact, leftover = split_roots(c, nf)
     if leftover and mode == "exact":
         raise SpectrumNotExact(
@@ -311,7 +310,7 @@ def deg2_description(A):
     while m0 < h.degree + 1 and is_zero_scalar(h.coeff(m0)):
         m0 += 1
     h = Poly(h.coeffs[m0:], field)
-    roots, leftover = split_roots(h, None if field is QQ else field)
+    roots, leftover = split_roots(h)
     if leftover:
         raise SpectrumNotExact("odd-generator roots not exact")
     pairs = []
@@ -329,10 +328,10 @@ def deg2_description(A):
 
 def _square_root(r, field):
     """A root of y² − r in the field (`split_roots`), or None: the
-    nonnegative one when r is a rational square, else the first found."""
-    nf = None if field is QQ else field
+    nonnegative one when r is a rational square, else the first in the
+    order `split_roots` gives (t before −t)."""
     roots = [v for v, _ in split_roots(
-        Poly((-field.coerce(r), field.zero, field.one), field), nf)[0]]
+        Poly((-field.coerce(r), field.zero, field.one), field))[0]]
     rational = [v for v in roots if _rational(v) is not None]
     if rational:
         return max(rational, key=_rational)

@@ -255,6 +255,16 @@ def special_draws():
                 {"alpha": F(-1), "beta": F(1),
                  "gamma": F(8, 7), "delta": F(-5, 7),
                  "lam": F(21, 19), "mu": F(-16, 19)}, (3, 5, 7)))
+
+    # number-field points that are no powers of t: a pair over Q(sqrt 2)
+    # whose conductor x^2 - 2x - 1 is irreducible over Q, and a Gaussian
+    # pair with a derivative condition
+    q2 = NumberField([-2, 0, 1], label="t^2-2")
+    t = q2.gen()
+    out.append(("codim1/pair", {"alpha": 1 + t, "beta": 1 - t}, (2, 3)))
+    t = qi.gen()
+    out.append(("codim2/s=2-deriv", {"alpha": 2 + 3 * t, "beta": F(1, 2) - t},
+                (3, 4, 5)))
     return out
 
 

@@ -9,7 +9,7 @@ from subalg.derivations import (NOT_INTEGRAL, _cluster_points,
                                 conjecture_dim_check, derivation_space,
                                 integral_derivation, k_alpha,
                                 ln_coefficients)
-from subalg.errors import EvenInput, SubalgError
+from subalg.errors import EvenInput, SpectrumNotExact
 from subalg.fields import NumberField, common_field, field_of, is_zero_scalar
 from subalg.linalg import extend_echelon, nullspace, rref
 from subalg.parsing import parse_poly as P
@@ -102,14 +102,18 @@ def test_integral_rejected_when_product_leaves():
 
 
 def test_partial_cluster_is_an_error():
-    # over Q(sqrt 2) the pair {1 + t, 1 - t} is a root of x^2 - 2x - 1,
-    # which no exact root search splits: the cluster of alpha is unknown,
-    # so no derivation space is given
+    # the cluster {1, sqrt 2, -sqrt 2} of A = Q[(x^2-2)^2 (x-1) x^k] has
+    # numeric members over Q: derivations at 1 alone would give dimension
+    # 1 against k_alpha = 5, so no derivation space is given; over
+    # Q(sqrt 2) the whole cluster is exact and the dimensions agree
+    gens = [f"(x^2 - 2)^2 * (x - 1) * x^{k}" for k in range(5)]
+    A = Subalgebra.from_generators([P(g) for g in gens])
+    with pytest.raises(SpectrumNotExact):
+        derivation_space(A, F(1))
     nf = NumberField([-2, 0, 1], label="t^2-2")
-    t = nf.gen()
-    A = construct_case("codim1/pair", {"alpha": 1 + t, "beta": 1 - t})
-    with pytest.raises(SubalgError):
-        derivation_space(A, 1 + t)
+    A = Subalgebra.from_generators([P(g, field=nf) for g in gens])
+    space = derivation_space(A, nf.one)
+    assert space.dimension == space.k_alpha == 5
 
 
 # --- the bound-growing path that the exact presentation replaced ----------
