@@ -13,7 +13,7 @@ ints.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import mul
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -81,6 +81,42 @@ def coordinates(scalar):
     return getattr(scalar, "coeffs", (scalar,))
 
 
+def integral_modulus(modulus):
+    """(m̃, μ) for a monic m over Q (ascending Fractions) of degree e: μ is
+    the least common denominator of m and m̃(s) = μ^e·m(s/μ), ascending
+    ints, is monic and integral with root t̃ = μ·t.  An element with
+    t-coordinates a_u has t̃-coordinates a_u/μ^u.  Over Q, m = t = m̃."""
+    e = len(modulus) - 1
+    mu = lcm(*(a.denominator for a in modulus))
+    return [int(a * mu ** (e - u)) for u, a in enumerate(modulus)], mu
+
+
+def root_radius(mt):
+    """Cauchy's bound R = 1 + max_(u<e) |m̃_u| on the complex roots of the
+    monic m̃ (ascending ints)."""
+    return 1 + max(abs(a) for a in mt[:-1])
+
+
+def coordinate_bound(mt, B):
+    """A bound on |disc m̃|·|a_u| for every coordinate of α = Σ_(u<e)
+    a_u·θ̃^u whose conjugates all have |σ_i(α)| ≤ B, θ̃ a root of the monic
+    integral m̃ (ascending ints) of degree e.
+
+    Let θ̃_1, …, θ̃_e be the complex roots of m̃, so |θ̃_i| ≤ R =
+    `root_radius(mt)`.  Inverting the Vandermonde matrix V = (θ̃_i^u),
+    a_u = Σ_i [x^u] L_i(x)·σ_i(α)/m̃′(θ̃_i) with L_i = Π_(j≠i) (x − θ̃_j),
+    whose coefficients are at most (1 + R)^(e−1); and 1/|m̃′(θ̃_i)| =
+    Π_(j≠i) |m̃′(θ̃_j)| / |disc m̃| ≤ M′^(e−1)/|disc m̃| with
+    M′ = Σ_k k·|m̃_k|·R^(k−1).  So
+        |disc m̃|·|a_u| ≤ e·B·(1 + R)^(e−1)·M′^(e−1),
+    which is B over Q (m̃ = t).
+    """
+    e = len(mt) - 1
+    R = root_radius(mt)
+    M1 = sum(k * abs(a) * R ** (k - 1) for k, a in enumerate(mt) if k)
+    return e * B * (1 + R) ** (e - 1) * M1 ** (e - 1)
+
+
 class ResidueRing:
     """R_p = F_p[t]/(m mod p) for a monic m over Q whose denominators p does
     not divide.  Elements are tuples of e = deg m ints in [0, p)."""
@@ -92,7 +128,7 @@ class ResidueRing:
         self.modulus = [self.reduce(a) for a in modulus]
         self.e = e = len(modulus) - 1
         # _powers[w]: the coordinates of t^w mod m, for w ≤ 2e − 2
-        self._powers = self._shifts((1,) + (0,) * (e - 1), 2 * e - 1)
+        self._powers = self.shifts((1,) + (0,) * (e - 1), 2 * e - 1)
 
     def reduce(self, a):
         """A Fraction mod p (p must not divide its denominator)."""
@@ -100,6 +136,23 @@ class ResidueRing:
         if a.denominator == 1:
             return a.numerator % p
         return a.numerator * pow(a.denominator, -1, p) % p
+
+    def mul(self, a, b):
+        """a·b in R_p."""
+        if self.e == 1:
+            return (a[0] * b[0] % self.p,)
+        return self.dot([[x] for x in a], [[y] for y in b])
+
+    def power(self, a, n):
+        """a^n in R_p, by repeated squaring."""
+        if self.e == 1:
+            return (pow(a[0], n, self.p),)
+        out = (1,) + (0,) * (self.e - 1)
+        while n:
+            if n & 1:
+                out = self.mul(out, a)
+            a, n = self.mul(a, a), n >> 1
+        return out
 
     def element(self, scalar):
         return tuple(self.reduce(a) for a in coordinates(scalar))
@@ -131,7 +184,7 @@ class ResidueRing:
                 w[u + v] += sum(map(mul, a[u], b[v]))
         return self.fold(w)
 
-    def _shifts(self, f, count):
+    def shifts(self, f, count):
         """f, t·f, …, t^(count−1)·f in R_p."""
         out = [f]
         for _ in range(count - 1):
@@ -143,7 +196,7 @@ class ResidueRing:
     def matrix(self, f):
         """M with M[j][v] the t^j-coordinate of f·t^v: multiplication by f
         on coordinate lists is out_j = Σ_v M[j][v]·vec_v."""
-        return list(zip(*self._shifts(f, self.e)))
+        return list(zip(*self.shifts(f, self.e)))
 
     def axpy(self, f, x, y):
         """y − f·x for coordinate lists; entries are left unreduced."""
@@ -158,6 +211,8 @@ class ResidueRing:
     def scale(self, f, x):
         """f·x for coordinate lists, reduced."""
         p = self.p
+        if self.e == 1:
+            return [[f[0] * a % p for a in x[0]]]
         return [[sum(map(mul, mj, entry)) % p for entry in zip(*x)]
                 for mj in self.matrix(f)]
 
@@ -165,6 +220,8 @@ class ResidueRing:
         """f^-1 in R_p, or None when f is a zero divisor: extended Euclid
         of f against m over F_p."""
         p = self.p
+        if self.e == 1:
+            return (pow(f[0], -1, p),) if f[0] % p else None
         r0, r1 = list(self.modulus), _trim(list(f))
         s0, s1 = [], [1]
         while r1:

@@ -9,18 +9,25 @@ values on a principal lattice of integer z (see `char_poly_multi`).
 Every resultant of y-polynomials whose coefficients are polynomials in one
 variable goes through `resultant_y_tables`: evaluation at integer points, a
 Euclidean remainder sequence on the specialized univariate polynomials, and
-Newton interpolation — exact throughout, and far cheaper than eliminating on
-the symbolic Sylvester matrix.  The characteristic polynomials and the
+Newton interpolation, all in plain ints modulo word-size primes, over
+F_p[t]/(m mod p) for Q = Q[t]/(t) and every number field alike.  The images
+are combined by Chinese remaindering until the product of the primes
+exceeds twice a proven bound on the result's coefficients, so the result
+is exact (see `_resultant`).  The characteristic polynomials and the
 relation F(p, q) are all built on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
+from operator import mul
 
 from .errors import (ConstantInput, DegreesNotCoprime, FewerThanTwoGenerators,
                      SubalgError, ZeroPolynomialInY)
 from .fields import QQ, common_field, is_zero_scalar
+from .modular import (ResidueRing, coordinate_bound, coordinates, crt,
+                      integral_modulus, root_radius, word_primes)
 from .mpoly import MPoly
 from .poly import Poly, poly_gcd
 
@@ -64,58 +71,6 @@ def divided_difference(p):
 
 
 # ---------------------------------------------------------------------------
-# Univariate resultants over an exact field (Euclidean remainder sequence)
-# ---------------------------------------------------------------------------
-
-
-def _trim_list(a):
-    n = len(a)
-    while n and is_zero_scalar(a[n - 1]):
-        n -= 1
-    return a[:n]
-
-
-def _scalar_resultant(A, B, field):
-    """Res of two univariate polynomials given as ascending scalar lists.
-
-    Standard Sylvester-determinant convention: Res(A, B) with n = deg B rows
-    of A.  Computed by the Euclidean identity
-    Res(A,B) = (-1)^(dA dB) lc(B)^(dA-dR) Res(B, R),  R = A mod B.
-    """
-    A, B = _trim_list(list(A)), _trim_list(list(B))
-    if not A or not B:
-        return field.zero
-    sign = 1
-    acc = field.one
-    while True:
-        dA, dB = len(A) - 1, len(B) - 1
-        if dA < dB:
-            A, B = B, A
-            if dA % 2 and dB % 2:
-                sign = -sign
-            continue
-        if dB == 0:
-            val = acc * B[0] ** dA
-            return val if sign > 0 else -val
-        # remainder of A by B
-        R = list(A)
-        lead_inv = field.one / B[-1]
-        for k in range(dA - dB, -1, -1):
-            c = R[k + dB] * lead_inv
-            if not is_zero_scalar(c):
-                for i in range(dB + 1):
-                    R[k + i] = R[k + i] - c * B[i]
-        R = _trim_list(R[:dB])
-        if not R:
-            return field.zero
-        dR = len(R) - 1
-        acc = acc * B[-1] ** (dA - dR)
-        if dA % 2 and dB % 2:
-            sign = -sign
-        A, B = B, R
-
-
-# ---------------------------------------------------------------------------
 # Resultant in y of polynomials with Poly-in-x coefficients
 # ---------------------------------------------------------------------------
 
@@ -145,7 +100,8 @@ def _newton_interpolate(points, values, field):
 
 
 def resultant_y_tables(f_table, g_table):
-    """Res_y of two y-polynomials with Poly-in-x coefficients (exact)."""
+    """Res_y of two y-polynomials with Poly-in-x coefficients (exact; see
+    `_resultant`)."""
     f_table = [c for c in f_table]
     g_table = [c for c in g_table]
     while f_table and f_table[-1].is_zero():
@@ -163,27 +119,212 @@ def resultant_y_tables(f_table, g_table):
     if mf == 0:
         return (f_table[0] ** mg).coerce_to(field)
     if mg == 0:
-        sign = -1 if (mf % 2 and mg % 2) else 1
-        val = g_table[0] ** mf
-        return val if sign > 0 else -val
-    # x-degree bound: min of the naive bound and the weighted (total degree)
-    # bound, both safe.
+        return g_table[0] ** mf
+    return _resultant(f_table, g_table, field)
+
+
+def _resultant(f_table, g_table, field):
+    """Res_y(f, g) for y-tables over K = Q[t]/(m) (Q is Q[t]/(t)) of
+    y-degrees mf, mg ≥ 1 with nonzero leading coefficients, from images
+    modulo word-size primes.
+
+    Points.  deg_x Res ≤ D, the least of the naive and the weighted
+    (total degree) bound, so Res is the interpolant of its values at D + 1
+    points.  They are 0, 1, −1, 2, … where both leading y-coefficients are
+    nonzero (decided exactly), since there Res(f, g)(x0) = Res(f(x0),
+    g(x0)).
+
+    Clearing.  With t̃ = μ·t and m̃ monic and integral (`integral_modulus`),
+    F = d_f·f and G = d_g·g have integer t̃-coordinates for the least
+    common denominators d_f, d_g, so Res(F, G) = d_f^mg·d_g^mf·Res(f, g)
+    is a polynomial in x whose coefficients have integer t̃-coordinates.
+
+    Images.  For each prime p from `word_primes` that divides none of
+    d_f, d_g, μ and disc m̃, the values F(x0), G(x0) are reduced into
+    R_p = F_p[t̃]/(m̃ mod p) (just F_p over Q), Res(F(x0), G(x0)) is taken
+    there by Euclid (`_euclid`), and the values are interpolated in R_p
+    (the points differ by less than p, so Newton's divisions exist).  A
+    prime is discarded if, at some point, Euclid would divide by a leading
+    coefficient that is zero or a zero divisor in R_p.  (A zero leading
+    coefficient of a dividend is harmless: Euclid keeps the formal
+    degree.)  Only finitely many primes are discarded: K is a field (as
+    `conditions.conductor` assumes too), the points are fixed, and the
+    exact Euclid over K at each point has finitely many nonzero leading
+    coefficients c, each with an inverse c⁻¹.  Modulo every prime that
+    divides no denominator of the t̃-coordinates met in those exact runs
+    (remainders, the c and the c⁻¹), c·c⁻¹ = 1 still holds, so every c
+    stays a unit, the remainder sequence mod p is the image of the exact
+    one, and the prime is kept.
+
+    Prime count.  Let σ_1, …, σ_e be the embeddings t̃ ↦ θ̃_i, with
+    |θ̃_i| ≤ R = `root_radius(m̃)`.  On |x| = 1 a coefficient F_k(x) has
+    |σ_i(F_k(x))| ≤ F̂_k = Σ_(j,u) |F_(k,j,u)|·R^u (over Q, the 1-norm of
+    F_k).  Hadamard's inequality on the Sylvester matrix (mg rows of F,
+    mf rows of G) bounds |σ_i(Res(F, G))(x)| there by
+    B = ‖F̂‖₂^mg·‖Ĝ‖₂^mf, and Cauchy's coefficient estimate bounds the
+    conjugates of every x-coefficient by B too.  The t̃-coordinates of an
+    x-coefficient are integers, so the Vandermonde step of
+    `coordinate_bound` (shared with `roots._lifted_roots`) bounds them by
+    H = coordinate_bound(m̃, B), which is B over Q.  Once the product M
+    of the primes used exceeds 2H, the symmetric residues of the images
+    combined by CRT are those coordinates exactly; dividing by
+    d_f^mg·d_g^mf gives Res(f, g).  No rational reconstruction is needed,
+    and no stabilisation test: the count of primes is fixed by H.
+    """
+    mf, mg = len(f_table) - 1, len(g_table) - 1
     naive = mg * _max_x_degree(f_table) + mf * _max_x_degree(g_table)
-    df, dg = _total_degree(f_table), _total_degree(g_table)
-    weighted = df * mg + dg * mf - mf * mg
-    bound = max(0, min(naive, weighted))
-    points, values = [], []
+    weighted = (_total_degree(f_table) * mg + _total_degree(g_table) * mf
+                - mf * mg)
+    count = max(0, min(naive, weighted)) + 1
+    mt, mu = integral_modulus(field.modulus_coeffs)
+    e = len(mt) - 1
+    F, df = _cleared(f_table, mu, e)
+    G, dg = _cleared(g_table, mu, e)
+    powers = max(_max_x_degree(f_table), _max_x_degree(g_table)) + 1
+    points, at_f, at_g = [], [], []
     x0 = 0
-    while len(points) < bound + 1:
-        pt = Fraction(x0)
+    while len(points) < count:
+        xs = [x0 ** i for i in range(powers)]
+        # coordinate lists: af[u][k] is coordinate u of F_k(x0)
+        af = [[sum(map(mul, c[u], xs)) for c in F] for u in range(e)]
+        ag = [[sum(map(mul, c[u], xs)) for c in G] for u in range(e)]
+        if any(col[-1] for col in af) and any(col[-1] for col in ag):
+            points.append(x0)
+            at_f.append(af)
+            at_g.append(ag)
         x0 = -x0 if x0 > 0 else -x0 + 1  # 0, 1, -1, 2, -2, ...
-        A = [c(pt) for c in f_table]
-        B = [c(pt) for c in g_table]
-        if is_zero_scalar(A[-1]) or is_zero_scalar(B[-1]):
-            continue  # degree would drop; pick another sample
-        points.append(pt)
-        values.append(_scalar_resultant(A, B, field))
-    return _newton_interpolate(points, values, field)
+    R = root_radius(mt)
+    B = isqrt(_norm2(F, R) ** mg * _norm2(G, R) ** mf) + 1
+    H = coordinate_bound(mt, B)
+    unlucky = df * dg * mu * _discriminant(mt)
+    residues, modulus = None, 1
+    for p in word_primes():
+        if unlucky % p == 0:
+            continue
+        image = _image(at_f, at_g, points, ResidueRing(mt, p))
+        if image is None:
+            continue
+        residues = image if residues is None else \
+            crt(residues, modulus, image, p)
+        modulus *= p
+        if modulus > 2 * H:
+            break
+    half, scale = modulus // 2, df ** mg * dg ** mf
+    return Poly([field.from_coeffs(
+        [Fraction(((r + half) % modulus - half) * mu ** u, scale)
+         for u, r in enumerate(residues[j:j + e])])
+        for j in range(0, len(residues), e)], field)
+
+
+def _cleared(table, mu, e):
+    """(T, d): d the least common denominator of the t̃-coordinates of the
+    y-table, and T[k][u] the ints d·(t̃-coordinate u) of the x-coefficients
+    of its y^k coefficient."""
+    coords = [[coordinates(c) for c in poly.coeffs] for poly in table]
+    rows = [[[c[u] / mu ** u for c in row] for u in range(e)]
+            for row in coords]
+    d = lcm(*(a.denominator for row in rows for col in row for a in col))
+    return [[[a.numerator * (d // a.denominator) for a in col] for col in row]
+            for row in rows], d
+
+
+def _norm2(table, R):
+    """‖F̂‖₂² for the cleared table F (see `_resultant`)."""
+    return sum(sum(abs(a) * R ** u for u, col in enumerate(coeff)
+                   for a in col) ** 2 for coeff in table)
+
+
+def _discriminant(mt):
+    """|disc m̃| = |Res(m̃, m̃′)| for the monic m̃ (ascending ints)."""
+    if len(mt) == 2:
+        return 1
+    constants = [Poly.constant(Fraction(a)) for a in mt]
+    derivative = [Poly.constant(Fraction(k * a)) for k, a in enumerate(mt)]
+    return abs(int(_resultant(constants, derivative[1:], QQ).coeff(0)))
+
+
+def _image(at_f, at_g, points, ring):
+    """The coefficients of Res(F, G) mod p, t̃-coordinates flattened per
+    x-power, or None when the prime is discarded (see `_resultant`)."""
+    p, e = ring.p, ring.e
+    values = [[] for _ in range(e)]
+    for af, ag in zip(at_f, at_g):
+        r = _euclid([[a % p for a in col] for col in af],
+                    [[a % p for a in col] for col in ag], ring)
+        if r is None:
+            return None
+        for vals, a in zip(values, r):
+            vals.append(a)
+    span = max(points) - min(points)
+    inverse = {d: pow(d, -1, p) for d in range(-span, span + 1) if d}
+    coeffs = [_interpolate(points, vals, inverse, p) for vals in values]
+    return [a for column in zip(*coeffs) for a in column]
+
+
+def _euclid(A, B, ring):
+    """Res_y(A, B) in R_p, for the formal y-degrees, of y-polynomials as
+    coordinate lists (A[u][k]: coordinate u of the y^k coefficient,
+    reduced), or None when a divisor's leading coefficient is not a unit.
+    Each step makes the divisor monic: with l = lc(B),
+    Res(A, B) = (−1)^(dA·dB)·l^dA·Res(B/l, A mod B), which holds for a
+    formal degree dA as well, and then for the trimmed remainder."""
+    p = ring.p
+    acc, odd = (1,) + (0,) * (ring.e - 1), 0
+    while True:
+        dA, dB = len(A[0]) - 1, len(B[0]) - 1
+        if dA < dB:
+            A, B, dA, dB = B, A, dB, dA
+            odd ^= dA & dB & 1
+        lead = tuple(col[-1] for col in B)
+        acc = ring.mul(acc, ring.power(lead, dA))
+        if dB == 0:
+            return tuple(-a % p for a in acc) if odd else acc
+        inv = ring.inverse(lead)
+        if inv is None:
+            return None
+        shifted = [ring.scale(s, B) for s in ring.shifts(inv, ring.e)]
+        A, B = _remainder(A, shifted, p), shifted[0]
+        if not A[0]:
+            return (0,) * ring.e
+        odd ^= dA & dB & 1
+        A, B = B, A
+
+
+def _remainder(A, shifted, p):
+    """A mod B in R_p[y] for a monic B, as coordinate lists, trimmed;
+    shifted[u] is t̃^u·B."""
+    R = [list(col) for col in A]
+    n = len(shifted[0][0])
+    for k in range(len(R[0]) - n, -1, -1):
+        c = [col[k + n - 1] % p for col in R]
+        for cu, tb in zip(c, shifted):
+            if cu:
+                for col, b in zip(R, tb):
+                    col[k:k + n] = [a - cu * v
+                                    for a, v in zip(col[k:k + n], b)]
+    R = [[a % p for a in col[:n - 1]] for col in R]
+    while R[0] and not any(col[-1] for col in R):
+        for col in R:
+            col.pop()
+    return R
+
+
+def _interpolate(points, values, inverse, p):
+    """The coefficients mod p, ascending, of the polynomial of degree
+    < len(points) through the (point, value) pairs: Newton's divided
+    differences (`inverse` maps each point difference to its inverse mod
+    p), then the Newton form expanded."""
+    n = len(points)
+    coefs = list(values)
+    for j in range(1, n):
+        coefs[j:] = [(coefs[i] - coefs[i - 1])
+                     * inverse[points[i] - points[i - j]] % p
+                     for i in range(j, n)]
+    out = [coefs[-1]]
+    for i in range(n - 2, -1, -1):
+        x = points[i]
+        out = [(a - x * b) % p for a, b in zip([coefs[i]] + out, out + [0])]
+    return out
 
 
 def resultant_y(f, g):
@@ -220,7 +361,8 @@ def char_poly_multi(gens, symmetrize=False):
     for that degree (Chung & Yao 1977), so the samples there and the d_a
     span the same space of polynomials, and a gcd depends only on that
     span.  A zero weight may lower the y-degree of sum w_i P_i; P_1 is
-    monic in y, so that only flips the sign of the sample.  The samples
+    monic in y, so that only flips the sign of the sample.  Each sample is
+    one exact `resultant_y_tables` call (proof in `_resultant`), and they
     are taken cheapest first (see `_lattice_gcd`).  The running gcd stops
     once it is constant, and is zero when every sample is.
 
@@ -251,7 +393,8 @@ def _lattice_gcd(gens, least_degree):
     stopped once its degree is `least_degree`.
 
     Samples are taken by least y-degree, then least |w|, so the first is
-    Res_y(P_1, P_2).  The stop is exact when `least_degree` bounds the
+    Res_y(P_1, P_2); each is exact (see `_resultant`), so the gcd is
+    exact too.  The stop is exact when `least_degree` bounds the
     gcd from below: 0 always, and deg c for the SAGBI basis of an algebra
     with conductor c (see `spectrum.characteristic_polynomial`).
     """
@@ -306,7 +449,6 @@ def resultant_relation(p, q):
     if p.degree < 1 or q.degree < 1:
         raise ConstantInput("resultant_relation needs nonconstant inputs")
     m, n = p.degree, q.degree
-    from math import gcd
     if gcd(m, n) != 1:
         raise DegreesNotCoprime(f"degrees {m}, {n} are not coprime")
     field = common_field(p.field, q.field)

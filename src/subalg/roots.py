@@ -21,9 +21,10 @@ from math import ceil, lcm
 
 from .errors import NonConvergence, SubalgError, ZeroInput
 from .fields import QQ, is_zero_scalar
-from .modular import coordinates, is_prime
+from .modular import (coordinate_bound, coordinates, integral_modulus,
+                      is_prime, root_radius)
 from .poly import Poly, _as_float, squarefree_decompose
-from .resultants import _scalar_resultant
+from .resultants import _discriminant
 
 RESIDUAL_TOL = 1e-12
 MAX_ITERATIONS = 200
@@ -60,15 +61,11 @@ def _lifted_roots(f, field):
     integers A_u.
 
     Height.  Let θ̃_1, …, θ̃_e be the complex roots of m̃; by Cauchy's
-    bound |θ̃_i| ≤ R = 1 + max_(u<e) |m̃_u|.  The conjugate σ_i(α) is a
+    bound |θ̃_i| ≤ R = `root_radius(m̃)`.  The conjugate σ_i(α) is a
     root of f_i = f with t̃ ↦ θ̃_i, so |σ_i(α)| ≤ B = 1 + max_(j<n)
-    Σ_u |f_(j,u)|·R^u (Cauchy's bound on f_i).  Inverting the
-    Vandermonde matrix V = (θ̃_i^u), the coordinate a_u = A_u/Δ is
-    Σ_i [x^u] L_i(x)·σ_i(α)/m̃′(θ̃_i) with L_i = Π_(j≠i) (x − θ̃_j), whose
-    coefficients are at most (1 + R)^(e−1); and 1/|m̃′(θ̃_i)| =
-    Π_(j≠i) |m̃′(θ̃_j)| / |disc m̃| ≤ M′^(e−1)/|disc m̃| with
-    M′ = Σ_k k·|m̃_k|·R^(k−1).  So
-        |A_u| ≤ H = δ·e·B·(1 + R)^(e−1)·M′^(e−1),
+    Σ_u |f_(j,u)|·R^u (Cauchy's bound on f_i).  So, by the Vandermonde
+    step of `coordinate_bound`, the coordinates a_u = A_u/Δ satisfy
+        |A_u| = δ·|disc m̃|·|a_u| ≤ H = δ·coordinate_bound(m̃, B),
     which for e = 1 is δ times Cauchy's bound on f over Q.
 
     Lifting.  Take the least prime p that divides neither δ nor disc m̃,
@@ -89,21 +86,16 @@ def _lifted_roots(f, field):
     evaluation.
     """
     f = f.monic()
-    m = field.modulus_coeffs
-    e = len(m) - 1
-    mu = lcm(*(a.denominator for a in m))
-    mt = [int(a * mu ** (e - u)) for u, a in enumerate(m)]
+    mt, mu = integral_modulus(field.modulus_coeffs)
+    e = len(mt) - 1
     coords = [[Fraction(a) / mu ** u for u, a in enumerate(coordinates(c))]
               for c in f.coeffs]
     delta = lcm(*(a.denominator for cs in coords for a in cs))
-    disc = abs(int(_scalar_resultant(
-        [Fraction(a) for a in mt],
-        [Fraction(k * a) for k, a in enumerate(mt)][1:], QQ)))
-    R = 1 + max(abs(a) for a in mt[:-1])
-    M1 = sum(k * abs(a) * R ** (k - 1) for k, a in enumerate(mt))
+    disc = _discriminant(mt)
+    R = root_radius(mt)
     B = 1 + max(sum(abs(a) * R ** u for u, a in enumerate(cs))
                 for cs in coords[:-1])
-    H = ceil(delta * e * B * (1 + R) ** (e - 1) * M1 ** (e - 1))
+    H = ceil(delta * coordinate_bound(mt, B))
 
     p = 1
     while True:

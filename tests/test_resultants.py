@@ -1,18 +1,99 @@
 import random
 from fractions import Fraction as F
+from itertools import chain
 
 import pytest
 
+from subalg import resultants
 from subalg.errors import (ConstantInput, DegreesNotCoprime,
                            FewerThanTwoGenerators)
-from subalg.fields import NumberField, common_field, is_zero_scalar
+from subalg.fields import QQ, NumberField, common_field, is_zero_scalar
+from subalg.modular import word_primes
 from subalg.mpoly import MPoly
 from subalg.parsing import parse_poly as P
 from subalg.poly import Poly, poly_gcd
-from subalg.resultants import (_newton_interpolate, _scalar_resultant,
-                               char_poly_multi, char_poly_pair,
+from subalg.resultants import (_max_x_degree, _newton_interpolate,
+                               _total_degree, char_poly_multi, char_poly_pair,
                                divided_difference, resultant_relation,
                                resultant_y, resultant_y_tables)
+
+
+def _trim_list(a):
+    n = len(a)
+    while n and is_zero_scalar(a[n - 1]):
+        n -= 1
+    return a[:n]
+
+
+def reference_scalar_resultant(A, B, field):
+    """The exact Euclid that the modular images replaced: Res of two
+    univariate polynomials given as ascending scalar lists, by
+    Res(A,B) = (-1)^(dA dB) lc(B)^(dA-dR) Res(B, R),  R = A mod B."""
+    A, B = _trim_list(list(A)), _trim_list(list(B))
+    if not A or not B:
+        return field.zero
+    sign = 1
+    acc = field.one
+    while True:
+        dA, dB = len(A) - 1, len(B) - 1
+        if dA < dB:
+            A, B = B, A
+            if dA % 2 and dB % 2:
+                sign = -sign
+            continue
+        if dB == 0:
+            val = acc * B[0] ** dA
+            return val if sign > 0 else -val
+        R = list(A)
+        lead_inv = field.one / B[-1]
+        for k in range(dA - dB, -1, -1):
+            c = R[k + dB] * lead_inv
+            if not is_zero_scalar(c):
+                for i in range(dB + 1):
+                    R[k + i] = R[k + i] - c * B[i]
+        R = _trim_list(R[:dB])
+        if not R:
+            return field.zero
+        dR = len(R) - 1
+        acc = acc * B[-1] ** (dA - dR)
+        if dA % 2 and dB % 2:
+            sign = -sign
+        A, B = B, R
+
+
+def reference_resultant_y_tables(f_table, g_table):
+    """The `resultant_y_tables` that the modular images replaced: exact
+    evaluation, Euclid and Newton interpolation over the field."""
+    f_table, g_table = list(f_table), list(g_table)
+    while f_table and f_table[-1].is_zero():
+        f_table.pop()
+    while g_table and g_table[-1].is_zero():
+        g_table.pop()
+    field = QQ
+    for c in f_table + g_table:
+        field = common_field(field, c.field)
+    f_table = [c.coerce_to(field) for c in f_table]
+    g_table = [c.coerce_to(field) for c in g_table]
+    mf, mg = len(f_table) - 1, len(g_table) - 1
+    if mf == 0:
+        return (f_table[0] ** mg).coerce_to(field)
+    if mg == 0:
+        return g_table[0] ** mf
+    naive = mg * _max_x_degree(f_table) + mf * _max_x_degree(g_table)
+    df, dg = _total_degree(f_table), _total_degree(g_table)
+    bound = max(0, min(naive, df * mg + dg * mf - mf * mg))
+    points, values = [], []
+    x0 = 0
+    while len(points) < bound + 1:
+        pt = F(x0)
+        x0 = -x0 if x0 > 0 else -x0 + 1
+        A = [c(pt) for c in f_table]
+        B = [c(pt) for c in g_table]
+        if is_zero_scalar(A[-1]) or is_zero_scalar(B[-1]):
+            continue
+        points.append(pt)
+        values.append(reference_scalar_resultant(A, B, field))
+    return _newton_interpolate(points, values, field)
 
 
 def test_divided_difference_identity():
@@ -68,6 +149,145 @@ def test_char_poly_multi_symmetrize_divides():
     sym = char_poly_multi(gens, symmetrize=True)
     _, rem = divmod(plain, sym)
     assert rem.is_zero()
+
+
+def test_char_poly_multi_needs_the_top_lattice_layer():
+    # h = 2: the samples at w = 0 and w = 1 share the factor x, and only
+    # the top layer |w| = 2 removes it
+    p1, p2, p3 = P("x^3 - 3*x^2 + 2*x"), P("x^2 - x"), P("x^2 - 3*x")
+    below = poly_gcd(char_poly_pair(p1, p2), char_poly_pair(p1, p2 + p3))
+    assert below == P("x")
+    assert char_poly_multi([p1, p2, p3]) == P("1")
+
+
+def _random_table(rng, field, y_degree, x_degree, vanishing=False):
+    """A y-table of Polys in x with rational, non-monic coordinates; with
+    `vanishing`, the leading coefficient is zero at the sample points 0
+    and 1."""
+    def scalar():
+        coords = [F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5, 12)))
+                  for _ in range(field.degree)]
+        return field.from_coeffs(coords)
+
+    def poly(d):
+        return Poly([scalar() for _ in range(d + 1)], field)
+
+    table = [poly(rng.randint(-1, x_degree)) for _ in range(y_degree)]
+    lead = poly(rng.randint(0, 2))
+    while not lead:
+        lead = poly(rng.randint(0, 2))
+    if vanishing:
+        lead = lead * P("x^2 - x").coerce_to(field)
+    return table + [lead]
+
+
+def _with_common_factor(rng, field, f, g):
+    """f and g times the same y − h(x): their resultant is zero."""
+    h = _random_table(rng, field, 0, 2)[0]
+    y_minus_h = [-h, Poly.constant(field.one, field)]
+
+    def times(table):
+        out = [Poly.zero(field)] * (len(table) + 1)
+        for k, c in enumerate(table):
+            for j, d in enumerate(y_minus_h):
+                out[k + j] = out[k + j] + c * d
+        return out
+    return times(f), times(g)
+
+
+FIELDS = {"Q": QQ,
+          "sqrt2": NumberField([-2, 0, 1], label="t^2-2"),
+          "i": NumberField([1, 0, 1], label="t^2+1"),
+          "cbrt2": NumberField([-2, 0, 0, 1], label="t^3-2")}
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_resultant_y_tables_matches_the_fraction_path(name):
+    field = FIELDS[name]
+    rng = random.Random(name)
+    zeros = 0
+    for trial in range(24 if field is QQ else 10):
+        f = _random_table(rng, field, rng.randint(1, 4), 3,
+                          vanishing=trial % 3 == 0)
+        g = _random_table(rng, field, rng.randint(1, 4), 3,
+                          vanishing=trial % 4 == 1)
+        if trial % 5 == 2:
+            f, g = _with_common_factor(rng, field, f, g)
+        new, old = resultant_y_tables(f, g), reference_resultant_y_tables(f, g)
+        assert new == old and repr(new) == repr(old), (f, g)
+        zeros += not new
+    assert zeros >= 2
+
+
+def test_resultant_y_tables_matches_sympy():
+    # the determinant of sympy's Sylvester matrix, whose sign convention is
+    # this module's; `sympy.resultant` differs in sign for some degrees
+    sympy = pytest.importorskip("sympy")
+    sylvester = pytest.importorskip(
+        "sympy.polys.subresultants_qq_zz").sylvester
+    DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
+    x, y = sympy.symbols("x y")
+    ring = sympy.QQ[x]
+    rng = random.Random(11)
+
+    def to_sympy(table):
+        return sum(sympy.Rational(a.numerator, a.denominator)
+                   * x ** i * y ** k
+                   for k, c in enumerate(table) for i, a in enumerate(c.coeffs))
+
+    for _ in range(12):
+        f = _random_table(rng, QQ, rng.randint(1, 4), 3)
+        g = _random_table(rng, QQ, rng.randint(1, 4), 3)
+        matrix = sylvester(to_sympy(f), to_sympy(g), y, 1)
+        det = DomainMatrix.from_Matrix(matrix).convert_to(ring).det()
+        expected = sympy.Poly(ring.to_sympy(det), x).all_coeffs()[::-1]
+        assert resultant_y_tables(f, g) == \
+            Poly([F(int(a.p), int(a.q)) for a in expected]), (f, g)
+
+
+def _counted_primes(first=()):
+    """`word_primes`, preceded by `first`, recording what it yields."""
+    seen = []
+
+    def primes():
+        for p in chain(first, word_primes()):
+            seen.append(p)
+            yield p
+    return primes, seen
+
+
+def test_large_coefficients_take_several_primes(monkeypatch):
+    primes, seen = _counted_primes()
+    monkeypatch.setattr(resultants, "word_primes", primes)
+    rng = random.Random(300)
+    big = 2 ** 300
+    f = [Poly([F(rng.randint(-big, big), rng.randint(1, 9)) for _ in range(3)])
+         for _ in range(4)]
+    g = [Poly([F(rng.randint(-big, big)) for _ in range(2)]) for _ in range(3)]
+    new = resultant_y_tables(f, g)
+    assert len(seen) > 10
+    assert new == reference_resultant_y_tables(f, g)
+
+
+def test_an_unlucky_prime_is_discarded(monkeypatch):
+    # over Q: 1000003 divides the leading coefficient of the divisor g at
+    # every point
+    bad = 1000003
+    primes, seen = _counted_primes([bad])
+    monkeypatch.setattr(resultants, "word_primes", primes)
+    f = [P("x^2 + 3"), P("5*x - 1"), P("x^3 + 2")]
+    g = [P("x - 7"), Poly([F(bad), F(bad)])]
+    assert resultant_y_tables(f, g) == reference_resultant_y_tables(f, g)
+    assert seen == [bad, (1 << 61) - 1]
+    # over Q(i): 4² ≡ −1 (mod 17), so t − 4 is a zero divisor modulo 17
+    qi = NumberField([1, 0, 1], label="t^2+1")
+    primes, seen = _counted_primes([17])
+    monkeypatch.setattr(resultants, "word_primes", primes)
+    f = [P("x + t", field=qi), P("x^2 - 3", field=qi), P("2*x + 1", field=qi)]
+    g = [P("x^2 + 5*t", field=qi), P("t - 4", field=qi)]
+    assert resultant_y_tables(f, g) == reference_resultant_y_tables(f, g)
+    # (disc m̃ = 4 is one more resultant, taken modulo the first prime)
+    assert seen[-2:] == [17, (1 << 61) - 1]
 
 
 def test_resultant_relation_properties():
@@ -143,7 +363,7 @@ def reference_char_poly_multi(gens, symmetrize=False):
         for w, t in zip(weights, rest):
             for k, c in enumerate(t):
                 table[k] = table[k] + w * c
-        return resultant_y_tables(tables[0], table)
+        return reference_resultant_y_tables(tables[0], table)
 
     def interpolate(prefix, remaining):
         if remaining == 0:
@@ -215,7 +435,7 @@ def reference_resultant_relation(p, q):
     field = common_field(p.field, q.field)
     a_pts = [F(i) for i in range(n + 1)]
     b_pts = [F(j) for j in range(m + 1)]
-    grid = [[_scalar_resultant(
+    grid = [[reference_scalar_resultant(
         [p.coeff(0) - field.coerce(a)] + list(p.coeffs[1:]),
         [q.coeff(0) - field.coerce(b)] + list(q.coeffs[1:]), field)
         for b in b_pts] for a in a_pts]

@@ -4,13 +4,15 @@ from math import gcd as int_gcd
 
 import pytest
 
+from subalg import roots as roots_module
 from subalg.errors import FieldMismatch
-from subalg.fields import NumberField, is_zero_scalar
-from subalg.modular import is_prime
+from subalg.fields import QQ, NumberField, is_zero_scalar
+from subalg.modular import integral_modulus, is_prime
 from subalg.parsing import parse_poly as P
 from subalg.poly import Poly, squarefree_decompose
 from subalg.roots import (aberth_roots, field_roots, hybrid_roots,
                           rational_roots, split_roots)
+from test_resultants import reference_scalar_resultant
 
 
 def test_rational_roots_with_multiplicity():
@@ -223,6 +225,25 @@ def _fields():
         "phi8": NumberField([1, 0, 0, 0, 1], label="t^4+1"),
         "half": NumberField([F(-1, 2), 0, 1], label="t^2-1/2"),
     }
+
+
+def test_lifted_roots_take_the_discriminant_of_the_exact_euclid(monkeypatch):
+    seen = []
+    real = roots_module._discriminant
+
+    def spy(mt):
+        seen.append((tuple(mt), real(mt)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(roots_module, "_discriminant", spy)
+    fields = [QQ, *_fields().values()]
+    for nf in fields:
+        split_roots(P("x^2 - 2", field=nf))
+    assert {mt for mt, _ in seen} == \
+        {tuple(integral_modulus(nf.modulus_coeffs)[0]) for nf in fields}
+    for mt, disc in seen:
+        assert disc == abs(reference_scalar_resultant(
+            [F(a) for a in mt], [F(k * a) for k, a in enumerate(mt)][1:], QQ))
 
 
 def _random_element(rng, nf):
