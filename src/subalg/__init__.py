@@ -24,7 +24,7 @@ from .poly import Poly, format_poly, poly_gcd, squarefree_decompose
 from .resultants import (char_poly_multi, char_poly_pair,
                          divided_difference, resultant_relation,
                          resultant_y)
-from .roots import aberth_roots, field_roots, hybrid_roots, rational_roots
+from .roots import aberth_roots, field_roots, rational_roots
 from .sagbi import SagbiBasis, membership, sagbi_complete, subduce
 from .semigroup import (DegreeSemigroup, NOT_MEMBER,
                         genus3_type_enumeration)
@@ -46,7 +46,7 @@ __all__ = [
     "conditions_from_subalgebra", "conjecture_dim_check", "construct_case",
     "deg2_description", "deg2_from_description", "derivation_space",
     "divided_difference", "field_roots", "format_poly",
-    "genus3_type_enumeration", "hybrid_roots", "integral_derivation",
+    "genus3_type_enumeration", "integral_derivation",
     "intersect_and_join", "is_subalgebra_condition_set", "k_alpha",
     "kernel_subalgebra", "ln_coefficients", "membership",
     "oracle_codimension", "oracle_member", "oracle_multi_char_roots",

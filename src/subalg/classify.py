@@ -268,7 +268,6 @@ def _exact_clusters(A):
             raise InexactSpectrum(
                 "classification requires an exact spectrum")
         clusters.append([pt.value for pt in cluster.members])
-    clusters.sort(key=lambda values: -len(values))
     return clusters
 
 

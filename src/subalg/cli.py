@@ -94,8 +94,7 @@ def cmd_spectrum(args):
     field = _field_from_arg(args.field)
     A = _algebra(args, field)
     mode = "exact" if args.exact else "hybrid"
-    points = A.spectrum(mode=mode, tol=args.tol,
-                        nf=field if field is not QQ else None)
+    points = A.spectrum(mode=mode, nf=field if field is not QQ else None)
     lines = [f"{len(points)} spectrum point(s)"]
     for value, kind, mult, partner in _spectrum_rows(points):
         extra = f"  paired with {partner}" if partner else ""
@@ -298,8 +297,6 @@ def build_parser():
     p.add_argument("generators", nargs="+")
     p.add_argument("--exact", action="store_true",
                    help="require exact spectrum points")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="numeric tolerance (default 1e-8)")
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 

@@ -266,8 +266,6 @@ class Subalgebra:
         if self._generators is None and _sagbi is None:
             raise SubalgError("subalgebra needs generators or a SAGBI basis")
         self._spectrum = None
-        self._spectrum_tol = None
-        self._clusters = None
         self._char_poly = None
         self._conductor = None
 
@@ -333,33 +331,26 @@ class Subalgebra:
             self._char_poly = characteristic_polynomial(self)
         return self._char_poly
 
-    def spectrum(self, mode="hybrid", nf=None, tol=1e-8):
+    def spectrum(self, mode="hybrid", nf=None):
         """The spectrum (see `compute_spectrum`), cached.
 
-        "numeric" results are never cached.  The cached spectrum is reused
-        only at the tol it was computed with: by "hybrid" without nf, and
-        otherwise only when every point is exact; else the spectrum is
-        computed afresh and replaces it.
+        The cached spectrum is reused by "hybrid" without nf, and otherwise
+        only when every point is exact; else the spectrum is computed
+        afresh and replaces it.  An unknown mode is never served from the
+        cache: `compute_spectrum` rejects it.
         """
-        from .spectrum import compute_spectrum
-        if mode == "numeric":
-            return compute_spectrum(self, mode=mode, nf=nf, tol=tol)
+        from .spectrum import MODES, compute_spectrum
         cached = self._spectrum
-        if cached is None or tol != self._spectrum_tol or not (
+        if cached is None or mode not in MODES or not (
                 (mode == "hybrid" and nf is None) or
                 all(p.exact for p in cached)):
-            self._spectrum = compute_spectrum(self, mode=mode, nf=nf,
-                                              tol=tol)
-            self._spectrum_tol = tol
-            self._clusters = None
+            self._spectrum = compute_spectrum(self, mode=mode, nf=nf)
         return self._spectrum
 
     def clusters(self):
         """The clusters of the cached (or a new hybrid) spectrum."""
-        if self._clusters is None:
-            from .spectrum import compute_clusters
-            self._clusters = compute_clusters(self, self._spectrum)
-        return self._clusters
+        from .spectrum import compute_clusters
+        return compute_clusters(self, self._spectrum)
 
     def contains(self, f):
         rem, _ = subduce(f, self.sagbi_basis())

@@ -24,7 +24,7 @@ from .fields import common_field, field_of, is_zero_scalar
 from .linalg import extend_echelon, nullspace, rref
 from .poly import Poly
 from .sagbi import subduce
-from .spectrum import compute_clusters, compute_spectrum
+from .spectrum import compute_spectrum
 
 
 class NotIntegral:
@@ -119,29 +119,28 @@ def k_alpha(A, alpha):
 def _cluster_points(A, alpha, field):
     """The cluster of α, α first; [α] when α is off the spectrum.
 
-    `field` contains α and the field of A.  The cluster comes from the
+    `field` contains α and the field of A.  The cluster is read off the
     spectrum over `field`, so a point of an extension field is matched
-    exactly.  α on the spectrum but in no exact cluster raises SubalgError,
+    exactly.  α on the spectrum but at no exact point raises SubalgError,
     and a cluster of α with a numeric member raises SpectrumNotExact: a
     partial cluster would give a wrong derivation space.
     """
     A = Subalgebra.of(A)
     if not is_zero_scalar(A.conductor()(alpha)):
         return [alpha]
-    if field is A.field:
-        clusters = A.clusters()
-    else:
-        clusters = compute_clusters(A, compute_spectrum(A, nf=field))
-    for cluster in clusters:
-        values = [field.coerce(p.value) for p in cluster.members if p.exact]
-        if alpha not in values:
-            continue
-        if len(values) < len(cluster):
-            raise SpectrumNotExact(
-                f"the cluster of {alpha!r} has points outside {field!r}")
-        return [alpha] + [v for v in values if v != alpha]
-    raise SubalgError(
-        f"spectrum point {alpha!r} lies in no exact cluster")
+    spectrum = A.spectrum() if field is A.field else \
+        compute_spectrum(A, nf=field)
+    point = next((p for p in spectrum
+                  if p.exact and field.coerce(p.value) == alpha), None)
+    if point is None:
+        raise SubalgError(
+            f"spectrum point {alpha!r} lies in no exact cluster")
+    members = point.cluster.members
+    values = [field.coerce(p.value) for p in members if p.exact]
+    if len(values) < len(members):
+        raise SpectrumNotExact(
+            f"the cluster of {alpha!r} has points outside {field!r}")
+    return [alpha] + [v for v in values if v != alpha]
 
 
 def derivation_space(A, alpha):

@@ -147,14 +147,17 @@ def _resultant(f_table, g_table, field):
     prime is discarded if, at some point, Euclid would divide by a leading
     coefficient that is zero or a zero divisor in R_p.  (A zero leading
     coefficient of a dividend is harmless: Euclid keeps the formal
-    degree.)  Only finitely many primes are discarded: K is a field (as
-    `conditions.conductor` assumes too), the points are fixed, and the
-    exact Euclid over K at each point has finitely many nonzero leading
-    coefficients c, each with an inverse c⁻¹.  Modulo every prime that
-    divides no denominator of the t̃-coordinates met in those exact runs
-    (remainders, the c and the c⁻¹), c·c⁻¹ = 1 still holds, so every c
-    stays a unit, the remainder sequence mod p is the image of the exact
-    one, and the prime is kept.
+    degree.)  At the first discard that a point causes, Euclid runs once
+    exactly over K at that point (`_exact_euclid`); K = Q[t]/(m) may have
+    zero divisors, and `FieldElem.inverse` raises NonInvertible at a
+    leading coefficient that is one.  If the exact run completes, each of
+    its finitely many leading coefficients c has an inverse c⁻¹ in K.
+    Modulo every prime that divides no denominator of the t̃-coordinates
+    met in that run (remainders, the c and the c⁻¹), c·c⁻¹ = 1 still
+    holds, so every c stays a unit, the remainder sequence mod p is the
+    image of the exact one, and the point causes no discard.  So each
+    point causes only finitely many discards, there are finitely many
+    points, and the loop ends.
 
     Prime count.  Let σ_1, …, σ_e be the embeddings t̃ ↦ θ̃_i, with
     |θ̃_i| ≤ R = `root_radius(m̃)`.  On |x| = 1 a coefficient F_k(x) has
@@ -197,12 +200,15 @@ def _resultant(f_table, g_table, field):
     B = isqrt(_norm2(F, R) ** mg * _norm2(G, R) ** mf) + 1
     H = coordinate_bound(mt, B)
     unlucky = df * dg * mu * _discriminant(mt)
-    residues, modulus = None, 1
+    residues, modulus, checked = None, 1, set()
     for p in word_primes():
         if unlucky % p == 0:
             continue
         image = _image(at_f, at_g, points, ResidueRing(mt, p))
-        if image is None:
+        if isinstance(image, int):
+            if image not in checked:
+                checked.add(image)
+                _exact_euclid(f_table, g_table, points[image], field)
             continue
         residues = image if residues is None else \
             crt(residues, modulus, image, p)
@@ -245,20 +251,32 @@ def _discriminant(mt):
 
 def _image(at_f, at_g, points, ring):
     """The coefficients of Res(F, G) mod p, t̃-coordinates flattened per
-    x-power, or None when the prime is discarded (see `_resultant`)."""
+    x-power, or, when the prime is discarded (see `_resultant`), the index
+    of the point where Euclid met a leading coefficient that is no
+    unit."""
     p, e = ring.p, ring.e
     values = [[] for _ in range(e)]
-    for af, ag in zip(at_f, at_g):
+    for i, (af, ag) in enumerate(zip(at_f, at_g)):
         r = _euclid([[a % p for a in col] for col in af],
                     [[a % p for a in col] for col in ag], ring)
         if r is None:
-            return None
+            return i
         for vals, a in zip(values, r):
             vals.append(a)
     span = max(points) - min(points)
     inverse = {d: pow(d, -1, p) for d in range(-span, span + 1) if d}
     coeffs = [_interpolate(points, vals, inverse, p) for vals in values]
     return [a for column in zip(*coeffs) for a in column]
+
+
+def _exact_euclid(f_table, g_table, x0, field):
+    """Euclid on f(x0), g(x0) over K with `Poly` division, which inverts
+    the leading coefficients that `_euclid` inverts; raises NonInvertible
+    at one that is a zero divisor of K."""
+    a, b = sorted((Poly([c(x0) for c in table], field)
+                   for table in (f_table, g_table)), key=lambda q: -q.degree)
+    while b.degree > 0:
+        a, b = b, a % b
 
 
 def _euclid(A, B, ring):

@@ -14,12 +14,11 @@ here because root finding is its main consumer.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import product
 from math import ceil, lcm
 
-from .errors import NonConvergence, SubalgError, ZeroInput
+from .errors import NonConvergence, SubalgError
 from .fields import QQ, is_zero_scalar
 from .modular import (coordinate_bound, coordinates, integral_modulus,
                       is_prime, root_radius)
@@ -28,15 +27,6 @@ from .resultants import _discriminant
 
 RESIDUAL_TOL = 1e-12
 MAX_ITERATIONS = 200
-
-
-@dataclass
-class RootSet:
-    """Roots of a polynomial, exact where possible."""
-
-    source: Poly
-    exact_roots: list = dc_field(default_factory=list)     # (value, mult)
-    numeric_roots: list = dc_field(default_factory=list)   # (complex, mult, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +206,17 @@ def split_roots(p, nf=None):
 # ---------------------------------------------------------------------------
 
 
-def aberth_roots(p, tol=RESIDUAL_TOL, max_iter=MAX_ITERATIONS):
+def aberth_roots(p):
     """All complex roots of a square-free polynomial, double precision.
 
-    Returns (roots, residual_bound).  Residuals are backward-error scaled:
-    |p(z)| <= tol * sum |c_i| |z|^i.
+    Returns (roots, residual_bound).  Each root is corrected until its
+    backward-error scaled residual |p(z)| <= RESIDUAL_TOL·Σ|c_i|·|z|^i,
+    within MAX_ITERATIONS sweeps (else NonConvergence), and then once
+    more.  The roots start on the circle of Fujiwara's bound
+    2·max_k |c_k/c_n|^(1/(n−k)) (with |c_0| for |c_0/2|), which contains
+    every root; a start on Cauchy's radius 1 + max|c_k/c_n| lies so far
+    out for large coefficients that the iterates shrink towards the roots
+    by only about a factor 1 − 1/n per sweep.
     """
     coeffs = [complex(_as_float(c)) for c in p.coeffs]
     lead = coeffs[-1]
@@ -230,7 +226,8 @@ def aberth_roots(p, tol=RESIDUAL_TOL, max_iter=MAX_ITERATIONS):
         return [], 0.0
     if n == 1:
         return [-coeffs[0]], 0.0
-    radius = 1.0 + max(abs(c) for c in coeffs[:-1])
+    radius = 2 * max(abs(c) ** (1 / (n - k))
+                     for k, c in enumerate(coeffs[:-1])) or 1.0
     roots = [radius * cmath.exp(2j * cmath.pi * (k / n) + 0.4j)
              for k in range(n)]
     deriv = [i * c for i, c in enumerate(coeffs)][1:]
@@ -248,45 +245,35 @@ def aberth_roots(p, tol=RESIDUAL_TOL, max_iter=MAX_ITERATIONS):
             power *= az
         return acc
 
-    for _ in range(max_iter):
+    def corrected(k, pz):
+        """Root k after one Aberth step, or None where the step is
+        undefined."""
+        z = roots[k]
+        dz = horner(deriv, z)
+        if dz == 0:
+            return None
+        w = pz / dz
+        denom = 1.0 - w * sum(1.0 / (z - roots[j]) for j in range(n) if j != k)
+        return None if denom == 0 else z - w / denom
+
+    for _ in range(MAX_ITERATIONS):
         converged = True
         for k in range(n):
             z = roots[k]
             pz = horner(coeffs, z)
-            if abs(pz) <= tol * scale_at(z):
+            if abs(pz) <= RESIDUAL_TOL * scale_at(z):
                 continue
             converged = False
-            dz = horner(deriv, z)
-            if dz == 0:
-                roots[k] = z + 1e-6 * (1 + abs(z))
-                continue
-            w = pz / dz
-            s = sum(1.0 / (z - roots[j]) for j in range(n) if j != k)
-            denom = 1.0 - w * s
-            if denom == 0:
-                roots[k] = z + 1e-6 * (1 + abs(z))
-                continue
-            roots[k] = z - w / denom
+            new = corrected(k, pz)
+            roots[k] = z + 1e-6 * (1 + abs(z)) if new is None else new
         if converged:
             break
     else:
         raise NonConvergence(
-            f"Aberth iteration did not converge in {max_iter} steps")
+            f"Aberth iteration did not converge in {MAX_ITERATIONS} steps")
+    for k in range(n):
+        new = corrected(k, horner(coeffs, roots[k]))
+        if new is not None:
+            roots[k] = new
     residual = max(abs(horner(coeffs, z)) for z in roots)
     return roots, residual
-
-
-def hybrid_roots(p, nf=None, tol=RESIDUAL_TOL):
-    """Exact roots where possible (`split_roots`), numeric for the rest.
-
-    Returns a RootSet whose exact and numeric parts together account for
-    every root of p (multiplicity-correct).
-    """
-    if p.degree < 1:
-        raise ZeroInput("hybrid_roots needs a nonconstant polynomial")
-    exact, leftover = split_roots(p, nf)
-    rs = RootSet(source=p, exact_roots=exact)
-    for rest, mult in leftover:
-        roots, residual = aberth_roots(rest, tol=tol)
-        rs.numeric_roots.extend((z, mult, residual) for z in roots)
-    return rs

@@ -17,23 +17,26 @@ from .conditions import Subalgebra, conditions_from_subalgebra
 from .errors import (BoundViolated, NoDegreeTwoElement, SpectrumNotExact,
                      SubalgError, UnpairedRoot)
 from .fields import format_scalar, is_zero_scalar, scalar_to_json
-from .poly import Poly, poly_gcd, squarefree_decompose
+from .poly import Poly, _as_float, poly_gcd, squarefree_decompose
 from .resultants import _lattice_gcd
-from .roots import RESIDUAL_TOL, aberth_roots, split_roots
+from .roots import aberth_roots, split_roots
 
 PAIR_TOL = 1e-8
+MODES = ("exact", "hybrid")
 
 
 @dataclass
 class SpectrumPoint:
-    """One point of the spectrum of `algebra`, with its classification."""
+    """One point of the spectrum of `algebra`, with its classification
+    (set by `_classify`)."""
 
     value: object                  # exact scalar or complex
-    kind: str                      # "derivative" or "paired"
+    kind: str = None               # "derivative" or "paired"
     partner: object = None         # paired partner's value
     exact: bool = True
     algebra: object = dc_field(default=None, repr=False, compare=False)
     factor: object = dc_field(default=None, repr=False, compare=False)
+    cluster: object = dc_field(default=None, repr=False, compare=False)
 
     @cached_property
     def multiplicity(self):
@@ -73,7 +76,6 @@ class Cluster:
     """An equivalence class of spectrum points under value-agreement."""
 
     members: list
-    witnesses: dict = dc_field(default_factory=dict)
 
     def __len__(self):
         return len(self.members)
@@ -97,8 +99,8 @@ def characteristic_polynomial(A):
     return _lattice_gcd(basis.elements, A.conductor().degree)
 
 
-def compute_spectrum(A, mode="hybrid", nf=None, tol=PAIR_TOL):
-    """The spectrum of A as classified SpectrumPoints.
+def compute_spectrum(A, mode="hybrid", nf=None):
+    """The spectrum of A as classified SpectrumPoints (see `_classify`).
 
     The points are the zeros of the conductor c of A.  The exact ones come
     from `split_roots` of c over nf (default: the field of A), so they are
@@ -106,12 +108,15 @@ def compute_spectrum(A, mode="hybrid", nf=None, tol=PAIR_TOL):
     then the others as `split_roots` orders them; the modes differ in what
     happens to the unsplit rest.
     mode = "exact": any unsplit rest raises SpectrumNotExact;
-    mode = "numeric": every point as a complex double-precision root;
-    mode = "hybrid" (default): exact where possible, numeric otherwise.
-    Multiplicities are read from χ only when asked for.
+    mode = "hybrid" (default): its roots follow as complex
+    double-precision points.
+    Any other mode raises SubalgError.  Multiplicities are read from χ
+    only when asked for.
     """
+    if mode not in MODES:
+        raise SubalgError(
+            f"unknown spectrum mode {mode!r}: use 'exact' or 'hybrid'")
     A = Subalgebra.of(A)
-    basis = A.sagbi_basis()
     c = A.conductor()
     if c.degree < 1:
         return []
@@ -120,20 +125,11 @@ def compute_spectrum(A, mode="hybrid", nf=None, tol=PAIR_TOL):
         raise SpectrumNotExact(
             f"irreducible factor of degree {leftover[0][0].degree} has "
             "no root in the supplied field")
-    exact = [v for v, _ in exact]
-    numeric = [(z, rest) for rest, _ in leftover
-               for z in aberth_roots(rest, tol=RESIDUAL_TOL)[0]]
-    if mode == "numeric":
-        numeric = [(complex(_embed(v)), Poly.from_roots([v])) for v in exact] \
-            + numeric
-        exact = []
-
-    all_vals = [(v, True) for v in exact] + [(v, False) for v, _ in numeric]
-    return [SpectrumPoint(v, *_classify(basis, v, True, all_vals, tol),
-                          algebra=A) for v in exact] + \
-        [SpectrumPoint(z, *_classify(basis, z, False, all_vals, tol),
-                       exact=False, algebra=A, factor=rest)
-         for z, rest in numeric]
+    points = [SpectrumPoint(v, algebra=A) for v, _ in exact] + \
+        [SpectrumPoint(z, exact=False, algebra=A, factor=rest)
+         for rest, _ in leftover for z in aberth_roots(rest)[0]]
+    _classify(A.sagbi_basis().elements, points)
+    return points
 
 
 def _rational(value):
@@ -145,106 +141,111 @@ def _rational(value):
     return value.to_rational()
 
 
-def _embed(value):
-    r = _rational(value)
-    if r is None:
-        raise SpectrumNotExact("cannot embed a number-field point "
-                               "numerically without an embedding")
-    return float(r)
+def _classify(elements, points):
+    """Set the kind, partner and cluster of every point, from one table
+    of agreement between the points.
 
+    Two points agree when every element takes one value at both: exactly
+    when both points are exact, and otherwise when |e(a) − e(b)| <
+    PAIR_TOL·max(`_scale`(e, a), `_scale`(e, b)) for every element e, so
+    the table is symmetric.  Some pairs with a numeric point cannot be
+    compared: a number-field point with no rational value has no complex
+    embedding, and no element with a non-rational coefficient can be
+    evaluated at a complex point.  Each element is evaluated once per
+    point, and at complex points only when there is a numeric point and
+    every element is over Q.
 
-def _classify(basis, value, exact, all_vals, tol):
-    """(kind, partner) of a root of c.  A partner of the same exactness is
-    preferred; an exact point and a numeric one are compared through
-    `_embed`.  A point left without a partner after a comparison that a
-    number-field point without an embedding prevented raises
-    SpectrumNotExact."""
-    elements = basis.elements
-    if exact:
-        deriv = all(is_zero_scalar(e.derivative()(value)) for e in elements)
-    else:
-        deriv = all(abs(e.derivative()(value)) < tol for e in elements)
-    if deriv:
-        return "derivative", None
-    unembedded = False
-    for other, other_exact in sorted(all_vals, key=lambda v: v[1] != exact):
-        if other_exact == exact and \
-                (other == value if exact else abs(other - value) < tol):
-            continue                # the point itself
-        if other_exact != exact and \
-                _rational(value if exact else other) is None:
-            unembedded = True
+    A point is derivative-kind when every e′ vanishes there (below
+    PAIR_TOL at a numeric point).  Otherwise its partner is the first
+    point that agrees with it, those of its own exactness searched first;
+    a point without one raises SpectrumNotExact when some comparison was
+    not possible, else UnpairedRoot.  The clusters are the classes of
+    agreement, their members in point order.
+    """
+    numeric = any(not p.exact for p in points) and \
+        all(e.to_rational() is not None for e in elements)
+    derivatives = [e.derivative() for e in elements]
+    exact_values, complex_values, deriv = [], [], []
+    for p in points:
+        if p.exact:
+            exact_values.append([e(p.value) for e in elements])
+            deriv.append(all(is_zero_scalar(d(p.value)) for d in derivatives))
+            z = _rational(p.value) if numeric else None
+        else:
+            exact_values.append(None)
+            deriv.append(numeric and all(abs(d(p.value)) < PAIR_TOL
+                                         for d in derivatives))
+            z = p.value if numeric else None
+        complex_values.append(None if z is None else
+                              [(e(complex(z)), _scale(e, complex(z)))
+                               for e in elements])
+
+    def agree(i, j):
+        if exact_values[i] is not None and exact_values[j] is not None:
+            return exact_values[i] == exact_values[j]
+        if complex_values[i] is None or complex_values[j] is None:
+            return None                 # not comparable
+        return all(abs(u - v) < PAIR_TOL * max(su, sv) for (u, su), (v, sv)
+                   in zip(complex_values[i], complex_values[j]))
+
+    n = len(points)
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            table[i][j] = table[j][i] = agree(i, j)
+
+    for i, p in enumerate(points):
+        if deriv[i]:
+            p.kind = "derivative"
             continue
-        if _agree(elements, value, other, tol):
-            return "paired", other
-    if unembedded:
-        raise SpectrumNotExact(
-            f"characteristic root {value!r} has no partner that can be "
-            "compared without a complex embedding of the number field")
-    raise UnpairedRoot(
-        f"characteristic root {value!r} is neither derivative-kind nor "
-        "pairable")
+        others = sorted((j for j in range(n) if j != i),
+                        key=lambda j: points[j].exact != p.exact)
+        j = next((j for j in others if table[i][j]), None)
+        if j is not None:
+            p.kind, p.partner = "paired", points[j].value
+        elif any(table[i][j] is None for j in others):
+            raise SpectrumNotExact(
+                f"characteristic root {p.value!r} has no partner that can "
+                "be compared without a complex embedding of the number "
+                "field")
+        else:
+            raise UnpairedRoot(
+                f"characteristic root {p.value!r} is neither "
+                "derivative-kind nor pairable")
 
-
-def _agree(elements, a, b, tol):
-    """Do all elements take one value at the spectrum points a and b?
-    Exactly when both are exact, else numerically.  A number-field point
-    with no rational value has no embedding to compare by, so it agrees
-    with no numeric point."""
-    if not isinstance(a, complex) and not isinstance(b, complex):
-        return all(e(a) == e(b) for e in elements)
-    a, b = (v if isinstance(v, complex) else _rational(v) for v in (a, b))
-    if a is None or b is None:
-        return False
-    a, b = complex(a), complex(b)
-    return all(abs(e(a) - e(b)) < tol * _scale(e, a) for e in elements)
+    groups, component = {}, [None] * n
+    for i in range(n):
+        if component[i] is None:
+            component[i], stack = i, [i]
+            while stack:
+                k = stack.pop()
+                for j in range(n):
+                    if table[k][j] and component[j] is None:
+                        component[j] = i
+                        stack.append(j)
+        groups.setdefault(component[i], []).append(points[i])
+    for members in groups.values():
+        cluster = Cluster(members)
+        for p in members:
+            p.cluster = cluster
 
 
 def _scale(e, z):
+    """1 + Σ |e_k|·|z|^k for e over Q: the size of the terms of e(z)."""
     az, acc, power = abs(z), 1.0, 1.0
     for c in e.coeffs:
-        try:
-            acc += abs(complex(_embed(c))) * power
-        except SpectrumNotExact:
-            acc += power
+        acc += abs(_as_float(c)) * power
         power *= az
     return acc
 
 
-def compute_clusters(A, spectrum=None, tol=PAIR_TOL):
-    """Partition of the spectrum: α ∼ β iff all basis elements agree."""
-    A = Subalgebra.of(A)
-    basis = A.sagbi_basis()
+def compute_clusters(A, spectrum=None):
+    """The clusters of the spectrum (default: A's cached or hybrid one),
+    as `_classify` set them: largest first, then in point order."""
     if spectrum is None:
-        spectrum = A.spectrum()
-    n = len(spectrum)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    witnesses = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            same = _agree(basis.elements, spectrum[i].value,
-                          spectrum[j].value, tol)
-            witnesses[(i, j)] = same
-            if same:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    clusters = []
-    for idxs in groups.values():
-        members = [spectrum[i] for i in idxs]
-        w = {(i, j): witnesses[(min(i, j), max(i, j))]
-             for i in idxs for j in idxs if i < j}
-        clusters.append(Cluster(members=members, witnesses=w))
-    clusters.sort(key=lambda c: -len(c.members))
-    return clusters
+        spectrum = Subalgebra.of(A).spectrum()
+    clusters = {id(p.cluster): p.cluster for p in spectrum}
+    return sorted(clusters.values(), key=len, reverse=True)
 
 
 def spectrum_size_check(A, spectrum=None):

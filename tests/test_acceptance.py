@@ -18,7 +18,7 @@ from subalg.conditions import (LinearFunctional, Subalgebra,
 from subalg.derivations import conjecture_dim_check, ln_coefficients
 from subalg.errors import ConditionVanishesOnB, ParameterDegeneracy
 from subalg.classify import classify, construct_case, type_of
-from subalg.fields import NumberField
+from subalg.fields import QQ, NumberField
 from subalg.oracle import (oracle_codimension, oracle_member,
                            oracle_multi_char_roots)
 from subalg.parsing import parse_poly
@@ -60,13 +60,6 @@ def _coprime_degree_pairs(max_degree):
 
 def _close(z, w, tol=1e-8):
     return abs(complex(z) - complex(w)) <= tol
-
-
-def _embed(value):
-    if hasattr(value, "to_rational"):
-        value = value.to_rational()
-    return complex(float(value.real), float(value.imag)) \
-        if isinstance(value, complex) else complex(float(value))
 
 
 # ---------------------------------------------------------------------------
@@ -223,29 +216,27 @@ def test_criterion_05_codimension_formula():
 
 
 def test_criterion_06_spectrum_size_bound():
-    count = 0
+    # the first 50 rational draws and every number-field draw
+    count = fields = 0
     for label, params, _ in padded_draws():
-        if count >= 50:
-            break
-        if any(hasattr(v, "field") for v in params.values()):
+        number_field = any(hasattr(v, "field") for v in params.values())
+        if count >= 50 and not number_field:
             continue
         A = construct_case(label, params)
         n = A.codimension()
         assert n <= 3
-        points = compute_spectrum(A, mode="numeric", tol=1e-8)
+        points = compute_spectrum(A)
         assert len(points) <= 2 * n, (label, params, len(points))
-        count += 1
-    assert count == 50
+        fields += number_field
+        count += not number_field
+    assert count == 50 and fields
 
 
 def test_criterion_07_no_ghost_points():
     rng = random.Random(7)
-    # numeric spectra need a complex embedding, which a number-field point
-    # lacks (as in criterion 6)
     bases = [(label, params) for label, params, _ in padded_draws()
-             if not label.startswith("codim3")
-             and not any(hasattr(v, "field") for v in params.values())]
-    done = 0
+             if not label.startswith("codim3")]
+    done = fields = 0
     attempts = 0
     while done < 30 and attempts < 300:
         attempts += 1
@@ -263,14 +254,17 @@ def test_criterion_07_no_ghost_points():
             extended = sagbi_extend(B.sagbi_basis(), L)
         except ConditionVanishesOnB:
             continue
-        allowed = [_embed(pt.value)
-                   for pt in compute_spectrum(B, mode="numeric", tol=1e-8)]
-        allowed += [_embed(v) for v in L.points()]
-        for pt in compute_spectrum(extended, mode="numeric", tol=1e-8):
-            z = _embed(pt.value)
-            assert any(_close(z, w) for w in allowed), (label, params, z)
+        # exact points compare exactly, numeric ones within 1e-8
+        allowed = [pt.value for pt in compute_spectrum(B)] + L.points()
+        for pt in compute_spectrum(extended):
+            if pt.exact:
+                assert pt.value in allowed, (label, params, pt.value)
+            else:
+                assert any(_close(pt.value, w) for w in allowed
+                           if isinstance(w, complex)), (label, params, pt)
         done += 1
-    assert done == 30
+        fields += B.field is not QQ
+    assert done == 30 and fields
 
 
 def test_criterion_08_derivation_dimension_conjecture():

@@ -90,6 +90,13 @@ def test_kernel_rejects_bound_flag(tmp_path, capsys):
     assert "unrecognized arguments: --bound" in capsys.readouterr().err
 
 
+def test_spectrum_rejects_tol_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "x^2", "x^3", "--tol", "1e-8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "charpoly", "x +", "x^2")
     assert code == 2 and "parse error" in err

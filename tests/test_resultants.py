@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import chain
+from pathlib import Path
 
 import pytest
 
@@ -288,6 +292,28 @@ def test_an_unlucky_prime_is_discarded(monkeypatch):
     assert resultant_y_tables(f, g) == reference_resultant_y_tables(f, g)
     # (disc m̃ = 4 is one more resultant, taken modulo the first prime)
     assert seen[-2:] == [17, (1 << 61) - 1]
+
+
+def test_a_zero_divisor_leading_coefficient_is_an_error():
+    # over Q[t]/(t^2 - 1), 1 + t is a zero divisor and the leading
+    # y-coefficient of g at every point, so every prime is discarded; run
+    # in a child process so that a loop that never ends fails the test
+    src = Path(resultants.__file__).resolve().parents[1]
+    code = (
+        "from subalg.errors import NonInvertible\n"
+        "from subalg.fields import NumberField\n"
+        "from subalg.parsing import parse_poly as P\n"
+        "from subalg.resultants import resultant_y_tables\n"
+        "K = NumberField([-1, 0, 1], label='t^2-1')\n"
+        "try:\n"
+        "    resultant_y_tables([P('1', field=K), P('x', field=K)],\n"
+        "                       [P('x', field=K), P('1 + t', field=K)])\n"
+        "except NonInvertible:\n"
+        "    print('NonInvertible')\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout.strip() == "NonInvertible", done.stderr
 
 
 def test_resultant_relation_properties():

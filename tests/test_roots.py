@@ -10,8 +10,8 @@ from subalg.fields import QQ, NumberField, is_zero_scalar
 from subalg.modular import integral_modulus, is_prime
 from subalg.parsing import parse_poly as P
 from subalg.poly import Poly, squarefree_decompose
-from subalg.roots import (aberth_roots, field_roots, hybrid_roots,
-                          rational_roots, split_roots)
+from subalg.roots import (aberth_roots, field_roots, rational_roots,
+                          split_roots)
 from test_resultants import reference_scalar_resultant
 
 
@@ -49,25 +49,20 @@ def test_field_roots_cyclotomic():
     assert leftover == []
 
 
-def test_hybrid_prefers_exact():
-    rs = hybrid_roots(P("(x - 2)*(x^2 + 1)"))
-    assert dict(rs.exact_roots) == {F(2): 1}
-    assert len(rs.numeric_roots) == 2
-    assert all(abs(z.imag) > 0.9 for z, _, _ in rs.numeric_roots)
-
-
 def test_split_roots_returns_the_unsplit_rest():
     roots, leftover = split_roots(P("(x - 1)^2 * (x^2 - 2)"))
     assert roots == [(F(1), 2)]
     assert leftover == [(P("x^2 - 2"), 1)]
-
-
-def test_hybrid_over_a_field_splits_exactly():
+    # the rest is what the spectrum hands to Aberth
+    roots, leftover = split_roots(P("(x - 2)*(x^2 + 1)"))
+    assert roots == [(F(2), 1)] and leftover == [(P("x^2 + 1"), 1)]
+    numeric, _ = aberth_roots(leftover[0][0])
+    assert len(numeric) == 2 and all(abs(z.imag) > 0.9 for z in numeric)
+    # over a field that splits it, nothing is left
     nf = NumberField([1, 0, 1], label="t^2+1")
     t = nf.gen()
-    rs = hybrid_roots(P("(x - 2)*(x^2 + 1)^2"), nf=nf)
-    assert dict(rs.exact_roots) == {nf.coerce(2): 1, t: 2, -t: 2}
-    assert rs.numeric_roots == []
+    roots, leftover = split_roots(P("(x - 2)*(x^2 + 1)^2"), nf=nf)
+    assert dict(roots) == {nf.coerce(2): 1, t: 2, -t: 2} and leftover == []
 
 
 # --- the exact searches that p-adic lifting replaced ----------------------

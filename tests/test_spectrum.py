@@ -9,13 +9,15 @@ from subalg.classify import classify, construct_case
 from subalg.conditions import LinearFunctional, Subalgebra, kernel_subalgebra
 from subalg.derivations import conjecture_dim_check, derivation_space
 from subalg.errors import (NoDegreeTwoElement, ParameterDegeneracy,
-                           SpectrumNotExact, UnpairedRoot)
+                           SpectrumNotExact, SubalgError, UnpairedRoot)
 from subalg.fields import QQ, NumberField, is_zero_scalar
 from subalg.parsing import parse_poly
 from subalg.poly import Poly, poly_gcd, squarefree_decompose
-from subalg.spectrum import (characteristic_polynomial, compute_clusters,
-                             compute_spectrum, deg2_description,
-                             deg2_from_description, spectrum_size_check)
+from subalg.roots import aberth_roots, split_roots
+from subalg.spectrum import (SpectrumPoint, characteristic_polynomial,
+                             compute_clusters, compute_spectrum,
+                             deg2_description, deg2_from_description,
+                             spectrum_size_check)
 from test_roots import reference_candidates
 
 
@@ -98,28 +100,16 @@ def test_deg2_requires_degree_two():
         deg2_description(alg("x^3", "x^4"))
 
 
-def test_numeric_spectrum_is_not_cached():
+def test_unknown_spectrum_modes_are_rejected():
     D = alg("x^3 - x", "x^2")
-    assert not any(p.exact for p in D.spectrum(mode="numeric"))
+    D.spectrum(mode="exact")
+    for mode in ("numeric", "bogus"):
+        # also when an exact spectrum is cached
+        with pytest.raises(SubalgError):
+            D.spectrum(mode=mode)
+        with pytest.raises(SubalgError):
+            compute_spectrum(D, mode=mode)
     assert [repr(L) for L in D.conditions()] == ["f(-1) - f(1)"]
-
-
-def test_a_cached_spectrum_is_reused_only_at_its_tol():
-    # at tol = 1e-30 the numeric points of c = (x^2-2)(x^2-3) no longer
-    # agree in pairs, so a fresh spectrum there has an unpaired root
-    A = alg("x^2", "x*(x^2-2)*(x^2-3)")
-    pts = A.spectrum()
-    assert len(pts) == 4 and all(p.kind == "paired" for p in pts)
-    with pytest.raises(UnpairedRoot):
-        A.spectrum(tol=1e-30)
-    with pytest.raises(UnpairedRoot):
-        compute_spectrum(A, tol=1e-30)
-    assert A.spectrum() is pts
-    assert A.spectrum(tol=1e-8) is pts
-    # the clusters are those of the cached spectrum, whatever its tol
-    finer = A.spectrum(tol=1e-9)
-    assert finer is not pts and [len(c) for c in A.clusters()] == [2, 2]
-    assert A.spectrum(tol=1e-9) is finer
 
 
 def test_a_field_request_ignores_an_inexact_cached_spectrum():
@@ -313,3 +303,198 @@ def test_square_roots_match_the_candidate_search():
             assert got is None or got * got == field.coerce(r)
     # a square root that is no power of t: sqrt(2i) = 1 + i
     assert spectrum._square_root(2 * qi.gen(), qi) == 1 + qi.gen()
+
+
+# --- the pairing and clustering that one agreement table replaced ---------
+
+def reference_embed(value):
+    r = spectrum._rational(value)
+    if r is None:
+        raise SpectrumNotExact("cannot embed a number-field point "
+                               "numerically without an embedding")
+    return float(r)
+
+
+def reference_classify(basis, value, exact, all_vals, tol):
+    """(kind, partner) of a root of c.  A partner of the same exactness is
+    preferred; an exact point and a numeric one are compared through
+    `_embed`.  A point left without a partner after a comparison that a
+    number-field point without an embedding prevented raises
+    SpectrumNotExact."""
+    elements = basis.elements
+    if exact:
+        deriv = all(is_zero_scalar(e.derivative()(value)) for e in elements)
+    else:
+        deriv = all(abs(e.derivative()(value)) < tol for e in elements)
+    if deriv:
+        return "derivative", None
+    unembedded = False
+    for other, other_exact in sorted(all_vals, key=lambda v: v[1] != exact):
+        if other_exact == exact and \
+                (other == value if exact else abs(other - value) < tol):
+            continue                # the point itself
+        if other_exact != exact and \
+                spectrum._rational(value if exact else other) is None:
+            unembedded = True
+            continue
+        if reference_agree(elements, value, other, tol):
+            return "paired", other
+    if unembedded:
+        raise SpectrumNotExact(
+            f"characteristic root {value!r} has no partner that can be "
+            "compared without a complex embedding of the number field")
+    raise UnpairedRoot(
+        f"characteristic root {value!r} is neither derivative-kind nor "
+        "pairable")
+
+
+def reference_agree(elements, a, b, tol):
+    """Do all elements take one value at the spectrum points a and b?
+    Exactly when both are exact, else numerically.  A number-field point
+    with no rational value has no embedding to compare by, so it agrees
+    with no numeric point."""
+    if not isinstance(a, complex) and not isinstance(b, complex):
+        return all(e(a) == e(b) for e in elements)
+    a, b = (v if isinstance(v, complex) else spectrum._rational(v)
+            for v in (a, b))
+    if a is None or b is None:
+        return False
+    a, b = complex(a), complex(b)
+    return all(abs(e(a) - e(b)) < tol * reference_scale(e, a)
+               for e in elements)
+
+
+def reference_scale(e, z):
+    az, acc, power = abs(z), 1.0, 1.0
+    for c in e.coeffs:
+        try:
+            acc += abs(complex(reference_embed(c))) * power
+        except SpectrumNotExact:
+            acc += power
+        power *= az
+    return acc
+
+
+def reference_compute_clusters(A, spectrum, tol=spectrum.PAIR_TOL):
+    """Partition of the spectrum: α ∼ β iff all basis elements agree (the
+    member lists of the retired `Cluster`s, which also kept witnesses)."""
+    A = Subalgebra.of(A)
+    basis = A.sagbi_basis()
+    n = len(spectrum)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if reference_agree(basis.elements, spectrum[i].value,
+                               spectrum[j].value, tol):
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    clusters = [[spectrum[i] for i in idxs] for idxs in groups.values()]
+    clusters.sort(key=lambda members: -len(members))
+    return clusters
+
+
+def _unclassified(A):
+    """The points of the spectrum of A, before `_classify`."""
+    exact, leftover = split_roots(A.conductor())
+    return [SpectrumPoint(v) for v, _ in exact] + \
+        [SpectrumPoint(z, exact=False) for rest, _ in leftover
+         for z in aberth_roots(rest)[0]]
+
+
+def _numeric_examples():
+    qi = NumberField([1, 0, 1], label="t^2+1")
+    yield alg("x^2", "x*(x^2-2)*(x^2-3)")
+    yield alg("x^2", "x^3 - 2*x")
+    yield alg("(x^3-x-1)*(x+1)",
+              *[f"(x^3-x-1)*(x^2-2)*x^{k}" for k in range(5)])
+    yield alg(*[f"(x^2-2)^2*(x-1)*x^{k}" for k in range(5)])
+    # one cluster {1, sqrt 2, -sqrt 2}: sqrt 2 pairs with -sqrt 2 first
+    yield alg(*[f"(x^2-2)*(x-1)*x^{k}" for k in range(3)])
+    yield alg(*[f"(x - t)*(x^3-x-1)*x^{k}" for k in range(4)], field=qi)
+    yield alg("x^2", "x*(x^2+1)*(x^2-2)", field=qi)
+
+
+def test_one_agreement_table_matches_the_retired_pairing_and_clusters():
+    checked = numeric = 0
+    for A in [*_draws_and_images(), *_numeric_examples()]:
+        elements = A.sagbi_basis().elements
+        points = _unclassified(A)
+        all_vals = [(p.value, p.exact) for p in points]
+        try:
+            expected = [reference_classify(A.sagbi_basis(), p.value,
+                                           p.exact, all_vals, 1e-8)
+                        for p in points]
+        except (SpectrumNotExact, UnpairedRoot) as exc:
+            with pytest.raises(type(exc)):
+                spectrum._classify(elements, points)
+            continue
+        spectrum._classify(elements, points)
+        assert [(p.kind, p.partner) for p in points] == expected, A
+        old = reference_compute_clusters(A, points)
+        new = compute_clusters(A, points)
+        assert [[points.index(p) for p in members] for members in old] == \
+            [[points.index(p) for p in c.members] for c in new], A
+        assert all(any(q is p for q in p.cluster.members) for p in points)
+        checked += 1
+        numeric += not all(p.exact for p in points)
+    assert checked > 100 and numeric >= 4
+
+
+def test_the_agreement_table_is_symmetric():
+    # e = x^2 - 2x takes values 0 and 5e-8 at 0 and 2 + 2.5e-8, where its
+    # terms have sizes 1 and 9: the pair agrees within 1e-8 of the larger
+    # size in either order, where the scale of the first point alone
+    # would pair them only when 2 + 2.5e-8 comes first
+    e = parse_poly("x^2 - 2*x")
+    for values in ([0j, 2 + 2.5e-8 + 0j], [2 + 2.5e-8 + 0j, 0j]):
+        points = [SpectrumPoint(z, exact=False) for z in values]
+        spectrum._classify([e], points)
+        assert [p.partner for p in points] == values[::-1]
+        assert points[0].cluster is points[1].cluster
+
+
+def test_pairs_that_the_retired_pairing_left_unpaired():
+    # c has an unsplit factor of degree 12; the retired pairing, which
+    # scaled at the point being classified, left 0.5052 unpaired
+    A = alg("x^3 - 3*x^2 + 2", "x^7 - 2*x^6 - 3*x^5 + x^4 - x^2 - x + 3")
+    points = A.spectrum()
+    partner = {round(p.value.real, 4): round(p.partner.real, 4)
+               for p in points if abs(p.value.imag) < 1e-6}
+    assert partner[0.5052] == 2.9256 and partner[2.927] == -0.4272
+    # both pairs are pairs: 50-digit roots of c agree on both generators
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    c = sympy.Poly(list(reversed([str(a) for a in A.conductor().coeffs])),
+                   x)
+    roots = [r for r in c.nroots(n=50) if abs(sympy.im(r)) < 1e-30]
+    p = sympy.Poly(x ** 3 - 3 * x ** 2 + 2, x)
+    q = sympy.Poly(x ** 7 - 2 * x ** 6 - 3 * x ** 5 + x ** 4 - x ** 2 - x
+                   + 3, x)
+    for a, b in ((0.5052, 2.9256), (2.927, -0.4272)):
+        ra = next(r for r in roots if abs(r - a) < 1e-3)
+        rb = next(r for r in roots if abs(r - b) < 1e-3)
+        assert abs(p.eval(ra) - p.eval(rb)) < 1e-40
+        assert abs(q.eval(ra) - q.eval(rb)) < 1e-40
+
+
+def test_aberth_starts_inside_large_coefficients():
+    # the conductor is irreducible of degree 42 with coefficients up to
+    # 4e5; started on Cauchy's circle, Aberth ran out of sweeps
+    # (NonConvergence) before every root converged
+    A = alg("x^7 - x^6 + x^5 + x^4 + x^3 + 3*x^2 - x - 2",
+            "x^8 - 2*x^7 + 2*x^5 - 2*x^4 - 2*x^2 + 2*x - 2")
+    points = A.spectrum()
+    assert len(points) == A.conductor().degree
+    assert all(p.kind == "paired" for p in points)
+    c = A.conductor()
+    assert all(abs(c(p.value)) < 1e-6 * spectrum._scale(c, p.value)
+               for p in points)
