@@ -49,20 +49,28 @@ def test_field_roots_cyclotomic():
     assert leftover == []
 
 
+def test_hybrid_prefers_exact():
+    # exact roots first; only the unsplit rest goes to Aberth
+    roots, leftover = split_roots(P("(x - 2)*(x^2 + 1)"))
+    assert roots == [(F(2), 1)] and leftover == [(P("x^2 + 1"), 1)]
+    numeric, _ = aberth_roots(leftover[0][0])
+    assert len(numeric) == 2
+    assert all(abs(z.imag) > 0.9 for z in numeric)
+
+
 def test_split_roots_returns_the_unsplit_rest():
     roots, leftover = split_roots(P("(x - 1)^2 * (x^2 - 2)"))
     assert roots == [(F(1), 2)]
     assert leftover == [(P("x^2 - 2"), 1)]
-    # the rest is what the spectrum hands to Aberth
-    roots, leftover = split_roots(P("(x - 2)*(x^2 + 1)"))
-    assert roots == [(F(2), 1)] and leftover == [(P("x^2 + 1"), 1)]
-    numeric, _ = aberth_roots(leftover[0][0])
-    assert len(numeric) == 2 and all(abs(z.imag) > 0.9 for z in numeric)
-    # over a field that splits it, nothing is left
+
+
+def test_hybrid_over_a_field_splits_exactly():
+    # over a field that splits it, nothing is left for Aberth
     nf = NumberField([1, 0, 1], label="t^2+1")
     t = nf.gen()
     roots, leftover = split_roots(P("(x - 2)*(x^2 + 1)^2"), nf=nf)
-    assert dict(roots) == {nf.coerce(2): 1, t: 2, -t: 2} and leftover == []
+    assert dict(roots) == {nf.coerce(2): 1, t: 2, -t: 2}
+    assert leftover == []
 
 
 # --- the exact searches that p-adic lifting replaced ----------------------
