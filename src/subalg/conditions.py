@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
+from operator import mul
 
 from .errors import (DegenerateConditions, NotSubalgebraConditions,
                      SpectrumNotExact, SubalgError)
@@ -19,7 +20,7 @@ from .fields import (QQ, common_field, field_of, format_scalar,
 from .linalg import echelon_nullspace, extend_echelon, nullspace, rref
 from .modular import (ResidueRing, coordinates, crt, rational_reconstruction,
                       word_primes)
-from .poly import Poly
+from .poly import Poly, _int_scaled
 from .sagbi import SagbiBasis, sagbi_complete, subduce
 from .semigroup import DegreeSemigroup
 
@@ -80,7 +81,8 @@ class LinearFunctional:
     def apply(self, f):
         field = common_field(self.field, f.field)
         row = self.monomial_row(f.degree, field)
-        return _dot(f.coerce_to(field).coeffs, row, field.zero)
+        return _dot(_cleared(f.coerce_to(field).coeffs, field),
+                    _cleared(row, field), field)
 
     def monomial_row(self, degree, field):
         """(L(1), L(x), …, L(x^degree)), with entries in `field`: the
@@ -157,9 +159,20 @@ def _jet_row(order, point, degree, field):
     return row
 
 
-def _dot(a, b, zero):
-    """Σ a_i·b_i, skipping the zero entries of a."""
-    acc = zero
+def _cleared(row, field):
+    """`row` made ready for `_dot`: over Q its cleared integers and their
+    denominator (see `poly._int_scaled`), over a number field the row
+    itself.  A row that enters many dots is cleared once."""
+    return _int_scaled(row) if field is QQ else row
+
+
+def _dot(a, b, field):
+    """Σ a_i·b_i for two rows made ready by `_cleared`; over a number
+    field the zero entries of a are skipped."""
+    if field is QQ:
+        (ia, da), (ib, db) = a, b
+        return Fraction(sum(map(mul, ia, ib)), da * db)
+    acc = field.zero
     for u, v in zip(a, b):
         if not is_zero_scalar(u):
             acc = acc + u * v
@@ -225,10 +238,11 @@ def _closed_under_products(rows, kernel, low, field):
     V_{<low}; `rows` must reach degree 2·low − 2.
     """
     small = [p for p in kernel if 1 <= p.degree < low]
+    rows = [_cleared(row, field) for row in rows]
     for i, p in enumerate(small):
         for q in small[i:]:
-            coeffs = (p * q).coeffs
-            if any(not is_zero_scalar(_dot(coeffs, row, field.zero))
+            coeffs = _cleared((p * q).coeffs, field)
+            if any(not is_zero_scalar(_dot(coeffs, row, field))
                    for row in rows):
                 return False
     return True
@@ -581,9 +595,11 @@ def annihilator(basis, coords, c):
     m = max(order for order, _ in coords)
     bound = c.degree - 1 + sum(max(0, m + 1 - c.order_at(point))
                                for point in {point for _, point in coords})
-    jets = [_jet_row(order, point, bound, field) for order, point in coords]
-    equations = [[_dot(g.coeffs, jet, field.zero) for jet in jets]
-                 for g in basis.degree_products(bound)]
+    jets = [_cleared(_jet_row(order, point, bound, field), field)
+            for order, point in coords]
+    equations = [[_dot(g, jet, field) for jet in jets]
+                 for g in (_cleared(P.coeffs, field)
+                           for P in basis.degree_products(bound))]
     return nullspace(equations, len(coords), field)
 
 

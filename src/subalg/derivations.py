@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .conditions import LinearFunctional, Subalgebra, _dot, _jet_row
+from .conditions import (LinearFunctional, Subalgebra, _cleared, _dot,
+                         _jet_row)
 from .errors import EvenInput, SpectrumNotExact, SubalgError
 from .fields import common_field, field_of, is_zero_scalar
 from .linalg import extend_echelon, nullspace, rref
@@ -157,22 +158,25 @@ def derivation_space(A, alpha):
     """
     A = Subalgebra.of(A)
     jets = _Jets(A, alpha)
-    field, zero, k = jets.field, jets.field.zero, jets.k_alpha
+    field, k = jets.field, jets.k_alpha
     points = _cluster_points(A, jets.alpha, field)
     top = max(jets.multiplicity(point) for point in points)
     coords = [(order, point) for order in range(1, top) for point in points
               if order < jets.multiplicity(point)]
-    jet_rows = [_jet_row(order, point, jets.degree - 1, field)
-                for order, point in coords]
-    equations = [[_dot(e, r, zero) for r in jet_rows] for e in jets.E]
+    jet_rows = [_cleared(_jet_row(order, point, jets.degree - 1, field),
+                         field) for order, point in coords]
+    equations = [[_dot(e, r, field) for r in jet_rows]
+                 for e in (_cleared(e, field) for e in jets.E)]
     vectors, _ = rref(nullspace(equations, len(coords), field),
                       len(coords), field)
     # drop functionals that act on A (spanned by 1 and the m_d) as a
     # combination of earlier ones: they add no derivation
-    values = [[_dot(m, r, zero) for r in jet_rows] for m in jets.m_rows]
+    values = [_cleared([_dot(m, r, field) for r in jet_rows], field)
+              for m in (_cleared(m, field) for m in jets.m_rows)]
     chosen, red, pivots = [], [], []
     for vec in vectors:
-        if extend_echelon([_dot(vec, v, zero) for v in values], red,
+        cleared = _cleared(vec, field)
+        if extend_echelon([_dot(cleared, v, field) for v in values], red,
                           pivots, field):
             chosen.append(vec)
 
@@ -198,16 +202,18 @@ def _verify_leibniz(combos, basis, alpha, degree_bound):
     """Check D(fg) = D(f)·g(α) + f(α)·D(g) for every combo D and every
     pair of degree products of degree 1..degree_bound; D is applied
     through its monomial row."""
-    field, zero = basis.field, basis.field.zero
+    field = basis.field
     products = basis.degree_products(degree_bound)[1:]
     at_alpha = [f(alpha) for f in products]
-    pairs = [(i, j, (f * g).coeffs) for i, f in enumerate(products)
+    pairs = [(i, j, _cleared((f * g).coeffs, field))
+             for i, f in enumerate(products)
              for j, g in enumerate(products) if i <= j]
+    cleared = [_cleared(f.coeffs, field) for f in products]
     for D in combos:
-        row = D.monomial_row(2 * degree_bound, field)
-        value = [_dot(f.coeffs, row, zero) for f in products]
+        row = _cleared(D.monomial_row(2 * degree_bound, field), field)
+        value = [_dot(f, row, field) for f in cleared]
         for i, j, coeffs in pairs:
-            if not is_zero_scalar(_dot(coeffs, row, zero) -
+            if not is_zero_scalar(_dot(coeffs, row, field) -
                                   value[i] * at_alpha[j] -
                                   at_alpha[i] * value[j]):
                 raise SubalgError(
@@ -265,13 +271,14 @@ def integral_derivation(B, A, L, a):
         if rem.degree >= 1:
             return NOT_INTEGRAL
     terms = {}
+    a_row = _cleared(a.coeffs, field)
     for order, point, coeff in L.terms:
         point = field.coerce(point)
         coeff = field.coerce(coeff)
         for k in range(order + 1):
             new_order = order + 1 - k
-            a_k = _dot(a.coeffs, _jet_row(k, point, a.degree, field),
-                       field.zero)
+            a_k = _dot(a_row, _cleared(_jet_row(k, point, a.degree, field),
+                                       field), field)
             c = coeff * comb(order, k) * a_k
             if is_zero_scalar(c):
                 continue

@@ -293,8 +293,9 @@ class FieldElem:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- comparison / hashing -------------------------------------------

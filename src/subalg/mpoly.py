@@ -53,12 +53,19 @@ class MPoly:
         field = self.field
         for v in values:
             field = common_field(field, v.field)
+        # powers[idx][k] = values[idx]^k, as running products
+        powers = []
+        for idx, v in enumerate(values):
+            run = [Poly.constant(field.one, field)]
+            for _ in range(max((e[idx] for e in self.terms), default=0)):
+                run.append(run[-1] * v)
+            powers.append(run)
         out = Poly.zero(field)
         for e, p in self.terms.items():
             term = p.coerce_to(field)
             for idx, power in enumerate(e):
                 if power:
-                    term = term * values[idx] ** power
+                    term = term * powers[idx][power]
             out = out + term
         return out
 

@@ -3,7 +3,8 @@
 Everything here is deliberately low-tech linear algebra / elimination so it
 can cross-check the SAGBI and resultant machinery.  Only the arithmetic
 layer (fields, Poly) and generic root extraction are reused; subduction and
-the Euclidean resultant of the main path are not.
+the Euclidean resultant of the main path are not.  It clears denominators
+by its own loop, not `poly._int_scaled`, so that it stays independent.
 """
 
 from __future__ import annotations

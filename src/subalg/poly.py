@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import lcm
 
 from .errors import (BothZero, DivisionByZeroPoly, FieldMismatch, ZeroInput)
 from .fields import (QQ, FieldElem, common_field, field_of, format_scalar,
@@ -153,6 +154,10 @@ class Poly:
             return NotImplemented
         if not a.coeffs or not b.coeffs:
             return Poly.zero(a.field)
+        if a.field is QQ:
+            (ia, da), (ib, db) = _int_scaled(a.coeffs), _int_scaled(b.coeffs)
+            d = da * db
+            return Poly([Fraction(c, d) for c in _int_mul(ia, ib)], QQ)
         ca, cb = a.coeffs, b.coeffs
         out = [a.field.zero] * (len(ca) + len(cb) - 1)
         for i, ci in enumerate(ca):
@@ -173,8 +178,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __divmod__(self, other):
@@ -184,6 +190,13 @@ class Poly:
         if not b.coeffs:
             raise DivisionByZeroPoly("polynomial division by zero")
         field = a.field
+        if field is QQ:
+            # s·A = Q·B + R for the cleared A = sa·a and B = sb·b, so
+            # a = (sb·Q / (s·sa))·b + R / (s·sa)
+            (ia, sa), (ib, sb) = _int_scaled(a.coeffs), _int_scaled(b.coeffs)
+            iq, ir, s = _int_divide(ia, ib)
+            return (Poly([Fraction(c * sb, s * sa) for c in iq], QQ),
+                    Poly([Fraction(c, s * sa) for c in ir], QQ))
         rem = list(a.coeffs)
         db = b.degree
         quot = [field.zero] * max(len(rem) - db, 0)
@@ -239,6 +252,15 @@ class Poly:
             return acc
         f = common_field(self.field, field_of(point))
         point = f.coerce(point)
+        if f is QQ:
+            # p(u/w) = Σ C_i·u^i·w^(n−i) / (d·w^n), C = d·p cleared
+            ints, d = _int_scaled(self.coeffs)
+            u, w = point.numerator, point.denominator
+            acc, power = 0, 1
+            for c in reversed(ints):
+                acc = acc * u + c * power
+                power *= w
+            return Fraction(acc, d * (power // w)) if ints else f.zero
         acc = f.zero
         for c in reversed(self.coeffs):
             acc = acc * point + f.coerce(c)
@@ -333,29 +355,18 @@ def format_poly(p, var="x"):
 
 
 # ---------------------------------------------------------------------------
-# gcd and square-free machinery
+# Integer kernels: Q arithmetic on cleared integer coefficient lists
 # ---------------------------------------------------------------------------
 
 
-def _int_clear(p):
-    """Scale a Poly over Q to a primitive integer coefficient list."""
-    denom = 1
-    for c in p.coeffs:
-        denom = denom * c.denominator // int_gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in p.coeffs]
-    content = 0
-    for c in ints:
-        content = int_gcd(content, abs(c))
-    if content > 1:
-        ints = [c // content for c in ints]
-    return ints
-
-
-def _int_trim(a):
-    n = len(a)
-    while n and not a[n - 1]:
-        n -= 1
-    return a[:n]
+def _int_scaled(coeffs):
+    """(ints, d): d the least common denominator of the Fractions and ints
+    the integers d·c_i."""
+    dens = [c.denominator for c in coeffs]
+    d = lcm(*dens)
+    if d == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (d // q) for c, q in zip(coeffs, dens)], d
 
 
 def _int_primitive(a):
@@ -367,24 +378,55 @@ def _int_primitive(a):
     return a
 
 
-def _int_pseudo_rem(a, b):
-    """Pseudo-remainder of integer coefficient lists (ascending)."""
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    while len(a) - 1 >= db and _int_trim(a):
-        a = _int_trim(a)
-        if len(a) - 1 < db:
-            break
-        k = len(a) - 1 - db
-        la = a[-1]
-        a = [c * lead for c in a]
-        for i, bi in enumerate(b):
-            a[k + i] -= la * bi
-        a = _int_trim(a)
-        if not a:
-            break
-    return a
+def _int_clear(p):
+    """Scale a Poly over Q to a primitive integer coefficient list."""
+    return _int_primitive(_int_scaled(p.coeffs)[0])
+
+
+def _int_mul(a, b):
+    """Product of nonempty integer coefficient lists (ascending)."""
+    out = [0] * (len(a) + len(b) - 1)
+    n = len(b)
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + n] = [o + x * y for o, y in zip(out[i:i + n], b)]
+    return out
+
+
+def _int_divide(a, b):
+    """Pseudo-division of integer coefficient lists (ascending, b with a
+    nonzero leading coefficient): (q, r, s) with s·a = q·b + r, s > 0 and
+    r shorter than b.  Each step scales by lead/g only, g the gcd of the
+    top coefficient and the lead (sign of the lead), so s stays 1 when
+    the lead is 1."""
+    r, n, lead = list(a), len(b) - 1, b[-1]
+    q, s = [0] * max(len(r) - n, 0), 1
+    for k in range(len(r) - n - 1, -1, -1):
+        top = r.pop()
+        if not top:
+            continue
+        g = int_gcd(top, lead) if lead > 0 else -int_gcd(top, lead)
+        m, t = lead // g, top // g
+        if m != 1:
+            r = [m * c for c in r]
+            q = [m * c for c in q]
+            s *= m
+        q[k] = t
+        for i, bi in enumerate(b[:n]):
+            r[k + i] -= t * bi
+    return q, r, s
+
+
+def _int_trim(a):
+    n = len(a)
+    while n and not a[n - 1]:
+        n -= 1
+    return a[:n]
+
+
+# ---------------------------------------------------------------------------
+# gcd and square-free machinery
+# ---------------------------------------------------------------------------
 
 
 def poly_gcd(a, b):
@@ -402,8 +444,7 @@ def poly_gcd(a, b):
         if len(u) < len(v):
             u, v = v, u
         while v:
-            r = _int_pseudo_rem(u, v)
-            u, v = v, _int_primitive(r)
+            u, v = v, _int_primitive(_int_trim(_int_divide(u, v)[1]))
         return Poly([Fraction(c) for c in u], QQ).monic()
     while b:
         a, b = b, a % b

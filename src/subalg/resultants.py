@@ -20,7 +20,7 @@ relation F(p, q) are all built on it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import mul
 
 from .errors import (ConstantInput, DegreesNotCoprime, FewerThanTwoGenerators,
@@ -29,7 +29,7 @@ from .fields import QQ, common_field, is_zero_scalar
 from .modular import (ResidueRing, coordinate_bound, coordinates, crt,
                       integral_modulus, root_radius, word_primes)
 from .mpoly import MPoly
-from .poly import Poly, poly_gcd
+from .poly import Poly, _int_scaled, poly_gcd
 
 
 class DividedDifference:
@@ -229,9 +229,9 @@ def _cleared(table, mu, e):
     coords = [[coordinates(c) for c in poly.coeffs] for poly in table]
     rows = [[[c[u] / mu ** u for c in row] for u in range(e)]
             for row in coords]
-    d = lcm(*(a.denominator for row in rows for col in row for a in col))
-    return [[[a.numerator * (d // a.denominator) for a in col] for col in row]
-            for row in rows], d
+    ints, d = _int_scaled([a for row in rows for col in row for a in col])
+    ints = iter(ints)
+    return [[[next(ints) for _ in col] for col in row] for row in rows], d
 
 
 def _norm2(table, R):

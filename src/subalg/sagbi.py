@@ -9,12 +9,13 @@ a constant.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 from functools import reduce
 
 from .errors import (ConditionVanishesOnB, InfiniteCodimension, SubalgError)
 from .fields import QQ, common_field, is_zero_scalar
-from .poly import Poly
+from .poly import Poly, _int_scaled
 from .semigroup import NOT_MEMBER, DegreeSemigroup
 
 
@@ -22,7 +23,7 @@ class SagbiBasis:
     """Monic basis elements with strictly increasing degrees."""
 
     __slots__ = ("elements", "semigroup", "field", "_by_degree",
-                 "_product_cache")
+                 "_product_cache", "_cleared_cache")
 
     def __init__(self, elements, semigroup=None):
         elements = sorted((e.monic() for e in elements if e.degree >= 1),
@@ -40,6 +41,7 @@ class SagbiBasis:
         self.semigroup = semigroup or DegreeSemigroup(degrees)
         self._by_degree = {e.degree: e for e in self.elements}
         self._product_cache = {}
+        self._cleared_cache = {}
 
     @property
     def degrees(self):
@@ -55,6 +57,16 @@ class SagbiBasis:
                 if rep else Poly.constant(self.field.one, self.field)
             self._product_cache[rep] = prod
         return prod
+
+    def cleared_product(self, rep):
+        """`product_for(rep)` over Q as (ints, d), see `poly._int_scaled`;
+        cached under the same key."""
+        rep = tuple(rep)
+        cleared = self._cleared_cache.get(rep)
+        if cleared is None:
+            cleared = _int_scaled(self.product_for(rep).coeffs)
+            self._cleared_cache[rep] = cleared
+        return cleared
 
     def degree_products(self, bound):
         """One algebra element per semigroup degree 0..bound: the monic
@@ -84,9 +96,32 @@ def subduce(f, basis):
     names basis elements.
     """
     field = common_field(f.field, basis.field)
-    coeffs = list(f.coerce_to(field).coeffs)
     steps = []
     S = basis.semigroup
+    if field is QQ:
+        # the remainder is coeffs/den with integer coeffs
+        coeffs, den = _int_scaled(f.coeffs)
+        while len(coeffs) > 1:
+            d = len(coeffs) - 1
+            rep = S.represent(d)
+            if rep is NOT_MEMBER:
+                break
+            top = coeffs.pop()
+            steps.append((d, Fraction(top, den), rep))
+            # subtract (top/den)·prod/pd: prod[d] = pd, prod being monic
+            prod, pd = basis.cleared_product(rep)
+            g = gcd(top, pd)
+            m, t = pd // g, top // g
+            if m != 1:
+                coeffs = [m * c for c in coeffs]
+                den *= m
+            for k, b in enumerate(prod[:d]):
+                if b:
+                    coeffs[k] -= t * b
+            while coeffs and not coeffs[-1]:
+                coeffs.pop()
+        return Poly([Fraction(c, den) for c in coeffs], QQ), steps
+    coeffs = list(f.coerce_to(field).coeffs)
     while len(coeffs) > 1:
         d = len(coeffs) - 1
         rep = S.represent(d)

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from subalg.errors import DivisionByZeroPoly, SubalgError
-from subalg.fields import NumberField, QQ
+from subalg.fields import NumberField, QQ, common_field, field_of, \
+    is_zero_scalar
 from subalg.parsing import parse_poly
 from subalg.poly import Poly, format_poly, poly_gcd, squarefree_decompose
 
@@ -93,3 +95,143 @@ def test_format_parse_round_trip():
             coeffs.pop()
         p = Poly(coeffs)
         assert parse_poly(format_poly(p)) == p
+
+
+# -- the Fraction loops that the integer kernels over Q replaced -----------
+
+
+def reference_mul(a, b):
+    """`Poly.__mul__` before the integer kernel (verbatim loop)."""
+    if not a.coeffs or not b.coeffs:
+        return Poly.zero(a.field)
+    ca, cb = a.coeffs, b.coeffs
+    out = [a.field.zero] * (len(ca) + len(cb) - 1)
+    for i, ci in enumerate(ca):
+        if is_zero_scalar(ci):
+            continue
+        for j, cj in enumerate(cb):
+            if not is_zero_scalar(cj):
+                out[i + j] = out[i + j] + ci * cj
+    return Poly(out, a.field)
+
+
+def reference_divmod(a, b):
+    """`Poly.__divmod__` before the integer kernel (verbatim loop)."""
+    field = a.field
+    rem = list(a.coeffs)
+    db = b.degree
+    quot = [field.zero] * max(len(rem) - db, 0)
+    inv_lead = field.one / b.coeffs[-1]
+    for k in range(len(rem) - db - 1, -1, -1):
+        c = rem[k + db] * inv_lead
+        if not is_zero_scalar(c):
+            quot[k] = c
+            for i, bi in enumerate(b.coeffs):
+                rem[k + i] = rem[k + i] - c * bi
+    return Poly(quot, field), Poly(rem[:db], field)
+
+
+def reference_call(p, point):
+    """`Poly.__call__` at an exact point before the integer kernel."""
+    f = common_field(p.field, field_of(point))
+    point = f.coerce(point)
+    acc = f.zero
+    for c in reversed(p.coeffs):
+        acc = acc * point + f.coerce(c)
+    return acc
+
+
+def _random_scalar(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return F(0)
+    if kind == 1:
+        return F(rng.randint(-9, 9))
+    if kind == 2:
+        return F(rng.randint(-99, 99), rng.randint(1, 60))
+    if kind == 3:       # numerators and denominators around 2^200
+        return F(rng.randint(-2 ** 201, 2 ** 201), rng.randint(1, 2 ** 200))
+    return F(rng.randint(-2 ** 200, 2 ** 200), rng.randint(1, 9))
+
+
+def _random_polys(seed, count=150):
+    """Seeded Q polynomials: zero, constants and dense ones up to degree
+    11, with non-integral, negative and ~2^200 coefficients."""
+    rng = random.Random(seed)
+    yield Poly.zero(QQ)
+    yield Poly.constant(F(-3, 7))
+    yield Poly.constant(F(2 ** 200 + 1, 3))
+    for _ in range(count):
+        yield Poly([_random_scalar(rng) for _ in range(rng.randint(0, 12))])
+
+
+def _same(new, old):
+    """Equal, and with the same Fraction coefficients (so the same
+    canonical numerators and denominators)."""
+    assert new == old
+    assert new.coeffs == old.coeffs
+    assert all(type(c) is F for c in new.coeffs)
+
+
+def test_mul_matches_the_fraction_loop():
+    polys = list(_random_polys(20261018))
+    for a, b in zip(polys, polys[1:] + polys[:1]):
+        _same(a * b, reference_mul(a, b))
+        _same(a * a, reference_mul(a, a))
+    _same(polys[5] * F(-2, 3), reference_mul(polys[5], Poly([F(-2, 3)])))
+
+
+def test_divmod_matches_the_fraction_loop():
+    polys = list(_random_polys(20261019))
+    divisors = [d for d in polys if d] + [
+        P("3*x^2 - 1/2*x + 5"),          # leading coefficient not 1
+        P("x^3 + 2*x - 7"),               # integral, leading coefficient 1
+        P("-x + 1/3"), Poly.constant(F(-5, 2**200))]
+    for a, b in zip(polys, divisors):
+        q, r = divmod(a, b)
+        rq, rr = reference_divmod(a, b)
+        _same(q, rq)
+        _same(r, rr)
+    for b in divisors[-4:]:
+        for a in polys[:30]:
+            q, r = divmod(a, b)
+            rq, rr = reference_divmod(a, b)
+            _same(q, rq)
+            _same(r, rr)
+
+
+def test_call_matches_the_fraction_loop():
+    rng = random.Random(20261020)
+    points = [F(0), F(1), F(-1), F(3, 7), 5, -2,
+              F(rng.randint(-2 ** 100, 2 ** 100), 2 ** 200 + 1),
+              F(-1, rng.randint(2 ** 150, 2 ** 200))]
+    for p in _random_polys(20261021, count=60):
+        for point in points:
+            value = p(point)
+            assert type(value) is F
+            assert value == reference_call(p, point)
+
+
+def test_number_field_product_matches_the_reference():
+    qi = NumberField([1, 0, 1], label="i")
+    t = qi.gen()
+    p = Poly([F(1, 2) + t, F(-3), 2 * t - F(5, 7), F(0), t], qi)
+    q = Poly([t, F(2, 3) * t - 1, qi.one], qi)
+    assert p * q == reference_mul(p, q)
+    assert (p * q).coeffs == reference_mul(p, q).coeffs
+
+
+def test_power_equals_the_repeated_product():
+    qi = NumberField([1, 0, 1], label="i")
+    t = qi.gen()
+    for p in (P("x^2 - 1/3*x + 2"),
+              Poly([F(1, 2) + t, F(-1), t], qi)):
+        product = Poly.constant(p.field.one, p.field)
+        for n in range(10):
+            assert p ** n == product
+            product = product * p
+    for a in (F(-2, 3), F(1, 2) + 3 * t):
+        value = field_of(a).one
+        for n in range(10):
+            assert a ** n == value
+            value = value * a

@@ -324,6 +324,35 @@ def test_resultant_relation_properties():
         resultant_relation(P("x^2"), P("x^4"))
 
 
+def reference_substitute(F_rel, values):
+    """`MPoly.substitute` with a fresh power per term (the retired loop)."""
+    field = F_rel.field
+    for v in values:
+        field = common_field(field, v.field)
+    out = Poly.zero(field)
+    for e, p in F_rel.terms.items():
+        term = p.coerce_to(field)
+        for idx, power in enumerate(e):
+            if power:
+                term = term * values[idx] ** power
+        out = out + term
+    return out
+
+
+def test_substitute_matches_fresh_powers():
+    rng = random.Random(20261024)
+    for m, n in ((2, 3), (3, 4), (2, 5), (4, 5), (3, 5), (5, 6)):
+        p, q = (Poly([F(rng.randint(-3, 3)) for _ in range(d)] + [F(1)])
+                for d in (m, n))
+        Frel = resultant_relation(p, q)
+        assert not Frel.substitute([p, q])
+        for values in ([p + 1, q * F(-2, 3)], [P("x/2 - 1"), P("x^2 + 3")]):
+            assert Frel.substitute(values) == \
+                reference_substitute(Frel, values)
+            dP = Frel.partial(0)
+            assert dP.substitute(values) == reference_substitute(dP, values)
+
+
 def test_partial_derivative_signs():
     p, q = P("x^3 - x"), P("x^2")
     Frel = resultant_relation(p, q)

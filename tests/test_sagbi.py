@@ -6,12 +6,14 @@ from math import gcd
 from case_draws import all_draws
 from subalg import sagbi
 from subalg.classify import construct_case
-from subalg.conditions import LinearFunctional, kernel_subalgebra
+from subalg.conditions import (LinearFunctional, _cleared, _dot,
+                               kernel_subalgebra)
+from subalg.fields import QQ, common_field, is_zero_scalar
 from subalg.parsing import parse_poly as P
 from subalg.poly import Poly
 from subalg.sagbi import (SagbiBasis, membership, sagbi_complete,
                           sagbi_extend, subduce)
-from subalg.semigroup import DegreeSemigroup
+from subalg.semigroup import NOT_MEMBER, DegreeSemigroup
 
 
 def test_complete_already_closed():
@@ -128,3 +130,93 @@ def test_minimalize_matches_the_retired_loop(monkeypatch):
         new = sagbi_complete(gens)
         assert new.elements == old.elements, gens
         assert new.semigroup == old.semigroup, gens
+
+
+def reference_subduce(f, basis):
+    """`subduce` before the integer kernel over Q (verbatim loop)."""
+    field = common_field(f.field, basis.field)
+    coeffs = list(f.coerce_to(field).coeffs)
+    steps = []
+    S = basis.semigroup
+    while len(coeffs) > 1:
+        d = len(coeffs) - 1
+        rep = S.represent(d)
+        if rep is NOT_MEMBER:
+            break
+        c = coeffs.pop()
+        prod = basis.product_for(rep).coerce_to(field).coeffs  # monic
+        for k, b in enumerate(prod[:d]):
+            if b:
+                coeffs[k] = coeffs[k] - c * b
+        while coeffs and is_zero_scalar(coeffs[-1]):
+            coeffs.pop()
+        steps.append((d, c, rep))
+    return Poly(coeffs, field), steps
+
+
+def _subduction_inputs(basis, rng):
+    """Members of the algebra of `basis` (random rational combinations of
+    its degree products) and the same plus a random dense polynomial."""
+    bound = basis.semigroup.conductor + 2 * max(basis.degrees)
+    products = basis.degree_products(bound)
+    for _ in range(3):
+        member = Poly.zero(basis.field)
+        for prod in products:
+            if rng.random() < 0.6:
+                member = member + prod * F(rng.randint(-40, 40),
+                                           rng.randint(1, 12))
+        noise = Poly([F(rng.randint(-9, 9), rng.randint(1, 5))
+                      for _ in range(rng.randint(1, bound))])
+        yield member
+        yield member + noise
+        yield noise
+
+
+def _non_integral_bases():
+    """Monic bases whose degree products have denominators != 1."""
+    gens = [P("x^2 + x/3"), P("x^3 - x/2")]
+    return [sagbi_complete(gens), SagbiBasis(gens),
+            sagbi_complete([P("x^3 - 2/7*x^2 + x/5"), P("x^4 + 3/4*x")])]
+
+
+def test_subduce_matches_the_fraction_loop():
+    rng = random.Random(20261022)
+    bases = [construct_case(label, params).sagbi_basis()
+             for label, params, _ in all_draws()] + _non_integral_bases()
+    for basis in bases:
+        for f in _subduction_inputs(basis, rng):
+            rem, steps = subduce(f, basis)
+            old_rem, old_steps = reference_subduce(f, basis)
+            assert rem.coeffs == old_rem.coeffs and rem.field is old_rem.field
+            assert steps == old_steps
+    for basis in _non_integral_bases():
+        reps = [basis.semigroup.represent(d) for d in range(2, 12)]
+        assert any(basis.cleared_product(rep)[1] != 1 for rep in reps
+                   if rep is not NOT_MEMBER)
+
+
+def test_dot_matches_the_fraction_dot():
+    rng = random.Random(20261023)
+
+    def row(n):
+        return [F(0) if rng.random() < 0.3 else
+                F(rng.randint(-2 ** 120, 2 ** 120), rng.randint(1, 2 ** 90))
+                for _ in range(n)]
+
+    for _ in range(100):
+        a, b = row(rng.randint(0, 12)), row(rng.randint(0, 12))
+        value = _dot(_cleared(a, QQ), _cleared(b, QQ), QQ)
+        assert type(value) is F
+        assert value == sum((u * v for u, v in zip(a, b)), F(0))
+    functionals = [
+        LinearFunctional.difference(F(1, 3), F(-5, 2)),
+        LinearFunctional.derivative_combo(
+            [(1, F(2, 7), F(3)), (2, F(-1), F(-1, 4)), (0, F(1, 9), F(5)),
+             (0, F(0), F(-5))])]
+    for L in functionals:
+        for _ in range(20):
+            f = Poly(row(rng.randint(0, 10)))
+            expected = sum((c * r for c, r in
+                            zip(f.coeffs, L.monomial_row(f.degree, QQ))),
+                           F(0))
+            assert L.apply(f) == expected
