@@ -186,17 +186,26 @@ def _normalize_params(case, params, field):
     return p
 
 
+def _checked_case(label, params):
+    """(case, params, field): the table entry of `label` and the parameters
+    coerced into their common field, after the side conditions pass."""
+    if label not in CASES:
+        raise ClassificationError(f"unknown case label {label!r}")
+    case = CASES[label]
+    field = _params_field(params)
+    params = {k: field.coerce(v) if field is not QQ else v
+              for k, v in params.items()}
+    _check_sides(case, params, field)
+    return case, params, field
+
+
 def canonical_case_basis(label, params):
     """The matched type degrees and canonical basis for the parameters.
 
     Returns (type_tuple, [Poly]); raises ParameterDegeneracy when a side
     condition fails and ClassificationError when no branch matches.
     """
-    case = CASES[label]
-    field = _params_field(params)
-    params = {k: field.coerce(v) if field is not QQ else v
-              for k, v in params.items()}
-    _check_sides(case, params, field)
+    case, params, field = _checked_case(label, params)
     params = _normalize_params(case, params, field)
     conds = _build_conditions(case, params, field)
     env = _eval_helpers(case, params, field, conds)
@@ -219,13 +228,7 @@ def canonical_case_basis(label, params):
 
 def construct_case(label, params):
     """Build the subalgebra of a case table entry from its parameters."""
-    if label not in CASES:
-        raise ClassificationError(f"unknown case label {label!r}")
-    case = CASES[label]
-    field = _params_field(params)
-    params = {k: field.coerce(v) if field is not QQ else v
-              for k, v in params.items()}
-    _check_sides(case, params, field)
+    case, params, field = _checked_case(label, params)
     conds = _build_conditions(case, params, field)
     A = kernel_subalgebra(conds)
     if A.codimension() != case["codim"]:

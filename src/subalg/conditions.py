@@ -349,15 +349,17 @@ class Subalgebra:
         """The spectrum (see `compute_spectrum`), cached.
 
         The cached spectrum is reused by "hybrid" without nf, and otherwise
-        only when every point is exact; else the spectrum is computed
-        afresh and replaces it.  An unknown mode is never served from the
-        cache: `compute_spectrum` rejects it.
+        only when every point is exact and, for a given nf, rational or in
+        nf; else the spectrum is computed afresh and replaces it.  An
+        unknown mode is never served from the cache: `compute_spectrum`
+        rejects it.
         """
-        from .spectrum import MODES, compute_spectrum
+        from .spectrum import MODES, _rational, compute_spectrum
         cached = self._spectrum
         if cached is None or mode not in MODES or not (
                 (mode == "hybrid" and nf is None) or
-                all(p.exact for p in cached)):
+                all(p.exact and (nf is None or _rational(p.value) is not None
+                                 or p.value.field is nf) for p in cached)):
             self._spectrum = compute_spectrum(self, mode=mode, nf=nf)
         return self._spectrum
 

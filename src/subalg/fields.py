@@ -1,10 +1,8 @@
 """Exact coefficient fields: rationals and simple number fields Q[t]/(m(t)).
 
-`Rat` is an alias for :class:`fractions.Fraction`, which already satisfies the
-required invariants (canonical form, positive denominator, structural
-equality).  Number-field elements are dense coefficient vectors reduced mod a
-monic square-free modulus; irreducibility is *not* checked — a failed
-inversion surfaces as :class:`~subalg.errors.NonInvertible`.
+Number-field elements are dense coefficient vectors reduced mod a monic
+square-free modulus; irreducibility is *not* checked — a failed inversion
+surfaces as :class:`~subalg.errors.NonInvertible`.
 """
 
 from __future__ import annotations
@@ -12,8 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import FieldMismatch, NonInvertible, SubalgError
-
-Rat = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

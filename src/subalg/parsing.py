@@ -108,7 +108,8 @@ class _Parser:
                 value = value * rhs
             else:
                 if rhs.degree != 0:
-                    raise ParseError("division by a non-constant",
+                    raise ParseError("division by zero" if rhs.is_zero()
+                                     else "division by a non-constant",
                                      position=self.position())
                 value = value / rhs.coeff(0)
         return value

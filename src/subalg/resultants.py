@@ -35,10 +35,9 @@ from .poly import Poly, _int_scaled, poly_gcd
 class DividedDifference:
     """P(x, y) = (p(x) - p(y)) / (x - y), stored as y-coefficients c_k(x)."""
 
-    __slots__ = ("source", "table")
+    __slots__ = ("table",)
 
-    def __init__(self, source, table):
-        self.source = source
+    def __init__(self, table):
         self.table = tuple(table)
 
     @property
@@ -55,7 +54,7 @@ def divided_difference(p):
     for k in range(m):
         coeffs = [p.coeff(n) for n in range(k + 1, m + 1)]
         table.append(Poly(coeffs, p.field))
-    dd = DividedDifference(p, table)
+    dd = DividedDifference(table)
     # Verify (x - y) * P = p(x) - p(y) by comparing y-coefficient tables.
     # p(x) - p(y) has y^k coefficient  (p(x) if k == 0 else 0) - a_k.
     # (x - y) * P has y^k coefficient  x*c_k - c_{k-1}.
@@ -81,22 +80,6 @@ def _max_x_degree(table):
 
 def _total_degree(table):
     return max((k + c.degree for k, c in enumerate(table) if c), default=-1)
-
-
-def _newton_interpolate(points, values, field):
-    """Poly through the (point, scalar value) pairs, by Newton's method."""
-    n = len(points)
-    coefs = list(values)  # divided differences, computed in place
-    pts = [field.coerce(Fraction(p)) for p in points]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            inv = field.one / (pts[i] - pts[i - j])
-            coefs[i] = (coefs[i] - coefs[i - 1]) * inv
-    x = Poly.x(field)
-    result = Poly.constant(coefs[n - 1], field)
-    for i in range(n - 2, -1, -1):
-        result = result * (x - pts[i]) + coefs[i]
-    return result
 
 
 def resultant_y_tables(f_table, g_table):
@@ -359,13 +342,11 @@ def resultant_y(f, g):
 
 
 def char_poly_pair(p, q):
-    """chi_{p,q} = Res_y(P, Q), normalized monic (or exactly zero)."""
+    """chi_{p,q} = Res_y(P, Q), normalized monic (or exactly zero): the
+    two-generator case of `char_poly_multi`, whose lattice is one sample."""
     if p.degree < 1 or q.degree < 1:
         raise ConstantInput("char_poly_pair needs two nonconstant inputs")
-    P = divided_difference(p.monic())
-    Q = divided_difference(q.monic())
-    chi = resultant_y_tables(P.table, Q.table)
-    return chi.monic() if chi else chi
+    return _lattice_gcd([p, q], 0)
 
 
 def char_poly_multi(gens, symmetrize=False):
@@ -429,10 +410,12 @@ def _lattice_gcd(gens, least_degree):
 
     chi = Poly.zero(field)
     for w in sorted(_principal_lattice(len(rest) - 1, h), key=cost):
-        combo = [Poly.zero(field)] * max(len(t) for t in rest)
-        for wi, table in zip((1,) + w, rest):
-            for k, c in enumerate(table):
-                combo[k] = combo[k] + wi * c
+        combo = list(rest[0])
+        for wi, table in zip(w, rest[1:]):
+            if wi:
+                combo += [Poly.zero(field)] * (len(table) - len(combo))
+                for k, c in enumerate(table):
+                    combo[k] = combo[k] + wi * c
         sample = resultant_y_tables(tables[0], combo)
         if sample:
             chi = poly_gcd(chi, sample)
@@ -459,10 +442,12 @@ def _principal_lattice(k, h):
 def resultant_relation(p, q):
     """F(p, q) = Res_y(p(y) - P, q(y) - Q) as an MPoly in (P, Q).
 
-    F(p(x), q(x)) = 0 identically, and the support satisfies i*n + j*m <= nm.
-    F has degree m in Q: each of the m + 1 values F(P, b) at Q = b is one
-    `resultant_y_tables` call, with p(y) - P as a y-table of Polys in P,
-    and each P-coefficient is then interpolated over b.
+    F(p(x), q(x)) = 0 identically, and the support satisfies i*m + j*n <= nm.
+    P enters only the n Sylvester rows of p(y) - P, so deg_P F <= n, and
+    the Kronecker substitution P = x, Q = x^(n+1) sends P^i Q^j to its own
+    power x^(i + (n+1) j).  F is read off one `resultant_y_tables` call on
+    p(y) - x and q(y) - x^(n+1); substitution commutes with Res_y because
+    both leading y-coefficients are 1.
     """
     if p.degree < 1 or q.degree < 1:
         raise ConstantInput("resultant_relation needs nonconstant inputs")
@@ -473,17 +458,13 @@ def resultant_relation(p, q):
     if p.leading_coeff() != field.one or q.leading_coeff() != field.one:
         raise SubalgError("resultant_relation requires monic inputs")
     p, q = p.coerce_to(field), q.coerce_to(field)
-    P_table = [Poly((p.coeff(0), -field.one), field)] + \
-        [Poly.constant(c, field) for c in p.coeffs[1:]]
-    b_pts = [Fraction(j) for j in range(m + 1)]
-    at_b = [resultant_y_tables(P_table, [Poly.constant(c, field) for c in
-                                         (q - field.coerce(b)).coeffs])
-            for b in b_pts]
-    in_Q = [_newton_interpolate(b_pts, [f.coeff(i) for f in at_b], field)
-            for i in range(n + 1)]
-    terms = {(i, j): Poly.constant(f.coeff(j), field)
-             for j in range(m + 1) for i, f in enumerate(in_Q)
-             if not is_zero_scalar(f.coeff(j))}
+    N = n + 1
+    P_table, Q_table = ([Poly.monomial(d, -1, field) + f.coeff(0)]
+                        + [Poly.constant(c, field) for c in f.coeffs[1:]]
+                        for f, d in ((p, 1), (q, N)))
+    R = resultant_y_tables(P_table, Q_table)
+    terms = {(k % N, k // N): Poly.constant(c, field)
+             for k, c in enumerate(R.coeffs) if not is_zero_scalar(c)}
     F = MPoly(terms, 2, field)
     for (i, j) in F.terms:
         # deg_x(p^i q^j) = i*m + j*n must not exceed nm

@@ -7,7 +7,8 @@ from subalg.classify import (CASES, canonical_case_basis, classify,
                              construct_case, type_of)
 from subalg.conditions import LinearFunctional, Subalgebra, kernel_subalgebra
 from subalg.derivations import conjecture_dim_check
-from subalg.errors import (ParameterDegeneracy, UnsupportedCodimension)
+from subalg.errors import (ClassificationError, ParameterDegeneracy,
+                           UnsupportedCodimension)
 from subalg.fields import NumberField
 from subalg.parsing import parse_poly as P
 
@@ -32,6 +33,12 @@ def test_construct_rejects_degenerate_parameters():
         construct_case("codim1/pair", {"alpha": F(1), "beta": F(1)})
     with pytest.raises(ParameterDegeneracy):
         construct_case("codim2/s=1", {"alpha": F(0), "a": F(0), "b": F(0)})
+
+
+def test_an_unknown_label_is_a_classification_error():
+    for build in (construct_case, canonical_case_basis):
+        with pytest.raises(ClassificationError, match="codim9/bogus"):
+            build("codim9/bogus", {})
 
 
 def test_canonical_basis_degrees_match_type():

@@ -100,6 +100,8 @@ def test_spectrum_rejects_tol_flag(capsys):
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "charpoly", "x +", "x^2")
     assert code == 2 and "parse error" in err
+    code, _, err = run(capsys, "charpoly", "1/0", "x^2")
+    assert code == 2 and "division by zero" in err
 
 
 def test_domain_error_exit_code(capsys):

@@ -42,6 +42,9 @@ def test_errors_carry_positions():
         parse_poly("x^-2")
     with pytest.raises(ParseError):
         parse_poly("x / (x + 1)")
+    with pytest.raises(ParseError, match="division by zero") as info:
+        parse_poly("1/0")
+    assert info.value.position == 3
 
 
 def test_scalar_parsing():

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import random
 import subprocess
@@ -16,7 +17,7 @@ from subalg.modular import word_primes
 from subalg.mpoly import MPoly
 from subalg.parsing import parse_poly as P
 from subalg.poly import Poly, poly_gcd
-from subalg.resultants import (_max_x_degree, _newton_interpolate,
+from subalg.resultants import (_max_x_degree,
                                _total_degree, char_poly_multi, char_poly_pair,
                                divided_difference, resultant_relation,
                                resultant_y, resultant_y_tables)
@@ -63,6 +64,23 @@ def reference_scalar_resultant(A, B, field):
         if dA % 2 and dB % 2:
             sign = -sign
         A, B = B, R
+
+
+def _newton_interpolate(points, values, field):
+    """Poly through the (point, scalar value) pairs, by Newton's method
+    over the field (the exact interpolation the modular engine replaced)."""
+    n = len(points)
+    coefs = list(values)  # divided differences, computed in place
+    pts = [field.coerce(F(p)) for p in points]
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            inv = field.one / (pts[i] - pts[i - j])
+            coefs[i] = (coefs[i] - coefs[i - 1]) * inv
+    x = Poly.x(field)
+    result = Poly.constant(coefs[n - 1], field)
+    for i in range(n - 2, -1, -1):
+        result = result * (x - pts[i]) + coefs[i]
+    return result
 
 
 def reference_resultant_y_tables(f_table, g_table):
@@ -505,10 +523,86 @@ def reference_resultant_relation(p, q):
     return MPoly(terms, 2, field)
 
 
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+BENCH_SEED = 20261017  # bench/run.py DEFAULT_SEED
+
+
+def _charpoly_items(kind, count):
+    """The first `count` items of one kind from the benchmark's charpoly
+    stream at its default seed, as pairs of Polys over Q."""
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    stream = module.CharpolyStream(BENCH_SEED)
+    k, out = 0, []
+    while len(out) < count:
+        item = stream(k)
+        if item.kind == kind:
+            out.append(tuple(Poly([F(c) for c in coeffs])
+                             for coeffs in item.polys))
+        k += 1
+    return out
+
+
+def test_resultant_relation_is_one_engine_call(monkeypatch):
+    calls = []
+
+    def counted(f_table, g_table):
+        calls.append(None)
+        return resultant_y_tables(f_table, g_table)
+
+    monkeypatch.setattr(resultants, "resultant_y_tables", counted)
+    for p, q in ((P("x^3 - x"), P("x^2")), (P("x^5 + x - 1"), P("x^6 + 2"))):
+        calls.clear()
+        resultants.resultant_relation(p, q)
+        assert len(calls) == 1
+
+
 def test_resultant_relation_matches_the_scalar_grid():
+    qi = NumberField([1, 0, 1], label="t^2+1")
     rng = random.Random(20261018)
-    for m, n in ((2, 3), (3, 4), (2, 5), (4, 5), (3, 5), (5, 6)):
-        p, q = (Poly([F(rng.randint(-3, 3)) for _ in range(d)] + [F(1)])
-                for d in (m, n))
+    pairs = [tuple(Poly([F(rng.randint(-3, 3)) for _ in range(d)] + [F(1)])
+                   for d in (m, n))
+             for m, n in ((2, 3), (3, 4), (2, 5), (4, 5), (3, 5), (5, 6))]
+    pairs += _charpoly_items("relation", 6)
+    for m, n in ((2, 3), (3, 4), (3, 5), (4, 5)):
+        # non-integral coefficients
+        pairs.append(tuple(
+            Poly([F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)]
+                 + [F(1)]) for d in (m, n)))
+    t = qi.gen()
+    for m, n in ((2, 3), (3, 4)):
+        # over Q(i), with non-rational coefficients
+        pairs.append(tuple(
+            Poly([rng.randint(-2, 2) + rng.randint(-2, 2) * t
+                  for _ in range(d)] + [1], qi) for d in (m, n)))
+    assert any(p.field is qi for p, _ in pairs)
+    for p, q in pairs:
         new, old = resultant_relation(p, q), reference_resultant_relation(p, q)
         assert new.terms == old.terms and repr(new) == repr(old), (p, q)
+        assert {(q.degree, 0), (0, p.degree)} <= set(new.terms), (p, q)
+
+
+def reference_char_poly_pair(p, q):
+    """The char_poly_pair body that the lattice routine replaced."""
+    chi = resultant_y_tables(divided_difference(p.monic()).table,
+                             divided_difference(q.monic()).table)
+    return chi.monic() if chi else chi
+
+
+def test_char_poly_pair_is_the_two_generator_lattice():
+    qi = NumberField([1, 0, 1], label="t^2+1")
+    pairs = _charpoly_items("pair", 100) + [
+        (P("x^2"), P("x^4")),
+        (P("x^2 + x"), P("(x^2 + x)^2")),
+        (P("2*x^3 - x"), P("x^2/3")),
+        (P("x^3 + t*x", field=qi), P("x^2 - t", field=qi)),
+        (P("x^4 + t*x^2", field=qi), P("x^5 + x", field=qi))]
+    for p, q in pairs:
+        new, old = char_poly_pair(p, q), reference_char_poly_pair(p, q)
+        assert new == old and new.field == old.field, (p, q)
+        assert str(new) == str(old) and repr(new) == repr(old), (p, q)
+    assert not char_poly_pair(P("x^2"), P("x^4"))
+    assert char_poly_pair(*pairs[-1]).field == qi

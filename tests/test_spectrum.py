@@ -127,6 +127,20 @@ def test_a_field_request_ignores_an_inexact_cached_spectrum():
     assert [len(c) for c in A.clusters()] == [2]
 
 
+def test_a_field_request_is_not_served_points_of_another_field():
+    A = alg("x^4", "x^3 - x")
+    k8 = NumberField([1, 0, 0, 0, 1], label="t^4+1")
+    k12 = NumberField([1, 0, -1, 0, 1], label="t^4-t^2+1")
+    pts = A.spectrum(mode="exact", nf=k8)
+    assert len(pts) == 6
+    assert A.spectrum(mode="exact", nf=k8) is pts
+    assert A.spectrum(mode="exact") is pts
+    with pytest.raises(SpectrumNotExact):
+        A.spectrum(mode="exact", nf=k12)
+    with pytest.raises(SpectrumNotExact):
+        alg("x^4", "x^3 - x").spectrum(mode="exact", nf=k12)
+
+
 def test_classify_and_derivations_never_build_chi(monkeypatch):
     def refuse(*args):
         raise AssertionError("a characteristic polynomial was built")
