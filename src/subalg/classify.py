@@ -317,7 +317,7 @@ def classify(A, nf=None):
             f"matched branch type {type_degrees} disagrees with the "
             f"semigroup type {type_of(basis)}")
     for p in canonical:
-        rem, _ = subduce(p.coerce_to(field) if p.field is QQ else p, basis)
+        rem, _ = subduce(p, basis)
         if rem.degree >= 1:
             raise ClassificationError(
                 "canonical basis element is not a member of the algebra")

@@ -18,8 +18,8 @@ from .errors import (DegenerateConditions, NotSubalgebraConditions,
 from .fields import (QQ, common_field, field_of, format_scalar,
                      is_zero_scalar, scalar_to_json)
 from .linalg import echelon_nullspace, extend_echelon, nullspace, rref
-from .modular import (ResidueRing, coordinates, crt, rational_reconstruction,
-                      word_primes)
+from .modular import (ResidueRing, _fold, _int_mul, coordinates, crt,
+                      rational_reconstruction, word_primes)
 from .poly import Poly, _int_scaled
 from .sagbi import SagbiBasis, sagbi_complete, subduce
 from .semigroup import DegreeSemigroup
@@ -39,8 +39,8 @@ class LinearFunctional:
         self.kind = kind
         if kind == "diff":
             field = common_field(field_of(alpha), field_of(beta))
-            self.alpha = _coerce(alpha, field)
-            self.beta = _coerce(beta, field)
+            self.alpha = field.coerce(alpha)
+            self.beta = field.coerce(beta)
             if self.alpha == self.beta:
                 raise SubalgError("difference condition needs two distinct "
                                   "points")
@@ -54,8 +54,8 @@ class LinearFunctional:
             for order, point, coeff in terms:
                 field = common_field(field, field_of(point))
                 field = common_field(field, field_of(coeff))
-            norm = tuple((int(order), _coerce(point, field),
-                          _coerce(coeff, field))
+            norm = tuple((int(order), field.coerce(point),
+                          field.coerce(coeff))
                          for order, point, coeff in terms)
             zero_sum = field.zero
             for order, _, coeff in norm:
@@ -81,15 +81,15 @@ class LinearFunctional:
     def apply(self, f):
         field = common_field(self.field, f.field)
         row = self.monomial_row(f.degree, field)
-        return _dot(_cleared(f.coerce_to(field).coeffs, field),
-                    _cleared(row, field), field)
+        return _dot(_int_scaled(f.coerce_to(field).coeffs, field),
+                    _int_scaled(row, field), field)
 
     def monomial_row(self, degree, field):
         """(L(1), L(x), …, L(x^degree)), with entries in `field`: the
         coefficient-weighted sum of the jet rows of the terms."""
         row = [field.zero] * (degree + 1)
         for order, point, coeff in self.terms:
-            coeff = _coerce(coeff, field)
+            coeff = field.coerce(coeff)
             jet = _jet_row(order, point, degree, field)
             for k in range(order, degree + 1):
                 row[k] = row[k] + coeff * jet[k]
@@ -149,7 +149,7 @@ def _jet_row(order, point, degree, field):
     and one running power of the point, so no polynomial is built.
     """
     row = [field.zero] * (degree + 1)
-    point = _coerce(point, field)
+    point = field.coerce(point)
     power = field.one
     falling = factorial(order)
     for k in range(order, degree + 1):
@@ -159,31 +159,20 @@ def _jet_row(order, point, degree, field):
     return row
 
 
-def _cleared(row, field):
-    """`row` made ready for `_dot`: over Q its cleared integers and their
-    denominator (see `poly._int_scaled`), over a number field the row
-    itself.  A row that enters many dots is cleared once."""
-    return _int_scaled(row) if field is QQ else row
-
-
 def _dot(a, b, field):
-    """Σ a_i·b_i for two rows made ready by `_cleared`; over a number
-    field the zero entries of a are skipped."""
-    if field is QQ:
-        (ia, da), (ib, db) = a, b
-        return Fraction(sum(map(mul, ia, ib)), da * db)
-    acc = field.zero
-    for u, v in zip(a, b):
-        if not is_zero_scalar(u):
-            acc = acc + u * v
-    return acc
-
-
-def _coerce(value, field):
-    if field is QQ:
-        return Fraction(value) if not hasattr(value, "field") else \
-            value.to_rational()
-    return field.coerce(value)
+    """Σ a_i·b_i for two rows cleared by `poly._int_scaled` (a row that
+    enters many dots is cleared once): the products of t̃-coordinates are
+    summed unreduced in 2e − 1 coordinates, then folded once by m̃."""
+    (ia, da), (ib, db), e = a, b, field.degree
+    if e == 1:
+        acc = [sum(map(mul, ia, ib))]
+    else:
+        acc = [0] * (2 * e - 1)
+        for u in range(e):
+            for v in range(e):
+                acc[u + v] += sum(map(mul, ia[u::e], ib[v::e]))
+        acc = _fold(acc, field.tilde_modulus)
+    return field.from_tilde_coordinates(acc, da * db)[0]
 
 
 def _scalar_from_json(data, field):
@@ -237,12 +226,13 @@ def _closed_under_products(rows, kernel, low, field):
     V_{<low} satisfies every condition.  `kernel` must contain a basis of
     V_{<low}; `rows` must reach degree 2·low − 2.
     """
-    small = [p for p in kernel if 1 <= p.degree < low]
-    rows = [_cleared(row, field) for row in rows]
-    for i, p in enumerate(small):
-        for q in small[i:]:
-            coeffs = _cleared((p * q).coeffs, field)
-            if any(not is_zero_scalar(_dot(coeffs, row, field))
+    small = [_int_scaled(p.coeffs, field) for p in kernel
+             if 1 <= p.degree < low]
+    rows = [_int_scaled(row, field) for row in rows]
+    for i, (p, dp) in enumerate(small):
+        for q, dq in small[i:]:
+            product = _int_mul(p, q, field.tilde_modulus), dp * dq
+            if any(not is_zero_scalar(_dot(product, row, field))
                    for row in rows):
                 return False
     return True
@@ -597,10 +587,10 @@ def annihilator(basis, coords, c):
     m = max(order for order, _ in coords)
     bound = c.degree - 1 + sum(max(0, m + 1 - c.order_at(point))
                                for point in {point for _, point in coords})
-    jets = [_cleared(_jet_row(order, point, bound, field), field)
+    jets = [_int_scaled(_jet_row(order, point, bound, field), field)
             for order, point in coords]
     equations = [[_dot(g, jet, field) for jet in jets]
-                 for g in (_cleared(P.coeffs, field)
+                 for g in (_int_scaled(P.coeffs, field)
                            for P in basis.degree_products(bound))]
     return nullspace(equations, len(coords), field)
 
@@ -630,7 +620,7 @@ def conditions_from_subalgebra(A, spectrum):
     for p in points:
         field = common_field(field, field_of(p))
     basis = basis.coerce_to(field)
-    points = [_coerce(p, field) for p in points]
+    points = [field.coerce(p) for p in points]
     if not points:
         raise SpectrumNotExact("empty spectrum")
 

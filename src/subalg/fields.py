@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import FieldMismatch, NonInvertible, SubalgError
+from .modular import integral_modulus
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -52,6 +53,7 @@ class RationalField:
     degree = 1
     label = "Q"
     modulus_coeffs = (_ZERO, _ONE)      # Q = Q[t]/(t)
+    tilde_modulus, mu = [0, 1], 1       # t̃ = t, see `integral_modulus`
 
     _instance = None
 
@@ -73,6 +75,14 @@ class RationalField:
 
     def from_coeffs(self, coeffs):
         return Fraction(coeffs[0])
+
+    def tilde_coordinates(self, scalars):
+        """Over Q the t̃-coordinates are the scalars themselves."""
+        return scalars
+
+    def from_tilde_coordinates(self, ints, d):
+        """The scalars whose flattened t̃-coordinates are ints/d."""
+        return [Fraction(c, d) for c in ints]
 
     @property
     def zero(self):
@@ -105,6 +115,8 @@ class NumberField:
         self.modulus_coeffs = tuple(coeffs)
         self.degree = len(coeffs) - 1
         self.label = label or "Q[t]/(m)"
+        self.tilde_modulus, self.mu = integral_modulus(coeffs)
+        self._mu_powers = [self.mu ** u for u in range(self.degree)]
 
     # -- construction helpers -------------------------------------------
 
@@ -136,6 +148,21 @@ class NumberField:
             coeffs[0] = Fraction(value)
             return FieldElem(tuple(coeffs), self)
         raise FieldMismatch(f"cannot coerce {value!r} into {self.label}")
+
+    def tilde_coordinates(self, scalars):
+        """The t̃-coordinates a_u/μ^u of the scalars (a_u their
+        t-coordinates, t̃ = μ·t), flattened: e = deg m per scalar."""
+        if self.mu == 1:
+            return [a for c in scalars for a in self.coerce(c).coeffs]
+        return [a / w for c in scalars
+                for a, w in zip(self.coerce(c).coeffs, self._mu_powers)]
+
+    def from_tilde_coordinates(self, ints, d):
+        """The scalars whose flattened t̃-coordinates are ints/d."""
+        e, powers = self.degree, self._mu_powers
+        return [FieldElem(tuple(Fraction(c * w, d) for c, w in
+                                zip(ints[j:j + e], powers)), self)
+                for j in range(0, len(ints), e)]
 
     @property
     def zero(self):

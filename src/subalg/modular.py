@@ -7,7 +7,8 @@ coordinate: Chinese remaindering over several primes, then rational
 reconstruction (von zur Gathen & Gerhard, *Modern Computer Algebra*,
 sections 5.4 and 5.10).  A vector over R_p is kept as e int lists, one per
 coordinate, so that over Q every vector operation is one pass over plain
-ints.
+ints.  `_int_mul` and `_fold` are the exact counterpart: products in
+Z[t̃]/(m̃) on integer t̃-coordinates (see `poly._int_scaled`).
 """
 
 from __future__ import annotations
@@ -91,6 +92,49 @@ def integral_modulus(modulus):
     return [int(a * mu ** (e - u)) for u, a in enumerate(modulus)], mu
 
 
+def _int_mul(a, b, mt):
+    """Product of nonempty cleared lists over Z[t̃]/(m̃), m̃ = mt (ascending
+    ints) of degree e, by Kronecker substitution: the blocks are spread to
+    stride 2e − 1, so that one integer convolution holds every product of
+    t̃-powers apart, and each output block is folded back by m̃."""
+    e = len(mt) - 1
+    if e > 1:
+        a, b = _spread(a, e), _spread(b, e)
+    x, n = a[0], len(b)
+    out = [x * y for y in b] + [0] * (len(a) - 1)
+    for i in range(1, len(a)):
+        x = a[i]
+        if x:
+            out[i:i + n] = [o + x * y for o, y in zip(out[i:i + n], b)]
+    return _fold(out, mt) if e > 1 else out
+
+
+def _spread(a, e):
+    """The blocks of a cleared list at stride 2e − 1, zero-padded."""
+    s = 2 * e - 1
+    out = [0] * ((len(a) // e - 1) * s + e)
+    for u in range(e):
+        out[u::s] = a[u::e]
+    return out
+
+
+def _fold(c, mt):
+    """Blocks of 2e − 1 coordinates reduced to blocks of e modulo the
+    monic mt (ascending, of degree e)."""
+    e = len(mt) - 1
+    s, low = 2 * e - 1, mt[:e]
+    out = []
+    for j in range(0, len(c), s):
+        block = c[j:j + s]
+        for w in range(s - 1, e - 1, -1):
+            top = block[w]
+            if top:
+                block[w - e:w] = [x - top * y
+                                  for x, y in zip(block[w - e:w], low)]
+        out += block[:e]
+    return out
+
+
 def root_radius(mt):
     """Cauchy's bound R = 1 + max_(u<e) |m̃_u| on the complex roots of the
     monic m̃ (ascending ints)."""
@@ -121,14 +165,12 @@ class ResidueRing:
     """R_p = F_p[t]/(m mod p) for a monic m over Q whose denominators p does
     not divide.  Elements are tuples of e = deg m ints in [0, p)."""
 
-    __slots__ = ("p", "e", "modulus", "_powers")
+    __slots__ = ("p", "e", "modulus")
 
     def __init__(self, modulus, p):
         self.p = p
         self.modulus = [self.reduce(a) for a in modulus]
-        self.e = e = len(modulus) - 1
-        # _powers[w]: the coordinates of t^w mod m, for w ≤ 2e − 2
-        self._powers = self.shifts((1,) + (0,) * (e - 1), 2 * e - 1)
+        self.e = len(modulus) - 1
 
     def reduce(self, a):
         """A Fraction mod p (p must not divide its denominator)."""
@@ -162,18 +204,6 @@ class ResidueRing:
         rows = [self.element(a) for a in scalars]
         return [[row[u] for row in rows] for u in range(self.e)]
 
-    def fold(self, w):
-        """Σ w_k·t^k for k ≤ 2e − 2 (any ints) as an element of R_p."""
-        p = self.p
-        if self.e == 1:
-            return (w[0] % p,)
-        out = [0] * self.e
-        for wk, power in zip(w, self._powers):
-            if wk:
-                for j, a in enumerate(power):
-                    out[j] += wk * a
-        return tuple(v % p for v in out)
-
     def dot(self, a, b):
         """Σ_k a_k·b_k for vectors a, b given as coordinate lists; the
         shorter length wins."""
@@ -182,7 +212,9 @@ class ResidueRing:
         for u in range(e):
             for v in range(e):
                 w[u + v] += sum(map(mul, a[u], b[v]))
-        return self.fold(w)
+        if e == 1:
+            return (w[0] % self.p,)
+        return tuple(v % self.p for v in _fold(w, self.modulus))
 
     def shifts(self, f, count):
         """f, t·f, …, t^(count−1)·f in R_p."""

@@ -14,6 +14,7 @@ from math import lcm
 from .errors import (BothZero, DivisionByZeroPoly, FieldMismatch, ZeroInput)
 from .fields import (QQ, FieldElem, common_field, field_of, format_scalar,
                      is_zero_scalar)
+from .modular import _int_mul
 
 
 class Poly:
@@ -98,16 +99,12 @@ class Poly:
         return Poly(self.coeffs, field)
 
     def to_rational(self):
-        """Descend to a Poly over Q if every coefficient is rational."""
-        if self.field is QQ:
-            return self
-        rat = []
-        for c in self.coeffs:
-            r = c.to_rational()
-            if r is None:
-                return None
-            rat.append(r)
-        return Poly(rat, QQ)
+        """Descend to a Poly over Q if every coefficient is rational, else
+        None."""
+        try:
+            return self.coerce_to(QQ)
+        except FieldMismatch:
+            return None
 
     def _pair(self, other):
         if isinstance(other, Poly):
@@ -154,19 +151,10 @@ class Poly:
             return NotImplemented
         if not a.coeffs or not b.coeffs:
             return Poly.zero(a.field)
-        if a.field is QQ:
-            (ia, da), (ib, db) = _int_scaled(a.coeffs), _int_scaled(b.coeffs)
-            d = da * db
-            return Poly([Fraction(c, d) for c in _int_mul(ia, ib)], QQ)
-        ca, cb = a.coeffs, b.coeffs
-        out = [a.field.zero] * (len(ca) + len(cb) - 1)
-        for i, ci in enumerate(ca):
-            if is_zero_scalar(ci):
-                continue
-            for j, cj in enumerate(cb):
-                if not is_zero_scalar(cj):
-                    out[i + j] = out[i + j] + ci * cj
-        return Poly(out, a.field)
+        f = a.field
+        (ia, da), (ib, db) = _int_scaled(a.coeffs, f), _int_scaled(b.coeffs, f)
+        return Poly(f.from_tilde_coordinates(
+            _int_mul(ia, ib, f.tilde_modulus), da * db), f)
 
     __rmul__ = __mul__
 
@@ -189,25 +177,19 @@ class Poly:
             return NotImplemented
         if not b.coeffs:
             raise DivisionByZeroPoly("polynomial division by zero")
-        field = a.field
-        if field is QQ:
-            # s·A = Q·B + R for the cleared A = sa·a and B = sb·b, so
-            # a = (sb·Q / (s·sa))·b + R / (s·sa)
-            (ia, sa), (ib, sb) = _int_scaled(a.coeffs), _int_scaled(b.coeffs)
-            iq, ir, s = _int_divide(ia, ib)
-            return (Poly([Fraction(c * sb, s * sa) for c in iq], QQ),
-                    Poly([Fraction(c, s * sa) for c in ir], QQ))
-        rem = list(a.coeffs)
-        db = b.degree
-        quot = [field.zero] * max(len(rem) - db, 0)
-        inv_lead = field.one / b.coeffs[-1]
-        for k in range(len(rem) - db - 1, -1, -1):
-            c = rem[k + db] * inv_lead
-            if not is_zero_scalar(c):
-                quot[k] = c
-                for i, bi in enumerate(b.coeffs):
-                    rem[k + i] = rem[k + i] - c * bi
-        return Poly(quot, field), Poly(rem[:db], field)
+        f, inv = a.field, None
+        if f.degree > 1 and b.coeffs[-1].to_rational() is None:
+            # invert a non-rational lead first (NonInvertible at a zero
+            # divisor): a = Q·(b/lead) + R = (Q/lead)·b + R
+            inv = f.one / b.coeffs[-1]
+            b = b * inv
+        # s·A = Q·B + R for the cleared A = sa·a and B = sb·b, so
+        # a = (sb·Q / (s·sa))·b + R / (s·sa)
+        (ia, sa), (ib, sb) = _int_scaled(a.coeffs, f), _int_scaled(b.coeffs, f)
+        iq, ir, s = _int_divide(ia, ib, f.tilde_modulus)
+        q = Poly(f.from_tilde_coordinates([c * sb for c in iq], s * sa), f)
+        r = Poly(f.from_tilde_coordinates(ir, s * sa), f)
+        return (q if inv is None else q * inv), r
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -251,20 +233,12 @@ class Poly:
                 acc = acc * point + complex(_as_float(c))
             return acc
         f = common_field(self.field, field_of(point))
-        point = f.coerce(point)
-        if f is QQ:
-            # p(u/w) = Σ C_i·u^i·w^(n−i) / (d·w^n), C = d·p cleared
-            ints, d = _int_scaled(self.coeffs)
-            u, w = point.numerator, point.denominator
-            acc, power = 0, 1
-            for c in reversed(ints):
-                acc = acc * u + c * power
-                power *= w
-            return Fraction(acc, d * (power // w)) if ints else f.zero
-        acc = f.zero
-        for c in reversed(self.coeffs):
-            acc = acc * point + f.coerce(c)
-        return acc
+        ints, d = _int_scaled(self.coeffs, f)
+        if not ints:
+            return f.zero
+        z, w = _int_scaled((point,), f)
+        value, power = _int_horner(ints, z, w, f.tilde_modulus)
+        return f.from_tilde_coordinates(value, d * power)[0]
 
     def compose(self, inner):
         """self(inner(x)) by Horner."""
@@ -355,73 +329,94 @@ def format_poly(p, var="x"):
 
 
 # ---------------------------------------------------------------------------
-# Integer kernels: Q arithmetic on cleared integer coefficient lists
+# Integer kernels: arithmetic over K = Q[t]/(m) on cleared integer lists
 # ---------------------------------------------------------------------------
 
 
-def _int_scaled(coeffs):
-    """(ints, d): d the least common denominator of the Fractions and ints
-    the integers d·c_i."""
-    dens = [c.denominator for c in coeffs]
+def _int_scaled(coeffs, field):
+    """(ints, d): the cleared form of scalars of K = Q[t]/(m), e = deg m.
+    With t̃ = μ·t (`modular.integral_modulus`), d is the least common
+    denominator of their t̃-coordinates, and block k of ints (entries
+    k·e … k·e + e − 1) holds d times those of the k-th scalar.  Over Q
+    (e = 1) these are the integers d·c_k."""
+    coords = field.tilde_coordinates(coeffs)
+    dens = [c.denominator for c in coords]
     d = lcm(*dens)
     if d == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (d // q) for c, q in zip(coeffs, dens)], d
+        return [c.numerator for c in coords], 1
+    return [c.numerator * (d // q) for c, q in zip(coords, dens)], d
 
 
 def _int_primitive(a):
-    g = 0
-    for c in a:
-        g = int_gcd(g, abs(c))
-    if g > 1:
-        a = [c // g for c in a]
-    return a
+    g = int_gcd(*a)
+    return [c // g for c in a] if g > 1 else a
 
 
-def _int_clear(p):
-    """Scale a Poly over Q to a primitive integer coefficient list."""
-    return _int_primitive(_int_scaled(p.coeffs)[0])
+def _int_cancel(r, b, mt):
+    """Pop the top block T of the cleared list r and cancel it against b,
+    whose top block is (L, 0, …, 0): returns (r′, m, t) with t = T/g and
+    m = L/g for g = ±gcd(L, T) (sign of L), so r′ = m·r − t·x^k·b without
+    its top block; m = 1 when L = 1.  The caller scales by m."""
+    e = len(mt) - 1
+    top, lead = r[-e:], b[-e]
+    del r[-e:]
+    if not any(top):
+        return r, 1, top
+    g = int_gcd(lead, *top)
+    if lead < 0:
+        g = -g
+    m, t = lead // g, top if g == 1 else [c // g for c in top]
+    if m != 1:
+        r = [m * c for c in r]
+    k = len(r) - len(b) + e        # zip drops the top block of t·b
+    if e == 1:                     # the block t is one integer
+        x = t[0]
+        r[k:] = [u - x * y for u, y in zip(r[k:], b)]
+    else:
+        r[k:] = [u - y for u, y in zip(r[k:], _int_mul(t, b, mt))]
+    return r, m, t
 
 
-def _int_mul(a, b):
-    """Product of nonempty integer coefficient lists (ascending)."""
-    out = [0] * (len(a) + len(b) - 1)
-    n = len(b)
-    for i, x in enumerate(a):
-        if x:
-            out[i:i + n] = [o + x * y for o, y in zip(out[i:i + n], b)]
-    return out
-
-
-def _int_divide(a, b):
-    """Pseudo-division of integer coefficient lists (ascending, b with a
-    nonzero leading coefficient): (q, r, s) with s·a = q·b + r, s > 0 and
-    r shorter than b.  Each step scales by lead/g only, g the gcd of the
-    top coefficient and the lead (sign of the lead), so s stays 1 when
-    the lead is 1."""
-    r, n, lead = list(a), len(b) - 1, b[-1]
-    q, s = [0] * max(len(r) - n, 0), 1
-    for k in range(len(r) - n - 1, -1, -1):
-        top = r.pop()
-        if not top:
-            continue
-        g = int_gcd(top, lead) if lead > 0 else -int_gcd(top, lead)
-        m, t = lead // g, top // g
+def _int_divide(a, b, mt):
+    """Pseudo-division of cleared lists (b with top block (L, 0, …, 0),
+    L ≠ 0): (q, r, s) with s·a = q·b + r, s > 0 and r shorter than b, by
+    `_int_cancel` steps, so s stays 1 when L = 1."""
+    e = len(mt) - 1
+    r, n = list(a), len(b) // e - 1
+    q, s = [0] * max(len(r) - n * e, 0), 1
+    for k in range(len(r) // e - n - 1, -1, -1):
+        r, m, t = _int_cancel(r, b, mt)
         if m != 1:
-            r = [m * c for c in r]
             q = [m * c for c in q]
             s *= m
-        q[k] = t
-        for i, bi in enumerate(b[:n]):
-            r[k + i] -= t * bi
+        q[k * e:(k + 1) * e] = t
     return q, r, s
 
 
-def _int_trim(a):
-    n = len(a)
-    while n and not a[n - 1]:
-        n -= 1
-    return a[:n]
+def _int_horner(a, z, w, mt):
+    """(v, w^n) with v = Σ_k A_k·z^k·w^(n−k) for the cleared list a of
+    blocks A_0 … A_n and the block z, by Horner, so p(z/w) = v/(d·w^n)
+    for p = a/d.  At e = 1 a block is one integer."""
+    e = len(mt) - 1
+    acc, power = a[-e:], 1
+    if e == 1:
+        (acc,), (z,) = acc, z
+        for c in reversed(a[:-1]):
+            power *= w
+            acc = acc * z + c * power
+        return [acc], power
+    for j in range(len(a) - 2 * e, -1, -e):
+        power *= w
+        acc = [x + c * power for x, c in
+               zip(_int_mul(acc, z, mt), a[j:j + e])]
+    return acc, power
+
+
+def _int_trim(a, e):
+    """Drop the zero top blocks of a cleared list, in place."""
+    while a and not any(a[-e:]):
+        del a[-e:]
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +425,8 @@ def _int_trim(a):
 
 
 def poly_gcd(a, b):
-    """Monic gcd.  Over Q a primitive PRS keeps coefficients small."""
+    """Monic gcd, by a primitive PRS on cleared lists: each divisor with a
+    non-rational lead is first multiplied by the lead's inverse."""
     if a.is_zero() and b.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
     f = common_field(a.field, b.field)
@@ -439,16 +435,15 @@ def poly_gcd(a, b):
         return b.monic()
     if b.is_zero():
         return a.monic()
-    if f is QQ:
-        u, v = _int_clear(a), _int_clear(b)
-        if len(u) < len(v):
-            u, v = v, u
-        while v:
-            u, v = v, _int_primitive(_int_trim(_int_divide(u, v)[1]))
-        return Poly([Fraction(c) for c in u], QQ).monic()
-    while b:
-        a, b = b, a % b
-    return a.monic()
+    mt, e = f.tilde_modulus, f.degree
+    u, v = sorted((_int_primitive(_int_scaled(p.coeffs, f)[0])
+                   for p in (a, b)), key=len, reverse=True)
+    while v:
+        if any(v[len(v) - e + 1:]):
+            inv = f.from_tilde_coordinates(v[-e:], 1)[0].inverse()
+            v = _int_primitive(_int_mul(v, _int_scaled((inv,), f)[0], mt))
+        u, v = v, _int_primitive(_int_trim(_int_divide(u, v, mt)[1], e))
+    return Poly(f.from_tilde_coordinates(u, 1), f).monic()
 
 
 def squarefree_decompose(p):

@@ -20,14 +20,15 @@ relation F(p, q) are all built on it.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, isqrt
 from operator import mul
 
 from .errors import (ConstantInput, DegreesNotCoprime, FewerThanTwoGenerators,
                      SubalgError, ZeroPolynomialInY)
 from .fields import QQ, common_field, is_zero_scalar
-from .modular import (ResidueRing, coordinate_bound, coordinates, crt,
-                      integral_modulus, root_radius, word_primes)
+from .modular import (ResidueRing, coordinate_bound, crt, root_radius,
+                      word_primes)
 from .mpoly import MPoly
 from .poly import Poly, _int_scaled, poly_gcd
 
@@ -162,10 +163,9 @@ def _resultant(f_table, g_table, field):
     weighted = (_total_degree(f_table) * mg + _total_degree(g_table) * mf
                 - mf * mg)
     count = max(0, min(naive, weighted)) + 1
-    mt, mu = integral_modulus(field.modulus_coeffs)
-    e = len(mt) - 1
-    F, df = _cleared(f_table, mu, e)
-    G, dg = _cleared(g_table, mu, e)
+    mt, mu, e = field.tilde_modulus, field.mu, field.degree
+    F, df = _cleared(f_table, field)
+    G, dg = _cleared(g_table, field)
     powers = max(_max_x_degree(f_table), _max_x_degree(g_table)) + 1
     points, at_f, at_g = [], [], []
     x0 = 0
@@ -198,23 +198,20 @@ def _resultant(f_table, g_table, field):
         modulus *= p
         if modulus > 2 * H:
             break
-    half, scale = modulus // 2, df ** mg * dg ** mf
-    return Poly([field.from_coeffs(
-        [Fraction(((r + half) % modulus - half) * mu ** u, scale)
-         for u, r in enumerate(residues[j:j + e])])
-        for j in range(0, len(residues), e)], field)
+    half = modulus // 2
+    return Poly(field.from_tilde_coordinates(
+        [(r + half) % modulus - half for r in residues],
+        df ** mg * dg ** mf), field)
 
 
-def _cleared(table, mu, e):
-    """(T, d): d the least common denominator of the t̃-coordinates of the
-    y-table, and T[k][u] the ints d·(t̃-coordinate u) of the x-coefficients
-    of its y^k coefficient."""
-    coords = [[coordinates(c) for c in poly.coeffs] for poly in table]
-    rows = [[[c[u] / mu ** u for c in row] for u in range(e)]
-            for row in coords]
-    ints, d = _int_scaled([a for row in rows for col in row for a in col])
-    ints = iter(ints)
-    return [[[next(ints) for _ in col] for col in row] for row in rows], d
+def _cleared(table, field):
+    """(T, d): the y-table cleared as one list by `poly._int_scaled`; T[k][u]
+    lists the ints d·(t̃-coordinate u) of the x-coefficients of y^k."""
+    ints, d = _int_scaled([c for poly in table for c in poly.coeffs], field)
+    e = field.degree
+    ends = list(accumulate(len(poly.coeffs) * e for poly in table))
+    return [[ints[i + u:j:e] for u in range(e)]
+            for i, j in zip([0] + ends, ends)], d
 
 
 def _norm2(table, R):

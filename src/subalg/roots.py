@@ -16,13 +16,12 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from itertools import product
-from math import ceil, lcm
+from math import ceil
 
 from .errors import NonConvergence, SubalgError
 from .fields import QQ, is_zero_scalar
-from .modular import (coordinate_bound, coordinates, integral_modulus,
-                      is_prime, root_radius)
-from .poly import Poly, _as_float, squarefree_decompose
+from .modular import coordinate_bound, coordinates, is_prime, root_radius
+from .poly import Poly, _as_float, _int_scaled, squarefree_decompose
 from .resultants import _discriminant
 
 RESIDUAL_TOL = 1e-12
@@ -76,15 +75,13 @@ def _lifted_roots(f, field):
     evaluation.
     """
     f = f.monic()
-    mt, mu = integral_modulus(field.modulus_coeffs)
-    e = len(mt) - 1
-    coords = [[Fraction(a) / mu ** u for u, a in enumerate(coordinates(c))]
-              for c in f.coeffs]
-    delta = lcm(*(a.denominator for cs in coords for a in cs))
+    mt, e = field.tilde_modulus, field.degree
+    ints, delta = _int_scaled(f.coeffs, field)      # δ·f, cleared
+    coords = [ints[j:j + e] for j in range(0, len(ints), e)]
     disc = _discriminant(mt)
     R = root_radius(mt)
-    B = 1 + max(sum(abs(a) * R ** u for u, a in enumerate(cs))
-                for cs in coords[:-1])
+    B = 1 + Fraction(max(sum(abs(a) * R ** u for u, a in enumerate(cs))
+                         for cs in coords[:-1]), delta)
     H = ceil(delta * coordinate_bound(mt, B))
 
     p = 1
@@ -123,8 +120,7 @@ def _lifted_roots(f, field):
         A = [(sum(col) + half) % q - half for col in zip(*tup)]
         if max(map(abs, A)) > H:
             continue
-        alpha = field.from_coeffs(
-            [Fraction(a * mu ** u, scale) for u, a in enumerate(A)])
+        alpha = field.from_tilde_coordinates(A, scale)[0]
         if is_zero_scalar(f(alpha)):
             out.append(alpha)
     return sorted(out, key=_order_key)
@@ -153,10 +149,10 @@ def _derivative(g):
 
 
 def _image(coords, theta, q):
-    """The coefficients of f with t̃ ↦ theta, modulo q (prime to every
-    denominator)."""
-    return [sum(a.numerator * pow(a.denominator, -1, q) * pow(theta, u, q)
-                for u, a in enumerate(cs)) % q for cs in coords]
+    """The coefficients of δ·f with t̃ ↦ theta, modulo q: its roots modulo
+    q are those of f, q being prime to δ."""
+    return [sum(a * pow(theta, u, q) for u, a in enumerate(cs)) % q
+            for cs in coords]
 
 
 def _lift(g, r, q):

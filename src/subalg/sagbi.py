@@ -9,13 +9,12 @@ a constant.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from functools import reduce
 
 from .errors import (ConditionVanishesOnB, InfiniteCodimension, SubalgError)
 from .fields import QQ, common_field, is_zero_scalar
-from .poly import Poly, _int_scaled
+from .poly import Poly, _int_cancel, _int_scaled, _int_trim
 from .semigroup import NOT_MEMBER, DegreeSemigroup
 
 
@@ -59,12 +58,12 @@ class SagbiBasis:
         return prod
 
     def cleared_product(self, rep):
-        """`product_for(rep)` over Q as (ints, d), see `poly._int_scaled`;
-        cached under the same key."""
+        """`product_for(rep)` as (ints, d), see `poly._int_scaled`; cached
+        under the same key."""
         rep = tuple(rep)
         cleared = self._cleared_cache.get(rep)
         if cleared is None:
-            cleared = _int_scaled(self.product_for(rep).coeffs)
+            cleared = _int_scaled(self.product_for(rep).coeffs, self.field)
             self._cleared_cache[rep] = cleared
         return cleared
 
@@ -96,46 +95,22 @@ def subduce(f, basis):
     names basis elements.
     """
     field = common_field(f.field, basis.field)
+    basis = basis.coerce_to(field)
+    S, mt, e = basis.semigroup, field.tilde_modulus, field.degree
     steps = []
-    S = basis.semigroup
-    if field is QQ:
-        # the remainder is coeffs/den with integer coeffs
-        coeffs, den = _int_scaled(f.coeffs)
-        while len(coeffs) > 1:
-            d = len(coeffs) - 1
-            rep = S.represent(d)
-            if rep is NOT_MEMBER:
-                break
-            top = coeffs.pop()
-            steps.append((d, Fraction(top, den), rep))
-            # subtract (top/den)·prod/pd: prod[d] = pd, prod being monic
-            prod, pd = basis.cleared_product(rep)
-            g = gcd(top, pd)
-            m, t = pd // g, top // g
-            if m != 1:
-                coeffs = [m * c for c in coeffs]
-                den *= m
-            for k, b in enumerate(prod[:d]):
-                if b:
-                    coeffs[k] -= t * b
-            while coeffs and not coeffs[-1]:
-                coeffs.pop()
-        return Poly([Fraction(c, den) for c in coeffs], QQ), steps
-    coeffs = list(f.coerce_to(field).coeffs)
-    while len(coeffs) > 1:
-        d = len(coeffs) - 1
+    # the remainder is coeffs/den, cleared (see `poly._int_scaled`)
+    coeffs, den = _int_scaled(f.coerce_to(field).coeffs, field)
+    while len(coeffs) > e:
+        d = len(coeffs) // e - 1
         rep = S.represent(d)
         if rep is NOT_MEMBER:
             break
-        c = coeffs.pop()
-        prod = basis.product_for(rep).coerce_to(field).coeffs  # monic
-        for k, b in enumerate(prod[:d]):
-            if b:
-                coeffs[k] = coeffs[k] - c * b
-        while coeffs and is_zero_scalar(coeffs[-1]):
-            coeffs.pop()
-        steps.append((d, c, rep))
-    return Poly(coeffs, field), steps
+        steps.append((d, field.from_tilde_coordinates(coeffs[-e:], den)[0],
+                      rep))
+        # prod is monic, so the top block of its cleared form is (pd, 0, …)
+        coeffs, m, _ = _int_cancel(coeffs, basis.cleared_product(rep)[0], mt)
+        coeffs, den = _int_trim(coeffs, e), den * m
+    return Poly(field.from_tilde_coordinates(coeffs, den), field), steps
 
 
 def _all_representations(d, degrees):

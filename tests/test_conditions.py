@@ -21,7 +21,7 @@ from subalg.linalg import nullspace
 from subalg.modular import is_prime
 from subalg.oracle import oracle_codimension, oracle_member
 from subalg.parsing import parse_poly as P
-from subalg.poly import Poly, squarefree_part
+from subalg.poly import Poly, _int_scaled, squarefree_part
 from subalg.resultants import char_poly_pair
 from subalg.sagbi import sagbi_complete
 
@@ -380,3 +380,51 @@ def test_conductor_certificate_is_membership_of_every_shift():
     assert conditions._in_conductor_ideal(P("x^3 + x^2"), basis)
     assert not conditions._in_conductor_ideal(P("x"), basis)
     assert not conditions._in_conductor_ideal(P("x^3 + x"), basis)
+
+
+def reference_dot(a, b, field):
+    """`_dot` over a number field before the cleared kernel (verbatim
+    loop, on the rows themselves)."""
+    acc = field.zero
+    for u, v in zip(a, b):
+        if not is_zero_scalar(u):
+            acc = acc + u * v
+    return acc
+
+
+def test_dot_matches_the_field_elem_dot():
+    rng = random.Random(20261030)
+    for modulus in ([1, 0, 1], [-2, 0, 1], [-2, 0, 0, 1], [1, 0, 0, 0, 1],
+                    [F(-1, 2), 0, 1]):
+        nf = NumberField(modulus)
+
+        def row(n):
+            out = []
+            for _ in range(n):
+                kind = rng.randrange(3)
+                if kind == 0:
+                    out.append(nf.zero)
+                elif kind == 1:
+                    out.append(nf.coerce(F(rng.randint(-9, 9),
+                                           rng.randint(1, 5))))
+                else:
+                    out.append(nf.from_coeffs(
+                        [F(rng.randint(-2 ** 70, 2 ** 70),
+                           rng.randint(1, 2 ** 40))
+                         for _ in range(nf.degree)]))
+            return out
+
+        for _ in range(40):
+            a, b = row(rng.randint(0, 10)), row(rng.randint(0, 10))
+            value = conditions._dot(_int_scaled(a, nf), _int_scaled(b, nf),
+                                    nf)
+            assert value == reference_dot(a, b, nf)
+            assert value.field is nf
+        t = nf.gen()
+        L = LinearFunctional.derivative_combo(
+            [(1, t + F(1, 2), 3 * t), (2, F(-1), F(1, 4)), (0, t, nf.one),
+             (0, F(2, 3), -nf.one)])
+        for _ in range(10):
+            f = Poly(row(rng.randint(0, 9)), nf)
+            assert L.apply(f) == reference_dot(
+                f.coeffs, L.monomial_row(f.degree, nf), nf)

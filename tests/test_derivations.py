@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from case_draws import all_draws, family_draws
+from case_draws import affine_variants, all_draws, family_draws
 from subalg.classify import construct_case
 from subalg.conditions import LinearFunctional, Subalgebra, kernel_subalgebra
 from subalg.derivations import (NOT_INTEGRAL, _cluster_points,
@@ -237,3 +237,38 @@ def test_cluster_at_a_point_of_an_extension_field(coefficients):
     assert space.k_alpha == 2
     assert [repr(D) for D in space.combo_basis] == ["f'(t)", "f'(-t)"]
     assert conjecture_dim_check(A, t)["equal"]
+
+
+def _assert_leibniz(A, space):
+    """D(fg) = D(f)·g(α) + f(α)·D(g) for every solved D and every pair of
+    degree products of degree 1 .. conductor + 4, with D applied through
+    its monomial row by a plain sum."""
+    basis = A.sagbi_basis()
+    field = common_field(basis.field, field_of(space.alpha))
+    alpha, bound = space.alpha, basis.semigroup.conductor + 4
+    products = [p.coerce_to(field)
+                for p in basis.degree_products(bound)[1:]]
+    at_alpha = [f(alpha) for f in products]
+    for D in space.combo_basis:
+        row = D.monomial_row(2 * bound, field)
+
+        def apply(f):
+            return sum((c * r for c, r in zip(f.coeffs, row)), field.zero)
+
+        value = [apply(f) for f in products]
+        for i, f in enumerate(products):
+            for j in range(i, len(products)):
+                assert apply(f * products[j]) == \
+                    value[i] * at_alpha[j] + at_alpha[i] * value[j]
+
+
+def test_every_solved_derivation_satisfies_leibniz():
+    checked = 0
+    for label, params, _ in all_draws():
+        for moved in [params] + affine_variants(params):
+            A = construct_case(label, moved)
+            space = derivation_space(A, moved.get("alpha", moved.get("gamma")))
+            assert space.dimension >= 1
+            _assert_leibniz(A, space)
+            checked += 1
+    assert checked == 5 * len(all_draws())

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from subalg.errors import DivisionByZeroPoly, SubalgError
+from subalg.errors import DivisionByZeroPoly, NonInvertible, SubalgError
 from subalg.fields import NumberField, QQ, common_field, field_of, \
     is_zero_scalar
 from subalg.parsing import parse_poly
@@ -235,3 +235,205 @@ def test_power_equals_the_repeated_product():
         for n in range(10):
             assert a ** n == value
             value = value * a
+
+
+# -- the FieldElem loops that the one cleared kernel replaced --------------
+#
+# reference_mul, reference_divmod and reference_call above are also the
+# number-field loops, verbatim; reference_gcd is the number-field Euclid.
+
+
+def reference_gcd(a, b):
+    """`poly_gcd` over a number field before the cleared kernel."""
+    f = common_field(a.field, b.field)
+    a, b = a.coerce_to(f), b.coerce_to(f)
+    while b:
+        a, b = b, reference_divmod(a, b)[1]
+    return a.monic()
+
+
+def _number_fields():
+    """The moduli of tests/test_roots.py; t^2 - 1/2 is the one whose m is
+    not integral (mu = 2)."""
+    return [NumberField([1, 0, 1], label="t^2+1"),
+            NumberField([-2, 0, 1], label="t^2-2"),
+            NumberField([-2, 0, 0, 1], label="t^3-2"),
+            NumberField([1, 0, 0, 0, 1], label="t^4+1"),
+            NumberField([F(-1, 2), 0, 1], label="t^2-1/2")]
+
+
+def _random_element(rng, nf):
+    """Zero, rational, or a full element, with small or ~2^80 entries."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return nf.zero
+    if kind == 1:
+        return nf.coerce(F(rng.randint(-9, 9), rng.randint(1, 6)))
+    height = 2 ** 80 if kind == 2 else 30
+    return nf.from_coeffs([F(rng.randint(-height, height),
+                             rng.randint(1, 12)) for _ in range(nf.degree)])
+
+
+def _random_field_polys(seed, nf, count=40):
+    """Zero, a rational and a non-rational constant, and dense
+    polynomials up to degree 6 over nf."""
+    rng = random.Random(seed)
+    yield Poly.zero(nf)
+    yield Poly.constant(nf.coerce(F(-3, 7)), nf)
+    yield Poly.constant(nf.gen() + F(1, 3), nf)
+    for _ in range(count):
+        yield Poly([_random_element(rng, nf)
+                    for _ in range(rng.randint(0, 7))], nf)
+
+
+def _same_field(new, old, nf):
+    """Equal, with the same coefficient tuples, all in nf."""
+    assert new == old
+    assert new.field is old.field is nf
+    assert [c.coeffs for c in new.coeffs] == [c.coeffs for c in old.coeffs]
+
+
+@pytest.mark.parametrize("nf", _number_fields(), ids=lambda nf: nf.label)
+def test_mul_matches_the_field_elem_loop(nf):
+    polys = list(_random_field_polys(20261024, nf))
+    for a, b in zip(polys, polys[1:] + polys[:1]):
+        _same_field(a * b, reference_mul(a, b), nf)
+        _same_field(a * a, reference_mul(a, a), nf)
+    rational = P("x^3 - 1/2*x + 4").coerce_to(nf)
+    _same_field(polys[5] * rational, reference_mul(polys[5], rational), nf)
+
+
+@pytest.mark.parametrize("nf", _number_fields(), ids=lambda nf: nf.label)
+def test_divmod_matches_the_field_elem_loop(nf):
+    polys = list(_random_field_polys(20261025, nf))
+    t = nf.gen()
+    divisors = [d for d in polys if d] + [
+        Poly([F(1, 2), t, 3 * t - 1], nf),        # non-rational lead
+        Poly([t, F(-2, 5)], nf),                  # rational lead, not 1
+        Poly([t * t, F(1, 3), nf.one], nf),       # lead 1
+        Poly.constant(2 * t + F(1, 7), nf)]       # non-rational constant
+    for a, b in zip(polys, divisors):
+        q, r = divmod(a, b)
+        rq, rr = reference_divmod(a, b)
+        _same_field(q, rq, nf)
+        _same_field(r, rr, nf)
+    for b in divisors[-4:]:
+        for a in polys[:15]:
+            q, r = divmod(a, b)
+            rq, rr = reference_divmod(a, b)
+            _same_field(q, rq, nf)
+            _same_field(r, rr, nf)
+
+
+@pytest.mark.parametrize("nf", _number_fields(), ids=lambda nf: nf.label)
+def test_call_matches_the_field_elem_loop(nf):
+    rng = random.Random(20261026)
+    t = nf.gen()
+    points = [nf.zero, nf.one, nf.coerce(F(-5, 3)), t, F(1, 2) - 3 * t,
+              F(2, 7), _random_element(rng, nf)]
+    polys = list(_random_field_polys(20261027, nf, count=20)) + [
+        P("x^4 - 3/2*x + 1/5"), Poly.zero(QQ)]
+    for p in polys:
+        for point in points:
+            value = p(point)
+            assert value == reference_call(p, point)
+            assert field_of(value) is common_field(p.field,
+                                                   field_of(point))
+
+
+@pytest.mark.parametrize("nf", _number_fields(), ids=lambda nf: nf.label)
+def test_gcd_matches_the_field_elem_euclid(nf):
+    polys = [p for p in _random_field_polys(20261028, nf, count=12)
+             if p.degree >= 1]
+    t = nf.gen()
+    common = Poly([t, F(2, 3), t + 1], nf)
+    for a, b in zip(polys, polys[1:]):
+        _same_field(poly_gcd(a, b), reference_gcd(a, b), nf)
+        _same_field(poly_gcd(a * common, b * common),
+                    reference_gcd(a * common, b * common), nf)
+    zero = Poly.zero(nf)
+    _same_field(poly_gcd(common, zero), reference_gcd(common, zero), nf)
+    _same_field(poly_gcd(zero, common), common.monic(), nf)
+    constant = Poly.constant(t + 2, nf)
+    _same_field(poly_gcd(common, constant), reference_gcd(common, constant),
+                nf)
+
+
+def test_a_zero_divisor_lead_is_not_inverted():
+    # Q[t]/(t^2 - 1) is no field: (1 + t)(1 - t) = 0.  Division by a
+    # polynomial whose lead is 1 + t must raise, not return a quotient
+    # (the exact Euclid of resultants._resultant relies on it).
+    nf = NumberField([-1, 0, 1], label="t^2-1")
+    t = nf.gen()
+    a = Poly([F(1, 2), 3 * t, nf.one, t], nf)
+    b = Poly([nf.one, F(2), 1 + t], nf)
+    for divide in (divmod, lambda u, v: u // v, lambda u, v: u % v,
+                   poly_gcd):
+        with pytest.raises(NonInvertible):
+            divide(a, b)
+    q, r = divmod(a, Poly([t, F(2)], nf))     # a rational lead divides
+    assert q * Poly([t, F(2)], nf) + r == a and r.degree < 1
+
+
+def _field_strategies(nf):
+    st = pytest.importorskip("hypothesis").strategies
+    scalar = st.lists(st.fractions(min_value=-20, max_value=20,
+                                   max_denominator=9),
+                      min_size=nf.degree, max_size=nf.degree).map(
+        nf.from_coeffs)
+    return scalar, st.lists(scalar, max_size=6).map(lambda c: Poly(c, nf))
+
+
+def _property_settings():
+    hypothesis = pytest.importorskip("hypothesis")
+    return hypothesis.settings(max_examples=30, deadline=None,
+                               derandomize=True, database=None)
+
+
+_PROPERTY_FIELDS = [NumberField([1, 0, 1], label="t^2+1"),
+                    NumberField([F(-1, 2), 0, 1], label="t^2-1/2")]
+
+
+@pytest.mark.parametrize("nf", _PROPERTY_FIELDS, ids=lambda nf: nf.label)
+def test_divmod_recovers_quotient_and_remainder(nf):
+    hypothesis = pytest.importorskip("hypothesis")
+    scalar, poly = _field_strategies(nf)
+
+    @_property_settings()
+    @hypothesis.given(poly, poly, hypothesis.strategies.lists(scalar))
+    def check(a, b, rest):
+        hypothesis.assume(b.degree >= 0)
+        r = Poly(rest[:b.degree], nf)
+        assert divmod(a * b + r, b) == (a, r)
+
+    check()
+
+
+@pytest.mark.parametrize("nf", _PROPERTY_FIELDS, ids=lambda nf: nf.label)
+def test_gcd_divides_both_inputs(nf):
+    hypothesis = pytest.importorskip("hypothesis")
+    _, poly = _field_strategies(nf)
+
+    @_property_settings()
+    @hypothesis.given(poly, poly, poly)
+    def check(a, b, c):
+        hypothesis.assume(a * c or b * c)
+        g = poly_gcd(a * c, b * c)
+        assert not (a * c) % g and not (b * c) % g
+        if c:
+            assert not g % c.monic()
+
+    check()
+
+
+@pytest.mark.parametrize("nf", _PROPERTY_FIELDS, ids=lambda nf: nf.label)
+def test_product_evaluates_to_the_product_of_values(nf):
+    hypothesis = pytest.importorskip("hypothesis")
+    scalar, poly = _field_strategies(nf)
+
+    @_property_settings()
+    @hypothesis.given(poly, poly, scalar)
+    def check(a, b, z):
+        assert (a * b)(z) == a(z) * b(z)
+
+    check()

@@ -6,11 +6,10 @@ from math import gcd
 from case_draws import all_draws
 from subalg import sagbi
 from subalg.classify import construct_case
-from subalg.conditions import (LinearFunctional, _cleared, _dot,
-                               kernel_subalgebra)
-from subalg.fields import QQ, common_field, is_zero_scalar
+from subalg.conditions import LinearFunctional, _dot, kernel_subalgebra
+from subalg.fields import QQ, NumberField, common_field, is_zero_scalar
 from subalg.parsing import parse_poly as P
-from subalg.poly import Poly
+from subalg.poly import Poly, _int_scaled
 from subalg.sagbi import (SagbiBasis, membership, sagbi_complete,
                           sagbi_extend, subduce)
 from subalg.semigroup import NOT_MEMBER, DegreeSemigroup
@@ -133,7 +132,8 @@ def test_minimalize_matches_the_retired_loop(monkeypatch):
 
 
 def reference_subduce(f, basis):
-    """`subduce` before the integer kernel over Q (verbatim loop)."""
+    """`subduce` before the cleared kernel: the number-field loop, which
+    was the Q loop too before the integer kernel (verbatim)."""
     field = common_field(f.field, basis.field)
     coeffs = list(f.coerce_to(field).coeffs)
     steps = []
@@ -205,7 +205,7 @@ def test_dot_matches_the_fraction_dot():
 
     for _ in range(100):
         a, b = row(rng.randint(0, 12)), row(rng.randint(0, 12))
-        value = _dot(_cleared(a, QQ), _cleared(b, QQ), QQ)
+        value = _dot(_int_scaled(a, QQ), _int_scaled(b, QQ), QQ)
         assert type(value) is F
         assert value == sum((u * v for u, v in zip(a, b)), F(0))
     functionals = [
@@ -220,3 +220,63 @@ def test_dot_matches_the_fraction_dot():
                             zip(f.coeffs, L.monomial_row(f.degree, QQ))),
                            F(0))
             assert L.apply(f) == expected
+
+
+def _number_field_bases():
+    """SAGBI bases over the moduli of tests/test_roots.py (t^2 - 1/2 has
+    mu = 2), with non-rational coefficients, and the bases of the
+    number-field case draws."""
+    out = []
+    for modulus in ([1, 0, 1], [-2, 0, 1], [-2, 0, 0, 1], [1, 0, 0, 0, 1],
+                    [F(-1, 2), 0, 1]):
+        nf = NumberField(modulus)
+        t = nf.gen()
+        gens = [Poly([nf.zero, t, F(1, 3) * t, nf.one], nf),
+                Poly([F(2), nf.zero, t + 1, nf.zero, nf.one], nf)]
+        out += [sagbi_complete(gens), SagbiBasis(gens)]
+    out += [construct_case(label, params).sagbi_basis()
+            for label, params, _ in all_draws()
+            if any(hasattr(v, "field") for v in params.values())]
+    return out
+
+
+def _field_subduction_inputs(basis, rng):
+    """As `_subduction_inputs`, with coefficients in the basis field."""
+    nf = basis.field
+    bound = basis.semigroup.conductor + max(basis.degrees)
+
+    def scalar():
+        return nf.from_coeffs([F(rng.randint(-20, 20), rng.randint(1, 6))
+                               for _ in range(nf.degree)])
+
+    for _ in range(2):
+        member = Poly.zero(nf)
+        for prod in basis.degree_products(bound):
+            if rng.random() < 0.6:
+                member = member + prod * scalar()
+        noise = Poly([scalar() for _ in range(rng.randint(1, bound))], nf)
+        yield member
+        yield member + noise
+        yield noise
+
+
+def test_subduce_matches_the_field_elem_loop():
+    rng = random.Random(20261029)
+    for basis in _number_field_bases():
+        inputs = list(_field_subduction_inputs(basis, rng))
+        # a Q polynomial against a number-field basis, and a number-field
+        # polynomial against a Q basis of the same algebra
+        inputs.append(P("x^6 - 2/3*x^4 + x"))
+        for f in inputs:
+            rem, steps = subduce(f, basis)
+            old_rem, old_steps = reference_subduce(f, basis)
+            assert rem.coeffs == old_rem.coeffs and rem.field is old_rem.field
+            assert steps == old_steps
+        assert any(membership(f, basis)[0] for f in inputs)
+    rational = sagbi_complete([P("x^3 - x"), P("x^2")])
+    nf = NumberField([1, 0, 1])
+    f = P("x^5 - 3*x^3 + x^2").coerce_to(nf) + Poly([nf.zero, nf.gen()], nf)
+    rem, steps = subduce(f, rational)
+    old_rem, old_steps = reference_subduce(f, rational)
+    assert rem.coeffs == old_rem.coeffs and rem.field is nf
+    assert steps == old_steps
