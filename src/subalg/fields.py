@@ -152,8 +152,6 @@ class NumberField:
     def tilde_coordinates(self, scalars):
         """The t̃-coordinates a_u/μ^u of the scalars (a_u their
         t-coordinates, t̃ = μ·t), flattened: e = deg m per scalar."""
-        if self.mu == 1:
-            return [a for c in scalars for a in self.coerce(c).coeffs]
         return [a / w for c in scalars
                 for a, w in zip(self.coerce(c).coeffs, self._mu_powers)]
 

@@ -177,19 +177,13 @@ class Poly:
             return NotImplemented
         if not b.coeffs:
             raise DivisionByZeroPoly("polynomial division by zero")
-        f, inv = a.field, None
-        if f.degree > 1 and b.coeffs[-1].to_rational() is None:
-            # invert a non-rational lead first (NonInvertible at a zero
-            # divisor): a = Q·(b/lead) + R = (Q/lead)·b + R
-            inv = f.one / b.coeffs[-1]
-            b = b * inv
+        f = a.field
         # s·A = Q·B + R for the cleared A = sa·a and B = sb·b, so
         # a = (sb·Q / (s·sa))·b + R / (s·sa)
         (ia, sa), (ib, sb) = _int_scaled(a.coeffs, f), _int_scaled(b.coeffs, f)
-        iq, ir, s = _int_divide(ia, ib, f.tilde_modulus)
-        q = Poly(f.from_tilde_coordinates([c * sb for c in iq], s * sa), f)
-        r = Poly(f.from_tilde_coordinates(ir, s * sa), f)
-        return (q if inv is None else q * inv), r
+        iq, ir, s = _int_divide(ia, ib, f)
+        return (Poly(f.from_tilde_coordinates([c * sb for c in iq], s * sa), f),
+                Poly(f.from_tilde_coordinates(ir, s * sa), f))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -236,7 +230,11 @@ class Poly:
         ints, d = _int_scaled(self.coeffs, f)
         if not ints:
             return f.zero
-        z, w = _int_scaled((point,), f)
+        if f.degree == 1:           # read the one t̃-coordinate directly
+            (z,) = f.tilde_coordinates((point,))
+            z, w = [z.numerator], z.denominator
+        else:
+            z, w = _int_scaled((point,), f)
         value, power = _int_horner(ints, z, w, f.tilde_modulus)
         return f.from_tilde_coordinates(value, d * power)[0]
 
@@ -377,11 +375,18 @@ def _int_cancel(r, b, mt):
     return r, m, t
 
 
-def _int_divide(a, b, mt):
-    """Pseudo-division of cleared lists (b with top block (L, 0, …, 0),
-    L ≠ 0): (q, r, s) with s·a = q·b + r, s > 0 and r shorter than b, by
-    `_int_cancel` steps, so s stays 1 when L = 1."""
-    e = len(mt) - 1
+def _int_divide(a, b, field):
+    """Pseudo-division of cleared lists over K = field (b ≠ 0): (q, r, s)
+    with s·a = q·b + r, s > 0 and r shorter than b, by `_int_cancel` steps,
+    so s stays 1 when b's lead is 1.  A lead that is not rational is made
+    so first: b is multiplied by the cleared inverse of its lead
+    (`NonInvertible` at a zero divisor), and q by the same at the end."""
+    mt, e = field.tilde_modulus, field.degree
+    inv = None
+    if any(b[len(b) - e + 1:]):
+        lead = field.from_tilde_coordinates(b[-e:], 1)[0]
+        inv = _int_scaled((lead.inverse(),), field)[0]
+        b = _int_mul(b, inv, mt)
     r, n = list(a), len(b) // e - 1
     q, s = [0] * max(len(r) - n * e, 0), 1
     for k in range(len(r) // e - n - 1, -1, -1):
@@ -390,6 +395,8 @@ def _int_divide(a, b, mt):
             q = [m * c for c in q]
             s *= m
         q[k * e:(k + 1) * e] = t
+    if inv is not None and q:
+        q = _int_mul(q, inv, mt)
     return q, r, s
 
 
@@ -425,8 +432,7 @@ def _int_trim(a, e):
 
 
 def poly_gcd(a, b):
-    """Monic gcd, by a primitive PRS on cleared lists: each divisor with a
-    non-rational lead is first multiplied by the lead's inverse."""
+    """Monic gcd, by a primitive PRS on cleared lists (`_int_divide`)."""
     if a.is_zero() and b.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
     f = common_field(a.field, b.field)
@@ -435,14 +441,10 @@ def poly_gcd(a, b):
         return b.monic()
     if b.is_zero():
         return a.monic()
-    mt, e = f.tilde_modulus, f.degree
     u, v = sorted((_int_primitive(_int_scaled(p.coeffs, f)[0])
                    for p in (a, b)), key=len, reverse=True)
     while v:
-        if any(v[len(v) - e + 1:]):
-            inv = f.from_tilde_coordinates(v[-e:], 1)[0].inverse()
-            v = _int_primitive(_int_mul(v, _int_scaled((inv,), f)[0], mt))
-        u, v = v, _int_primitive(_int_trim(_int_divide(u, v, mt)[1], e))
+        u, v = v, _int_primitive(_int_trim(_int_divide(u, v, f)[1], f.degree))
     return Poly(f.from_tilde_coordinates(u, 1), f).monic()
 
 

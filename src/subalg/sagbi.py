@@ -57,14 +57,16 @@ class SagbiBasis:
             self._product_cache[rep] = prod
         return prod
 
-    def cleared_product(self, rep):
-        """`product_for(rep)` as (ints, d), see `poly._int_scaled`; cached
-        under the same key."""
-        rep = tuple(rep)
-        cleared = self._cleared_cache.get(rep)
+    def cleared_product(self, rep, field):
+        """`product_for(rep)` as (ints, d) over `field`, the basis's field
+        or one containing it (see `poly._int_scaled`); cached under
+        (rep, field), so each product is built once, in the basis's
+        field."""
+        key = (tuple(rep), field)
+        cleared = self._cleared_cache.get(key)
         if cleared is None:
-            cleared = _int_scaled(self.product_for(rep).coeffs, self.field)
-            self._cleared_cache[rep] = cleared
+            cleared = _int_scaled(self.product_for(rep).coeffs, field)
+            self._cleared_cache[key] = cleared
         return cleared
 
     def degree_products(self, bound):
@@ -95,7 +97,6 @@ def subduce(f, basis):
     names basis elements.
     """
     field = common_field(f.field, basis.field)
-    basis = basis.coerce_to(field)
     S, mt, e = basis.semigroup, field.tilde_modulus, field.degree
     steps = []
     # the remainder is coeffs/den, cleared (see `poly._int_scaled`)
@@ -108,7 +109,8 @@ def subduce(f, basis):
         steps.append((d, field.from_tilde_coordinates(coeffs[-e:], den)[0],
                       rep))
         # prod is monic, so the top block of its cleared form is (pd, 0, …)
-        coeffs, m, _ = _int_cancel(coeffs, basis.cleared_product(rep)[0], mt)
+        prod = basis.cleared_product(rep, field)[0]
+        coeffs, m, _ = _int_cancel(coeffs, prod, mt)
         coeffs, den = _int_trim(coeffs, e), den * m
     return Poly(field.from_tilde_coordinates(coeffs, den), field), steps
 

@@ -191,8 +191,29 @@ def test_subduce_matches_the_fraction_loop():
             assert steps == old_steps
     for basis in _non_integral_bases():
         reps = [basis.semigroup.represent(d) for d in range(2, 12)]
-        assert any(basis.cleared_product(rep)[1] != 1 for rep in reps
+        assert any(basis.cleared_product(rep, QQ)[1] != 1 for rep in reps
                    if rep is not NOT_MEMBER)
+
+
+def test_subduce_over_a_larger_field_reuses_the_basis_products(
+        monkeypatch):
+    # f over Q(i) against a Q basis: the remainder is the retired loop's,
+    # and a second subduction multiplies no polynomials again
+    nf = NumberField([1, 0, 1], "Q(i)")
+    i = nf.gen()
+    basis = _non_integral_bases()[0]
+    f = P("x^9 - 3/2*x^4 + x") * i + P("x^8 + x^5/7")
+    old_rem, old_steps = reference_subduce(f, basis)
+    products = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    for _ in range(2):
+        products.clear()
+        rem, steps = subduce(f, basis)
+        assert rem.coeffs == old_rem.coeffs and rem.field is nf
+        assert steps == old_steps
+    assert len(old_steps) > 1 and not products
 
 
 def test_dot_matches_the_fraction_dot():
