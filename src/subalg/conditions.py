@@ -21,6 +21,7 @@ from .linalg import echelon_nullspace, extend_echelon, nullspace, rref
 from .modular import (ResidueRing, _fold, _int_mul, coordinates, crt,
                       rational_reconstruction, word_primes)
 from .poly import Poly, _int_scaled
+from .resultants import _lattice_gcd
 from .sagbi import SagbiBasis, sagbi_complete, subduce
 from .semigroup import DegreeSemigroup
 
@@ -329,7 +330,7 @@ class Subalgebra:
         return self._conductor
 
     def char_poly(self):
-        """The characteristic polynomial χ of A, computed once."""
+        """χ of A, computed once; `conductor()` itself for ≤ 2 elements."""
         if self._char_poly is None:
             from .spectrum import characteristic_polynomial
             self._char_poly = characteristic_polynomial(self)
@@ -442,8 +443,25 @@ def _normalize_conditions(conds):
 
 
 def conductor(basis):
-    """The monic c of least degree with c·K[x] ⊆ A (A the algebra of
-    `basis`), from images modulo word-size primes.
+    """The monic c of least degree with c·K[x] ⊆ A, A the algebra of
+    `basis`: 1 for K[x]; for two elements, their monic χ, one resultant
+    (`resultants._lattice_gcd`); for more, `_modular_conductor`.
+
+    Two elements: A = K[e₁, e₂] is a plane curve with normalization K[x],
+    F its relation, so c·K[x] = (F_Q(e₁, e₂)/e₁′)·K[x] = χ·K[x], by
+    Dedekind's formula (Serre, *Groupes algébriques et corps de classes*,
+    ch. IV) and the partial-derivative identity F_Q(e₁, e₂) = ∓χ·e₁′
+    (acceptance criterion 3).
+    """
+    if basis.semigroup.genus == 0:
+        return Poly.constant(basis.field.one, basis.field)
+    if len(basis.elements) == 2:
+        return _lattice_gcd(basis.elements, 0)
+    return _modular_conductor(basis)
+
+
+def _modular_conductor(basis):
+    """`conductor`, from images modulo word-size primes.
 
     The system: deg c ≤ 2n (n the codimension), so c is a combination of
     the degree products P_k, k ≤ 2n.  With d the smallest positive degree,

@@ -20,6 +20,7 @@ relation F(p, q) are all built on it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from math import gcd, isqrt
 from operator import mul
@@ -41,33 +42,14 @@ class DividedDifference:
     def __init__(self, table):
         self.table = tuple(table)
 
-    @property
-    def y_degree(self):
-        return len(self.table) - 1
-
 
 def divided_difference(p):
-    """Construct P(x,y) with c_k(x) = sum_{n > k} a_n x^(n-1-k)."""
+    """Construct P(x,y) with c_k(x) = sum_{n > k} a_n x^(n-1-k), so that
+    (x - y)*P = p(x) - p(y) by construction."""
     if p.degree < 1:
         raise ConstantInput("divided difference needs deg p >= 1")
-    m = p.degree
-    table = []
-    for k in range(m):
-        coeffs = [p.coeff(n) for n in range(k + 1, m + 1)]
-        table.append(Poly(coeffs, p.field))
-    dd = DividedDifference(table)
-    # Verify (x - y) * P = p(x) - p(y) by comparing y-coefficient tables.
-    # p(x) - p(y) has y^k coefficient  (p(x) if k == 0 else 0) - a_k.
-    # (x - y) * P has y^k coefficient  x*c_k - c_{k-1}.
-    x = Poly.x(p.field)
-    for k in range(m + 1):
-        ck = table[k] if k < m else Poly.zero(p.field)
-        ckm1 = table[k - 1] if k >= 1 else Poly.zero(p.field)
-        lhs = x * ck - ckm1
-        rhs = (p if k == 0 else Poly.zero(p.field)) - p.coeff(k)
-        if lhs != rhs:
-            raise SubalgError("divided-difference identity failed")
-    return dd
+    return DividedDifference(Poly(p.coeffs[k + 1:], p.field)
+                             for k in range(p.degree))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +164,7 @@ def _resultant(f_table, g_table, field):
     R = root_radius(mt)
     B = isqrt(_norm2(F, R) ** mg * _norm2(G, R) ** mf) + 1
     H = coordinate_bound(mt, B)
-    unlucky = df * dg * mu * _discriminant(mt)
+    unlucky = df * dg * mu * _discriminant(tuple(mt))
     residues, modulus, checked = None, 1, set()
     for p in word_primes():
         if unlucky % p == 0:
@@ -220,8 +202,9 @@ def _norm2(table, R):
                    for a in col) ** 2 for coeff in table)
 
 
+@cache
 def _discriminant(mt):
-    """|disc m̃| = |Res(m̃, m̃′)| for the monic m̃ (ascending ints)."""
+    """|disc m̃| = |Res(m̃, m̃′)| for the monic m̃ (ascending int tuple)."""
     if len(mt) == 2:
         return 1
     constants = [Poly.constant(Fraction(a)) for a in mt]

@@ -78,7 +78,7 @@ def _lifted_roots(f, field):
     mt, e = field.tilde_modulus, field.degree
     ints, delta = _int_scaled(f.coeffs, field)      # δ·f, cleared
     coords = [ints[j:j + e] for j in range(0, len(ints), e)]
-    disc = _discriminant(mt)
+    disc = _discriminant(tuple(mt))
     R = root_radius(mt)
     B = 1 + Fraction(max(sum(abs(a) * R ** u for u, a in enumerate(cs))
                          for cs in coords[:-1]), delta)

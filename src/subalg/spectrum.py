@@ -83,19 +83,17 @@ class Cluster:
 
 def characteristic_polynomial(A):
     """Monic χ of A: the multi-generator χ of its SAGBI basis (see
-    `resultants._lattice_gcd`).  K[x] itself (codimension 0) has χ = 1
-    and an empty spectrum.
-
-    The gcd stops exactly when it reaches the conductor c of A: each
-    nonzero sample is χ_{e, q} of two elements of A, which generates the
-    conductor of K[e, q] (it is F_Q(e, q)/e′, Dedekind's formula for a
-    plane curve), and K[e, q] ⊆ A gives c | χ_{e, q}, so the gcd can never
-    fall below c.  Where χ ≠ c every sample is taken.
+    `resultants._lattice_gcd`).  With at most two elements, χ is the
+    conductor c of A (1 for K[x]; see `conditions.conductor`) and no
+    resultant is taken here.  With more, the gcd stops exactly when it
+    reaches c: each nonzero sample is χ_{e, q} of two elements of A, the
+    conductor of K[e, q] ⊆ A, so c | χ_{e, q} and the gcd can never fall
+    below c.  Where χ ≠ c every sample is taken.
     """
     A = Subalgebra.of(A)
     basis = A.sagbi_basis()
-    if basis.semigroup.genus == 0:
-        return Poly.constant(basis.field.one, basis.field)
+    if len(basis.elements) <= 2:
+        return A.conductor()
     return _lattice_gcd(basis.elements, A.conductor().degree)
 
 

@@ -24,6 +24,7 @@ from subalg.parsing import parse_poly as P
 from subalg.poly import Poly, _int_scaled, squarefree_part
 from subalg.resultants import char_poly_pair
 from subalg.sagbi import sagbi_complete
+from test_resultants import _charpoly_items
 
 
 def diff(a, b):
@@ -314,9 +315,29 @@ def test_conductor_matches_the_exact_nullspace():
         assert A.conductor() == reference_conductor(A.sagbi_basis()), A
 
 
+def test_two_element_conductor_is_chi(monkeypatch):
+    """On a two-element basis `conductor` is χ, with no modular image; it
+    equals the modular solver and the exact nullspace."""
+    bases = [construct_case(label, params).sagbi_basis()
+             for label, params in _conductor_cases()]
+    bases += [Subalgebra.from_generators(pair).sagbi_basis()
+              for pair in _charpoly_items("pair", 50)]
+    two = [basis for basis in bases if len(basis.elements) == 2]
+    assert len(two) > 50 and any(b.field.degree > 1 for b in two)
+    solve = conditions._modular_conductor
+    solved = []
+    monkeypatch.setattr(conditions, "_modular_conductor",
+                        lambda basis: solved.append(basis) or solve(basis))
+    for basis in two:
+        c = conductor(basis)
+        assert not solved
+        assert c == solve(basis) == reference_conductor(basis), basis
+
+
 def test_conductor_discards_unlucky_primes(monkeypatch):
-    """From the primes 3, 5, 7, … every discard path runs, and c is the
-    same."""
+    """From the primes 3, 5, 7, … every discard path of the modular
+    solver runs, and c is the same.  A and B have two-element bases, whose
+    `conductor` takes no image, so the solver is called directly."""
     images, failures, verdicts = [], [], []
     image, reconstruct, certify = (conditions._conductor_image,
                                    conditions.rational_reconstruction,
@@ -348,7 +369,7 @@ def test_conductor_discards_unlucky_primes(monkeypatch):
     # alpha = 1/3: 3 divides a denominator of the basis
     A = construct_case("codim1/pair", {"alpha": F(1, 3), "beta": F(-1)})
     images.clear()
-    c = conductor(A.sagbi_basis())
+    c = conditions._modular_conductor(A.sagbi_basis())
     assert c == reference_conductor(A.sagbi_basis())
     assert images[0][0] == 5
     # over Q(i) with beta = 2 + t (norm 5): mod 3 the rank drops, and mod 5,
@@ -356,7 +377,7 @@ def test_conductor_discards_unlucky_primes(monkeypatch):
     B = construct_case("codim2/s=2-pair", {"alpha": qi.zero, "beta": 2 + t,
                                            "a": qi.one, "b": qi.coerce(3)})
     images.clear()
-    c = conductor(B.sagbi_basis())
+    c = conditions._modular_conductor(B.sagbi_basis())
     assert c == reference_conductor(B.sagbi_basis())
     assert images[0][0] == 3 and images[0][1] < c.degree
     assert images[1] == (5, None)
@@ -367,7 +388,7 @@ def test_conductor_discards_unlucky_primes(monkeypatch):
                        {"alpha": F(1), "a": F(0), "b": F(1), "c": F(2)})
     images.clear()
     verdicts.clear()
-    c = conductor(C.sagbi_basis())
+    c = conditions._modular_conductor(C.sagbi_basis())
     assert c == reference_conductor(C.sagbi_basis()) == P("(x - 1)^6")
     assert images[:2] == [(3, 6), (5, 5)]
     assert verdicts == [False, True]

@@ -119,10 +119,27 @@ def reference_resultant_y_tables(f_table, g_table):
 
 
 def test_divided_difference_identity():
-    for src in ("x^3 - x", "x^5 + 2*x^2 - 1", "x^2"):
-        p = P(src)
-        dd = divided_difference(p)
-        assert dd.y_degree == p.degree - 1
+    # (x - y)*P = p(x) - p(y), coefficient by coefficient in y: the y^k
+    # coefficient is x*c_k - c_(k-1) on the left and
+    # (p(x) if k == 0 else 0) - a_k on the right
+    rng = random.Random(20261019)
+    for field in (QQ, NumberField([1, 0, 1], label="t^2+1"),
+                  NumberField([F(-1, 2), 0, 1], label="t^2-1/2")):
+        t = F(0) if field is QQ else field.gen()
+        polys = [P(src, field=field)
+                 for src in ("x^3 - x", "x^5 + 2*x^2 - 1", "x^2")]
+        polys += [Poly([F(rng.randint(-3, 3), rng.randint(1, 3))
+                        + rng.randint(-2, 2) * t for _ in range(d)]
+                       + [field.one], field)
+                  for d in range(1, 10) for _ in range(2)]
+        x, zero = Poly.x(field), Poly.zero(field)
+        for p in polys:
+            table = divided_difference(p).table
+            assert len(table) == p.degree
+            for k in range(p.degree + 1):
+                ck = table[k] if k < p.degree else zero
+                ckm1 = table[k - 1] if k >= 1 else zero
+                assert x * ck - ckm1 == (p if k == 0 else zero) - p.coeff(k)
 
 
 def test_divided_difference_rejects_constants():

@@ -141,17 +141,26 @@ def test_a_field_request_is_not_served_points_of_another_field():
         alg("x^4", "x^3 - x").spectrum(mode="exact", nf=k12)
 
 
-def test_classify_and_derivations_never_build_chi(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a characteristic polynomial was built")
+def test_classify_and_derivations_build_chi_only_as_the_conductor(
+        monkeypatch):
+    # the conductor of a two-element basis is chi, one resultant; any
+    # other basis takes none
+    calls = []
+    real = resultants.resultant_y_tables
 
-    monkeypatch.setattr(resultants, "resultant_y_tables", refuse)
+    def counted(f_table, g_table):
+        calls.append(None)
+        return real(f_table, g_table)
+
+    monkeypatch.setattr(resultants, "resultant_y_tables", counted)
     algebras = []
     for label, params, _ in all_draws():
+        calls.clear()
         A = construct_case(label, params)
         assert classify(A).label == label
         alpha = params.get("alpha", params.get("gamma"))
         assert conjecture_dim_check(A, alpha)["equal"], label
+        assert len(calls) == (len(A.sagbi_basis().elements) == 2), label
         algebras.append(A)
     monkeypatch.undo()
     # multiplicities are read from chi on demand: the square-free factor
@@ -257,8 +266,10 @@ def _draws_and_images():
 
 
 def test_chi_stops_at_the_conductor(monkeypatch):
-    # every lattice sample is one `resultant_y_tables` call; where chi = c
-    # the sampler stops at the first sample that brings the gcd to c
+    # every lattice sample is one `resultant_y_tables` call; a two-element
+    # basis takes none, its chi being the conductor; for more elements,
+    # where chi = c the sampler stops at the first sample that brings the
+    # gcd to c
     samples = []
     real = resultants.resultant_y_tables
 
@@ -273,7 +284,9 @@ def test_chi_stops_at_the_conductor(monkeypatch):
         old = reference_characteristic_polynomial(A, resultants.char_poly_pair)
         samples.clear()
         assert characteristic_polynomial(A) == old, A
-        if old == c:
+        if len(A.sagbi_basis().elements) == 2:
+            assert not samples and A.char_poly() is c, A
+        elif old == c:
             at_conductor += 1
             running, reached = Poly.zero(c.field), []
             for s in samples:
