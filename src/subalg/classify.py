@@ -19,9 +19,8 @@ from importlib import resources
 
 from .conditions import (LinearFunctional, Subalgebra, annihilator,
                          kernel_subalgebra)
-from .errors import (ClassificationError, InexactSpectrum,
-                     ParameterDegeneracy, SpectrumNotExact,
-                     UnsupportedCodimension)
+from .errors import (ClassificationError, ParameterDegeneracy,
+                     SpectrumNotExact, UnsupportedCodimension)
 from .fields import QQ, common_field, field_of, is_zero_scalar
 from .parsing import parse_expr, parse_scalar
 from .poly import Poly
@@ -263,12 +262,13 @@ def _pure_vanishes(ann, order, point):
     return bool(ann([(order, point)]))
 
 
-def _exact_clusters(A):
-    """The point values of each cluster, largest clusters first."""
+def _exact_clusters(A, nf):
+    """The point values of each cluster of the spectrum over nf, largest
+    clusters first; SpectrumNotExact if a point is not in nf."""
     clusters = []
-    for cluster in A.clusters():
+    for cluster in A.clusters(nf):
         if not all(pt.exact for pt in cluster.members):
-            raise InexactSpectrum(
+            raise SpectrumNotExact(
                 "classification requires an exact spectrum")
         clusters.append([pt.value for pt in cluster.members])
     return clusters
@@ -280,8 +280,9 @@ def classify(A, nf=None):
     """Match A against the classification tables for codimension <= 3.
 
     Recovers the family label, the parameters (modulo the documented
-    symmetries), and the canonical basis of the matched type branch.  nf
-    names the number field containing the spectrum when it is not Q.
+    symmetries), and the canonical basis of the matched type branch, from
+    the spectrum over nf (default: the field of A).  Every point must lie
+    in that field, else SpectrumNotExact.
     """
     A = Subalgebra.of(A)
     basis = A.sagbi_basis()
@@ -294,11 +295,7 @@ def classify(A, nf=None):
     if n > 3:
         raise UnsupportedCodimension(
             f"classification covers codimension <= 3, got {n}")
-    try:
-        A.spectrum(mode="exact", nf=nf)
-    except SpectrumNotExact as exc:
-        raise InexactSpectrum(str(exc)) from exc
-    clusters = _exact_clusters(A)
+    clusters = _exact_clusters(A, nf)
     field = basis.field
     for values in clusters:
         for v in values:

@@ -93,8 +93,7 @@ def cmd_charpoly_multi(args):
 def cmd_spectrum(args):
     field = _field_from_arg(args.field)
     A = _algebra(args, field)
-    mode = "exact" if args.exact else "hybrid"
-    points = A.spectrum(mode=mode, nf=field if field is not QQ else None)
+    points = A.spectrum(nf=field)
     lines = [f"{len(points)} spectrum point(s)"]
     for value, kind, mult, partner in _spectrum_rows(points):
         extra = f"  paired with {partner}" if partner else ""
@@ -195,7 +194,7 @@ def cmd_derivations(args):
 def cmd_classify(args):
     field = _field_from_arg(args.field)
     A = _algebra(args, field)
-    result = classify(A, nf=field if field is not QQ else None)
+    result = classify(A, nf=field)
     lines = [f"case: {result.label}",
              f"codimension: {result.codimension}",
              f"spectrum size: {result.spectrum_size}",
@@ -295,8 +294,6 @@ def build_parser():
 
     p = sub.add_parser("spectrum", help="spectrum of a generated algebra")
     p.add_argument("generators", nargs="+")
-    p.add_argument("--exact", action="store_true",
-                   help="require exact spectrum points")
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 

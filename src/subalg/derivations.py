@@ -24,7 +24,6 @@ from .fields import common_field, field_of, is_zero_scalar
 from .linalg import extend_echelon, nullspace, rref
 from .poly import Poly, _int_scaled
 from .sagbi import subduce
-from .spectrum import compute_spectrum
 
 
 class NotIntegral:
@@ -119,18 +118,17 @@ def k_alpha(A, alpha):
 def _cluster_points(A, alpha, field):
     """The cluster of α, α first; [α] when α is off the spectrum.
 
-    `field` contains α and the field of A.  The cluster is read off the
-    spectrum over `field`, so a point of an extension field is matched
-    exactly.  α on the spectrum but at no exact point raises SubalgError,
-    and a cluster of α with a numeric member raises SpectrumNotExact: a
-    partial cluster would give a wrong derivation space.
+    `field` contains α and the field of A.  The cluster is read off
+    `A.spectrum(nf=field)`, so a point of an extension field is matched
+    exactly, and each field's spectrum is computed once.  α on the
+    spectrum but at no exact point raises SubalgError, and a cluster of α
+    with a numeric member raises SpectrumNotExact: a partial cluster
+    would give a wrong derivation space.
     """
     A = Subalgebra.of(A)
     if not is_zero_scalar(A.conductor()(alpha)):
         return [alpha]
-    spectrum = A.spectrum() if field is A.field else \
-        compute_spectrum(A, nf=field)
-    point = next((p for p in spectrum
+    point = next((p for p in A.spectrum(nf=field)
                   if p.exact and field.coerce(p.value) == alpha), None)
     if point is None:
         raise SubalgError(

@@ -60,8 +60,8 @@ class NonConvergence(SubalgError):
 # --- semigroup / sagbi --------------------------------------------------
 
 class InfiniteCodimension(SubalgError):
-    """Generator degrees have gcd > 1: the subalgebra has infinite
-    codimension and no finite degree semigroup."""
+    """The subalgebra has infinite codimension: its degree semigroup has
+    gcd > 1 (the generators' χ is 0; see `sagbi_complete`)."""
 
 
 class ConditionVanishesOnB(SubalgError):
@@ -118,10 +118,6 @@ class EvenInput(SubalgError):
 
 class UnsupportedCodimension(SubalgError):
     """Classification is implemented only for codimension <= 3."""
-
-
-class InexactSpectrum(SubalgError):
-    """Classification requires an exact spectrum."""
 
 
 class ParameterDegeneracy(SubalgError):

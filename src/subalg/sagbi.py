@@ -15,6 +15,7 @@ from functools import reduce
 from .errors import (ConditionVanishesOnB, InfiniteCodimension, SubalgError)
 from .fields import QQ, common_field, is_zero_scalar
 from .poly import Poly, _int_cancel, _int_scaled, _int_trim
+from .resultants import _lattice_gcd
 from .semigroup import NOT_MEMBER, DegreeSemigroup
 
 
@@ -167,13 +168,27 @@ def sagbi_complete(gens):
     new basis element.  Its degree is a gap, so each round lowers the genus,
     which is finite once the degrees have gcd 1: the loop ends within
     genus-many rounds.
+
+    Completion can lower the gcd of the generator degrees, so a gcd > 1 is
+    settled first by χ of the generators (`resultants._lattice_gcd`): χ = 0
+    iff the codimension is infinite (InfiniteCodimension).  Otherwise each
+    nonzero sample is χ of a pair of elements that generate a subalgebra
+    of finite codimension, so it lies in that subalgebra's conductor
+    ideal, and the gcd χ of the samples lies in the conductor ideal of A.
+    So χ and x·χ are elements of A of coprime degrees; they are added
+    before completion, and `_minimalize` drops them where redundant.
     """
     elements = _eliminate_degrees(list(gens))
     if not elements:
         raise SubalgError("no nonconstant generators")
     if reduce(gcd, (e.degree for e in elements)) != 1:
-        raise InfiniteCodimension(
-            "generator degrees have gcd > 1: infinite codimension")
+        chi = _lattice_gcd(elements, 0) if len(elements) > 1 else None
+        if not chi:
+            raise InfiniteCodimension(
+                "the generators have a common composition factor: "
+                "infinite codimension")
+        elements = _eliminate_degrees(
+            elements + [chi, chi * Poly.x(chi.field)])
     while True:
         basis = SagbiBasis(elements)
         degrees = basis.degrees

@@ -22,7 +22,6 @@ from .resultants import _lattice_gcd
 from .roots import aberth_roots, split_roots
 
 PAIR_TOL = 1e-8
-MODES = ("exact", "hybrid")
 
 
 @dataclass
@@ -97,32 +96,22 @@ def characteristic_polynomial(A):
     return _lattice_gcd(basis.elements, A.conductor().degree)
 
 
-def compute_spectrum(A, mode="hybrid", nf=None):
-    """The spectrum of A as classified SpectrumPoints (see `_classify`).
+def compute_spectrum(A, nf=None):
+    """The spectrum of A over nf (default: the field of A) as classified
+    SpectrumPoints (see `_classify`).
 
-    The points are the zeros of the conductor c of A.  The exact ones come
-    from `split_roots` of c over nf (default: the field of A), so they are
-    ordered by their order as roots of c, then rational values by value,
-    then the others as `split_roots` orders them; the modes differ in what
-    happens to the unsplit rest.
-    mode = "exact": any unsplit rest raises SpectrumNotExact;
-    mode = "hybrid" (default): its roots follow as complex
-    double-precision points.
-    Any other mode raises SubalgError.  Multiplicities are read from χ
-    only when asked for.
+    The points are the zeros of the conductor c of A.  The exact ones are
+    `split_roots` of c over nf, ordered by their order as roots of c, then
+    rational values by value, then the others as `split_roots` orders
+    them; the roots of the unsplit rest follow as complex double-precision
+    points (`exact` False).  So which points are exact depends only on
+    the field.  Multiplicities are read from χ only when asked for.
     """
-    if mode not in MODES:
-        raise SubalgError(
-            f"unknown spectrum mode {mode!r}: use 'exact' or 'hybrid'")
     A = Subalgebra.of(A)
     c = A.conductor()
     if c.degree < 1:
         return []
     exact, leftover = split_roots(c, nf)
-    if leftover and mode == "exact":
-        raise SpectrumNotExact(
-            f"irreducible factor of degree {leftover[0][0].degree} has "
-            "no root in the supplied field")
     points = [SpectrumPoint(v, algebra=A) for v, _ in exact] + \
         [SpectrumPoint(z, exact=False, algebra=A, factor=rest)
          for rest, _ in leftover for z in aberth_roots(rest)[0]]
@@ -238,8 +227,8 @@ def _scale(e, z):
 
 
 def compute_clusters(A, spectrum=None):
-    """The clusters of the spectrum (default: A's cached or hybrid one),
-    as `_classify` set them: largest first, then in point order."""
+    """The clusters of the spectrum (default: A's own-field one), as
+    `_classify` set them: largest first, then in point order."""
     if spectrum is None:
         spectrum = Subalgebra.of(A).spectrum()
     clusters = {id(p.cluster): p.cluster for p in spectrum}

@@ -252,13 +252,15 @@ def check_spectra():
     assert all(p.kind == "paired" for p in pts)
 
     nf12 = _phi12()
-    pts = _alg("x^4 - x^2", "x^3").spectrum(mode="exact", nf=nf12)
+    pts = _alg("x^4 - x^2", "x^3").spectrum(nf=nf12)
+    assert all(p.exact for p in pts)
     kinds = sorted(p.kind for p in pts)
     assert len(pts) == 5 and kinds.count("derivative") == 1
     assert sum(1 for p in pts if p.kind == "paired") == 4
 
     nf8 = _phi8()
-    pts = _alg("x^4", "x^3 - x").spectrum(mode="exact", nf=nf8)
+    pts = _alg("x^4", "x^3 - x").spectrum(nf=nf8)
+    assert all(p.exact for p in pts)
     assert len(pts) == 6 and all(p.kind == "paired" for p in pts)
 
 
@@ -274,7 +276,8 @@ def check_clusters():
 
     nf8 = _phi8()
     A = _alg("x^4", "x^3 - x")
-    pts = A.spectrum(mode="exact", nf=nf8)
+    pts = A.spectrum(nf=nf8)
+    assert all(p.exact for p in pts)
     clusters = compute_clusters(A, spectrum=pts)
     assert sorted(len(c.members) for c in clusters) == [2, 2, 2]
 
@@ -285,7 +288,8 @@ def check_size_bound():
     assert report["ok"]
     nf8 = _phi8()
     A = _alg("x^4", "x^3 - x")
-    pts = A.spectrum(mode="exact", nf=nf8)
+    pts = A.spectrum(nf=nf8)
+    assert all(p.exact for p in pts)
     report = spectrum_size_check(A, spectrum=pts)
     assert report["spectrum_size"] == 6 and report["bound"] == 6
     assert report["ok"]

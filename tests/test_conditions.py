@@ -93,7 +93,9 @@ def test_annihilator_matches_a_large_degree_bound():
                for v in params.values())
     for label, params in draws:
         A = construct_case(label, params)
-        points = [p.value for p in A.spectrum(mode="exact")]
+        points = A.spectrum()
+        assert all(p.exact for p in points)
+        points = [p.value for p in points]
         field = A.field
         for p in points:
             field = common_field(field, field_of(p))
@@ -182,6 +184,15 @@ def test_conditions_round_trip_pair():
     conds = conditions_from_subalgebra(A, [F(1), F(-1)])
     assert len(conds) == 1 and conds[0].kind == "diff"
     assert kernel_subalgebra(conds) == A
+
+
+def test_conditions_cut_out_every_draw():
+    # the derived conditions hold on A by construction (`annihilator`);
+    # their kernel is A itself
+    for label, params, _ in all_draws():
+        A = construct_case(label, params)
+        conds = conditions_from_subalgebra(A, A.spectrum())
+        assert kernel_subalgebra(conds) == A, label
 
 
 def test_conditions_need_every_zero_of_the_conductor():

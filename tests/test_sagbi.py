@@ -3,11 +3,15 @@ from fractions import Fraction as F
 from functools import reduce
 from math import gcd
 
+import pytest
+
 from case_draws import all_draws
 from subalg import sagbi
 from subalg.classify import construct_case
 from subalg.conditions import LinearFunctional, _dot, kernel_subalgebra
+from subalg.errors import InfiniteCodimension
 from subalg.fields import QQ, NumberField, common_field, is_zero_scalar
+from subalg.oracle import oracle_codimension, oracle_member
 from subalg.parsing import parse_poly as P
 from subalg.poly import Poly, _int_scaled
 from subalg.sagbi import (SagbiBasis, membership, sagbi_complete,
@@ -27,6 +31,26 @@ def test_complete_adds_elements():
     basis = sagbi_complete([P("x^4"), P("x^5"), P("x^3 - x")])
     assert basis.semigroup.genus == 0
     assert 1 in basis.degrees
+
+
+def test_complete_settles_a_degree_gcd_above_one(monkeypatch):
+    # completion can lower the gcd of the generator degrees: chi of the
+    # generators decides, and is 0 only for infinite codimension
+    for srcs, genus in ((("x^2", "x^4 + x"), 0),       # K[x]
+                        (("x^2", "x^6 + x^3"), 1),     # K[x^2, x^3]
+                        (("x^4", "x^6 + x"), 5)):
+        gens = [P(src) for src in srcs]
+        basis = sagbi_complete(gens)
+        assert basis.semigroup.genus == genus == oracle_codimension(gens)
+        assert all(oracle_member(e, gens) for e in basis.elements)
+        assert all(membership(g, basis)[0] for g in gens)
+    gens = [P("x^2"), P("x^4 + x^2")]
+    with pytest.raises(InfiniteCodimension):
+        sagbi_complete(gens)
+    assert not any(oracle_member(P(f"x^{k}"), gens) for k in (1, 3, 5, 7))
+    # degrees with gcd 1 take no resultant
+    monkeypatch.setattr(sagbi, "_lattice_gcd", None)
+    assert sagbi_complete([P("x^3 - x"), P("x^2")]).semigroup.genus == 1
 
 
 def test_subduction_certificates():

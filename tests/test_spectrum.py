@@ -9,15 +9,14 @@ from subalg.classify import classify, construct_case
 from subalg.conditions import LinearFunctional, Subalgebra, kernel_subalgebra
 from subalg.derivations import conjecture_dim_check, derivation_space
 from subalg.errors import (NoDegreeTwoElement, ParameterDegeneracy,
-                           SpectrumNotExact, SubalgError, UnpairedRoot)
-from subalg.fields import QQ, NumberField, is_zero_scalar
+                           SpectrumNotExact, UnpairedRoot)
+from subalg.fields import QQ, NumberField, field_of, is_zero_scalar
 from subalg.parsing import parse_poly
 from subalg.poly import Poly, poly_gcd, squarefree_decompose
 from subalg.roots import aberth_roots, split_roots
 from subalg.spectrum import (SpectrumPoint, characteristic_polynomial,
-                             compute_clusters, compute_spectrum,
-                             deg2_description, deg2_from_description,
-                             spectrum_size_check)
+                             compute_clusters, deg2_description,
+                             deg2_from_description, spectrum_size_check)
 from test_roots import reference_candidates
 
 
@@ -39,7 +38,7 @@ def test_full_algebra_has_an_empty_spectrum():
     assert characteristic_polynomial(A) == Poly.constant(F(1))
     assert A.spectrum() == [] and A.clusters() == []
     B = alg("x + 1", "x^2")
-    assert B.spectrum(mode="exact") == []
+    assert B.spectrum() == []
 
 
 def test_derivative_spectrum():
@@ -48,15 +47,9 @@ def test_derivative_spectrum():
     assert pts[0].value == F(0) and pts[0].kind == "derivative"
 
 
-def test_exact_mode_raises_without_field():
-    A = alg("x^4", "x^3 - x")
-    with pytest.raises(SpectrumNotExact):
-        A.spectrum(mode="exact")
-
-
 def test_exact_mode_with_cyclotomic_field():
     nf = NumberField([1, 0, 0, 0, 1], label="t^4+1")
-    pts = alg("x^4", "x^3 - x").spectrum(mode="exact", nf=nf)
+    pts = alg("x^4", "x^3 - x").spectrum(nf=nf)
     assert len(pts) == 6 and all(p.exact for p in pts)
 
 
@@ -100,45 +93,61 @@ def test_deg2_requires_degree_two():
         deg2_description(alg("x^3", "x^4"))
 
 
-def test_unknown_spectrum_modes_are_rejected():
-    D = alg("x^3 - x", "x^2")
-    D.spectrum(mode="exact")
-    for mode in ("numeric", "bogus"):
-        # also when an exact spectrum is cached
-        with pytest.raises(SubalgError):
-            D.spectrum(mode=mode)
-        with pytest.raises(SubalgError):
-            compute_spectrum(D, mode=mode)
-    assert [repr(L) for L in D.conditions()] == ["f(-1) - f(1)"]
+K8 = NumberField([1, 0, 0, 0, 1], label="t^4+1")
+K12 = NumberField([1, 0, -1, 0, 1], label="t^4-t^2+1")
 
 
-def test_a_field_request_ignores_an_inexact_cached_spectrum():
-    A = alg("x^2", "x^3 - 2*x")
-    assert not any(p.exact for p in A.spectrum())
-    with pytest.raises(SpectrumNotExact):
-        A.spectrum(mode="exact")
-    nf = NumberField([-2, 0, 1], label="t^2-2")
-    t = nf.gen()
-    pts = A.spectrum(nf=nf)
-    assert sorted(repr(p.value) for p in pts) == \
-        sorted(repr(v) for v in (t, -t))
-    assert A.spectrum() is pts
-    assert A.spectrum(mode="exact") is pts
-    assert [len(c) for c in A.clusters()] == [2]
-
-
-def test_a_field_request_is_not_served_points_of_another_field():
+def test_an_inexact_spectrum_fails_conditions_and_classify():
+    # over Q, c = (x^2 - 1)(x^4 + 1): the roots of x^4 + 1 are numeric
     A = alg("x^4", "x^3 - x")
-    k8 = NumberField([1, 0, 0, 0, 1], label="t^4+1")
-    k12 = NumberField([1, 0, -1, 0, 1], label="t^4-t^2+1")
-    pts = A.spectrum(mode="exact", nf=k8)
-    assert len(pts) == 6
-    assert A.spectrum(mode="exact", nf=k8) is pts
-    assert A.spectrum(mode="exact") is pts
+    points = A.spectrum()
+    assert len(points) == 6 and sum(not p.exact for p in points) == 4
     with pytest.raises(SpectrumNotExact):
-        A.spectrum(mode="exact", nf=k12)
+        A.conditions()
     with pytest.raises(SpectrumNotExact):
-        alg("x^4", "x^3 - x").spectrum(mode="exact", nf=k12)
+        classify(A)
+    assert classify(A, nf=K8).label == "codim3/s=6"
+    assert [repr(L) for L in alg("x^3 - x", "x^2").conditions()] == \
+        ["f(-1) - f(1)"]
+
+
+def _counted_spectra(monkeypatch):
+    """The nf of every `compute_spectrum` call from now on."""
+    calls = []
+    real = spectrum.compute_spectrum
+
+    def counted(A, nf=None):
+        calls.append(nf)
+        return real(A, nf=nf)
+
+    monkeypatch.setattr(spectrum, "compute_spectrum", counted)
+    return calls
+
+
+def test_the_spectrum_is_computed_once_per_field(monkeypatch):
+    calls = _counted_spectra(monkeypatch)
+    A = alg("x^4", "x^3 - x")
+    requests = ({}, {"nf": K8}, {"nf": K12})
+    first = [A.spectrum(**kw) for kw in requests]
+    assert all(A.spectrum(**kw) is pts for kw, pts in zip(requests, first))
+    assert calls == [QQ, K8, K12]
+    # each request gets points of its own field only: over Q and over
+    # Q(zeta_12) the primitive 8th roots of unity are numeric
+    for field, pts in zip((QQ, K8, K12), first):
+        assert len(pts) == 6
+        assert all(field_of(p.value) in (QQ, field) for p in pts if p.exact)
+    assert [p.exact for p in first[0]] == [p.exact for p in first[2]] == \
+        [True] * 2 + [False] * 4
+    assert all(p.exact for p in first[1])
+
+
+def test_derivations_reuse_the_extension_field_spectrum(monkeypatch):
+    calls = _counted_spectra(monkeypatch)
+    A = alg("x^4", "x^3 - x")
+    t = K8.gen()
+    spaces = [derivation_space(A, t) for _ in range(2)]
+    assert calls == [K8]
+    assert spaces[0].dimension == spaces[1].dimension == spaces[0].k_alpha
 
 
 def test_classify_and_derivations_build_chi_only_as_the_conductor(
