@@ -338,12 +338,20 @@ class Subalgebra:
 
     def spectrum(self, nf=None):
         """The spectrum over nf (default: the field of A; see
-        `compute_spectrum`), computed once per field."""
+        `compute_spectrum`), computed once per field: a `SubalgError` it
+        raised is kept and raised again."""
         key = self.field if nf is None else nf
         if key not in self._spectra:
             from .spectrum import compute_spectrum
-            self._spectra[key] = compute_spectrum(self, nf=key)
-        return self._spectra[key]
+            try:
+                self._spectra[key] = compute_spectrum(self, nf=key)
+            except SubalgError as exc:
+                self._spectra[key] = exc
+                raise
+        spectrum = self._spectra[key]
+        if isinstance(spectrum, SubalgError):
+            raise spectrum.with_traceback(None)
+        return spectrum
 
     def clusters(self, nf=None):
         """The clusters of `spectrum(nf)` (see `compute_clusters`)."""

@@ -9,11 +9,17 @@ sections 5.4 and 5.10).  A vector over R_p is kept as e int lists, one per
 coordinate, so that over Q every vector operation is one pass over plain
 ints.  `_int_mul` and `_fold` are the exact counterpart: products in
 Z[t̃]/(m̃) on integer t̃-coordinates (see `poly._int_scaled`).
+
+At a prime where the integral modulus m̃ has e distinct roots θ_i
+(`modulus_roots`), t̃ ↦ θ_i gives R_p ≅ F_p^e: a scalar maps to its
+values at the θ_i (`evaluate_at`), and values come back to coordinates
+through the inverse Vandermonde matrix (`lagrange_basis`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -45,14 +51,22 @@ def is_prime(m):
     return True
 
 
+_WORD_PRIMES = [(1 << 61) - 1]     # a Mersenne prime, then those found
+
+
 def word_primes():
-    """The primes below 2^61 in descending order, from 2^61 − 1."""
-    m = (1 << 61) - 1               # a Mersenne prime
-    yield m
+    """The primes below 2^61 in descending order, from 2^61 − 1.  The
+    primes found so far are kept, so each candidate is tested once per
+    process."""
+    i = 0
     while True:
-        m -= 2
-        if is_prime(m):
-            yield m
+        if i == len(_WORD_PRIMES):
+            m = _WORD_PRIMES[-1] - 2
+            while not is_prime(m):
+                m -= 2
+            _WORD_PRIMES.append(m)
+        yield _WORD_PRIMES[i]
+        i += 1
 
 
 def crt(residues, modulus, image, p):
@@ -161,6 +175,159 @@ def coordinate_bound(mt, B):
     return e * B * (1 + R) ** (e - 1) * M1 ** (e - 1)
 
 
+def _horner(g, x, q):
+    """g(x) mod q for an ascending int list g."""
+    acc = 0
+    for c in reversed(g):
+        acc = (acc * x + c) % q
+    return acc
+
+
+@cache
+def modulus_roots(mt, p):
+    """The e roots of the monic m̃ = mt (an ascending int tuple of degree
+    e) modulo the prime p, ascending, when it has e distinct ones; else
+    None.
+
+    A linear factor gives its root, and a quadratic one x² + bx + c two
+    distinct roots exactly when b² − 4c is a nonzero square, found by
+    `_sqrt` (for odd p).  For e > 2, m̃ has e distinct roots exactly when
+    it divides x^p − x, and it is split by equal-degree splitting (Cantor
+    & Zassenhaus 1981), made deterministic: a = 0, 1, … is tried in turn
+    on each factor g of degree > 2, which splits when
+    gcd(g, (x + a)^((p−1)/2) − 1) is a proper factor.  For two roots
+    θ ≠ θ′ the values of (θ + a)/(θ′ + a) cover F_p minus {1}, so some
+    a < p makes it a non-residue, and then exactly one of θ, θ′ is a root
+    of that gcd: every factor splits.  F_2 has two residues, tried both.
+    """
+    m = [a % p for a in mt]
+    e = len(m) - 1
+    if p == 2:
+        roots = tuple(r for r in range(2) if not _horner(m, r, 2))
+        return roots if len(roots) == e else None
+    half = (p - 1) // 2
+    if e > 2:
+        x = [0, 1] + [0] * (e - 2)
+        h = _power(x, half, m, p)                   # x^((p−1)/2) mod m̃
+        if _mul_mod(_mul_mod(h, h, m, p), x, m, p) != x:
+            return None                             # m̃ ∤ x^p − x
+    roots, pending, a = [], [m], 0
+    while pending:
+        g = pending.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+        elif len(g) == 3:
+            c, b = g[0], g[1]
+            d = (b * b - 4 * c) % p
+            if not d or pow(d, half, p) != 1:
+                return None
+            r = _sqrt(d, p)
+            roots += [(-b + r) * (half + 1) % p, (-b - r) * (half + 1) % p]
+        else:
+            s = _reduced(h, g, p) if a == 0 else \
+                _power(_reduced([a, 1], g, p), half, g, p)
+            d = _gcd([(s[0] - 1) % p] + s[1:], g, p)
+            if 1 < len(d) < len(g):
+                pending += [d, _quotient(g, d, p)]
+            else:
+                pending.append(g)
+                a += 1
+    return tuple(sorted(roots))
+
+
+def _sqrt(d, p):
+    """A square root of the nonzero square d modulo the odd prime p
+    (Tonelli–Shanks, with the least non-residue)."""
+    q, k = p - 1, 0
+    while q % 2 == 0:
+        q, k = q // 2, k + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, r, t = pow(z, q, p), pow(d, (q + 1) // 2, p), pow(d, q, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (k - i - 1), p)
+        k, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def _reduced(f, g, p):
+    """f mod (g, p) for a monic g, as deg g ints."""
+    f, n = list(f), len(g) - 1
+    for k in range(len(f) - 1, n - 1, -1):
+        c = f[k] % p
+        if c:
+            f[k - n:k] = [a - c * b for a, b in zip(f[k - n:k], g)]
+    return [a % p for a in f[:n]] + [0] * (n - len(f))
+
+
+def _mul_mod(a, b, g, p):
+    """a·b mod (g, p) for a monic g."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + len(b)] = [o + x * y for o, y in zip(out[i:], b)]
+    return _reduced(out, g, p)
+
+
+def _power(f, n, g, p):
+    """f^n mod (g, p) for a monic g, by repeated squaring."""
+    out = _reduced([1], g, p)
+    while n:
+        if n & 1:
+            out = _mul_mod(out, f, g, p)
+        f, n = _mul_mod(f, f, g, p), n >> 1
+    return out
+
+
+def _gcd(f, g, p):
+    """The monic gcd of f and g over F_p (g monic)."""
+    f = _trim(list(f))
+    while f:
+        inv = pow(f[-1], -1, p)
+        f = [a * inv % p for a in f]
+        g, f = f, _trim(_reduced(g, f, p))
+    return g
+
+
+def _quotient(f, d, p):
+    """f/d over F_p for monic f and d, d dividing f."""
+    f, n = list(f), len(d) - 1
+    q = [0] * (len(f) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = f[k + n] % p
+        if c:
+            f[k:k + n] = [a - c * b for a, b in zip(f[k:k + n], d)]
+    return q
+
+
+def evaluate_at(coords, theta, q):
+    """The scalars given by their t̃-coordinate lists `coords`, with
+    t̃ ↦ theta, modulo q."""
+    powers = [pow(theta, u, q) for u in range(len(coords[0]))]
+    return [sum(map(mul, cs, powers)) % q for cs in coords]
+
+
+def lagrange_basis(thetas, q):
+    """Row i: the coefficients (ascending, mod q) of L_i/L_i(θ_i),
+    L_i = Π_(j≠i) (x − θ_j), for distinct θ_i modulo q: the polynomial of
+    degree < e with the values v_i at the θ_i is Σ_i v_i·row_i (the
+    inverse of the Vandermonde matrix (θ_i^u))."""
+    rows = []
+    for i, theta_i in enumerate(thetas):
+        L = [1]
+        for j, theta in enumerate(thetas):
+            if j != i:
+                L = [(hi - theta * lo) % q for lo, hi in zip(L + [0], [0] + L)]
+        w = pow(_horner(L, theta_i, q), -1, q)
+        rows.append([a * w % q for a in L])
+    return rows
+
+
 class ResidueRing:
     """R_p = F_p[t]/(m mod p) for a monic m over Q whose denominators p does
     not divide.  Elements are tuples of e = deg m ints in [0, p)."""
@@ -178,23 +345,6 @@ class ResidueRing:
         if a.denominator == 1:
             return a.numerator % p
         return a.numerator * pow(a.denominator, -1, p) % p
-
-    def mul(self, a, b):
-        """a·b in R_p."""
-        if self.e == 1:
-            return (a[0] * b[0] % self.p,)
-        return self.dot([[x] for x in a], [[y] for y in b])
-
-    def power(self, a, n):
-        """a^n in R_p, by repeated squaring."""
-        if self.e == 1:
-            return (pow(a[0], n, self.p),)
-        out = (1,) + (0,) * (self.e - 1)
-        while n:
-            if n & 1:
-                out = self.mul(out, a)
-            a, n = self.mul(a, a), n >> 1
-        return out
 
     def element(self, scalar):
         return tuple(self.reduce(a) for a in coordinates(scalar))

@@ -7,14 +7,19 @@ R(x, z_2, ..., z_t) = Res_y(P_1, sum z_i P_i), taken here as the gcd of its
 values on a principal lattice of integer z (see `char_poly_multi`).
 
 Every resultant of y-polynomials whose coefficients are polynomials in one
-variable goes through `resultant_y_tables`: evaluation at integer points, a
-Euclidean remainder sequence on the specialized univariate polynomials, and
-Newton interpolation, all in plain ints modulo word-size primes, over
-F_p[t]/(m mod p) for Q = Q[t]/(t) and every number field alike.  The images
-are combined by Chinese remaindering until the product of the primes
-exceeds twice a proven bound on the result's coefficients, so the result
-is exact (see `_resultant`).  The characteristic polynomials and the
-relation F(p, q) are all built on it.
+variable goes through `resultant_y_tables`, a modular resultant in the
+manner of Collins (1971): evaluation at integer points, a Euclidean
+remainder sequence on the specialized univariate polynomials, and Newton
+interpolation, all on plain int scalars modulo word-size primes.  Over a
+number field Q[t]/(m), only primes p modulo which the integral modulus m̃
+has e = deg m distinct roots θ_i are used: there F_p[t̃]/(m̃) ≅ F_p^e by
+t̃ ↦ θ_i, so one scalar run per θ_i gives the image, which the inverse
+Vandermonde matrix turns back into t̃-coordinates.  Over Q = Q[t]/(t)
+every prime qualifies, with θ = 0.  The images are combined by Chinese
+remaindering until the product of the primes exceeds twice a proven
+bound on the result's coefficients, so the result is exact (see
+`_resultant`).  The characteristic polynomials and the relation F(p, q)
+are all built on it.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from operator import mul
 from .errors import (ConstantInput, DegreesNotCoprime, FewerThanTwoGenerators,
                      SubalgError, ZeroPolynomialInY)
 from .fields import QQ, common_field, is_zero_scalar
-from .modular import (ResidueRing, coordinate_bound, crt, root_radius,
-                      word_primes)
+from .modular import (coordinate_bound, crt, evaluate_at, lagrange_basis,
+                      modulus_roots, root_radius, word_primes)
 from .mpoly import MPoly
 from .poly import Poly, _int_scaled, poly_gcd
 
@@ -105,25 +110,36 @@ def _resultant(f_table, g_table, field):
     common denominators d_f, d_g, so Res(F, G) = d_f^mg·d_g^mf·Res(f, g)
     is a polynomial in x whose coefficients have integer t̃-coordinates.
 
-    Images.  For each prime p from `word_primes` that divides none of
-    d_f, d_g, μ and disc m̃, the values F(x0), G(x0) are reduced into
-    R_p = F_p[t̃]/(m̃ mod p) (just F_p over Q), Res(F(x0), G(x0)) is taken
-    there by Euclid (`_euclid`), and the values are interpolated in R_p
-    (the points differ by less than p, so Newton's divisions exist).  A
-    prime is discarded if, at some point, Euclid would divide by a leading
-    coefficient that is zero or a zero divisor in R_p.  (A zero leading
-    coefficient of a dividend is harmless: Euclid keeps the formal
-    degree.)  At the first discard that a point causes, Euclid runs once
-    exactly over K at that point (`_exact_euclid`); K = Q[t]/(m) may have
-    zero divisors, and `FieldElem.inverse` raises NonInvertible at a
-    leading coefficient that is one.  If the exact run completes, each of
-    its finitely many leading coefficients c has an inverse c⁻¹ in K.
-    Modulo every prime that divides no denominator of the t̃-coordinates
-    met in that run (remainders, the c and the c⁻¹), c·c⁻¹ = 1 still
-    holds, so every c stays a unit, the remainder sequence mod p is the
-    image of the exact one, and the point causes no discard.  So each
-    point causes only finitely many discards, there are finitely many
-    points, and the loop ends.
+    Images.  The primes p from `word_primes` that divide none of d_f,
+    d_g, μ and disc m̃ and modulo which m̃ has e distinct roots θ_i
+    (`modulus_roots`) are used; the others are skipped.  At such a prime
+    t̃ ↦ θ_i maps R_p = F_p[t̃]/(m̃ mod p) onto F_p, and together these
+    maps give R_p ≅ F_p^e.  So for each θ_i the values F(x0), G(x0) are
+    mapped to F_p, Res(F(x0), G(x0)) is taken there by Euclid
+    (`_euclid`), and the values are interpolated in F_p (the points
+    differ by less than p, so Newton's divisions exist); the
+    interpolants at the θ_i give the t̃-coordinates through
+    `lagrange_basis`.  A prime is discarded if, at some point, Euclid
+    would divide by a leading coefficient that is zero or a zero divisor
+    in R_p, that is, zero at some θ_i: the remainder sequences at the θ_i
+    are the images of the one in R_p only while every divisor's leading
+    coefficient is nonzero at every θ_i, so such a coefficient shows as a
+    zero leading coefficient or as divisors of different degrees at two
+    θ_i (see `_image`).  (A zero leading coefficient of a dividend is
+    harmless: Euclid keeps the formal degree.)  At the first discard that
+    a point causes, Euclid runs once exactly over K at that point
+    (`_exact_euclid`); K = Q[t]/(m) may have zero divisors, and
+    `FieldElem.inverse` raises NonInvertible at a leading coefficient
+    that is one.  If the exact run completes, each of its finitely many
+    leading coefficients c has an inverse c⁻¹ in K.  Modulo every prime
+    that divides no denominator of the t̃-coordinates met in that run
+    (remainders, the c and the c⁻¹), c·c⁻¹ = 1 still holds, so every c
+    stays a unit, the remainder sequence mod p is the image of the exact
+    one, and the point causes no discard.  So each point causes only
+    finitely many discards, there are finitely many points, and the
+    loop ends, since m̃ splits completely modulo infinitely many primes
+    (a set of density 1/[L : Q] for its splitting field L, by
+    Chebotarev's theorem), as `roots._lifted_roots` uses too.
 
     Prime count.  Let σ_1, …, σ_e be the embeddings t̃ ↦ θ̃_i, with
     |θ̃_i| ≤ R = `root_radius(m̃)`.  On |x| = 1 a coefficient F_k(x) has
@@ -145,7 +161,7 @@ def _resultant(f_table, g_table, field):
     weighted = (_total_degree(f_table) * mg + _total_degree(g_table) * mf
                 - mf * mg)
     count = max(0, min(naive, weighted)) + 1
-    mt, mu, e = field.tilde_modulus, field.mu, field.degree
+    mt, mu = field.tilde_modulus, field.mu
     F, df = _cleared(f_table, field)
     G, dg = _cleared(g_table, field)
     powers = max(_max_x_degree(f_table), _max_x_degree(g_table)) + 1
@@ -153,23 +169,27 @@ def _resultant(f_table, g_table, field):
     x0 = 0
     while len(points) < count:
         xs = [x0 ** i for i in range(powers)]
-        # coordinate lists: af[u][k] is coordinate u of F_k(x0)
-        af = [[sum(map(mul, c[u], xs)) for c in F] for u in range(e)]
-        ag = [[sum(map(mul, c[u], xs)) for c in G] for u in range(e)]
-        if any(col[-1] for col in af) and any(col[-1] for col in ag):
+        # af[k][u] is coordinate u of F_k(x0)
+        af = [[sum(map(mul, cu, xs)) for cu in c] for c in F]
+        ag = [[sum(map(mul, cu, xs)) for cu in c] for c in G]
+        if any(af[-1]) and any(ag[-1]):
             points.append(x0)
-            at_f.append(af)
-            at_g.append(ag)
+            at_f += af
+            at_g += ag
         x0 = -x0 if x0 > 0 else -x0 + 1  # 0, 1, -1, 2, -2, ...
     R = root_radius(mt)
     B = isqrt(_norm2(F, R) ** mg * _norm2(G, R) ** mf) + 1
     H = coordinate_bound(mt, B)
-    unlucky = df * dg * mu * _discriminant(tuple(mt))
+    mt = tuple(mt)
+    unlucky = df * dg * mu * _discriminant(mt)
     residues, modulus, checked = None, 1, set()
     for p in word_primes():
         if unlucky % p == 0:
             continue
-        image = _image(at_f, at_g, points, ResidueRing(mt, p))
+        thetas = modulus_roots(mt, p)
+        if thetas is None:
+            continue
+        image = _image(at_f, at_g, mf, mg, points, thetas, p)
         if isinstance(image, int):
             if image not in checked:
                 checked.add(image)
@@ -212,24 +232,30 @@ def _discriminant(mt):
     return abs(int(_resultant(constants, derivative[1:], QQ).coeff(0)))
 
 
-def _image(at_f, at_g, points, ring):
+def _image(at_f, at_g, mf, mg, points, thetas, p):
     """The coefficients of Res(F, G) mod p, t̃-coordinates flattened per
     x-power, or, when the prime is discarded (see `_resultant`), the index
-    of the point where Euclid met a leading coefficient that is no
-    unit."""
-    p, e = ring.p, ring.e
-    values = [[] for _ in range(e)]
-    for i, (af, ag) in enumerate(zip(at_f, at_g)):
-        r = _euclid([[a % p for a in col] for col in af],
-                    [[a % p for a in col] for col in ag], ring)
-        if r is None:
-            return i
-        for vals, a in zip(values, r):
-            vals.append(a)
+    of the point where Euclid met a leading coefficient that is no unit:
+    zero at some θ_i, or zero at one θ_i but not at another, which shows
+    as divisors of different degrees.  `at_f` and `at_g` list the
+    t̃-coordinates of the y-coefficients at each point in turn."""
     span = max(points) - min(points)
     inverse = {d: pow(d, -1, p) for d in range(-span, span + 1) if d}
-    coeffs = [_interpolate(points, vals, inverse, p) for vals in values]
-    return [a for column in zip(*coeffs) for a in column]
+    values, shapes = [], [None] * len(points)
+    for theta in thetas:
+        fs, gs = evaluate_at(at_f, theta, p), evaluate_at(at_g, theta, p)
+        vals = []
+        for i, shape in enumerate(shapes):
+            r = _euclid(fs[i * (mf + 1):(i + 1) * (mf + 1)],
+                        gs[i * (mg + 1):(i + 1) * (mg + 1)], p)
+            if r is None or shape is not None and r[1] != shape:
+                return i
+            vals.append(r[0])
+            shapes[i] = r[1]
+        values.append(_interpolate(points, vals, inverse, p))
+    basis = lagrange_basis(thetas, p)
+    return [sum(map(mul, column, row)) % p
+            for column in zip(*values) for row in zip(*basis)]
 
 
 def _exact_euclid(f_table, g_table, x0, field):
@@ -242,52 +268,40 @@ def _exact_euclid(f_table, g_table, x0, field):
         a, b = b, a % b
 
 
-def _euclid(A, B, ring):
-    """Res_y(A, B) in R_p, for the formal y-degrees, of y-polynomials as
-    coordinate lists (A[u][k]: coordinate u of the y^k coefficient,
-    reduced), or None when a divisor's leading coefficient is not a unit.
-    Each step makes the divisor monic: with l = lc(B),
+def _euclid(A, B, p):
+    """(Res_y(A, B) in F_p, the divisors' degrees ≥ 1 as a bit mask) for
+    the formal y-degrees of y-polynomials as ascending int lists, reduced,
+    or None when a divisor of degree ≥ 1 has a zero leading coefficient.
+    Each such divisor is made monic: with l = lc(B),
     Res(A, B) = (−1)^(dA·dB)·l^dA·Res(B/l, A mod B), which holds for a
     formal degree dA as well, and then for the trimmed remainder."""
-    p = ring.p
-    acc, odd = (1,) + (0,) * (ring.e - 1), 0
+    acc, odd, degrees = 1, 0, 0
     while True:
-        dA, dB = len(A[0]) - 1, len(B[0]) - 1
+        dA, dB = len(A) - 1, len(B) - 1
         if dA < dB:
             A, B, dA, dB = B, A, dB, dA
             odd ^= dA & dB & 1
-        lead = tuple(col[-1] for col in B)
-        acc = ring.mul(acc, ring.power(lead, dA))
+        lead = B[-1]
+        acc = acc * pow(lead, dA, p) % p
         if dB == 0:
-            return tuple(-a % p for a in acc) if odd else acc
-        inv = ring.inverse(lead)
-        if inv is None:
+            return -acc % p if odd else acc, degrees
+        if not lead:
             return None
-        shifted = [ring.scale(s, B) for s in ring.shifts(inv, ring.e)]
-        A, B = _remainder(A, shifted, p), shifted[0]
-        if not A[0]:
-            return (0,) * ring.e
+        degrees |= 1 << dB
+        inv = pow(lead, -1, p)
+        B = [b * inv % p for b in B]
+        R = list(A)
+        for k in range(dA - dB, -1, -1):
+            c = R[k + dB] % p
+            if c:
+                R[k:k + dB] = [a - c * b for a, b in zip(R[k:k + dB], B)]
+        R = [a % p for a in R[:dB]]
+        while R and not R[-1]:
+            R.pop()
+        if not R:
+            return 0, degrees
         odd ^= dA & dB & 1
-        A, B = B, A
-
-
-def _remainder(A, shifted, p):
-    """A mod B in R_p[y] for a monic B, as coordinate lists, trimmed;
-    shifted[u] is t̃^u·B."""
-    R = [list(col) for col in A]
-    n = len(shifted[0][0])
-    for k in range(len(R[0]) - n, -1, -1):
-        c = [col[k + n - 1] % p for col in R]
-        for cu, tb in zip(c, shifted):
-            if cu:
-                for col, b in zip(R, tb):
-                    col[k:k + n] = [a - cu * v
-                                    for a, v in zip(col[k:k + n], b)]
-    R = [[a % p for a in col[:n - 1]] for col in R]
-    while R[0] and not any(col[-1] for col in R):
-        for col in R:
-            col.pop()
-    return R
+        A, B = B, R
 
 
 def _interpolate(points, values, inverse, p):

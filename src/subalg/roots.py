@@ -20,7 +20,8 @@ from math import ceil
 
 from .errors import NonConvergence, SubalgError
 from .fields import QQ, is_zero_scalar
-from .modular import coordinate_bound, coordinates, is_prime, root_radius
+from .modular import (_horner, coordinate_bound, coordinates, evaluate_at,
+                      is_prime, lagrange_basis, modulus_roots, root_radius)
 from .poly import Poly, _as_float, _int_scaled, squarefree_decompose
 from .resultants import _discriminant
 
@@ -61,13 +62,14 @@ def _lifted_roots(f, field):
     modulo which m̃ has e distinct roots θ_i, and modulo which every root
     of every f_i (t̃ ↦ θ_i) is simple; such primes exist because f is
     square-free and m̃ splits completely modulo infinitely many primes.
-    The roots modulo p are found by trying every residue; Newton's
-    method lifts the θ_i and then the roots of the f_i to q = p^k >
-    2^65·H.  Every root α of f in the field has σ_i(α) among the lifted
-    roots of f_i (a p-adic integer, since p ∤ δ, with a simple root
-    modulo p), so α comes from one tuple of them: V^(−1) times the
-    tuple times Δ gives the A_u modulo q, and since q > 2·H the
-    symmetric residues are the A_u themselves.  A tuple whose residues
+    The θ_i are `modulus_roots`, and the roots of the f_i modulo p are
+    found by trying every residue; Newton's method lifts the θ_i and then
+    the roots of the f_i to q = p^k > 2^65·H.  Every root α of f in the
+    field has σ_i(α) among the lifted roots of f_i (a p-adic integer,
+    since p ∤ δ, with a simple root modulo p), so α comes from one tuple
+    of them: V^(−1) (`lagrange_basis`) times the tuple times Δ gives the
+    A_u modulo q, and since q > 2·H the symmetric residues are the A_u
+    themselves.  A tuple whose residues
     exceed H is no root; any other is kept only if f(α) = 0 exactly.
     A root missing from the output is therefore not in the field.  The
     factor 2^64 in q makes a spurious tuple pass the height test with
@@ -89,10 +91,10 @@ def _lifted_roots(f, field):
         p += 1
         if not is_prime(p) or delta % p == 0 or disc % p == 0:
             continue
-        thetas = [s for s in range(p) if not _horner(mt, s, p)]
-        if len(thetas) < e:
+        thetas = modulus_roots(tuple(mt), p)
+        if thetas is None:
             continue
-        images = [_image(coords, theta, p) for theta in thetas]
+        images = [evaluate_at(coords, theta, p) for theta in thetas]
         starts = [[r for r in range(p) if not _horner(g, r, p)]
                   for g in images]
         if all(_horner(_derivative(g), r, p)
@@ -102,18 +104,13 @@ def _lifted_roots(f, field):
     while q <= H << 65:
         q *= p
     thetas = [_lift(mt, theta, q) for theta in thetas]
-    images = [_image(coords, theta, q) for theta in thetas]
+    images = [evaluate_at(coords, theta, q) for theta in thetas]
     scale = delta * disc
     # columns[i][r]: the contribution Δ·r·V^(−1)[·][i] of the lifted root r
     # of f_i to the coordinates
-    columns = []
-    for i, (g, rs) in enumerate(zip(images, starts)):
-        L = [1]
-        for j, theta in enumerate(thetas):
-            if j != i:
-                L = [(hi - theta * lo) % q for lo, hi in zip(L + [0], [0] + L)]
-        w = scale * pow(_horner(L, thetas[i], q), -1, q)
-        columns.append([[a * w * _lift(g, r, q) % q for a in L] for r in rs])
+    columns = [[[a * scale * _lift(g, r, q) % q for a in row] for r in rs]
+               for g, rs, row in zip(images, starts,
+                                     lagrange_basis(thetas, q))]
     half = q // 2
     out = []
     for tup in product(*columns):
@@ -137,22 +134,8 @@ def _order_key(value):
     return top, tuple(-a for a in c[top::-1])
 
 
-def _horner(g, x, q):
-    acc = 0
-    for c in reversed(g):
-        acc = (acc * x + c) % q
-    return acc
-
-
 def _derivative(g):
     return [k * c for k, c in enumerate(g)][1:]
-
-
-def _image(coords, theta, q):
-    """The coefficients of δ·f with t̃ ↦ theta, modulo q: its roots modulo
-    q are those of f, q being prime to δ."""
-    return [sum(a * pow(theta, u, q) for u, a in enumerate(cs)) % q
-            for cs in coords]
 
 
 def _lift(g, r, q):
@@ -227,49 +210,53 @@ def aberth_roots(p):
     roots = [radius * cmath.exp(2j * cmath.pi * (k / n) + 0.4j)
              for k in range(n)]
     deriv = [i * c for i, c in enumerate(coeffs)][1:]
+    reversed_coeffs, reversed_deriv = coeffs[::-1], deriv[::-1]
+    sizes = [abs(c) for c in coeffs]
 
-    def horner(cs, z):
+    def horner(reversed_cs, z):
         acc = 0j
-        for c in reversed(cs):
+        for c in reversed_cs:
             acc = acc * z + c
-        return acc
-
-    def scale_at(z):
-        az, acc, power = abs(z), 0.0, 1.0
-        for c in coeffs:
-            acc += abs(c) * power
-            power *= az
         return acc
 
     def corrected(k, pz):
         """Root k after one Aberth step, or None where the step is
         undefined."""
         z = roots[k]
-        dz = horner(deriv, z)
+        dz = horner(reversed_deriv, z)
         if dz == 0:
             return None
         w = pz / dz
-        denom = 1.0 - w * sum(1.0 / (z - roots[j]) for j in range(n) if j != k)
+        denom = 1.0 - w * sum([1.0 / (z - r)
+                               for r in roots[:k] + roots[k + 1:]])
         return None if denom == 0 else z - w / denom
 
+    # a root that passes the residual test is never moved again, so only
+    # the roots moved in the last sweep are tested
+    moving = range(n)
     for _ in range(MAX_ITERATIONS):
-        converged = True
-        for k in range(n):
+        moved = []
+        for k in moving:
             z = roots[k]
-            pz = horner(coeffs, z)
-            if abs(pz) <= RESIDUAL_TOL * scale_at(z):
+            pz = horner(reversed_coeffs, z)
+            az, scale, power = abs(z), 0.0, 1.0
+            for size in sizes:
+                scale += size * power
+                power *= az
+            if abs(pz) <= RESIDUAL_TOL * scale:
                 continue
-            converged = False
+            moved.append(k)
             new = corrected(k, pz)
             roots[k] = z + 1e-6 * (1 + abs(z)) if new is None else new
-        if converged:
+        if not moved:
             break
+        moving = moved
     else:
         raise NonConvergence(
             f"Aberth iteration did not converge in {MAX_ITERATIONS} steps")
     for k in range(n):
-        new = corrected(k, horner(coeffs, roots[k]))
+        new = corrected(k, horner(reversed_coeffs, roots[k]))
         if new is not None:
             roots[k] = new
-    residual = max(abs(horner(coeffs, z)) for z in roots)
+    residual = max(abs(horner(reversed_coeffs, z)) for z in roots)
     return roots, residual

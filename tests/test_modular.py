@@ -1,8 +1,10 @@
 from fractions import Fraction as F
 from itertools import islice
 
+from subalg import modular
 from subalg.fields import NumberField
-from subalg.modular import (ResidueRing, crt, is_prime,
+from subalg.modular import (ResidueRing, crt, evaluate_at, is_prime,
+                            lagrange_basis, modulus_roots,
                             rational_reconstruction, word_primes)
 
 
@@ -21,6 +23,66 @@ def test_word_primes_descend_from_the_mersenne_prime():
     assert primes == sorted(primes, reverse=True)
     assert all(is_prime(p) and p > 1 << 60 for p in primes)
     assert not any(is_prime(m) for m in range(primes[1] + 2, primes[0], 2))
+
+
+def test_word_primes_are_tested_once(monkeypatch):
+    first = list(islice(word_primes(), 8))
+    tested = []
+
+    def counted(m):
+        tested.append(m)
+        return is_prime(m)
+    monkeypatch.setattr(modular, "is_prime", counted)
+    assert list(islice(word_primes(), 8)) == first
+    assert tested == []
+    # one prime past those found so far is searched for
+    known = len(modular._WORD_PRIMES)
+    assert list(islice(word_primes(), known + 1))[:8] == first
+    assert tested and all(m > modular._WORD_PRIMES[-1] for m in tested[:-1])
+
+
+# t² + 1, t² − 2, t³ − 2, t⁴ − t − 1 (Galois group S₄) and the reducible
+# t² − 1, as ascending monic int tuples
+SPLIT_MODULI = ((1, 0, 1), (-2, 0, 1), (-2, 0, 0, 1), (-1, -1, 0, 0, 1),
+                (-1, 0, 1))
+
+
+def test_modulus_roots_match_brute_force():
+    for mt in SPLIT_MODULI:
+        e = len(mt) - 1
+        for p in filter(is_prime, range(200)):
+            roots = tuple(r for r in range(p)
+                          if sum(a * r ** u for u, a in enumerate(mt)) % p
+                          == 0)
+            assert modulus_roots(mt, p) == (roots if len(roots) == e
+                                            else None), (mt, p)
+
+
+def test_modulus_roots_at_word_primes():
+    primes = list(islice(word_primes(), 60))
+    for mt in SPLIT_MODULI:
+        split = 0
+        for p in primes:
+            roots = modulus_roots(mt, p)
+            if roots is not None:
+                split += 1
+                assert len(set(roots)) == len(mt) - 1
+                assert all(sum(a * pow(r, u, p) for u, a in enumerate(mt))
+                           % p == 0 for r in roots)
+        assert split >= 1
+        if mt == (1, 0, 1):
+            assert split == sum(p % 4 == 1 for p in primes)
+        if mt == (-1, 0, 1):
+            assert split == len(primes)
+
+
+def test_lagrange_basis_inverts_the_vandermonde_matrix():
+    p = 1000003
+    thetas = [3, 17, 123456, 999999]
+    rows = lagrange_basis(thetas, p)
+    for i, row in enumerate(rows):
+        assert [evaluate_at([row], theta, p)[0] for theta in thetas] == \
+            [int(j == i) for j in range(len(thetas))]
 
 
 def test_crt_and_rational_reconstruction():

@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
-from itertools import chain
+from itertools import chain, takewhile
 from pathlib import Path
 
 import pytest
@@ -237,7 +237,9 @@ def _with_common_factor(rng, field, f, g):
 FIELDS = {"Q": QQ,
           "sqrt2": NumberField([-2, 0, 1], label="t^2-2"),
           "i": NumberField([1, 0, 1], label="t^2+1"),
-          "cbrt2": NumberField([-2, 0, 0, 1], label="t^3-2")}
+          "cbrt2": NumberField([-2, 0, 0, 1], label="t^3-2"),
+          # Galois group S₄: about one prime in 24 splits t⁴ − t − 1
+          "S4": NumberField([-1, -1, 0, 0, 1], label="t^4-t-1")}
 
 
 @pytest.mark.parametrize("name", list(FIELDS))
@@ -314,25 +316,40 @@ def test_an_unlucky_prime_is_discarded(monkeypatch):
     bad = 1000003
     primes, seen = _counted_primes([bad])
     monkeypatch.setattr(resultants, "word_primes", primes)
+    exact_runs = []     # the points of the exact runs that discards cause
+    real = resultants._exact_euclid
+    monkeypatch.setattr(resultants, "_exact_euclid",
+                        lambda *args: exact_runs.append(args[2]) or
+                        real(*args))
     f = [P("x^2 + 3"), P("5*x - 1"), P("x^3 + 2")]
     g = [P("x - 7"), Poly([F(bad), F(bad)])]
     assert resultant_y_tables(f, g) == reference_resultant_y_tables(f, g)
-    assert seen == [bad, (1 << 61) - 1]
+    assert seen == [bad, (1 << 61) - 1] and exact_runs == [0]
     # over Q(i): 4² ≡ −1 (mod 17), so t − 4 is a zero divisor modulo 17
+    # (zero at the root 4 of t² + 1); the word primes ≡ 3 (mod 4) that
+    # follow do not split t² + 1, so the first one ≡ 1 (mod 4) is used
     qi = NumberField([1, 0, 1], label="t^2+1")
     primes, seen = _counted_primes([17])
     monkeypatch.setattr(resultants, "word_primes", primes)
+    exact_runs.clear()
     f = [P("x + t", field=qi), P("x^2 - 3", field=qi), P("2*x + 1", field=qi)]
     g = [P("x^2 + 5*t", field=qi), P("t - 4", field=qi)]
     assert resultant_y_tables(f, g) == reference_resultant_y_tables(f, g)
-    # (disc m̃ = 4 is one more resultant, taken modulo the first prime)
-    assert seen[-2:] == [17, (1 << 61) - 1]
+    assert exact_runs == [0]
+    # (disc m̃ = 4 is one more resultant, taken modulo the first primes)
+    skipped = list(takewhile(lambda p: p % 4 == 3, word_primes()))
+    first_split = next(p for p in word_primes() if p % 4 == 1)
+    last_17 = len(seen) - 1 - seen[::-1].index(17)
+    assert seen[last_17:] == [17] + skipped + [first_split]
 
 
 def test_a_zero_divisor_leading_coefficient_is_an_error():
     # over Q[t]/(t^2 - 1), 1 + t is a zero divisor and the leading
-    # y-coefficient of g at every point, so every prime is discarded; run
-    # in a child process so that a loop that never ends fails the test
+    # y-coefficient of g at every point, so every prime is discarded; and
+    # y^3 mod (y^2 - 1 - t) = (1 + t)*y is a remainder with that leading
+    # coefficient, zero at the root -1 of t^2 - 1 and not at 1, so Euclid
+    # meets divisors of different degrees there; run in a child process
+    # so that a loop that never ends fails the test
     src = Path(resultants.__file__).resolve().parents[1]
     code = (
         "from subalg.errors import NonInvertible\n"
@@ -340,15 +357,17 @@ def test_a_zero_divisor_leading_coefficient_is_an_error():
         "from subalg.parsing import parse_poly as P\n"
         "from subalg.resultants import resultant_y_tables\n"
         "K = NumberField([-1, 0, 1], label='t^2-1')\n"
-        "try:\n"
-        "    resultant_y_tables([P('1', field=K), P('x', field=K)],\n"
-        "                       [P('x', field=K), P('1 + t', field=K)])\n"
-        "except NonInvertible:\n"
-        "    print('NonInvertible')\n")
+        "for f, g in ((['1', 'x'], ['x', '1 + t']),\n"
+        "             (['0', '0', '0', '1'], ['-1 - t', '0', '1'])):\n"
+        "    try:\n"
+        "        resultant_y_tables([P(c, field=K) for c in f],\n"
+        "                           [P(c, field=K) for c in g])\n"
+        "    except NonInvertible:\n"
+        "        print('NonInvertible')\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(src)})
-    assert done.stdout.strip() == "NonInvertible", done.stderr
+    assert done.stdout.split() == ["NonInvertible"] * 2, done.stderr
 
 
 def test_resultant_relation_properties():

@@ -5,7 +5,7 @@ from math import gcd as int_gcd
 import pytest
 
 from subalg import roots as roots_module
-from subalg.errors import FieldMismatch
+from subalg.errors import FieldMismatch, NonConvergence
 from subalg.fields import QQ, NumberField, is_zero_scalar
 from subalg.modular import integral_modulus, is_prime
 from subalg.parsing import parse_poly as P
@@ -359,3 +359,101 @@ def test_roots_match_sympy_factoring(modulus):
                     for f, _ in factors if sympy.degree(f, x) == 1}
         got = {_to_sympy(v, gen) for v, _ in split_roots(P(src, field=nf))[0]}
         assert got == expected, src
+
+
+# --- Aberth: the sweep that re-tested every root ---------------------------
+
+def reference_aberth_roots(p):
+    """`aberth_roots` as it was before it stopped re-testing converged
+    roots: every sweep tests every root."""
+    import cmath
+    from subalg.poly import _as_float
+    coeffs = [complex(_as_float(c)) for c in p.coeffs]
+    lead = coeffs[-1]
+    coeffs = [c / lead for c in coeffs]
+    n = len(coeffs) - 1
+    if n == 0:
+        return [], 0.0
+    if n == 1:
+        return [-coeffs[0]], 0.0
+    radius = 2 * max(abs(c) ** (1 / (n - k))
+                     for k, c in enumerate(coeffs[:-1])) or 1.0
+    roots = [radius * cmath.exp(2j * cmath.pi * (k / n) + 0.4j)
+             for k in range(n)]
+    deriv = [i * c for i, c in enumerate(coeffs)][1:]
+
+    def horner(cs, z):
+        acc = 0j
+        for c in reversed(cs):
+            acc = acc * z + c
+        return acc
+
+    def scale_at(z):
+        az, acc, power = abs(z), 0.0, 1.0
+        for c in coeffs:
+            acc += abs(c) * power
+            power *= az
+        return acc
+
+    def corrected(k, pz):
+        z = roots[k]
+        dz = horner(deriv, z)
+        if dz == 0:
+            return None
+        w = pz / dz
+        denom = 1.0 - w * sum(1.0 / (z - roots[j]) for j in range(n) if j != k)
+        return None if denom == 0 else z - w / denom
+
+    for _ in range(roots_module.MAX_ITERATIONS):
+        converged = True
+        for k in range(n):
+            z = roots[k]
+            pz = horner(coeffs, z)
+            if abs(pz) <= roots_module.RESIDUAL_TOL * scale_at(z):
+                continue
+            converged = False
+            new = corrected(k, pz)
+            roots[k] = z + 1e-6 * (1 + abs(z)) if new is None else new
+        if converged:
+            break
+    else:
+        raise NonConvergence(
+            f"Aberth iteration did not converge in "
+            f"{roots_module.MAX_ITERATIONS} steps")
+    for k in range(n):
+        new = corrected(k, horner(coeffs, roots[k]))
+        if new is not None:
+            roots[k] = new
+    residual = max(abs(horner(coeffs, z)) for z in roots)
+    return roots, residual
+
+
+def _leftover_factors(pairs):
+    """The factors of the conductors of K[p, q] that `split_roots` leaves
+    to Aberth."""
+    from subalg.conditions import Subalgebra
+    return [rest for p, q in pairs for rest, _ in
+            split_roots(Subalgebra.from_generators([p, q]).conductor())[1]]
+
+
+# the degree-42 conductor of tests/test_spectrum.py
+# test_aberth_starts_inside_large_coefficients
+LARGE_COEFFICIENTS = (P("x^7 - x^6 + x^5 + x^4 + x^3 + 3*x^2 - x - 2"),
+                      P("x^8 - 2*x^7 + 2*x^5 - 2*x^4 - 2*x^2 + 2*x - 2"))
+
+
+def test_aberth_matches_the_sweep_that_retests_every_root(monkeypatch):
+    from test_resultants import _charpoly_items
+    large = _leftover_factors([LARGE_COEFFICIENTS])
+    assert [f.degree for f in large] == [42]
+    factors = _leftover_factors(_charpoly_items("pair", 200)) + large
+    assert len(factors) > 150
+    for f in factors:
+        roots, residual = aberth_roots(f)
+        expected, expected_residual = reference_aberth_roots(f)
+        assert roots == expected and residual == expected_residual, f
+    monkeypatch.setattr(roots_module, "MAX_ITERATIONS", 5)
+    with pytest.raises(NonConvergence):
+        aberth_roots(large[0])
+    with pytest.raises(NonConvergence):
+        reference_aberth_roots(large[0])

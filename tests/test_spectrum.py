@@ -221,6 +221,22 @@ def test_a_number_field_point_without_an_exact_partner_is_an_error():
         A.spectrum()
 
 
+def test_a_failed_spectrum_is_computed_once(monkeypatch):
+    qi = NumberField([1, 0, 1], label="t^2+1")
+    A = alg(*[f"(x - t)*(x^3-x-1)*x^{k}" for k in range(4)], field=qi)
+    calls = []
+    real = spectrum.compute_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(spectrum, "compute_spectrum", counted)
+    for _ in range(3):
+        with pytest.raises(SpectrumNotExact):
+            A.spectrum()
+    assert len(calls) == 1
+
+
 def test_number_field_points_and_numeric_points_cluster_apart():
     # over Q(i), A = K[x^2, x(x^2+1)(x^2-2)] has exact points t, -t and
     # numeric points sqrt 2, -sqrt 2; a number-field point has no embedding
