@@ -10,7 +10,8 @@ the condition presentation and the generator presentation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from itertools import accumulate
+from math import factorial
 from operator import mul
 
 from .errors import (DegenerateConditions, NotSubalgebraConditions,
@@ -18,8 +19,8 @@ from .errors import (DegenerateConditions, NotSubalgebraConditions,
 from .fields import (QQ, common_field, field_of, format_scalar,
                      is_zero_scalar, scalar_to_json)
 from .linalg import echelon_nullspace, extend_echelon, nullspace, rref
-from .modular import (ResidueRing, _fold, _int_mul, coordinates, crt,
-                      rational_reconstruction, word_primes)
+from .modular import (_fold, _int_mul, crt, evaluate_at, lagrange_basis,
+                      modulus_roots, rational_reconstruction, word_primes)
 from .poly import Poly, _int_scaled
 from .resultants import _lattice_gcd
 from .sagbi import SagbiBasis, sagbi_complete, subduce
@@ -470,52 +471,71 @@ def _modular_conductor(basis):
     gap}).  With ascending degree columns, c is the kernel vector at the
     lowest free column.
 
-    Images: modulo each prime p that divides no denominator of the basis
-    or of the field modulus, `_conductor_image` solves the system over R_p
-    (see `modular`).  Degree lemma: the reduction of every element of the
-    conductor ideal c·K[x] is a kernel vector mod p, so the lowest free
-    column mod p is at most that of c: an image never has a higher degree
-    than c.  If it has the same degree, the columns below are independent
-    mod p, so the kernel vector there is unique and the image is c mod p.
-    Only the images of the highest degree seen so far are kept; they are
-    combined by CRT, and every coefficient is rationally reconstructed.
+    Images: the products are cleared once to integer t̃-coordinates over
+    the common denominator D (`poly._int_scaled`).  At a prime p ∤ D
+    modulo which m̃ has e distinct roots θ_i (`modular.modulus_roots`;
+    over Q every prime, with θ = 0), t̃ ↦ θ_i is a ring map onto F_p, and
+    `_conductor_image` solves the system over F_p once per θ_i.  Degree
+    lemma, at each θ_i: the image of every element of the conductor ideal
+    c·K[x] is a kernel vector, so the lowest free column is at most that
+    of c: an image never has a higher degree than c.  If it has the same
+    degree, the columns below are independent, so the kernel vector there
+    is unique and the image is c at θ_i.  A prime whose θ_i give images of
+    different degrees is discarded; otherwise the inverse Vandermonde
+    matrix (`modular.lagrange_basis`) turns the images into t̃-coordinates
+    mod p.  Only the primes of the highest degree seen so far are kept;
+    they are combined by CRT, and every coordinate is rationally
+    reconstructed.
 
     Certificate: a candidate is accepted only if it is monic and
     x^i·candidate subduces exactly to a constant for 0 ≤ i < d.  It is then
     in the conductor ideal, so c divides it; its degree is at most deg c,
     so it is c.
 
-    Termination: only finitely many primes divide a denominator, make a
-    pivot a zero divisor in R_p or drop the rank.  Every other prime gives
-    c mod p, and once the product M of those primes exceeds 2H², H the
-    largest numerator or denominator among c's coordinates, reconstruction
-    returns c.  So there is no prime cap and no stabilization rule.
+    Termination: only finitely many primes divide D or drop the rank at
+    some θ_i.  m̃ splits completely modulo infinitely many primes (a set of
+    density 1/[L : Q] for its splitting field L, by Chebotarev's theorem,
+    as `resultants._resultant` uses too), and every other such prime gives
+    the t̃-coordinates of c mod p.  Once the product M of those primes
+    exceeds 2H², H the largest numerator or denominator among c's
+    t̃-coordinates, reconstruction returns c.  So there is no prime cap and
+    no stabilization rule.
     """
     S, d, field = basis.semigroup, basis.degrees[0], basis.field
     e = field.degree
-    products = {P.degree: P
-                for P in basis.degree_products(2 * S.genus + d - 1)}
-    unlucky = lcm(*(a.denominator for a in field.modulus_coeffs),
-                  *(a.denominator for g in basis.elements for s in g.coeffs
-                    for a in coordinates(s)))
+    products = basis.degree_products(2 * S.genus + d - 1)
+    ints, den = _int_scaled([a for P in products for a in P.coeffs], field)
+    coords = [ints[j:j + e] for j in range(0, len(ints), e)]
+    ends = list(accumulate(P.degree + 1 for P in products))
+    cleared = {P.degree: coords[i:j]
+               for P, i, j in zip(products, [0] + ends, ends)}
+    mt = tuple(field.tilde_modulus)
     best, modulus, residues = -1, 1, []
     for p in word_primes():
-        if unlucky % p == 0:
+        thetas = None if den % p == 0 else modulus_roots(mt, p)
+        if thetas is None:
             continue
-        image = _conductor_image(products, S, d,
-                                 ResidueRing(field.modulus_coeffs, p))
-        if image is None or len(image) - 1 < best:
+        scale = pow(den, -1, p)
+        images = []
+        for theta in thetas:
+            at = {k: [a * scale % p for a in evaluate_at(cs, theta, p)]
+                  for k, cs in cleared.items()}
+            images.append(_conductor_image(at, S, d, p))
+        degree = len(images[0]) - 1
+        if degree < best or any(len(image) != degree + 1
+                                for image in images):
             continue
-        flat = [a for coeff in image for a in coeff]
-        if len(image) - 1 > best:
-            best, modulus, residues = len(image) - 1, p, flat
+        lagrange = lagrange_basis(thetas, p)
+        flat = [sum(map(mul, column, row)) % p
+                for column in zip(*images) for row in zip(*lagrange)]
+        if degree > best:
+            best, modulus, residues = degree, p, flat
         else:
             residues, modulus = crt(residues, modulus, flat, p), modulus * p
         values = [rational_reconstruction(r, modulus) for r in residues]
         if None in values:
             continue
-        c = Poly([field.from_coeffs(values[k:k + e])
-                  for k in range(0, len(values), e)], field)
+        c = Poly(field.from_tilde_coordinates(values, 1), field)
         if c.degree == best and c.leading_coeff() == 1 and \
                 _in_conductor_ideal(c, basis):
             return c
@@ -530,11 +550,12 @@ def _in_conductor_ideal(f, basis):
                for i in range(basis.degrees[0]))
 
 
-def _conductor_image(products, S, d, ring):
-    """The coefficients (in R_p) of the image of the conductor mod p: the
-    kernel vector at the lowest free column of the system of `conductor`,
-    as a combination of the products.  None when a pivot is a zero divisor
-    in R_p.
+def _conductor_image(products, S, d, p):
+    """The coefficients (mod p) of the image of the conductor at one root
+    θ of m̃ mod p: the kernel vector at the lowest free column of the
+    system of `_modular_conductor`, as a combination of the products.
+    `products` maps each degree k to the coefficients of P_k at θ, which
+    are monic.
 
     The gap coordinates of x^k come from one triangular pass
     (x^k = P_k − lower terms).  The columns are reduced one at a time
@@ -542,50 +563,32 @@ def _conductor_image(products, S, d, ring):
     combination that reduces them; the first that reduces to zero is the
     lowest free column.
     """
-    p, e = ring.p, ring.e
     top = 2 * S.genus
-    reduced = {k: ring.split(P.coeffs) for k, P in products.items()}
     gap_index = {g: j for j, g in enumerate(S.gaps)}
-    normal = [[[] for _ in range(e)] for _ in S.gaps]  # [gap][coordinate]
+    normal = [[] for _ in S.gaps]       # normal[j][k]: gap j of x^k
     for k in range(top + d):
-        if k in gap_index:
-            for j, coords in enumerate(normal):
-                for v, values in enumerate(coords):
-                    values.append(int(j == gap_index[k] and v == 0))
-        else:
-            for coords in normal:
-                for values, a in zip(coords, ring.dot(reduced[k], coords)):
-                    values.append(-a % p)
-    shifted = [[[values[i:] for values in coords] for coords in normal]
-               for i in range(1, d)]
-    columns = [k for k in sorted(reduced) if k <= top]
-    echelon = []                    # (pivot, row, combination), all mod p
+        for j, values in enumerate(normal):
+            values.append(int(j == gap_index[k]) if k in gap_index else
+                          -sum(map(mul, products[k], values)) % p)
+    columns = [k for k in sorted(products) if k <= top]
+    echelon = []                    # (pivot, row, combination), pivot 1
     for index, k in enumerate(columns):
-        row = [[] for _ in range(e)]
-        for block in shifted:
-            for coords in block:
-                for values, a in zip(row, ring.dot(reduced[k], coords)):
-                    values.append(a)
-        combo = [[int(j == index and v == 0) for j in range(len(columns))]
-                 for v in range(e)]
+        row = [sum(map(mul, products[k], values[i:])) % p
+               for i in range(1, d) for values in normal]
+        combo = [int(j == index) for j in range(len(columns))]
         for pivot, prow, pcombo in echelon:
-            f = tuple(values[pivot] % p for values in row)
-            if any(f):
-                row = ring.axpy(f, prow, row)
-                combo = ring.axpy(f, pcombo, combo)
-        row = [[a % p for a in values] for values in row]
-        combo = [[a % p for a in values] for values in combo]
-        pivot = next((q for q in range(len(row[0]))
-                      if any(values[q] for values in row)), None)
+            f = row[pivot]
+            if f:
+                row = [(a - f * b) % p for a, b in zip(row, prow)]
+                combo = [(a - f * b) % p for a, b in zip(combo, pcombo)]
+        pivot = next((q for q, a in enumerate(row) if a), None)
         if pivot is None:
-            used = [reduced[j] for j in columns[:index + 1]]
-            return [ring.dot(combo, [[P[v][i] if i < len(P[v]) else 0
-                                      for P in used] for v in range(e)])
-                    for i in range(k + 1)]
-        inv = ring.inverse(tuple(values[pivot] for values in row))
-        if inv is None:
-            return None
-        echelon.append((pivot, ring.scale(inv, row), ring.scale(inv, combo)))
+            return [sum(a * products[j][i]
+                        for a, j in zip(combo, columns[:index + 1]) if i <= j)
+                    % p for i in range(k + 1)]
+        inv = pow(row[pivot], -1, p)
+        echelon.append((pivot, [a * inv % p for a in row],
+                        [a * inv % p for a in combo]))
 
 
 def annihilator(basis, coords, c):

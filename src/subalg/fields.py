@@ -81,7 +81,8 @@ class RationalField:
         return scalars
 
     def from_tilde_coordinates(self, ints, d):
-        """The scalars whose flattened t̃-coordinates are ints/d."""
+        """The scalars whose flattened t̃-coordinates are ints/d (the
+        entries of ints may be Fractions too)."""
         return [Fraction(c, d) for c in ints]
 
     @property
@@ -156,7 +157,8 @@ class NumberField:
                 for a, w in zip(self.coerce(c).coeffs, self._mu_powers)]
 
     def from_tilde_coordinates(self, ints, d):
-        """The scalars whose flattened t̃-coordinates are ints/d."""
+        """The scalars whose flattened t̃-coordinates are ints/d (the
+        entries of ints may be Fractions too)."""
         e, powers = self.degree, self._mu_powers
         return [FieldElem(tuple(Fraction(c * w, d) for c, w in
                                 zip(ints[j:j + e], powers)), self)

@@ -5,10 +5,9 @@ to its power-basis coordinates in R_p = F_p[t]/(m mod p), a tuple of
 e = deg m plain ints.  Images computed in R_p come back to K coordinate by
 coordinate: Chinese remaindering over several primes, then rational
 reconstruction (von zur Gathen & Gerhard, *Modern Computer Algebra*,
-sections 5.4 and 5.10).  A vector over R_p is kept as e int lists, one per
-coordinate, so that over Q every vector operation is one pass over plain
-ints.  `_int_mul` and `_fold` are the exact counterpart: products in
-Z[t̃]/(m̃) on integer t̃-coordinates (see `poly._int_scaled`).
+sections 5.4 and 5.10).  `_int_mul` and `_fold` are the exact
+counterpart: products in Z[t̃]/(m̃) on integer t̃-coordinates (see
+`poly._int_scaled`).
 
 At a prime where the integral modulus m̃ has e distinct roots θ_i
 (`modulus_roots`), t̃ ↦ θ_i gives R_p ≅ F_p^e: a scalar maps to its
@@ -326,105 +325,6 @@ def lagrange_basis(thetas, q):
         w = pow(_horner(L, theta_i, q), -1, q)
         rows.append([a * w % q for a in L])
     return rows
-
-
-class ResidueRing:
-    """R_p = F_p[t]/(m mod p) for a monic m over Q whose denominators p does
-    not divide.  Elements are tuples of e = deg m ints in [0, p)."""
-
-    __slots__ = ("p", "e", "modulus")
-
-    def __init__(self, modulus, p):
-        self.p = p
-        self.modulus = [self.reduce(a) for a in modulus]
-        self.e = len(modulus) - 1
-
-    def reduce(self, a):
-        """A Fraction mod p (p must not divide its denominator)."""
-        p = self.p
-        if a.denominator == 1:
-            return a.numerator % p
-        return a.numerator * pow(a.denominator, -1, p) % p
-
-    def element(self, scalar):
-        return tuple(self.reduce(a) for a in coordinates(scalar))
-
-    def split(self, scalars):
-        """A vector of scalars as e int lists, one per coordinate."""
-        rows = [self.element(a) for a in scalars]
-        return [[row[u] for row in rows] for u in range(self.e)]
-
-    def dot(self, a, b):
-        """Σ_k a_k·b_k for vectors a, b given as coordinate lists; the
-        shorter length wins."""
-        e = self.e
-        w = [0] * (2 * e - 1)
-        for u in range(e):
-            for v in range(e):
-                w[u + v] += sum(map(mul, a[u], b[v]))
-        if e == 1:
-            return (w[0] % self.p,)
-        return tuple(v % self.p for v in _fold(w, self.modulus))
-
-    def shifts(self, f, count):
-        """f, t·f, …, t^(count−1)·f in R_p."""
-        out = [f]
-        for _ in range(count - 1):
-            g = out[-1]
-            out.append(tuple((lo - g[-1] * mj) % self.p for lo, mj in
-                             zip((0,) + g[:-1], self.modulus)))
-        return out
-
-    def matrix(self, f):
-        """M with M[j][v] the t^j-coordinate of f·t^v: multiplication by f
-        on coordinate lists is out_j = Σ_v M[j][v]·vec_v."""
-        return list(zip(*self.shifts(f, self.e)))
-
-    def axpy(self, f, x, y):
-        """y − f·x for coordinate lists; entries are left unreduced."""
-        out = []
-        for yj, mj in zip(y, self.matrix(f)):
-            for xv, m in zip(x, mj):
-                if m:
-                    yj = [a - m * b for a, b in zip(yj, xv)]
-            out.append(yj)
-        return out
-
-    def scale(self, f, x):
-        """f·x for coordinate lists, reduced."""
-        p = self.p
-        if self.e == 1:
-            return [[f[0] * a % p for a in x[0]]]
-        return [[sum(map(mul, mj, entry)) % p for entry in zip(*x)]
-                for mj in self.matrix(f)]
-
-    def inverse(self, f):
-        """f^-1 in R_p, or None when f is a zero divisor: extended Euclid
-        of f against m over F_p."""
-        p = self.p
-        if self.e == 1:
-            return (pow(f[0], -1, p),) if f[0] % p else None
-        r0, r1 = list(self.modulus), _trim(list(f))
-        s0, s1 = [], [1]
-        while r1:
-            inv_lead = pow(r1[-1], -1, p)
-            quot = [0] * max(len(r0) - len(r1) + 1, 0)
-            rem = list(r0)
-            for k in range(len(quot) - 1, -1, -1):
-                q = rem[k + len(r1) - 1] * inv_lead % p
-                quot[k] = q
-                for i, b in enumerate(r1):
-                    rem[k + i] = (rem[k + i] - q * b) % p
-            s_next = s0 + [0] * max(0, len(quot) + len(s1) - 1 - len(s0))
-            for i, q in enumerate(quot):
-                for j, b in enumerate(s1):
-                    s_next[i + j] = (s_next[i + j] - q * b) % p
-            r0, r1 = r1, _trim(rem[:len(r1) - 1])
-            s0, s1 = s1, _trim(s_next)
-        if len(r0) != 1:
-            return None
-        inv = pow(r0[0], -1, p)     # s0·f ≡ r0 (mod m), deg s0 < e
-        return tuple(a * inv % p for a in s0 + [0] * (self.e - len(s0)))
 
 
 def _trim(coeffs):

@@ -24,8 +24,6 @@ are all built on it.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cache
 from itertools import accumulate
 from math import gcd, isqrt
 from operator import mul
@@ -111,8 +109,8 @@ def _resultant(f_table, g_table, field):
     is a polynomial in x whose coefficients have integer t̃-coordinates.
 
     Images.  The primes p from `word_primes` that divide none of d_f,
-    d_g, μ and disc m̃ and modulo which m̃ has e distinct roots θ_i
-    (`modulus_roots`) are used; the others are skipped.  At such a prime
+    d_g and μ and modulo which m̃ has e distinct roots θ_i (so p ∤ disc m̃;
+    `modulus_roots`) are used; the others are skipped.  At such a prime
     t̃ ↦ θ_i maps R_p = F_p[t̃]/(m̃ mod p) onto F_p, and together these
     maps give R_p ≅ F_p^e.  So for each θ_i the values F(x0), G(x0) are
     mapped to F_p, Res(F(x0), G(x0)) is taken there by Euclid
@@ -181,7 +179,7 @@ def _resultant(f_table, g_table, field):
     B = isqrt(_norm2(F, R) ** mg * _norm2(G, R) ** mf) + 1
     H = coordinate_bound(mt, B)
     mt = tuple(mt)
-    unlucky = df * dg * mu * _discriminant(mt)
+    unlucky = df * dg * mu
     residues, modulus, checked = None, 1, set()
     for p in word_primes():
         if unlucky % p == 0:
@@ -220,16 +218,6 @@ def _norm2(table, R):
     """‖F̂‖₂² for the cleared table F (see `_resultant`)."""
     return sum(sum(abs(a) * R ** u for u, col in enumerate(coeff)
                    for a in col) ** 2 for coeff in table)
-
-
-@cache
-def _discriminant(mt):
-    """|disc m̃| = |Res(m̃, m̃′)| for the monic m̃ (ascending int tuple)."""
-    if len(mt) == 2:
-        return 1
-    constants = [Poly.constant(Fraction(a)) for a in mt]
-    derivative = [Poly.constant(Fraction(k * a)) for k, a in enumerate(mt)]
-    return abs(int(_resultant(constants, derivative[1:], QQ).coeff(0)))
 
 
 def _image(at_f, at_g, mf, mg, points, thetas, p):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import ceil
 
@@ -23,7 +24,7 @@ from .fields import QQ, is_zero_scalar
 from .modular import (_horner, coordinate_bound, coordinates, evaluate_at,
                       is_prime, lagrange_basis, modulus_roots, root_radius)
 from .poly import Poly, _as_float, _int_scaled, squarefree_decompose
-from .resultants import _discriminant
+from .resultants import _resultant
 
 RESIDUAL_TOL = 1e-12
 MAX_ITERATIONS = 200
@@ -32,6 +33,16 @@ MAX_ITERATIONS = 200
 # ---------------------------------------------------------------------------
 # Exact roots by p-adic lifting
 # ---------------------------------------------------------------------------
+
+
+@cache
+def _discriminant(mt):
+    """|disc m̃| = |Res(m̃, m̃′)| for the monic m̃ (ascending int tuple)."""
+    if len(mt) == 2:
+        return 1
+    constants = [Poly.constant(Fraction(a)) for a in mt]
+    derivative = [Poly.constant(Fraction(k * a)) for k, a in enumerate(mt)]
+    return abs(int(_resultant(constants, derivative[1:], QQ).coeff(0)))
 
 
 def _lifted_roots(f, field):
@@ -58,8 +69,8 @@ def _lifted_roots(f, field):
         |A_u| = δ·|disc m̃|·|a_u| ≤ H = δ·coordinate_bound(m̃, B),
     which for e = 1 is δ times Cauchy's bound on f over Q.
 
-    Lifting.  Take the least prime p that divides neither δ nor disc m̃,
-    modulo which m̃ has e distinct roots θ_i, and modulo which every root
+    Lifting.  Take the least prime p that does not divide δ, modulo which
+    m̃ has e distinct roots θ_i (so p ∤ disc m̃), and modulo which every root
     of every f_i (t̃ ↦ θ_i) is simple; such primes exist because f is
     square-free and m̃ splits completely modulo infinitely many primes.
     The θ_i are `modulus_roots`, and the roots of the f_i modulo p are
@@ -89,7 +100,7 @@ def _lifted_roots(f, field):
     p = 1
     while True:
         p += 1
-        if not is_prime(p) or delta % p == 0 or disc % p == 0:
+        if not is_prime(p) or delta % p == 0:
             continue
         thetas = modulus_roots(tuple(mt), p)
         if thetas is None:

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction as F
-from itertools import count
 
 import pytest
 
@@ -318,6 +317,16 @@ def test_conductor_matches_the_exact_nullspace():
                 for label, params in _conductor_cases()]
     algebras.append(construct_case("codim1/pair",
                                    {"alpha": 1 + t, "beta": 1 - t}))
+    # three-element bases over fields of degree 3, 4 and 5
+    for modulus in ([-2, 0, 0, 1], [-1, -1, 0, 0, 1], [-1, -1, 0, 0, 0, 1]):
+        k = NumberField(modulus)
+        u = k.gen()
+        algebras += [construct_case("codim3/s=1/case1",
+                                    {"alpha": u, "a": k.zero, "b": k.one,
+                                     "c": 2 + u}),
+                     construct_case("codim2/s=2-pair",
+                                    {"alpha": k.zero, "beta": 2 + u,
+                                     "a": k.one, "b": k.coerce(3)})]
     degrees = [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (4, 7), (5, 6),
                (5, 7), (5, 8), (6, 7), (7, 8), (8, 9)]
     algebras += [Subalgebra.from_generators(pair)
@@ -346,17 +355,18 @@ def test_two_element_conductor_is_chi(monkeypatch):
 
 
 def test_conductor_discards_unlucky_primes(monkeypatch):
-    """From the primes 3, 5, 7, … every discard path of the modular
-    solver runs, and c is the same.  A and B have two-element bases, whose
-    `conductor` takes no image, so the solver is called directly."""
+    """From the primes 3, 5, 7, …, 97 every discard path of the modular
+    solver runs, and c is the same.  A has a two-element basis, whose
+    `conductor` takes no image, so the solver is called directly.  The spy
+    records (p, image degree) at each root of m̃ mod p."""
     images, failures, verdicts = [], [], []
     image, reconstruct, certify = (conditions._conductor_image,
                                    conditions.rational_reconstruction,
                                    conditions._in_conductor_ideal)
 
-    def spy_image(products, S, d, ring):
-        out = image(products, S, d, ring)
-        images.append((ring.p, None if out is None else len(out) - 1))
+    def spy_image(products, S, d, p):
+        out = image(products, S, d, p)
+        images.append((p, len(out) - 1))
         return out
 
     def spy_reconstruct(u, modulus):
@@ -369,8 +379,9 @@ def test_conductor_discards_unlucky_primes(monkeypatch):
         verdicts.append(certify(f, basis))
         return verdicts[-1]
 
+    # a solver that never accepts runs out of primes and returns None
     monkeypatch.setattr(conditions, "word_primes",
-                        lambda: (p for p in count(3) if is_prime(p)))
+                        lambda: (p for p in range(3, 100) if is_prime(p)))
     monkeypatch.setattr(conditions, "_conductor_image", spy_image)
     monkeypatch.setattr(conditions, "rational_reconstruction",
                         spy_reconstruct)
@@ -383,15 +394,17 @@ def test_conductor_discards_unlucky_primes(monkeypatch):
     c = conditions._modular_conductor(A.sagbi_basis())
     assert c == reference_conductor(A.sagbi_basis())
     assert images[0][0] == 5
-    # over Q(i) with beta = 2 + t (norm 5): mod 3 the rank drops, and mod 5,
-    # where t^2 + 1 = (t - 2)(t + 2), a pivot is a zero divisor
+    # over Q(i) with beta = 2 + t (norm 5): t^2 + 1 does not split mod 3, 7
+    # and 11; mod 5 its roots are 2 and 3, and at t = 3, where 2 + t
+    # vanishes, the image has a lower degree, so 5 is discarded
     B = construct_case("codim2/s=2-pair", {"alpha": qi.zero, "beta": 2 + t,
                                            "a": qi.one, "b": qi.coerce(3)})
     images.clear()
+    failures.clear()
     c = conditions._modular_conductor(B.sagbi_basis())
     assert c == reference_conductor(B.sagbi_basis())
-    assert images[0][0] == 3 and images[0][1] < c.degree
-    assert images[1] == (5, None)
+    assert [p for p, _ in images[:3]] == [5, 5, 13]
+    assert images[0][1] == c.degree and images[1][1] < c.degree
     assert failures
     # c = (x - 1)^6: mod 3 it reconstructs to x^6 + x^3 + 1, which the
     # certificate rejects, and the rank-dropping image mod 5 comes after

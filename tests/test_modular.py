@@ -2,10 +2,9 @@ from fractions import Fraction as F
 from itertools import islice
 
 from subalg import modular
-from subalg.fields import NumberField
-from subalg.modular import (ResidueRing, crt, evaluate_at, is_prime,
-                            lagrange_basis, modulus_roots,
-                            rational_reconstruction, word_primes)
+from subalg.modular import (crt, evaluate_at, is_prime, lagrange_basis,
+                            modulus_roots, rational_reconstruction,
+                            word_primes)
 
 
 def test_is_prime_matches_trial_division():
@@ -97,17 +96,3 @@ def test_crt_and_rational_reconstruction():
     residues = crt(images[0], p1, images[1], p2)
     assert [rational_reconstruction(u, p1 * p2) for u in residues] == values
 
-
-def test_residue_ring_arithmetic():
-    qi = NumberField([1, 0, 1], label="t^2+1")
-    t = qi.gen()
-    ring = ResidueRing(qi.modulus_coeffs, 7)        # t^2 + 1 irreducible
-    a = ring.element(2 + 3 * t)
-    inv = ring.inverse(a)
-    assert ring.element((2 + 3 * t).inverse()) == inv
-    assert ring.dot([[a[0]], [a[1]]], [[inv[0]], [inv[1]]]) == (1, 0)
-    # mod 5, t^2 + 1 = (t - 2)(t + 2): t - 2 is a zero divisor
-    assert ResidueRing(qi.modulus_coeffs, 5).inverse((3, 1)) is None
-    rational = ResidueRing((F(0), F(1)), 11)
-    assert rational.inverse((3,)) == (4,) and rational.inverse((0,)) is None
-    assert rational.element(F(1, 3)) == (4,)

@@ -1,0 +1,42 @@
+"""Static checks on the library source."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "subalg"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+
+
+def _identifiers(node):
+    """The names a node reads, by name, attribute or import."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def test_every_module_level_definition_is_referenced():
+    """Each module-level function and class in src/subalg is named in
+    src/subalg outside its own definition (an import counts), or in the
+    acceptance tests, whose criteria are the library's contract.  Code
+    that nothing reaches is deleted, not kept."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in [*sorted(SOURCE.glob("*.py")), ACCEPTANCE]}
+    references = {}                 # identifier -> [(path, line)]
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            for name in _identifiers(node):
+                references.setdefault(name, []).append((path, node.lineno))
+    unreferenced = [
+        f"{path.name}:{node.name}"
+        for path, tree in trees.items() if path != ACCEPTANCE
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not any(where != path
+                    or not node.lineno <= line <= node.end_lineno
+                    for where, line in references.get(node.name, ()))]
+    assert unreferenced == []
