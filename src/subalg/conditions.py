@@ -23,8 +23,7 @@ from .modular import (_fold, _int_mul, crt, evaluate_at, lagrange_basis,
                       modulus_roots, rational_reconstruction, word_primes)
 from .poly import Poly, _int_scaled
 from .resultants import _lattice_gcd
-from .sagbi import SagbiBasis, sagbi_complete, subduce
-from .semigroup import DegreeSemigroup
+from .sagbi import SagbiBasis, read_off_basis, sagbi_complete, subduce
 
 
 class LinearFunctional:
@@ -412,11 +411,8 @@ def kernel_subalgebra(conds):
         raise NotSubalgebraConditions(
             "kernel is not closed under multiplication: a product of two "
             f"kernel elements of degree < {low} fails a condition")
-    by_degree = {p.degree: p for p in kernel if p.degree >= 1}
-    semigroup = DegreeSemigroup(by_degree)
-    basis = SagbiBasis([by_degree[d] for d in semigroup.generators],
-                       semigroup)
-    return Subalgebra(conditions=_normalize_conditions(conds), _sagbi=basis)
+    return Subalgebra(conditions=_normalize_conditions(conds),
+                      _sagbi=read_off_basis(kernel))
 
 
 def _normalize_conditions(conds):

@@ -65,13 +65,17 @@ class InfiniteCodimension(SubalgError):
 
 
 class ConditionVanishesOnB(SubalgError):
-    """sagbi_extend got a functional that is identically zero on B."""
+    """sagbi_extend got a functional that is identically zero on B
+    (exact: it vanishes on every degree product of B below deg c·h; see
+    `sagbi.sagbi_extend`)."""
 
 
 # --- conditions ---------------------------------------------------------
 
 class NotSubalgebraConditions(SubalgError):
-    """The condition list does not cut out a subalgebra."""
+    """The condition list does not cut out a subalgebra (kernel_subalgebra),
+    or a functional's kernel in an algebra B is not closed under
+    multiplication (sagbi_extend)."""
 
 
 class DegenerateConditions(SubalgError):

@@ -16,37 +16,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _trim(coeffs):
-    """Drop trailing zeros of a coefficient list."""
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return coeffs[:n]
-
-
-def _list_divmod(a, b):
-    """Long division of Fraction coefficient lists (ascending)."""
-    a = list(a)
-    db, dn = len(b) - 1, len(a) - 1
-    inv_lead = _ONE / b[-1]
-    quot = [_ZERO] * max(dn - db + 1, 0)
-    for k in range(dn - db, -1, -1):
-        c = a[k + db] * inv_lead
-        if c:
-            quot[k] = c
-            for i, bi in enumerate(b):
-                a[k + i] -= c * bi
-    return quot, _trim(a[:db])
-
-
-def _list_gcd(a, b):
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        _, r = _list_divmod(a, b)
-        a, b = b, r
-    return a
-
-
 class RationalField:
     """The field Q, as a singleton coefficient-field descriptor."""
 
@@ -105,17 +74,21 @@ class NumberField:
 
     def __init__(self, modulus_coeffs, label=None):
         coeffs = [Fraction(c) for c in modulus_coeffs]
-        coeffs = _trim(coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
         if len(coeffs) < 2:
             raise SubalgError("number-field modulus must have degree >= 1")
         if coeffs[-1] != 1:
             raise SubalgError("number-field modulus must be monic")
-        deriv = [i * c for i, c in enumerate(coeffs)][1:]
-        if len(_list_gcd(coeffs, deriv)) != 1:
-            raise SubalgError("number-field modulus must be square-free")
         self.modulus_coeffs = tuple(coeffs)
         self.degree = len(coeffs) - 1
         self.label = label or "Q[t]/(m)"
+        try:        # m is square-free iff m′ is invertible mod m
+            FieldElem([i * c for i, c in enumerate(coeffs)][1:],
+                      self).inverse()
+        except NonInvertible:
+            raise SubalgError(
+                "number-field modulus must be square-free") from None
         self.tilde_modulus, self.mu = integral_modulus(coeffs)
         self._mu_powers = [self.mu ** u for u in range(self.degree)]
 
@@ -153,6 +126,8 @@ class NumberField:
     def tilde_coordinates(self, scalars):
         """The t̃-coordinates a_u/μ^u of the scalars (a_u their
         t-coordinates, t̃ = μ·t), flattened: e = deg m per scalar."""
+        if self.mu == 1:
+            return [a for c in scalars for a in self.coerce(c).coeffs]
         return [a / w for c in scalars
                 for a, w in zip(self.coerce(c).coeffs, self._mu_powers)]
 
@@ -271,30 +246,24 @@ class FieldElem:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Extended Euclid against the modulus."""
+        """One linear solve: the t-coordinates v of the inverse satisfy
+        M·v = e₀, M the matrix of multiplication by self, whose column j
+        is self·t^j mod m.  M is singular iff self is a zero divisor."""
         if not self:
             raise ZeroDivisionError("inversion of zero field element")
-        m = list(self.field.modulus_coeffs)
-        r0, r1 = m, _trim(list(self.coeffs))
-        s0, s1 = [], [_ONE]
-        while r1:
-            q, r = _list_divmod(r0, r1)
-            # s_next = s0 - q * s1
-            s_next = list(s0) + [_ZERO] * max(0,
-                                              len(q) + len(s1) - 1 - len(s0))
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        s_next[i + j] -= qi * sj
-            r0, r1 = r1, r
-            s0, s1 = s1, _trim(s_next)
-        if len(r0) != 1:
+        from .linalg import rref
+        field, d = self.field, self.field.degree
+        columns = [self.coeffs]
+        for _ in range(d - 1):
+            columns.append(field._reduce((_ZERO,) + columns[-1]))
+        rows = [[*row, _ONE if i == 0 else _ZERO]
+                for i, row in enumerate(zip(*columns))]
+        red, pivots = rref(rows, d, QQ)
+        if len(pivots) < d:
             raise NonInvertible(
-                f"gcd with modulus has degree {len(r0) - 1}: "
-                f"{self.field.label} is not a field at this element")
-        inv_c = _ONE / r0[0]
-        return FieldElem(self.field._reduce([c * inv_c for c in s0]),
-                         self.field)
+                f"gcd with modulus has degree {d - len(pivots)}: "
+                f"{field.label} is not a field at this element")
+        return FieldElem(tuple(row[d] for row in red), field)
 
     def __truediv__(self, other):
         o = self._co(other)

@@ -12,7 +12,8 @@ from __future__ import annotations
 from math import gcd
 from functools import reduce
 
-from .errors import (ConditionVanishesOnB, InfiniteCodimension, SubalgError)
+from .errors import (ConditionVanishesOnB, InfiniteCodimension,
+                     NotSubalgebraConditions, SubalgError)
 from .fields import QQ, common_field, is_zero_scalar
 from .poly import Poly, _int_cancel, _int_scaled, _int_trim
 from .resultants import _lattice_gcd
@@ -223,42 +224,67 @@ def _minimalize(basis):
                       S)
 
 
-def sagbi_extend(basis, functional):
-    """SAGBI basis of ker(functional) within the algebra of `basis`.
+def read_off_basis(elements):
+    """The SAGBI basis of an algebra from elements of it with distinct
+    leading degrees that cover every degree of its semigroup up to the
+    conductor plus the smallest positive degree: the elements at the
+    minimal generators of the degrees."""
+    by_degree = {p.degree: p for p in elements if p.degree >= 1}
+    semigroup = DegreeSemigroup(by_degree)
+    return SagbiBasis([by_degree[d] for d in semigroup.generators],
+                      semigroup)
 
-    Picks the minimal-degree basis element g with functional(g) != 0 and
-    replaces every element u by u - (L(u)/L(g)) g, adding g*g_j, g^2, g^3
-    corrections; the result is completed and minimalized.
+
+def sagbi_extend(basis, functional):
+    """SAGBI basis of B ∩ ker L, B the algebra of `basis` and L the
+    functional, by one projection.
+
+    Let c be the conductor of B, h = ∏_p (x − p)^(N_p + 1) over the points
+    p of L (N_p the top order L reads at p) and D = deg c·h.  Then
+    c·h·K[x] ⊆ B ∩ ker L: c·K[x] ⊆ B, and L reads c·h·q at p only through
+    its N_p-jet, which is zero.  Division by c·h gives
+    B = B_{<D} ⊕ c·h·K[x], so B ∩ ker L = (B_{<D} ∩ ker L) ⊕ c·h·K[x].
+
+    The degree products P_k, k < D, span B_{<D}.  With g the first on
+    which L is nonzero, the products before g and P − (L(P)/L(g))·g for
+    the products after it span B_{<D} ∩ ker L, one per leading degree.  No
+    g means that L vanishes on all of B (ConditionVanishesOnB).  Products
+    of elements of B stay in B, and products with c·h·K[x] stay in it, so
+    the kernel is an algebra iff L kills every product of two kernel
+    elements of degree < D (`conditions._closed_under_products`);
+    otherwise NotSubalgebraConditions.  The SAGBI basis is read off the
+    leading degrees, with c·h·x^j filling the degrees D, …, 2D − 1: the
+    semigroup's conductor and smallest positive degree are at most D.
     """
-    elems = list(basis.elements)
-    g = None
-    for e in elems:
-        if not is_zero_scalar(functional.apply(e)):
-            g = e
-            break
-    if g is None:
+    from .conditions import _closed_under_products, conductor
+    field = common_field(basis.field, functional.field)
+    tops = {}
+    for order, point, _ in functional.terms:
+        tops[point] = max(order, tops.get(point, 0))
+    ch = conductor(basis).coerce_to(field)
+    for point, top in tops.items():
+        ch = ch * Poly([-point, field.one], field) ** (top + 1)
+    D = ch.degree
+    products = [P.coerce_to(field) for P in basis.degree_products(D - 1)]
+    values = [functional.apply(P) for P in products]
+    k = next((i for i, v in enumerate(values) if not is_zero_scalar(v)),
+             None)
+    if k is None:
         raise ConditionVanishesOnB(
             "functional vanishes on the whole algebra: codimension "
             "does not grow")
-    c = functional.apply(g)
-
-    def project(u):
-        return u - (functional.apply(u) / c) * g.coerce_to(
-            common_field(u.field, g.field))
-
-    candidates = []
-    for e in elems:
-        if e is not g:
-            candidates.append(project(e))
-    for e in elems:
-        candidates.append(project(g * e))
-    candidates.append(project(g * g * g))
-    candidates = [u for u in candidates if u.degree >= 1]
-    result = sagbi_complete(candidates)
-    for u in result.elements:
-        if not is_zero_scalar(functional.apply(u)):
-            raise SubalgError("extension element violates the functional")
-    return result
+    g = products[k]
+    kernel = products[:k] + [P - (v / values[k]) * g for P, v in
+                             zip(products[k + 1:], values[k + 1:])]
+    if not _closed_under_products([functional.monomial_row(2 * D - 2, field)],
+                                  kernel, D, field):
+        raise NotSubalgebraConditions(
+            "the kernel of the functional in the algebra is not closed "
+            "under multiplication: a product of two kernel elements of "
+            f"degree < {D} fails it")
+    zero = [field.zero]
+    return read_off_basis(kernel + [Poly(zero * j + list(ch.coeffs), field)
+                                    for j in range(D)])
 
 
 def membership(f, algebra):

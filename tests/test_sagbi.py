@@ -8,8 +8,10 @@ import pytest
 from case_draws import all_draws
 from subalg import sagbi
 from subalg.classify import construct_case
-from subalg.conditions import LinearFunctional, _dot, kernel_subalgebra
-from subalg.errors import InfiniteCodimension
+from subalg.conditions import (LinearFunctional, Subalgebra, _dot,
+                               is_subalgebra_condition_set, kernel_subalgebra)
+from subalg.errors import (ConditionVanishesOnB, InfiniteCodimension,
+                           NotSubalgebraConditions, SubalgError)
 from subalg.fields import QQ, NumberField, common_field, is_zero_scalar
 from subalg.oracle import oracle_codimension, oracle_member
 from subalg.parsing import parse_poly as P
@@ -86,9 +88,148 @@ def test_extend_by_functional():
 def test_extend_matches_kernel():
     L = LinearFunctional.difference(F(0), F(1))
     basis = sagbi_complete([P("x")])
-    extended = sagbi_extend(basis, L)
-    direct = kernel_subalgebra([L]).sagbi_basis()
-    assert sorted(extended.degrees) == sorted(direct.degrees)
+    extended = Subalgebra(_sagbi=sagbi_extend(basis, L))
+    assert extended == kernel_subalgebra([L])
+
+
+def test_extend_one_condition_at_a_time_matches_the_kernel():
+    # K[x] cut down by each draw's conditions in turn, where every prefix
+    # of them cuts out an algebra, is the draw's algebra
+    chains = 0
+    for label, params, _ in all_draws()[::3]:
+        A = construct_case(label, params)
+        conds = A.conditions()
+        if not all(is_subalgebra_condition_set(conds[:k + 1])
+                   for k in range(len(conds))):
+            continue
+        basis = SagbiBasis([Poly.x(A.field)])
+        for L in conds:
+            basis = sagbi_extend(basis, L)
+        assert Subalgebra(_sagbi=basis) == A, (label, params)
+        chains += 1
+    assert chains >= 15
+
+
+def reference_sagbi_extend(basis, functional):
+    """The `sagbi_extend` that one projection replaced: project the basis
+    elements, g·e_j and g³ away from the first element g with L(g) != 0,
+    complete, and check the result afterwards (verbatim)."""
+    elems = list(basis.elements)
+    g = None
+    for e in elems:
+        if not is_zero_scalar(functional.apply(e)):
+            g = e
+            break
+    if g is None:
+        raise ConditionVanishesOnB(
+            "functional vanishes on the whole algebra: codimension "
+            "does not grow")
+    c = functional.apply(g)
+
+    def project(u):
+        return u - (functional.apply(u) / c) * g.coerce_to(
+            common_field(u.field, g.field))
+
+    candidates = []
+    for e in elems:
+        if e is not g:
+            candidates.append(project(e))
+    for e in elems:
+        candidates.append(project(g * e))
+    candidates.append(project(g * g * g))
+    candidates = [u for u in candidates if u.degree >= 1]
+    result = sagbi_complete(candidates)
+    for u in result.elements:
+        if not is_zero_scalar(functional.apply(u)):
+            raise SubalgError("extension element violates the functional")
+    return result
+
+
+def _extension_inputs(rng):
+    """(basis, functional) pairs: case-draw bases (every number-field draw
+    among them), against random difference and first-derivative
+    conditions, which always cut out an algebra, and second-order or
+    mixed-order ones, which mostly do not; at small rational points, and
+    at points of Q(i) and of Q[t]/(t^4 + 1) for the Q bases."""
+    qi, q8 = NumberField([1, 0, 1], "Q(i)"), NumberField([1, 0, 0, 0, 1])
+    draws = all_draws()
+    picked = draws[::4] + [d for d in draws
+                           if any(hasattr(v, "field") for v in d[1].values())]
+    for label, params, _ in picked:
+        basis = construct_case(label, params).sagbi_basis()
+        fields = [QQ] if basis.field is not QQ else [QQ, qi, q8]
+        for field in fields:
+            t = field.one if field is QQ else field.gen()
+            a, b = (rng.randint(-2, 2) + rng.randint(0, 1) * t
+                    for _ in range(2))
+            if a != b:
+                yield basis, LinearFunctional.difference(a, b)
+            yield basis, LinearFunctional.derivative_combo([(1, a, F(1))])
+            yield basis, LinearFunctional.derivative_combo(
+                [(2, a, F(1))] if rng.random() < 0.5 else
+                [(1, a, F(1)), (0, a + 1, F(1)), (0, a, F(-1))])
+
+
+def test_extend_matches_the_completion_it_replaced():
+    outcomes, fields = {}, set()
+    for basis, L in _extension_inputs(random.Random(20261019)):
+        try:
+            old = reference_sagbi_extend(basis, L)
+        except SubalgError as exc:
+            old = exc
+        try:
+            new = sagbi_extend(basis, L)
+        except SubalgError as exc:
+            new = exc
+        if isinstance(old, ConditionVanishesOnB):
+            assert isinstance(new, ConditionVanishesOnB), (basis, L)
+        elif isinstance(old, SubalgError):
+            assert isinstance(new, NotSubalgebraConditions), (basis, L)
+        else:
+            assert Subalgebra(_sagbi=new) == Subalgebra(_sagbi=old), (basis,
+                                                                      L)
+            assert new.semigroup.genus == basis.semigroup.genus + 1
+            assert all(is_zero_scalar(L.apply(e)) and membership(e, basis)[0]
+                       for e in new.elements)
+            fields.add(new.field.degree)
+        outcome = type(new).__name__
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    assert outcomes["SagbiBasis"] >= 50
+    assert outcomes["ConditionVanishesOnB"] and \
+        outcomes["NotSubalgebraConditions"]
+    assert fields == {1, 2, 4}
+
+
+def test_extend_rejects_a_kernel_that_is_no_algebra():
+    # mixed orders: L = f'(0) + f(1) − f(0) on K[x] kills x² − x/2 but not
+    # its square
+    x = sagbi_complete([P("x")])
+    L = LinearFunctional.derivative_combo(
+        [(1, F(0), F(1)), (0, F(1), F(1)), (0, F(0), F(-1))])
+    with pytest.raises(NotSubalgebraConditions):
+        sagbi_extend(x, L)
+    assert not is_subalgebra_condition_set([L])
+    # f''(0) on K[x]: the completion claimed that it vanishes on all of
+    # K[x], as it vanishes on x; but L(x²) = 2, and L(x·x) != 0
+    L = LinearFunctional.derivative_combo([(2, F(0), F(1))])
+    assert L.apply(P("x^2")) == 2
+    with pytest.raises(NotSubalgebraConditions):
+        sagbi_extend(x, L)
+    with pytest.raises(ConditionVanishesOnB):
+        reference_sagbi_extend(x, L)
+    # on K[x², x³] the same L cuts out an algebra: K[x³, x⁴, x⁵]
+    cusp = sagbi_complete([P("x^2"), P("x^3")])
+    assert sagbi_extend(cusp, L).degrees == (3, 4, 5)
+
+
+def test_extend_raises_when_the_functional_vanishes():
+    # f(1) − f(−1) vanishes on K[x², x³ − x], f'(0) on K[x², x³]
+    for gens, L in (
+            (("x^2", "x^3 - x"), LinearFunctional.difference(F(1), F(-1))),
+            (("x^2", "x^3"),
+             LinearFunctional.derivative_combo([(1, F(0), F(1))]))):
+        with pytest.raises(ConditionVanishesOnB):
+            sagbi_extend(sagbi_complete([P(g) for g in gens]), L)
 
 
 def test_coerce_to_number_field():

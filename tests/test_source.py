@@ -1,6 +1,7 @@
 """Static checks on the library source."""
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,3 +41,22 @@ def test_every_module_level_definition_is_referenced():
                     or not node.lineno <= line <= node.end_lineno
                     for where, line in references.get(node.name, ()))]
     assert unreferenced == []
+
+
+def test_the_library_imports_only_the_standard_library():
+    """Every import in src/subalg is relative or names a module of the
+    standard library: runtime dependencies stay at the standard library
+    (tests may use more)."""
+    outside = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno}:{name}" for name in names
+                        if name.partition(".")[0]
+                        not in sys.stdlib_module_names]
+    assert outside == []
