@@ -305,7 +305,7 @@ def classify(A, nf=None):
     s = sum(len(values) for values in clusters)
     profile = tuple(len(values) for values in clusters)
     # ann(coords): the annihilator of A on (order, point) coordinates
-    ann = partial(annihilator, basis, c=A.conductor().coerce_to(field))
+    ann = partial(annihilator, basis)
 
     label, params = _dispatch(ann, n, s, profile, clusters)
     type_degrees, canonical = canonical_case_basis(label, params)

@@ -18,10 +18,10 @@ from .errors import (DegenerateConditions, NotSubalgebraConditions,
                      SpectrumNotExact, SubalgError)
 from .fields import (QQ, common_field, field_of, format_scalar,
                      is_zero_scalar, scalar_to_json)
-from .linalg import echelon_nullspace, extend_echelon, nullspace, rref
+from .linalg import echelon_nullspace, nullspace, rref
 from .modular import (_fold, _int_mul, crt, evaluate_at, lagrange_basis,
                       modulus_roots, rational_reconstruction, word_primes)
-from .poly import Poly, _int_scaled
+from .poly import Poly, _int_scaled, poly_gcd
 from .resultants import _lattice_gcd
 from .sagbi import SagbiBasis, read_off_basis, sagbi_complete, subduce
 
@@ -239,6 +239,22 @@ def _closed_under_products(rows, kernel, low, field):
     return True
 
 
+def _killed_combinations(products, rows, field):
+    """The combinations of `products` (over `field`, ascending distinct
+    degrees) that every functional in `rows` (monomial rows over `field`
+    reaching the top degree) kills: one reduction of the rows' values on
+    the products, and one combination per free column, the product there
+    plus multiples of those at pivot columns below it.  They span the
+    kernel, with the distinct leading degrees of the free columns."""
+    cleared = [_int_scaled(P.coeffs, field) for P in products]
+    values = [[_dot(P, row, field) for P in cleared]
+              for row in (_int_scaled(row, field) for row in rows)]
+    red, pivots = rref(values, len(products), field)
+    return [sum((a * P for a, P in zip(vec, products) if a),
+                Poly.zero(field))
+            for vec in echelon_nullspace(red, pivots, len(products), field)]
+
+
 def is_subalgebra_condition_set(conds):
     """Does the joint kernel of the conditions form a subalgebra?
 
@@ -272,7 +288,6 @@ class Subalgebra:
             raise SubalgError("subalgebra needs generators or a SAGBI basis")
         self._spectra = {}
         self._char_poly = None
-        self._conductor = None
 
     @classmethod
     def of(cls, A):
@@ -324,10 +339,9 @@ class Subalgebra:
         return self._conditions
 
     def conductor(self):
-        """The conductor c of A (see `conductor`), computed once."""
-        if self._conductor is None:
-            self._conductor = conductor(self.sagbi_basis())
-        return self._conductor
+        """The conductor c of A (see `conductor`), cached on the SAGBI
+        basis (`SagbiBasis.conductor`)."""
+        return self.sagbi_basis().conductor()
 
     def char_poly(self):
         """χ of A, computed once; `conductor()` itself for ≤ 2 elements."""
@@ -587,11 +601,12 @@ def _conductor_image(products, S, d, p):
                         [a * inv % p for a in combo]))
 
 
-def annihilator(basis, coords, c):
+def annihilator(basis, coords):
     """Coefficient vectors v with Σ v_i f^(o_i)(p_i) = 0 on all of A.
 
-    `coords` lists (order o_i, point p_i); c is the conductor of A (the
-    algebra of `basis`); all lie in one field.  Exact: A = A_{<deg c} ⊕
+    `coords` lists (order o_i, point p_i) in the field of `basis`; c is
+    the conductor of A, the algebra of `basis`, as cached on the basis
+    (coerced with it, see `SagbiBasis.coerce_to`).  Exact: A = A_{<deg c} ⊕
     c·K[x], and with m the top order, a functional reads c·h at p only
     through the (m − ord_p(c))-jet of h at p, which the h of degree
     < Σ_p max(0, m + 1 − ord_p(c)) already take.  So it vanishes on A iff
@@ -599,7 +614,7 @@ def annihilator(basis, coords, c):
     span the nullspace of the functionals on the degree products up to
     that degree.
     """
-    field = basis.field
+    field, c = basis.field, basis.conductor()
     m = max(order for order, _ in coords)
     bound = c.degree - 1 + sum(max(0, m + 1 - c.order_at(point))
                                for point in {point for _, point in coords})
@@ -619,7 +634,8 @@ def conditions_from_subalgebra(A, spectrum):
     (`annihilator`): they vanish on c·K[x], so they read only jets of
     order < ord_α(c) at each α, and codim(A) of them are independent.
     Order-0 parts are rewritten as point differences where possible.
-    The points must be exactly the zeros of c.
+    The points must be exactly the zeros of c; for K[x] (c = 1, no
+    points) the list is empty.
     """
     A = Subalgebra.of(A)
     basis = A.sagbi_basis()
@@ -637,19 +653,19 @@ def conditions_from_subalgebra(A, spectrum):
         field = common_field(field, field_of(p))
     basis = basis.coerce_to(field)
     points = [field.coerce(p) for p in points]
-    if not points:
-        raise SpectrumNotExact("empty spectrum")
 
-    c = A.conductor().coerce_to(field)
+    c = basis.conductor()
     orders = [c.order_at(p) for p in points]
     if 0 in orders or sum(orders) != c.degree:
         raise SpectrumNotExact("the points are not the zeros of the "
                                "conductor")
+    if not points:
+        return []
     # coordinates: (order, point) with higher orders first, so reduced
     # rows with only order-0 support surface as pure differences
     coords = [(order, p) for order in range(max(orders) - 1, -1, -1)
               for p in points]
-    W, _ = rref(annihilator(basis, coords, c), len(coords), field)
+    W, _ = rref(annihilator(basis, coords), len(coords), field)
 
     functionals = []
     for vec in W:
@@ -669,24 +685,32 @@ def conditions_from_subalgebra(A, spectrum):
 def intersect_and_join(A1, A2):
     """(A1 ∩ A2, algebra generated by A1 ∪ A2).
 
-    The intersection is the kernel of the union of the condition lists
-    (dependencies removed); the join is the SAGBI completion of the union
-    of the generators.
+    The intersection is one projection, as in `sagbi.sagbi_extend`, and
+    reads no spectrum.  With c₁, c₂ the conductors, h = lcm(c₁, c₂) and
+    D = deg h, h·K[x] lies in both algebras, so division by h gives
+    A1 ∩ A2 = (A1_{<D} ∩ A2_{<D}) ⊕ h·K[x].  The nullspace of the degree
+    products of A2 below D is the functionals on K[x]_{<D} that vanish on
+    A2; the combinations of the degree products of A1 below D that they
+    kill (`_killed_combinations`) span A1_{<D} ∩ A2, one per leading
+    degree.  The SAGBI basis is read off those and h·x^j for
+    j < max(D, 2), which fill the degrees D, …, 2D − 1 (and give x when
+    D = 0).  An intersection of algebras is an algebra, so no closure is
+    checked.  The join is the SAGBI completion of the union of the
+    generators.
     """
     A1, A2 = Subalgebra.of(A1), Subalgebra.of(A2)
-    conds = list(A1.conditions())
-    for L in A2.conditions():
-        conds.append(L)
-    # drop dependent conditions: reduce each row against a running echelon
-    # form and keep the condition when a residual is left
-    field = _conditions_field(conds)
-    N, s = _order_and_point_count(conds)
-    bound = N * s + 2 * len(conds) + 2
-    red, pivots = [], []
-    kept = [L for L in conds
-            if extend_echelon(L.monomial_row(bound, field), red, pivots,
-                              field)]
-    intersection = kernel_subalgebra(kept)
+    field = common_field(A1.field, A2.field)
+    b1, b2 = (A.sagbi_basis().coerce_to(field) for A in (A1, A2))
+    c1, c2 = b1.conductor(), b2.conductor()
+    h = (c1 * c2).exact_div(poly_gcd(c1, c2))
+    D = h.degree
+    vanishing = nullspace([list(P.coeffs) + [field.zero] * (D - P.degree - 1)
+                           for P in b2.degree_products(D - 1)], D, field)
+    zero = [field.zero]
+    fill = [Poly(zero * j + list(h.coeffs), field) for j in range(max(D, 2))]
+    intersection = Subalgebra(_sagbi=read_off_basis(
+        _killed_combinations(b1.degree_products(D - 1), vanishing, field)
+        + fill))
 
     gens = list(A1.sagbi_basis().elements) + list(A2.sagbi_basis().elements)
     join_basis = sagbi_complete(gens)

@@ -78,7 +78,7 @@ class _Jets:
         field = common_field(basis.field, field_of(alpha))
         basis = basis.coerce_to(field)
         alpha = field.coerce(alpha)
-        self.c = H = A.conductor().coerce_to(field)
+        self.c = H = basis.conductor()
         if not is_zero_scalar(H(alpha)):
             H = H * Poly((-alpha, field.one), field)
         G = H * H
@@ -162,9 +162,9 @@ def derivation_space(A, alpha):
     jets = _Jets(A, alpha)
     field, k = jets.field, jets.k_alpha
     points = _cluster_points(A, jets.alpha, field)
-    top = max(jets.multiplicity(point) for point in points)
-    coords = [(order, point) for order in range(1, top) for point in points
-              if order < jets.multiplicity(point)]
+    mults = [jets.multiplicity(point) for point in points]
+    coords = [(order, point) for order in range(1, max(mults))
+              for point, mult in zip(points, mults) if order < mult]
     jet_rows = [_int_scaled(_jet_row(order, point, jets.degree - 1, field),
                             field) for order, point in coords]
     equations = [[_dot(e, r, field) for r in jet_rows]

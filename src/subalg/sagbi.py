@@ -14,17 +14,18 @@ from functools import reduce
 
 from .errors import (ConditionVanishesOnB, InfiniteCodimension,
                      NotSubalgebraConditions, SubalgError)
-from .fields import QQ, common_field, is_zero_scalar
+from .fields import QQ, common_field
 from .poly import Poly, _int_cancel, _int_scaled, _int_trim
 from .resultants import _lattice_gcd
 from .semigroup import NOT_MEMBER, DegreeSemigroup
 
 
 class SagbiBasis:
-    """Monic basis elements with strictly increasing degrees."""
+    """Monic basis elements with strictly increasing degrees; the degree
+    products, their cleared forms and the conductor are cached."""
 
     __slots__ = ("elements", "semigroup", "field", "_by_degree",
-                 "_product_cache", "_cleared_cache")
+                 "_product_cache", "_cleared_cache", "_conductor")
 
     def __init__(self, elements, semigroup=None):
         elements = sorted((e.monic() for e in elements if e.degree >= 1),
@@ -43,6 +44,7 @@ class SagbiBasis:
         self._by_degree = {e.degree: e for e in self.elements}
         self._product_cache = {}
         self._cleared_cache = {}
+        self._conductor = None
 
     @property
     def degrees(self):
@@ -79,11 +81,21 @@ class SagbiBasis:
         return [self.product_for(S.represent(d)) for d in range(bound + 1)
                 if S.contains(d)]
 
+    def conductor(self):
+        """The conductor c of the algebra (see `conditions.conductor`),
+        computed once; `coerce_to` hands it on, coerced."""
+        if self._conductor is None:
+            from .conditions import conductor
+            self._conductor = conductor(self)
+        return self._conductor
+
     def coerce_to(self, field):
         if field is self.field:
             return self
-        return SagbiBasis([e.coerce_to(field) for e in self.elements],
-                          self.semigroup)
+        basis = SagbiBasis([e.coerce_to(field) for e in self.elements],
+                           self.semigroup)
+        basis._conductor = self.conductor().coerce_to(field)
+        return basis
 
     def __repr__(self):
         return f"SagbiBasis(degrees={list(self.degrees)})"
@@ -245,10 +257,12 @@ def sagbi_extend(basis, functional):
     its N_p-jet, which is zero.  Division by c·h gives
     B = B_{<D} ⊕ c·h·K[x], so B ∩ ker L = (B_{<D} ∩ ker L) ⊕ c·h·K[x].
 
-    The degree products P_k, k < D, span B_{<D}.  With g the first on
-    which L is nonzero, the products before g and P − (L(P)/L(g))·g for
-    the products after it span B_{<D} ∩ ker L, one per leading degree.  No
-    g means that L vanishes on all of B (ConditionVanishesOnB).  Products
+    The degree products P_k, k < D, span B_{<D}, and the combinations of
+    them that L kills (`conditions._killed_combinations` on L's row: with
+    g the first product on which L is nonzero, the products before g and
+    P − (L(P)/L(g))·g for the products after it) span B_{<D} ∩ ker L, one
+    per leading degree.  No g means that L vanishes on all of B
+    (ConditionVanishesOnB).  Products
     of elements of B stay in B, and products with c·h·K[x] stay in it, so
     the kernel is an algebra iff L kills every product of two kernel
     elements of degree < D (`conditions._closed_under_products`);
@@ -256,28 +270,23 @@ def sagbi_extend(basis, functional):
     leading degrees, with c·h·x^j filling the degrees D, …, 2D − 1: the
     semigroup's conductor and smallest positive degree are at most D.
     """
-    from .conditions import _closed_under_products, conductor
+    from .conditions import _closed_under_products, _killed_combinations
     field = common_field(basis.field, functional.field)
     tops = {}
     for order, point, _ in functional.terms:
         tops[point] = max(order, tops.get(point, 0))
-    ch = conductor(basis).coerce_to(field)
+    ch = basis.conductor().coerce_to(field)
     for point, top in tops.items():
         ch = ch * Poly([-point, field.one], field) ** (top + 1)
     D = ch.degree
     products = [P.coerce_to(field) for P in basis.degree_products(D - 1)]
-    values = [functional.apply(P) for P in products]
-    k = next((i for i, v in enumerate(values) if not is_zero_scalar(v)),
-             None)
-    if k is None:
+    row = functional.monomial_row(2 * D - 2, field)
+    kernel = _killed_combinations(products, [row], field)
+    if len(kernel) == len(products):
         raise ConditionVanishesOnB(
             "functional vanishes on the whole algebra: codimension "
             "does not grow")
-    g = products[k]
-    kernel = products[:k] + [P - (v / values[k]) * g for P, v in
-                             zip(products[k + 1:], values[k + 1:])]
-    if not _closed_under_products([functional.monomial_row(2 * D - 2, field)],
-                                  kernel, D, field):
+    if not _closed_under_products([row], kernel, D, field):
         raise NotSubalgebraConditions(
             "the kernel of the functional in the algebra is not closed "
             "under multiplication: a product of two kernel elements of "

@@ -15,8 +15,9 @@ from subalg.conditions import (LinearFunctional, Subalgebra,
                                kernel_subalgebra)
 from subalg.errors import (DegenerateConditions, NotSubalgebraConditions,
                            SpectrumNotExact)
-from subalg.fields import NumberField, common_field, field_of, is_zero_scalar
-from subalg.linalg import nullspace
+from subalg.fields import (QQ, NumberField, common_field, field_of,
+                           is_zero_scalar)
+from subalg.linalg import extend_echelon, nullspace
 from subalg.modular import is_prime
 from subalg.oracle import oracle_codimension, oracle_member
 from subalg.parsing import parse_poly as P
@@ -100,12 +101,11 @@ def test_annihilator_matches_a_large_degree_bound():
             field = common_field(field, field_of(p))
         basis = A.sagbi_basis().coerce_to(field)
         s = len(points)
-        c = A.conductor().coerce_to(field)
         coords = [(order, p) for order in range(6) for p in points]
         bound = basis.semigroup.conductor + 4 * s + 20
         rows = [[g.derivative(order)(p) for order, p in coords]
                 for g in basis.degree_products(bound)]
-        assert annihilator(basis, coords, c) == \
+        assert annihilator(basis, coords) == \
             nullspace(rows, len(coords), field), label
 
 
@@ -219,6 +219,93 @@ def test_intersect_drops_dependent_conditions():
     assert len(inter.conditions()) == 3
     same, _ = intersect_and_join(A, A)
     assert same == A and len(same.conditions()) == 2
+
+
+def reference_intersection(A1, A2):
+    """The intersection that one projection replaced: the kernel of the
+    union of both condition lists, dependent conditions removed."""
+    A1, A2 = Subalgebra.of(A1), Subalgebra.of(A2)
+    conds = list(A1.conditions())
+    for L in A2.conditions():
+        conds.append(L)
+    # drop dependent conditions: reduce each row against a running echelon
+    # form and keep the condition when a residual is left
+    field = _conditions_field(conds)
+    N, s = _order_and_point_count(conds)
+    bound = N * s + 2 * len(conds) + 2
+    red, pivots = [], []
+    kept = [L for L in conds
+            if extend_echelon(L.monomial_row(bound, field), red, pivots,
+                              field)]
+    return kernel_subalgebra(kept)
+
+
+def test_intersection_matches_the_conditions_route_it_replaced():
+    draws = [(label, params) for label, params, _ in all_draws()]
+    rational = [d for d in draws
+                if not any(hasattr(v, "field") for v in d[1].values())]
+    gaussian = [d for d in draws
+                if any(getattr(v, "field", QQ).label == "t^2+1"
+                       for v in d[1].values())]
+    rng = random.Random(20261019)
+    pairs = [tuple(rng.sample(rational, 2)) for _ in range(24)]
+    pairs += [(gaussian[0], gaussian[1]), (gaussian[0], rational[3])]
+    compared = 0
+    for d1, d2 in pairs:
+        A1, A2 = construct_case(*d1), construct_case(*d2)
+        inter, _ = intersect_and_join(A1, A2)
+        try:
+            old = reference_intersection(A1, A2)
+        except SpectrumNotExact:
+            continue
+        assert inter == old, (d1, d2)
+        assert inter.codimension() >= max(A1.codimension(),
+                                          A2.codimension())
+        compared += 1
+    assert compared >= 20
+    assert inter.field.degree == 2
+
+
+def test_intersection_reads_no_spectrum(monkeypatch):
+    """K[x², x³ − 2x] ∩ K[x² − x, x³]: the first spectrum is ±√2, which
+    the conditions route could not read over Q."""
+    from subalg import spectrum
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the intersection read a spectrum")
+
+    for module, name in ((spectrum, "compute_spectrum"),
+                         (conditions, "annihilator"),
+                         (conditions, "kernel_subalgebra"),
+                         (Subalgebra, "conditions")):
+        monkeypatch.setattr(module, name, forbidden)
+    A1 = Subalgebra.from_generators([P("x^2"), P("x^3 - 2*x")])
+    A2 = Subalgebra.from_generators([P("x^2 - x"), P("x^3")])
+    inter, _ = intersect_and_join(A1, A2)
+    monkeypatch.undo()
+    with pytest.raises(SpectrumNotExact):
+        reference_intersection(A1, A2)
+    elements = inter.sagbi_basis().elements
+    assert inter.codimension() == 2 == oracle_codimension(list(elements))
+    assert all(A1.contains(e) and A2.contains(e) for e in elements)
+
+
+def test_intersection_with_the_polynomial_ring():
+    x = Subalgebra.from_generators([P("x")])
+    assert intersect_and_join(x, x)[0] == x
+    for label, params in family_draws():
+        A = construct_case(label, params)
+        assert intersect_and_join(A, x)[0] == A, label
+        assert intersect_and_join(x, A)[0] == A, label
+
+
+def test_conditions_of_the_polynomial_ring_are_empty():
+    from subalg.spectrum import spectrum_size_check
+    x = Subalgebra.from_generators([P("x")])
+    assert x.conditions() == []
+    assert spectrum_size_check(x) == {
+        "codimension": 0, "spectrum_size": 0, "bound": 0, "ok": True,
+        "all_differences": True}
 
 
 def test_conductor_examples():

@@ -232,6 +232,24 @@ def test_extend_raises_when_the_functional_vanishes():
             sagbi_extend(sagbi_complete([P(g) for g in gens]), L)
 
 
+def test_the_conductor_is_computed_once_per_basis(monkeypatch):
+    from subalg import conditions
+    computed = []
+    solve = conditions.conductor
+    monkeypatch.setattr(conditions, "conductor",
+                        lambda basis: computed.append(basis) or solve(basis))
+    B = construct_case("codim2/s=1", {"alpha": F(0), "a": F(0), "b": F(1)})
+    c = B.conductor()
+    for L in (LinearFunctional.difference(F(1), F(2)),
+              LinearFunctional.derivative_combo([(1, F(1), F(1))])):
+        sagbi_extend(B.sagbi_basis(), L)
+    assert len(computed) == 1
+    # coerce_to hands the conductor on, coerced
+    qi = NumberField([1, 0, 1])
+    assert B.sagbi_basis().coerce_to(qi).conductor() == c.coerce_to(qi)
+    assert len(computed) == 1
+
+
 def test_coerce_to_number_field():
     from subalg.fields import NumberField
     nf = NumberField([1, 0, 1])
