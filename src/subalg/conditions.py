@@ -10,8 +10,7 @@ the condition presentation and the generator presentation.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
-from math import factorial
+from math import factorial, lcm
 from operator import mul
 
 from .errors import (DegenerateConditions, NotSubalgebraConditions,
@@ -81,20 +80,31 @@ class LinearFunctional:
 
     def apply(self, f):
         field = common_field(self.field, f.field)
-        row = self.monomial_row(f.degree, field)
         return _dot(_int_scaled(f.coerce_to(field).coeffs, field),
-                    _int_scaled(row, field), field)
+                    self.monomial_row(f.degree, field), field)
 
     def monomial_row(self, degree, field):
-        """(L(1), L(x), …, L(x^degree)), with entries in `field`: the
-        coefficient-weighted sum of the jet rows of the terms."""
-        row = [field.zero] * (degree + 1)
+        """(L(1), L(x), …, L(x^degree)) over `field`, cleared: (ints, d)
+        as `poly._int_scaled` gives.  The coefficient-weighted sum of the
+        terms' jet rows, over the lcm d of their denominators."""
+        e, mt = field.degree, field.tilde_modulus
+        terms = []
         for order, point, coeff in self.terms:
-            coeff = field.coerce(coeff)
-            jet = _jet_row(order, point, degree, field)
-            for k in range(order, degree + 1):
-                row[k] = row[k] + coeff * jet[k]
-        return row
+            if order <= degree:
+                c, dc = _int_scaled((coeff,), field)
+                jet, dj = _jet_row(order, point, degree, field)
+                terms.append((c, dc * dj, jet))
+        d = lcm(*(den for _, den, _ in terms))
+        row = [0] * (e * (degree + 1))
+        for c, den, jet in terms:
+            s = d // den
+            if e == 1:
+                x = c[0] * s
+                row = [r + x * j for r, j in zip(row, jet)]
+            else:
+                row = [r + p for r, p in
+                       zip(row, _int_mul([a * s for a in c], jet, mt))]
+        return row, d
 
     def points(self):
         return [point for _, point, _ in self.terms]
@@ -144,36 +154,60 @@ class LinearFunctional:
 
 
 def _jet_row(order, point, degree, field):
-    """(J(1), J(x), …, J(x^degree)) for the jet J: f ↦ f^(order)(point).
+    """(J(1), J(x), …, J(x^degree)) for the jet J: f ↦ f^(order)(point),
+    cleared: (ints, d) as `poly._int_scaled` gives.
 
-    J(x^k) = k!/(k−order)! · point^(k−order); one running falling factorial
-    and one running power of the point, so no polynomial is built.
+    With the point cleared once to z/w, J(x^k) = k!/(k−order)!·z^(k−order)
+    ·w^(degree−k) over d = w^(degree−order): one running falling factorial
+    (an int) and running powers of z and w, so no polynomial is built.  A
+    jet of order above the degree is zero on every x^k.
     """
-    row = [field.zero] * (degree + 1)
-    point = field.coerce(point)
-    power = field.one
-    falling = factorial(order)
+    e, mt = field.degree, field.tilde_modulus
+    row = [0] * (e * (degree + 1))
+    if order > degree:
+        return row, 1
+    (z, w), n = _int_scaled((point,), field), degree - order
+    w_powers = [1]
+    for _ in range(n):
+        w_powers.append(w_powers[-1] * w)
+    power, falling = [1] + [0] * (e - 1), factorial(order)
     for k in range(order, degree + 1):
-        row[k] = power * falling
-        power = power * point
-        falling = falling * (k + 1) // (k + 1 - order)
-    return row
+        scale = falling * w_powers[degree - k]
+        row[k * e:(k + 1) * e] = [a * scale for a in power]
+        if k < degree:
+            power = [power[0] * z[0]] if e == 1 else _int_mul(power, z, mt)
+            falling = falling * (k + 1) // (k + 1 - order)
+    return row, w_powers[n]
+
+
+def _int_dot(a, b, field):
+    """Σ a_i·b_i for two cleared int lists, as one block of e ints: the
+    products of t̃-coordinates are summed unreduced in 2e − 1 coordinates,
+    then folded once by m̃."""
+    e = field.degree
+    if e == 1:
+        return [sum(map(mul, a, b))]
+    acc = [0] * (2 * e - 1)
+    for u in range(e):
+        for v in range(e):
+            acc[u + v] += sum(map(mul, a[u::e], b[v::e]))
+    return _fold(acc, field.tilde_modulus)
 
 
 def _dot(a, b, field):
-    """Σ a_i·b_i for two rows cleared by `poly._int_scaled` (a row that
-    enters many dots is cleared once): the products of t̃-coordinates are
-    summed unreduced in 2e − 1 coordinates, then folded once by m̃."""
-    (ia, da), (ib, db), e = a, b, field.degree
-    if e == 1:
-        acc = [sum(map(mul, ia, ib))]
-    else:
-        acc = [0] * (2 * e - 1)
-        for u in range(e):
-            for v in range(e):
-                acc[u + v] += sum(map(mul, ia[u::e], ib[v::e]))
-        acc = _fold(acc, field.tilde_modulus)
-    return field.from_tilde_coordinates(acc, da * db)[0]
+    """Σ a_i·b_i as a scalar, for two rows cleared by `poly._int_scaled`
+    (a row that enters many dots is cleared once; see `_int_dot`)."""
+    (ia, da), (ib, db) = a, b
+    return field.from_tilde_coordinates(_int_dot(ia, ib, field), da * db)[0]
+
+
+def _over_lcm(rows):
+    """(lists, d): the int lists of cleared rows (ints, q) over one
+    denominator d, the lcm of theirs; as the columns of a system they keep
+    their ratios."""
+    d = lcm(*(q for _, q in rows))
+    return [ints if q == d else [c * (d // q) for c in ints]
+            for ints, q in rows], d
 
 
 def _scalar_from_json(data, field):
@@ -204,14 +238,15 @@ def _order_and_point_count(conds):
 
 
 def _monomial_kernel(rows, degree_bound, field):
-    """(rank, kernel) of the condition rows on 1, x, …, x^bound.
+    """(rank, kernel) of the cleared condition rows on 1, x, …, x^bound.
 
     One reduction with ascending degree columns: every kernel polynomial is
     x^d plus terms at pivot degrees below d, so its leading degree d is a
     free column and the kernel comes out sorted by degree.
     """
     ncols = degree_bound + 1
-    red, pivots = rref([row[:ncols] for row in rows], ncols, field)
+    red, pivots = rref([ints[:ncols * field.degree] for ints, _ in rows],
+                       ncols, field)
     kernel = [Poly(v, field)
               for v in echelon_nullspace(red, pivots, ncols, field)]
     return len(red), kernel
@@ -225,30 +260,29 @@ def _closed_under_products(rows, kernel, low, field):
     V = V_{<low} ⊕ π^N·K[x] with low = N·s.  Products with the ideal stay
     in it, so V is an algebra iff every product of two elements of
     V_{<low} satisfies every condition.  `kernel` must contain a basis of
-    V_{<low}; `rows` must reach degree 2·low − 2.
+    V_{<low}; the cleared `rows` must reach degree 2·low − 2.
     """
-    small = [_int_scaled(p.coeffs, field) for p in kernel
+    small = [_int_scaled(p.coeffs, field)[0] for p in kernel
              if 1 <= p.degree < low]
-    rows = [_int_scaled(row, field) for row in rows]
-    for i, (p, dp) in enumerate(small):
-        for q, dq in small[i:]:
-            product = _int_mul(p, q, field.tilde_modulus), dp * dq
-            if any(not is_zero_scalar(_dot(product, row, field))
-                   for row in rows):
+    for i, p in enumerate(small):
+        for q in small[i:]:
+            product = _int_mul(p, q, field.tilde_modulus)
+            if any(any(_int_dot(product, row, field)) for row, _ in rows):
                 return False
     return True
 
 
 def _killed_combinations(products, rows, field):
     """The combinations of `products` (over `field`, ascending distinct
-    degrees) that every functional in `rows` (monomial rows over `field`
-    reaching the top degree) kills: one reduction of the rows' values on
-    the products, and one combination per free column, the product there
-    plus multiples of those at pivot columns below it.  They span the
-    kernel, with the distinct leading degrees of the free columns."""
-    cleared = [_int_scaled(P.coeffs, field) for P in products]
-    values = [[_dot(P, row, field) for P in cleared]
-              for row in (_int_scaled(row, field) for row in rows)]
+    degrees) that every functional in `rows` (cleared monomial rows over
+    `field` reaching the top degree) kills: one reduction of the rows'
+    values on the products, cleared over one denominator, and one
+    combination per free column, the product there plus multiples of
+    those at pivot columns below it.  They span the kernel, with the
+    distinct leading degrees of the free columns."""
+    cleared, _ = _over_lcm([_int_scaled(P.coeffs, field) for P in products])
+    values = [[a for P in cleared for a in _int_dot(P, row, field)]
+              for row, _ in rows]
     red, pivots = rref(values, len(products), field)
     return [sum((a * P for a, P in zip(vec, products) if a),
                 Poly.zero(field))
@@ -514,11 +548,9 @@ def _modular_conductor(basis):
     S, d, field = basis.semigroup, basis.degrees[0], basis.field
     e = field.degree
     products = basis.degree_products(2 * S.genus + d - 1)
-    ints, den = _int_scaled([a for P in products for a in P.coeffs], field)
-    coords = [ints[j:j + e] for j in range(0, len(ints), e)]
-    ends = list(accumulate(P.degree + 1 for P in products))
-    cleared = {P.degree: coords[i:j]
-               for P, i, j in zip(products, [0] + ends, ends)}
+    lists, den = _over_lcm([_int_scaled(P.coeffs, field) for P in products])
+    cleared = {P.degree: [ints[j:j + e] for j in range(0, len(ints), e)]
+               for P, ints in zip(products, lists)}
     mt = tuple(field.tilde_modulus)
     best, modulus, residues = -1, 1, []
     for p in word_primes():
@@ -618,10 +650,10 @@ def annihilator(basis, coords):
     m = max(order for order, _ in coords)
     bound = c.degree - 1 + sum(max(0, m + 1 - c.order_at(point))
                                for point in {point for _, point in coords})
-    jets = [_int_scaled(_jet_row(order, point, bound, field), field)
-            for order, point in coords]
-    equations = [[_dot(g, jet, field) for jet in jets]
-                 for g in (_int_scaled(P.coeffs, field)
+    jets, _ = _over_lcm([_jet_row(order, point, bound, field)
+                         for order, point in coords])
+    equations = [[a for jet in jets for a in _int_dot(g, jet, field)]
+                 for g in (_int_scaled(P.coeffs, field)[0]
                            for P in basis.degree_products(bound))]
     return nullspace(equations, len(coords), field)
 
@@ -665,7 +697,8 @@ def conditions_from_subalgebra(A, spectrum):
     # rows with only order-0 support surface as pure differences
     coords = [(order, p) for order in range(max(orders) - 1, -1, -1)
               for p in points]
-    W, _ = rref(annihilator(basis, coords), len(coords), field)
+    W, _ = rref([_int_scaled(v, field)[0]
+                 for v in annihilator(basis, coords)], len(coords), field)
 
     functionals = []
     for vec in W:
@@ -704,13 +737,16 @@ def intersect_and_join(A1, A2):
     c1, c2 = b1.conductor(), b2.conductor()
     h = (c1 * c2).exact_div(poly_gcd(c1, c2))
     D = h.degree
-    vanishing = nullspace([list(P.coeffs) + [field.zero] * (D - P.degree - 1)
+    e = field.degree
+    vanishing = nullspace([_int_scaled(P.coeffs, field)[0]
+                           + [0] * (e * (D - P.degree - 1))
                            for P in b2.degree_products(D - 1)], D, field)
     zero = [field.zero]
     fill = [Poly(zero * j + list(h.coeffs), field) for j in range(max(D, 2))]
     intersection = Subalgebra(_sagbi=read_off_basis(
-        _killed_combinations(b1.degree_products(D - 1), vanishing, field)
-        + fill))
+        _killed_combinations(b1.degree_products(D - 1),
+                             [_int_scaled(v, field) for v in vanishing],
+                             field) + fill))
 
     gens = list(A1.sagbi_basis().elements) + list(A2.sagbi_basis().elements)
     join_basis = sagbi_complete(gens)

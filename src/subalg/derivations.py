@@ -18,11 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .conditions import LinearFunctional, Subalgebra, _dot, _jet_row
+from .conditions import (LinearFunctional, Subalgebra, _dot, _int_dot,
+                         _jet_row, _over_lcm)
 from .errors import EvenInput, SpectrumNotExact, SubalgError
 from .fields import common_field, field_of, is_zero_scalar
 from .linalg import extend_echelon, nullspace, rref
-from .poly import Poly, _int_scaled
+from .modular import _int_mul
+from .poly import _int_divide, _int_scaled
 from .sagbi import subduce
 
 
@@ -65,11 +67,14 @@ class _Jets:
 
     `m` lists m_d = P_d − P_d(α) for the semigroup degrees 1 <= d < D =
     deg G (P_d the degree product of degree d); M_α = span(m) ⊕ G·K[x],
-    and `m_rows` are their coefficient vectors on 1, x, …, x^(D−1).
+    and `rows` are their cleared coefficient lists (`poly._int_scaled`).
     Since M_α = Σ_g u_g·A with u_g = e_g − e_g(α) over the SAGBI elements
     e_g, M_α² = Σ_g u_g·M_α, so the remainders (u_g·m_d) mod G span
-    M_α² modulo G; `E` is a running echelon form of them (pivot columns
-    `pivots`, see `extend_echelon`).
+    M_α² modulo G.  They are taken on cleared lists, by
+    `poly._int_divide`, whose remainder is a positive multiple of the true
+    one and so spans the same space.  `E` is a running echelon form of
+    them, as cleared rows on 1, x, …, x^(D−1) (pivot columns `pivots`, see
+    `linalg.extend_echelon`).
     """
 
     def __init__(self, A, alpha):
@@ -78,26 +83,25 @@ class _Jets:
         field = common_field(basis.field, field_of(alpha))
         basis = basis.coerce_to(field)
         alpha = field.coerce(alpha)
-        self.c = H = basis.conductor()
-        if not is_zero_scalar(H(alpha)):
-            H = H * Poly((-alpha, field.one), field)
-        G = H * H
-        D = G.degree
+        e, mt = field.degree, field.tilde_modulus
+        self.c = basis.conductor()
+        H = _int_scaled(self.c.coeffs, field)[0]
+        if not is_zero_scalar(self.c(alpha)):
+            H = _int_mul(H, _int_scaled((-alpha, field.one), field)[0], mt)
+        G = _int_mul(H, H, mt)
+        D = len(G) // e - 1
         self.m = [p - p(alpha) for p in basis.degree_products(D - 1)[1:]]
         assert len(self.m) == D - 1 - n
-        self.m_rows = [self._row(p, D, field) for p in self.m]
+        self.rows = [_int_scaled(p.coeffs, field)[0] for p in self.m]
         self.E, self.pivots = [], []
-        for e in basis.elements:
-            u = e - e(alpha)
-            for p in self.m:
-                extend_echelon(self._row((u * p) % G, D, field), self.E,
+        for g in basis.elements:
+            u = _int_scaled((g - g(alpha)).coeffs, field)[0]
+            for p in self.rows:
+                r = _int_divide(_int_mul(u, p, mt), G, field)[1]
+                extend_echelon(r + [0] * (D * e - len(r)), self.E,
                                self.pivots, field)
         self.basis, self.field, self.alpha, self.degree = \
             basis, field, alpha, D
-
-    @staticmethod
-    def _row(p, D, field):
-        return list(p.coeffs) + [field.zero] * (D - len(p.coeffs))
 
     @property
     def k_alpha(self):
@@ -165,20 +169,23 @@ def derivation_space(A, alpha):
     mults = [jets.multiplicity(point) for point in points]
     coords = [(order, point) for order in range(1, max(mults))
               for point, mult in zip(points, mults) if order < mult]
-    jet_rows = [_int_scaled(_jet_row(order, point, jets.degree - 1, field),
-                            field) for order, point in coords]
-    equations = [[_dot(e, r, field) for r in jet_rows]
-                 for e in (_int_scaled(e, field) for e in jets.E)]
-    vectors, _ = rref(nullspace(equations, len(coords), field),
+    jet_rows, _ = _over_lcm([_jet_row(order, point, jets.degree - 1, field)
+                             for order, point in coords])
+    equations = [[a for r in jet_rows for a in _int_dot(row, r, field)]
+                 for row in jets.E]
+    vectors, _ = rref([_int_scaled(v, field)[0] for v in
+                       nullspace(equations, len(coords), field)],
                       len(coords), field)
     # drop functionals that act on A (spanned by 1 and the m_d) as a
-    # combination of earlier ones: they add no derivation
-    values = [_int_scaled([_dot(m, r, field) for r in jet_rows], field)
-              for m in (_int_scaled(m, field) for m in jets.m_rows)]
+    # combination of earlier ones: they add no derivation.  Only ranks are
+    # read here, so each m_d's values may keep its own scale.
+    values = [[a for r in jet_rows for a in _int_dot(m, r, field)]
+              for m in jets.rows]
     chosen, red, pivots = [], [], []
     for vec in vectors:
-        cleared = _int_scaled(vec, field)
-        if extend_echelon([_dot(cleared, v, field) for v in values], red,
+        cleared = _int_scaled(vec, field)[0]
+        if extend_echelon([a for v in values
+                           for a in _int_dot(cleared, v, field)], red,
                           pivots, field):
             chosen.append(vec)
 
@@ -190,9 +197,11 @@ def derivation_space(A, alpha):
         combos.append(LinearFunctional.derivative_combo(terms))
 
     # quotient witnesses: the m_d that complete M_alpha^2 to M_alpha
-    red, pivots = [list(r) for r in jets.E], list(jets.pivots)
-    witnesses = [p for p, row in zip(jets.m, jets.m_rows)
-                 if extend_echelon(row, red, pivots, field)]
+    red, pivots = list(jets.E), list(jets.pivots)
+    size = jets.degree * field.degree
+    witnesses = [p for p, row in zip(jets.m, jets.rows)
+                 if extend_echelon(row + [0] * (size - len(row)), red,
+                                   pivots, field)]
     return DerivationSpace(alpha=jets.alpha, k_alpha=k, combo_basis=combos,
                            quotient_witnesses=witnesses)
 
@@ -254,8 +263,7 @@ def integral_derivation(B, A, L, a):
         coeff = field.coerce(coeff)
         for k in range(order + 1):
             new_order = order + 1 - k
-            jet = _jet_row(k, point, a.degree, field)
-            a_k = _dot(a_row, _int_scaled(jet, field), field)
+            a_k = _dot(a_row, _jet_row(k, point, a.degree, field), field)
             c = coeff * comb(order, k) * a_k
             if is_zero_scalar(c):
                 continue

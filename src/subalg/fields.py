@@ -252,11 +252,12 @@ class FieldElem:
         if not self:
             raise ZeroDivisionError("inversion of zero field element")
         from .linalg import rref
+        from .poly import _int_scaled
         field, d = self.field, self.field.degree
         columns = [self.coeffs]
         for _ in range(d - 1):
             columns.append(field._reduce((_ZERO,) + columns[-1]))
-        rows = [[*row, _ONE if i == 0 else _ZERO]
+        rows = [_int_scaled([*row, int(i == 0)], QQ)[0]
                 for i, row in enumerate(zip(*columns))]
         red, pivots = rref(rows, d, QQ)
         if len(pivots) < d:

@@ -1,50 +1,91 @@
-"""Exact linear algebra over Q or a number field (dense, fraction-based).
+"""Exact linear algebra over Q or a number field K = Q[t]/(m), fraction-free.
 
-Matrices are plain lists of row lists whose entries are Fractions or
-FieldElems of one common field; both are falsy exactly when zero, which the
-elimination loops use to skip zero entries.  Everything here is small (desk
-scale), so classical Gauss-Jordan with exact division is the right tool.
+A row comes in cleared, as `poly._int_scaled` clears scalars: a flat list
+of integer t̃-coordinates, one block of e = deg m per entry (Q is e = 1).
+A row's scale changes no answer, so its denominator is not passed.
+
+Elimination cross-multiplies, row ← L·row − row[c]·pivot_row for the pivot
+L at column c, and divides the row by its integer content: the
+integer-preserving elimination of Bareiss (1968, *Sylvester's identity and
+multistep integer-preserving Gaussian elimination*), kept small by content
+division.  Over K a pivot row is first multiplied by the cleared inverse of
+its pivot, so every pivot is an integer block (L, 0, …, 0): one
+`FieldElem.inverse` per pivot that is not rational, which raises
+`NonInvertible` at a zero divisor.  Every row stays a nonzero rational
+multiple of the row that Gauss-Jordan over K would hold, so the pivots are
+the same.  Scalars appear only in answers: `rref` divides each pivot row by
+its pivot once, at the end.
 """
 
 from __future__ import annotations
 
-from .fields import is_zero_scalar
+from math import gcd
+
+from .modular import _int_mul
+from .poly import _int_primitive, _int_scaled
+
+
+def _integer_pivot(row, c, field):
+    """The cleared row, scaled so that its block at column c is an integer
+    (L, 0, …, 0): by the cleared inverse of that block when it is not
+    rational (`NonInvertible` at a zero divisor)."""
+    e = field.degree
+    if not any(row[c * e + 1:(c + 1) * e]):
+        return row
+    pivot = field.from_tilde_coordinates(row[c * e:(c + 1) * e], 1)[0]
+    inverse = _int_scaled((pivot.inverse(),), field)[0]
+    return _int_primitive(_int_mul(inverse, row, field.tilde_modulus))
+
+
+def _eliminate(row, pivot_row, c, field):
+    """(L/g)·row − (row[c]/g)·pivot_row, divided by its integer content,
+    for the integer pivot L of pivot_row at column c and g = gcd(L, row[c]):
+    the row with column c cleared."""
+    e = field.degree
+    block = row[c * e:(c + 1) * e]
+    if not any(block):
+        return row
+    lead = pivot_row[c * e]
+    g = gcd(lead, *block)
+    lead = lead // g
+    if e == 1:
+        x = block[0] // g
+        return _int_primitive([lead * a - x * b
+                               for a, b in zip(row, pivot_row)])
+    product = _int_mul([a // g for a in block], pivot_row, field.tilde_modulus)
+    return _int_primitive([lead * a - b for a, b in zip(row, product)])
 
 
 def rref(rows, ncols, field):
-    """Reduced row echelon form.
+    """Reduced row echelon form of cleared rows, by Gauss-Jordan
+    cross-multiplication.
 
-    Returns (reduced_rows, pivot_cols); zero rows are dropped.  The input is
-    not mutated.
+    Returns (reduced_rows, pivot_cols): scalar rows, each 1 at its pivot
+    column; zero rows are dropped.  The input is not mutated.
     """
-    mat = [list(r) for r in rows]
+    e = field.degree
+    mat = [row for row in rows if any(row)]
     pivots = []
-    r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if not is_zero_scalar(mat[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = field.one / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not is_zero_scalar(mat[i][c]):
-                factor = mat[i][c]
-                mat[i] = [a - factor * b if b else a
-                          for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == len(mat):
             break
-    return mat[:r], pivots
+        i = next((i for i in range(r, len(mat))
+                  if any(mat[i][c * e:(c + 1) * e])), None)
+        if i is None:
+            continue
+        mat[r], mat[i] = mat[i], mat[r]
+        mat[r] = _integer_pivot(mat[r], c, field)
+        mat = [row if j == r else _eliminate(row, mat[r], c, field)
+               for j, row in enumerate(mat)]
+        pivots.append(c)
+    return ([field.from_tilde_coordinates(row, row[c * e])
+             for row, c in zip(mat, pivots)], pivots)
 
 
 def nullspace(rows, ncols, field):
-    """Basis of {v : M v = 0} where the rows of M are the given equations."""
+    """Basis of {v : M v = 0} where the cleared rows of M are the
+    equations."""
     red, pivots = rref(rows, ncols, field)
     return echelon_nullspace(red, pivots, ncols, field)
 
@@ -65,25 +106,18 @@ def echelon_nullspace(red, pivots, ncols, field):
     return basis
 
 
-def reduce_vector(vec, red, pivots):
-    """Subtract multiples of echelon rows; returns the residual vector."""
-    vec = list(vec)
-    for row, pc in zip(red, pivots):
-        c = vec[pc]
-        if not is_zero_scalar(c):
-            vec = [a - c * b if b else a for a, b in zip(vec, row)]
-    return vec
-
-
 def extend_echelon(vec, red, pivots, field):
-    """Reduce vec against a running echelon form (rows `red`, pivot columns
-    `pivots`).  If a residual is left, append it, scaled to 1 at its first
-    nonzero column, and return True; return False when vec is dependent."""
-    row = reduce_vector(vec, red, pivots)
-    pc = next((c for c, v in enumerate(row) if not is_zero_scalar(v)), None)
+    """Reduce the cleared row vec against a running echelon form of cleared
+    rows `red` with integer pivots at the columns `pivots`.  If a residual
+    is left, append it, with an integer pivot at its first nonzero column,
+    and return True; return False when vec is dependent."""
+    e = field.degree
+    for row, pc in zip(red, pivots):
+        vec = _eliminate(vec, row, pc, field)
+    pc = next((c for c in range(len(vec) // e)
+               if any(vec[c * e:(c + 1) * e])), None)
     if pc is None:
         return False
-    inv = field.one / row[pc]
-    red.append([v * inv for v in row])
+    red.append(_integer_pivot(vec, pc, field))
     pivots.append(pc)
     return True

@@ -9,14 +9,18 @@ Grammar:
 Multiplication is always explicit; '/' requires a constant divisor.  Names
 are resolved through an environment; the default environment knows 'x' and,
 when a field is supplied, its generator 't'.
+
+Each source string is tokenized and parsed once into a tree (`_compile`,
+cached), which is then evaluated on scalars, and on Polys only once x or a
+Poly from the environment enters.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ParseError, UnknownSymbol
-from .fields import QQ
+from .fields import QQ, is_zero_scalar
 from .poly import Poly
 
 _OPERATORS = set("+-*/^()")
@@ -54,12 +58,15 @@ def _tokenize(src):
 
 
 class _Parser:
-    def __init__(self, src, env, field):
+    """Builds the expression tree of one source string: tuples
+    ("num", n), ("name", s), ("neg", a), ("^", a, n), (op, a, b) for op
+    one of "+", "-", "*", and ("/", a, b, position), the position a
+    division error reports."""
+
+    def __init__(self, src):
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
-        self.env = env
-        self.field = field
 
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) \
@@ -80,42 +87,35 @@ class _Parser:
         self.advance()
 
     def parse(self):
-        value = self.expr()
+        tree = self.expr()
         if self.pos < len(self.tokens):
             raise ParseError("trailing input", position=self.position())
-        return value
+        return tree
 
     def expr(self):
         negate = False
         if self.peek() == "-":
             self.advance()
             negate = True
-        value = self.term()
+        tree = self.term()
         if negate:
-            value = -value
+            tree = ("neg", tree)
         while self.peek() in ("+", "-"):
             op = self.advance()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            tree = (op, tree, self.term())
+        return tree
 
     def term(self):
-        value = self.factor()
+        tree = self.factor()
         while self.peek() in ("*", "/"):
             op = self.advance()
             rhs = self.factor()
-            if op == "*":
-                value = value * rhs
-            else:
-                if rhs.degree != 0:
-                    raise ParseError("division by zero" if rhs.is_zero()
-                                     else "division by a non-constant",
-                                     position=self.position())
-                value = value / rhs.coeff(0)
-        return value
+            tree = (op, tree, rhs) if op == "*" else \
+                (op, tree, rhs, self.position())
+        return tree
 
     def factor(self):
-        value = self.base()
+        tree = self.base()
         if self.peek() == "^":
             pos = self.position()
             self.advance()
@@ -124,33 +124,76 @@ class _Parser:
                 raise ParseError("exponent must be a nonnegative integer",
                                  position=pos)
             self.advance()
-            value = value ** exponent
-        return value
+            tree = ("^", tree, exponent)
+        return tree
 
     def base(self):
         tok = self.peek()
         pos = self.position()
         if tok == "(":
             self.advance()
-            value = self.expr()
+            tree = self.expr()
             self.expect(")")
-            return value
+            return tree
         if isinstance(tok, int):
             self.advance()
-            return Poly.constant(self.field.coerce(Fraction(tok)), self.field)
+            return ("num", tok)
         if isinstance(tok, str) and tok not in _OPERATORS:
             self.advance()
-            if tok in self.env:
-                value = self.env[tok]
-                if isinstance(value, Poly):
-                    return value.coerce_to(self.field) \
-                        if value.field is QQ else value
-                return Poly.constant(self.field.coerce(value), self.field)
-            if tok == "t":
+            return ("name", tok)
+        raise ParseError("expected a value", position=pos)
+
+
+@lru_cache(maxsize=1024)
+def _compile(src):
+    """The expression tree of src (see `_Parser`), tokenized and parsed
+    once per source string."""
+    return _Parser(src).parse()
+
+
+def _evaluate(tree, env, field):
+    """The value of an expression tree: a scalar of the field, or a Poly
+    once x (or a Poly from env) enters.  Names resolve through env, then x
+    and, over a number field, its generator t."""
+    op = tree[0]
+    if op == "num":
+        return field.coerce(tree[1])
+    if op == "name":
+        name = tree[1]
+        if name in env:
+            value = env[name]
+            if isinstance(value, Poly):
+                return value.coerce_to(field) if value.field is QQ else value
+            return field.coerce(value)
+        if name == "x":
+            return Poly.x(field)
+        if name == "t":
+            if field is QQ:
                 raise UnknownSymbol(
                     "generator 't' used without a declared field")
-            raise UnknownSymbol(f"unknown symbol {tok!r}")
-        raise ParseError("expected a value", position=pos)
+            return field.gen()
+        raise UnknownSymbol(f"unknown symbol {name!r}")
+    value = _evaluate(tree[1], env, field)
+    if op == "neg":
+        return -value
+    if op == "^":
+        return value ** tree[2]
+    rhs = _evaluate(tree[2], env, field)
+    if op == "+":
+        return value + rhs
+    if op == "-":
+        return value - rhs
+    if op == "*":
+        return value * rhs
+    if isinstance(rhs, Poly):
+        if rhs.degree != 0:
+            raise ParseError("division by zero" if rhs.is_zero()
+                             else "division by a non-constant",
+                             position=tree[3])
+        rhs = rhs.coeff(0)
+    elif is_zero_scalar(rhs):
+        raise ParseError("division by zero", position=tree[3])
+    return value / rhs
 
 
 def parse_expr(src, env=None, field=None):
@@ -159,12 +202,8 @@ def parse_expr(src, env=None, field=None):
     env maps extra names to scalars or polynomials.
     """
     field = field or QQ
-    base_env = {"x": Poly.x(field)}
-    if field is not QQ:
-        base_env["t"] = field.gen()
-    if env:
-        base_env.update(env)
-    return _Parser(src, base_env, field).parse()
+    value = _evaluate(_compile(src), env or {}, field)
+    return value if isinstance(value, Poly) else Poly.constant(value, field)
 
 
 def parse_poly(src, field=None):
@@ -174,7 +213,10 @@ def parse_poly(src, field=None):
 
 def parse_scalar(src, env=None, field=None):
     """Evaluate an expression that must be constant; returns the scalar."""
-    value = parse_expr(src, env=env, field=field)
+    field = field or QQ
+    value = _evaluate(_compile(src), env or {}, field)
+    if not isinstance(value, Poly):
+        return value
     if value.degree > 0:
         raise ParseError("expected a constant expression", position=0)
     return value.coeff(0)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import fraction_reference as ref
 from case_draws import affine_variants, all_draws, family_draws
 from subalg import conditions
 from subalg.classify import construct_case
@@ -17,7 +18,7 @@ from subalg.errors import (DegenerateConditions, NotSubalgebraConditions,
                            SpectrumNotExact)
 from subalg.fields import (QQ, NumberField, common_field, field_of,
                            is_zero_scalar)
-from subalg.linalg import extend_echelon, nullspace
+from subalg.linalg import nullspace
 from subalg.modular import is_prime
 from subalg.oracle import oracle_codimension, oracle_member
 from subalg.parsing import parse_poly as P
@@ -34,6 +35,11 @@ def diff(a, b):
 def deriv(*terms):
     return LinearFunctional.derivative_combo(
         [(o, F(p), F(c)) for o, p, c in terms])
+
+
+def scalars(row, field):
+    """The entries of a cleared row (ints, d) as scalars of the field."""
+    return field.from_tilde_coordinates(*row)
 
 
 def test_functional_application():
@@ -62,14 +68,14 @@ def test_monomial_row_matches_apply():
 
     for L in functionals:
         x = Poly.x(L.field)
-        assert L.monomial_row(12, L.field) == \
+        assert scalars(L.monomial_row(12, L.field), L.field) == \
             [by_derivatives(L, x ** k) for k in range(13)]
         f = P("x^5 - 2*x^3 + x/3 + 4").coerce_to(L.field)
         assert L.apply(f) == by_derivatives(L, f)
     # rows of rational conditions coerced into a number field
     x = Poly.x(qi)
     L = functionals[1]
-    assert L.monomial_row(9, qi) == \
+    assert scalars(L.monomial_row(9, qi), qi) == \
         [by_derivatives(L, x ** k) for k in range(10)]
 
 
@@ -81,10 +87,50 @@ def test_jet_row_reads_derivatives():
     for f, points in cases:
         for k in range(f.degree + 2):
             for p in points:
-                row = _jet_row(k, p, f.degree, f.field)
+                row = scalars(_jet_row(k, p, f.degree, f.field), f.field)
                 value = sum((c * r for c, r in zip(f.coeffs, row)),
                             f.field.zero)
                 assert value == f.derivative(k)(p), (f, k, p)
+
+
+def test_cleared_rows_match_the_fraction_rows():
+    """`_jet_row` and `monomial_row` agree entry by entry with the Fraction
+    rows they replaced: at points with denominators, at number-field
+    points (t^2 - 1/2 has t̃ = 2t), at degree 0 and with orders above the
+    degree, where a term adds nothing."""
+    for modulus in (None, [1, 0, 1], [-2, 0, 0, 1], [F(-1, 2), 0, 1]):
+        field = QQ if modulus is None else NumberField(modulus)
+        t = field.one if field is QQ else field.gen()
+        points = [field.zero, field.coerce(3), field.coerce(F(-7, 12)),
+                  field.coerce(F(5, 2 ** 40))]
+        if field is not QQ:
+            points += [t, t / 3 - F(1, 2), t * t + 2]
+        for degree in (0, 1, 5, 9):
+            for order in range(degree + 3):
+                for p in points:
+                    assert scalars(_jet_row(order, p, degree, field),
+                                   field) == \
+                        ref.jet_row(order, p, degree, field), \
+                        (field, order, p, degree)
+        functionals = [
+            LinearFunctional.difference(points[2], points[3]),
+            LinearFunctional.difference(points[-1], points[1]),
+            LinearFunctional.derivative_combo(
+                [(1, points[-1], t), (4, points[2], F(2, 9)),
+                 (0, points[1], F(1, 3)), (0, points[3], F(-1, 3))]),
+            LinearFunctional.derivative_combo(
+                [(7, points[-2], 3 * t), (2, points[2], F(-5, 4))])]
+        for L in functionals:
+            for degree in (-1, 0, 1, 3, 6, 10):
+                assert scalars(L.monomial_row(degree, field), field) == \
+                    ref.monomial_row(L, degree, field), (L, degree)
+            for f in (P("x^2 + 1"), P("x^3/7 - 2*x + 5"), Poly.zero()):
+                f = f.coerce_to(field)
+                assert L.apply(f) == sum(
+                    (c * r for c, r in zip(
+                        f.coeffs, ref.monomial_row(L, f.degree, field))),
+                    field.zero)
+    assert deriv((3, 0, 1), (2, 1, 1)).apply(P("x + 1")) == 0
 
 
 def test_annihilator_matches_a_large_degree_bound():
@@ -103,7 +149,8 @@ def test_annihilator_matches_a_large_degree_bound():
         s = len(points)
         coords = [(order, p) for order in range(6) for p in points]
         bound = basis.semigroup.conductor + 4 * s + 20
-        rows = [[g.derivative(order)(p) for order, p in coords]
+        rows = [_int_scaled([g.derivative(order)(p) for order, p in coords],
+                            field)[0]
                 for g in basis.degree_products(bound)]
         assert annihilator(basis, coords) == \
             nullspace(rows, len(coords), field), label
@@ -147,7 +194,8 @@ def test_kernel_matches_completion_and_oracle():
         N, s = _order_and_point_count(conds)
         bound = N * s + 2 * len(conds) + 2
         x = Poly.x(field)
-        rows = [[L.apply(x ** k) for k in range(bound + 1)] for L in conds]
+        rows = [_int_scaled([L.apply(x ** k) for k in range(bound + 1)],
+                            field) for L in conds]
         _, kernel = _monomial_kernel(rows, bound, field)
         old = sagbi_complete([p for p in kernel if p.degree >= 1])
         assert basis.elements == old.elements, label
@@ -235,8 +283,8 @@ def reference_intersection(A1, A2):
     bound = N * s + 2 * len(conds) + 2
     red, pivots = [], []
     kept = [L for L in conds
-            if extend_echelon(L.monomial_row(bound, field), red, pivots,
-                              field)]
+            if ref.extend_echelon(ref.monomial_row(L, bound, field), red,
+                                  pivots, field)]
     return kernel_subalgebra(kept)
 
 
@@ -392,7 +440,7 @@ def reference_conductor(basis):
     columns = [products[k] for k in sorted(products) if k <= top]
     equations = [row for i in range(1, d) for row in
                  zip(*(gap_coordinates(p.coeffs, i) for p in columns))]
-    lowest = nullspace(equations, len(columns), field)[0]
+    lowest = ref.nullspace(equations, len(columns), field)[0]
     return sum((a * p for a, p in zip(lowest, columns)
                 if not is_zero_scalar(a)), Poly.zero(field))
 
@@ -559,4 +607,4 @@ def test_dot_matches_the_field_elem_dot():
         for _ in range(10):
             f = Poly(row(rng.randint(0, 9)), nf)
             assert L.apply(f) == reference_dot(
-                f.coeffs, L.monomial_row(f.degree, nf), nf)
+                f.coeffs, scalars(L.monomial_row(f.degree, nf), nf), nf)

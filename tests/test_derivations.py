@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import fraction_reference as ref
 from case_draws import affine_variants, all_draws, family_draws
 from subalg.classify import construct_case
 from subalg.conditions import LinearFunctional, Subalgebra, kernel_subalgebra
@@ -11,7 +12,6 @@ from subalg.derivations import (NOT_INTEGRAL, _cluster_points,
                                 ln_coefficients)
 from subalg.errors import EvenInput, SpectrumNotExact
 from subalg.fields import NumberField, common_field, field_of, is_zero_scalar
-from subalg.linalg import extend_echelon, nullspace, rref
 from subalg.parsing import parse_poly as P
 from subalg.poly import Poly
 from subalg.sagbi import sagbi_complete
@@ -146,7 +146,8 @@ def _old_k_alpha(basis, alpha, field):
         spans = _old_spans(basis, alpha, bound)
         for (red, pivots, added), span in zip(forms, spans):
             red[:] = [r + [field.zero] * (bound + 1 - len(r)) for r in red]
-            added += [extend_echelon(_old_row(h, bound), red, pivots, field)
+            added += [ref.extend_echelon(_old_row(h, bound), red, pivots,
+                                         field)
                       for h in span if h.degree > low]
         low = bound
         value = sum(forms[0][2]) - sum(forms[1][2])
@@ -173,7 +174,8 @@ def _old_derivation_space(A, alpha):
     bound = max(2 * conductor + 4, 2 * max_order + 4)
     m1, m2 = _old_spans(basis, alpha, bound)
     # equations on a basis of span(m2): same row space, fewer rows
-    red2, piv2 = rref([_old_row(h, bound) for h in m2], bound + 1, field)
+    red2, piv2 = ref.rref([_old_row(h, bound) for h in m2], bound + 1,
+                          field)
     squares = [Poly(row, field) for row in red2]
     aprods = basis.degree_products(bound)[1:]
     for attempt in range(2):
@@ -181,15 +183,15 @@ def _old_derivation_space(A, alpha):
                   for j in range(len(points))]
         equations = [[h.derivative(order)(points[j]) for order, j in coords]
                      for h in squares]
-        vectors = nullspace(equations, len(coords), field)
-        vectors, _ = rref(vectors, len(coords), field)
+        vectors = ref.nullspace(equations, len(coords), field)
+        vectors, _ = ref.rref(vectors, len(coords), field)
         values = [[p.derivative(order)(points[j]) for order, j in coords]
                   for p in aprods]
         chosen, red, pivots = [], [], []
         for vec in vectors:
             row = [sum((c * v for c, v in zip(vec, pv)), field.zero)
                    for pv in values]
-            if extend_echelon(row, red, pivots, field):
+            if ref.extend_echelon(row, red, pivots, field):
                 chosen.append(vec)
         vectors = chosen
         if len(vectors) >= k or attempt == 1:
@@ -199,7 +201,7 @@ def _old_derivation_space(A, alpha):
                     for (order, j), c in zip(coords, vec)
                     if not is_zero_scalar(c)) for vec in vectors]
     witnesses = [p for p in m1
-                 if extend_echelon(_old_row(p, bound), red2, piv2, field)]
+                 if ref.extend_echelon(_old_row(p, bound), red2, piv2, field)]
     return k, combos, witnesses
 
 
@@ -250,7 +252,7 @@ def _assert_leibniz(A, space):
                 for p in basis.degree_products(bound)[1:]]
     at_alpha = [f(alpha) for f in products]
     for D in space.combo_basis:
-        row = D.monomial_row(2 * bound, field)
+        row = field.from_tilde_coordinates(*D.monomial_row(2 * bound, field))
 
         def apply(f):
             return sum((c * r for c, r in zip(f.coeffs, row)), field.zero)

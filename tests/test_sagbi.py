@@ -421,7 +421,8 @@ def test_dot_matches_the_fraction_dot():
         for _ in range(20):
             f = Poly(row(rng.randint(0, 10)))
             expected = sum((c * r for c, r in
-                            zip(f.coeffs, L.monomial_row(f.degree, QQ))),
+                            zip(f.coeffs, QQ.from_tilde_coordinates(
+                                *L.monomial_row(f.degree, QQ)))),
                            F(0))
             assert L.apply(f) == expected
 
