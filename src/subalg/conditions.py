@@ -17,10 +17,10 @@ from .errors import (DegenerateConditions, NotSubalgebraConditions,
                      SpectrumNotExact, SubalgError)
 from .fields import (QQ, common_field, field_of, format_scalar,
                      is_zero_scalar, scalar_to_json)
-from .linalg import echelon_nullspace, nullspace, rref
+from .linalg import cleared_nullspace, nullspace, rref
 from .modular import (_fold, _int_mul, crt, evaluate_at, lagrange_basis,
                       modulus_roots, rational_reconstruction, word_primes)
-from .poly import Poly, _int_scaled, poly_gcd
+from .poly import Poly, _int_scaled, _int_sum, _over_lcm, poly_gcd
 from .resultants import _lattice_gcd
 from .sagbi import SagbiBasis, read_off_basis, sagbi_complete, subduce
 
@@ -80,7 +80,7 @@ class LinearFunctional:
 
     def apply(self, f):
         field = common_field(self.field, f.field)
-        return _dot(_int_scaled(f.coerce_to(field).coeffs, field),
+        return _dot(f.coerce_to(field).cleared(),
                     self.monomial_row(f.degree, field), field)
 
     def monomial_row(self, degree, field):
@@ -201,15 +201,6 @@ def _dot(a, b, field):
     return field.from_tilde_coordinates(_int_dot(ia, ib, field), da * db)[0]
 
 
-def _over_lcm(rows):
-    """(lists, d): the int lists of cleared rows (ints, q) over one
-    denominator d, the lcm of theirs; as the columns of a system they keep
-    their ratios."""
-    d = lcm(*(q for _, q in rows))
-    return [ints if q == d else [c * (d // q) for c in ints]
-            for ints, q in rows], d
-
-
 def _scalar_from_json(data, field):
     if isinstance(data, dict) and "t_coeffs" in data:
         if field is None:
@@ -242,14 +233,14 @@ def _monomial_kernel(rows, degree_bound, field):
 
     One reduction with ascending degree columns: every kernel polynomial is
     x^d plus terms at pivot degrees below d, so its leading degree d is a
-    free column and the kernel comes out sorted by degree.
+    free column and the kernel comes out sorted by degree.  The kernel
+    vectors come out cleared, and are the polynomials' cleared forms.
     """
     ncols = degree_bound + 1
-    red, pivots = rref([ints[:ncols * field.degree] for ints, _ in rows],
-                       ncols, field)
-    kernel = [Poly(v, field)
-              for v in echelon_nullspace(red, pivots, ncols, field)]
-    return len(red), kernel
+    vectors = cleared_nullspace(
+        [ints[:ncols * field.degree] for ints, _ in rows], ncols, field)
+    return ncols - len(vectors), [Poly.from_cleared(ints, d, field)
+                                  for ints, d in vectors]
 
 
 def _closed_under_products(rows, kernel, low, field):
@@ -262,8 +253,7 @@ def _closed_under_products(rows, kernel, low, field):
     V_{<low} satisfies every condition.  `kernel` must contain a basis of
     V_{<low}; the cleared `rows` must reach degree 2·low − 2.
     """
-    small = [_int_scaled(p.coeffs, field)[0] for p in kernel
-             if 1 <= p.degree < low]
+    small = [p.cleared()[0] for p in kernel if 1 <= p.degree < low]
     for i, p in enumerate(small):
         for q in small[i:]:
             product = _int_mul(p, q, field.tilde_modulus)
@@ -279,14 +269,23 @@ def _killed_combinations(products, rows, field):
     values on the products, cleared over one denominator, and one
     combination per free column, the product there plus multiples of
     those at pivot columns below it.  They span the kernel, with the
-    distinct leading degrees of the free columns."""
-    cleared, _ = _over_lcm([_int_scaled(P.coeffs, field) for P in products])
+    distinct leading degrees of the free columns.  Each is summed on the
+    cleared products: Σ (v_j/w)·(P_j/D) for the cleared kernel vector v/w
+    and the products P_j/D over one denominator D."""
+    e, mt = field.degree, field.tilde_modulus
+    cleared, den = _over_lcm([P.cleared() for P in products])
     values = [[a for P in cleared for a in _int_dot(P, row, field)]
               for row, _ in rows]
-    red, pivots = rref(values, len(products), field)
-    return [sum((a * P for a, P in zip(vec, products) if a),
-                Poly.zero(field))
-            for vec in echelon_nullspace(red, pivots, len(products), field)]
+    kernel = []
+    for vec, w in cleared_nullspace(values, len(products), field):
+        acc = []
+        for j, P in enumerate(cleared):
+            block = vec[j * e:(j + 1) * e]
+            if any(block):
+                acc = _int_sum(acc, [block[0] * c for c in P] if e == 1
+                               else _int_mul(block, P, mt))
+        kernel.append(Poly.from_cleared(acc, w * den, field))
+    return kernel
 
 
 def is_subalgebra_condition_set(conds):
@@ -548,7 +547,7 @@ def _modular_conductor(basis):
     S, d, field = basis.semigroup, basis.degrees[0], basis.field
     e = field.degree
     products = basis.degree_products(2 * S.genus + d - 1)
-    lists, den = _over_lcm([_int_scaled(P.coeffs, field) for P in products])
+    lists, den = _over_lcm([P.cleared() for P in products])
     cleared = {P.degree: [ints[j:j + e] for j in range(0, len(ints), e)]
                for P, ints in zip(products, lists)}
     mt = tuple(field.tilde_modulus)
@@ -563,6 +562,10 @@ def _modular_conductor(basis):
             at = {k: [a * scale % p for a in evaluate_at(cs, theta, p)]
                   for k, cs in cleared.items()}
             images.append(_conductor_image(at, S, d, p))
+        if None in images:
+            raise SubalgError(
+                f"no conductor of degree <= {2 * S.genus}: the elements of "
+                f"degrees {list(basis.degrees)} are not a SAGBI basis")
         degree = len(images[0]) - 1
         if degree < best or any(len(image) != degree + 1
                                 for image in images):
@@ -586,9 +589,7 @@ def _modular_conductor(basis):
 def _in_conductor_ideal(f, basis):
     """Is f·K[x] ⊆ A?  Exact: x^i·f subduces to a constant for every
     0 ≤ i < d (d the smallest positive degree), x^i·f by a shift."""
-    zero = [basis.field.zero]
-    return all(subduce(Poly(zero * i + list(f.coeffs), f.field),
-                       basis)[0].degree < 1
+    return all(subduce(f.shift(i), basis)[0].degree < 1
                for i in range(basis.degrees[0]))
 
 
@@ -652,9 +653,9 @@ def annihilator(basis, coords):
                                for point in {point for _, point in coords})
     jets, _ = _over_lcm([_jet_row(order, point, bound, field)
                          for order, point in coords])
-    equations = [[a for jet in jets for a in _int_dot(g, jet, field)]
-                 for g in (_int_scaled(P.coeffs, field)[0]
-                           for P in basis.degree_products(bound))]
+    equations = [[a for jet in jets for a in _int_dot(P.cleared()[0], jet,
+                                                      field)]
+                 for P in basis.degree_products(bound)]
     return nullspace(equations, len(coords), field)
 
 
@@ -738,15 +739,13 @@ def intersect_and_join(A1, A2):
     h = (c1 * c2).exact_div(poly_gcd(c1, c2))
     D = h.degree
     e = field.degree
-    vanishing = nullspace([_int_scaled(P.coeffs, field)[0]
-                           + [0] * (e * (D - P.degree - 1))
-                           for P in b2.degree_products(D - 1)], D, field)
-    zero = [field.zero]
-    fill = [Poly(zero * j + list(h.coeffs), field) for j in range(max(D, 2))]
+    vanishing = cleared_nullspace(
+        [P.cleared()[0] + [0] * (e * (D - P.degree - 1))
+         for P in b2.degree_products(D - 1)], D, field)
+    fill = [h.shift(j) for j in range(max(D, 2))]
     intersection = Subalgebra(_sagbi=read_off_basis(
-        _killed_combinations(b1.degree_products(D - 1),
-                             [_int_scaled(v, field) for v in vanishing],
-                             field) + fill))
+        _killed_combinations(b1.degree_products(D - 1), vanishing, field)
+        + fill))
 
     gens = list(A1.sagbi_basis().elements) + list(A2.sagbi_basis().elements)
     join_basis = sagbi_complete(gens)

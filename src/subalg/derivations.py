@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from math import comb
 
 from .conditions import (LinearFunctional, Subalgebra, _dot, _int_dot,
-                         _jet_row, _over_lcm)
+                         _jet_row)
 from .errors import EvenInput, SpectrumNotExact, SubalgError
 from .fields import common_field, field_of, is_zero_scalar
-from .linalg import extend_echelon, nullspace, rref
+from .linalg import cleared_nullspace, extend_echelon, rref
 from .modular import _int_mul
-from .poly import _int_divide, _int_scaled
+from .poly import _int_divide, _int_scaled, _over_lcm
 from .sagbi import subduce
 
 
@@ -67,7 +67,7 @@ class _Jets:
 
     `m` lists m_d = P_d − P_d(α) for the semigroup degrees 1 <= d < D =
     deg G (P_d the degree product of degree d); M_α = span(m) ⊕ G·K[x],
-    and `rows` are their cleared coefficient lists (`poly._int_scaled`).
+    and `rows` are their cleared coefficient lists (`Poly.cleared`).
     Since M_α = Σ_g u_g·A with u_g = e_g − e_g(α) over the SAGBI elements
     e_g, M_α² = Σ_g u_g·M_α, so the remainders (u_g·m_d) mod G span
     M_α² modulo G.  They are taken on cleared lists, by
@@ -85,17 +85,17 @@ class _Jets:
         alpha = field.coerce(alpha)
         e, mt = field.degree, field.tilde_modulus
         self.c = basis.conductor()
-        H = _int_scaled(self.c.coeffs, field)[0]
+        H = self.c.cleared()[0]
         if not is_zero_scalar(self.c(alpha)):
             H = _int_mul(H, _int_scaled((-alpha, field.one), field)[0], mt)
         G = _int_mul(H, H, mt)
         D = len(G) // e - 1
         self.m = [p - p(alpha) for p in basis.degree_products(D - 1)[1:]]
         assert len(self.m) == D - 1 - n
-        self.rows = [_int_scaled(p.coeffs, field)[0] for p in self.m]
+        self.rows = [p.cleared()[0] for p in self.m]
         self.E, self.pivots = [], []
         for g in basis.elements:
-            u = _int_scaled((g - g(alpha)).coeffs, field)[0]
+            u = (g - g(alpha)).cleared()[0]
             for p in self.rows:
                 r = _int_divide(_int_mul(u, p, mt), G, field)[1]
                 extend_echelon(r + [0] * (D * e - len(r)), self.E,
@@ -173,8 +173,8 @@ def derivation_space(A, alpha):
                              for order, point in coords])
     equations = [[a for r in jet_rows for a in _int_dot(row, r, field)]
                  for row in jets.E]
-    vectors, _ = rref([_int_scaled(v, field)[0] for v in
-                       nullspace(equations, len(coords), field)],
+    vectors, _ = rref([v for v, _ in
+                       cleared_nullspace(equations, len(coords), field)],
                       len(coords), field)
     # drop functionals that act on A (spanned by 1 and the m_d) as a
     # combination of earlier ones: they add no derivation.  Only ranks are
@@ -257,7 +257,7 @@ def integral_derivation(B, A, L, a):
         if rem.degree >= 1:
             return NOT_INTEGRAL
     terms = {}
-    a_row = _int_scaled(a.coeffs, field)
+    a_row = a.cleared()
     for order, point, coeff in L.terms:
         point = field.coerce(point)
         coeff = field.coerce(coeff)

@@ -19,7 +19,7 @@ its pivot once, at the end.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .modular import _int_mul
 from .poly import _int_primitive, _int_scaled
@@ -56,13 +56,11 @@ def _eliminate(row, pivot_row, c, field):
     return _int_primitive([lead * a - b for a, b in zip(row, product)])
 
 
-def rref(rows, ncols, field):
-    """Reduced row echelon form of cleared rows, by Gauss-Jordan
-    cross-multiplication.
-
-    Returns (reduced_rows, pivot_cols): scalar rows, each 1 at its pivot
-    column; zero rows are dropped.  The input is not mutated.
-    """
+def _echelon(rows, ncols, field):
+    """(rows, pivot_cols): the reduced echelon form of cleared rows, by
+    Gauss-Jordan cross-multiplication, as cleared rows, each with an
+    integer pivot (L, 0, …, 0) at its pivot column; zero rows are
+    dropped.  The input is not mutated."""
     e = field.degree
     mat = [row for row in rows if any(row)]
     pivots = []
@@ -79,31 +77,48 @@ def rref(rows, ncols, field):
         mat = [row if j == r else _eliminate(row, mat[r], c, field)
                for j, row in enumerate(mat)]
         pivots.append(c)
+    return mat, pivots
+
+
+def rref(rows, ncols, field):
+    """Reduced row echelon form of cleared rows (see `_echelon`).
+
+    Returns (reduced_rows, pivot_cols): scalar rows, each 1 at its pivot
+    column; zero rows are dropped.  The input is not mutated.
+    """
+    mat, pivots = _echelon(rows, ncols, field)
+    e = field.degree
     return ([field.from_tilde_coordinates(row, row[c * e])
              for row, c in zip(mat, pivots)], pivots)
 
 
-def nullspace(rows, ncols, field):
-    """Basis of {v : M v = 0} where the cleared rows of M are the
-    equations."""
-    red, pivots = rref(rows, ncols, field)
-    return echelon_nullspace(red, pivots, ncols, field)
-
-
-def echelon_nullspace(red, pivots, ncols, field):
-    """Nullspace basis from a reduced echelon form, one vector per free
-    column in increasing order; each is 1 at its free column and 0 at
-    every other free column."""
+def cleared_nullspace(rows, ncols, field):
+    """Basis of {v : M v = 0}, the cleared rows of M the equations: one
+    vector per free column f in increasing order, 1 at f and 0 at every
+    other free column, cleared as (ints, d).  With L_r the integer pivot
+    of echelon row r at its pivot column p_r, entry p_r is −row_r[f]/L_r,
+    so d is the lcm of the L_r."""
+    mat, pivots = _echelon(rows, ncols, field)
+    e = field.degree
+    d = lcm(*(row[c * e] for row, c in zip(mat, pivots)))
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free_cols:
-        vec = [field.zero] * ncols
-        vec[fc] = field.one
-        for row, pc in zip(red, pivots):
-            vec[pc] = -row[fc]
-        basis.append(vec)
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        vec = [0] * (ncols * e)
+        vec[f * e] = d
+        for row, c in zip(mat, pivots):
+            s = d // row[c * e]
+            vec[c * e:(c + 1) * e] = [-a * s for a in row[f * e:(f + 1) * e]]
+        basis.append((vec, d))
     return basis
+
+
+def nullspace(rows, ncols, field):
+    """`cleared_nullspace` as vectors of scalars."""
+    return [field.from_tilde_coordinates(vec, d)
+            for vec, d in cleared_nullspace(rows, ncols, field)]
 
 
 def extend_echelon(vec, red, pivots, field):

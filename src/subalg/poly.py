@@ -1,15 +1,17 @@
 """Dense univariate polynomials over Q or a number field.
 
-Coefficients are stored ascending; the zero polynomial is the empty tuple.
-Every value is immutable.  Mixed-field arithmetic coerces through
+Coefficients are ascending; the zero polynomial has none.  A Poly keeps
+them cleared, as integer t̃-coordinates over one denominator (see
+`_int_scaled`), and every ring operation runs on that form.  Every value
+is immutable.  Mixed-field arithmetic coerces through
 :func:`subalg.fields.common_field` (Q embeds into any declared field).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, lcm
 from math import gcd as int_gcd
-from math import lcm
 
 from .errors import (BothZero, DivisionByZeroPoly, FieldMismatch, ZeroInput)
 from .fields import (QQ, FieldElem, common_field, field_of, format_scalar,
@@ -18,7 +20,14 @@ from .modular import _int_mul
 
 
 class Poly:
-    __slots__ = ("coeffs", "field")
+    """A polynomial held in one or both of two forms, each computed at
+    most once: the tuple `coeffs` of scalars, and `cleared()`, the
+    t̃-coordinates over their least common denominator as `_int_scaled`
+    gives them.  Every ring operation runs on the cleared form and builds
+    its result from ints (`from_cleared`); `coeffs` is built only when it
+    is read."""
+
+    __slots__ = ("field", "_coeffs", "_ints", "_den")
 
     def __init__(self, coeffs, field=None):
         if field is None:
@@ -30,14 +39,58 @@ class Poly:
         n = len(coeffs)
         while n and is_zero_scalar(coeffs[n - 1]):
             n -= 1
-        self.coeffs = tuple(coeffs[:n])
+        self._coeffs = tuple(coeffs[:n])
         self.field = field
+        self._ints = self._den = None
+
+    @classmethod
+    def from_cleared(cls, ints, den, field):
+        """The polynomial ints/den over `field`, for a flat int list of
+        t̃-coordinates (blocks of e = deg m) and den ≠ 0: trimmed and
+        brought to the least denominator.  The list is kept, not copied,
+        and must not be changed afterwards."""
+        e = field.degree
+        n = len(ints)
+        if e == 1:
+            while n and not ints[n - 1]:
+                n -= 1
+        else:
+            while n and not any(ints[n - e:n]):
+                n -= e
+        if n < len(ints):
+            ints = ints[:n]
+        g = int_gcd(den, *ints)
+        if den < 0:
+            g = -g
+        if g != 1:
+            ints, den = [c // g for c in ints], den // g
+        p = object.__new__(cls)
+        p.field, p._coeffs, p._ints, p._den = field, None, ints, den
+        return p
+
+    def cleared(self):
+        """(ints, d): the t̃-coordinates of the coefficients as ints over
+        their least common denominator d, exactly as `_int_scaled` clears
+        them; the zero polynomial is ([], 1).  Computed once; the list is
+        shared and must not be changed."""
+        if self._ints is None:
+            self._ints, self._den = _int_scaled(self._coeffs, self.field)
+        return self._ints, self._den
+
+    @property
+    def coeffs(self):
+        """The coefficients, ascending, as a tuple of scalars; the zero
+        polynomial is the empty tuple."""
+        if self._coeffs is None:
+            self._coeffs = tuple(
+                self.field.from_tilde_coordinates(self._ints, self._den))
+        return self._coeffs
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls, field=QQ):
-        return cls((), field)
+        return cls.from_cleared([], 1, field)
 
     @classmethod
     def constant(cls, value, field=None):
@@ -72,30 +125,55 @@ class Poly:
     @property
     def degree(self):
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        if self._ints is None:
+            return len(self._coeffs) - 1
+        return len(self._ints) // self.field.degree - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not (self._coeffs if self._ints is None else self._ints)
 
     def leading_coeff(self):
-        if not self.coeffs:
+        if self.is_zero():
             raise ZeroInput("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(self.degree)
 
     def coeff(self, k):
         """Coefficient of x^k (zero beyond the degree)."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.field.zero
+        if not 0 <= k <= self.degree:
+            return self.field.zero
+        if self._coeffs is not None:
+            return self._coeffs[k]
+        e = self.field.degree
+        return self.field.from_tilde_coordinates(
+            self._ints[k * e:(k + 1) * e], self._den)[0]
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return not self.is_zero()
+
+    def shift(self, k):
+        """x^k·self."""
+        ints, d = self.cleared()
+        if not ints:
+            return self
+        return Poly.from_cleared([0] * (k * self.field.degree) + ints, d,
+                                 self.field)
 
     # -- field handling --------------------------------------------------
 
     def coerce_to(self, field):
         if field is self.field:
             return self
+        ints, d = self.cleared()
+        if self.field is QQ:        # a rational is t̃-coordinate 0
+            e = field.degree
+            spread = [0] * (len(ints) * e)
+            spread[::e] = ints
+            return Poly.from_cleared(spread, d, field)
+        e = self.field.degree
+        if field is QQ:
+            if any(c for u, c in enumerate(ints) if u % e):
+                raise FieldMismatch(f"cannot coerce {self!r} into Q")
+            return Poly.from_cleared(ints[::e], d, QQ)
         return Poly(self.coeffs, field)
 
     def to_rational(self):
@@ -112,7 +190,8 @@ class Poly:
             return self.coerce_to(f), other.coerce_to(f)
         if isinstance(other, (int, Fraction, FieldElem)):
             f = common_field(self.field, field_of(other))
-            return self.coerce_to(f), Poly.constant(f.coerce(other), f)
+            return self.coerce_to(f), Poly.from_cleared(
+                *_int_scaled((other,), f), f)
         return None, None
 
     # -- ring operations -------------------------------------------------
@@ -121,17 +200,18 @@ class Poly:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        ca, cb = list(a.coeffs), list(b.coeffs)
-        if len(ca) < len(cb):
-            ca, cb = cb, ca
-        for i, c in enumerate(cb):
-            ca[i] = ca[i] + c
-        return Poly(ca, a.field)
+        (ia, da), (ib, db) = a.cleared(), b.cleared()
+        if da != db:            # over the lcm of the denominators
+            g = int_gcd(da, db)
+            ia, ib = [c * (db // g) for c in ia], [c * (da // g) for c in ib]
+            da = da // g * db
+        return Poly.from_cleared(_int_sum(ia, ib), da, a.field)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs], self.field)
+        ints, d = self.cleared()
+        return Poly.from_cleared([-c for c in ints], d, self.field)
 
     def __sub__(self, other):
         a, b = self._pair(other)
@@ -149,12 +229,11 @@ class Poly:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        if not a.coeffs or not b.coeffs:
+        (ia, da), (ib, db) = a.cleared(), b.cleared()
+        if not ia or not ib:
             return Poly.zero(a.field)
-        f = a.field
-        (ia, da), (ib, db) = _int_scaled(a.coeffs, f), _int_scaled(b.coeffs, f)
-        return Poly(f.from_tilde_coordinates(
-            _int_mul(ia, ib, f.tilde_modulus), da * db), f)
+        return Poly.from_cleared(_int_mul(ia, ib, a.field.tilde_modulus),
+                                 da * db, a.field)
 
     __rmul__ = __mul__
 
@@ -175,15 +254,15 @@ class Poly:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        if not b.coeffs:
+        if b.is_zero():
             raise DivisionByZeroPoly("polynomial division by zero")
         f = a.field
         # s·A = Q·B + R for the cleared A = sa·a and B = sb·b, so
         # a = (sb·Q / (s·sa))·b + R / (s·sa)
-        (ia, sa), (ib, sb) = _int_scaled(a.coeffs, f), _int_scaled(b.coeffs, f)
+        (ia, sa), (ib, sb) = a.cleared(), b.cleared()
         iq, ir, s = _int_divide(ia, ib, f)
-        return (Poly(f.from_tilde_coordinates([c * sb for c in iq], s * sa), f),
-                Poly(f.from_tilde_coordinates(ir, s * sa), f))
+        return (Poly.from_cleared([c * sb for c in iq], s * sa, f),
+                Poly.from_cleared(ir, s * sa, f))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -200,22 +279,27 @@ class Poly:
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, FieldElem)):
             f = common_field(self.field, field_of(other))
-            inv = f.one / f.coerce(other)
-            return self.coerce_to(f) * inv
+            return self * (f.one / f.coerce(other))
         return NotImplemented
 
     # -- calculus / evaluation ------------------------------------------
 
     def derivative(self, order=1):
-        p = self
-        for _ in range(order):
-            p = Poly([i * c for i, c in enumerate(p.coeffs)][1:], p.field)
-        return p
+        """The order-th derivative: block k + order of the cleared form
+        times (k + order)!/k! is block k."""
+        ints, d = self.cleared()
+        e = self.field.degree
+        out, factor = [], factorial(order)
+        for k in range(len(ints) // e - order):
+            j = (k + order) * e
+            out += [c * factor for c in ints[j:j + e]]
+            factor = factor * (k + order + 1) // (k + 1)
+        return Poly.from_cleared(out, d, self.field)
 
     def order_at(self, point):
         """How many leading derivatives vanish at the point."""
         p, k = self, 0
-        while p.coeffs and is_zero_scalar(p(point)):
+        while p and is_zero_scalar(p(point)):
             p, k = p.derivative(), k + 1
         return k
 
@@ -227,7 +311,7 @@ class Poly:
                 acc = acc * point + complex(_as_float(c))
             return acc
         f = common_field(self.field, field_of(point))
-        ints, d = _int_scaled(self.coeffs, f)
+        ints, d = self.coerce_to(f).cleared()
         if not ints:
             return f.zero
         if f.degree == 1:           # read the one t̃-coordinate directly
@@ -252,28 +336,37 @@ class Poly:
         return self.coerce_to(f).compose(Poly((f.coerce(c), f.one), f))
 
     def monic(self):
-        if not self.coeffs:
+        """self over its leading coefficient: over a rational lead L/d the
+        cleared form ints/d becomes ints/L."""
+        ints, d = self.cleared()
+        if not ints:
             return self
-        lead = self.coeffs[-1]
-        if lead == self.field.one:
+        e = self.field.degree
+        if e > 1 and any(ints[1 - e:]):       # a lead that is not rational
+            return self * self.leading_coeff().inverse()
+        lead = ints[-e]
+        if lead == d:
             return self
-        return self / lead
+        return Poly.from_cleared(ints, lead, self.field)
 
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, FieldElem)):
             if is_zero_scalar(other):
-                return not self.coeffs
-            return len(self.coeffs) == 1 and self.coeffs[0] == other
+                return self.is_zero()
+            return self.degree == 0 and self.coeff(0) == other
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.degree != other.degree:
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        if self.field is other.field:
+            return self.cleared() == other.cleared()
+        return self.degree == other.degree and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(tuple(self.coeffs))
+        """From the cleared form's rational coordinates, so equal Polys
+        over different fields (rational ones) hash alike."""
+        ints, d = self.cleared()
+        return hash((d, tuple(ints[::self.field.degree])))
 
     def __repr__(self):
         return f"Poly({format_poly(self)})"
@@ -294,11 +387,12 @@ def _as_float(c):
 
 def format_poly(p, var="x"):
     """Render ascending-coefficient polynomial in conventional order."""
-    if not p.coeffs:
+    coeffs = p.coeffs
+    if not coeffs:
         return "0"
     parts = []
-    for i in range(p.degree, -1, -1):
-        c = p.coeff(i)
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
         if is_zero_scalar(c):
             continue
         cs = format_scalar(c)
@@ -343,6 +437,22 @@ def _int_scaled(coeffs, field):
     if d == 1:
         return [c.numerator for c in coords], 1
     return [c.numerator * (d // q) for c, q in zip(coords, dens)], d
+
+
+def _over_lcm(rows):
+    """(lists, d): the int lists of cleared rows (ints, q) over one
+    denominator d, the lcm of theirs; as the columns of a system they keep
+    their ratios."""
+    d = lcm(*(q for _, q in rows))
+    return [ints if q == d else [c * (d // q) for c in ints]
+            for ints, q in rows], d
+
+
+def _int_sum(a, b):
+    """a + b for two int lists, the shorter one padded with zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b):]
 
 
 def _int_primitive(a):
@@ -441,11 +551,11 @@ def poly_gcd(a, b):
         return b.monic()
     if b.is_zero():
         return a.monic()
-    u, v = sorted((_int_primitive(_int_scaled(p.coeffs, f)[0])
-                   for p in (a, b)), key=len, reverse=True)
+    u, v = sorted((_int_primitive(p.cleared()[0]) for p in (a, b)),
+                  key=len, reverse=True)
     while v:
         u, v = v, _int_primitive(_int_trim(_int_divide(u, v, f)[1], f.degree))
-    return Poly(f.from_tilde_coordinates(u, 1), f).monic()
+    return Poly.from_cleared(u, 1, f).monic()
 
 
 def squarefree_decompose(p):

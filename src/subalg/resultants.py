@@ -24,7 +24,6 @@ are all built on it.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from math import gcd, isqrt
 from operator import mul
 
@@ -34,7 +33,7 @@ from .fields import QQ, common_field, is_zero_scalar
 from .modular import (coordinate_bound, crt, evaluate_at, lagrange_basis,
                       modulus_roots, root_radius, word_primes)
 from .mpoly import MPoly
-from .poly import Poly, _int_scaled, poly_gcd
+from .poly import Poly, _over_lcm, poly_gcd
 
 
 class DividedDifference:
@@ -51,7 +50,9 @@ def divided_difference(p):
     (x - y)*P = p(x) - p(y) by construction."""
     if p.degree < 1:
         raise ConstantInput("divided difference needs deg p >= 1")
-    return DividedDifference(Poly(p.coeffs[k + 1:], p.field)
+    ints, d = p.cleared()
+    e = p.field.degree
+    return DividedDifference(Poly.from_cleared(ints[(k + 1) * e:], d, p.field)
                              for k in range(p.degree))
 
 
@@ -205,13 +206,12 @@ def _resultant(f_table, g_table, field):
 
 
 def _cleared(table, field):
-    """(T, d): the y-table cleared as one list by `poly._int_scaled`; T[k][u]
-    lists the ints d·(t̃-coordinate u) of the x-coefficients of y^k."""
-    ints, d = _int_scaled([c for poly in table for c in poly.coeffs], field)
+    """(T, d): the y-table cleared over one denominator d, the lcm of its
+    entries' (`Poly.cleared`); T[k][u] lists the ints d·(t̃-coordinate u)
+    of the x-coefficients of y^k."""
+    lists, d = _over_lcm([poly.cleared() for poly in table])
     e = field.degree
-    ends = list(accumulate(len(poly.coeffs) * e for poly in table))
-    return [[ints[i + u:j:e] for u in range(e)]
-            for i, j in zip([0] + ends, ends)], d
+    return [[ints[u::e] for u in range(e)] for ints in lists], d
 
 
 def _norm2(table, R):

@@ -23,7 +23,7 @@ from .errors import NonConvergence, SubalgError
 from .fields import QQ, is_zero_scalar
 from .modular import (_horner, coordinate_bound, coordinates, evaluate_at,
                       is_prime, lagrange_basis, modulus_roots, root_radius)
-from .poly import Poly, _as_float, _int_scaled, squarefree_decompose
+from .poly import Poly, _as_float, squarefree_decompose
 from .resultants import _resultant
 
 RESIDUAL_TOL = 1e-12
@@ -89,7 +89,7 @@ def _lifted_roots(f, field):
     """
     f = f.monic()
     mt, e = field.tilde_modulus, field.degree
-    ints, delta = _int_scaled(f.coeffs, field)      # δ·f, cleared
+    ints, delta = f.coerce_to(field).cleared()      # δ·f, cleared
     coords = [ints[j:j + e] for j in range(0, len(ints), e)]
     disc = _discriminant(tuple(mt))
     R = root_radius(mt)

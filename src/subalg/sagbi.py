@@ -15,17 +15,17 @@ from functools import reduce
 from .errors import (ConditionVanishesOnB, InfiniteCodimension,
                      NotSubalgebraConditions, SubalgError)
 from .fields import QQ, common_field
-from .poly import Poly, _int_cancel, _int_scaled, _int_trim
+from .poly import Poly, _int_cancel, _int_trim
 from .resultants import _lattice_gcd
 from .semigroup import NOT_MEMBER, DegreeSemigroup
 
 
 class SagbiBasis:
     """Monic basis elements with strictly increasing degrees; the degree
-    products, their cleared forms and the conductor are cached."""
+    products and the conductor are cached."""
 
     __slots__ = ("elements", "semigroup", "field", "_by_degree",
-                 "_product_cache", "_cleared_cache", "_conductor")
+                 "_product_cache", "_conductor")
 
     def __init__(self, elements, semigroup=None):
         elements = sorted((e.monic() for e in elements if e.degree >= 1),
@@ -43,7 +43,6 @@ class SagbiBasis:
         self.semigroup = semigroup or DegreeSemigroup(degrees)
         self._by_degree = {e.degree: e for e in self.elements}
         self._product_cache = {}
-        self._cleared_cache = {}
         self._conductor = None
 
     @property
@@ -60,18 +59,6 @@ class SagbiBasis:
                 if rep else Poly.constant(self.field.one, self.field)
             self._product_cache[rep] = prod
         return prod
-
-    def cleared_product(self, rep, field):
-        """`product_for(rep)` as (ints, d) over `field`, the basis's field
-        or one containing it (see `poly._int_scaled`); cached under
-        (rep, field), so each product is built once, in the basis's
-        field."""
-        key = (tuple(rep), field)
-        cleared = self._cleared_cache.get(key)
-        if cleared is None:
-            cleared = _int_scaled(self.product_for(rep).coeffs, field)
-            self._cleared_cache[key] = cleared
-        return cleared
 
     def degree_products(self, bound):
         """One algebra element per semigroup degree 0..bound: the monic
@@ -113,8 +100,9 @@ def subduce(f, basis):
     field = common_field(f.field, basis.field)
     S, mt, e = basis.semigroup, field.tilde_modulus, field.degree
     steps = []
-    # the remainder is coeffs/den, cleared (see `poly._int_scaled`)
-    coeffs, den = _int_scaled(f.coerce_to(field).coeffs, field)
+    # the remainder is coeffs/den, cleared (see `Poly.cleared`)
+    coeffs, den = f.coerce_to(field).cleared()
+    coeffs = list(coeffs)
     while len(coeffs) > e:
         d = len(coeffs) // e - 1
         rep = S.represent(d)
@@ -123,10 +111,10 @@ def subduce(f, basis):
         steps.append((d, field.from_tilde_coordinates(coeffs[-e:], den)[0],
                       rep))
         # prod is monic, so the top block of its cleared form is (pd, 0, …)
-        prod = basis.cleared_product(rep, field)[0]
+        prod = basis.product_for(rep).coerce_to(field).cleared()[0]
         coeffs, m, _ = _int_cancel(coeffs, prod, mt)
         coeffs, den = _int_trim(coeffs, e), den * m
-    return Poly(field.from_tilde_coordinates(coeffs, den), field), steps
+    return Poly.from_cleared(coeffs, den, field), steps
 
 
 def _all_representations(d, degrees):
@@ -172,15 +160,52 @@ def _eliminate_degrees(gens):
     return [by_degree[d] for d in sorted(by_degree)]
 
 
+def _relations(degrees, frobenius):
+    """The pairs of products whose subduction decides SAGBI: (first,
+    others) per degree with representations (factorizations over
+    `degrees`) in more than one linking class, two representations being
+    linked when they share a degree; `first` is the first representation
+    of the first class, `others` the first of each other class.
+
+    One relation per extra class generates every relation among the
+    representations (Rosales & García-Sánchez, *Finitely generated
+    commutative monoids*, ch. 9): linked representations differ by a
+    multiple of a relation in a lower degree.  Only degrees d ≤ F + a₁ + a₂
+    (F the Frobenius number, a₁, a₂ the two largest degrees) can have two
+    classes: if d − aᵢ − aⱼ lies in the semigroup for aᵢ, aⱼ taken from
+    two representations, a representation of d − aᵢ − aⱼ plus aᵢ and aⱼ
+    links them.
+    """
+    bound = frobenius + sum(sorted(degrees)[-2:])
+    for d in range(min(degrees) + 1, bound + 1):
+        firsts, supports = [], []
+        for rep in _all_representations(d, degrees):
+            support = set(rep)
+            linked = [i for i, s in enumerate(supports) if s & support]
+            if not linked:
+                firsts.append(rep)
+                supports.append(support)
+                continue
+            for i in reversed(linked[1:]):      # merge into the earliest
+                support |= supports.pop(i)
+                firsts.pop(i)
+            supports[linked[0]] |= support
+        if len(firsts) > 1:
+            yield firsts[0], firsts[1:]
+
+
 def sagbi_complete(gens):
     """SAGBI basis of the algebra generated by gens.
 
-    Completion loop: for every degree (up to conductor + max element degree)
-    with more than one product representation, subduce the difference of the
-    canonical product against each alternative; a nonconstant remainder is a
-    new basis element.  Its degree is a gap, so each round lowers the genus,
-    which is finite once the degrees have gcd 1: the loop ends within
-    genus-many rounds.
+    Completion loop: for every relation of `_relations`, subduce the
+    difference of its two products; a nonconstant remainder is a new basis
+    element.  Its degree is a gap, so each round lowers the genus, which is
+    finite once the degrees have gcd 1: the loop ends within genus-many
+    rounds.  Two elements of coprime degrees m, n are a SAGBI basis as
+    they are (the Abhyankar–Moh semigroup theorem): their relation F(P, Q)
+    has the leading form P^n − Q^m, and modulo F every element of K[p, q]
+    is a sum of terms p^i·q^j with j < m, whose degrees i·m + j·n are
+    distinct, so no leading term cancels.
 
     Completion can lower the gcd of the generator degrees, so a gcd > 1 is
     settled first by χ of the generators (`resultants._lattice_gcd`): χ = 0
@@ -205,15 +230,13 @@ def sagbi_complete(gens):
     while True:
         basis = SagbiBasis(elements)
         degrees = basis.degrees
-        bound = basis.semigroup.conductor + max(degrees)
+        if len(degrees) == 2 and gcd(*degrees) == 1:
+            return _minimalize(basis)
         new_elements = []
-        for d in range(min(degrees) + 1, bound + 1):
-            reps = _all_representations(d, degrees)
-            if len(reps) < 2:
-                continue
-            canonical = reps[0]
-            base_prod = basis.product_for(canonical)
-            for other in reps[1:]:
+        for first, others in _relations(degrees,
+                                        basis.semigroup.conductor - 1):
+            base_prod = basis.product_for(first)
+            for other in others:
                 diff = base_prod - basis.product_for(other)
                 if diff.degree < 1:
                     continue
@@ -291,9 +314,7 @@ def sagbi_extend(basis, functional):
             "the kernel of the functional in the algebra is not closed "
             "under multiplication: a product of two kernel elements of "
             f"degree < {D} fails it")
-    zero = [field.zero]
-    return read_off_basis(kernel + [Poly(zero * j + list(ch.coeffs), field)
-                                    for j in range(D)])
+    return read_off_basis(kernel + [ch.shift(j) for j in range(D)])
 
 
 def membership(f, algebra):

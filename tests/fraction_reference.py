@@ -1,15 +1,144 @@
-"""The Fraction/FieldElem elimination and condition rows that the cleared
-integer ones in `subalg.linalg` and `subalg.conditions` replaced, kept
-verbatim as the reference the differential tests compare against.
+"""The Fraction/FieldElem arithmetic that the cleared integer kernels
+replaced, kept verbatim as the reference the differential tests compare
+against: the `Poly` operations on coefficient tuples, and the elimination
+and condition rows of `subalg.linalg` and `subalg.conditions`.
 
-Rows here hold scalars (Fractions or FieldElems of one field), not cleared
-integer lists.
+Polynomials here are read through their scalar `coeffs` and built with
+`Poly(coeffs, field)`; rows hold scalars (Fractions or FieldElems of one
+field), not cleared integer lists.
 """
 
 from math import factorial
 
-from subalg.fields import is_zero_scalar
-from subalg.linalg import echelon_nullspace
+from subalg.fields import common_field, field_of, format_scalar, \
+    is_zero_scalar
+from subalg.poly import Poly
+
+
+# -- Poly operations on coefficient tuples --------------------------------
+
+
+def add(a, b):
+    """`Poly.__add__` on coefficient tuples (one field)."""
+    ca, cb = list(a.coeffs), list(b.coeffs)
+    if len(ca) < len(cb):
+        ca, cb = cb, ca
+    for i, c in enumerate(cb):
+        ca[i] = ca[i] + c
+    return Poly(ca, a.field)
+
+
+def neg(a):
+    return Poly([-c for c in a.coeffs], a.field)
+
+
+def sub(a, b):
+    return add(a, neg(b))
+
+
+def scale(a, c):
+    """a·c for a scalar c of a's field."""
+    return Poly([x * c for x in a.coeffs], a.field)
+
+
+def mul(a, b):
+    """`Poly.__mul__` before the integer kernel (verbatim loop)."""
+    if not a.coeffs or not b.coeffs:
+        return Poly.zero(a.field)
+    ca, cb = a.coeffs, b.coeffs
+    out = [a.field.zero] * (len(ca) + len(cb) - 1)
+    for i, ci in enumerate(ca):
+        if is_zero_scalar(ci):
+            continue
+        for j, cj in enumerate(cb):
+            if not is_zero_scalar(cj):
+                out[i + j] = out[i + j] + ci * cj
+    return Poly(out, a.field)
+
+
+def divmod_(a, b):
+    """`Poly.__divmod__` before the integer kernel (verbatim loop)."""
+    field = a.field
+    rem = list(a.coeffs)
+    db = b.degree
+    quot = [field.zero] * max(len(rem) - db, 0)
+    inv_lead = field.one / b.coeffs[-1]
+    for k in range(len(rem) - db - 1, -1, -1):
+        c = rem[k + db] * inv_lead
+        if not is_zero_scalar(c):
+            quot[k] = c
+            for i, bi in enumerate(b.coeffs):
+                rem[k + i] = rem[k + i] - c * bi
+    return Poly(quot, field), Poly(rem[:db], field)
+
+
+def call(p, point):
+    """`Poly.__call__` at an exact point before the integer kernel."""
+    f = common_field(p.field, field_of(point))
+    point = f.coerce(point)
+    acc = f.zero
+    for c in reversed(p.coeffs):
+        acc = acc * point + f.coerce(c)
+    return acc
+
+
+def derivative(p, order=1):
+    for _ in range(order):
+        p = Poly([i * c for i, c in enumerate(p.coeffs)][1:], p.field)
+    return p
+
+
+def monic(p):
+    if not p.coeffs:
+        return p
+    inv = p.field.one / p.coeffs[-1]
+    return Poly([c * inv for c in p.coeffs], p.field)
+
+
+def gcd(a, b):
+    """`poly_gcd` over a number field before the cleared kernel: Euclid."""
+    f = common_field(a.field, b.field)
+    a, b = a.coerce_to(f), b.coerce_to(f)
+    while b.coeffs:
+        a, b = b, divmod_(a, b)[1]
+    return monic(a)
+
+
+def format_poly(coeffs, var="x"):
+    """`format_poly` on a coefficient tuple."""
+    if not coeffs:
+        return "0"
+    parts = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if is_zero_scalar(c):
+            continue
+        cs = format_scalar(c)
+        needs_parens = ("+" in cs[1:]) or ("-" in cs[1:]) or ("t" in cs
+                                                              and i > 0)
+        if i == 0:
+            term = f"({cs})" if needs_parens else cs
+        else:
+            xp = var if i == 1 else f"{var}^{i}"
+            if cs == "1":
+                term = xp
+            elif cs == "-1":
+                term = f"-{xp}"
+            elif needs_parens:
+                term = f"({cs})*{xp}"
+            else:
+                term = f"{cs}*{xp}"
+        parts.append(term)
+    out = parts[0]
+    for term in parts[1:]:
+        if term.startswith("-"):
+            out += f" - {term[1:]}"
+        else:
+            out += f" + {term}"
+    return out
+
+
+# -- elimination and condition rows ----------------------------------------
 
 
 def rref(rows, ncols, field):
@@ -42,6 +171,22 @@ def rref(rows, ncols, field):
         if r == len(mat):
             break
     return mat[:r], pivots
+
+
+def echelon_nullspace(red, pivots, ncols, field):
+    """Nullspace basis from a reduced echelon form, one vector per free
+    column in increasing order; each is 1 at its free column and 0 at
+    every other free column."""
+    pivot_set = set(pivots)
+    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for fc in free_cols:
+        vec = [field.zero] * ncols
+        vec[fc] = field.one
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis
 
 
 def nullspace(rows, ncols, field):

@@ -15,7 +15,7 @@ from subalg.conditions import (LinearFunctional, Subalgebra,
                                is_subalgebra_condition_set,
                                kernel_subalgebra)
 from subalg.errors import (DegenerateConditions, NotSubalgebraConditions,
-                           SpectrumNotExact)
+                           SpectrumNotExact, SubalgError)
 from subalg.fields import (QQ, NumberField, common_field, field_of,
                            is_zero_scalar)
 from subalg.linalg import nullspace
@@ -24,7 +24,7 @@ from subalg.oracle import oracle_codimension, oracle_member
 from subalg.parsing import parse_poly as P
 from subalg.poly import Poly, _int_scaled, squarefree_part
 from subalg.resultants import char_poly_pair
-from subalg.sagbi import sagbi_complete
+from subalg.sagbi import SagbiBasis, sagbi_complete
 from test_resultants import _charpoly_items
 
 
@@ -551,6 +551,14 @@ def test_conductor_discards_unlucky_primes(monkeypatch):
     assert c == reference_conductor(C.sagbi_basis()) == P("(x - 1)^6")
     assert images[:2] == [(3, 6), (5, 5)]
     assert verdicts == [False, True]
+
+
+def test_conductor_of_elements_that_are_no_sagbi_basis_raises():
+    # x^7·x^8 − (x^5)^3 subduces to −x^3/4: no element of the gap degree 3
+    basis = SagbiBasis([P("x^5"), P("x^6 + x^3"), P("x^7"), P("x^8"),
+                        P("x^9 + 1/2*x^6")])
+    with pytest.raises(SubalgError, match="not a SAGBI basis"):
+        basis.conductor()
 
 
 def test_conductor_certificate_is_membership_of_every_shift():

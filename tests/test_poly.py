@@ -3,11 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from subalg.errors import DivisionByZeroPoly, NonInvertible, SubalgError
-from subalg.fields import NumberField, QQ, common_field, field_of, \
-    is_zero_scalar
+import fraction_reference as ref
+from subalg.errors import (DivisionByZeroPoly, FieldMismatch, NonInvertible,
+                           SubalgError)
+from subalg.fields import NumberField, QQ, common_field, field_of
 from subalg.parsing import parse_poly
-from subalg.poly import Poly, format_poly, poly_gcd, squarefree_decompose
+from subalg.poly import (Poly, _int_scaled, format_poly, poly_gcd,
+                         squarefree_decompose)
 
 
 def P(src):
@@ -98,47 +100,9 @@ def test_format_parse_round_trip():
 
 
 # -- the Fraction loops that the integer kernels over Q replaced -----------
-
-
-def reference_mul(a, b):
-    """`Poly.__mul__` before the integer kernel (verbatim loop)."""
-    if not a.coeffs or not b.coeffs:
-        return Poly.zero(a.field)
-    ca, cb = a.coeffs, b.coeffs
-    out = [a.field.zero] * (len(ca) + len(cb) - 1)
-    for i, ci in enumerate(ca):
-        if is_zero_scalar(ci):
-            continue
-        for j, cj in enumerate(cb):
-            if not is_zero_scalar(cj):
-                out[i + j] = out[i + j] + ci * cj
-    return Poly(out, a.field)
-
-
-def reference_divmod(a, b):
-    """`Poly.__divmod__` before the integer kernel (verbatim loop)."""
-    field = a.field
-    rem = list(a.coeffs)
-    db = b.degree
-    quot = [field.zero] * max(len(rem) - db, 0)
-    inv_lead = field.one / b.coeffs[-1]
-    for k in range(len(rem) - db - 1, -1, -1):
-        c = rem[k + db] * inv_lead
-        if not is_zero_scalar(c):
-            quot[k] = c
-            for i, bi in enumerate(b.coeffs):
-                rem[k + i] = rem[k + i] - c * bi
-    return Poly(quot, field), Poly(rem[:db], field)
-
-
-def reference_call(p, point):
-    """`Poly.__call__` at an exact point before the integer kernel."""
-    f = common_field(p.field, field_of(point))
-    point = f.coerce(point)
-    acc = f.zero
-    for c in reversed(p.coeffs):
-        acc = acc * point + f.coerce(c)
-    return acc
+#
+# ref.mul, ref.divmod_, ref.call and ref.gcd (tests/fraction_reference.py)
+# are also the number-field loops, verbatim.
 
 
 def _random_scalar(rng):
@@ -176,9 +140,9 @@ def _same(new, old):
 def test_mul_matches_the_fraction_loop():
     polys = list(_random_polys(20261018))
     for a, b in zip(polys, polys[1:] + polys[:1]):
-        _same(a * b, reference_mul(a, b))
-        _same(a * a, reference_mul(a, a))
-    _same(polys[5] * F(-2, 3), reference_mul(polys[5], Poly([F(-2, 3)])))
+        _same(a * b, ref.mul(a, b))
+        _same(a * a, ref.mul(a, a))
+    _same(polys[5] * F(-2, 3), ref.mul(polys[5], Poly([F(-2, 3)])))
 
 
 def test_divmod_matches_the_fraction_loop():
@@ -189,13 +153,13 @@ def test_divmod_matches_the_fraction_loop():
         P("-x + 1/3"), Poly.constant(F(-5, 2**200))]
     for a, b in zip(polys, divisors):
         q, r = divmod(a, b)
-        rq, rr = reference_divmod(a, b)
+        rq, rr = ref.divmod_(a, b)
         _same(q, rq)
         _same(r, rr)
     for b in divisors[-4:]:
         for a in polys[:30]:
             q, r = divmod(a, b)
-            rq, rr = reference_divmod(a, b)
+            rq, rr = ref.divmod_(a, b)
             _same(q, rq)
             _same(r, rr)
 
@@ -209,7 +173,7 @@ def test_call_matches_the_fraction_loop():
         for point in points:
             value = p(point)
             assert type(value) is F
-            assert value == reference_call(p, point)
+            assert value == ref.call(p, point)
 
 
 def test_number_field_product_matches_the_reference():
@@ -217,8 +181,8 @@ def test_number_field_product_matches_the_reference():
     t = qi.gen()
     p = Poly([F(1, 2) + t, F(-3), 2 * t - F(5, 7), F(0), t], qi)
     q = Poly([t, F(2, 3) * t - 1, qi.one], qi)
-    assert p * q == reference_mul(p, q)
-    assert (p * q).coeffs == reference_mul(p, q).coeffs
+    assert p * q == ref.mul(p, q)
+    assert (p * q).coeffs == ref.mul(p, q).coeffs
 
 
 def test_power_equals_the_repeated_product():
@@ -235,21 +199,6 @@ def test_power_equals_the_repeated_product():
         for n in range(10):
             assert a ** n == value
             value = value * a
-
-
-# -- the FieldElem loops that the one cleared kernel replaced --------------
-#
-# reference_mul, reference_divmod and reference_call above are also the
-# number-field loops, verbatim; reference_gcd is the number-field Euclid.
-
-
-def reference_gcd(a, b):
-    """`poly_gcd` over a number field before the cleared kernel."""
-    f = common_field(a.field, b.field)
-    a, b = a.coerce_to(f), b.coerce_to(f)
-    while b:
-        a, b = b, reference_divmod(a, b)[1]
-    return a.monic()
 
 
 def _number_fields():
@@ -297,10 +246,10 @@ def _same_field(new, old, nf):
 def test_mul_matches_the_field_elem_loop(nf):
     polys = list(_random_field_polys(20261024, nf))
     for a, b in zip(polys, polys[1:] + polys[:1]):
-        _same_field(a * b, reference_mul(a, b), nf)
-        _same_field(a * a, reference_mul(a, a), nf)
+        _same_field(a * b, ref.mul(a, b), nf)
+        _same_field(a * a, ref.mul(a, a), nf)
     rational = P("x^3 - 1/2*x + 4").coerce_to(nf)
-    _same_field(polys[5] * rational, reference_mul(polys[5], rational), nf)
+    _same_field(polys[5] * rational, ref.mul(polys[5], rational), nf)
 
 
 @pytest.mark.parametrize("nf", _number_fields(), ids=lambda nf: nf.label)
@@ -314,13 +263,13 @@ def test_divmod_matches_the_field_elem_loop(nf):
         Poly.constant(2 * t + F(1, 7), nf)]       # non-rational constant
     for a, b in zip(polys, divisors):
         q, r = divmod(a, b)
-        rq, rr = reference_divmod(a, b)
+        rq, rr = ref.divmod_(a, b)
         _same_field(q, rq, nf)
         _same_field(r, rr, nf)
     for b in divisors[-4:]:
         for a in polys[:15]:
             q, r = divmod(a, b)
-            rq, rr = reference_divmod(a, b)
+            rq, rr = ref.divmod_(a, b)
             _same_field(q, rq, nf)
             _same_field(r, rr, nf)
 
@@ -336,7 +285,7 @@ def test_call_matches_the_field_elem_loop(nf):
     for p in polys:
         for point in points:
             value = p(point)
-            assert value == reference_call(p, point)
+            assert value == ref.call(p, point)
             assert field_of(value) is common_field(p.field,
                                                    field_of(point))
 
@@ -348,14 +297,14 @@ def test_gcd_matches_the_field_elem_euclid(nf):
     t = nf.gen()
     common = Poly([t, F(2, 3), t + 1], nf)
     for a, b in zip(polys, polys[1:]):
-        _same_field(poly_gcd(a, b), reference_gcd(a, b), nf)
+        _same_field(poly_gcd(a, b), ref.gcd(a, b), nf)
         _same_field(poly_gcd(a * common, b * common),
-                    reference_gcd(a * common, b * common), nf)
+                    ref.gcd(a * common, b * common), nf)
     zero = Poly.zero(nf)
-    _same_field(poly_gcd(common, zero), reference_gcd(common, zero), nf)
+    _same_field(poly_gcd(common, zero), ref.gcd(common, zero), nf)
     _same_field(poly_gcd(zero, common), common.monic(), nf)
     constant = Poly.constant(t + 2, nf)
-    _same_field(poly_gcd(common, constant), reference_gcd(common, constant),
+    _same_field(poly_gcd(common, constant), ref.gcd(common, constant),
                 nf)
 
 
@@ -435,5 +384,111 @@ def test_product_evaluates_to_the_product_of_values(nf):
     @hypothesis.given(poly, poly, scalar)
     def check(a, b, z):
         assert (a * b)(z) == a(z) * b(z)
+
+    check()
+
+
+# -- the cleared form against the coefficient-tuple reference -------------
+
+_DIFFERENTIAL_FIELDS = [QQ, NumberField([1, 0, 1], label="t^2+1"),
+                        NumberField([F(-1, 2), 0, 1], label="t^2-1/2"),
+                        NumberField([1, 0, 0, 0, 1], label="t^4+1")]
+
+
+def _differential_polys(seed, field, count=24):
+    """Seeded Polys over field, each twice: built from scalars, and built
+    from a cleared form over a random multiple of its denominator (which
+    `Poly.from_cleared` must reduce)."""
+    rng = random.Random(seed)
+    scalars = (_random_scalar if field is QQ
+               else lambda rng: _random_element(rng, field))
+    polys = [Poly.zero(field), Poly.constant(field.one, field)]
+    for _ in range(count):
+        polys.append(Poly([scalars(rng) for _ in range(rng.randint(0, 7))],
+                          field))
+    out = []
+    for p in polys:
+        ints, d = _int_scaled(p.coeffs, field)
+        k = rng.choice((1, 1, -1, 6, -35))
+        zeros = [0] * (field.degree * rng.randint(0, 2))   # untrimmed top
+        out.append(Poly(p.coeffs, field))
+        out.append(Poly.from_cleared([c * k for c in ints] + zeros, d * k,
+                                     field))
+    return out
+
+
+def _same_as_reference(new, old):
+    """Equal to the reference result, with the same scalars, the same
+    cleared form, hash and repr."""
+    assert new == old and old == new
+    assert new.field is old.field
+    assert new.coeffs == old.coeffs
+    assert [getattr(c, "coeffs", c) for c in new.coeffs] == \
+        [getattr(c, "coeffs", c) for c in old.coeffs]
+    assert new.cleared() == _int_scaled(old.coeffs, old.field)
+    assert hash(new) == hash(old)
+    assert repr(new) == f"Poly({ref.format_poly(old.coeffs)})"
+
+
+@pytest.mark.parametrize("field", _DIFFERENTIAL_FIELDS,
+                         ids=lambda f: f.label)
+def test_cleared_polys_match_the_coefficient_reference(field):
+    polys = _differential_polys(20261025, field)
+    rng = random.Random(20261026)
+    for a in polys:
+        b = polys[rng.randrange(len(polys))]
+        c = field.coerce(rng.choice((F(0), F(-3, 7), F(5)))) \
+            if field is QQ or rng.random() < 0.5 else \
+            _random_element(rng, field)
+        _same_as_reference(a, ref.scale(a, field.one))
+        _same_as_reference(a + b, ref.add(a, b))
+        _same_as_reference(a - b, ref.sub(a, b))
+        _same_as_reference(-a, ref.neg(a))
+        _same_as_reference(a * c, ref.scale(a, c))
+        _same_as_reference(c * a, ref.scale(a, c))
+        _same_as_reference(a * b, ref.mul(a, b))
+        for order in (1, 2, 5):
+            _same_as_reference(a.derivative(order), ref.derivative(a, order))
+        _same_as_reference(a.monic(), ref.monic(a))
+        if b:
+            q, r = divmod(a, b)
+            rq, rr = ref.divmod_(a, b)
+            _same_as_reference(q, rq)
+            _same_as_reference(r, rr)
+        if c:
+            _same_as_reference(a / c, ref.scale(a, field.one / c))
+        point = c if field is QQ else _random_element(rng, field)
+        assert a(point) == ref.call(a, point)
+        for k in range(-1, a.degree + 2):
+            assert a.coeff(k) == (a.coeffs[k] if 0 <= k <= a.degree
+                                  else field.zero)
+        assert (a == b) == (a.coeffs == b.coeffs)
+
+
+@pytest.mark.parametrize("field", _DIFFERENTIAL_FIELDS[1:],
+                         ids=lambda f: f.label)
+def test_rational_polys_equal_and_hash_alike_across_fields(field):
+    for p in _differential_polys(20261027, QQ, count=12):
+        lifted = p.coerce_to(field)
+        assert lifted == p and p == lifted and hash(lifted) == hash(p)
+        assert lifted.coerce_to(QQ).cleared() == p.cleared()
+        assert lifted.cleared() == _int_scaled(p.coeffs, field)
+    t = Poly([field.gen()], field)
+    with pytest.raises(FieldMismatch):
+        t.coerce_to(QQ)
+    assert t.to_rational() is None
+
+
+def test_cleared_sums_match_the_reference_on_hypothesis_polys():
+    hypothesis = pytest.importorskip("hypothesis")
+    nf = _DIFFERENTIAL_FIELDS[2]
+    scalar, poly = _field_strategies(nf)
+
+    @_property_settings()
+    @hypothesis.given(poly, poly, scalar)
+    def check(a, b, c):
+        _same_as_reference(a + b * c, ref.add(a, ref.scale(b, c)))
+        _same_as_reference((a - b).derivative(), ref.derivative(
+            ref.sub(a, b)))
 
     check()

@@ -55,6 +55,98 @@ def test_complete_settles_a_degree_gcd_above_one(monkeypatch):
     assert sagbi_complete([P("x^3 - x"), P("x^2")]).semigroup.genus == 1
 
 
+def test_complete_checks_relations_above_conductor_plus_max_degree():
+    # completion reaches x^5, x^6 + x^3, x^7, x^8, x^9 + x^6/2, whose
+    # semigroup has conductor 5; the relation x^7·x^8 − (x^5)^3 of degree
+    # 15 lies above 5 + 9 and subduces to −x^3/4, so x^3 is in the algebra
+    gens = [P("x^6 + x^3"), P("x^5"), P("x^7")]
+    A = Subalgebra.from_generators(gens)
+    assert A.codimension() == 3 == oracle_codimension(gens)
+    assert A.sagbi_basis().degrees == (3, 5, 7)
+    assert A.conductor() == P("x^5")
+
+
+# (h, a, b): generators x^(2h) + c·x^h, x^a, x^b
+_MULTI_TRIPLES = ((2, 5, 7), (3, 5, 7), (2, 7, 9), (3, 7, 5), (2, 10, 15),
+                  (3, 7, 9), (2, 9, 7), (3, 10, 15))
+
+
+def test_complete_matches_the_oracle_on_the_multi_generator_triples():
+    rng = random.Random(20261025)
+    for h, a, b in _MULTI_TRIPLES:
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        gens = [Poly.monomial(2 * h) + c * Poly.monomial(h),
+                Poly.monomial(a), Poly.monomial(b)]
+        basis = sagbi_complete(gens)
+        assert basis.semigroup.genus == oracle_codimension(gens), (h, a, b, c)
+        assert all(oracle_member(e, gens) for e in basis.elements)
+
+
+def _factorizations(d, degrees):
+    """Every multiset of `degrees` summing to d, as exponent tuples."""
+    if not degrees:
+        return [()] if d == 0 else []
+    first, rest = degrees[0], degrees[1:]
+    return [(k,) + tail for k in range(d // first + 1)
+            for tail in _factorizations(d - k * first, rest)]
+
+
+def _class_count(factorizations):
+    """Connected components of the graph linking two factorizations that
+    share a degree."""
+    seen, count = set(), 0
+    for i in range(len(factorizations)):
+        if i in seen:
+            continue
+        count, stack = count + 1, [i]
+        seen.add(i)
+        while stack:
+            u = factorizations[stack.pop()]
+            for j, v in enumerate(factorizations):
+                if j not in seen and any(a and b for a, b in zip(u, v)):
+                    seen.add(j)
+                    stack.append(j)
+    return count
+
+
+def test_betti_degrees_lie_within_the_relations_bound():
+    """Every degree whose factorizations fall into more than one linking
+    class (a Betti degree) is at most F + a₁ + a₂, and `_relations`
+    yields one relation per extra class in exactly those degrees; checked
+    by brute force up to F + a₁ + a₂ + max degree, for every degree set in
+    {2, …, 10} of size at most 4 with gcd 1."""
+    from itertools import combinations
+    for size in (2, 3, 4):
+        for degrees in combinations(range(2, 11), size):
+            if reduce(gcd, degrees) != 1:
+                continue
+            frobenius = DegreeSemigroup(degrees).conductor - 1
+            bound = frobenius + degrees[-1] + degrees[-2]
+            extra = {}
+            for d in range(1, bound + degrees[-1] + 1):
+                classes = _class_count(_factorizations(d, degrees))
+                if classes > 1:
+                    extra[d] = classes - 1
+            assert max(extra) <= bound, degrees
+            assert {sum(first): len(others) for first, others in
+                    sagbi._relations(degrees, frobenius)} == extra, degrees
+
+
+def test_two_elements_of_coprime_degrees_take_no_subduction(monkeypatch):
+    def no_subduction(f, basis):
+        raise AssertionError("subduce called")
+    monkeypatch.setattr(sagbi, "subduce", no_subduction)
+    rng = random.Random(20261026)
+    for m, n in ((2, 3), (3, 5), (4, 7), (5, 6)):
+        gens = [Poly([F(rng.randint(-3, 3)) for _ in range(k)] + [F(1)])
+                for k in (m, n)]
+        basis = sagbi_complete(gens)
+        assert basis.degrees == (m, n)
+        assert basis.semigroup.genus == (m - 1) * (n - 1) // 2
+    monkeypatch.undo()
+    assert sagbi_complete(gens).semigroup.genus == oracle_codimension(gens)
+
+
 def test_subduction_certificates():
     basis = sagbi_complete([P("x^3 - x"), P("x^2")])
     rem, cert = subduce(P("x^7 - x"), basis)
@@ -374,7 +466,7 @@ def test_subduce_matches_the_fraction_loop():
             assert steps == old_steps
     for basis in _non_integral_bases():
         reps = [basis.semigroup.represent(d) for d in range(2, 12)]
-        assert any(basis.cleared_product(rep, QQ)[1] != 1 for rep in reps
+        assert any(basis.product_for(rep).cleared()[1] != 1 for rep in reps
                    if rep is not NOT_MEMBER)
 
 
