@@ -10,7 +10,7 @@ the condition presentation and the generator presentation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from operator import mul
 
 from .errors import (DegenerateConditions, NotSubalgebraConditions,
@@ -18,9 +18,10 @@ from .errors import (DegenerateConditions, NotSubalgebraConditions,
 from .fields import (QQ, common_field, field_of, format_scalar,
                      is_zero_scalar, scalar_to_json)
 from .linalg import cleared_nullspace, nullspace, rref
-from .modular import (_fold, _int_mul, crt, evaluate_at, lagrange_basis,
-                      modulus_roots, rational_reconstruction, word_primes)
-from .poly import Poly, _int_scaled, _int_sum, _over_lcm, poly_gcd
+from .modular import (crt, evaluate_at, lagrange_basis, modulus_roots,
+                      rational_reconstruction, word_primes)
+from .poly import (Poly, _int_combination, _int_dot, _int_mul, _int_scaled,
+                   _int_values, _over_lcm, poly_gcd)
 from .resultants import _lattice_gcd
 from .sagbi import SagbiBasis, read_off_basis, sagbi_complete, subduce
 
@@ -85,26 +86,15 @@ class LinearFunctional:
 
     def monomial_row(self, degree, field):
         """(L(1), L(x), …, L(x^degree)) over `field`, cleared: (ints, d)
-        as `poly._int_scaled` gives.  The coefficient-weighted sum of the
-        terms' jet rows, over the lcm d of their denominators."""
-        e, mt = field.degree, field.tilde_modulus
-        terms = []
-        for order, point, coeff in self.terms:
-            if order <= degree:
-                c, dc = _int_scaled((coeff,), field)
-                jet, dj = _jet_row(order, point, degree, field)
-                terms.append((c, dc * dj, jet))
-        d = lcm(*(den for _, den, _ in terms))
-        row = [0] * (e * (degree + 1))
-        for c, den, jet in terms:
-            s = d // den
-            if e == 1:
-                x = c[0] * s
-                row = [r + x * j for r, j in zip(row, jet)]
-            else:
-                row = [r + p for r, p in
-                       zip(row, _int_mul([a * s for a in c], jet, mt))]
-        return row, d
+        as `poly._int_scaled` gives, d not always least.  The sum of the
+        terms' jet rows, over one denominator (`poly._over_lcm`), weighted
+        by the cleared coefficients (`poly._int_combination`)."""
+        terms = [term for term in self.terms if term[0] <= degree]
+        jets, dj = _over_lcm([_jet_row(order, point, degree, field)
+                              for order, point, _ in terms])
+        coeffs, dc = _int_scaled([coeff for _, _, coeff in terms], field)
+        row = _int_combination(coeffs, jets, field.tilde_modulus)
+        return row or [0] * (field.degree * (degree + 1)), dc * dj
 
     def points(self):
         return [point for _, point, _ in self.terms]
@@ -180,23 +170,9 @@ def _jet_row(order, point, degree, field):
     return row, w_powers[n]
 
 
-def _int_dot(a, b, field):
-    """Σ a_i·b_i for two cleared int lists, as one block of e ints: the
-    products of t̃-coordinates are summed unreduced in 2e − 1 coordinates,
-    then folded once by m̃."""
-    e = field.degree
-    if e == 1:
-        return [sum(map(mul, a, b))]
-    acc = [0] * (2 * e - 1)
-    for u in range(e):
-        for v in range(e):
-            acc[u + v] += sum(map(mul, a[u::e], b[v::e]))
-    return _fold(acc, field.tilde_modulus)
-
-
 def _dot(a, b, field):
     """Σ a_i·b_i as a scalar, for two rows cleared by `poly._int_scaled`
-    (a row that enters many dots is cleared once; see `_int_dot`)."""
+    (a row that enters many dots is cleared once; see `poly._int_dot`)."""
     (ia, da), (ib, db) = a, b
     return field.from_tilde_coordinates(_int_dot(ia, ib, field), da * db)[0]
 
@@ -253,10 +229,10 @@ def _closed_under_products(rows, kernel, low, field):
     V_{<low} satisfies every condition.  `kernel` must contain a basis of
     V_{<low}; the cleared `rows` must reach degree 2·low − 2.
     """
-    small = [p.cleared()[0] for p in kernel if 1 <= p.degree < low]
+    small = [p for p in kernel if 1 <= p.degree < low]
     for i, p in enumerate(small):
         for q in small[i:]:
-            product = _int_mul(p, q, field.tilde_modulus)
+            product = (p * q).cleared()[0]
             if any(any(_int_dot(product, row, field)) for row, _ in rows):
                 return False
     return True
@@ -272,20 +248,12 @@ def _killed_combinations(products, rows, field):
     distinct leading degrees of the free columns.  Each is summed on the
     cleared products: Σ (v_j/w)·(P_j/D) for the cleared kernel vector v/w
     and the products P_j/D over one denominator D."""
-    e, mt = field.degree, field.tilde_modulus
     cleared, den = _over_lcm([P.cleared() for P in products])
-    values = [[a for P in cleared for a in _int_dot(P, row, field)]
-              for row, _ in rows]
-    kernel = []
-    for vec, w in cleared_nullspace(values, len(products), field):
-        acc = []
-        for j, P in enumerate(cleared):
-            block = vec[j * e:(j + 1) * e]
-            if any(block):
-                acc = _int_sum(acc, [block[0] * c for c in P] if e == 1
-                               else _int_mul(block, P, mt))
-        kernel.append(Poly.from_cleared(acc, w * den, field))
-    return kernel
+    values = _int_values([row for row, _ in rows], cleared, field)
+    return [Poly.from_cleared(
+                _int_combination(vec, cleared, field.tilde_modulus), w * den,
+                field)
+            for vec, w in cleared_nullspace(values, len(products), field)]
 
 
 def is_subalgebra_condition_set(conds):
@@ -410,13 +378,15 @@ class Subalgebra:
         return rem.degree < 1
 
     def __eq__(self, other):
+        """Equal SAGBI degrees and A ⊆ B (A = self, B = other): equal
+        degrees give equal semigroups, so codim A = codim B, and then
+        A ⊆ B already gives A = B (B/A has dimension 0)."""
         if not isinstance(other, Subalgebra):
             return NotImplemented
         b1, b2 = self.sagbi_basis(), other.sagbi_basis()
         if b1.degrees != b2.degrees:
             return False
-        return all(other.contains(e) for e in b1.elements) and \
-            all(self.contains(e) for e in b2.elements)
+        return all(other.contains(e) for e in b1.elements)
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.sagbi_basis().elements)
@@ -635,7 +605,8 @@ def _conductor_image(products, S, d, p):
 
 
 def annihilator(basis, coords):
-    """Coefficient vectors v with Σ v_i f^(o_i)(p_i) = 0 on all of A.
+    """Coefficient vectors v with Σ v_i f^(o_i)(p_i) = 0 on all of A: the
+    nullspace of `_annihilator_equations`.
 
     `coords` lists (order o_i, point p_i) in the field of `basis`; c is
     the conductor of A, the algebra of `basis`, as cached on the basis
@@ -647,16 +618,21 @@ def annihilator(basis, coords):
     span the nullspace of the functionals on the degree products up to
     that degree.
     """
+    return nullspace(_annihilator_equations(basis, coords), len(coords),
+                     basis.field)
+
+
+def _annihilator_equations(basis, coords):
+    """The cleared system of `annihilator`: one row per degree product up
+    to its bound, holding the values of the jets at `coords` on it."""
     field, c = basis.field, basis.conductor()
     m = max(order for order, _ in coords)
     bound = c.degree - 1 + sum(max(0, m + 1 - c.order_at(point))
                                for point in {point for _, point in coords})
     jets, _ = _over_lcm([_jet_row(order, point, bound, field)
                          for order, point in coords])
-    equations = [[a for jet in jets for a in _int_dot(P.cleared()[0], jet,
-                                                      field)]
-                 for P in basis.degree_products(bound)]
-    return nullspace(equations, len(coords), field)
+    return _int_values([P.cleared()[0] for P in basis.degree_products(bound)],
+                       jets, field)
 
 
 def conditions_from_subalgebra(A, spectrum):
@@ -698,15 +674,14 @@ def conditions_from_subalgebra(A, spectrum):
     # rows with only order-0 support surface as pure differences
     coords = [(order, p) for order in range(max(orders) - 1, -1, -1)
               for p in points]
-    W, _ = rref([_int_scaled(v, field)[0]
-                 for v in annihilator(basis, coords)], len(coords), field)
+    W, _ = rref([v for v, _ in cleared_nullspace(
+                     _annihilator_equations(basis, coords), len(coords),
+                     field)], len(coords), field)
 
     functionals = []
     for vec in W:
-        terms = []
-        for (order, point), coeff in zip(coords, vec):
-            if not is_zero_scalar(coeff):
-                terms.append((order, point, coeff))
+        terms = [(order, point, coeff) for (order, point), coeff
+                 in zip(coords, vec) if not is_zero_scalar(coeff)]
         if len(terms) == 2 and terms[0][0] == 0 and terms[1][0] == 0 \
                 and is_zero_scalar(terms[0][2] + terms[1][2]):
             functionals.append(

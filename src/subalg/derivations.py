@@ -18,13 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .conditions import (LinearFunctional, Subalgebra, _dot, _int_dot,
-                         _jet_row)
+from .conditions import LinearFunctional, Subalgebra, _jet_row
 from .errors import EvenInput, SpectrumNotExact, SubalgError
 from .fields import common_field, field_of, is_zero_scalar
 from .linalg import cleared_nullspace, extend_echelon, rref
-from .modular import _int_mul
-from .poly import _int_divide, _int_scaled, _over_lcm
+from .poly import Poly, _int_scaled, _int_values, _over_lcm
 from .sagbi import subduce
 
 
@@ -70,10 +68,8 @@ class _Jets:
     and `rows` are their cleared coefficient lists (`Poly.cleared`).
     Since M_α = Σ_g u_g·A with u_g = e_g − e_g(α) over the SAGBI elements
     e_g, M_α² = Σ_g u_g·M_α, so the remainders (u_g·m_d) mod G span
-    M_α² modulo G.  They are taken on cleared lists, by
-    `poly._int_divide`, whose remainder is a positive multiple of the true
-    one and so spans the same space.  `E` is a running echelon form of
-    them, as cleared rows on 1, x, …, x^(D−1) (pivot columns `pivots`, see
+    M_α² modulo G.  `E` is a running echelon form of their cleared
+    forms, as rows on 1, x, …, x^(D−1) (pivot columns `pivots`, see
     `linalg.extend_echelon`).
     """
 
@@ -83,22 +79,20 @@ class _Jets:
         field = common_field(basis.field, field_of(alpha))
         basis = basis.coerce_to(field)
         alpha = field.coerce(alpha)
-        e, mt = field.degree, field.tilde_modulus
-        self.c = basis.conductor()
-        H = self.c.cleared()[0]
+        self.c = H = basis.conductor()
         if not is_zero_scalar(self.c(alpha)):
-            H = _int_mul(H, _int_scaled((-alpha, field.one), field)[0], mt)
-        G = _int_mul(H, H, mt)
-        D = len(G) // e - 1
+            H = H * Poly((-alpha, field.one), field)
+        G = H * H
+        D = G.degree
         self.m = [p - p(alpha) for p in basis.degree_products(D - 1)[1:]]
         assert len(self.m) == D - 1 - n
         self.rows = [p.cleared()[0] for p in self.m]
         self.E, self.pivots = [], []
         for g in basis.elements:
-            u = (g - g(alpha)).cleared()[0]
-            for p in self.rows:
-                r = _int_divide(_int_mul(u, p, mt), G, field)[1]
-                extend_echelon(r + [0] * (D * e - len(r)), self.E,
+            u = g - g(alpha)
+            for p in self.m:
+                r = (u * p % G).cleared()[0]
+                extend_echelon(r + [0] * (D * field.degree - len(r)), self.E,
                                self.pivots, field)
         self.basis, self.field, self.alpha, self.degree = \
             basis, field, alpha, D
@@ -171,30 +165,23 @@ def derivation_space(A, alpha):
               for point, mult in zip(points, mults) if order < mult]
     jet_rows, _ = _over_lcm([_jet_row(order, point, jets.degree - 1, field)
                              for order, point in coords])
-    equations = [[a for r in jet_rows for a in _int_dot(row, r, field)]
-                 for row in jets.E]
-    vectors, _ = rref([v for v, _ in
-                       cleared_nullspace(equations, len(coords), field)],
-                      len(coords), field)
+    vectors, _ = rref([v for v, _ in cleared_nullspace(
+                           _int_values(jets.E, jet_rows, field), len(coords),
+                           field)], len(coords), field)
     # drop functionals that act on A (spanned by 1 and the m_d) as a
     # combination of earlier ones: they add no derivation.  Only ranks are
     # read here, so each m_d's values may keep its own scale.
-    values = [[a for r in jet_rows for a in _int_dot(m, r, field)]
-              for m in jets.rows]
-    chosen, red, pivots = [], [], []
-    for vec in vectors:
-        cleared = _int_scaled(vec, field)[0]
-        if extend_echelon([a for v in values
-                           for a in _int_dot(cleared, v, field)], red,
-                          pivots, field):
-            chosen.append(vec)
+    values = _int_values(jets.rows, jet_rows, field)
+    actions = _int_values([_int_scaled(vec, field)[0] for vec in vectors],
+                          values, field)
+    red, pivots = [], []
+    chosen = [vec for vec, action in zip(vectors, actions)
+              if extend_echelon(action, red, pivots, field)]
 
-    combos = []
-    for vec in chosen:
-        terms = [(order, point, coeff)
-                 for (order, point), coeff in zip(coords, vec)
-                 if not is_zero_scalar(coeff)]
-        combos.append(LinearFunctional.derivative_combo(terms))
+    combos = [LinearFunctional.derivative_combo(
+                  [(order, point, coeff) for (order, point), coeff
+                   in zip(coords, vec) if not is_zero_scalar(coeff)])
+              for vec in chosen]
 
     # quotient witnesses: the m_d that complete M_alpha^2 to M_alpha
     red, pivots = list(jets.E), list(jets.pivots)
@@ -257,14 +244,12 @@ def integral_derivation(B, A, L, a):
         if rem.degree >= 1:
             return NOT_INTEGRAL
     terms = {}
-    a_row = a.cleared()
     for order, point, coeff in L.terms:
         point = field.coerce(point)
         coeff = field.coerce(coeff)
         for k in range(order + 1):
             new_order = order + 1 - k
-            a_k = _dot(a_row, _jet_row(k, point, a.degree, field), field)
-            c = coeff * comb(order, k) * a_k
+            c = coeff * comb(order, k) * a.derivative(k)(point)
             if is_zero_scalar(c):
                 continue
             key = (new_order, point)

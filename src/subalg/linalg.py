@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .modular import _int_mul
-from .poly import _int_primitive, _int_scaled
+from .poly import _int_mul, _int_primitive, _int_scaled
 
 
 def _integer_pivot(row, c, field):

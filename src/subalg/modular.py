@@ -5,9 +5,9 @@ to its power-basis coordinates in R_p = F_p[t]/(m mod p), a tuple of
 e = deg m plain ints.  Images computed in R_p come back to K coordinate by
 coordinate: Chinese remaindering over several primes, then rational
 reconstruction (von zur Gathen & Gerhard, *Modern Computer Algebra*,
-sections 5.4 and 5.10).  `_int_mul` and `_fold` are the exact
-counterpart: products in Z[t̃]/(m̃) on integer t̃-coordinates (see
-`poly._int_scaled`).
+sections 5.4 and 5.10), with the bounds that say when to stop
+(`coordinate_bound`).  Exact arithmetic on integer t̃-coordinates is in
+`poly` (`poly._int_scaled`, `poly._int_mul`).
 
 At a prime where the integral modulus m̃ has e distinct roots θ_i
 (`modulus_roots`), t̃ ↦ θ_i gives R_p ≅ F_p^e: a scalar maps to its
@@ -103,49 +103,6 @@ def integral_modulus(modulus):
     e = len(modulus) - 1
     mu = lcm(*(a.denominator for a in modulus))
     return [int(a * mu ** (e - u)) for u, a in enumerate(modulus)], mu
-
-
-def _int_mul(a, b, mt):
-    """Product of nonempty cleared lists over Z[t̃]/(m̃), m̃ = mt (ascending
-    ints) of degree e, by Kronecker substitution: the blocks are spread to
-    stride 2e − 1, so that one integer convolution holds every product of
-    t̃-powers apart, and each output block is folded back by m̃."""
-    e = len(mt) - 1
-    if e > 1:
-        a, b = _spread(a, e), _spread(b, e)
-    x, n = a[0], len(b)
-    out = [x * y for y in b] + [0] * (len(a) - 1)
-    for i in range(1, len(a)):
-        x = a[i]
-        if x:
-            out[i:i + n] = [o + x * y for o, y in zip(out[i:i + n], b)]
-    return _fold(out, mt) if e > 1 else out
-
-
-def _spread(a, e):
-    """The blocks of a cleared list at stride 2e − 1, zero-padded."""
-    s = 2 * e - 1
-    out = [0] * ((len(a) // e - 1) * s + e)
-    for u in range(e):
-        out[u::s] = a[u::e]
-    return out
-
-
-def _fold(c, mt):
-    """Blocks of 2e − 1 coordinates reduced to blocks of e modulo the
-    monic mt (ascending, of degree e)."""
-    e = len(mt) - 1
-    s, low = 2 * e - 1, mt[:e]
-    out = []
-    for j in range(0, len(c), s):
-        block = c[j:j + s]
-        for w in range(s - 1, e - 1, -1):
-            top = block[w]
-            if top:
-                block[w - e:w] = [x - top * y
-                                  for x, y in zip(block[w - e:w], low)]
-        out += block[:e]
-    return out
 
 
 def root_radius(mt):

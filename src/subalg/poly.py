@@ -2,9 +2,12 @@
 
 Coefficients are ascending; the zero polynomial has none.  A Poly keeps
 them cleared, as integer t̃-coordinates over one denominator (see
-`_int_scaled`), and every ring operation runs on that form.  Every value
-is immutable.  Mixed-field arithmetic coerces through
-:func:`subalg.fields.common_field` (Q embeds into any declared field).
+`_int_scaled`), and every ring operation runs on that form.  The integer
+kernel on cleared lists (`_int_mul`, `_int_divide`, `_int_dot`, …) is
+here too; other modules reach it through `Poly` operations or through
+one of its helpers.  Every value is immutable.  Mixed-field arithmetic
+coerces through :func:`subalg.fields.common_field` (Q embeds into any
+declared field).
 """
 
 from __future__ import annotations
@@ -12,11 +15,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm
 from math import gcd as int_gcd
+from operator import mul
 
 from .errors import (BothZero, DivisionByZeroPoly, FieldMismatch, ZeroInput)
 from .fields import (QQ, FieldElem, common_field, field_of, format_scalar,
                      is_zero_scalar)
-from .modular import _int_mul
 
 
 class Poly:
@@ -254,21 +257,26 @@ class Poly:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        if b.is_zero():
-            raise DivisionByZeroPoly("polynomial division by zero")
-        f = a.field
-        # s·A = Q·B + R for the cleared A = sa·a and B = sb·b, so
-        # a = (sb·Q / (s·sa))·b + R / (s·sa)
-        (ia, sa), (ib, sb) = a.cleared(), b.cleared()
-        iq, ir, s = _int_divide(ia, ib, f)
-        return (Poly.from_cleared([c * sb for c in iq], s * sa, f),
-                Poly.from_cleared(ir, s * sa, f))
+        iq, r, d, sb = a._divide(b)
+        return Poly.from_cleared([c * sb for c in iq], d, a.field), r
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        """The remainder alone: its quotient is not built."""
+        a, b = self._pair(other)
+        return NotImplemented if a is None else a._divide(b)[1]
+
+    def _divide(self, b):
+        """(Q, r, d, sb) with self = (sb·Q/d)·b + r for b ≠ 0 in the field
+        of self: `_int_divide` gives s·A = Q·B + R for the cleared
+        A = sa·self and B = sb·b, so d = s·sa and r = R/d."""
+        if b.is_zero():
+            raise DivisionByZeroPoly("polynomial division by zero")
+        (ia, sa), (ib, sb) = self.cleared(), b.cleared()
+        iq, ir, s = _int_divide(ia, ib, self.field)
+        return iq, Poly.from_cleared(ir, s * sa, self.field), s * sa, sb
 
     def exact_div(self, other):
         q, r = divmod(self, other)
@@ -446,6 +454,86 @@ def _over_lcm(rows):
     d = lcm(*(q for _, q in rows))
     return [ints if q == d else [c * (d // q) for c in ints]
             for ints, q in rows], d
+
+
+def _int_mul(a, b, mt):
+    """Product of nonempty cleared lists over Z[t̃]/(m̃), m̃ = mt (ascending
+    ints) of degree e, by Kronecker substitution (von zur Gathen & Gerhard,
+    *Modern Computer Algebra*, section 8.4): the blocks are spread to
+    stride 2e − 1, so that one integer convolution holds every product of
+    t̃-powers apart, and each output block is folded back by m̃."""
+    e = len(mt) - 1
+    if e > 1:
+        a, b = _spread(a, e), _spread(b, e)
+    x, n = a[0], len(b)
+    out = [x * y for y in b] + [0] * (len(a) - 1)
+    for i in range(1, len(a)):
+        x = a[i]
+        if x:
+            out[i:i + n] = [o + x * y for o, y in zip(out[i:i + n], b)]
+    return _fold(out, mt) if e > 1 else out
+
+
+def _spread(a, e):
+    """The blocks of a cleared list at stride 2e − 1, zero-padded."""
+    s = 2 * e - 1
+    out = [0] * ((len(a) // e - 1) * s + e)
+    for u in range(e):
+        out[u::s] = a[u::e]
+    return out
+
+
+def _fold(c, mt):
+    """Blocks of 2e − 1 coordinates reduced to blocks of e modulo the
+    monic mt (ascending, of degree e)."""
+    e = len(mt) - 1
+    s, low = 2 * e - 1, mt[:e]
+    out = []
+    for j in range(0, len(c), s):
+        block = c[j:j + s]
+        for w in range(s - 1, e - 1, -1):
+            top = block[w]
+            if top:
+                block[w - e:w] = [x - top * y
+                                  for x, y in zip(block[w - e:w], low)]
+        out += block[:e]
+    return out
+
+
+def _int_dot(a, b, field):
+    """Σ a_i·b_i for two cleared int lists, as one block of e ints: the
+    products of t̃-coordinates are summed unreduced in 2e − 1 coordinates,
+    then folded once by m̃."""
+    e = field.degree
+    if e == 1:
+        return [sum(map(mul, a, b))]
+    acc = [0] * (2 * e - 1)
+    for u in range(e):
+        for v in range(e):
+            acc[u + v] += sum(map(mul, a[u::e], b[v::e]))
+    return _fold(acc, field.tilde_modulus)
+
+
+def _int_values(lists, rows, field):
+    """The values of the functionals with the cleared monomial rows `rows`
+    on the cleared polynomials `lists`: one flat list of `_int_dot` blocks
+    per polynomial, over the rows in turn."""
+    return [[x for r in rows for x in _int_dot(a, r, field)] for a in lists]
+
+
+def _int_combination(vec, lists, mt):
+    """Σ_j V_j·L_j for the blocks V_j of the flat cleared vector `vec` and
+    the nonempty cleared lists L_j (any lengths), skipping zero blocks;
+    [] when every block is zero."""
+    e = len(mt) - 1
+    acc = []
+    for j, b in enumerate(lists):
+        block = vec[j * e:(j + 1) * e]
+        if any(block):
+            term = ([block[0] * c for c in b] if e == 1
+                    else _int_mul(block, b, mt))
+            acc = _int_sum(acc, term) if acc else term
+    return acc
 
 
 def _int_sum(a, b):

@@ -30,8 +30,8 @@ from operator import mul
 from .errors import (ConstantInput, DegreesNotCoprime, FewerThanTwoGenerators,
                      SubalgError, ZeroPolynomialInY)
 from .fields import QQ, common_field, is_zero_scalar
-from .modular import (coordinate_bound, crt, evaluate_at, lagrange_basis,
-                      modulus_roots, root_radius, word_primes)
+from .modular import (_reduced, _trim, coordinate_bound, crt, evaluate_at,
+                      lagrange_basis, modulus_roots, root_radius, word_primes)
 from .mpoly import MPoly
 from .poly import Poly, _over_lcm, poly_gcd
 
@@ -278,14 +278,7 @@ def _euclid(A, B, p):
         degrees |= 1 << dB
         inv = pow(lead, -1, p)
         B = [b * inv % p for b in B]
-        R = list(A)
-        for k in range(dA - dB, -1, -1):
-            c = R[k + dB] % p
-            if c:
-                R[k:k + dB] = [a - c * b for a, b in zip(R[k:k + dB], B)]
-        R = [a % p for a in R[:dB]]
-        while R and not R[-1]:
-            R.pop()
+        R = _trim(_reduced(A, B, p))
         if not R:
             return 0, degrees
         odd ^= dA & dB & 1

@@ -249,6 +249,19 @@ def test_conditions_need_every_zero_of_the_conductor():
             conditions_from_subalgebra(A, points)
 
 
+def test_equality_reads_one_containment_for_equal_degrees():
+    """Two algebras of semigroup <2, 3> that differ compare unequal in both
+    directions, though their SAGBI degrees agree; the same algebra from
+    other generators compares equal in both directions."""
+    A = kernel_subalgebra([diff(1, -1)])
+    B = kernel_subalgebra([diff(2, -2)])
+    assert A.sagbi_basis().degrees == B.sagbi_basis().degrees == (2, 3)
+    assert A != B and B != A
+    assert not (A == B or B == A)
+    C = Subalgebra.from_generators([P("x^2 + x^3 - x"), P("x^3 - x")])
+    assert A == C and C == A
+
+
 def test_intersect_and_join():
     A1 = kernel_subalgebra([deriv((1, 0, 1))])
     A2 = kernel_subalgebra([deriv((1, 1, 1))])

@@ -6,9 +6,11 @@ import pytest
 import fraction_reference as ref
 from subalg.errors import (DivisionByZeroPoly, FieldMismatch, NonInvertible,
                            SubalgError)
+from subalg.conditions import LinearFunctional
 from subalg.fields import NumberField, QQ, common_field, field_of
 from subalg.parsing import parse_poly
-from subalg.poly import (Poly, _int_scaled, format_poly, poly_gcd,
+from subalg.poly import (Poly, _int_combination, _int_mul, _int_scaled,
+                         _int_values, _over_lcm, format_poly, poly_gcd,
                          squarefree_decompose)
 
 
@@ -492,3 +494,90 @@ def test_cleared_sums_match_the_reference_on_hypothesis_polys():
             ref.sub(a, b)))
 
     check()
+
+
+# -- the integer kernel against scalar arithmetic ---------------------------
+
+
+def _kernel_scalar(rng, field):
+    return _random_scalar(rng) if field is QQ else _random_element(rng, field)
+
+
+def _kernel_coeffs(rng, field, low=0, high=7):
+    """A list of low..high scalars; its top one may be zero."""
+    return [_kernel_scalar(rng, field)
+            for _ in range(rng.randint(low, high))]
+
+
+def _as_poly(cleared, field):
+    """The Poly, built from scalars, of a cleared (ints, d)."""
+    return Poly(field.from_tilde_coordinates(*cleared), field)
+
+
+@pytest.mark.parametrize("field", _DIFFERENTIAL_FIELDS,
+                         ids=lambda f: f.label)
+def test_int_mul_matches_the_scalar_product(field):
+    """`_int_mul` on raw cleared lists (not trimmed, not reduced to the
+    least denominator) against `ref.mul` on the scalars."""
+    rng = random.Random(20261027)
+    for _ in range(30):
+        a, b = (_kernel_coeffs(rng, field, low=1) for _ in range(2))
+        (ia, da), (ib, db) = (_int_scaled(c, field) for c in (a, b))
+        k = rng.choice((1, -1, 6))
+        product = _int_mul([c * k for c in ia], ib, field.tilde_modulus)
+        assert _as_poly((product, da * db * k), field).coeffs == \
+            ref.mul(Poly(a, field), Poly(b, field)).coeffs
+
+
+@pytest.mark.parametrize("field", _DIFFERENTIAL_FIELDS,
+                         ids=lambda f: f.label)
+def test_int_combination_matches_the_scalar_sum(field):
+    """Σ v_j·P_j from `_int_combination` on a cleared vector and products
+    over one denominator (`_over_lcm`), against `ref.add` and `ref.scale`;
+    zero coefficients, a zero sum and lists of different lengths occur."""
+    rng = random.Random(20261028)
+    for trial in range(30):
+        polys = [_kernel_coeffs(rng, field, low=1)
+                 for _ in range(rng.randint(1, 5))]
+        vec = [_kernel_scalar(rng, field) if trial % 5 else field.zero
+               for _ in polys]
+        lists, den = _over_lcm([_int_scaled(c, field) for c in polys])
+        ints, w = _int_scaled(vec, field)
+        expected = Poly.zero(field)
+        for v, c in zip(vec, polys):
+            expected = ref.add(expected, ref.scale(Poly(c, field), v))
+        combination = _int_combination(ints, lists, field.tilde_modulus)
+        assert _as_poly((combination, w * den), field).coeffs == \
+            expected.coeffs
+
+
+@pytest.mark.parametrize("field", _DIFFERENTIAL_FIELDS,
+                         ids=lambda f: f.label)
+def test_int_values_match_the_scalar_dots(field):
+    """`_int_values` of cleared polynomials on the cleared monomial rows of
+    derivative combinations (`ref.monomial_row`): entry (i, j) is
+    Σ_k P_i[k]·L_j(x^k), summed over scalars."""
+    rng = random.Random(20261029)
+    degree = 7
+    for _ in range(8):
+        polys = [_kernel_coeffs(rng, field, high=degree + 1)
+                 for _ in range(rng.randint(1, 4))]
+        functionals = [LinearFunctional.derivative_combo(
+            [(rng.randint(1, 3), _kernel_scalar(rng, field),
+              _kernel_scalar(rng, field) or field.one)
+             for _ in range(rng.randint(1, 3))])
+            for _ in range(rng.randint(1, 3))]
+        rows = [ref.monomial_row(L, degree, field) for L in functionals]
+        cleared_polys = [_int_scaled(c, field) for c in polys]
+        cleared_rows = [_int_scaled(r, field) for r in rows]
+        values = _int_values([ints for ints, _ in cleared_polys],
+                             [ints for ints, _ in cleared_rows], field)
+        e = field.degree
+        for (_, dp), P, line in zip(cleared_polys, polys, values):
+            assert len(line) == e * len(rows)
+            for j, ((_, dr), row) in enumerate(zip(cleared_rows, rows)):
+                expected = field.zero
+                for p, r in zip(P, row):
+                    expected = expected + p * r
+                assert field.from_tilde_coordinates(
+                    line[j * e:(j + 1) * e], dp * dr)[0] == expected
