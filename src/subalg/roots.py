@@ -1,5 +1,6 @@
 """Root extraction: exact roots over Q or a number field by p-adic lifting,
-and numeric complex roots by simultaneous (Aberth–Ehrlich) iteration.
+numeric complex roots by simultaneous (Aberth–Ehrlich) iteration, and
+their Newton refinement on the exact polynomial.
 
 `field_roots` is the one exact search: every square-free factor gives up
 all its roots in the field (`_lifted_roots`, the same code for Q, which is
@@ -17,7 +18,7 @@ import cmath
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import ceil
+from math import ceil, exp, log, pi
 
 from .errors import NonConvergence, SubalgError
 from .fields import QQ, is_zero_scalar
@@ -196,17 +197,48 @@ def split_roots(p, nf=None):
 # ---------------------------------------------------------------------------
 
 
+def _newton_polygon_starts(coeffs):
+    """Bini's Aberth starts for the complex `coeffs` (ascending, top one
+    nonzero): each edge a → b of the upper convex hull of the points
+    (k, log|c_k|) with c_k ≠ 0, the i-th from the left, gets b − a starts
+    on the circle of radius (|c_a|/|c_b|)^(1/(b−a)) at the angles
+    2πj/(b−a) + 2πi/n + 0.7.  A root at zero (c_0 = 0) starts there."""
+    n = len(coeffs) - 1
+    hull = []
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        y = log(abs(c))
+        while len(hull) >= 2:
+            (k0, y0), (k1, y1) = hull[-2:]
+            if (k1 - k0) * (y - y0) < (y1 - y0) * (k - k0):
+                break               # a right turn: (k1, y1) stays
+            hull.pop()
+        hull.append((k, y))
+    starts = [0j] * hull[0][0]
+    for i, ((a, ya), (b, yb)) in enumerate(zip(hull, hull[1:])):
+        radius = exp((ya - yb) / (b - a))
+        starts += [radius * cmath.exp(1j * (2 * pi * (j / (b - a) + i / n)
+                                            + 0.7))
+                   for j in range(b - a)]
+    return starts
+
+
 def aberth_roots(p):
     """All complex roots of a square-free polynomial, double precision.
 
     Returns (roots, residual_bound).  Each root is corrected until its
     backward-error scaled residual |p(z)| <= RESIDUAL_TOL·Σ|c_i|·|z|^i,
     within MAX_ITERATIONS sweeps (else NonConvergence), and then once
-    more.  The roots start on the circle of Fujiwara's bound
-    2·max_k |c_k/c_n|^(1/(n−k)) (with |c_0| for |c_0/2|), which contains
-    every root; a start on Cauchy's radius 1 + max|c_k/c_n| lies so far
-    out for large coefficients that the iterates shrink towards the roots
-    by only about a factor 1 − 1/n per sweep.
+    more.  The roots start on Bini's circles (Bini 1996, *Numerical
+    computation of polynomial zeros by means of Aberth's method*; see
+    `_newton_polygon_starts`): each edge of the upper convex hull of the
+    points (k, log|c_k|) holds as many roots as it is long, near the
+    circle it gives, so each root starts near its modulus.  Started on
+    one circle (Fujiwara's bound), the iterates of the small and large
+    roots first travel to their moduli: on the unsplit factors of the
+    benchmark's charpoly pairs that took 18 sweeps in the median against
+    9, and up to 86 against 16.
     """
     coeffs = [complex(_as_float(c)) for c in p.coeffs]
     lead = coeffs[-1]
@@ -216,10 +248,7 @@ def aberth_roots(p):
         return [], 0.0
     if n == 1:
         return [-coeffs[0]], 0.0
-    radius = 2 * max(abs(c) ** (1 / (n - k))
-                     for k, c in enumerate(coeffs[:-1])) or 1.0
-    roots = [radius * cmath.exp(2j * cmath.pi * (k / n) + 0.4j)
-             for k in range(n)]
+    roots = _newton_polygon_starts(coeffs)
     deriv = [i * c for i, c in enumerate(coeffs)][1:]
     reversed_coeffs, reversed_deriv = coeffs[::-1], deriv[::-1]
     sizes = [abs(c) for c in coeffs]
@@ -271,3 +300,51 @@ def aberth_roots(p):
             roots[k] = new
     residual = max(abs(horner(reversed_coeffs, z)) for z in roots)
     return roots, residual
+
+
+def refined_roots(p, roots):
+    """The complex `roots` of p (rational coefficients), each refined by
+    Newton's method on the exact integer form of p (`Poly.cleared`).
+
+    Each step writes z as a Gaussian integer over a power of two, takes
+    z − p(z)/p′(z) exactly (Horner over Z[i]) and rounds it to a complex
+    double (int / int rounds correctly).  A root stops when the rounded
+    value stops moving, or after 8 steps.
+    """
+    ints, _ = p.to_rational().cleared()
+    dints = _derivative(ints)
+    out = []
+    for z in roots:
+        for _ in range(8):
+            new = _newton_step(ints, dints, z)
+            if new == z:
+                break
+            z = new
+        out.append(z)
+    return out
+
+
+def _newton_step(ints, dints, z):
+    """z − g(z)/g′(z), rounded to a complex double, for g with the int
+    coefficients `ints` and g′ with `dints`; z itself where g′(z) = 0."""
+    (a, da), (b, db) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    d = max(da, db)
+    a, b, e = a * (d // da), b * (d // db), d.bit_length() - 1
+    gr, gi = _gaussian_horner(ints, a, b, e)
+    hr, hi = _gaussian_horner(dints, a, b, e)
+    # with G = gr + i·gi = d^n·g(z) and H = hr + i·hi = d^(n−1)·g′(z):
+    # z − g(z)/g′(z) = ((a + ib)·H − G) / (d·H)
+    nr, ni = a * hr - b * hi - gr, a * hi + b * hr - gi
+    den = d * (hr * hr + hi * hi)
+    if not den:
+        return z
+    return complex((nr * hr + ni * hi) / den, (ni * hr - nr * hi) / den)
+
+
+def _gaussian_horner(cs, a, b, e):
+    """2^(e·m)·g((a + ib)/2^e) as (re, im) ints, for the int list cs of
+    g, of degree m."""
+    xr = xi = 0
+    for k, c in enumerate(reversed(cs)):
+        xr, xi = xr * a - xi * b + (c << e * k), xr * b + xi * a
+    return xr, xi

@@ -19,7 +19,7 @@ from .errors import (BoundViolated, NoDegreeTwoElement, SpectrumNotExact,
 from .fields import format_scalar, is_zero_scalar, scalar_to_json
 from .poly import Poly, _as_float, poly_gcd, squarefree_decompose
 from .resultants import _lattice_gcd
-from .roots import aberth_roots, split_roots
+from .roots import aberth_roots, refined_roots, split_roots
 
 PAIR_TOL = 1e-8
 
@@ -106,17 +106,32 @@ def compute_spectrum(A, nf=None):
     them; the roots of the unsplit rest follow as complex double-precision
     points (`exact` False).  So which points are exact depends only on
     the field.  Multiplicities are read from χ only when asked for.
+
+    The complex points are first the `aberth_roots` of the rounded
+    factors.  If one of them is left unpaired (UnpairedRoot), every
+    factor's roots are refined by Newton's method on its exact integer
+    form (`refined_roots`) and the points are classified once more; an
+    UnpairedRoot then propagates.
     """
     A = Subalgebra.of(A)
     c = A.conductor()
     if c.degree < 1:
         return []
     exact, leftover = split_roots(c, nf)
-    points = [SpectrumPoint(v, algebra=A) for v, _ in exact] + \
-        [SpectrumPoint(z, exact=False, algebra=A, factor=rest)
-         for rest, _ in leftover for z in aberth_roots(rest)[0]]
-    _classify(A.sagbi_basis().elements, points)
-    return points
+    numeric = [(rest, aberth_roots(rest)[0]) for rest, _ in leftover]
+
+    def classified(numeric):
+        points = [SpectrumPoint(v, algebra=A) for v, _ in exact] + \
+            [SpectrumPoint(z, exact=False, algebra=A, factor=rest)
+             for rest, roots in numeric for z in roots]
+        _classify(A.sagbi_basis().elements, points)
+        return points
+
+    try:
+        return classified(numeric)
+    except UnpairedRoot:
+        return classified([(rest, refined_roots(rest, roots))
+                           for rest, roots in numeric])
 
 
 def _rational(value):

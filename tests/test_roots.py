@@ -11,7 +11,7 @@ from subalg.modular import integral_modulus, is_prime
 from subalg.parsing import parse_poly as P
 from subalg.poly import Poly, squarefree_decompose
 from subalg.roots import (aberth_roots, field_roots, rational_roots,
-                          split_roots)
+                          refined_roots, split_roots)
 from test_resultants import reference_scalar_resultant
 
 
@@ -361,73 +361,6 @@ def test_roots_match_sympy_factoring(modulus):
         assert got == expected, src
 
 
-# --- Aberth: the sweep that re-tested every root ---------------------------
-
-def reference_aberth_roots(p):
-    """`aberth_roots` as it was before it stopped re-testing converged
-    roots: every sweep tests every root."""
-    import cmath
-    from subalg.poly import _as_float
-    coeffs = [complex(_as_float(c)) for c in p.coeffs]
-    lead = coeffs[-1]
-    coeffs = [c / lead for c in coeffs]
-    n = len(coeffs) - 1
-    if n == 0:
-        return [], 0.0
-    if n == 1:
-        return [-coeffs[0]], 0.0
-    radius = 2 * max(abs(c) ** (1 / (n - k))
-                     for k, c in enumerate(coeffs[:-1])) or 1.0
-    roots = [radius * cmath.exp(2j * cmath.pi * (k / n) + 0.4j)
-             for k in range(n)]
-    deriv = [i * c for i, c in enumerate(coeffs)][1:]
-
-    def horner(cs, z):
-        acc = 0j
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
-    def scale_at(z):
-        az, acc, power = abs(z), 0.0, 1.0
-        for c in coeffs:
-            acc += abs(c) * power
-            power *= az
-        return acc
-
-    def corrected(k, pz):
-        z = roots[k]
-        dz = horner(deriv, z)
-        if dz == 0:
-            return None
-        w = pz / dz
-        denom = 1.0 - w * sum(1.0 / (z - roots[j]) for j in range(n) if j != k)
-        return None if denom == 0 else z - w / denom
-
-    for _ in range(roots_module.MAX_ITERATIONS):
-        converged = True
-        for k in range(n):
-            z = roots[k]
-            pz = horner(coeffs, z)
-            if abs(pz) <= roots_module.RESIDUAL_TOL * scale_at(z):
-                continue
-            converged = False
-            new = corrected(k, pz)
-            roots[k] = z + 1e-6 * (1 + abs(z)) if new is None else new
-        if converged:
-            break
-    else:
-        raise NonConvergence(
-            f"Aberth iteration did not converge in "
-            f"{roots_module.MAX_ITERATIONS} steps")
-    for k in range(n):
-        new = corrected(k, horner(coeffs, roots[k]))
-        if new is not None:
-            roots[k] = new
-    residual = max(abs(horner(coeffs, z)) for z in roots)
-    return roots, residual
-
-
 def _leftover_factors(pairs):
     """The factors of the conductors of K[p, q] that `split_roots` leaves
     to Aberth."""
@@ -442,18 +375,104 @@ LARGE_COEFFICIENTS = (P("x^7 - x^6 + x^5 + x^4 + x^3 + 3*x^2 - x - 2"),
                       P("x^8 - 2*x^7 + 2*x^5 - 2*x^4 - 2*x^2 + 2*x - 2"))
 
 
-def test_aberth_matches_the_sweep_that_retests_every_root(monkeypatch):
+# charpoly pair items (seed:item) of the benchmark stream whose Aberth
+# roots leave a point unpaired; the refined roots pair all but 7:36
+UNPAIRED_BY_ABERTH = {
+    "default:150": ((-2, 1, 1, 3, 2, 2, 1, 3, 1),
+                    (0, 1, 2, 1, -3, -3, 2, 3, 3, 1)),
+    "6:58": ((2, 0, 1, -2, -3, 1), (-3, 2, 2, 2, 3, -2, -1, -3, 1)),
+    "9:36": ((-3, -3, -2, 2, -3, 1, -1, 2, 1),
+             (-1, 0, -1, 0, 3, 3, 2, -1, 2, 1)),
+    "3:86": ((3, 1, -1, -3, 1), (-2, 3, 0, 0, -1, 2, -1, -3, -2, 1)),
+    "7:36": ((-2, 2, -1, -1, 1, 2, -2, 2, 1),
+             (-1, 3, 1, -3, 1, 0, 1, 1, 3, 1)),
+}
+
+
+def unpaired_pair(name):
+    return tuple(Poly([F(c) for c in cs]) for cs in UNPAIRED_BY_ABERTH[name])
+
+
+def _one_to_one(candidates):
+    """Can each i take its own j from candidates[i] (augmenting paths)?"""
+    owner = {}
+
+    def augment(i, seen):
+        for j in candidates[i]:
+            if j not in seen:
+                seen.add(j)
+                if j not in owner or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(candidates)))
+
+
+def test_aberth_roots_are_the_roots_one_to_one(monkeypatch):
+    # each returned z has a root of f within n·|f(z)/f′(z)| (from
+    # f′/f(z) = Σ 1/(z − r)); disjoint discs hold one root each, and
+    # overlapping ones are matched to sympy's 30-digit roots
+    sympy = pytest.importorskip("sympy")
+    import mpmath
     from test_resultants import _charpoly_items
     large = _leftover_factors([LARGE_COEFFICIENTS])
     assert [f.degree for f in large] == [42]
-    factors = _leftover_factors(_charpoly_items("pair", 200)) + large
+    factors = _leftover_factors(_charpoly_items("pair", 200))
     assert len(factors) > 150
-    for f in factors:
-        roots, residual = aberth_roots(f)
-        expected, expected_residual = reference_aberth_roots(f)
-        assert roots == expected and residual == expected_residual, f
+    cluster = _leftover_factors([unpaired_pair("7:36")])
+    matched = 0
+    with mpmath.workdps(30):
+        for f in factors + large + cluster:
+            roots, _ = aberth_roots(f)
+            assert len(roots) == f.degree
+            coeffs = [mpmath.mpf(c.numerator) / c.denominator
+                      for c in reversed(f.coeffs)]
+            discs = []
+            for z in roots:
+                value, slope = mpmath.polyval(coeffs, z, derivative=True)
+                discs.append((z, f.degree * abs(value / slope)))
+            if all(abs(z - w) > r + s for i, (z, r) in enumerate(discs)
+                   for w, s in discs[i + 1:]):
+                continue
+            x = sympy.Symbol("x")
+            exact = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                                for c in reversed(f.coeffs)], x)
+            true = [mpmath.mpmathify(w)
+                    for w in exact.nroots(n=30, maxsteps=200)]
+            assert _one_to_one([[j for j, w in enumerate(true)
+                                 if abs(z - w) <= r] for z, r in discs]), f
+            matched += 1
+    assert matched >= 1
     monkeypatch.setattr(roots_module, "MAX_ITERATIONS", 5)
     with pytest.raises(NonConvergence):
         aberth_roots(large[0])
-    with pytest.raises(NonConvergence):
-        reference_aberth_roots(large[0])
+
+
+def test_refined_roots_are_the_correctly_rounded_roots():
+    sympy = pytest.importorskip("sympy")
+    from subalg.conditions import Subalgebra
+    (f, _), = split_roots(Subalgebra.from_generators(
+        unpaired_pair("default:150")).conductor())[1]
+    assert f.degree == 56
+    refined = refined_roots(f, aberth_roots(f)[0])
+    x = sympy.Symbol("x")
+    true = [complex(w) for w in sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator)
+         for c in reversed(f.coeffs)], x).nroots(n=60, maxsteps=200)]
+    nearest = [min(range(len(true)), key=lambda j: abs(z - true[j]))
+               for z in refined]
+    assert sorted(nearest) == list(range(len(true)))
+    assert all(abs(z - true[j]) <= 1e-15 * abs(true[j])
+               for z, j in zip(refined, nearest))
+    assert sorted(refined, key=lambda z: (z.real, z.imag)) == \
+        sorted((z.conjugate() for z in refined),
+               key=lambda z: (z.real, z.imag))
+    # a real start stays on the real axis, on the correctly rounded root
+    g = P("x^5 - 3*x + 1")
+    starts = [complex(r) for r in (-1.4, 0.3, 1.2)]
+    real = sorted(float(r.evalf(30)) for r in sympy.Poly(
+        [1, 0, 0, 0, -3, 1], x).real_roots())
+    got = refined_roots(g, starts)
+    assert all(z.imag == 0 for z in got)
+    assert [z.real for z in got] == real

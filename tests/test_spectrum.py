@@ -13,11 +13,11 @@ from subalg.errors import (NoDegreeTwoElement, ParameterDegeneracy,
 from subalg.fields import QQ, NumberField, field_of, is_zero_scalar
 from subalg.parsing import parse_poly
 from subalg.poly import Poly, poly_gcd, squarefree_decompose
-from subalg.roots import aberth_roots, split_roots
+from subalg.roots import aberth_roots, refined_roots, split_roots
 from subalg.spectrum import (SpectrumPoint, characteristic_polynomial,
                              compute_clusters, deg2_description,
                              deg2_from_description, spectrum_size_check)
-from test_roots import reference_candidates
+from test_roots import reference_candidates, unpaired_pair
 
 
 def alg(*srcs, field=None):
@@ -550,3 +550,32 @@ def test_aberth_starts_inside_large_coefficients():
     c = A.conductor()
     assert all(abs(c(p.value)) < 1e-6 * spectrum._scale(c, p.value)
                for p in points)
+
+
+@pytest.mark.parametrize("name", ["default:150", "6:58", "9:36", "3:86"])
+def test_refined_roots_pair_what_the_aberth_roots_leave_unpaired(
+        name, monkeypatch):
+    calls = []
+
+    def counted(p, roots):
+        calls.append(p.degree)
+        return refined_roots(p, roots)
+
+    monkeypatch.setattr(spectrum, "refined_roots", counted)
+    p, q = unpaired_pair(name)
+    points = Subalgebra.from_generators([p, q]).spectrum()
+    assert calls and points
+    assert all(pt.kind == "paired" for pt in points)
+    for pt in points:
+        a, b = complex(pt.value), complex(pt.partner)
+        for e in (p, q):
+            assert abs(e(a) - e(b)) <= \
+                1e-12 * max(spectrum._scale(e, a), spectrum._scale(e, b))
+
+
+@pytest.mark.xfail(raises=UnpairedRoot, strict=True,
+                   reason="a tight cluster of six roots near -2.85 is not "
+                   "resolved in 8 Newton steps: the float pairing fails "
+                   "until ROADMAP item 2 pairs the roots exactly")
+def test_refined_roots_leave_a_tight_cluster_unpaired():
+    Subalgebra.from_generators(list(unpaired_pair("7:36"))).spectrum()
