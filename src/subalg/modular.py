@@ -145,6 +145,10 @@ def modulus_roots(mt, p):
     e) modulo the prime p, ascending, when it has e distinct ones; else
     None.
 
+    Stickelberger's theorem filters first: for odd p ∤ disc m̃, the
+    Legendre symbol of disc m̃ is (−1)^(e − r), r the number of
+    irreducible factors of m̃ mod p, so e distinct roots (r = e) need
+    disc m̃ to be a nonzero square mod p (`_discriminant`, once per m̃).
     A linear factor gives its root, and a quadratic one x² + bx + c two
     distinct roots exactly when b² − 4c is a nonzero square, found by
     `_sqrt` (for odd p).  For e > 2, m̃ has e distinct roots exactly when
@@ -162,6 +166,8 @@ def modulus_roots(mt, p):
         roots = tuple(r for r in range(2) if not _horner(m, r, 2))
         return roots if len(roots) == e else None
     half = (p - 1) // 2
+    if pow(_discriminant(mt) % p, half, p) != 1:
+        return None
     if e > 2:
         x = [0, 1] + [0] * (e - 2)
         h = _power(x, half, m, p)                   # x^((p−1)/2) mod m̃
@@ -189,6 +195,34 @@ def modulus_roots(mt, p):
                 pending.append(g)
                 a += 1
     return tuple(sorted(roots))
+
+
+@cache
+def _discriminant(mt):
+    """disc m̃ = (−1)^(e(e−1)/2)·Res(m̃, m̃′) for the monic m̃ = mt (an
+    ascending int tuple of degree e): the determinant of the Sylvester
+    matrix by fraction-free elimination (Bareiss 1968), each division
+    exact."""
+    e = len(mt) - 1
+    f = list(reversed(mt))
+    g = [k * a for k, a in enumerate(mt)][:0:-1]
+    n = 2 * e - 1
+    rows = [[0] * i + f + [0] * (e - 2 - i) for i in range(e - 1)] + \
+        [[0] * i + g + [0] * (e - 1 - i) for i in range(e)]
+    sign, previous = (-1) ** (e * (e - 1) // 2), 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot], sign = rows[pivot], rows[k], -sign
+        top = rows[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            rows[i] = [(a * top[k] - row[k] * b) // previous
+                       for a, b in zip(row, top)]
+        previous = top[k]
+    return sign * previous
 
 
 def _sqrt(d, p):

@@ -20,6 +20,7 @@ from operator import mul
 from .errors import (BothZero, DivisionByZeroPoly, FieldMismatch, ZeroInput)
 from .fields import (QQ, FieldElem, common_field, field_of, format_scalar,
                      is_zero_scalar)
+from .modular import _gcd, evaluate_at, modulus_roots, word_primes
 
 
 class Poly:
@@ -647,12 +648,33 @@ def poly_gcd(a, b):
 
 
 def squarefree_decompose(p):
-    """Yun's algorithm: p = c * prod f_i^{m_i}, f_i monic square-free."""
+    """Yun's algorithm (Yun 1976): p = c * prod f_i^{m_i}, f_i monic
+    square-free, as [(f_i, m_i)] by ascending m_i, for the monic c of p.
+
+    A square-free c is first certified modulo one prime, with no gcd over
+    K = Q[t]/(m), and then [(c, 1)] is returned, as Yun would.  Clear c
+    to d·c with integer t̃-coordinates (t̃ = μ·t, m̃ monic and integral;
+    see `_int_scaled`); its cleared lead is d.  The prime q is the first
+    of `modular.word_primes` that divides neither d nor μ and modulo which
+    m̃ has e distinct roots (`modular.modulus_roots`; over Q every prime,
+    with θ = 0), and t̃ ↦ θ₀, its first root, maps c to c̄ in F_q[x], monic
+    of the same degree.  If gcd(c̄, c̄′) = 1 in F_q[x], c is square-free.
+    Proof: suppose f² | c with f monic, deg f ≥ 1.  The coefficients of f
+    are symmetric functions of some roots of c, so they are integral over
+    Z_(q)[θ̃], the ring the coefficients of c lie in (q ∤ d).  q ∤ disc m̃,
+    as m̃ has e distinct roots mod q, so Z_(q)[θ̃] is integrally closed in
+    K (the index of Z[θ̃] in the integral closure of Z divides disc m̃):
+    f and c/f² have coefficients in Z_(q)[θ̃].  The ring map t̃ ↦ θ₀ onto
+    F_q then gives f̄² | c̄ with f̄ monic and deg f̄ ≥ 1, so c̄ and c̄′
+    have the common factor f̄.
+    """
     if p.is_zero():
         raise ZeroInput("square-free decomposition of zero")
     p = p.monic()
     if p.degree == 0:
         return []
+    if _certified_squarefree(p):
+        return [(p, 1)]
     out = []
     g = poly_gcd(p, p.derivative())
     w = p.exact_div(g)
@@ -666,6 +688,23 @@ def squarefree_decompose(p):
         g = g.exact_div(y)
         m += 1
     return out
+
+
+def _certified_squarefree(c):
+    """Is gcd(c̄, c̄′) = 1 for the monic c of degree ≥ 1 at the one prime
+    and root θ₀ of `squarefree_decompose`?"""
+    field = c.field
+    ints, d = c.cleared()
+    mt, e = tuple(field.tilde_modulus), field.degree
+    for q in word_primes():
+        thetas = None if d * field.mu % q == 0 else modulus_roots(mt, q)
+        if thetas is not None:
+            break
+    scale = pow(d, -1, q)
+    image = [v * scale % q for v in evaluate_at(
+        [ints[j:j + e] for j in range(0, len(ints), e)], thetas[0], q)]
+    derivative = [k * v % q for k, v in enumerate(image)][1:]
+    return _gcd(derivative, image, q) == [1]
 
 
 def squarefree_part(p):

@@ -340,8 +340,20 @@ def char_poly_multi(gens, symmetrize=False):
     are taken cheapest first (see `_lattice_gcd`).  The running gcd stops
     once it is constant, and is zero when every sample is.
 
+    Stop at the conductor.  With t >= 3 generators whose degrees have
+    gcd 1, the algebra A they generate has finite codimension and a
+    conductor c (`Subalgebra.conductor`), and the gcd stops once its
+    degree is deg c.  That stop is exact: a nonzero sample is
+    ±Res_y(P_1, Q) = ±chi_{p_1, q} for q = sum z_i p_i in A, the
+    conductor of K[p_1, q] ⊆ A, which lies in the conductor ideal c·K[x]
+    of A; so c divides every nonzero sample and their running gcd, which
+    can reach deg c only by equalling c.  Where chi_A ≠ c every sample is
+    taken.  Two generators give one sample, whose conductor is that same
+    resultant, and for a degree gcd > 1 `sagbi_complete` takes the full
+    lattice gcd itself, so both keep the stop degree 0.
+
     With symmetrize=True, returns the monic gcd over all t choices of the
-    distinguished generator.
+    distinguished generator, each stopped at the one conductor of A.
     """
     gens = list(gens)
     if sum(1 for g in gens if g.degree >= 1) < 2:
@@ -349,17 +361,20 @@ def char_poly_multi(gens, symmetrize=False):
             "char_poly_multi needs >= 2 nonconstant generators")
     if any(g.degree < 1 for g in gens):
         raise ConstantInput("constant generator in char_poly_multi")
-    if symmetrize:
-        result = None
-        for i in range(len(gens)):
-            rotated = [gens[i]] + gens[:i] + gens[i + 1:]
-            chi = char_poly_multi(rotated, symmetrize=False)
-            if result is None:
-                result = chi
-            elif chi:
-                result = poly_gcd(result, chi) if result else chi
-        return result
-    return _lattice_gcd(gens, 0)
+    least_degree = 0
+    if len(gens) > 2 and gcd(*(g.degree for g in gens)) == 1:
+        from .conditions import Subalgebra
+        least_degree = Subalgebra.from_generators(gens).conductor().degree
+    if not symmetrize:
+        return _lattice_gcd(gens, least_degree)
+    result = None
+    for i in range(len(gens)):
+        chi = _lattice_gcd([gens[i]] + gens[:i] + gens[i + 1:], least_degree)
+        if result is None:
+            result = chi
+        elif chi:
+            result = poly_gcd(result, chi) if result else chi
+    return result
 
 
 def _lattice_gcd(gens, least_degree):
@@ -369,8 +384,8 @@ def _lattice_gcd(gens, least_degree):
     Samples are taken by least y-degree, then least |w|, so the first is
     Res_y(P_1, P_2); each is exact (see `_resultant`), so the gcd is
     exact too.  The stop is exact when `least_degree` bounds the
-    gcd from below: 0 always, and deg c for the SAGBI basis of an algebra
-    with conductor c (see `spectrum.characteristic_polynomial`).
+    gcd from below: 0 always, and deg c for elements that generate an
+    algebra with conductor c (see `char_poly_multi`).
     """
     ps = [g.monic() for g in gens]
     field = QQ

@@ -82,12 +82,11 @@ class Cluster:
 
 def characteristic_polynomial(A):
     """Monic χ of A: the multi-generator χ of its SAGBI basis (see
-    `resultants._lattice_gcd`).  With at most two elements, χ is the
+    `resultants.char_poly_multi`).  With at most two elements, χ is the
     conductor c of A (1 for K[x]; see `conditions.conductor`) and no
-    resultant is taken here.  With more, the gcd stops exactly when it
-    reaches c: each nonzero sample is χ_{e, q} of two elements of A, the
-    conductor of K[e, q] ⊆ A, so c | χ_{e, q} and the gcd can never fall
-    below c.  Where χ ≠ c every sample is taken.
+    resultant is taken here.  With more, the lattice gcd stops exactly
+    when it reaches c, by the proof in `char_poly_multi`; where χ ≠ c
+    every sample is taken.
     """
     A = Subalgebra.of(A)
     basis = A.sagbi_basis()
@@ -155,7 +154,8 @@ def _classify(elements, points):
     embedding, and no element with a non-rational coefficient can be
     evaluated at a complex point.  Each element is evaluated once per
     point, and at complex points only when there is a numeric point and
-    every element is over Q.
+    every element is over Q; the coefficients of the elements and their
+    derivatives are then converted to doubles once.
 
     A point is derivative-kind when every e′ vanishes there (below
     PAIR_TOL at a numeric point).  Otherwise its partner is the first
@@ -167,6 +167,9 @@ def _classify(elements, points):
     numeric = any(not p.exact for p in points) and \
         all(e.to_rational() is not None for e in elements)
     derivatives = [e.derivative() for e in elements]
+    if numeric:
+        floats = [_complex_coeffs(e) for e in elements]
+        float_derivatives = [_complex_coeffs(d) for d in derivatives]
     exact_values, complex_values, deriv = [], [], []
     for p in points:
         if p.exact:
@@ -175,12 +178,12 @@ def _classify(elements, points):
             z = _rational(p.value) if numeric else None
         else:
             exact_values.append(None)
-            deriv.append(numeric and all(abs(d(p.value)) < PAIR_TOL
-                                         for d in derivatives))
+            deriv.append(numeric and all(abs(_horner(cs, p.value)) < PAIR_TOL
+                                         for cs in float_derivatives))
             z = p.value if numeric else None
         complex_values.append(None if z is None else
-                              [(e(complex(z)), _scale(e, complex(z)))
-                               for e in elements])
+                              [(_horner(cs, complex(z)), _size(cs, complex(z)))
+                               for cs in floats])
 
     def agree(i, j):
         if exact_values[i] is not None and exact_values[j] is not None:
@@ -232,11 +235,31 @@ def _classify(elements, points):
             p.cluster = cluster
 
 
+def _complex_coeffs(e):
+    """The coefficients of e over Q as complex doubles, as `Poly.__call__`
+    converts them at a complex point."""
+    return [complex(_as_float(c)) for c in e.coeffs]
+
+
+def _horner(cs, z):
+    """e(z) from `_complex_coeffs(e)`, in `Poly.__call__`'s order, so
+    bit for bit its value."""
+    acc = 0j
+    for c in reversed(cs):
+        acc = acc * z + c
+    return acc
+
+
 def _scale(e, z):
     """1 + Σ |e_k|·|z|^k for e over Q: the size of the terms of e(z)."""
+    return _size(_complex_coeffs(e), z)
+
+
+def _size(cs, z):
+    """`_scale(e, z)` from `_complex_coeffs(e)`."""
     az, acc, power = abs(z), 1.0, 1.0
-    for c in e.coeffs:
-        acc += abs(_as_float(c)) * power
+    for c in cs:
+        acc += abs(c.real) * power
         power *= az
     return acc
 

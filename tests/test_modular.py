@@ -75,6 +75,26 @@ def test_modulus_roots_at_word_primes():
             assert split == len(primes)
 
 
+def test_the_discriminant_filter_keeps_every_answer(monkeypatch):
+    # t² + 1, t⁴ − 2t² + 9 (whose discriminant 384² is a square, so it
+    # never filters), t⁴ − t − 1 and t⁵ − t − 1 at the first 200 word
+    # primes: the answers are those computed with every discriminant
+    # taken as a square, which turns the filter off
+    moduli = {(1, 0, 1): -4, (9, 0, -2, 0, 1): 384 ** 2,
+              (-1, -1, 0, 0, 1): -283, (-1, -1, 0, 0, 0, 1): 2869}
+    primes = list(islice(word_primes(), 200))
+    filtered, rejected = {}, 0
+    for mt, disc in moduli.items():
+        assert modular._discriminant(mt) == disc
+        for p in primes:
+            filtered[mt, p] = modulus_roots.__wrapped__(mt, p)
+            rejected += pow(disc, (p - 1) // 2, p) != 1
+    monkeypatch.setattr(modular, "_discriminant", lambda mt: 1)
+    assert filtered == {(mt, p): modulus_roots.__wrapped__(mt, p)
+                        for mt in moduli for p in primes}
+    assert rejected > 200
+
+
 def test_lagrange_basis_inverts_the_vandermonde_matrix():
     p = 1000003
     thetas = [3, 17, 123456, 999999]

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
 import fraction_reference as ref
 from subalg.errors import (DivisionByZeroPoly, FieldMismatch, NonInvertible,
                            SubalgError)
+from subalg import poly
 from subalg.conditions import LinearFunctional
 from subalg.fields import NumberField, QQ, common_field, field_of
+from subalg.modular import modulus_roots, word_primes
 from subalg.parsing import parse_poly
 from subalg.poly import (Poly, _int_combination, _int_mul, _int_scaled,
                          _int_values, _over_lcm, format_poly, poly_gcd,
@@ -77,6 +80,59 @@ def test_squarefree_decompose():
     parts = squarefree_decompose(P("x^2 * (x - 1)^3"))
     assert sorted(((format_poly(f), m) for f, m in parts)) == \
         [("x", 2), ("x - 1", 3)]
+
+
+def test_squarefree_certificate_matches_yun(monkeypatch):
+    # seeded products of random factors, some with a planted square, over
+    # Q, Q(i) and Q(√2): the certificate answers where the product is
+    # square-free, and the answer is Yun's, taken with it refused
+    certified = []
+
+    def recorded(c):
+        certified.append(certificate(c))
+        return certified[-1]
+
+    certificate = poly._certified_squarefree
+    rng = random.Random(30)
+    for field in (QQ, NumberField([1, 0, 1]), NumberField([-2, 0, 1])):
+        t = field.gen() if field is not QQ else 0
+
+        def factor(degree):
+            return Poly([F(rng.randint(-9, 9), rng.randint(1, 4))
+                         + rng.randint(-3, 3) * t for _ in range(degree)]
+                        + [rng.randint(1, 3)], field)
+
+        for planted in (0, 0, 1, 2, 0, 1):
+            f = factor(rng.randint(1, 3)) * factor(rng.randint(1, 3))
+            if planted:
+                f = f * factor(planted) ** 2
+            certified.clear()
+            monkeypatch.setattr(poly, "_certified_squarefree", recorded)
+            got = squarefree_decompose(f)
+            monkeypatch.setattr(poly, "_certified_squarefree",
+                                lambda c: False)
+            yun = squarefree_decompose(f)
+            assert got == yun, (field, f)
+            assert certified == [[m for _, m in yun] == [1]], (field, f)
+
+
+def test_squarefree_certificate_skips_a_prime_dividing_the_lead(monkeypatch):
+    # the cleared lead of the monic c is its denominator, here divisible
+    # by the first word prime, so the second one is used
+    first, second = list(islice(word_primes(), 2))
+    primes = []
+
+    def recorded(mt, q):
+        primes.append(q)
+        return modulus_roots(mt, q)
+
+    monkeypatch.setattr(poly, "modulus_roots", recorded)
+    root, x = Poly([F(1, first)]), P("x")
+    c = (x - root) * (x + 2)
+    assert squarefree_decompose(c * 3) == [(c, 1)]
+    assert primes == [second]
+    assert squarefree_decompose((x - root) ** 2 * (x + 2)) == \
+        [(x + 2, 1), (x - root, 2)]
 
 
 def test_number_field_coefficients():

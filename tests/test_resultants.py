@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from subalg import resultants
+from subalg.conditions import Subalgebra
 from subalg.errors import (ConstantInput, DegreesNotCoprime,
                            FewerThanTwoGenerators)
 from subalg.fields import QQ, NumberField, common_field, is_zero_scalar
@@ -535,6 +536,84 @@ def test_char_poly_multi_matches_the_z_interpolation():
                   P("x^7", field=qi)]]:
         assert char_poly_multi(gens, symmetrize=True) == \
             reference_char_poly_multi(gens, symmetrize=True), gens
+
+
+def _recorded_lattices(monkeypatch):
+    """The `_lattice_gcd` calls that `char_poly_multi` and
+    `char_poly_pair` make, as (stop degree, samples): every sample is one
+    `resultant_y_tables` call, recorded only inside those calls, so a
+    conductor's own resultant is not counted."""
+    calls, inside = [], []
+    lattice_gcd = resultants._lattice_gcd
+    resultant = resultants.resultant_y_tables
+
+    def lattice(gens, least_degree):
+        inside.append([])
+        try:
+            return lattice_gcd(gens, least_degree)
+        finally:
+            calls.append((least_degree, inside.pop()))
+
+    def recorded(f_table, g_table):
+        sample = resultant(f_table, g_table)
+        if inside:
+            inside[-1].append(sample)
+        return sample
+
+    monkeypatch.setattr(resultants, "_lattice_gcd", lattice)
+    monkeypatch.setattr(resultants, "resultant_y_tables", recorded)
+    return calls
+
+
+def test_char_poly_multi_stops_at_the_conductor(monkeypatch):
+    # on the benchmark's triples: where chi = c the sampler stops at the
+    # first sample that brings the gcd to c, elsewhere it takes all h + 1
+    calls = _recorded_lattices(monkeypatch)
+    stopped = []
+    for gens in _multi_triples(20261018, 8):
+        c = Subalgebra.from_generators(gens).conductor()
+        calls.clear()
+        chi = char_poly_multi(gens)
+        assert chi == reference_char_poly_multi(gens), gens
+        [(least_degree, samples)] = calls
+        assert least_degree == c.degree, gens
+        if chi == c:
+            running, reached = Poly.zero(c.field), []
+            for s in samples:
+                running = poly_gcd(running, s) if s else running
+                reached.append(running == c)
+            assert reached.index(True) == len(samples) - 1, gens
+            stopped.append(len(samples) < gens[0].degree)
+        else:
+            assert len(samples) == gens[0].degree, gens
+    assert len(stopped) == 6 and all(stopped)
+
+
+def test_char_poly_multi_takes_the_conductor_only_to_stop(monkeypatch):
+    # two generators and a degree gcd > 1 keep the stop degree 0 and take
+    # no conductor; symmetrize takes one conductor for every rotation
+    calls = _recorded_lattices(monkeypatch)
+    conductors = []
+    conductor = Subalgebra.conductor
+
+    def counted(self):
+        conductors.append(self)
+        return conductor(self)
+
+    monkeypatch.setattr(Subalgebra, "conductor", counted)
+    pair = [P("x^3 - x"), P("x^2")]
+    assert char_poly_multi(pair) == char_poly_pair(*pair)
+    even = [P("x^4 + x"), P("x^6"), P("x^10")]
+    assert char_poly_multi(even) == reference_char_poly_multi(even)
+    assert not conductors
+    assert [least for least, _ in calls] == [0, 0, 0]
+    calls.clear()
+    gens = next(_multi_triples(20261018, 1))
+    assert char_poly_multi(gens, symmetrize=True) == \
+        reference_char_poly_multi(gens, symmetrize=True)
+    c = conductor(Subalgebra.from_generators(gens))
+    assert len(conductors) == 1
+    assert [least for least, _ in calls] == [c.degree] * 3
 
 
 def reference_resultant_relation(p, q):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from math import gcd, isqrt
 
@@ -536,6 +537,24 @@ def test_pairs_that_the_retired_pairing_left_unpaired():
         rb = next(r for r in roots if abs(r - b) < 1e-3)
         assert abs(p.eval(ra) - p.eval(rb)) < 1e-40
         assert abs(q.eval(ra) - q.eval(rb)) < 1e-40
+
+
+def test_float_coefficients_evaluate_as_poly_call_does():
+    # `_classify` converts the coefficients to doubles once per call; the
+    # values and scales must be those of Poly.__call__ and of the
+    # per-coefficient conversion, bit for bit, or pairings could move
+    rng = random.Random(30)
+    for _ in range(50):
+        e = Poly([F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 999))
+                  for _ in range(rng.randint(1, 12))])
+        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        cs = spectrum._complex_coeffs(e)
+        assert spectrum._horner(cs, z) == e(z)
+        az, scale, power = abs(z), 1.0, 1.0
+        for c in e.coeffs:
+            scale += abs(float(c)) * power
+            power *= az
+        assert spectrum._size(cs, z) == scale == spectrum._scale(e, z)
 
 
 def test_aberth_starts_inside_large_coefficients():
