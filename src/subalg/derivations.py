@@ -6,23 +6,32 @@ maximal ideal M_α = {f ∈ A : f(α) = 0}.  The number k_α = dim M_α/M_α²
 bounds the derivation space and is conjectured to equal its dimension.
 
 Both are exact linear algebra modulo one polynomial G; no degree bound is
-grown.  The conductor c of A vanishes exactly on the spectrum, and
-c·K[x] ⊆ A.  With H = c, times (x − α) when c(α) ≠ 0, H·K[x] lies in M_α,
-so G = H² gives G·K[x] ⊆ M_α², and M_α, M_α² are determined by their
-images in K[x]/(G), a space of dimension deg G.  The characteristic
-polynomial is never built.
+grown and no spectrum is computed.  The conductor c of A vanishes exactly
+on the spectrum, and c·K[x] ⊆ A (`conditions.conductor`).  With H = c,
+times (x − α) when c(α) ≠ 0, H·K[x] lies in M_α.  Let g = gcd(H, u_e)
+over the SAGBI elements e, u_e = e − e(α); x − α divides g.  Each u_e
+lies in M_α, so u_e·H·K[x] and H²·K[x] lie in M_α², and so does their
+sum G·K[x], G = H·g.  So M_α and M_α² are determined by their images in
+K[x]/(G), of dimension deg G ≤ 2·deg H.
+
+The roots of g, the roots of H at which every e takes its value at α,
+are the cluster of α (every β with e(β) = e(α) for each e): for such
+β ≠ α, c(β)·h(β) = c(α)·h(α) for every h, as c·h ∈ A, so β is a root of
+H exactly when α is; off it h = 1 and h = x give β = α.  χ is not built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
 
 from .conditions import LinearFunctional, Subalgebra, _jet_row
-from .errors import EvenInput, SpectrumNotExact, SubalgError
+from .errors import EvenInput, SpectrumNotExact
 from .fields import common_field, field_of, is_zero_scalar
 from .linalg import cleared_nullspace, extend_echelon, rref
-from .poly import Poly, _int_scaled, _int_values, _over_lcm
+from .poly import Poly, _int_scaled, _int_values, _over_lcm, poly_gcd
+from .roots import _order_key, field_roots
 from .sagbi import subduce
 
 
@@ -61,16 +70,15 @@ class DerivationSpace:
 
 
 class _Jets:
-    """M_α and M_α² modulo G, for G as in the module docstring.
+    """M_α and M_α² modulo G = H·g, for H and g as in the module docstring.
 
     `m` lists m_d = P_d − P_d(α) for the semigroup degrees 1 <= d < D =
     deg G (P_d the degree product of degree d); M_α = span(m) ⊕ G·K[x],
     and `rows` are their cleared coefficient lists (`Poly.cleared`).
-    Since M_α = Σ_g u_g·A with u_g = e_g − e_g(α) over the SAGBI elements
-    e_g, M_α² = Σ_g u_g·M_α, so the remainders (u_g·m_d) mod G span
-    M_α² modulo G.  `E` is a running echelon form of their cleared
-    forms, as rows on 1, x, …, x^(D−1) (pivot columns `pivots`, see
-    `linalg.extend_echelon`).
+    Since M_α = Σ_e u_e·A over the SAGBI elements e, M_α² = Σ_e u_e·M_α,
+    so the remainders (u_e·m_d) mod G span M_α² modulo G.  `E` is a
+    running echelon form of their cleared forms, as rows on 1, x, …,
+    x^(D−1) (pivot columns `pivots`, see `linalg.extend_echelon`).
     """
 
     def __init__(self, A, alpha):
@@ -79,23 +87,24 @@ class _Jets:
         field = common_field(basis.field, field_of(alpha))
         basis = basis.coerce_to(field)
         alpha = field.coerce(alpha)
-        self.c = H = basis.conductor()
-        if not is_zero_scalar(self.c(alpha)):
+        H = basis.conductor()
+        if not is_zero_scalar(H(alpha)):
             H = H * Poly((-alpha, field.one), field)
-        G = H * H
+        us = [e - e(alpha) for e in basis.elements]
+        g = reduce(poly_gcd, us, H)
+        G = H * g
         D = G.degree
         self.m = [p - p(alpha) for p in basis.degree_products(D - 1)[1:]]
         assert len(self.m) == D - 1 - n
         self.rows = [p.cleared()[0] for p in self.m]
         self.E, self.pivots = [], []
-        for g in basis.elements:
-            u = g - g(alpha)
+        for u in us:
             for p in self.m:
                 r = (u * p % G).cleared()[0]
                 extend_echelon(r + [0] * (D * field.degree - len(r)), self.E,
                                self.pivots, field)
-        self.basis, self.field, self.alpha, self.degree = \
-            basis, field, alpha, D
+        self.basis, self.field, self.alpha, self.degree, self.H, self.g = \
+            basis, field, alpha, D, H, g
 
     @property
     def k_alpha(self):
@@ -103,9 +112,7 @@ class _Jets:
 
     def multiplicity(self, beta):
         """The multiplicity of β as a root of G."""
-        if is_zero_scalar(self.c(beta)):
-            return 2 * self.c.order_at(beta)
-        return 2 if beta == self.alpha else 0
+        return self.H.order_at(beta) + self.g.order_at(beta)
 
 
 def k_alpha(A, alpha):
@@ -113,30 +120,23 @@ def k_alpha(A, alpha):
     return _Jets(Subalgebra.of(A), alpha).k_alpha
 
 
-def _cluster_points(A, alpha, field):
-    """The cluster of α, α first; [α] when α is off the spectrum.
-
-    `field` contains α and the field of A.  The cluster is read off
-    `A.spectrum(nf=field)`, so a point of an extension field is matched
-    exactly, and each field's spectrum is computed once.  α on the
-    spectrum but at no exact point raises SubalgError, and a cluster of α
-    with a numeric member raises SpectrumNotExact: a partial cluster
-    would give a wrong derivation space.
+def _cluster_points(jets):
+    """The cluster of α, α first: the roots of g (see the module
+    docstring), [α] with no root sought when g is a power of x − α.  The
+    others follow in `compute_spectrum`'s order of exact points: by their
+    order as roots of c = H, then `roots._order_key`.  A factor of g that
+    does not split over the field raises SpectrumNotExact: a partial
+    cluster would give a wrong derivation space.
     """
-    A = Subalgebra.of(A)
-    if not is_zero_scalar(A.conductor()(alpha)):
+    g, alpha = jets.g, jets.alpha
+    if g.order_at(alpha) == g.degree:
         return [alpha]
-    point = next((p for p in A.spectrum(nf=field)
-                  if p.exact and field.coerce(p.value) == alpha), None)
-    if point is None:
-        raise SubalgError(
-            f"spectrum point {alpha!r} lies in no exact cluster")
-    members = point.cluster.members
-    values = [field.coerce(p.value) for p in members if p.exact]
-    if len(values) < len(members):
+    roots, leftover = field_roots(g, jets.field)
+    if leftover:
         raise SpectrumNotExact(
-            f"the cluster of {alpha!r} has points outside {field!r}")
-    return [alpha] + [v for v in values if v != alpha]
+            f"the cluster of {alpha!r} has points outside {jets.field!r}")
+    return [alpha] + sorted((v for v, _ in roots if v != alpha),
+                            key=lambda v: (jets.H.order_at(v), _order_key(v)))
 
 
 def derivation_space(A, alpha):
@@ -159,7 +159,7 @@ def derivation_space(A, alpha):
     A = Subalgebra.of(A)
     jets = _Jets(A, alpha)
     field, k = jets.field, jets.k_alpha
-    points = _cluster_points(A, jets.alpha, field)
+    points = _cluster_points(jets)
     mults = [jets.multiplicity(point) for point in points]
     coords = [(order, point) for order in range(1, max(mults))
               for point, mult in zip(points, mults) if order < mult]

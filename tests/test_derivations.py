@@ -4,14 +4,15 @@ import pytest
 
 import fraction_reference as ref
 from case_draws import affine_variants, all_draws, family_draws
+from subalg import spectrum
 from subalg.classify import construct_case
 from subalg.conditions import LinearFunctional, Subalgebra, kernel_subalgebra
-from subalg.derivations import (NOT_INTEGRAL, _cluster_points,
-                                conjecture_dim_check, derivation_space,
-                                integral_derivation, k_alpha,
-                                ln_coefficients)
+from subalg.derivations import (NOT_INTEGRAL, _Jets, conjecture_dim_check,
+                                derivation_space, integral_derivation,
+                                k_alpha, ln_coefficients)
 from subalg.errors import EvenInput, SpectrumNotExact
 from subalg.fields import NumberField, common_field, field_of, is_zero_scalar
+from subalg.linalg import extend_echelon, rref
 from subalg.parsing import parse_poly as P
 from subalg.poly import Poly
 from subalg.sagbi import sagbi_complete
@@ -116,6 +117,142 @@ def test_partial_cluster_is_an_error():
     assert space.dimension == space.k_alpha == 5
 
 
+# --- the spectrum-read cluster and the H² modulus that g replaced ----------
+
+def _spectrum_cluster(A, alpha, field):
+    """The cluster of α read off `A.spectrum(nf=field)`, α first; [α]
+    off the spectrum."""
+    A = Subalgebra.of(A)
+    if not is_zero_scalar(A.conductor()(alpha)):
+        return [alpha]
+    point = next(p for p in A.spectrum(nf=field)
+                 if p.exact and field.coerce(p.value) == alpha)
+    members = point.cluster.members
+    values = [field.coerce(p.value) for p in members if p.exact]
+    if len(values) < len(members):
+        raise SpectrumNotExact(f"the cluster of {alpha!r} is not exact")
+    return [alpha] + [v for v in values if v != alpha]
+
+
+def _squared_modulus_space(A, alpha):
+    """(k_α, combo terms, witnesses) modulo G = H², with jets of order
+    < 2·ord_β H at each point β of `_spectrum_cluster`: M_α² modulo G by
+    `linalg`, the jets and their nullspace by plain field elements."""
+    basis = A.sagbi_basis()
+    field = common_field(basis.field, field_of(alpha))
+    basis, alpha = basis.coerce_to(field), field.coerce(alpha)
+    H = basis.conductor()
+    if not is_zero_scalar(H(alpha)):
+        H = H * Poly((-alpha, field.one), field)
+    G = H * H
+    D = G.degree
+    m = [p - p(alpha) for p in basis.degree_products(D - 1)[1:]]
+    size = D * field.degree
+
+    def cleared(h):
+        row = h.cleared()[0]
+        return row + [0] * (size - len(row))
+
+    red, pivots = [], []
+    for e in basis.elements:
+        for p in m:
+            extend_echelon(cleared((e - e(alpha)) * p % G), red, pivots,
+                           field)
+    k = len(m) - len(red)
+    points = _spectrum_cluster(A, alpha, field)
+    mults = [2 * H.order_at(point) for point in points]
+    coords = [(order, j) for order in range(1, max(mults))
+              for j, mult in enumerate(mults) if order < mult]
+
+    def jets(h):
+        return [h.derivative(order)(points[j]) for order, j in coords]
+
+    vectors = ref.nullspace([jets(Poly(row, field)) for row in
+                             rref(red, D, field)[0]], len(coords), field)
+    vectors, _ = ref.rref(vectors, len(coords), field)
+    values = [jets(p) for p in m]
+    chosen, acted, acted_pivots = [], [], []
+    for vec in vectors:
+        action = [sum((c * v for c, v in zip(vec, pv)), field.zero)
+                  for pv in values]
+        if ref.extend_echelon(action, acted, acted_pivots, field):
+            chosen.append(vec)
+    combos = [tuple((order, points[j], c) for (order, j), c in
+                    zip(coords, vec) if not is_zero_scalar(c))
+              for vec in chosen]
+    witnesses = [p for p in m if extend_echelon(cleared(p), red, pivots,
+                                                 field)]
+    return k, combos, witnesses
+
+
+def test_gcd_modulus_matches_the_squared_modulus():
+    # every draw and its first affine image, at every exact spectrum
+    # point and one point off the spectrum; and a cluster {0, 1, 2, 3}
+    # whose points are roots of c of orders 2, 2, 1, 1, so that the
+    # points of the cluster must be ordered by that order first
+    cases = [(label, construct_case(label, moved))
+             for label, params, _ in all_draws()
+             for moved in (params, affine_variants(params)[0])]
+    cases.append(("orders", kernel_subalgebra(
+        [LinearFunctional.difference(F(0), F(b)) for b in (1, 2, 3)] +
+        [deriv((1, 0, 1), (1, 1, -2))])))
+    checked = 0
+    for label, A in cases:
+        points = [p.value for p in A.spectrum() if p.exact]
+        assert points, label
+        for alpha in points + [F(11, 3)]:
+            space = derivation_space(A, alpha)
+            k, combos, witnesses = _squared_modulus_space(A, alpha)
+            assert space.k_alpha == k, label
+            assert [D.terms for D in space.combo_basis] == combos, label
+            assert space.quotient_witnesses == witnesses, label
+            checked += 1
+    assert checked > 4 * len(all_draws())
+
+
+def _assert_modulus(A, alpha, degree, squared_degree):
+    jets = _Jets(A, alpha)
+    assert jets.degree == degree
+    assert 2 * jets.H.degree == squared_degree
+    assert (jets.H * jets.H) % (jets.H * jets.g) == Poly.zero(jets.field)
+
+
+def test_the_modulus_is_h_times_the_gcd():
+    A = alg("x^2", "x^3")
+    _assert_modulus(A, F(0), 4, 4)      # H = g = x^2
+    _assert_modulus(A, F(5), 4, 6)      # H = x^2 (x - 5), g = x - 5
+    cluster = kernel_subalgebra([LinearFunctional.difference(F(0), F(1)),
+                                 LinearFunctional.difference(F(0), F(2))])
+    _assert_modulus(cluster, F(0), 6, 6)   # g = H = x (x - 1) (x - 2)
+    jets = _Jets(cluster, F(2))
+    assert [jets.multiplicity(F(b)) for b in range(4)] == [2, 2, 2, 0]
+    # codim 3, s = 1: H = (x - alpha)^6, g = (x - alpha)^3 or (x - alpha)^2
+    for label, degree in (("codim3/s=1/case1", 9), ("codim3/s=1/case2", 8)):
+        params = next(p for name, p, _ in all_draws() if name == label)
+        _assert_modulus(construct_case(label, params), params["alpha"],
+                        degree, 12)
+
+
+def test_an_unsplit_gcd_leftover_is_an_error(monkeypatch):
+    # A = Q + x (x^2 - 2) Q[x]: f(0) = f(sqrt 2) = f(-sqrt 2), so the
+    # cluster of 0 has two points outside Q, found as the factor x^2 - 2
+    # of g that does not split; no spectrum is computed on the way
+    A = alg(*[f"x^{k} * (x^2 - 2)" for k in (1, 2, 3)])
+    assert A.codimension() == 2
+
+    def no_spectrum(A, nf=None):
+        raise AssertionError("a spectrum was computed")
+
+    monkeypatch.setattr(spectrum, "compute_spectrum", no_spectrum)
+    assert k_alpha(A, F(0)) == 3
+    assert _Jets(A, F(0)).g == P("x^3 - 2*x")
+    with pytest.raises(SpectrumNotExact):
+        derivation_space(A, F(0))
+    monkeypatch.undo()
+    with pytest.raises(SpectrumNotExact):
+        _spectrum_cluster(A, F(0), A.sagbi_basis().field)
+
+
 # --- the bound-growing path that the exact presentation replaced ----------
 
 def _old_spans(basis, alpha, bound):
@@ -170,7 +307,7 @@ def _old_derivation_space(A, alpha):
     conductor = basis.semigroup.conductor
     max_order = max(conductor + 2, 2)
     k = _old_k_alpha(basis, alpha, field)
-    points = _cluster_points(A, alpha, field)
+    points = _spectrum_cluster(A, alpha, field)
     bound = max(2 * conductor + 4, 2 * max_order + 4)
     m1, m2 = _old_spans(basis, alpha, bound)
     # equations on a basis of span(m2): same row space, fewer rows

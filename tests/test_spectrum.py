@@ -147,7 +147,7 @@ def test_derivations_reuse_the_extension_field_spectrum(monkeypatch):
     A = alg("x^4", "x^3 - x")
     t = K8.gen()
     spaces = [derivation_space(A, t) for _ in range(2)]
-    assert calls == [K8]
+    assert calls == []      # the cluster comes from one gcd, not a spectrum
     assert spaces[0].dimension == spaces[1].dimension == spaces[0].k_alpha
 
 
