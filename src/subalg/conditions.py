@@ -18,8 +18,8 @@ from .errors import (DegenerateConditions, NotSubalgebraConditions,
 from .fields import (QQ, common_field, field_of, format_scalar,
                      is_zero_scalar, scalar_to_json)
 from .linalg import cleared_nullspace, nullspace, rref
-from .modular import (crt, evaluate_at, lagrange_basis, modulus_roots,
-                      rational_reconstruction, word_primes)
+from .modular import (crt, evaluate_at, rational_reconstruction,
+                      split_primes, tilde_images, word_primes)
 from .poly import (Poly, _int_combination, _int_dot, _int_mul, _int_scaled,
                    _int_values, _over_lcm, poly_gcd)
 from .resultants import _lattice_gcd
@@ -485,9 +485,9 @@ def _modular_conductor(basis):
     lowest free column.
 
     Images: the products are cleared once to integer t̃-coordinates over
-    the common denominator D (`poly._int_scaled`).  At a prime p ∤ D
-    modulo which m̃ has e distinct roots θ_i (`modular.modulus_roots`;
-    over Q every prime, with θ = 0), t̃ ↦ θ_i is a ring map onto F_p, and
+    the common denominator D (`poly._int_scaled`).  At each prime p that
+    `modular.split_primes` takes from `word_primes` for D, t̃ ↦ θ_i is a
+    ring map onto F_p for each root θ_i of m̃ mod p, and
     `_conductor_image` solves the system over F_p once per θ_i.  Degree
     lemma, at each θ_i: the image of every element of the conductor ideal
     c·K[x] is a kernel vector, so the lowest free column is at most that
@@ -495,7 +495,7 @@ def _modular_conductor(basis):
     degree, the columns below are independent, so the kernel vector there
     is unique and the image is c at θ_i.  A prime whose θ_i give images of
     different degrees is discarded; otherwise the inverse Vandermonde
-    matrix (`modular.lagrange_basis`) turns the images into t̃-coordinates
+    matrix (`modular.tilde_images`) turns the images into t̃-coordinates
     mod p.  Only the primes of the highest degree seen so far are kept;
     they are combined by CRT, and every coordinate is rationally
     reconstructed.
@@ -505,11 +505,9 @@ def _modular_conductor(basis):
     in the conductor ideal, so c divides it; its degree is at most deg c,
     so it is c.
 
-    Termination: only finitely many primes divide D or drop the rank at
-    some θ_i.  m̃ splits completely modulo infinitely many primes (a set of
-    density 1/[L : Q] for its splitting field L, by Chebotarev's theorem,
-    as `resultants._resultant` uses too), and every other such prime gives
-    the t̃-coordinates of c mod p.  Once the product M of those primes
+    Termination: only finitely many primes drop the rank at some θ_i.
+    `split_primes` yields infinitely many primes, and every other one
+    gives the t̃-coordinates of c mod p.  Once the product M of those primes
     exceeds 2H², H the largest numerator or denominator among c's
     t̃-coordinates, reconstruction returns c.  So there is no prime cap and
     no stabilization rule.
@@ -520,12 +518,8 @@ def _modular_conductor(basis):
     lists, den = _over_lcm([P.cleared() for P in products])
     cleared = {P.degree: [ints[j:j + e] for j in range(0, len(ints), e)]
                for P, ints in zip(products, lists)}
-    mt = tuple(field.tilde_modulus)
     best, modulus, residues = -1, 1, []
-    for p in word_primes():
-        thetas = None if den % p == 0 else modulus_roots(mt, p)
-        if thetas is None:
-            continue
+    for p, thetas in split_primes(field.tilde_modulus, den, word_primes()):
         scale = pow(den, -1, p)
         images = []
         for theta in thetas:
@@ -540,9 +534,7 @@ def _modular_conductor(basis):
         if degree < best or any(len(image) != degree + 1
                                 for image in images):
             continue
-        lagrange = lagrange_basis(thetas, p)
-        flat = [sum(map(mul, column, row)) % p
-                for column in zip(*images) for row in zip(*lagrange)]
+        flat = tilde_images(images, thetas, p)
         if degree > best:
             best, modulus, residues = degree, p, flat
         else:

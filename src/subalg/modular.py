@@ -12,7 +12,8 @@ sections 5.4 and 5.10), with the bounds that say when to stop
 At a prime where the integral modulus m̃ has e distinct roots θ_i
 (`modulus_roots`), t̃ ↦ θ_i gives R_p ≅ F_p^e: a scalar maps to its
 values at the θ_i (`evaluate_at`), and values come back to coordinates
-through the inverse Vandermonde matrix (`lagrange_basis`).
+through the inverse Vandermonde matrix (`lagrange_basis`, `tilde_images`).
+`split_primes` is the one loop over such primes.
 """
 
 from __future__ import annotations
@@ -137,6 +138,27 @@ def _horner(g, x, q):
     for c in reversed(g):
         acc = (acc * x + c) % q
     return acc
+
+
+def split_primes(mt, unlucky, primes):
+    """(p, θs) for each prime p of the iterable `primes`, in its order,
+    with p ∤ `unlucky` (a nonzero int: the caller's denominators and μ)
+    and modulo which the monic m̃ = mt (ascending ints) has e distinct
+    roots θs (`modulus_roots`, ascending; over Q every prime, θ = 0).
+
+    At such a p, t̃ ↦ θ_i maps R_p = F_p[t̃]/(m̃ mod p) onto F_p, and
+    together these maps give R_p ≅ F_p^e; p ∤ disc m̃.  Only finitely many
+    primes divide `unlucky` or disc m̃, and m̃ splits completely modulo
+    infinitely many primes, a set of density 1/[L : Q] for its splitting
+    field L by Chebotarev's theorem.  So from any infinite sequence of
+    primes infinitely many are yielded, and a caller that rejects only
+    finitely many of them ends."""
+    mt = tuple(mt)
+    for p in primes:
+        if unlucky % p:
+            thetas = modulus_roots(mt, p)
+            if thetas is not None:
+                yield p, thetas
 
 
 @cache
@@ -316,6 +338,15 @@ def lagrange_basis(thetas, q):
         w = pow(_horner(L, theta_i, q), -1, q)
         rows.append([a * w % q for a in L])
     return rows
+
+
+def tilde_images(images, thetas, p):
+    """The t̃-coordinates mod p, flattened per entry, of the elements of
+    R_p whose values at the θ_i are images[i] (one list per θ_i, entries
+    in the same order): the inverse Vandermonde step."""
+    basis = lagrange_basis(thetas, p)
+    return [sum(map(mul, column, row)) % p
+            for column in zip(*images) for row in zip(*basis)]
 
 
 def _trim(coeffs):

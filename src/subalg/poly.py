@@ -20,7 +20,7 @@ from operator import mul
 from .errors import (BothZero, DivisionByZeroPoly, FieldMismatch, ZeroInput)
 from .fields import (QQ, FieldElem, common_field, field_of, format_scalar,
                      is_zero_scalar)
-from .modular import _gcd, evaluate_at, modulus_roots, word_primes
+from .modular import _gcd, evaluate_at, split_primes, word_primes
 
 
 class Poly:
@@ -655,9 +655,8 @@ def squarefree_decompose(p):
     K = Q[t]/(m), and then [(c, 1)] is returned, as Yun would.  Clear c
     to d·c with integer t̃-coordinates (t̃ = μ·t, m̃ monic and integral;
     see `_int_scaled`); its cleared lead is d.  The prime q is the first
-    of `modular.word_primes` that divides neither d nor μ and modulo which
-    m̃ has e distinct roots (`modular.modulus_roots`; over Q every prime,
-    with θ = 0), and t̃ ↦ θ₀, its first root, maps c to c̄ in F_q[x], monic
+    that `modular.split_primes` takes from `modular.word_primes` for d·μ,
+    and t̃ ↦ θ₀, the first root of m̃ mod q, maps c to c̄ in F_q[x], monic
     of the same degree.  If gcd(c̄, c̄′) = 1 in F_q[x], c is square-free.
     Proof: suppose f² | c with f monic, deg f ≥ 1.  The coefficients of f
     are symmetric functions of some roots of c, so they are integral over
@@ -695,11 +694,9 @@ def _certified_squarefree(c):
     and root θ₀ of `squarefree_decompose`?"""
     field = c.field
     ints, d = c.cleared()
-    mt, e = tuple(field.tilde_modulus), field.degree
-    for q in word_primes():
-        thetas = None if d * field.mu % q == 0 else modulus_roots(mt, q)
-        if thetas is not None:
-            break
+    e = field.degree
+    q, thetas = next(split_primes(field.tilde_modulus, d * field.mu,
+                                  word_primes()))
     scale = pow(d, -1, q)
     image = [v * scale % q for v in evaluate_at(
         [ints[j:j + e] for j in range(0, len(ints), e)], thetas[0], q)]

@@ -31,7 +31,7 @@ from .errors import (ConstantInput, DegreesNotCoprime, FewerThanTwoGenerators,
                      SubalgError, ZeroPolynomialInY)
 from .fields import QQ, common_field, is_zero_scalar
 from .modular import (_reduced, _trim, coordinate_bound, crt, evaluate_at,
-                      lagrange_basis, modulus_roots, root_radius, word_primes)
+                      root_radius, split_primes, tilde_images, word_primes)
 from .mpoly import MPoly
 from .poly import Poly, _over_lcm, poly_gcd
 
@@ -109,36 +109,33 @@ def _resultant(f_table, g_table, field):
     common denominators d_f, d_g, so Res(F, G) = d_f^mg·d_g^mf·Res(f, g)
     is a polynomial in x whose coefficients have integer t̃-coordinates.
 
-    Images.  The primes p from `word_primes` that divide none of d_f,
-    d_g and μ and modulo which m̃ has e distinct roots θ_i (so p ∤ disc m̃;
-    `modulus_roots`) are used; the others are skipped.  At such a prime
-    t̃ ↦ θ_i maps R_p = F_p[t̃]/(m̃ mod p) onto F_p, and together these
-    maps give R_p ≅ F_p^e.  So for each θ_i the values F(x0), G(x0) are
-    mapped to F_p, Res(F(x0), G(x0)) is taken there by Euclid
-    (`_euclid`), and the values are interpolated in F_p (the points
-    differ by less than p, so Newton's divisions exist); the
-    interpolants at the θ_i give the t̃-coordinates through
-    `lagrange_basis`.  A prime is discarded if, at some point, Euclid
-    would divide by a leading coefficient that is zero or a zero divisor
-    in R_p, that is, zero at some θ_i: the remainder sequences at the θ_i
-    are the images of the one in R_p only while every divisor's leading
-    coefficient is nonzero at every θ_i, so such a coefficient shows as a
-    zero leading coefficient or as divisors of different degrees at two
-    θ_i (see `_image`).  (A zero leading coefficient of a dividend is
-    harmless: Euclid keeps the formal degree.)  At the first discard that
-    a point causes, Euclid runs once exactly over K at that point
-    (`_exact_euclid`); K = Q[t]/(m) may have zero divisors, and
-    `FieldElem.inverse` raises NonInvertible at a leading coefficient
-    that is one.  If the exact run completes, each of its finitely many
-    leading coefficients c has an inverse c⁻¹ in K.  Modulo every prime
-    that divides no denominator of the t̃-coordinates met in that run
-    (remainders, the c and the c⁻¹), c·c⁻¹ = 1 still holds, so every c
-    stays a unit, the remainder sequence mod p is the image of the exact
-    one, and the point causes no discard.  So each point causes only
-    finitely many discards, there are finitely many points, and the
-    loop ends, since m̃ splits completely modulo infinitely many primes
-    (a set of density 1/[L : Q] for its splitting field L, by
-    Chebotarev's theorem), as `roots._lifted_roots` uses too.
+    Images.  The primes are those that `split_primes` takes from
+    `word_primes` for d_f·d_g·μ: at each, t̃ ↦ θ_i maps
+    R_p = F_p[t̃]/(m̃ mod p) onto F_p for each of the e roots θ_i of m̃
+    mod p.  So for each θ_i the values F(x0), G(x0) are mapped to F_p,
+    Res(F(x0), G(x0)) is taken there by Euclid (`_euclid`), and the
+    values are interpolated in F_p (the points differ by less than p, so
+    Newton's divisions exist); the interpolants at the θ_i give the
+    t̃-coordinates (`tilde_images`).  A prime is discarded if, at some
+    point, Euclid would divide by a leading coefficient that is zero or a
+    zero divisor in R_p, that is, zero at some θ_i: the remainder
+    sequences at the θ_i are the images of the one in R_p only while
+    every divisor's leading coefficient is nonzero at every θ_i, so such
+    a coefficient shows as a zero leading coefficient or as divisors of
+    different degrees at two θ_i (see `_image`).  (A zero leading
+    coefficient of a dividend is harmless: Euclid keeps the formal
+    degree.)  At the first discard that a point causes, Euclid runs once
+    exactly over K at that point (`_exact_euclid`); K = Q[t]/(m) may have
+    zero divisors, and `FieldElem.inverse` raises NonInvertible at a
+    leading coefficient that is one.  If the exact run completes, each of
+    its finitely many leading coefficients c has an inverse c⁻¹ in K.
+    Modulo every prime that divides no denominator of the t̃-coordinates
+    met in that run (remainders, the c and the c⁻¹), c·c⁻¹ = 1 still
+    holds, so every c stays a unit, the remainder sequence mod p is the
+    image of the exact one, and the point causes no discard.  So each
+    point causes only finitely many discards, there are finitely many
+    points, and the loop ends, since `split_primes` yields infinitely
+    many primes.
 
     Prime count.  Let σ_1, …, σ_e be the embeddings t̃ ↦ θ̃_i, with
     |θ̃_i| ≤ R = `root_radius(m̃)`.  On |x| = 1 a coefficient F_k(x) has
@@ -179,15 +176,8 @@ def _resultant(f_table, g_table, field):
     R = root_radius(mt)
     B = isqrt(_norm2(F, R) ** mg * _norm2(G, R) ** mf) + 1
     H = coordinate_bound(mt, B)
-    mt = tuple(mt)
-    unlucky = df * dg * mu
     residues, modulus, checked = None, 1, set()
-    for p in word_primes():
-        if unlucky % p == 0:
-            continue
-        thetas = modulus_roots(mt, p)
-        if thetas is None:
-            continue
+    for p, thetas in split_primes(mt, df * dg * mu, word_primes()):
         image = _image(at_f, at_g, mf, mg, points, thetas, p)
         if isinstance(image, int):
             if image not in checked:
@@ -241,9 +231,7 @@ def _image(at_f, at_g, mf, mg, points, thetas, p):
             vals.append(r[0])
             shapes[i] = r[1]
         values.append(_interpolate(points, vals, inverse, p))
-    basis = lagrange_basis(thetas, p)
-    return [sum(map(mul, column, row)) % p
-            for column in zip(*values) for row in zip(*basis)]
+    return tilde_images(values, thetas, p)
 
 
 def _exact_euclid(f_table, g_table, x0, field):

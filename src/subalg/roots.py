@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from functools import cache
-from itertools import product
+from itertools import count, product
 from math import ceil, exp, log, pi
 
 from .errors import NonConvergence, SubalgError
 from .fields import QQ, is_zero_scalar
-from .modular import (_horner, coordinate_bound, coordinates, evaluate_at,
-                      is_prime, lagrange_basis, modulus_roots, root_radius)
+from .modular import (_discriminant, _horner, coordinate_bound, coordinates,
+                      evaluate_at, is_prime, lagrange_basis, root_radius,
+                      split_primes)
 from .poly import Poly, _as_float, squarefree_decompose
-from .resultants import _resultant
 
 RESIDUAL_TOL = 1e-12
 MAX_ITERATIONS = 200
@@ -34,16 +33,6 @@ MAX_ITERATIONS = 200
 # ---------------------------------------------------------------------------
 # Exact roots by p-adic lifting
 # ---------------------------------------------------------------------------
-
-
-@cache
-def _discriminant(mt):
-    """|disc m̃| = |Res(m̃, m̃′)| for the monic m̃ (ascending int tuple)."""
-    if len(mt) == 2:
-        return 1
-    constants = [Poly.constant(Fraction(a)) for a in mt]
-    derivative = [Poly.constant(Fraction(k * a)) for k, a in enumerate(mt)]
-    return abs(int(_resultant(constants, derivative[1:], QQ).coeff(0)))
 
 
 def _lifted_roots(f, field):
@@ -70,19 +59,20 @@ def _lifted_roots(f, field):
         |A_u| = δ·|disc m̃|·|a_u| ≤ H = δ·coordinate_bound(m̃, B),
     which for e = 1 is δ times Cauchy's bound on f over Q.
 
-    Lifting.  Take the least prime p that does not divide δ, modulo which
-    m̃ has e distinct roots θ_i (so p ∤ disc m̃), and modulo which every root
-    of every f_i (t̃ ↦ θ_i) is simple; such primes exist because f is
-    square-free and m̃ splits completely modulo infinitely many primes.
-    The θ_i are `modulus_roots`, and the roots of the f_i modulo p are
-    found by trying every residue; Newton's method lifts the θ_i and then
-    the roots of the f_i to q = p^k > 2^65·H.  Every root α of f in the
-    field has σ_i(α) among the lifted roots of f_i (a p-adic integer,
-    since p ∤ δ, with a simple root modulo p), so α comes from one tuple
-    of them: V^(−1) (`lagrange_basis`) times the tuple times Δ gives the
-    A_u modulo q, and since q > 2·H the symmetric residues are the A_u
-    themselves.  A tuple whose residues
-    exceed H is no root; any other is kept only if f(α) = 0 exactly.
+    Lifting.  Take the least prime p that `split_primes` takes from the
+    ascending primes for δ (so p ∤ δ·disc m̃, and m̃ has e roots θ_i
+    mod p) modulo which every root of every f_i (t̃ ↦ θ_i) is simple;
+    such a prime exists, since f is square-free and `split_primes` yields
+    infinitely many primes.  The roots of the f_i modulo p are found by
+    trying every residue; Newton's method lifts the θ_i and then the
+    roots of the f_i to q = p^k > 2^65·H.  Every root α of f in the field
+    has σ_i(α) among the lifted roots of f_i (a p-adic integer, since
+    p ∤ δ, with a simple root modulo p), so α comes from one tuple of
+    them: V^(−1) (`lagrange_basis`) times the tuple times Δ gives the A_u
+    modulo q, and since q > 2·H the symmetric residues are the A_u
+    themselves; |disc m̃| is `modular._discriminant`.  A tuple whose
+    residues exceed H is no root; any other is kept only if f(α) = 0
+    exactly.
     A root missing from the output is therefore not in the field.  The
     factor 2^64 in q makes a spurious tuple pass the height test with
     probability about 2^(−64·e), so almost no tuple reaches the exact
@@ -92,20 +82,12 @@ def _lifted_roots(f, field):
     mt, e = field.tilde_modulus, field.degree
     ints, delta = f.coerce_to(field).cleared()      # δ·f, cleared
     coords = [ints[j:j + e] for j in range(0, len(ints), e)]
-    disc = _discriminant(tuple(mt))
     R = root_radius(mt)
     B = 1 + Fraction(max(sum(abs(a) * R ** u for u, a in enumerate(cs))
                          for cs in coords[:-1]), delta)
     H = ceil(delta * coordinate_bound(mt, B))
 
-    p = 1
-    while True:
-        p += 1
-        if not is_prime(p) or delta % p == 0:
-            continue
-        thetas = modulus_roots(tuple(mt), p)
-        if thetas is None:
-            continue
+    for p, thetas in split_primes(mt, delta, filter(is_prime, count(2))):
         images = [evaluate_at(coords, theta, p) for theta in thetas]
         starts = [[r for r in range(p) if not _horner(g, r, p)]
                   for g in images]
@@ -117,7 +99,7 @@ def _lifted_roots(f, field):
         q *= p
     thetas = [_lift(mt, theta, q) for theta in thetas]
     images = [evaluate_at(coords, theta, q) for theta in thetas]
-    scale = delta * disc
+    scale = delta * abs(_discriminant(tuple(mt)))
     # columns[i][r]: the contribution Δ·r·V^(−1)[·][i] of the lifted root r
     # of f_i to the coordinates
     columns = [[[a * scale * _lift(g, r, q) % q for a in row] for r in rs]

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction as F
 from itertools import islice
 
 from subalg import modular
-from subalg.modular import (crt, evaluate_at, is_prime, lagrange_basis,
-                            modulus_roots, rational_reconstruction,
-                            word_primes)
+from subalg.modular import (crt, evaluate_at, integral_modulus, is_prime,
+                            lagrange_basis, modulus_roots,
+                            rational_reconstruction, split_primes,
+                            tilde_images, word_primes)
 
 
 def test_is_prime_matches_trial_division():
@@ -95,6 +97,25 @@ def test_the_discriminant_filter_keeps_every_answer(monkeypatch):
     assert rejected > 200
 
 
+def test_split_primes_are_the_filtered_primes():
+    # Q, Q(i) and Q(∛2), at word primes and small primes, with unlucky
+    # products that the first word prime or small primes divide: the
+    # pairs of the brute-force filter, in the same order
+    word = list(islice(word_primes(), 40))
+    small = list(filter(is_prime, range(300)))
+    for mt in ((0, 1), (1, 0, 1), (-2, 0, 0, 1)):
+        for unlucky in (1, 6 * word[0], 35 * word[0] * word[3]):
+            for primes in (word, small):
+                expected = [(p, modulus_roots(mt, p)) for p in primes
+                            if unlucky % p and modulus_roots(mt, p)]
+                got = list(split_primes(list(mt), unlucky, iter(primes)))
+                assert got == expected, (mt, unlucky)
+    # over Q every prime splits, so only the unlucky ones are skipped
+    assert next(split_primes((0, 1), 1, word_primes())) == (word[0], (0,))
+    assert next(split_primes((0, 1), 6 * word[0], word_primes())) == \
+        (word[1], (0,))
+
+
 def test_lagrange_basis_inverts_the_vandermonde_matrix():
     p = 1000003
     thetas = [3, 17, 123456, 999999]
@@ -102,6 +123,15 @@ def test_lagrange_basis_inverts_the_vandermonde_matrix():
     for i, row in enumerate(rows):
         assert [evaluate_at([row], theta, p)[0] for theta in thetas] == \
             [int(j == i) for j in range(len(thetas))]
+    # tilde_images inverts evaluation: random t̃-coordinates of three
+    # scalars, their values at each root of m̃ mod a word prime, and back
+    rng = random.Random(5)
+    mt = tuple(integral_modulus([F(-2), F(0), F(0), F(1)])[0])
+    q, roots = next(split_primes(mt, 1, word_primes()))
+    coords = [[rng.randrange(q) for _ in roots] for _ in range(3)]
+    images = [evaluate_at(coords, theta, q) for theta in roots]
+    assert tilde_images(images, roots, q) == \
+        [a for cs in coords for a in cs]
 
 
 def test_crt_and_rational_reconstruction():

@@ -7,7 +7,7 @@ import pytest
 import fraction_reference as ref
 from subalg.errors import (DivisionByZeroPoly, FieldMismatch, NonInvertible,
                            SubalgError)
-from subalg import poly
+from subalg import modular, poly
 from subalg.conditions import LinearFunctional
 from subalg.fields import NumberField, QQ, common_field, field_of
 from subalg.modular import modulus_roots, word_primes
@@ -126,7 +126,7 @@ def test_squarefree_certificate_skips_a_prime_dividing_the_lead(monkeypatch):
         primes.append(q)
         return modulus_roots(mt, q)
 
-    monkeypatch.setattr(poly, "modulus_roots", recorded)
+    monkeypatch.setattr(modular, "modulus_roots", recorded)
     root, x = Poly([F(1, first)]), P("x")
     c = (x - root) * (x + 2)
     assert squarefree_decompose(c * 3) == [(c, 1)]

@@ -60,3 +60,15 @@ def test_the_library_imports_only_the_standard_library():
                         if name.partition(".")[0]
                         not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_only_modular_finds_the_roots_of_the_modulus():
+    """`modulus_roots` is named in no module of src/subalg but
+    `modular`: every loop over primes modulo which m̃ splits goes through
+    `modular.split_primes`."""
+    callers = [f"{path.name}:{node.lineno}"
+               for path in sorted(SOURCE.glob("*.py"))
+               if path.name != "modular.py"
+               for node in ast.walk(ast.parse(path.read_text("utf-8")))
+               if "modulus_roots" in _identifiers(node)]
+    assert callers == []
