@@ -7,7 +7,12 @@ R(x, z_2, ..., z_t) = Res_y(P_1, sum z_i P_i), taken here as the gcd of its
 values on a principal lattice of integer z (see `char_poly_multi`).
 
 Every resultant of y-polynomials whose coefficients are polynomials in one
-variable goes through `resultant_y_tables`, a modular resultant in the
+variable goes through `resultant_y_tables`.  When its first argument is
+monic in y (the divided difference of a monic polynomial, or p(y) − x),
+the second is first reduced modulo it once, exactly over K, since
+Res_y(f, g) = Res_y(f, g rem f) (`_reduced_y`); the lattice of
+`char_poly_multi` reduces each generator once, and its samples combine
+the remainders.  Then comes a modular resultant in the
 manner of Collins (1971): evaluation at integer points, a Euclidean
 remainder sequence on the specialized univariate polynomials, and Newton
 interpolation, all on plain int scalars modulo word-size primes.  Over a
@@ -69,16 +74,59 @@ def _total_degree(table):
     return max((k + c.degree for k, c in enumerate(table) if c), default=-1)
 
 
+def _degree_bound(f_table, g_table):
+    """A bound on deg_x Res_y(f, g) for y-degrees mf, mg ≥ 1: the least of
+    the naive and the weighted (total degree) bound."""
+    mf, mg = len(f_table) - 1, len(g_table) - 1
+    naive = mg * _max_x_degree(f_table) + mf * _max_x_degree(g_table)
+    weighted = (_total_degree(f_table) * mg + _total_degree(g_table) * mf
+                - mf * mg)
+    return max(0, min(naive, weighted))
+
+
+def _reduced_y(table, monic):
+    """The remainder, trimmed, of the y-table `table` modulo `monic`, a
+    y-table of y-degree ≥ 1 whose leading y-coefficient is the constant
+    one: exact `Poly` arithmetic over K, so no division.  The zero
+    remainder is the empty list."""
+    m = len(monic) - 1
+    rem = list(table)
+    for k in range(len(rem) - 1, m - 1, -1):
+        c = -rem.pop()
+        if c:
+            for j in range(m):
+                rem[k - m + j] = rem[k - m + j] + c * monic[j]
+    while rem and rem[-1].is_zero():
+        rem.pop()
+    return rem
+
+
 def resultant_y_tables(f_table, g_table):
     """Res_y of two y-polynomials with Poly-in-x coefficients (exact; see
-    `_resultant`)."""
+    `_resultant`).
+
+    Reduction.  When f is monic in y (its leading y-coefficient is the
+    constant one) of y-degree mf ≥ 1, and g has y-degree mg ≥ mf, g is
+    replaced by g rem f (`_reduced_y`) before any point is taken; a zero g
+    or a zero remainder gives 0.  Over a splitting field of f over K(x),
+    Res(f, B) = lc(f)^n·Π B(r), the product over the mf roots r of f with
+    multiplicity, for a y-polynomial B of formal degree n: both sides are
+    polynomials in B's coefficients that agree where B's y^n coefficient is
+    nonzero, so they agree everywhere.  With lc(f) = 1 this is Π B(r) for
+    every formal degree n, and g(r) = (g rem f)(r) at each root, so
+    Res(f, g) = Res(f, g rem f), whatever degree the remainder has, and 0
+    for a zero remainder.  Both pairs have the same resultant, so the
+    degree bound of either pair bounds it, and the interpolation takes
+    the least of the two (`_degree_bound`): reduction never adds a point.
+    """
     f_table = [c for c in f_table]
     g_table = [c for c in g_table]
     while f_table and f_table[-1].is_zero():
         f_table.pop()
     while g_table and g_table[-1].is_zero():
         g_table.pop()
-    if not f_table or not g_table:
+    monic = len(f_table) > 1 and f_table[-1] == 1
+    if not f_table or (not g_table and not monic):
         raise ZeroPolynomialInY("resultant of the zero polynomial in y")
     field = QQ
     for c in f_table + g_table:
@@ -86,23 +134,30 @@ def resultant_y_tables(f_table, g_table):
     f_table = [c.coerce_to(field) for c in f_table]
     g_table = [c.coerce_to(field) for c in g_table]
     mf, mg = len(f_table) - 1, len(g_table) - 1
+    bound = _degree_bound(f_table, g_table)
+    if monic and mg >= mf:
+        g_table = _reduced_y(g_table, f_table)
+        mg = len(g_table) - 1
+    if mg < 0:
+        return Poly.zero(field)
     if mf == 0:
         return (f_table[0] ** mg).coerce_to(field)
     if mg == 0:
         return g_table[0] ** mf
-    return _resultant(f_table, g_table, field)
+    return _resultant(f_table, g_table, field,
+                      min(bound, _degree_bound(f_table, g_table)))
 
 
-def _resultant(f_table, g_table, field):
+def _resultant(f_table, g_table, field, bound):
     """Res_y(f, g) for y-tables over K = Q[t]/(m) (Q is Q[t]/(t)) of
     y-degrees mf, mg ≥ 1 with nonzero leading coefficients, from images
     modulo word-size primes.
 
-    Points.  deg_x Res ≤ D, the least of the naive and the weighted
-    (total degree) bound, so Res is the interpolant of its values at D + 1
-    points.  They are 0, 1, −1, 2, … where both leading y-coefficients are
-    nonzero (decided exactly), since there Res(f, g)(x0) = Res(f(x0),
-    g(x0)).
+    Points.  deg_x Res ≤ D = `bound` (see `_degree_bound` and
+    `resultant_y_tables`), so Res is the interpolant of its values at
+    D + 1 points.  They are 0, 1, −1, 2, … where both leading
+    y-coefficients are nonzero (decided exactly), since there
+    Res(f, g)(x0) = Res(f(x0), g(x0)).
 
     Clearing.  With t̃ = μ·t and m̃ monic and integral (`integral_modulus`),
     F = d_f·f and G = d_g·g have integer t̃-coordinates for the least
@@ -153,10 +208,7 @@ def _resultant(f_table, g_table, field):
     and no stabilisation test: the count of primes is fixed by H.
     """
     mf, mg = len(f_table) - 1, len(g_table) - 1
-    naive = mg * _max_x_degree(f_table) + mf * _max_x_degree(g_table)
-    weighted = (_total_degree(f_table) * mg + _total_degree(g_table) * mf
-                - mf * mg)
-    count = max(0, min(naive, weighted)) + 1
+    count = bound + 1
     mt, mu = field.tilde_modulus, field.mu
     F, df = _cleared(f_table, field)
     G, dg = _cleared(g_table, field)
@@ -323,10 +375,19 @@ def char_poly_multi(gens, symmetrize=False):
     for that degree (Chung & Yao 1977), so the samples there and the d_a
     span the same space of polynomials, and a gcd depends only on that
     span.  A zero weight may lower the y-degree of sum w_i P_i; P_1 is
-    monic in y, so that only flips the sign of the sample.  Each sample is
-    one exact `resultant_y_tables` call (proof in `_resultant`), and they
-    are taken cheapest first (see `_lattice_gcd`).  The running gcd stops
-    once it is constant, and is zero when every sample is.
+    monic in y, so the sample is still the product of sum z_i P_i over
+    the h roots of P_1 (see `resultant_y_tables`).  Each sample is one
+    exact `resultant_y_tables` call (proof in `_resultant`), on
+    combinations reduced modulo P_1 once (see `_lattice_gcd`), and they
+    are taken cheapest first.  The running gcd stops once it is constant,
+    and is zero when every sample is.
+
+    The result depends on which generator is distinguished, not only on
+    the algebra: for K[x⁴ − 2, x⁷ + 2x⁶ − 2x⁵ + x⁴ − 2x² − 2,
+    x⁶ − x⁵ + x⁴ + x³ − x² + 1], whose SAGBI basis has two elements and
+    whose conductor is x², it is x⁴, and x² with either other generator
+    first.  `symmetrize` and `spectrum.characteristic_polynomial` give
+    x².
 
     Stop at the conductor.  With t >= 3 generators whose degrees have
     gcd 1, the algebra A they generate has finite codimension and a
@@ -374,6 +435,21 @@ def _lattice_gcd(gens, least_degree):
     exact too.  The stop is exact when `least_degree` bounds the
     gcd from below: 0 always, and deg c for elements that generate an
     algebra with conductor c (see `char_poly_multi`).
+
+    Reduction once.  P_1 is monic in y, so each sample
+    Res_y(P_1, Q) equals Res_y(P_1, Q rem P_1) (see `resultant_y_tables`),
+    and remainders modulo P_1 are linear:
+    (P_2 + Σ w_i·P_i) rem P_1 = P_2 rem P_1 + Σ w_i·(P_i rem P_1).  So
+    P_2, …, P_t are reduced once (`_reduced_y`), every sample is Res_y of
+    P_1 and a combination of y-degree < h, and a zero combination is a
+    zero sample, which `resultant_y_tables` returns as 0.  No sample
+    takes more points than its unreduced combination Q would: P_1 has
+    y-degree, x-degree and total degree h, so for any Q the weighted
+    bound h·t_Q (t_Q the total degree of Q) is at most the naive one,
+    h·(deg_y Q + deg_x Q), and each reduction step subtracts
+    c(x)·y^(k−h)·P_1 for a term c(x)·y^k of total degree ≤ t_Q, which
+    has total degree ≤ t_Q too, so t_(Q rem P_1) ≤ t_Q.  For p_1 of
+    degree 1, P_1 = 1 and nothing is reduced.
     """
     ps = [g.monic() for g in gens]
     field = QQ
@@ -382,14 +458,15 @@ def _lattice_gcd(gens, least_degree):
     tables = [divided_difference(p.coerce_to(field)).table for p in ps]
     rest = tables[1:]
     h = len(tables[0]) - 1
+    reduced = [_reduced_y(t, tables[0]) for t in rest] if h else rest
 
     def cost(w):
         return max(len(t) for t, wi in zip(rest, (1,) + w) if wi), sum(w), w
 
     chi = Poly.zero(field)
     for w in sorted(_principal_lattice(len(rest) - 1, h), key=cost):
-        combo = list(rest[0])
-        for wi, table in zip(w, rest[1:]):
+        combo = list(reduced[0])
+        for wi, table in zip(w, reduced[1:]):
             if wi:
                 combo += [Poly.zero(field)] * (len(table) - len(combo))
                 for k, c in enumerate(table):

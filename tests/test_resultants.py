@@ -12,16 +12,17 @@ import pytest
 from subalg import resultants
 from subalg.conditions import Subalgebra
 from subalg.errors import (ConstantInput, DegreesNotCoprime,
-                           FewerThanTwoGenerators)
+                           FewerThanTwoGenerators, ZeroPolynomialInY)
 from subalg.fields import QQ, NumberField, common_field, is_zero_scalar
 from subalg.modular import word_primes
 from subalg.mpoly import MPoly
 from subalg.parsing import parse_poly as P
 from subalg.poly import Poly, poly_gcd
-from subalg.resultants import (_max_x_degree,
+from subalg.resultants import (_max_x_degree, _principal_lattice,
                                _total_degree, char_poly_multi, char_poly_pair,
                                divided_difference, resultant_relation,
                                resultant_y, resultant_y_tables)
+from subalg.spectrum import characteristic_polynomial
 
 
 def _trim_list(a):
@@ -117,6 +118,31 @@ def reference_resultant_y_tables(f_table, g_table):
         points.append(pt)
         values.append(reference_scalar_resultant(A, B, field))
     return _newton_interpolate(points, values, field)
+
+
+def reference_unreduced_resultant(f_table, g_table):
+    """The `resultant_y_tables` that reduction modulo a monic f replaced:
+    the modular engine on the tables as given, with their own degree
+    bound."""
+    f_table, g_table = list(f_table), list(g_table)
+    while f_table and f_table[-1].is_zero():
+        f_table.pop()
+    while g_table and g_table[-1].is_zero():
+        g_table.pop()
+    if not f_table or not g_table:
+        raise ZeroPolynomialInY("resultant of the zero polynomial in y")
+    field = QQ
+    for c in f_table + g_table:
+        field = common_field(field, c.field)
+    f_table = [c.coerce_to(field) for c in f_table]
+    g_table = [c.coerce_to(field) for c in g_table]
+    mf, mg = len(f_table) - 1, len(g_table) - 1
+    if mf == 0:
+        return (f_table[0] ** mg).coerce_to(field)
+    if mg == 0:
+        return g_table[0] ** mf
+    return resultants._resultant(f_table, g_table, field,
+                                 resultants._degree_bound(f_table, g_table))
 
 
 def test_divided_difference_identity():
@@ -707,17 +733,206 @@ def reference_char_poly_pair(p, q):
     return chi.monic() if chi else chi
 
 
+def _edge_pairs(qi):
+    """Pairs beside the benchmark's: a zero χ, non-monic inputs and two
+    over qi = Q(i)."""
+    return [(P("x^2"), P("x^4")),
+            (P("x^2 + x"), P("(x^2 + x)^2")),
+            (P("2*x^3 - x"), P("x^2/3")),
+            (P("x^3 + t*x", field=qi), P("x^2 - t", field=qi)),
+            (P("x^4 + t*x^2", field=qi), P("x^5 + x", field=qi))]
+
+
 def test_char_poly_pair_is_the_two_generator_lattice():
     qi = NumberField([1, 0, 1], label="t^2+1")
-    pairs = _charpoly_items("pair", 100) + [
-        (P("x^2"), P("x^4")),
-        (P("x^2 + x"), P("(x^2 + x)^2")),
-        (P("2*x^3 - x"), P("x^2/3")),
-        (P("x^3 + t*x", field=qi), P("x^2 - t", field=qi)),
-        (P("x^4 + t*x^2", field=qi), P("x^5 + x", field=qi))]
+    pairs = _charpoly_items("pair", 100) + _edge_pairs(qi)
     for p, q in pairs:
         new, old = char_poly_pair(p, q), reference_char_poly_pair(p, q)
         assert new == old and new.field == old.field, (p, q)
         assert str(new) == str(old) and repr(new) == repr(old), (p, q)
     assert not char_poly_pair(P("x^2"), P("x^4"))
     assert char_poly_pair(*pairs[-1]).field == qi
+
+
+def _counted_points(monkeypatch):
+    """The interpolation points of every `_resultant` call, in turn."""
+    points = []
+    resultant = resultants._resultant
+
+    def counted(f_table, g_table, field, bound):
+        points.append(bound + 1)
+        return resultant(f_table, g_table, field, bound)
+
+    monkeypatch.setattr(resultants, "_resultant", counted)
+    return points
+
+
+def _tables(gens):
+    """The divided differences of the monic generators over one field, as
+    `_lattice_gcd` takes them."""
+    ps = [g.monic() for g in gens]
+    field = QQ
+    for p in ps:
+        field = common_field(field, p.field)
+    return [list(divided_difference(p.coerce_to(field)).table) for p in ps]
+
+
+def _combination(tables, weights):
+    field = tables[0][0].field if tables[0] else QQ
+    out = [Poly.zero(field)] * max(len(t) for t in tables)
+    for w, table in zip(weights, tables):
+        for k, c in enumerate(table):
+            out[k] = out[k] + w * c
+    return out
+
+
+def _trimmed(table):
+    table = list(table)
+    while table and table[-1].is_zero():
+        table.pop()
+    return tuple(table)
+
+
+def test_reduced_resultant_matches_the_unreduced_path(monkeypatch):
+    # Res_y(f, g rem f) == Res_y(f, g) for f monic in y, repr and all,
+    # and never on more interpolation points; the lattice's combinations
+    # of the reduced tables are the remainders of the unreduced ones
+    taken = []
+    resultant = resultants.resultant_y_tables
+
+    def recorded(f_table, g_table):
+        taken.append(_trimmed(g_table))
+        return resultant(f_table, g_table)
+
+    monkeypatch.setattr(resultants, "resultant_y_tables", recorded)
+    pairs = []
+    for gens in _multi_triples(20261018, 8):
+        tables = _tables(gens)
+        h = len(tables[0]) - 1
+        taken.clear()
+        resultants._lattice_gcd(gens, 0)
+        lattice = list(_principal_lattice(len(tables) - 2, h))
+        assert len(taken) == len(lattice), gens
+        for w in lattice:
+            combo = _combination(tables[1:], (1,) + w)
+            reduced = resultants._reduced_y(combo, tables[0])
+            assert tuple(reduced) in taken, (gens, w)
+            pairs.append((tables[0], reduced, tables[0], combo))
+    monkeypatch.undo()
+    points = _counted_points(monkeypatch)
+    qi = NumberField([1, 0, 1], label="t^2+1")
+    for p, q in _charpoly_items("pair", 100) + _edge_pairs(qi):
+        f, g = _tables([p, q])
+        pairs.append((f, g, f, g))
+    for p, q in _charpoly_items("relation", 50):
+        f, g = ([Poly.monomial(d, -1) + e.coeff(0)]
+                + [Poly.constant(c) for c in e.coeffs[1:]]
+                for e, d in ((p, 1), (q, q.degree + 1)))
+        pairs.append((f, g, f, g))
+    zero = 0
+    for f, g, f_old, g_old in pairs:
+        points.clear()
+        new = resultant_y_tables(f, g)
+        new_points = sum(points)
+        points.clear()
+        old = reference_unreduced_resultant(f_old, g_old)
+        assert new == old and repr(new) == repr(old), (f, g)
+        assert new_points <= sum(points), (f, g)
+        zero += not new
+    assert zero
+
+
+def test_the_lattice_reduces_each_generator_once(monkeypatch):
+    # P_2, ..., P_t are reduced modulo P_1 once per lattice, and every
+    # sample pairs P_1 with a combination of y-degree < h
+    reductions, y_degrees = [], []
+    reduced_y, resultant = resultants._reduced_y, resultants.resultant_y_tables
+
+    def counted_reduction(table, monic):
+        reductions.append(None)
+        return reduced_y(table, monic)
+
+    def recorded(f_table, g_table):
+        y_degrees.append((len(f_table) - 1, len(_trimmed(g_table)) - 1))
+        return resultant(f_table, g_table)
+
+    monkeypatch.setattr(resultants, "_reduced_y", counted_reduction)
+    monkeypatch.setattr(resultants, "resultant_y_tables", recorded)
+    for gens in list(_multi_triples(20261018, 8)) + [
+            [P("x^4 + x^2"), P("x^6"), P("x^7")], [P("x^2"), P("x^4")]]:
+        reductions.clear()
+        y_degrees.clear()
+        resultants._lattice_gcd(gens, 0)
+        assert len(reductions) == len(gens) - 1, gens
+        assert y_degrees and all(mg < h for h, mg in y_degrees), gens
+
+
+def test_reduction_edge_cases(monkeypatch):
+    points = _counted_points(monkeypatch)
+    # a zero remainder: Q(x, y) of x^4 vanishes at y = -x
+    f, g = _tables([P("x^2"), P("x^4")])
+    assert resultants._reduced_y(g, f) == []
+    assert not resultant_y_tables(f, g) and not points
+    assert not reference_unreduced_resultant(f, g)
+    assert not char_poly_pair(P("x^2"), P("x^4"))
+    # a monic f and a zero g give 0; a non-monic f and a zero g raise
+    assert not resultant_y_tables(f, [Poly.zero()])
+    with pytest.raises(ZeroPolynomialInY):
+        resultant_y_tables([Poly.constant(1), Poly.constant(2)], [])
+    # f = 1 has no roots: Res_y(1, g) = 1, not a zero remainder
+    assert resultant_y_tables([Poly.constant(1)], g) == 1
+    # a remainder of y-degree 0 takes no interpolation point
+    rng = random.Random(20261020)
+    p, q = (Poly([F(rng.randint(-3, 3)) for _ in range(d)] + [F(1)])
+            for d in (2, 9))
+    f, g = _tables([p, q])
+    assert len(resultants._reduced_y(g, f)) == 1
+    points.clear()
+    new = resultant_y_tables(f, g)
+    assert not points
+    old = reference_unreduced_resultant(f, g)
+    assert new == old and repr(new) == repr(old) and points
+    # y^5 rem (y^2 + x*y + 1) has x-degree 4, so the reduced pair's own
+    # bound is 9; the unreduced pair's is 5, and the least is taken
+    x = Poly.x()
+    f = [Poly.constant(1), x, Poly.constant(1)]
+    g = [Poly.zero()] * 5 + [Poly.constant(1)]
+    assert resultants._degree_bound(f, resultants._reduced_y(g, f)) == 9
+    points.clear()
+    new = resultant_y_tables(f, g)
+    assert new == 1 and points == [6]
+    # a first table whose leading y-coefficient is not the constant one
+    reductions = []
+    reduced_y = resultants._reduced_y
+
+    def counted(table, monic):
+        reductions.append(None)
+        return reduced_y(table, monic)
+
+    monkeypatch.setattr(resultants, "_reduced_y", counted)
+    for lead in (Poly.constant(2), x, x + 1):
+        f = [x - 1, x * x + 2, lead]
+        g = [x + 3, Poly.constant(1), x * x, x - 2, Poly.constant(1)]
+        new = resultant_y_tables(f, g)
+        old = reference_unreduced_resultant(f, g)
+        assert new == old and repr(new) == repr(old), lead
+    assert not reductions
+
+
+def test_char_poly_multi_depends_on_the_distinguished_generator():
+    # two generators' SAGBI basis has two elements, with conductor c; with
+    # the first generator distinguished the lattice gcd is c^2, while
+    # symmetrize and characteristic_polynomial give c
+    for sources, c in (
+            (["x^5 - x^4 + x^3 + x^2 - x - 2", "x^2 - x + 1",
+              "x^8 - x^7 - 2*x^6 - 2*x^4 + 2*x^3 - x^2 - x - 1"],
+             P("x^2 - x + 1")),
+            (["x^4 - 2", "x^7 + 2*x^6 - 2*x^5 + x^4 - 2*x^2 - 2",
+              "x^6 - x^5 + x^4 + x^3 - x^2 + 1"], P("x^2"))):
+        gens = [P(s) for s in sources]
+        A = Subalgebra.from_generators(gens)
+        assert len(A.sagbi_basis().elements) == 2 and A.conductor() == c
+        chi = char_poly_multi(gens)
+        assert chi == c * c and chi == reference_char_poly_multi(gens)
+        assert char_poly_multi(gens, symmetrize=True) == c
+        assert characteristic_polynomial(A) == c
