@@ -8,11 +8,13 @@ values on a principal lattice of integer z (see `char_poly_multi`).
 
 Every resultant of y-polynomials whose coefficients are polynomials in one
 variable goes through `resultant_y_tables`.  When its first argument is
-monic in y (the divided difference of a monic polynomial, or p(y) − x),
-the second is first reduced modulo it once, exactly over K, since
+monic in y (the divided difference of a monic polynomial), the second is
+first reduced modulo it once, exactly over K on cleared ints, since
 Res_y(f, g) = Res_y(f, g rem f) (`_reduced_y`); the lattice of
 `char_poly_multi` reduces each generator once, and its samples combine
-the remainders.  Then comes a modular resultant in the
+the remainders.  Its results are kept in a small memo, so χ of a pair
+and the conductor of the same two elements take one lattice between
+them (`_lattice_gcd`).  Then comes a modular resultant in the
 manner of Collins (1971): evaluation at integer points, a Euclidean
 remainder sequence on the specialized univariate polynomials, and Newton
 interpolation, all on plain int scalars modulo word-size primes.  Over a
@@ -23,22 +25,26 @@ Vandermonde matrix turns back into t̃-coordinates.  Over Q = Q[t]/(t)
 every prime qualifies, with θ = 0.  The images are combined by Chinese
 remaindering until the product of the primes exceeds twice a proven
 bound on the result's coefficients, so the result is exact (see
-`_resultant`).  The characteristic polynomials and the relation F(p, q)
-are all built on it.
+`_resultant`).  The characteristic polynomials are built on it.
+
+The relation F(p, q) = Res_y(p(y) − P, q(y) − Q) takes no resultant: it
+is the lift of P^n − Q^m by one subduction over the SAGBI basis {p, q},
+scaled to Res_y's leading coefficient (`resultant_relation`).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from math import gcd, isqrt
 from operator import mul
 
 from .errors import (ConstantInput, DegreesNotCoprime, FewerThanTwoGenerators,
                      SubalgError, ZeroPolynomialInY)
-from .fields import QQ, common_field, is_zero_scalar
+from .fields import QQ, common_field
 from .modular import (_reduced, _trim, coordinate_bound, crt, evaluate_at,
                       root_radius, split_primes, tilde_images, word_primes)
 from .mpoly import MPoly
-from .poly import Poly, _over_lcm, poly_gcd
+from .poly import Poly, _int_mul, _int_sum, _over_lcm, poly_gcd
 
 
 class DividedDifference:
@@ -86,19 +92,34 @@ def _degree_bound(f_table, g_table):
 
 def _reduced_y(table, monic):
     """The remainder, trimmed, of the y-table `table` modulo `monic`, a
-    y-table of y-degree ≥ 1 whose leading y-coefficient is the constant
-    one: exact `Poly` arithmetic over K, so no division.  The zero
-    remainder is the empty list."""
-    m = len(monic) - 1
-    rem = list(table)
+    y-table of y-degree m ≥ 1 whose leading y-coefficient is the constant
+    one, as `Poly`s over the field of `monic`; the zero remainder is the
+    empty list.
+
+    The work is on cleared ints (`Poly.cleared`): the remainder R over
+    one denominator d, and `monic` as y^m + M/d_m, M the cleared
+    coefficients below the lead over one denominator d_m.  The step on a
+    nonzero top coefficient C·y^k of R drops it and takes
+    d_m·R − C·y^(k−m)·M over d·d_m; with d_m = 1, the integral case, the
+    denominator never grows.  No division, and no `Poly` until the end.
+    """
+    field = monic[-1].field
+    mt, m = field.tilde_modulus, len(monic) - 1
+    M, dm = _over_lcm([c.cleared() for c in monic[:-1]])
+    rem, den = _over_lcm([c.cleared() for c in table])
     for k in range(len(rem) - 1, m - 1, -1):
-        c = -rem.pop()
-        if c:
-            for j in range(m):
-                rem[k - m + j] = rem[k - m + j] + c * monic[j]
-    while rem and rem[-1].is_zero():
+        top = rem.pop()
+        if any(top):
+            if dm != 1:
+                rem, den = [[dm * v for v in r] for r in rem], den * dm
+            top = [-v for v in top]
+            for j, b in enumerate(M):
+                if b:
+                    rem[k - m + j] = _int_sum(rem[k - m + j],
+                                              _int_mul(top, b, mt))
+    while rem and not any(rem[-1]):
         rem.pop()
-    return rem
+    return [Poly.from_cleared(r, den, field) for r in rem]
 
 
 def resultant_y_tables(f_table, g_table):
@@ -118,6 +139,11 @@ def resultant_y_tables(f_table, g_table):
     for a zero remainder.  Both pairs have the same resultant, so the
     degree bound of either pair bounds it, and the interpolation takes
     the least of the two (`_degree_bound`): reduction never adds a point.
+
+    Callers: the lattice samples of the characteristic polynomials
+    (`_lattice_samples_gcd`), whose f is a divided difference P_1, monic
+    in y, and the public `resultant_y`.  `resultant_relation` takes no
+    resultant.
     """
     f_table = [c for c in f_table]
     g_table = [c for c in g_table]
@@ -401,8 +427,15 @@ def char_poly_multi(gens, symmetrize=False):
     resultant, and for a degree gcd > 1 `sagbi_complete` takes the full
     lattice gcd itself, so both keep the stop degree 0.
 
+    The stop degree of a basis of at most two elements is 2·g, g the
+    codimension, with no conductor taken: for two elements of coprime
+    degrees a, b, c is their χ (`conditions.conductor`), of degree
+    (a − 1)(b − 1) = 2g (Sylvester's count of the gaps of ⟨a, b⟩); one
+    element is x + const, with c = 1 and g = 0.  A basis of three or more
+    elements takes deg c from its conductor.
+
     With symmetrize=True, returns the monic gcd over all t choices of the
-    distinguished generator, each stopped at the one conductor of A.
+    distinguished generator, each stopped at the one stop degree of A.
     """
     gens = list(gens)
     if sum(1 for g in gens if g.degree >= 1) < 2:
@@ -413,7 +446,9 @@ def char_poly_multi(gens, symmetrize=False):
     least_degree = 0
     if len(gens) > 2 and gcd(*(g.degree for g in gens)) == 1:
         from .conditions import Subalgebra
-        least_degree = Subalgebra.from_generators(gens).conductor().degree
+        A = Subalgebra.from_generators(gens)
+        least_degree = 2 * A.codimension() \
+            if len(A.sagbi_basis().elements) <= 2 else A.conductor().degree
     if not symmetrize:
         return _lattice_gcd(gens, least_degree)
     result = None
@@ -426,9 +461,46 @@ def char_poly_multi(gens, symmetrize=False):
     return result
 
 
+_LATTICE_MEMO_SIZE = 8
+_lattice_memo = OrderedDict()
+
+
 def _lattice_gcd(gens, least_degree):
     """The running monic gcd of the lattice samples of `char_poly_multi`,
-    stopped once its degree is `least_degree`.
+    stopped once its degree is `least_degree` (see `_lattice_samples_gcd`),
+    from a memo of the last `_LATTICE_MEMO_SIZE` results.
+
+    χ of a pair is wanted twice: `char_poly_pair` and the conductor of
+    the same two elements (`conditions.conductor`) take the same lattice.
+    The key is the field, the stop degree, and the cleared first entry
+    c_0 = (p(x) − p(0))/x of each monic generator's divided difference,
+    in order (the first generator is distinguished): c_0 fixes p up to
+    its constant, which no c_k depends on, so equal keys have equal
+    tables and equal χ.  The same immutable `Poly` is returned on a hit.
+    """
+    ps = [g.monic() for g in gens]
+    field = QQ
+    for p in ps:
+        field = common_field(field, p.field)
+    tables = [divided_difference(p.coerce_to(field)).table for p in ps]
+    key = (field, least_degree,
+           tuple((tuple(ints), d) for ints, d in
+                 (table[0].cleared() for table in tables)))
+    chi = _lattice_memo.get(key)
+    if chi is None:
+        chi = _lattice_samples_gcd(tables, least_degree, field)
+        _lattice_memo[key] = chi
+        if len(_lattice_memo) > _LATTICE_MEMO_SIZE:
+            _lattice_memo.popitem(last=False)
+    else:
+        _lattice_memo.move_to_end(key)
+    return chi
+
+
+def _lattice_samples_gcd(tables, least_degree, field):
+    """The running monic gcd of the lattice samples of the divided
+    differences `tables` over `field`, stopped once its degree is
+    `least_degree`.
 
     Samples are taken by least y-degree, then least |w|, so the first is
     Res_y(P_1, P_2); each is exact (see `_resultant`), so the gcd is
@@ -451,11 +523,6 @@ def _lattice_gcd(gens, least_degree):
     has total degree ≤ t_Q too, so t_(Q rem P_1) ≤ t_Q.  For p_1 of
     degree 1, P_1 = 1 and nothing is reduced.
     """
-    ps = [g.monic() for g in gens]
-    field = QQ
-    for p in ps:
-        field = common_field(field, p.field)
-    tables = [divided_difference(p.coerce_to(field)).table for p in ps]
     rest = tables[1:]
     h = len(tables[0]) - 1
     reduced = [_reduced_y(t, tables[0]) for t in rest] if h else rest
@@ -495,14 +562,30 @@ def _principal_lattice(k, h):
 
 
 def resultant_relation(p, q):
-    """F(p, q) = Res_y(p(y) - P, q(y) - Q) as an MPoly in (P, Q).
+    """F(p, q) = Res_y(p(y) − P, q(y) − Q) as an MPoly in (P, Q), for
+    monic p, q of coprime degrees m, n, by one subduction.
 
-    F(p(x), q(x)) = 0 identically, and the support satisfies i*m + j*n <= nm.
-    P enters only the n Sylvester rows of p(y) - P, so deg_P F <= n, and
-    the Kronecker substitution P = x, Q = x^(n+1) sends P^i Q^j to its own
-    power x^(i + (n+1) j).  F is read off one `resultant_y_tables` call on
-    p(y) - x and q(y) - x^(n+1); substitution commutes with Res_y because
-    both leading y-coefficients are 1.
+    Lift.  {p, q} is a SAGBI basis (Abhyankar–Moh; see
+    `sagbi.sagbi_complete`), and p^n − q^m has degree < nm, so it subduces
+    over {p, q} to a constant r₀ with steps c·p^i·q^j (i the count of m
+    in the step's representation, j that of n).  So
+    L = P^n − Q^m − Σ c·P^i·Q^j − r₀ has L(p, q) = 0 (Robbiano &
+    Sweedler 1990, *Subalgebra bases*).  Each step has degree
+    i·m + j·n < nm, so i < n and j < m: deg_Q L = m, with Q^m
+    coefficient −1.
+
+    Scalar.  The relations of p and q are the kernel of K[P, Q] → K[x],
+    a prime of height one, so principal, generated by an irreducible G.
+    K(p, q) = K(x), since [K(x) : K(p, q)] divides m and n, so the
+    minimal polynomial of q over K(p) has degree [K(x) : K(p)] = m and
+    every nonzero element of the kernel has Q-degree ≥ m.  So
+    deg_Q G = m, and L and F, both of Q-degree m, are G times units of
+    K[P], that is, constants.  Res_y(p(y) − P, q(y) − Q) is the product
+    of q(r) − Q over the m roots r of the monic p(y) − P, so its Q^m
+    coefficient is (−1)^m, and F = (−1)^(m+1)·L.
+
+    F(p(x), q(x)) = 0 identically, and the support satisfies
+    i*m + j*n <= nm.
     """
     if p.degree < 1 or q.degree < 1:
         raise ConstantInput("resultant_relation needs nonconstant inputs")
@@ -513,14 +596,19 @@ def resultant_relation(p, q):
     if p.leading_coeff() != field.one or q.leading_coeff() != field.one:
         raise SubalgError("resultant_relation requires monic inputs")
     p, q = p.coerce_to(field), q.coerce_to(field)
-    N = n + 1
-    P_table, Q_table = ([Poly.monomial(d, -1, field) + f.coeff(0)]
-                        + [Poly.constant(c, field) for c in f.coeffs[1:]]
-                        for f, d in ((p, 1), (q, N)))
-    R = resultant_y_tables(P_table, Q_table)
-    terms = {(k % N, k // N): Poly.constant(c, field)
-             for k, c in enumerate(R.coeffs) if not is_zero_scalar(c)}
-    F = MPoly(terms, 2, field)
+    from .sagbi import SagbiBasis, subduce
+    # m = n = 1 leaves one basis element: p^1 − q^1 is a constant
+    rem, steps = subduce(p ** n - q ** m,
+                         SagbiBasis([p, q] if m != n else [p]))
+    if rem.degree >= 1:
+        raise SubalgError("p^n − q^m does not subduce to a constant over "
+                          "{p, q}")
+    sign = field.one if m % 2 else -field.one        # (−1)^(m+1)
+    terms = {(n, 0): sign, (0, m): -sign, (0, 0): -sign * rem.coeff(0)}
+    for _, c, rep in steps:
+        terms[(rep.count(m), rep.count(n))] = -sign * c
+    F = MPoly({e: Poly.constant(c, field) for e, c in terms.items()}, 2,
+              field)
     for (i, j) in F.terms:
         # deg_x(p^i q^j) = i*m + j*n must not exceed nm
         if i * m + j * n > n * m:

@@ -2,10 +2,21 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 _criteria = {}
 _descriptions = {}
+
+
+@pytest.fixture(autouse=True)
+def empty_lattice_memo():
+    """Each test starts with an empty χ memo (`resultants._lattice_gcd`),
+    so what a call-counting test sees does not depend on the tests run
+    before it."""
+    from subalg.resultants import _lattice_memo
+    _lattice_memo.clear()
 
 
 def register_criterion(number, description):

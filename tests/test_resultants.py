@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from subalg import resultants
+from subalg import resultants, sagbi
 from subalg.conditions import Subalgebra
 from subalg.errors import (ConstantInput, DegreesNotCoprime,
                            FewerThanTwoGenerators, ZeroPolynomialInY)
@@ -617,7 +617,9 @@ def test_char_poly_multi_stops_at_the_conductor(monkeypatch):
 
 def test_char_poly_multi_takes_the_conductor_only_to_stop(monkeypatch):
     # two generators and a degree gcd > 1 keep the stop degree 0 and take
-    # no conductor; symmetrize takes one conductor for every rotation
+    # no conductor; a SAGBI basis of two elements stops at 2·codimension
+    # and takes none either; symmetrize over a larger basis takes one
+    # conductor for every rotation
     calls = _recorded_lattices(monkeypatch)
     conductors = []
     conductor = Subalgebra.conductor
@@ -631,13 +633,24 @@ def test_char_poly_multi_takes_the_conductor_only_to_stop(monkeypatch):
     assert char_poly_multi(pair) == char_poly_pair(*pair)
     even = [P("x^4 + x"), P("x^6"), P("x^10")]
     assert char_poly_multi(even) == reference_char_poly_multi(even)
-    assert not conductors
     assert [least for least, _ in calls] == [0, 0, 0]
+    triples = list(_multi_triples(20261018, 2))
+    for gens, size in zip(triples, (2, 3)):
+        assert len(Subalgebra.from_generators(gens).sagbi_basis()
+                   .elements) == size, gens
     calls.clear()
-    gens = next(_multi_triples(20261018, 1))
-    assert char_poly_multi(gens, symmetrize=True) == \
-        reference_char_poly_multi(gens, symmetrize=True)
-    c = conductor(Subalgebra.from_generators(gens))
+    two = triples[0]
+    assert char_poly_multi(two, symmetrize=True) == \
+        reference_char_poly_multi(two, symmetrize=True)
+    assert not conductors
+    c = conductor(Subalgebra.from_generators(two))
+    assert c.degree == 2 * Subalgebra.from_generators(two).codimension()
+    assert [least for least, _ in calls] == [c.degree] * 3
+    calls.clear()
+    three = triples[1]
+    assert char_poly_multi(three, symmetrize=True) == \
+        reference_char_poly_multi(three, symmetrize=True)
+    c = conductor(Subalgebra.from_generators(three))
     assert len(conductors) == 1
     assert [least for least, _ in calls] == [c.degree] * 3
 
@@ -687,18 +700,27 @@ def _charpoly_items(kind, count):
     return out
 
 
-def test_resultant_relation_is_one_engine_call(monkeypatch):
-    calls = []
+def test_resultant_relation_takes_no_resultant(monkeypatch):
+    # the relation is the lift of p^n - q^m by one subduction
+    calls, subductions = [], []
+    subduce = sagbi.subduce
 
     def counted(f_table, g_table):
         calls.append(None)
         return resultant_y_tables(f_table, g_table)
 
+    def counted_subduce(f, basis):
+        subductions.append(None)
+        return subduce(f, basis)
+
     monkeypatch.setattr(resultants, "resultant_y_tables", counted)
-    for p, q in ((P("x^3 - x"), P("x^2")), (P("x^5 + x - 1"), P("x^6 + 2"))):
-        calls.clear()
-        resultants.resultant_relation(p, q)
-        assert len(calls) == 1
+    monkeypatch.setattr(sagbi, "subduce", counted_subduce)
+    for p, q in ((P("x^3 - x"), P("x^2")), (P("x^5 + x - 1"), P("x^6 + 2")),
+                 (P("x + 3"), P("x - 1")), (P("x + 3"), P("x^4 + x"))):
+        subductions.clear()
+        F_rel = resultant_relation(p, q)
+        assert F_rel == reference_resultant_relation(p, q), (p, q)
+        assert not calls and len(subductions) == 1, (p, q)
 
 
 def test_resultant_relation_matches_the_scalar_grid():
@@ -936,3 +958,151 @@ def test_char_poly_multi_depends_on_the_distinguished_generator():
         assert chi == c * c and chi == reference_char_poly_multi(gens)
         assert char_poly_multi(gens, symmetrize=True) == c
         assert characteristic_polynomial(A) == c
+
+
+def reference_reduced_y(table, monic):
+    """The remainder of a y-table modulo a y-table with the constant lead
+    one, by `Poly` arithmetic over K (the path the cleared ints replaced)."""
+    m = len(monic) - 1
+    rem = list(table)
+    for k in range(len(rem) - 1, m - 1, -1):
+        c = -rem.pop()
+        if c:
+            for j in range(m):
+                rem[k - m + j] = rem[k - m + j] + c * monic[j]
+    while rem and rem[-1].is_zero():
+        rem.pop()
+    return rem
+
+
+def test_reduction_on_cleared_ints_matches_poly_arithmetic():
+    # integral and non-integral monic tables over Q, Q(i) and Q(2^(1/3)),
+    # zero entries included
+    rng = random.Random(20261021)
+    fields = (QQ, NumberField([1, 0, 1], label="t^2+1"),
+              NumberField([-2, 0, 0, 1], label="t^3-2"))
+
+    def scalar(field, den):
+        if field is QQ:
+            return F(rng.randint(-5, 5), rng.randint(1, den))
+        return field.from_coeffs([F(rng.randint(-5, 5), rng.randint(1, den))
+                                  for _ in range(field.degree)])
+
+    def entry(field, den):
+        if rng.random() < 0.15:
+            return Poly.zero(field)
+        return Poly([scalar(field, den) for _ in range(rng.randint(1, 5))],
+                    field)
+
+    for field in fields:
+        for den in (1, 6):
+            for _ in range(40):
+                monic = [entry(field, den) for _ in range(rng.randint(1, 4))]
+                monic.append(Poly.constant(field.one, field))
+                table = [entry(field, 3) for _ in range(rng.randint(0, 9))]
+                new = resultants._reduced_y(table, monic)
+                old = reference_reduced_y(table, monic)
+                assert new == old and list(map(repr, new)) == \
+                    list(map(repr, old)), (table, monic)
+                assert all(c.field is field for c in new)
+
+
+def _counted_resultants(monkeypatch):
+    calls = []
+    resultant = resultants.resultant_y_tables
+
+    def counted(f_table, g_table):
+        calls.append(None)
+        return resultant(f_table, g_table)
+
+    monkeypatch.setattr(resultants, "resultant_y_tables", counted)
+    return calls
+
+
+def test_a_pair_and_its_spectrum_take_one_resultant(monkeypatch):
+    # char_poly_pair and the conductor of the same two elements share χ
+    calls = _counted_resultants(monkeypatch)
+    for p, q in _charpoly_items("pair", 6) + [(P("x^2/3"), P("2*x^3 - x"))]:
+        calls.clear()
+        chi = char_poly_pair(p, q)
+        A = Subalgebra.from_generators([p, q])
+        A.spectrum()
+        assert len(calls) == 1, (p, q)
+        assert A.conductor() is chi, (p, q)
+    qi = NumberField([1, 0, 1], label="t^2+1")
+    p, q = P("x^2 - t", field=qi), P("x^3 + t*x", field=qi)
+    calls.clear()
+    chi = char_poly_pair(p, q)
+    assert Subalgebra.from_generators([p, q]).conductor() is chi
+    assert len(calls) == 1
+
+
+def test_the_lattice_memo_is_bounded(monkeypatch):
+    calls = _counted_resultants(monkeypatch)
+    pairs = _charpoly_items("pair", 2 * resultants._LATTICE_MEMO_SIZE)
+    for p, q in pairs:
+        char_poly_pair(p, q)
+        assert len(resultants._lattice_memo) <= \
+            resultants._LATTICE_MEMO_SIZE
+    assert len(calls) == len(pairs)
+    assert len(resultants._lattice_memo) == resultants._LATTICE_MEMO_SIZE
+    size = resultants._LATTICE_MEMO_SIZE
+    calls.clear()
+    char_poly_pair(*pairs[-size])       # the oldest entry kept, now the
+    assert not calls                    # most recently used
+    char_poly_pair(*pairs[0])           # dropped; its return drops the
+    assert len(calls) == 1              # least recently used one
+    char_poly_pair(*pairs[-size])
+    assert len(calls) == 1
+    char_poly_pair(*pairs[1 - size])
+    assert len(calls) == 2
+
+
+def test_the_lattice_memo_keeps_fields_and_stop_degrees_apart(monkeypatch):
+    calls = _counted_resultants(monkeypatch)
+    qi = NumberField([1, 0, 1], label="t^2+1")
+    p, q = P("x^3 - 2*x + 1/2"), P("x^5 + x^2")
+    over_q = char_poly_pair(p, q)
+    over_qi = char_poly_pair(p.coerce_to(qi), q.coerce_to(qi))
+    assert len(calls) == 2
+    assert over_q.field is QQ and over_qi.field is qi
+    assert over_qi == over_q
+    # the same t̃-coordinates over two quadratic fields
+    r2 = NumberField([-2, 0, 1], label="t^2-2")
+    chis = [char_poly_pair(P("x^3 + t*x", field=k), P("x^2 - t", field=k))
+            for k in (qi, r2)]
+    assert len(calls) == 4 and chis[0].field is qi and chis[1].field is r2
+    assert chis[0] != chis[1]
+    # the constant terms do not enter χ: the same entry serves
+    assert char_poly_pair(p + 7, q - 1) is over_q and len(calls) == 4
+    gens = next(_multi_triples(20261018, 1))
+    c = Subalgebra.from_generators(gens).conductor()
+    calls.clear()
+    full = resultants._lattice_gcd(gens, 0)
+    taken = len(calls)
+    stopped = resultants._lattice_gcd(gens, c.degree)
+    assert len(calls) > taken and stopped is not full
+    assert stopped == full == reference_char_poly_multi(gens)
+
+
+def test_chi_with_a_cold_memo_equals_a_warm_one():
+    # the first 100 items of the benchmark's charpoly stream: χ of each
+    # with the memo emptied first, and again after the algebra's conductor
+    # and χ of every item before it
+    items = [("pair", g) for g in _charpoly_items("pair", 50)] + \
+        [("multi", g) for g in _charpoly_items("multi", 25)] + \
+        [("relation", g) for g in _charpoly_items("relation", 25)]
+
+    def chi(kind, gens):
+        return char_poly_multi(gens) if kind == "multi" else \
+            char_poly_pair(*gens)
+
+    cold = []
+    for kind, gens in items:
+        resultants._lattice_memo.clear()
+        cold.append(chi(kind, gens))
+    resultants._lattice_memo.clear()
+    for (kind, gens), before in zip(items, cold):
+        Subalgebra.from_generators(gens).conductor()
+        warm = chi(kind, gens)
+        assert warm == before and repr(warm) == repr(before), gens
