@@ -11,15 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from operator import mul
 
 from .errors import (DegenerateConditions, NotSubalgebraConditions,
                      SpectrumNotExact, SubalgError)
 from .fields import (QQ, common_field, field_of, format_scalar,
                      is_zero_scalar, scalar_to_json)
 from .linalg import cleared_nullspace, nullspace, rref
-from .modular import (crt, evaluate_at, rational_reconstruction,
-                      split_primes, tilde_images, word_primes)
 from .poly import (Poly, _int_combination, _int_dot, _int_mul, _int_scaled,
                    _int_values, _over_lcm, poly_gcd)
 from .resultants import _lattice_gcd
@@ -458,142 +455,56 @@ def _normalize_conditions(conds):
 def conductor(basis):
     """The monic c of least degree with c·K[x] ⊆ A, A the algebra of
     `basis`: 1 for K[x]; for two elements, their monic χ, one resultant
-    (`resultants._lattice_gcd`); for more, `_modular_conductor`.
+    (`resultants._lattice_gcd`); for more, one projection of the degree
+    products.
 
     Two elements: A = K[e₁, e₂] is a plane curve with normalization K[x],
     F its relation, so c·K[x] = (F_Q(e₁, e₂)/e₁′)·K[x] = χ·K[x], by
     Dedekind's formula (Serre, *Groupes algébriques et corps de classes*,
     ch. IV) and the partial-derivative identity F_Q(e₁, e₂) = ∓χ·e₁′
     (acceptance criterion 3).
+
+    More elements: let n be the codimension, d the smallest positive
+    degree and D = 2n + d.  deg c ≤ 2n, so c is a combination of the
+    degree products P_k, k ≤ 2n.  K[x] = ⊕_{i<d} x^i·K[P_d], so
+    f·K[x] ⊆ A iff x^i·f ∈ A for 0 < i < d.  Each x^i·f has degree < D,
+    and A_{<D} is the span of the P_k, k < D, so x^i·f ∈ A iff
+    Σ_l f_l·λ_{l+i} = 0 for every functional λ on K[x]_{<D} that vanishes
+    on them (`_vanishing`).  The combinations of the P_k, k ≤ 2n, that
+    these shifted functionals kill (`_killed_combinations`) span
+    c·K[x]_{≤2n−deg c}; the first, at the lowest free column, is a scalar
+    times c.  No certificate is needed: every combination f has each
+    x^i·f in the span of products of the elements, so f·K[x] lies in the
+    algebra they generate even when they are not a SAGBI basis.  No
+    combination at all means that they are not.
     """
     if basis.semigroup.genus == 0:
         return Poly.constant(basis.field.one, basis.field)
     if len(basis.elements) == 2:
         return _lattice_gcd(basis.elements, 0)
-    return _modular_conductor(basis)
+    d, field = basis.degrees[0], basis.field
+    top, e = 2 * basis.semigroup.genus, field.degree
+    products = basis.degree_products(top + d - 1)
+    shifted = [(row[i * e:(i + top + 1) * e], w)
+               for row, w in _vanishing(products, top + d, field)
+               for i in range(1, d)]
+    kernel = _killed_combinations([P for P in products if P.degree <= top],
+                                  shifted, field)
+    if not kernel:
+        raise SubalgError(
+            f"no conductor of degree <= {top}: the elements of degrees "
+            f"{list(basis.degrees)} are not a SAGBI basis")
+    return kernel[0].monic()
 
 
-def _modular_conductor(basis):
-    """`conductor`, from images modulo word-size primes.
-
-    The system: deg c ≤ 2n (n the codimension), so c is a combination of
-    the degree products P_k, k ≤ 2n.  With d the smallest positive degree,
-    K[x] = ⊕_{i<d} x^i·K[P_d], so c·K[x] ⊆ A iff x^i·c ∈ A for 0 ≤ i < d;
-    for a combination of the P_k that says that the coordinates of x^i·c
-    on the gap monomials vanish for 0 < i < d (K[x] = A ⊕ span{x^g : g a
-    gap}).  With ascending degree columns, c is the kernel vector at the
-    lowest free column.
-
-    Images: the products are cleared once to integer t̃-coordinates over
-    the common denominator D (`poly._int_scaled`).  At each prime p that
-    `modular.split_primes` takes from `word_primes` for D, t̃ ↦ θ_i is a
-    ring map onto F_p for each root θ_i of m̃ mod p, and
-    `_conductor_image` solves the system over F_p once per θ_i.  Degree
-    lemma, at each θ_i: the image of every element of the conductor ideal
-    c·K[x] is a kernel vector, so the lowest free column is at most that
-    of c: an image never has a higher degree than c.  If it has the same
-    degree, the columns below are independent, so the kernel vector there
-    is unique and the image is c at θ_i.  A prime whose θ_i give images of
-    different degrees is discarded; otherwise the inverse Vandermonde
-    matrix (`modular.tilde_images`) turns the images into t̃-coordinates
-    mod p.  Only the primes of the highest degree seen so far are kept;
-    they are combined by CRT, and every coordinate is rationally
-    reconstructed.
-
-    Certificate: a candidate is accepted only if it is monic and
-    x^i·candidate subduces exactly to a constant for 0 ≤ i < d.  It is then
-    in the conductor ideal, so c divides it; its degree is at most deg c,
-    so it is c.
-
-    Termination: only finitely many primes drop the rank at some θ_i.
-    `split_primes` yields infinitely many primes, and every other one
-    gives the t̃-coordinates of c mod p.  Once the product M of those primes
-    exceeds 2H², H the largest numerator or denominator among c's
-    t̃-coordinates, reconstruction returns c.  So there is no prime cap and
-    no stabilization rule.
-    """
-    S, d, field = basis.semigroup, basis.degrees[0], basis.field
+def _vanishing(products, D, field):
+    """The functionals on K[x]_{<D} that vanish on the span of `products`
+    (all of degree < D), as cleared monomial rows: the nullspace of the
+    products' cleared rows."""
     e = field.degree
-    products = basis.degree_products(2 * S.genus + d - 1)
-    lists, den = _over_lcm([P.cleared() for P in products])
-    cleared = {P.degree: [ints[j:j + e] for j in range(0, len(ints), e)]
-               for P, ints in zip(products, lists)}
-    best, modulus, residues = -1, 1, []
-    for p, thetas in split_primes(field.tilde_modulus, den, word_primes()):
-        scale = pow(den, -1, p)
-        images = []
-        for theta in thetas:
-            at = {k: [a * scale % p for a in evaluate_at(cs, theta, p)]
-                  for k, cs in cleared.items()}
-            images.append(_conductor_image(at, S, d, p))
-        if None in images:
-            raise SubalgError(
-                f"no conductor of degree <= {2 * S.genus}: the elements of "
-                f"degrees {list(basis.degrees)} are not a SAGBI basis")
-        degree = len(images[0]) - 1
-        if degree < best or any(len(image) != degree + 1
-                                for image in images):
-            continue
-        flat = tilde_images(images, thetas, p)
-        if degree > best:
-            best, modulus, residues = degree, p, flat
-        else:
-            residues, modulus = crt(residues, modulus, flat, p), modulus * p
-        values = [rational_reconstruction(r, modulus) for r in residues]
-        if None in values:
-            continue
-        c = Poly(field.from_tilde_coordinates(values, 1), field)
-        if c.degree == best and c.leading_coeff() == 1 and \
-                _in_conductor_ideal(c, basis):
-            return c
-
-
-def _in_conductor_ideal(f, basis):
-    """Is f·K[x] ⊆ A?  Exact: x^i·f subduces to a constant for every
-    0 ≤ i < d (d the smallest positive degree), x^i·f by a shift."""
-    return all(subduce(f.shift(i), basis)[0].degree < 1
-               for i in range(basis.degrees[0]))
-
-
-def _conductor_image(products, S, d, p):
-    """The coefficients (mod p) of the image of the conductor at one root
-    θ of m̃ mod p: the kernel vector at the lowest free column of the
-    system of `_modular_conductor`, as a combination of the products.
-    `products` maps each degree k to the coefficients of P_k at θ, which
-    are monic.
-
-    The gap coordinates of x^k come from one triangular pass
-    (x^k = P_k − lower terms).  The columns are reduced one at a time
-    against the echelon rows of the columns before them, with the
-    combination that reduces them; the first that reduces to zero is the
-    lowest free column.
-    """
-    top = 2 * S.genus
-    gap_index = {g: j for j, g in enumerate(S.gaps)}
-    normal = [[] for _ in S.gaps]       # normal[j][k]: gap j of x^k
-    for k in range(top + d):
-        for j, values in enumerate(normal):
-            values.append(int(j == gap_index[k]) if k in gap_index else
-                          -sum(map(mul, products[k], values)) % p)
-    columns = [k for k in sorted(products) if k <= top]
-    echelon = []                    # (pivot, row, combination), pivot 1
-    for index, k in enumerate(columns):
-        row = [sum(map(mul, products[k], values[i:])) % p
-               for i in range(1, d) for values in normal]
-        combo = [int(j == index) for j in range(len(columns))]
-        for pivot, prow, pcombo in echelon:
-            f = row[pivot]
-            if f:
-                row = [(a - f * b) % p for a, b in zip(row, prow)]
-                combo = [(a - f * b) % p for a, b in zip(combo, pcombo)]
-        pivot = next((q for q, a in enumerate(row) if a), None)
-        if pivot is None:
-            return [sum(a * products[j][i]
-                        for a, j in zip(combo, columns[:index + 1]) if i <= j)
-                    % p for i in range(k + 1)]
-        inv = pow(row[pivot], -1, p)
-        echelon.append((pivot, [a * inv % p for a in row],
-                        [a * inv % p for a in combo]))
+    return cleared_nullspace(
+        [P.cleared()[0] + [0] * (e * (D - P.degree - 1)) for P in products],
+        D, field)
 
 
 def annihilator(basis, coords):
@@ -691,7 +602,7 @@ def intersect_and_join(A1, A2):
     D = deg h, h·K[x] lies in both algebras, so division by h gives
     A1 ∩ A2 = (A1_{<D} ∩ A2_{<D}) ⊕ h·K[x].  The nullspace of the degree
     products of A2 below D is the functionals on K[x]_{<D} that vanish on
-    A2; the combinations of the degree products of A1 below D that they
+    A2 (`_vanishing`); the combinations of the degree products of A1 below D that they
     kill (`_killed_combinations`) span A1_{<D} ∩ A2, one per leading
     degree.  The SAGBI basis is read off those and h·x^j for
     j < max(D, 2), which fill the degrees D, …, 2D − 1 (and give x when
@@ -705,10 +616,7 @@ def intersect_and_join(A1, A2):
     c1, c2 = b1.conductor(), b2.conductor()
     h = (c1 * c2).exact_div(poly_gcd(c1, c2))
     D = h.degree
-    e = field.degree
-    vanishing = cleared_nullspace(
-        [P.cleared()[0] + [0] * (e * (D - P.degree - 1))
-         for P in b2.degree_products(D - 1)], D, field)
+    vanishing = _vanishing(b2.degree_products(D - 1), D, field)
     fill = [h.shift(j) for j in range(max(D, 2))]
     intersection = Subalgebra(_sagbi=read_off_basis(
         _killed_combinations(b1.degree_products(D - 1), vanishing, field)

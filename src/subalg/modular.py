@@ -3,11 +3,10 @@
 An exact scalar of K = Q[t]/(m) (over Q, m = t) reduces modulo a prime p
 to its power-basis coordinates in R_p = F_p[t]/(m mod p), a tuple of
 e = deg m plain ints.  Images computed in R_p come back to K coordinate by
-coordinate: Chinese remaindering over several primes, then rational
-reconstruction (von zur Gathen & Gerhard, *Modern Computer Algebra*,
-sections 5.4 and 5.10), with the bounds that say when to stop
-(`coordinate_bound`).  Exact arithmetic on integer t̃-coordinates is in
-`poly` (`poly._int_scaled`, `poly._int_mul`).
+coordinate, by Chinese remaindering over several primes (von zur Gathen &
+Gerhard, *Modern Computer Algebra*, section 5.4), with the bound that says
+when to stop (`coordinate_bound`).  Exact arithmetic on integer
+t̃-coordinates is in `poly` (`poly._int_scaled`, `poly._int_mul`).
 
 At a prime where the integral modulus m̃ has e distinct roots θ_i
 (`modulus_roots`), t̃ ↦ θ_i gives R_p ≅ F_p^e: a scalar maps to its
@@ -18,9 +17,8 @@ through the inverse Vandermonde matrix (`lagrange_basis`, `tilde_images`).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt, lcm
+from math import lcm
 from operator import mul
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -75,20 +73,6 @@ def crt(residues, modulus, image, p):
     inv = pow(modulus, -1, p)
     return [r + modulus * ((a - r) * inv % p)
             for r, a in zip(residues, image)]
-
-
-def rational_reconstruction(u, modulus):
-    """The fraction r/s ≡ u (mod modulus) with |r|, |s| ≤ √(modulus/2), or
-    None when there is none.  Such a fraction is unique (modulus odd)."""
-    bound = isqrt(modulus // 2)
-    r0, r1, s0, s1 = modulus, u % modulus, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if abs(s1) > bound or gcd(r1, s1) != 1:
-        return None
-    return Fraction(r1, s1)
 
 
 def coordinates(scalar):

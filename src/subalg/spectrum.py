@@ -103,8 +103,10 @@ def compute_spectrum(A, nf=None):
     `split_roots` of c over nf, ordered by their order as roots of c, then
     rational values by value, then the others as `split_roots` orders
     them; the roots of the unsplit rest follow as complex double-precision
-    points (`exact` False).  So which points are exact depends only on
-    the field.  Multiplicities are read from χ only when asked for.
+    points (`exact` False), for factors over Q.  An unsplit factor with a
+    coefficient outside Q has no chosen complex embedding and raises
+    SpectrumNotExact.  So which points are exact depends only on the
+    field.  Multiplicities are read from χ only when asked for.
 
     The complex points are first the `aberth_roots` of the rounded
     factors.  If one of them is left unpaired (UnpairedRoot), every
@@ -117,6 +119,12 @@ def compute_spectrum(A, nf=None):
     if c.degree < 1:
         return []
     exact, leftover = split_roots(c, nf)
+    for rest, _ in leftover:
+        if rest.to_rational() is None:
+            raise SpectrumNotExact(
+                f"the factor {rest} of the conductor has no roots over "
+                f"{rest.field}, and a coefficient outside Q gives its roots "
+                "no numeric value")
     numeric = [(rest, aberth_roots(rest)[0]) for rest, _ in leftover]
 
     def classified(numeric):

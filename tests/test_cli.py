@@ -109,6 +109,12 @@ def test_domain_error_exit_code(capsys):
     assert code == 3 and "error" in err
 
 
+def test_an_unsplit_factor_outside_q_exits_3(capsys):
+    code, _, err = run(capsys, "spectrum", "x^2 - t", "x^3 + t*x",
+                       "--field", "t^2+1")
+    assert code == 3 and "SpectrumNotExact" in err
+
+
 def test_malformed_condition_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("not json")

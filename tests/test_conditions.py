@@ -19,7 +19,6 @@ from subalg.errors import (DegenerateConditions, NotSubalgebraConditions,
 from subalg.fields import (QQ, NumberField, common_field, field_of,
                            is_zero_scalar)
 from subalg.linalg import nullspace
-from subalg.modular import is_prime
 from subalg.oracle import oracle_codimension, oracle_member
 from subalg.parsing import parse_poly as P
 from subalg.poly import Poly, _int_scaled, squarefree_part
@@ -475,6 +474,17 @@ def test_conductor_matches_the_exact_nullspace():
                      construct_case("codim2/s=2-pair",
                                     {"alpha": k.zero, "beta": 2 + u,
                                      "a": k.one, "b": k.coerce(3)})]
+    # a denominator 3 (alpha = 1/3); over Q(i), a point 2 + t of norm 5;
+    # c = (x - 1)^6 of a three-element basis
+    qi = NumberField([1, 0, 1], label="t^2+1")
+    algebras += [
+        construct_case("codim1/pair", {"alpha": F(1, 3), "beta": F(-1)}),
+        construct_case("codim2/s=2-pair",
+                       {"alpha": qi.zero, "beta": 2 + qi.gen(), "a": qi.one,
+                        "b": qi.coerce(3)}),
+        construct_case("codim3/s=1/case1",
+                       {"alpha": F(1), "a": F(0), "b": F(1), "c": F(2)})]
+    assert algebras[-1].conductor() == P("(x - 1)^6")
     degrees = [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (4, 7), (5, 6),
                (5, 7), (5, 8), (6, 7), (7, 8), (8, 9)]
     algebras += [Subalgebra.from_generators(pair)
@@ -484,86 +494,23 @@ def test_conductor_matches_the_exact_nullspace():
 
 
 def test_two_element_conductor_is_chi(monkeypatch):
-    """On a two-element basis `conductor` is χ, with no modular image; it
-    equals the modular solver and the exact nullspace."""
+    """On a two-element basis `conductor` is χ, with no projection of the
+    degree products; it equals the exact nullspace."""
     bases = [construct_case(label, params).sagbi_basis()
              for label, params in _conductor_cases()]
     bases += [Subalgebra.from_generators(pair).sagbi_basis()
               for pair in _charpoly_items("pair", 50)]
     two = [basis for basis in bases if len(basis.elements) == 2]
     assert len(two) > 50 and any(b.field.degree > 1 for b in two)
-    solve = conditions._modular_conductor
-    solved = []
-    monkeypatch.setattr(conditions, "_modular_conductor",
-                        lambda basis: solved.append(basis) or solve(basis))
+    projected = []
+    vanishing = conditions._vanishing
+    monkeypatch.setattr(conditions, "_vanishing",
+                        lambda *args: projected.append(args) or
+                        vanishing(*args))
     for basis in two:
         c = conductor(basis)
-        assert not solved
-        assert c == solve(basis) == reference_conductor(basis), basis
-
-
-def test_conductor_discards_unlucky_primes(monkeypatch):
-    """From the primes 3, 5, 7, …, 97 every discard path of the modular
-    solver runs, and c is the same.  A has a two-element basis, whose
-    `conductor` takes no image, so the solver is called directly.  The spy
-    records (p, image degree) at each root of m̃ mod p."""
-    images, failures, verdicts = [], [], []
-    image, reconstruct, certify = (conditions._conductor_image,
-                                   conditions.rational_reconstruction,
-                                   conditions._in_conductor_ideal)
-
-    def spy_image(products, S, d, p):
-        out = image(products, S, d, p)
-        images.append((p, len(out) - 1))
-        return out
-
-    def spy_reconstruct(u, modulus):
-        out = reconstruct(u, modulus)
-        if out is None:
-            failures.append(modulus)
-        return out
-
-    def spy_certify(f, basis):
-        verdicts.append(certify(f, basis))
-        return verdicts[-1]
-
-    # a solver that never accepts runs out of primes and returns None
-    monkeypatch.setattr(conditions, "word_primes",
-                        lambda: (p for p in range(3, 100) if is_prime(p)))
-    monkeypatch.setattr(conditions, "_conductor_image", spy_image)
-    monkeypatch.setattr(conditions, "rational_reconstruction",
-                        spy_reconstruct)
-    monkeypatch.setattr(conditions, "_in_conductor_ideal", spy_certify)
-    qi = NumberField([1, 0, 1], label="t^2+1")
-    t = qi.gen()
-    # alpha = 1/3: 3 divides a denominator of the basis
-    A = construct_case("codim1/pair", {"alpha": F(1, 3), "beta": F(-1)})
-    images.clear()
-    c = conditions._modular_conductor(A.sagbi_basis())
-    assert c == reference_conductor(A.sagbi_basis())
-    assert images[0][0] == 5
-    # over Q(i) with beta = 2 + t (norm 5): t^2 + 1 does not split mod 3, 7
-    # and 11; mod 5 its roots are 2 and 3, and at t = 3, where 2 + t
-    # vanishes, the image has a lower degree, so 5 is discarded
-    B = construct_case("codim2/s=2-pair", {"alpha": qi.zero, "beta": 2 + t,
-                                           "a": qi.one, "b": qi.coerce(3)})
-    images.clear()
-    failures.clear()
-    c = conditions._modular_conductor(B.sagbi_basis())
-    assert c == reference_conductor(B.sagbi_basis())
-    assert [p for p, _ in images[:3]] == [5, 5, 13]
-    assert images[0][1] == c.degree and images[1][1] < c.degree
-    assert failures
-    # c = (x - 1)^6: mod 3 it reconstructs to x^6 + x^3 + 1, which the
-    # certificate rejects, and the rank-dropping image mod 5 comes after
-    C = construct_case("codim3/s=1/case1",
-                       {"alpha": F(1), "a": F(0), "b": F(1), "c": F(2)})
-    images.clear()
-    verdicts.clear()
-    c = conditions._modular_conductor(C.sagbi_basis())
-    assert c == reference_conductor(C.sagbi_basis()) == P("(x - 1)^6")
-    assert images[:2] == [(3, 6), (5, 5)]
-    assert verdicts == [False, True]
+        assert not projected
+        assert c == reference_conductor(basis), basis
 
 
 def test_conductor_of_elements_that_are_no_sagbi_basis_raises():
@@ -574,13 +521,22 @@ def test_conductor_of_elements_that_are_no_sagbi_basis_raises():
         basis.conductor()
 
 
-def test_conductor_certificate_is_membership_of_every_shift():
-    # in K[x^2, x^3], x^2·K[x] ⊆ A but x ∉ A although x·x ∈ A
-    basis = sagbi_complete([P("x^2"), P("x^3")])
-    assert conditions._in_conductor_ideal(P("x^2"), basis)
-    assert conditions._in_conductor_ideal(P("x^3 + x^2"), basis)
-    assert not conditions._in_conductor_ideal(P("x"), basis)
-    assert not conditions._in_conductor_ideal(P("x^3 + x"), basis)
+def test_every_shift_below_the_smallest_degree_counts():
+    """c·K[x] ⊆ A needs x^i·c ∈ A for every i below the smallest positive
+    degree d.  In K[x⁴, x⁵, x⁶], x⁴·x and x⁴·x² lie in A but x⁴·x³ = x⁷
+    does not, so c is x⁸; in K[x³, x⁴, x⁵], 1·x does not, so c is x³."""
+    for gens, c, outside in (("x^4 x^5 x^6", "x^8", ("x^4", 3)),
+                             ("x^3 x^4 x^5", "x^3", ("1", 1))):
+        elements = [P(g) for g in gens.split()]
+        basis = SagbiBasis(elements)
+        assert conductor(basis) == reference_conductor(basis) == P(c)
+        x, d = Poly.x(), basis.degrees[0]
+        assert all(oracle_member(P(c) * x ** i, elements, P(c).degree + i)
+                   for i in range(d))
+        f, i = P(outside[0]), outside[1]
+        assert all(oracle_member(f * x ** j, elements, f.degree + j)
+                   for j in range(i))
+        assert not oracle_member(f * x ** i, elements, f.degree + i)
 
 
 def reference_dot(a, b, field):

@@ -4,8 +4,7 @@ from itertools import islice
 
 from subalg import modular
 from subalg.modular import (crt, evaluate_at, integral_modulus, is_prime,
-                            lagrange_basis, modulus_roots,
-                            rational_reconstruction, split_primes,
+                            lagrange_basis, modulus_roots, split_primes,
                             tilde_images, word_primes)
 
 
@@ -134,15 +133,14 @@ def test_lagrange_basis_inverts_the_vandermonde_matrix():
         [a for cs in coords for a in cs]
 
 
-def test_crt_and_rational_reconstruction():
+def test_crt():
     values = [F(-7, 12), F(345), F(0), F(-1, 99991)]
     p1, p2 = 1000003, 999983
     images = [[v.numerator * pow(v.denominator, -1, p) % p for v in values]
               for p in (p1, p2)]
-    # one prime is too small for the last value, two suffice
-    assert [rational_reconstruction(u, p1) for u in images[0]][:3] == \
-        values[:3]
-    assert rational_reconstruction(images[0][3], p1) != values[3]
     residues = crt(images[0], p1, images[1], p2)
-    assert [rational_reconstruction(u, p1 * p2) for u in residues] == values
-
+    # the residues of the values modulo p1·p2, which agree with both images
+    M = p1 * p2
+    assert residues == [v.numerator * pow(v.denominator, -1, M) % M
+                        for v in values]
+    assert [[r % p for r in residues] for p in (p1, p2)] == images

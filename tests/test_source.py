@@ -72,3 +72,17 @@ def test_only_modular_finds_the_roots_of_the_modulus():
                for node in ast.walk(ast.parse(path.read_text("utf-8")))
                if "modulus_roots" in _identifiers(node)]
     assert callers == []
+
+
+def test_the_conductor_imports_nothing_from_modular():
+    """`conditions` imports nothing from `modular`: the conductor is one
+    exact projection of the degree products, with no loop over primes."""
+    imports = []
+    for node in ast.walk(ast.parse(
+            (SOURCE / "conditions.py").read_text("utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""]
+            names += [alias.name for alias in node.names]
+            if any("modular" in name.split(".") for name in names):
+                imports.append(f"conditions.py:{node.lineno}")
+    assert imports == []

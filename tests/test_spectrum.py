@@ -222,6 +222,21 @@ def test_a_number_field_point_without_an_exact_partner_is_an_error():
         A.spectrum()
 
 
+def test_an_unsplit_factor_outside_q_is_not_exact(monkeypatch):
+    # over Q(i), K[x^2 - t, x^3 + t*x] has c = x^2 + t: it has no root in
+    # Q(i), and a coefficient outside Q gives it no numeric roots either
+    qi = NumberField([1, 0, 1], label="t^2+1")
+    A = alg("x^2 - t", "x^3 + t*x", field=qi)
+    assert A.conductor() == parse_poly("x^2 + t", field=qi)
+    monkeypatch.setattr(spectrum, "aberth_roots", None)     # never reached
+    with pytest.raises(SpectrumNotExact, match="x\\^2 \\+ t"):
+        A.spectrum()
+    with pytest.raises(SpectrumNotExact):
+        A.conditions()
+    with pytest.raises(SpectrumNotExact):
+        classify(alg("x^2 - t", "x^3 + t*x", field=qi))
+
+
 def test_a_failed_spectrum_is_computed_once(monkeypatch):
     qi = NumberField([1, 0, 1], label="t^2+1")
     A = alg(*[f"(x - t)*(x^3-x-1)*x^{k}" for k in range(4)], field=qi)
