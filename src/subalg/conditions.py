@@ -96,9 +96,6 @@ class LinearFunctional:
     def points(self):
         return [point for _, point, _ in self.terms]
 
-    def max_order(self):
-        return max(order for order, _, _ in self.terms)
-
     def to_json(self):
         if self.kind == "diff":
             return {"kind": "diff", "alpha": scalar_to_json(self.alpha),
@@ -183,48 +180,13 @@ def _scalar_from_json(data, field):
     return value if field is None else field.coerce(value)
 
 
-def _conditions_field(conds):
-    field = QQ
-    for L in conds:
-        field = common_field(field, L.field)
-    return field
-
-
-def _order_and_point_count(conds):
-    """(N, s): one more than the highest derivative order the conditions
-    read, and the number of distinct points they read it at."""
-    points = []
-    for L in conds:
-        for p in L.points():
-            if p not in points:
-                points.append(p)
-    return max(L.max_order() for L in conds) + 1, len(points)
-
-
-def _monomial_kernel(rows, degree_bound, field):
-    """(rank, kernel) of the cleared condition rows on 1, x, …, x^bound.
-
-    One reduction with ascending degree columns: every kernel polynomial is
-    x^d plus terms at pivot degrees below d, so its leading degree d is a
-    free column and the kernel comes out sorted by degree.  The kernel
-    vectors come out cleared, and are the polynomials' cleared forms.
-    """
-    ncols = degree_bound + 1
-    vectors = cleared_nullspace(
-        [ints[:ncols * field.degree] for ints, _ in rows], ncols, field)
-    return ncols - len(vectors), [Poly.from_cleared(ints, d, field)
-                                  for ints, d in vectors]
-
-
 def _closed_under_products(rows, kernel, low, field):
-    """Is the kernel V of the condition rows closed under multiplication?
-
-    Every condition reads f only through f^(k)(α) with k < N at the s
-    points, so V contains the ideal π^N·K[x] (π = ∏(x − α)) and
-    V = V_{<low} ⊕ π^N·K[x] with low = N·s.  Products with the ideal stay
-    in it, so V is an algebra iff every product of two elements of
-    V_{<low} satisfies every condition.  `kernel` must contain a basis of
-    V_{<low}; the cleared `rows` must reach degree 2·low − 2.
+    """Is the kernel V of the condition rows (in an algebra) closed under
+    multiplication, given V = V_{<low} ⊕ I for an ideal I of K[x] inside
+    V?  Products with I stay in I, so V is an algebra iff every product of
+    two elements of V_{<low} satisfies every condition (see `_cut`).
+    `kernel` must contain a basis of V_{<low}; the cleared `rows` must
+    reach degree 2·low − 2.
     """
     small = [p for p in kernel if 1 <= p.degree < low]
     for i, p in enumerate(small):
@@ -253,20 +215,53 @@ def _killed_combinations(products, rows, field):
             for vec, w in cleared_nullspace(values, len(products), field)]
 
 
-def is_subalgebra_condition_set(conds):
-    """Does the joint kernel of the conditions form a subalgebra?
+_POLYNOMIAL_RING = SagbiBasis([Poly.x()])
 
-    Exact: checks the products of kernel elements of degree < N·s (see
-    `_closed_under_products`).
+
+def _cut(basis, conds):
+    """(rank, kernel, closed) for V = B ∩ ker(conds), B the algebra of
+    `basis`: the rank of the conditions on B, combinations of B's degree
+    products that span V up to degree 2D − 1, one per leading degree, and
+    whether V is closed under multiplication.  `kernel_subalgebra` and
+    `is_subalgebra_condition_set` cut K[x] (`_POLYNOMIAL_RING`) by all
+    their conditions at once, `sagbi.sagbi_extend` an algebra by one.
+
+    Let c be the conductor of B, N_p the top order the conditions read at
+    the point p, h = ∏_p (x − p)^(N_p + 1) and D = deg c + Σ_p (N_p + 1)
+    = deg c·h, read off the degrees (c·h is not built).  c·K[x] ⊆ B, and a
+    condition reads c·h·q at p only through its N_p-jet, which is zero, so
+    c·h·K[x] ⊆ V: every degree ≥ D is in the semigroup S(V), whose
+    conductor and smallest positive degree are then at most D, so its
+    minimal generators are at most 2D − 1 and `read_off_basis` reads the
+    SAGBI basis off `kernel`.  The degree products up to 2D − 1 span
+    B_{<2D}, and the combinations of them that the conditions kill
+    (`_killed_combinations`) span V_{<2D}; the conditions vanish on
+    c·h·K[x] and B = B_{<D} ⊕ c·h·K[x], so the rank on B is the number of
+    products less the number of combinations.  For B = K[x] the products
+    are the x^k, so the matrix is the conditions' monomial rows, every
+    pivot lies below D, and each combination at a free column d is x^d
+    plus terms at pivot columns below d, whatever the number of columns.
+    Division by c·h gives V = V_{<D} ⊕ c·h·K[x], so V is an algebra iff
+    every product of two combinations of degree < D satisfies every
+    condition (`_closed_under_products`).
     """
-    if not conds:
-        return True
-    field = _conditions_field(conds)
-    N, s = _order_and_point_count(conds)
-    low = N * s
-    rows = [L.monomial_row(2 * low - 2, field) for L in conds]
-    _, kernel = _monomial_kernel(rows, low - 1, field)
-    return _closed_under_products(rows, kernel, low, field)
+    field, tops = basis.field, {}
+    for L in conds:
+        field = common_field(field, L.field)
+        for order, point, _ in L.terms:
+            tops[point] = max(order, tops.get(point, 0))
+    D = basis.conductor().degree + sum(top + 1 for top in tops.values())
+    products = [P.coerce_to(field) for P in basis.degree_products(2 * D - 1)]
+    rows = [L.monomial_row(2 * D - 1, field) for L in conds]
+    kernel = _killed_combinations(products, rows, field)
+    return (len(products) - len(kernel), kernel,
+            _closed_under_products(rows, kernel, D, field))
+
+
+def is_subalgebra_condition_set(conds):
+    """Does the joint kernel of the conditions form a subalgebra?  Exact:
+    the closure check of K[x] cut by them (`_cut`)."""
+    return not conds or _cut(_POLYNOMIAL_RING, conds)[2]
 
 
 class Subalgebra:
@@ -391,40 +386,27 @@ class Subalgebra:
 
 
 def kernel_subalgebra(conds):
-    """The subalgebra of all polynomials satisfying the conditions.
+    """The subalgebra of all polynomials satisfying the conditions: K[x]
+    cut by all of them at once (`_cut`), with no completion.
 
-    Row-reduces the condition matrix on 1, x, …, x^B once, with ascending
-    degree columns (B = N·s + 2n + 2; N = max derivative order + 1, s =
-    point count, n = condition count).  Fewer than n pivots means dependent
-    conditions.  Otherwise each kernel vector is x^d plus terms at pivot
-    degrees, so the free columns d ≥ 1 are the degree semigroup S up to B,
-    and the kernel vectors at the minimal generators of S form the SAGBI
-    basis; no completion is run.  B covers those generators: n < N·s, and
-    every minimal generator of a genus-n semigroup is at most 3n.
-
-    Closure is checked exactly: the kernel is an algebra iff every product
-    of two kernel elements of degree < N·s satisfies every condition
-    (`_closed_under_products`), since π^N·K[x] (π the product of x − p
-    over the points) is an ideal inside the kernel that supplies every
-    degree ≥ N·s.  So the leading degrees are closed under addition, and
-    the n pivots are exactly the gaps: the semigroup has genus n.
+    Fewer than n = len(conds) independent conditions raise
+    DegenerateConditions, before closure is checked; a kernel that is not
+    closed under multiplication raises NotSubalgebraConditions.  Otherwise
+    the leading degrees of the kernel are closed under addition and the n
+    pivots are exactly the gaps, so the semigroup has genus n, and the
+    kernel elements at its minimal generators form the SAGBI basis.
     """
     if not conds:
         raise SubalgError("kernel_subalgebra needs at least one condition")
-    field = _conditions_field(conds)
-    n = len(conds)
-    N, s = _order_and_point_count(conds)
-    low = N * s
-    bound = low + 2 * n + 2
-    rows = [L.monomial_row(max(bound, 2 * low - 2), field) for L in conds]
-    r, kernel = _monomial_kernel(rows, bound, field)
-    if r < n:
+    rank, kernel, closed = _cut(_POLYNOMIAL_RING, conds)
+    if rank < len(conds):
         raise DegenerateConditions(
-            f"only {r} of {n} conditions are independent", reduced_count=r)
-    if not _closed_under_products(rows, kernel, low, field):
+            f"only {rank} of {len(conds)} conditions are independent",
+            reduced_count=rank)
+    if not closed:
         raise NotSubalgebraConditions(
             "kernel is not closed under multiplication: a product of two "
-            f"kernel elements of degree < {low} fails a condition")
+            "kernel elements fails a condition")
     return Subalgebra(conditions=_normalize_conditions(conds),
                       _sagbi=read_off_basis(kernel))
 

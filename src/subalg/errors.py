@@ -66,8 +66,8 @@ class InfiniteCodimension(SubalgError):
 
 class ConditionVanishesOnB(SubalgError):
     """sagbi_extend got a functional that is identically zero on B
-    (exact: it vanishes on every degree product of B below deg c·h; see
-    `sagbi.sagbi_extend`)."""
+    (exact: it vanishes on every degree product of B up to degree 2D − 1;
+    see `conditions._cut`)."""
 
 
 # --- conditions ---------------------------------------------------------

@@ -261,9 +261,9 @@ def _minimalize(basis):
 
 def read_off_basis(elements):
     """The SAGBI basis of an algebra from elements of it with distinct
-    leading degrees that cover every degree of its semigroup up to the
+    leading degrees that cover every degree of its semigroup below the
     conductor plus the smallest positive degree: the elements at the
-    minimal generators of the degrees."""
+    minimal generators of the degrees, which all lie below that sum."""
     by_degree = {p.degree: p for p in elements if p.degree >= 1}
     semigroup = DegreeSemigroup(by_degree)
     return SagbiBasis([by_degree[d] for d in semigroup.generators],
@@ -272,49 +272,26 @@ def read_off_basis(elements):
 
 def sagbi_extend(basis, functional):
     """SAGBI basis of B ∩ ker L, B the algebra of `basis` and L the
-    functional, by one projection.
+    functional: B cut by L (`conditions._cut`), one projection of the
+    degree products of B up to degree 2D − 1, D = deg c·h (c the conductor
+    of B, h a power of x − p at each point p of L), with no completion.
 
-    Let c be the conductor of B, h = ∏_p (x − p)^(N_p + 1) over the points
-    p of L (N_p the top order L reads at p) and D = deg c·h.  Then
-    c·h·K[x] ⊆ B ∩ ker L: c·K[x] ⊆ B, and L reads c·h·q at p only through
-    its N_p-jet, which is zero.  Division by c·h gives
-    B = B_{<D} ⊕ c·h·K[x], so B ∩ ker L = (B_{<D} ∩ ker L) ⊕ c·h·K[x].
-
-    The degree products P_k, k < D, span B_{<D}, and the combinations of
-    them that L kills (`conditions._killed_combinations` on L's row: with
-    g the first product on which L is nonzero, the products before g and
-    P − (L(P)/L(g))·g for the products after it) span B_{<D} ∩ ker L, one
-    per leading degree.  No g means that L vanishes on all of B
-    (ConditionVanishesOnB).  Products
-    of elements of B stay in B, and products with c·h·K[x] stay in it, so
-    the kernel is an algebra iff L kills every product of two kernel
-    elements of degree < D (`conditions._closed_under_products`);
-    otherwise NotSubalgebraConditions.  The SAGBI basis is read off the
-    leading degrees, with c·h·x^j filling the degrees D, …, 2D − 1: the
-    semigroup's conductor and smallest positive degree are at most D.
+    Rank 0 means that L vanishes on all of B (ConditionVanishesOnB); it is
+    checked before closure.  A kernel that is not closed under
+    multiplication raises NotSubalgebraConditions.
     """
-    from .conditions import _closed_under_products, _killed_combinations
-    field = common_field(basis.field, functional.field)
-    tops = {}
-    for order, point, _ in functional.terms:
-        tops[point] = max(order, tops.get(point, 0))
-    ch = basis.conductor().coerce_to(field)
-    for point, top in tops.items():
-        ch = ch * Poly([-point, field.one], field) ** (top + 1)
-    D = ch.degree
-    products = [P.coerce_to(field) for P in basis.degree_products(D - 1)]
-    row = functional.monomial_row(2 * D - 2, field)
-    kernel = _killed_combinations(products, [row], field)
-    if len(kernel) == len(products):
+    from .conditions import _cut
+    rank, kernel, closed = _cut(basis, [functional])
+    if rank == 0:
         raise ConditionVanishesOnB(
             "functional vanishes on the whole algebra: codimension "
             "does not grow")
-    if not _closed_under_products([row], kernel, D, field):
+    if not closed:
         raise NotSubalgebraConditions(
             "the kernel of the functional in the algebra is not closed "
-            "under multiplication: a product of two kernel elements of "
-            f"degree < {D} fails it")
-    return read_off_basis(kernel + [ch.shift(j) for j in range(D)])
+            "under multiplication: a product of two kernel elements fails "
+            "it")
+    return read_off_basis(kernel)
 
 
 def membership(f, algebra):

@@ -8,8 +8,8 @@ from case_draws import affine_variants, all_draws, family_draws
 from subalg import conditions
 from subalg.classify import construct_case
 from subalg.conditions import (LinearFunctional, Subalgebra,
-                               _conditions_field, _jet_row, _monomial_kernel,
-                               _order_and_point_count, annihilator,
+                               _closed_under_products, _jet_row,
+                               _normalize_conditions, annihilator,
                                conditions_from_subalgebra, conductor,
                                intersect_and_join,
                                is_subalgebra_condition_set,
@@ -18,12 +18,12 @@ from subalg.errors import (DegenerateConditions, NotSubalgebraConditions,
                            SpectrumNotExact, SubalgError)
 from subalg.fields import (QQ, NumberField, common_field, field_of,
                            is_zero_scalar)
-from subalg.linalg import nullspace
+from subalg.linalg import cleared_nullspace, nullspace
 from subalg.oracle import oracle_codimension, oracle_member
 from subalg.parsing import parse_poly as P
 from subalg.poly import Poly, _int_scaled, squarefree_part
 from subalg.resultants import char_poly_pair
-from subalg.sagbi import SagbiBasis, sagbi_complete
+from subalg.sagbi import SagbiBasis, read_off_basis, sagbi_complete
 from test_resultants import _charpoly_items
 
 
@@ -182,6 +182,127 @@ def test_kernel_rejects_non_subalgebra_conditions():
         kernel_subalgebra([deriv((1, 0, 1), (1, 1, 1))])
 
 
+def _conditions_field(conds):
+    field = QQ
+    for L in conds:
+        field = common_field(field, L.field)
+    return field
+
+
+def _order_and_point_count(conds):
+    """(N, s): one more than the highest derivative order the conditions
+    read, and the number of distinct points they read it at."""
+    points = []
+    for L in conds:
+        for p in L.points():
+            if p not in points:
+                points.append(p)
+    return max(order for L in conds for order, _, _ in L.terms) + 1, \
+        len(points)
+
+
+def _monomial_kernel(rows, degree_bound, field):
+    """(rank, kernel) of the cleared condition rows on 1, x, …, x^bound.
+
+    One reduction with ascending degree columns: every kernel polynomial is
+    x^d plus terms at pivot degrees below d, so its leading degree d is a
+    free column and the kernel comes out sorted by degree.  The kernel
+    vectors come out cleared, and are the polynomials' cleared forms.
+    """
+    ncols = degree_bound + 1
+    vectors = cleared_nullspace(
+        [ints[:ncols * field.degree] for ints, _ in rows], ncols, field)
+    return ncols - len(vectors), [Poly.from_cleared(ints, d, field)
+                                  for ints, d in vectors]
+
+
+def reference_kernel_subalgebra(conds):
+    """`kernel_subalgebra` on the monomial kernel that `conditions._cut`
+    replaced (verbatim): the kernel up to B = N·s + 2n + 2 (N = max
+    derivative order + 1, s = point count, n = condition count), closure
+    checked below N·s."""
+    field = _conditions_field(conds)
+    n = len(conds)
+    N, s = _order_and_point_count(conds)
+    low = N * s
+    bound = low + 2 * n + 2
+    rows = [L.monomial_row(max(bound, 2 * low - 2), field) for L in conds]
+    r, kernel = _monomial_kernel(rows, bound, field)
+    if r < n:
+        raise DegenerateConditions(
+            f"only {r} of {n} conditions are independent", reduced_count=r)
+    if not _closed_under_products(rows, kernel, low, field):
+        raise NotSubalgebraConditions("kernel is not closed")
+    return Subalgebra(conditions=_normalize_conditions(conds),
+                      _sagbi=read_off_basis(kernel))
+
+
+def reference_is_subalgebra_condition_set(conds):
+    """The subalgebra check on the monomial kernel below N·s (verbatim)."""
+    if not conds:
+        return True
+    field = _conditions_field(conds)
+    N, s = _order_and_point_count(conds)
+    low = N * s
+    rows = [L.monomial_row(2 * low - 2, field) for L in conds]
+    _, kernel = _monomial_kernel(rows, low - 1, field)
+    return _closed_under_products(rows, kernel, low, field)
+
+
+def _random_condition_sets(rng, count):
+    """Lists of 1–4 conditions at points in {−3, …, 3, 1/2}: differences,
+    and combinations of order-1–3 derivative terms, some with a balanced
+    pair of order-0 terms."""
+    points = [F(p) for p in range(-3, 4)] + [F(1, 2)]
+    for _ in range(count):
+        conds = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.4:
+                conds.append(LinearFunctional.difference(
+                    *rng.sample(points, 2)))
+                continue
+            terms = [(rng.randint(1, 3), rng.choice(points),
+                      F(rng.choice((-2, -1, 1, 2, 3))))
+                     for _ in range(rng.randint(1, 2))]
+            if rng.random() < 0.3:
+                a, b = rng.sample(points, 2)
+                c = F(rng.randint(1, 3))
+                terms += [(0, a, c), (0, b, -c)]
+            conds.append(LinearFunctional.derivative_combo(terms))
+        yield conds
+
+
+def _kernel_outcome(kernel, conds):
+    """kernel(conds) as comparable data: the cleared SAGBI elements and
+    the normalized condition list, or the error type and reduced count."""
+    try:
+        A = kernel(conds)
+    except (DegenerateConditions, NotSubalgebraConditions) as exc:
+        return type(exc).__name__, getattr(exc, "reduced_count", None)
+    return ([e.cleared() for e in A.sagbi_basis().elements],
+            repr(A.conditions()))
+
+
+def test_the_cut_matches_the_monomial_kernel_on_random_sets(monkeypatch):
+    """`kernel_subalgebra` and `is_subalgebra_condition_set` give what the
+    monomial kernel gave: the same cleared SAGBI elements, normalized
+    condition lists, error types and reduced counts, and booleans."""
+    sets = list(_random_condition_sets(random.Random(5), 600))
+    new = [(_kernel_outcome(kernel_subalgebra, conds),
+            is_subalgebra_condition_set(conds)) for conds in sets]
+    monkeypatch.setattr(conditions, "is_subalgebra_condition_set",
+                        reference_is_subalgebra_condition_set)
+    outcomes = {}
+    for conds, (outcome, is_set) in zip(sets, new):
+        old = _kernel_outcome(reference_kernel_subalgebra, conds)
+        assert outcome == old, conds
+        assert is_set == reference_is_subalgebra_condition_set(conds), conds
+        name = outcome[0] if isinstance(outcome[0], str) else "basis"
+        outcomes[name] = outcomes.get(name, 0) + 1
+    assert set(outcomes) == {"basis", "DegenerateConditions",
+                             "NotSubalgebraConditions"}, outcomes
+
+
 def test_kernel_matches_completion_and_oracle():
     """The echelon read-off gives the basis SAGBI completion gave."""
     for label, params, _ in all_draws():
@@ -207,8 +328,14 @@ def test_kernel_matches_completion_and_oracle():
 
 
 def test_kernel_rejects_dependent_conditions():
-    with pytest.raises(DegenerateConditions):
-        kernel_subalgebra([diff(0, 1), diff(0, 1)])
+    # f'(0) + f'(1) alone cuts out no algebra (see
+    # test_kernel_rejects_non_subalgebra_conditions); twice, it is
+    # dependent first: dependence is checked before closure
+    for conds in ([diff(0, 1), diff(0, 1)],
+                  [deriv((1, 0, 1), (1, 1, 1)), deriv((1, 0, 2), (1, 1, 2))]):
+        with pytest.raises(DegenerateConditions) as info:
+            kernel_subalgebra(conds)
+        assert info.value.reduced_count == 1
 
 
 def test_subalgebra_equality_and_containment():

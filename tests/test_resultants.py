@@ -942,9 +942,9 @@ def test_reduction_edge_cases(monkeypatch):
 
 
 def test_char_poly_multi_depends_on_the_distinguished_generator():
-    # two generators' SAGBI basis has two elements, with conductor c; with
-    # the first generator distinguished the lattice gcd is c^2, while
-    # symmetrize and characteristic_polynomial give c
+    # three generators whose SAGBI basis has two elements, with conductor
+    # c: with the first generator distinguished the lattice gcd is c^2,
+    # while symmetrize and characteristic_polynomial give c
     for sources, c in (
             (["x^5 - x^4 + x^3 + x^2 - x - 2", "x^2 - x + 1",
               "x^8 - x^7 - 2*x^6 - 2*x^4 + 2*x^3 - x^2 - x - 1"],
@@ -958,6 +958,16 @@ def test_char_poly_multi_depends_on_the_distinguished_generator():
         assert chi == c * c and chi == reference_char_poly_multi(gens)
         assert char_poly_multi(gens, symmetrize=True) == c
         assert characteristic_polynomial(A) == c
+    # K[x^12 + 3x^6, x^15, x^10], a SAGBI basis of three elements: the
+    # distinguished and the symmetrized χ agree at x^50·q, while χ of the
+    # algebra is x^54·q, so the two χ of the library disagree here
+    gens = [P("x^12 + 3*x^6"), P("x^15"), P("x^10")]
+    q, x = P("x^24 + 6*x^18 + 36*x^12 + 81*x^6 + 81"), P("x")
+    A = Subalgebra.from_generators(gens)
+    assert A.sagbi_basis().degrees == (10, 12, 15)
+    assert char_poly_multi(gens) == x ** 50 * q
+    assert char_poly_multi(gens, symmetrize=True) == x ** 50 * q
+    assert characteristic_polynomial(A) == x ** 54 * q
 
 
 def reference_reduced_y(table, monic):

@@ -86,3 +86,23 @@ def test_the_conductor_imports_nothing_from_modular():
             if any("modular" in name.split(".") for name in names):
                 imports.append(f"conditions.py:{node.lineno}")
     assert imports == []
+
+
+def test_monomial_rows_feed_only_apply_and_the_cut():
+    """`monomial_row` is named in src/subalg only by
+    `LinearFunctional.apply` and `conditions._cut`: every kernel of
+    conditions in an algebra is one cut of its degree products, with no
+    second monomial-kernel path."""
+    scopes = set()
+
+    def walk(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if "monomial_row" in _identifiers(node):
+            scopes.add(scope)
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+
+    for path in sorted(SOURCE.glob("*.py")):
+        walk(ast.parse(path.read_text("utf-8")), path.stem)
+    assert scopes == {"conditions.LinearFunctional.apply", "conditions._cut"}
