@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 
-from .conditions import (LinearFunctional, Subalgebra, annihilator,
+from .conditions import (LinearFunctional, Subalgebra,
+                         _conditions_annihilator, annihilator,
                          kernel_subalgebra)
 from .errors import (ClassificationError, ParameterDegeneracy,
                      SpectrumNotExact, UnsupportedCodimension)
@@ -282,7 +283,8 @@ def classify(A, nf=None):
     Recovers the family label, the parameters (modulo the documented
     symmetries), and the canonical basis of the matched type branch, from
     the spectrum over nf (default: the field of A).  Every point must lie
-    in that field, else SpectrumNotExact.
+    in that field, else SpectrumNotExact.  Annihilators are solved against
+    A's conditions if it has them and the spectrum lies in its field.
     """
     A = Subalgebra.of(A)
     basis = A.sagbi_basis()
@@ -300,12 +302,13 @@ def classify(A, nf=None):
     for values in clusters:
         for v in values:
             field = common_field(field, field_of(v))
-    if field is not basis.field:
-        basis = basis.coerce_to(field)
     s = sum(len(values) for values in clusters)
     profile = tuple(len(values) for values in clusters)
+    conds = A._conditions if field is basis.field else None
+    basis = basis.coerce_to(field)
     # ann(coords): the annihilator of A on (order, point) coordinates
-    ann = partial(annihilator, basis)
+    ann = partial(_conditions_annihilator, conds, field) if conds else \
+        partial(annihilator, basis)
 
     label, params = _dispatch(ann, n, s, profile, clusters)
     type_degrees, canonical = canonical_case_basis(label, params)

@@ -20,6 +20,7 @@ from .linalg import cleared_nullspace, nullspace, rref
 from .poly import (Poly, _int_combination, _int_dot, _int_mul, _int_scaled,
                    _int_values, _over_lcm, poly_gcd)
 from .resultants import _lattice_gcd
+from .roots import _order_key
 from .sagbi import SagbiBasis, read_off_basis, sagbi_complete, subduce
 
 
@@ -186,12 +187,13 @@ def _closed_under_products(rows, kernel, low, field):
     V?  Products with I stay in I, so V is an algebra iff every product of
     two elements of V_{<low} satisfies every condition (see `_cut`).
     `kernel` must contain a basis of V_{<low}; the cleared `rows` must
-    reach degree 2·low − 2.
+    reach degree 2·low − 2.  A product is tested as `_int_mul` of the
+    cleared factors, a nonzero multiple of it, with no reduction.
     """
-    small = [p for p in kernel if 1 <= p.degree < low]
+    small = [p.cleared()[0] for p in kernel if 1 <= p.degree < low]
     for i, p in enumerate(small):
         for q in small[i:]:
-            product = (p * q).cleared()[0]
+            product = _int_mul(p, q, field.tilde_modulus)
             if any(any(_int_dot(product, row, field)) for row, _ in rows):
                 return False
     return True
@@ -216,15 +218,33 @@ def _killed_combinations(products, rows, field):
 
 
 _POLYNOMIAL_RING = SagbiBasis([Poly.x()])
+_POLYNOMIAL_RING.conductor_roots = []       # its conductor is 1
+
+
+def _read_terms(conds, field):
+    """(rows, tops): each condition as {(order, point): coefficient} over
+    `field`, its equal (order, point) terms summed and zero sums dropped,
+    and {p: N_p}, the top order at which some row reads the point p."""
+    rows, tops = [], {}
+    for L in conds:
+        row = {}
+        for order, point, coeff in L.terms:
+            key = (order, field.coerce(point))
+            row[key] = row.get(key, field.zero) + field.coerce(coeff)
+        rows.append({k: a for k, a in row.items() if not is_zero_scalar(a)})
+        for order, point in rows[-1]:
+            tops[point] = max(order, tops.get(point, 0))
+    return rows, tops
 
 
 def _cut(basis, conds):
-    """(rank, kernel, closed) for V = B ∩ ker(conds), B the algebra of
-    `basis`: the rank of the conditions on B, combinations of B's degree
-    products that span V up to degree 2D − 1, one per leading degree, and
-    whether V is closed under multiplication.  `kernel_subalgebra` and
-    `is_subalgebra_condition_set` cut K[x] (`_POLYNOMIAL_RING`) by all
-    their conditions at once, `sagbi.sagbi_extend` an algebra by one.
+    """(rank, kernel, closed, tops) for V = B ∩ ker(conds), B the algebra
+    of `basis`: the rank of the conditions on B, combinations of B's
+    degree products that span V up to degree 2D − 1, one per leading
+    degree, whether V is closed under multiplication, and {p: N_p} (see
+    below).  `kernel_subalgebra` and `is_subalgebra_condition_set` cut
+    K[x] (`_POLYNOMIAL_RING`) by all their conditions at once,
+    `sagbi.sagbi_extend` an algebra by one.
 
     Let c be the conductor of B, N_p the top order the conditions read at
     the point p, h = ∏_p (x − p)^(N_p + 1) and D = deg c + Σ_p (N_p + 1)
@@ -245,17 +265,16 @@ def _cut(basis, conds):
     every product of two combinations of degree < D satisfies every
     condition (`_closed_under_products`).
     """
-    field, tops = basis.field, {}
+    field = basis.field
     for L in conds:
         field = common_field(field, L.field)
-        for order, point, _ in L.terms:
-            tops[point] = max(order, tops.get(point, 0))
+    tops = _read_terms(conds, field)[1]
     D = basis.conductor().degree + sum(top + 1 for top in tops.values())
     products = [P.coerce_to(field) for P in basis.degree_products(2 * D - 1)]
     rows = [L.monomial_row(2 * D - 1, field) for L in conds]
     kernel = _killed_combinations(products, rows, field)
     return (len(products) - len(kernel), kernel,
-            _closed_under_products(rows, kernel, D, field))
+            _closed_under_products(rows, kernel, D, field), tops)
 
 
 def is_subalgebra_condition_set(conds):
@@ -270,7 +289,8 @@ class Subalgebra:
     Presented by generators or a SAGBI basis (`kernel_subalgebra` builds
     one from conditions and keeps them); the SAGBI basis, degree
     semigroup, codimension, conditions and spectrum are computed lazily
-    and cached.
+    and cached.  `conditions`, when given, must cut out A exactly, as
+    `kernel_subalgebra` and `conditions()` set them: `classify` reads them.
     """
 
     def __init__(self, generators=None, conditions=None, _sagbi=None):
@@ -395,10 +415,20 @@ def kernel_subalgebra(conds):
     the leading degrees of the kernel are closed under addition and the n
     pivots are exactly the gaps, so the semigroup has genus n, and the
     kernel elements at its minimal generators form the SAGBI basis.
+
+    The conductor's zeros are read off the conditions onto the basis
+    (`SagbiBasis.conductor_roots`).  With N_p the top order at which some
+    condition reads p (`_read_terms`), c = ∏_p (x − p)^(N_p + 1): c·g has
+    a zero N_p-jet at each p, so c·K[x] ⊆ A and the conductor c_A divides
+    c.  Were ord_p c_A = k ≤ N_p, f = (x − p)^k·c/(x − p)^(N_p + 1) would
+    be a multiple of c_A, and a condition with coefficient a ≠ 0 at
+    (N_p, p) would read f·g as a·N_p! ≠ 0 for the g with f·g ≡ (x − p)^N_p
+    mod (x − p)^(N_p + 1).  So c_A = c; its zeros are listed as
+    `roots.field_roots` would: by order, then `_order_key`.
     """
     if not conds:
         raise SubalgError("kernel_subalgebra needs at least one condition")
-    rank, kernel, closed = _cut(_POLYNOMIAL_RING, conds)
+    rank, kernel, closed, tops = _cut(_POLYNOMIAL_RING, conds)
     if rank < len(conds):
         raise DegenerateConditions(
             f"only {rank} of {len(conds)} conditions are independent",
@@ -407,8 +437,10 @@ def kernel_subalgebra(conds):
         raise NotSubalgebraConditions(
             "kernel is not closed under multiplication: a product of two "
             "kernel elements fails a condition")
-    return Subalgebra(conditions=_normalize_conditions(conds),
-                      _sagbi=read_off_basis(kernel))
+    basis = read_off_basis(kernel)
+    basis.conductor_roots = sorted(((p, N + 1) for p, N in tops.items()),
+                                   key=lambda r: (r[1], _order_key(r[0])))
+    return Subalgebra(conditions=_normalize_conditions(conds), _sagbi=basis)
 
 
 def _normalize_conditions(conds):
@@ -518,6 +550,25 @@ def _annihilator_equations(basis, coords):
                          for order, point in coords])
     return _int_values([P.cleared()[0] for P in basis.degree_products(bound)],
                        jets, field)
+
+
+def _conditions_annihilator(conds, field, coords):
+    """`annihilator` of the algebra A that the conditions cut out, solved
+    against them, every point in `field`, `coords` distinct.  The n
+    independent conditions span the functionals W that vanish on A
+    (codimension n).  Hermite interpolation maps K[x] onto K^U, U the
+    (order, point) coordinates of `coords` and then of the conditions
+    (`_read_terms`), so A maps onto W^⊥, whose vectors restricted to
+    `coords` span the values of the degree products in `annihilator`: the
+    solutions are one space, and `cleared_nullspace` gives its canonical
+    basis."""
+    rows = _read_terms(conds, field)[0]
+    U = list(dict.fromkeys([*coords, *(u for row in rows for u in row)]))
+    images = cleared_nullspace(
+        [_int_scaled([row.get(u, field.zero) for u in U], field)[0]
+         for row in rows], len(U), field)
+    return nullspace([vec[:len(coords) * field.degree] for vec, _ in images],
+                     len(coords), field)
 
 
 def conditions_from_subalgebra(A, spectrum):

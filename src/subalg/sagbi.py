@@ -9,7 +9,7 @@ a constant.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 from functools import reduce
 
 from .errors import (ConditionVanishesOnB, InfiniteCodimension,
@@ -22,10 +22,11 @@ from .semigroup import NOT_MEMBER, DegreeSemigroup
 
 class SagbiBasis:
     """Monic basis elements with strictly increasing degrees; the degree
-    products and the conductor are cached."""
+    products and the conductor are cached.  `conductor_roots`, if known
+    (`conditions.kernel_subalgebra`), lists the conductor's zeros."""
 
     __slots__ = ("elements", "semigroup", "field", "_by_degree",
-                 "_product_cache", "_conductor")
+                 "_product_cache", "_conductor", "conductor_roots")
 
     def __init__(self, elements, semigroup=None):
         elements = sorted((e.monic() for e in elements if e.degree >= 1),
@@ -43,7 +44,7 @@ class SagbiBasis:
         self.semigroup = semigroup or DegreeSemigroup(degrees)
         self._by_degree = {e.degree: e for e in self.elements}
         self._product_cache = {}
-        self._conductor = None
+        self._conductor = self.conductor_roots = None
 
     @property
     def degrees(self):
@@ -69,11 +70,16 @@ class SagbiBasis:
                 if S.contains(d)]
 
     def conductor(self):
-        """The conductor c of the algebra (see `conditions.conductor`),
-        computed once; `coerce_to` hands it on, coerced."""
-        if self._conductor is None:
+        """The conductor c of the algebra, computed once: ∏ (x − p)^k over
+        `conductor_roots` if known, else `conditions.conductor`; `coerce_to`
+        hands it on, coerced."""
+        if self._conductor is None and self.conductor_roots is None:
             from .conditions import conductor
             self._conductor = conductor(self)
+        elif self._conductor is None:
+            x = Poly.x(self.field)
+            self._conductor = prod(((x - p) ** k for p, k
+                                    in self.conductor_roots), start=x ** 0)
         return self._conductor
 
     def coerce_to(self, field):
@@ -281,7 +287,7 @@ def sagbi_extend(basis, functional):
     multiplication raises NotSubalgebraConditions.
     """
     from .conditions import _cut
-    rank, kernel, closed = _cut(basis, [functional])
+    rank, kernel, closed, _ = _cut(basis, [functional])
     if rank == 0:
         raise ConditionVanishesOnB(
             "functional vanishes on the whole algebra: codimension "

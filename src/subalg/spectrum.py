@@ -101,8 +101,9 @@ def compute_spectrum(A, nf=None):
 
     The points are the zeros of the conductor c of A.  The exact ones are
     `split_roots` of c over nf, ordered by their order as roots of c, then
-    rational values by value, then the others as `split_roots` orders
-    them; the roots of the unsplit rest follow as complex double-precision
+    rational values by value, then the others as `split_roots` orders them
+    (over A's field, the basis's `conductor_roots` if known, no search);
+    the roots of the unsplit rest follow as complex double-precision
     points (`exact` False), for factors over Q.  An unsplit factor with a
     coefficient outside Q has no chosen complex embedding and raises
     SpectrumNotExact.  So which points are exact depends only on the
@@ -115,10 +116,9 @@ def compute_spectrum(A, nf=None):
     UnpairedRoot then propagates.
     """
     A = Subalgebra.of(A)
-    c = A.conductor()
-    if c.degree < 1:
-        return []
-    exact, leftover = split_roots(c, nf)
+    roots = A.sagbi_basis().conductor_roots
+    exact, leftover = (roots, []) if roots is not None and \
+        nf in (None, A.field) else split_roots(A.conductor(), nf)
     for rest, _ in leftover:
         if rest.to_rational() is None:
             raise SpectrumNotExact(

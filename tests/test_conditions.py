@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction as F
 
@@ -5,7 +6,7 @@ import pytest
 
 import fraction_reference as ref
 from case_draws import affine_variants, all_draws, family_draws
-from subalg import conditions
+from subalg import conditions, roots, spectrum
 from subalg.classify import construct_case
 from subalg.conditions import (LinearFunctional, Subalgebra,
                                _closed_under_products, _jet_row,
@@ -23,8 +24,11 @@ from subalg.oracle import oracle_codimension, oracle_member
 from subalg.parsing import parse_poly as P
 from subalg.poly import Poly, _int_scaled, squarefree_part
 from subalg.resultants import char_poly_pair
+from subalg.roots import split_roots
 from subalg.sagbi import SagbiBasis, read_off_basis, sagbi_complete
 from test_resultants import _charpoly_items
+
+classify_module = importlib.import_module("subalg.classify")
 
 
 def diff(a, b):
@@ -712,3 +716,157 @@ def test_dot_matches_the_field_elem_dot():
             f = Poly(row(rng.randint(0, 9)), nf)
             assert L.apply(f) == reference_dot(
                 f.coeffs, scalars(L.monomial_row(f.degree, nf), nf), nf)
+
+
+# --- algebras cut out by conditions, classified from them -----------------
+
+def reference_closed_under_products(rows, kernel, low, field):
+    """The closure check on re-cleared `Poly` products (verbatim)."""
+    small = [p for p in kernel if 1 <= p.degree < low]
+    for i, p in enumerate(small):
+        for q in small[i:]:
+            product = (p * q).cleared()[0]
+            if any(any(conditions._int_dot(product, row, field))
+                   for row, _ in rows):
+                return False
+    return True
+
+
+def test_closure_on_int_products_matches_poly_products(monkeypatch):
+    """`_closed_under_products` on `_int_mul` products gives the booleans
+    that re-cleared `Poly` products gave, on every random set and draw."""
+    outcomes = []
+    real = conditions._closed_under_products
+
+    def spy(rows, kernel, low, field):
+        closed = real(rows, kernel, low, field)
+        assert closed == reference_closed_under_products(rows, kernel, low,
+                                                         field)
+        outcomes.append(closed)
+        return closed
+
+    monkeypatch.setattr(conditions, "_closed_under_products", spy)
+    for conds in _random_condition_sets(random.Random(5), 600):
+        is_subalgebra_condition_set(conds)
+    for label, params, _ in all_draws():
+        construct_case(label, params)
+    assert set(outcomes) == {True, False}
+
+
+def _cut_out_algebras():
+    """The algebras of every draw and its affine variants, then those of
+    the random condition sets that cut out one."""
+    for label, params, _ in all_draws():
+        for moved in [params, *affine_variants(params)]:
+            yield construct_case(label, moved)
+    for conds in _random_condition_sets(random.Random(5), 600):
+        try:
+            yield kernel_subalgebra(conds)
+        except (DegenerateConditions, NotSubalgebraConditions):
+            pass
+
+
+def test_conductor_and_exact_spectrum_are_read_off_the_conditions():
+    """The conductor read off the conditions is the projection's (or, for
+    two elements, χ), and its zeros are `split_roots` of it, in its order,
+    with nothing left unsplit."""
+    count = 0
+    for A in _cut_out_algebras():
+        basis = A.sagbi_basis()
+        c = basis.conductor()
+        assert c == conductor(basis), A
+        assert split_roots(c) == (basis.conductor_roots, []), A
+        count += 1
+    assert count == 71 * 5 + 134
+
+
+def test_annihilators_solved_against_conditions_match_degree_products(
+        monkeypatch):
+    """`_conditions_annihilator` returns the vectors of `annihilator`,
+    scale included: on every coordinate list that classify asks for on
+    the draws and their variants, and on the random sets' spectra (all
+    orders below the top one, and one point outside the spectrum)."""
+    asked = []
+    real = conditions._conditions_annihilator
+
+    def spy(conds, field, coords):
+        asked.append(coords)
+        return real(conds, field, coords)
+
+    monkeypatch.setattr(classify_module, "_conditions_annihilator", spy)
+    compared = 0
+    for A in _cut_out_algebras():
+        basis = A.sagbi_basis()
+        points = [p for p, _ in basis.conductor_roots]
+        top = max(k for _, k in basis.conductor_roots)
+        asked[:] = [[(order, p) for order in range(top - 1, -1, -1)
+                     for p in points] + [(1, basis.field.coerce(7))]]
+        if A.codimension() <= 3:
+            classify_module.classify(A)
+        for coords in asked:
+            assert real(A.conditions(), A.field, coords) == \
+                annihilator(basis, coords), (A, coords)
+        compared += len(asked)
+    assert compared > 600
+
+
+def test_zero_and_cancelling_terms_are_not_read():
+    """A zero coefficient or terms that cancel read nothing: the
+    conductor, spectrum and classification are those of the same algebra
+    given by generators."""
+    x = Poly.x()
+    cases = [
+        ([deriv((1, 0, 1), (3, 0, 0))], x ** 2),
+        ([deriv((1, 1, 1), (2, 1, 1), (2, 1, -1))], (x - 1) ** 2),
+        ([deriv((1, 0, 1), (1, 5, 2), (1, 5, -2)), diff(1, 2)],
+         x ** 2 * (x - 1) * (x - 2)),
+        ([deriv((0, 3, 1), (0, 3, -1), (1, 0, 1), (2, 0, 1)),
+          deriv((1, 0, 1))], x ** 3),
+    ]
+    for conds, c in cases:
+        A = kernel_subalgebra(conds)
+        B = Subalgebra.from_generators(A.sagbi_basis().elements)
+        assert A.conductor() == B.conductor() == c
+        assert [(p.value, p.kind) for p in A.spectrum()] == \
+            [(p.value, p.kind) for p in B.spectrum()]
+        a, b = classify_module.classify(A), classify_module.classify(B)
+        assert (a.label, a.parameters) == (b.label, b.parameters)
+
+
+def test_an_algebra_cut_out_by_conditions_is_classified_from_them(
+        monkeypatch):
+    """`classify` and `spectrum()` of a `construct_case` algebra call no
+    projection conductor, root search or degree-product annihilator; the
+    same algebra from generators calls all three, the last once per
+    annihilator that the conditions answered."""
+    calls = {}
+
+    def spy(module, name, key):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[key] = calls.get(key, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(conditions, "conductor", "conductor")
+    spy(roots, "split_roots", "split_roots")
+    spy(spectrum, "split_roots", "split_roots")
+    spy(conditions, "_annihilator_equations", "degree products")
+    spy(classify_module, "_conditions_annihilator", "conditions")
+    answered = 0
+    for label, params, _ in all_draws():
+        A = construct_case(label, params)
+        calls.clear()
+        assert classify_module.classify(A).label == label and A.spectrum()
+        solved = calls.pop("conditions", 0)
+        assert calls == {}, label
+        B = Subalgebra.from_generators(A.sagbi_basis().elements)
+        calls.clear()
+        assert classify_module.classify(B).label == label and B.spectrum()
+        expected = {"conductor": 1, "split_roots": 1,
+                    "degree products": solved}
+        assert calls == {k: n for k, n in expected.items() if n}, label
+        answered += solved
+    assert answered > 50

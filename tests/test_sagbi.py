@@ -330,12 +330,15 @@ def test_the_conductor_is_computed_once_per_basis(monkeypatch):
     solve = conditions.conductor
     monkeypatch.setattr(conditions, "conductor",
                         lambda basis: computed.append(basis) or solve(basis))
-    B = construct_case("codim2/s=1", {"alpha": F(0), "a": F(0), "b": F(1)})
+    # an algebra cut out by conditions reads its conductor off them
+    A = construct_case("codim2/s=1", {"alpha": F(0), "a": F(0), "b": F(1)})
+    assert A.conductor().degree == 4 and computed == []
+    B = Subalgebra.from_generators(A.sagbi_basis().elements)
     c = B.conductor()
     for L in (LinearFunctional.difference(F(1), F(2)),
               LinearFunctional.derivative_combo([(1, F(1), F(1))])):
         sagbi_extend(B.sagbi_basis(), L)
-    assert len(computed) == 1
+    assert len(computed) == 1 and c == A.conductor()
     # coerce_to hands the conductor on, coerced
     qi = NumberField([1, 0, 1])
     assert B.sagbi_basis().coerce_to(qi).conductor() == c.coerce_to(qi)
