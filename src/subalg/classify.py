@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
 from importlib import resources
 
-from .conditions import (LinearFunctional, Subalgebra,
-                         _conditions_annihilator, annihilator,
-                         kernel_subalgebra)
+from .conditions import (LinearFunctional, Subalgebra, _annihilator,
+                         _jet_image, kernel_subalgebra)
 from .errors import (ClassificationError, ParameterDegeneracy,
                      SpectrumNotExact, UnsupportedCodimension)
 from .fields import QQ, common_field, field_of, is_zero_scalar
@@ -283,8 +281,8 @@ def classify(A, nf=None):
     Recovers the family label, the parameters (modulo the documented
     symmetries), and the canonical basis of the matched type branch, from
     the spectrum over nf (default: the field of A).  Every point must lie
-    in that field, else SpectrumNotExact.  Annihilators are solved against
-    A's conditions if it has them and the spectrum lies in its field.
+    in that field, else SpectrumNotExact.  Annihilators are read off A's
+    jet image (`_jet_image`), built on the first one asked for.
     """
     A = Subalgebra.of(A)
     basis = A.sagbi_basis()
@@ -298,17 +296,20 @@ def classify(A, nf=None):
         raise UnsupportedCodimension(
             f"classification covers codimension <= 3, got {n}")
     clusters = _exact_clusters(A, nf)
+    points = [v for values in clusters for v in values]
     field = basis.field
-    for values in clusters:
-        for v in values:
-            field = common_field(field, field_of(v))
-    s = sum(len(values) for values in clusters)
+    for v in points:
+        field = common_field(field, field_of(v))
+    s = len(points)
     profile = tuple(len(values) for values in clusters)
-    conds = A._conditions if field is basis.field else None
     basis = basis.coerce_to(field)
-    # ann(coords): the annihilator of A on (order, point) coordinates
-    ann = partial(_conditions_annihilator, conds, field) if conds else \
-        partial(annihilator, basis)
+    image = None            # the jet image of A, built by the first ann()
+
+    def ann(coords):
+        nonlocal image
+        if image is None:
+            image = _jet_image(basis, points, field, A._conditions)
+        return _annihilator(image, coords, field)
 
     label, params = _dispatch(ann, n, s, profile, clusters)
     type_degrees, canonical = canonical_case_basis(label, params)

@@ -202,19 +202,19 @@ def _closed_under_products(rows, kernel, low, field):
 def _killed_combinations(products, rows, field):
     """The combinations of `products` (over `field`, ascending distinct
     degrees) that every functional in `rows` (cleared monomial rows over
-    `field` reaching the top degree) kills: one reduction of the rows'
-    values on the products, cleared over one denominator, and one
-    combination per free column, the product there plus multiples of
+    `field` reaching the top degree) kills, as a generator: one reduction
+    of the rows' values on the products, cleared over one denominator, and
+    one combination per free column, the product there plus multiples of
     those at pivot columns below it.  They span the kernel, with the
     distinct leading degrees of the free columns.  Each is summed on the
-    cleared products: Σ (v_j/w)·(P_j/D) for the cleared kernel vector v/w
-    and the products P_j/D over one denominator D."""
+    cleared products, when it is read: Σ (v_j/w)·(P_j/D) for the cleared
+    kernel vector v/w and the products P_j/D over one denominator D."""
     cleared, den = _over_lcm([P.cleared() for P in products])
     values = _int_values([row for row, _ in rows], cleared, field)
-    return [Poly.from_cleared(
+    return (Poly.from_cleared(
                 _int_combination(vec, cleared, field.tilde_modulus), w * den,
                 field)
-            for vec, w in cleared_nullspace(values, len(products), field)]
+            for vec, w in cleared_nullspace(values, len(products), field))
 
 
 _POLYNOMIAL_RING = SagbiBasis([Poly.x()])
@@ -272,7 +272,7 @@ def _cut(basis, conds):
     D = basis.conductor().degree + sum(top + 1 for top in tops.values())
     products = [P.coerce_to(field) for P in basis.degree_products(2 * D - 1)]
     rows = [L.monomial_row(2 * D - 1, field) for L in conds]
-    kernel = _killed_combinations(products, rows, field)
+    kernel = list(_killed_combinations(products, rows, field))
     return (len(products) - len(kernel), kernel,
             _closed_under_products(rows, kernel, D, field), tops)
 
@@ -290,7 +290,7 @@ class Subalgebra:
     one from conditions and keeps them); the SAGBI basis, degree
     semigroup, codimension, conditions and spectrum are computed lazily
     and cached.  `conditions`, when given, must cut out A exactly, as
-    `kernel_subalgebra` and `conditions()` set them: `classify` reads them.
+    `kernel_subalgebra` and `conditions()` set them (`_jet_image` reads them).
     """
 
     def __init__(self, generators=None, conditions=None, _sagbi=None):
@@ -502,13 +502,13 @@ def conductor(basis):
     shifted = [(row[i * e:(i + top + 1) * e], w)
                for row, w in _vanishing(products, top + d, field)
                for i in range(1, d)]
-    kernel = _killed_combinations([P for P in products if P.degree <= top],
-                                  shifted, field)
-    if not kernel:
+    first = next(_killed_combinations(
+        [P for P in products if P.degree <= top], shifted, field), None)
+    if first is None:
         raise SubalgError(
             f"no conductor of degree <= {top}: the elements of degrees "
             f"{list(basis.degrees)} are not a SAGBI basis")
-    return kernel[0].monic()
+    return first.monic()
 
 
 def _vanishing(products, D, field):
@@ -521,66 +521,78 @@ def _vanishing(products, D, field):
         D, field)
 
 
-def annihilator(basis, coords):
-    """Coefficient vectors v with Σ v_i f^(o_i)(p_i) = 0 on all of A: the
-    nullspace of `_annihilator_equations`.
+def _jet_image(basis, points, field, conds=None):
+    """(coords, rows): the image of A, the algebra of `basis`, on the jets
+    (order o, point p) with o < ord_p c, c its conductor, over `field`;
+    `coords` lists them highest order first (reduced rows with only order-0
+    support then surface as differences), and the cleared `rows` span the
+    image there.  The points must be the zeros of c, else SpectrumNotExact.
 
-    `coords` lists (order o_i, point p_i) in the field of `basis`; c is
-    the conductor of A, the algebra of `basis`, as cached on the basis
-    (coerced with it, see `SagbiBasis.coerce_to`).  Exact: A = A_{<deg c} ⊕
-    c·K[x], and with m the top order, a functional reads c·h at p only
-    through the (m − ord_p(c))-jet of h at p, which the h of degree
-    < Σ_p max(0, m + 1 − ord_p(c)) already take.  So it vanishes on A iff
-    it vanishes on A below degree deg c plus that sum.  The returned vectors
-    span the nullspace of the functionals on the degree products up to
-    that degree.
+    Hermite interpolation maps K[x] onto K^coords with kernel c·K[x] ⊆ A.
+    `conds` that cut out A vanish on c·K[x], so they read only coords and
+    the image is their nullspace there; they give ord_p c = N_p + 1, N_p
+    their top order at p (`_read_terms`; see `kernel_subalgebra`), so c is
+    not built.  Else the rows are the jets of the degree products below
+    deg c: A = A_{<deg c} ⊕ c·K[x], and c·K[x] is zero on coords.
     """
-    return nullspace(_annihilator_equations(basis, coords), len(coords),
-                     basis.field)
+    points = [field.coerce(p) for p in points]
+    if conds:
+        terms, tops = _read_terms(conds, field)
+        orders = [tops.get(p, -1) + 1 for p in points]
+        degree = sum(top + 1 for top in tops.values())
+    else:
+        basis = basis.coerce_to(field)
+        c = basis.conductor()
+        orders, degree = [c.order_at(p) for p in points], c.degree
+    if 0 in orders or sum(orders) != degree:
+        raise SpectrumNotExact("the points are not the zeros of the "
+                               "conductor")
+    coords = [(order, p) for order in range(max(orders, default=0) - 1, -1, -1)
+              for p, k in zip(points, orders) if order < k]
+    if conds:
+        return coords, [vec for vec, _ in cleared_nullspace(
+            [_int_scaled([row.get(u, field.zero) for u in coords], field)[0]
+             for row in terms], len(coords), field)]
+    jets, _ = _over_lcm([_jet_row(order, p, degree - 1, field)
+                         for order, p in coords])
+    return coords, _int_values(
+        [P.cleared()[0] for P in basis.degree_products(degree - 1)],
+        jets, field)
 
 
-def _annihilator_equations(basis, coords):
-    """The cleared system of `annihilator`: one row per degree product up
-    to its bound, holding the values of the jets at `coords` on it."""
-    field, c = basis.field, basis.conductor()
-    m = max(order for order, _ in coords)
-    bound = c.degree - 1 + sum(max(0, m + 1 - c.order_at(point))
-                               for point in {point for _, point in coords})
-    jets, _ = _over_lcm([_jet_row(order, point, bound, field)
-                         for order, point in coords])
-    return _int_values([P.cleared()[0] for P in basis.degree_products(bound)],
-                       jets, field)
-
-
-def _conditions_annihilator(conds, field, coords):
-    """`annihilator` of the algebra A that the conditions cut out, solved
-    against them, every point in `field`, `coords` distinct.  The n
-    independent conditions span the functionals W that vanish on A
-    (codimension n).  Hermite interpolation maps K[x] onto K^U, U the
-    (order, point) coordinates of `coords` and then of the conditions
-    (`_read_terms`), so A maps onto W^⊥, whose vectors restricted to
-    `coords` span the values of the degree products in `annihilator`: the
-    solutions are one space, and `cleared_nullspace` gives its canonical
-    basis."""
-    rows = _read_terms(conds, field)[0]
-    U = list(dict.fromkeys([*coords, *(u for row in rows for u in row)]))
-    images = cleared_nullspace(
-        [_int_scaled([row.get(u, field.zero) for u in U], field)[0]
-         for row in rows], len(U), field)
-    return nullspace([vec[:len(coords) * field.degree] for vec, _ in images],
-                     len(coords), field)
+def _annihilator(image, coords, field):
+    """Coefficient vectors v with Σ v_i f^(o_i)(p_i) = 0 on all of A, for
+    the distinct (o_i, p_i) of `coords` in `field`, off A's `image`
+    (`_jet_image`): one nullspace of the image rows on these columns, with
+    a unit row at each column outside the image (an order ≥ ord_p c, or a
+    point off the spectrum).  c·K[x] ⊆ A is zero on the image's columns
+    and, by Hermite interpolation, takes any values on the others at once:
+    v vanishes on A iff it is zero outside and kills the rows inside.  That
+    is the solution space of the jets on A's degree products up to any
+    large enough degree, so `nullspace` gives the same canonical vectors
+    (1 at a free column), scale included.
+    """
+    image_coords, rows = image
+    e = field.degree
+    column = {u: i for i, u in enumerate(image_coords)}
+    at = [column.get((order, field.coerce(p))) for order, p in coords]
+    equations = [[x for i in at
+                  for x in ([0] * e if i is None else row[i * e:(i + 1) * e])]
+                 for row in rows]
+    equations += [[int(k == j * e) for k in range(e * len(at))]
+                  for j, i in enumerate(at) if i is None]
+    return nullspace(equations, len(coords), field)
 
 
 def conditions_from_subalgebra(A, spectrum):
     """Independent conditions cutting out A, derived from its spectrum.
 
-    With c the conductor of A, the conditions are the functionals of order
-    < max ord_α(c) at the spectrum points that annihilate A
-    (`annihilator`): they vanish on c·K[x], so they read only jets of
-    order < ord_α(c) at each α, and codim(A) of them are independent.
-    Order-0 parts are rewritten as point differences where possible.
-    The points must be exactly the zeros of c; for K[x] (c = 1, no
-    points) the list is empty.
+    With c the conductor of A, the conditions are the reduced basis of the
+    functionals on A's jets below c that vanish on A (`_jet_image`): every
+    condition vanishes on c·K[x], so it reads only those jets, and codim(A)
+    of them are independent.  Order-0 parts are rewritten as point
+    differences where possible.  The points must be exactly the zeros of
+    c; for K[x] (c = 1, no points) the list is empty.
     """
     A = Subalgebra.of(A)
     basis = A.sagbi_basis()
@@ -596,23 +608,9 @@ def conditions_from_subalgebra(A, spectrum):
     field = basis.field
     for p in points:
         field = common_field(field, field_of(p))
-    basis = basis.coerce_to(field)
-    points = [field.coerce(p) for p in points]
-
-    c = basis.conductor()
-    orders = [c.order_at(p) for p in points]
-    if 0 in orders or sum(orders) != c.degree:
-        raise SpectrumNotExact("the points are not the zeros of the "
-                               "conductor")
-    if not points:
-        return []
-    # coordinates: (order, point) with higher orders first, so reduced
-    # rows with only order-0 support surface as pure differences
-    coords = [(order, p) for order in range(max(orders) - 1, -1, -1)
-              for p in points]
-    W, _ = rref([v for v, _ in cleared_nullspace(
-                     _annihilator_equations(basis, coords), len(coords),
-                     field)], len(coords), field)
+    coords, rows = _jet_image(basis, points, field, A._conditions)
+    W, _ = rref([v for v, _ in cleared_nullspace(rows, len(coords), field)],
+                len(coords), field)
 
     functionals = []
     for vec in W:
@@ -652,8 +650,8 @@ def intersect_and_join(A1, A2):
     vanishing = _vanishing(b2.degree_products(D - 1), D, field)
     fill = [h.shift(j) for j in range(max(D, 2))]
     intersection = Subalgebra(_sagbi=read_off_basis(
-        _killed_combinations(b1.degree_products(D - 1), vanishing, field)
-        + fill))
+        [*_killed_combinations(b1.degree_products(D - 1), vanishing, field),
+         *fill]))
 
     gens = list(A1.sagbi_basis().elements) + list(A2.sagbi_basis().elements)
     join_basis = sagbi_complete(gens)

@@ -8,9 +8,9 @@ import fraction_reference as ref
 from case_draws import affine_variants, all_draws, family_draws
 from subalg import conditions, roots, spectrum
 from subalg.classify import construct_case
-from subalg.conditions import (LinearFunctional, Subalgebra,
-                               _closed_under_products, _jet_row,
-                               _normalize_conditions, annihilator,
+from subalg.conditions import (LinearFunctional, Subalgebra, _annihilator,
+                               _closed_under_products, _jet_image, _jet_row,
+                               _normalize_conditions,
                                conditions_from_subalgebra, conductor,
                                intersect_and_join,
                                is_subalgebra_condition_set,
@@ -22,7 +22,8 @@ from subalg.fields import (QQ, NumberField, common_field, field_of,
 from subalg.linalg import cleared_nullspace, nullspace
 from subalg.oracle import oracle_codimension, oracle_member
 from subalg.parsing import parse_poly as P
-from subalg.poly import Poly, _int_scaled, squarefree_part
+from subalg.poly import (Poly, _int_scaled, _int_values, _over_lcm,
+                         squarefree_part)
 from subalg.resultants import char_poly_pair
 from subalg.roots import split_roots
 from subalg.sagbi import SagbiBasis, read_off_basis, sagbi_complete
@@ -136,6 +137,41 @@ def test_cleared_rows_match_the_fraction_rows():
     assert deriv((3, 0, 1), (2, 1, 1)).apply(P("x + 1")) == 0
 
 
+# `annihilator` and `_annihilator_equations`: the degree-product
+# annihilator that `_annihilator` on the jet image replaced, kept verbatim
+# as the reference.
+
+def annihilator(basis, coords):
+    """Coefficient vectors v with Σ v_i f^(o_i)(p_i) = 0 on all of A: the
+    nullspace of `_annihilator_equations`.
+
+    `coords` lists (order o_i, point p_i) in the field of `basis`; c is
+    the conductor of A, the algebra of `basis`, as cached on the basis
+    (coerced with it, see `SagbiBasis.coerce_to`).  Exact: A = A_{<deg c} ⊕
+    c·K[x], and with m the top order, a functional reads c·h at p only
+    through the (m − ord_p(c))-jet of h at p, which the h of degree
+    < Σ_p max(0, m + 1 − ord_p(c)) already take.  So it vanishes on A iff
+    it vanishes on A below degree deg c plus that sum.  The returned vectors
+    span the nullspace of the functionals on the degree products up to
+    that degree.
+    """
+    return nullspace(_annihilator_equations(basis, coords), len(coords),
+                     basis.field)
+
+
+def _annihilator_equations(basis, coords):
+    """The cleared system of `annihilator`: one row per degree product up
+    to its bound, holding the values of the jets at `coords` on it."""
+    field, c = basis.field, basis.conductor()
+    m = max(order for order, _ in coords)
+    bound = c.degree - 1 + sum(max(0, m + 1 - c.order_at(point))
+                               for point in {point for _, point in coords})
+    jets, _ = _over_lcm([_jet_row(order, point, bound, field)
+                         for order, point in coords])
+    return _int_values([P.cleared()[0] for P in basis.degree_products(bound)],
+                       jets, field)
+
+
 def test_annihilator_matches_a_large_degree_bound():
     draws = family_draws()
     assert any(hasattr(v, "field") for _, params in draws
@@ -155,8 +191,11 @@ def test_annihilator_matches_a_large_degree_bound():
         rows = [_int_scaled([g.derivative(order)(p) for order, p in coords],
                             field)[0]
                 for g in basis.degree_products(bound)]
-        assert annihilator(basis, coords) == \
-            nullspace(rows, len(coords), field), label
+        expected = nullspace(rows, len(coords), field)
+        assert annihilator(basis, coords) == expected, label
+        for conds in (None, A.conditions()):
+            image = _jet_image(basis, points, field, conds)
+            assert _annihilator(image, coords, field) == expected, label
 
 
 def test_condition_json_round_trip():
@@ -373,10 +412,12 @@ def test_conditions_cut_out_every_draw():
 
 
 def test_conditions_need_every_zero_of_the_conductor():
-    A = Subalgebra.from_generators([P("x^3 - x"), P("x^2")])
-    for points in ([F(1)], [F(1), F(-1), F(0)]):
-        with pytest.raises(SpectrumNotExact):
-            conditions_from_subalgebra(A, points)
+    # from generators, and cut out by a condition (its jets read off it)
+    for A in (Subalgebra.from_generators([P("x^3 - x"), P("x^2")]),
+              kernel_subalgebra([diff(1, -1)])):
+        for points in ([F(1)], [F(1), F(-1), F(0)]):
+            with pytest.raises(SpectrumNotExact):
+                conditions_from_subalgebra(A, points)
 
 
 def test_equality_reads_one_containment_for_equal_degrees():
@@ -466,7 +507,7 @@ def test_intersection_reads_no_spectrum(monkeypatch):
         raise AssertionError("the intersection read a spectrum")
 
     for module, name in ((spectrum, "compute_spectrum"),
-                         (conditions, "annihilator"),
+                         (conditions, "_jet_image"),
                          (conditions, "kernel_subalgebra"),
                          (Subalgebra, "conditions")):
         monkeypatch.setattr(module, name, forbidden)
@@ -782,32 +823,43 @@ def test_conductor_and_exact_spectrum_are_read_off_the_conditions():
 
 def test_annihilators_solved_against_conditions_match_degree_products(
         monkeypatch):
-    """`_conditions_annihilator` returns the vectors of `annihilator`,
-    scale included: on every coordinate list that classify asks for on
-    the draws and their variants, and on the random sets' spectra (all
-    orders below the top one, and one point outside the spectrum)."""
+    """`_annihilator` on the jet image returns the vectors of the
+    degree-product `annihilator`, scale included, for each algebra both
+    as cut out by conditions (image from them) and from the generators
+    (image from the degree products): on every coordinate list that
+    classify asks for on the draws and their variants, and on every order
+    up to the top one at the spectrum points, the top order lying outside
+    the image at each point, plus the first of 7, 8, … off the
+    spectrum."""
     asked = []
-    real = conditions._conditions_annihilator
+    real = classify_module._annihilator
 
-    def spy(conds, field, coords):
+    def spy(image, coords, field):
         asked.append(coords)
-        return real(conds, field, coords)
+        return real(image, coords, field)
 
-    monkeypatch.setattr(classify_module, "_conditions_annihilator", spy)
-    compared = 0
+    monkeypatch.setattr(classify_module, "_annihilator", spy)
+    compared = algebras = 0
     for A in _cut_out_algebras():
-        basis = A.sagbi_basis()
-        points = [p for p, _ in basis.conductor_roots]
-        top = max(k for _, k in basis.conductor_roots)
-        asked[:] = [[(order, p) for order in range(top - 1, -1, -1)
-                     for p in points] + [(1, basis.field.coerce(7))]]
-        if A.codimension() <= 3:
-            classify_module.classify(A)
-        for coords in asked:
-            assert real(A.conditions(), A.field, coords) == \
-                annihilator(basis, coords), (A, coords)
-        compared += len(asked)
-    assert compared > 600
+        points = [p for p, _ in A.sagbi_basis().conductor_roots]
+        top = max(k for _, k in A.sagbi_basis().conductor_roots)
+        B = Subalgebra.from_generators(A.sagbi_basis().elements)
+        off = next(q for q in map(A.field.coerce, range(7, 20))
+                   if q not in points)
+        for X in (A, B):
+            basis, field = X.sagbi_basis(), X.field
+            asked[:] = [[(order, p) for order in range(top, -1, -1)
+                         for p in points] + [(1, off)]]
+            if X.codimension() <= 3:
+                classify_module.classify(X)
+            image = _jet_image(basis, points, field, X._conditions)
+            for coords in asked:
+                assert real(image, coords, field) == \
+                    annihilator(basis, coords), (X, coords)
+            compared += len(asked)
+            algebras += 1
+    assert algebras == 2 * (71 * 5 + 134)
+    assert compared > 2000
 
 
 def test_zero_and_cancelling_terms_are_not_read():
@@ -836,9 +888,9 @@ def test_zero_and_cancelling_terms_are_not_read():
 def test_an_algebra_cut_out_by_conditions_is_classified_from_them(
         monkeypatch):
     """`classify` and `spectrum()` of a `construct_case` algebra call no
-    projection conductor, root search or degree-product annihilator; the
-    same algebra from generators calls all three, the last once per
-    annihilator that the conditions answered."""
+    projection conductor, root search or degree-product jet image; the
+    same algebra from generators calls all three, the last once if the
+    conditions answered an annihilator and never otherwise."""
     calls = {}
 
     def spy(module, name, key):
@@ -850,18 +902,22 @@ def test_an_algebra_cut_out_by_conditions_is_classified_from_them(
 
         monkeypatch.setattr(module, name, counted)
 
+    def image(basis, points, field, conds=None):
+        key = "conditions" if conds else "degree products"
+        calls[key] = calls.get(key, 0) + 1
+        return conditions._jet_image(basis, points, field, conds)
+
     spy(conditions, "conductor", "conductor")
     spy(roots, "split_roots", "split_roots")
     spy(spectrum, "split_roots", "split_roots")
-    spy(conditions, "_annihilator_equations", "degree products")
-    spy(classify_module, "_conditions_annihilator", "conditions")
+    monkeypatch.setattr(classify_module, "_jet_image", image)
     answered = 0
     for label, params, _ in all_draws():
         A = construct_case(label, params)
         calls.clear()
         assert classify_module.classify(A).label == label and A.spectrum()
         solved = calls.pop("conditions", 0)
-        assert calls == {}, label
+        assert calls == {} and solved <= 1, label
         B = Subalgebra.from_generators(A.sagbi_basis().elements)
         calls.clear()
         assert classify_module.classify(B).label == label and B.spectrum()
@@ -869,4 +925,42 @@ def test_an_algebra_cut_out_by_conditions_is_classified_from_them(
                     "degree products": solved}
         assert calls == {k: n for k, n in expected.items() if n}, label
         answered += solved
-    assert answered > 50
+    assert answered > 40
+
+
+def test_classify_gives_one_answer_from_conditions_and_generators(
+        monkeypatch):
+    """On every draw and its affine variants, `classify` of the
+    `construct_case` algebra and of the same algebra from its SAGBI
+    elements agree in label, parameters, type and canonical basis; each
+    call reads the conditions at most once and builds at most one jet
+    image."""
+    calls = {}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(conditions, "_read_terms")
+    spy(classify_module, "_jet_image")
+    compared = 0
+    for label, params, _ in all_draws():
+        for moved in [params, *affine_variants(params)]:
+            A = construct_case(label, moved)
+            B = Subalgebra.from_generators(A.sagbi_basis().elements)
+            answers = []
+            for X in (A, B):
+                calls.clear()
+                r = classify_module.classify(X)
+                assert all(n <= 1 for n in calls.values()), (label, calls)
+                answers.append((r.label, r.parameters, r.type,
+                                r.canonical_basis))
+            assert answers[0] == answers[1], (label, moved)
+            assert answers[0][0] == label
+            compared += 1
+    assert compared == 71 * 5

@@ -106,3 +106,47 @@ def test_monomial_rows_feed_only_apply_and_the_cut():
     for path in sorted(SOURCE.glob("*.py")):
         walk(ast.parse(path.read_text("utf-8")), path.stem)
     assert scopes == {"conditions.LinearFunctional.apply", "conditions._cut"}
+
+
+def test_one_jet_image_feeds_the_annihilators_and_the_conditions():
+    """src/subalg defines no `annihilator`, `_conditions_annihilator` or
+    `_annihilator_equations`, and only `classify` and
+    `conditions_from_subalgebra` call `_jet_image`: classify's
+    annihilators and the derived conditions read A on its jets below the
+    conductor in one place, whether A carries conditions or not."""
+    retired = {"annihilator", "_conditions_annihilator",
+               "_annihilator_equations"}
+    defined, callers = [], set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for top in ast.parse(path.read_text("utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                        and node.name in retired:
+                    defined.append(f"{path.name}:{node.name}")
+                if isinstance(node, ast.Call) \
+                        and "_jet_image" in _identifiers(node.func):
+                    callers.add(f"{path.stem}.{getattr(top, 'name', '')}")
+    assert defined == []
+    assert callers == {"classify.classify",
+                       "conditions.conditions_from_subalgebra"}
+
+
+def test_every_import_is_read():
+    """Each name a module of src/subalg imports (`__init__`, which
+    re-exports, aside) is read in that module: an import left behind by
+    deleted code goes with it."""
+    unread = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text("utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unread += [f"{path.name}:{node.lineno}:{alias.name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", "") != "__future__"
+                   for alias in node.names
+                   if (alias.asname or alias.name).partition(".")[0]
+                   not in read]
+    assert unread == []
