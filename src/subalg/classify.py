@@ -16,8 +16,8 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .conditions import (LinearFunctional, Subalgebra, _annihilator,
-                         _jet_image, kernel_subalgebra)
+from .conditions import (LinearFunctional, Subalgebra, _JetTable,
+                         _annihilator, _jet_image, kernel_subalgebra)
 from .errors import (ClassificationError, ParameterDegeneracy,
                      SpectrumNotExact, UnsupportedCodimension)
 from .fields import QQ, common_field, field_of, is_zero_scalar
@@ -114,7 +114,7 @@ def _build_conditions(case, params, field):
     return conds
 
 
-def _eval_helpers(case, params, field, conds):
+def _eval_helpers(case, params, field, table):
     env = dict(params)
     for helper in case.get("helpers", []):
         guard = helper.get("needs_nonzero")
@@ -128,7 +128,7 @@ def _eval_helpers(case, params, field, conds):
             target = env.get(helper["to"])
             if target is None:
                 continue
-            env[helper["name"]] = conds[helper["apply"]].apply(target)
+            env[helper["name"]] = table.apply(helper["apply"], target)
     return env
 
 
@@ -206,7 +206,10 @@ def canonical_case_basis(label, params):
     case, params, field = _checked_case(label, params)
     params = _normalize_params(case, params, field)
     conds = _build_conditions(case, params, field)
-    env = _eval_helpers(case, params, field, conds)
+    table = _JetTable([L.terms for L in conds], field)
+    # every jet row once, at the top basis degree of the family
+    table.rows(max(max(entry["type"]) for entry in case["types"]))
+    env = _eval_helpers(case, params, field, table)
     entry = _match_type_entry(case, env, field)
     basis = [parse_expr(tpl, env=env, field=field).monic()
              for tpl in entry["basis"]]
@@ -216,11 +219,11 @@ def canonical_case_basis(label, params):
             f"canonical basis degrees {degrees} do not match the claimed "
             f"type {tuple(entry['type'])} for {label}")
     for p in basis:
-        for cond in conds:
-            if not is_zero_scalar(cond.apply(p)):
-                raise ClassificationError(
-                    f"canonical basis element of {label} violates a "
-                    "defining condition")
+        if any(not is_zero_scalar(table.apply(k, p))
+               for k in range(len(conds))):
+            raise ClassificationError(
+                f"canonical basis element of {label} violates a "
+                "defining condition")
     return tuple(entry["type"]), basis
 
 

@@ -18,7 +18,7 @@ from .fields import (QQ, common_field, field_of, format_scalar,
                      is_zero_scalar, scalar_to_json)
 from .linalg import cleared_nullspace, nullspace, rref
 from .poly import (Poly, _int_combination, _int_dot, _int_mul, _int_scaled,
-                   _int_values, _over_lcm, poly_gcd)
+                   _int_trim, _int_values, _over_lcm, poly_gcd)
 from .resultants import _lattice_gcd
 from .roots import _order_key
 from .sagbi import SagbiBasis, read_off_basis, sagbi_complete, subduce
@@ -79,20 +79,7 @@ class LinearFunctional:
 
     def apply(self, f):
         field = common_field(self.field, f.field)
-        return _dot(f.coerce_to(field).cleared(),
-                    self.monomial_row(f.degree, field), field)
-
-    def monomial_row(self, degree, field):
-        """(L(1), L(x), …, L(x^degree)) over `field`, cleared: (ints, d)
-        as `poly._int_scaled` gives, d not always least.  The sum of the
-        terms' jet rows, over one denominator (`poly._over_lcm`), weighted
-        by the cleared coefficients (`poly._int_combination`)."""
-        terms = [term for term in self.terms if term[0] <= degree]
-        jets, dj = _over_lcm([_jet_row(order, point, degree, field)
-                              for order, point, _ in terms])
-        coeffs, dc = _int_scaled([coeff for _, _, coeff in terms], field)
-        row = _int_combination(coeffs, jets, field.tilde_modulus)
-        return row or [0] * (field.degree * (degree + 1)), dc * dj
+        return _JetTable([self.terms], field).apply(0, f)
 
     def points(self):
         return [point for _, point, _ in self.terms]
@@ -138,6 +125,75 @@ class LinearFunctional:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+class _JetTable:
+    """Conditions, each given by its (order, point, coefficient) terms,
+    read once over `field`.  `terms[k]` is condition k as {(order, i):
+    coefficient}, equal terms summed and zero sums dropped, i indexing the
+    distinct `points`; `tops` maps i to N_p, the top order read at the
+    point.  Points are told apart by ==, never hashed: a list holds a few,
+    and hashing a Fraction costs a modular inverse of its denominator.
+
+    `rows(d)` are the conditions' cleared monomial rows (L(1), …, L(x^d)),
+    combinations of jet rows (`_jet_row`).  Each jet row is computed once,
+    at the top degree T asked for so far, and a degree d < T reads a
+    prefix: entry k of the row at T is k!/(k−o)!·z^(k−o)·w^(T−k) over
+    w^(T−o), the rational of the row at d over a w^(T−d) times larger
+    denominator, and a combination of prefixes is the prefix of the
+    combination.
+    """
+
+    __slots__ = ("field", "points", "terms", "tops", "_degree", "_rows")
+
+    def __init__(self, term_lists, field):
+        self.field, self.points, self.terms, self.tops = field, [], [], {}
+        for terms in term_lists:
+            summed = {}
+            for order, point, coeff in terms:
+                point = field.coerce(point)
+                i = next((i for i, p in enumerate(self.points)
+                          if p == point), len(self.points))
+                if i == len(self.points):
+                    self.points.append(point)
+                coeff = field.coerce(coeff)
+                summed[order, i] = summed[order, i] + coeff \
+                    if (order, i) in summed else coeff
+            summed = {key: a for key, a in summed.items()
+                      if not is_zero_scalar(a)}
+            for order, i in summed:
+                self.tops[i] = max(order, self.tops.get(i, 0))
+            self.terms.append(summed)
+        self._degree, self._rows = -1, [([], 1)] * len(self.terms)
+
+    def rows(self, degree):
+        """The conditions' cleared monomial rows up to x^degree, (ints, d)
+        as `poly._int_scaled` gives, d not always least."""
+        field = self.field
+        e = field.degree
+        if degree > self._degree:
+            jets, self._rows = {}, []
+            for terms in self.terms:
+                for order, i in terms:
+                    if (order, i) not in jets:
+                        jets[order, i] = _jet_row(order, self.points[i],
+                                                  degree, field)
+                lists, dj = _over_lcm([jets[key] for key in terms])
+                coeffs, dc = _int_scaled(list(terms.values()), field)
+                row = _int_combination(coeffs, lists, field.tilde_modulus)
+                self._rows.append((row or [0] * (e * (degree + 1)), dc * dj))
+            self._degree = degree
+        if degree == self._degree:
+            return self._rows
+        return [(row[:e * (degree + 1)], d) for row, d in self._rows]
+
+    def apply(self, k, f):
+        """Condition k on the polynomial f, a scalar of the field.  The dot
+        with the row at the top degree reads only its first deg f + 1
+        entries (`poly._int_dot`), the row at deg f."""
+        f = f.coerce_to(self.field)
+        row = self.rows(max(f.degree, self._degree))[k]
+        return _dot(f.cleared(), row, self.field)
+
+
 def _jet_row(order, point, degree, field):
     """(J(1), J(x), …, J(x^degree)) for the jet J: f ↦ f^(order)(point),
     cleared: (ints, d) as `poly._int_scaled` gives.
@@ -155,12 +211,20 @@ def _jet_row(order, point, degree, field):
     w_powers = [1]
     for _ in range(n):
         w_powers.append(w_powers[-1] * w)
-    power, falling = [1] + [0] * (e - 1), factorial(order)
+    falling = factorial(order)
+    if e == 1:                  # an entry is one int
+        power = 1
+        for k in range(order, degree + 1):
+            row[k] = power * falling * w_powers[degree - k]
+            power *= z[0]
+            falling = falling * (k + 1) // (k + 1 - order)
+        return row, w_powers[n]
+    power = [1] + [0] * (e - 1)
     for k in range(order, degree + 1):
         scale = falling * w_powers[degree - k]
         row[k * e:(k + 1) * e] = [a * scale for a in power]
         if k < degree:
-            power = [power[0] * z[0]] if e == 1 else _int_mul(power, z, mt)
+            power = _int_mul(power, z, mt)
             falling = falling * (k + 1) // (k + 1 - order)
     return row, w_powers[n]
 
@@ -181,16 +245,16 @@ def _scalar_from_json(data, field):
     return value if field is None else field.coerce(value)
 
 
-def _closed_under_products(rows, kernel, low, field):
+def _closed_under_products(rows, small, field):
     """Is the kernel V of the condition rows (in an algebra) closed under
     multiplication, given V = V_{<low} ⊕ I for an ideal I of K[x] inside
     V?  Products with I stay in I, so V is an algebra iff every product of
     two elements of V_{<low} satisfies every condition (see `_cut`).
-    `kernel` must contain a basis of V_{<low}; the cleared `rows` must
-    reach degree 2·low − 2.  A product is tested as `_int_mul` of the
-    cleared factors, a nonzero multiple of it, with no reduction.
+    `small` must hold the cleared int lists of a basis of V_{<low} with no
+    constant; the cleared `rows` must reach degree 2·low − 2.  A product
+    is tested as `_int_mul` of the cleared factors, a nonzero multiple of
+    it, with no reduction.
     """
-    small = [p.cleared()[0] for p in kernel if 1 <= p.degree < low]
     for i, p in enumerate(small):
         for q in small[i:]:
             product = _int_mul(p, q, field.tilde_modulus)
@@ -221,60 +285,65 @@ _POLYNOMIAL_RING = SagbiBasis([Poly.x()])
 _POLYNOMIAL_RING.conductor_roots = []       # its conductor is 1
 
 
-def _read_terms(conds, field):
-    """(rows, tops): each condition as {(order, point): coefficient} over
-    `field`, its equal (order, point) terms summed and zero sums dropped,
-    and {p: N_p}, the top order at which some row reads the point p."""
-    rows, tops = [], {}
-    for L in conds:
-        row = {}
-        for order, point, coeff in L.terms:
-            key = (order, field.coerce(point))
-            row[key] = row.get(key, field.zero) + field.coerce(coeff)
-        rows.append({k: a for k, a in row.items() if not is_zero_scalar(a)})
-        for order, point in rows[-1]:
-            tops[point] = max(order, tops.get(point, 0))
-    return rows, tops
-
-
 def _cut(basis, conds):
     """(rank, kernel, closed, tops) for V = B ∩ ker(conds), B the algebra
-    of `basis`: the rank of the conditions on B, combinations of B's
-    degree products that span V up to degree 2D − 1, one per leading
-    degree, whether V is closed under multiplication, and {p: N_p} (see
-    below).  `kernel_subalgebra` and `is_subalgebra_condition_set` cut
+    of `basis`: the rank of the conditions on B, elements of V (an
+    iterable) with distinct leading degrees that include every minimal
+    generator of its degrees, whether V is closed under multiplication,
+    and [(p, N_p)] (see below).  `kernel_subalgebra` and `is_subalgebra_condition_set` cut
     K[x] (`_POLYNOMIAL_RING`) by all their conditions at once,
     `sagbi.sagbi_extend` an algebra by one.
 
     Let c be the conductor of B, N_p the top order the conditions read at
-    the point p, h = ∏_p (x − p)^(N_p + 1) and D = deg c + Σ_p (N_p + 1)
-    = deg c·h, read off the degrees (c·h is not built).  c·K[x] ⊆ B, and a
-    condition reads c·h·q at p only through its N_p-jet, which is zero, so
-    c·h·K[x] ⊆ V: every degree ≥ D is in the semigroup S(V), whose
-    conductor and smallest positive degree are then at most D, so its
-    minimal generators are at most 2D − 1 and `read_off_basis` reads the
-    SAGBI basis off `kernel`.  The degree products up to 2D − 1 span
-    B_{<2D}, and the combinations of them that the conditions kill
-    (`_killed_combinations`) span V_{<2D}; the conditions vanish on
-    c·h·K[x] and B = B_{<D} ⊕ c·h·K[x], so the rank on B is the number of
-    products less the number of combinations.  For B = K[x] the products
-    are the x^k, so the matrix is the conditions' monomial rows, every
-    pivot lies below D, and each combination at a free column d is x^d
-    plus terms at pivot columns below d, whatever the number of columns.
+    the point p (`_JetTable`), h = ∏_p (x − p)^(N_p + 1) and D = deg c +
+    Σ_p (N_p + 1) = deg c·h, read off the degrees (c·h is not built).
+    c·K[x] ⊆ B, and a condition reads c·h·q at p only through its
+    N_p-jet, which is zero, so c·h·K[x] ⊆ V: every degree ≥ D is in the
+    semigroup S(V), whose conductor and smallest positive degree are then
+    at most D, so its minimal generators are at most 2D − 1 and
+    `read_off_basis` reads the SAGBI basis off `kernel`.  The degree
+    products up to 2D − 1 span B_{<2D}, and the combinations of them that
+    the conditions kill (`_killed_combinations`) span V_{<2D}; the
+    conditions vanish on c·h·K[x] and B = B_{<D} ⊕ c·h·K[x], so the rank
+    on B is the number of products less the number of combinations.
     Division by c·h gives V = V_{<D} ⊕ c·h·K[x], so V is an algebra iff
     every product of two combinations of degree < D satisfies every
     condition (`_closed_under_products`).
+
+    For B = K[x] the products are x⁰ … x^(2D−1), whose cleared matrix is
+    the identity, so the nullspace of the conditions' rows is V_{<2D}
+    itself, each vector the cleared coefficients of its polynomial: x^d at
+    its free column d plus terms at pivot columns below d.  The closure
+    check multiplies the vectors; a Poly is built only when `kernel` is
+    read, at the degrees that are no sum of two smaller positive ones (the
+    minimal generators of S(V) when V is closed).
     """
     field = basis.field
     for L in conds:
         field = common_field(field, L.field)
-    tops = _read_terms(conds, field)[1]
-    D = basis.conductor().degree + sum(top + 1 for top in tops.values())
-    products = [P.coerce_to(field) for P in basis.degree_products(2 * D - 1)]
-    rows = [L.monomial_row(2 * D - 1, field) for L in conds]
-    kernel = list(_killed_combinations(products, rows, field))
-    return (len(products) - len(kernel), kernel,
-            _closed_under_products(rows, kernel, D, field), tops)
+    table = _JetTable([L.terms for L in conds], field)
+    D = basis.conductor().degree + sum(top + 1 for top in table.tops.values())
+    rows = table.rows(2 * D - 1)
+    if basis is _POLYNOMIAL_RING:
+        e, vectors = field.degree, {}
+        for vec, w in cleared_nullspace([row for row, _ in rows], 2 * D,
+                                        field):
+            vec = _int_trim(vec, e)
+            vectors[len(vec) // e - 1] = vec, w
+        rank = 2 * D - len(vectors)
+        small = [vec for d, (vec, _) in vectors.items() if 1 <= d < D]
+        kernel = (Poly.from_cleared(vec, w, field)
+                  for d, (vec, w) in vectors.items()
+                  if d >= 1 and not any(1 <= a < d and d - a in vectors
+                                        for a in vectors))
+    else:
+        products = [P.coerce_to(field)
+                    for P in basis.degree_products(2 * D - 1)]
+        kernel = list(_killed_combinations(products, rows, field))
+        rank = len(products) - len(kernel)
+        small = [p.cleared()[0] for p in kernel if 1 <= p.degree < D]
+    return (rank, kernel, _closed_under_products(rows, small, field),
+            [(table.points[i], top) for i, top in table.tops.items()])
 
 
 def is_subalgebra_condition_set(conds):
@@ -418,7 +487,7 @@ def kernel_subalgebra(conds):
 
     The conductor's zeros are read off the conditions onto the basis
     (`SagbiBasis.conductor_roots`).  With N_p the top order at which some
-    condition reads p (`_read_terms`), c = ∏_p (x − p)^(N_p + 1): c·g has
+    condition reads p (`_JetTable`), c = ∏_p (x − p)^(N_p + 1): c·g has
     a zero N_p-jet at each p, so c·K[x] ⊆ A and the conductor c_A divides
     c.  Were ord_p c_A = k ≤ N_p, f = (x − p)^k·c/(x − p)^(N_p + 1) would
     be a multiple of c_A, and a condition with coefficient a ≠ 0 at
@@ -438,7 +507,7 @@ def kernel_subalgebra(conds):
             "kernel is not closed under multiplication: a product of two "
             "kernel elements fails a condition")
     basis = read_off_basis(kernel)
-    basis.conductor_roots = sorted(((p, N + 1) for p, N in tops.items()),
+    basis.conductor_roots = sorted(((p, N + 1) for p, N in tops),
                                    key=lambda r: (r[1], _order_key(r[0])))
     return Subalgebra(conditions=_normalize_conditions(conds), _sagbi=basis)
 
@@ -531,15 +600,17 @@ def _jet_image(basis, points, field, conds=None):
     Hermite interpolation maps K[x] onto K^coords with kernel c·K[x] ⊆ A.
     `conds` that cut out A vanish on c·K[x], so they read only coords and
     the image is their nullspace there; they give ord_p c = N_p + 1, N_p
-    their top order at p (`_read_terms`; see `kernel_subalgebra`), so c is
+    their top order at p (`_JetTable`; see `kernel_subalgebra`), so c is
     not built.  Else the rows are the jets of the degree products below
     deg c: A = A_{<deg c} ⊕ c·K[x], and c·K[x] is zero on coords.
     """
     points = [field.coerce(p) for p in points]
     if conds:
-        terms, tops = _read_terms(conds, field)
-        orders = [tops.get(p, -1) + 1 for p in points]
-        degree = sum(top + 1 for top in tops.values())
+        table = _JetTable([L.terms for L in conds], field)
+        at = [next((i for i, q in enumerate(table.points) if q == p), None)
+              for p in points]
+        orders = [table.tops.get(i, -1) + 1 for i in at]
+        degree = sum(top + 1 for top in table.tops.values())
     else:
         basis = basis.coerce_to(field)
         c = basis.conductor()
@@ -547,14 +618,18 @@ def _jet_image(basis, points, field, conds=None):
     if 0 in orders or sum(orders) != degree:
         raise SpectrumNotExact("the points are not the zeros of the "
                                "conductor")
-    coords = [(order, p) for order in range(max(orders, default=0) - 1, -1, -1)
-              for p, k in zip(points, orders) if order < k]
+    columns = [(order, j)
+               for order in range(max(orders, default=0) - 1, -1, -1)
+               for j, k in enumerate(orders) if order < k]
+    coords = [(order, points[j]) for order, j in columns]
     if conds:
         return coords, [vec for vec, _ in cleared_nullspace(
-            [_int_scaled([row.get(u, field.zero) for u in coords], field)[0]
-             for row in terms], len(coords), field)]
-    jets, _ = _over_lcm([_jet_row(order, p, degree - 1, field)
-                         for order, p in coords])
+            [_int_scaled([terms.get((order, at[j]), field.zero)
+                          for order, j in columns], field)[0]
+             for terms in table.terms], len(coords), field)]
+    jets, _ = _over_lcm(_JetTable([[(order, p, field.one)]
+                                   for order, p in coords],
+                                  field).rows(degree - 1))
     return coords, _int_values(
         [P.cleared()[0] for P in basis.degree_products(degree - 1)],
         jets, field)

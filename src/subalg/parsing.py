@@ -11,17 +11,19 @@ are resolved through an environment; the default environment knows 'x' and,
 when a field is supplied, its generator 't'.
 
 Each source string is tokenized and parsed once into a tree (`_compile`,
-cached), which is then evaluated on scalars, and on Polys only once x or a
-Poly from the environment enters.
+cached), which is then evaluated on scalars, and on cleared integer
+coefficient lists once x or a Poly from the environment enters
+(`_evaluate`); one Poly is built from such a value at the end.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 from .errors import ParseError, UnknownSymbol
 from .fields import QQ, is_zero_scalar
-from .poly import Poly
+from .poly import Poly, _int_mul, _int_scaled, _int_sum, _int_trim
 
 _OPERATORS = set("+-*/^()")
 
@@ -152,10 +154,14 @@ def _compile(src):
 
 
 def _evaluate(tree, env, field):
-    """The value of an expression tree: a scalar of the field, or a Poly
-    once x (or a Poly from env) enters.  Names resolve through env, then x
-    and, over a number field, its generator t."""
-    op = tree[0]
+    """The value of an expression tree: a scalar of the field, or, once x
+    (or a Poly from env) enters, a cleared polynomial (ints, den) over the
+    field as `poly._int_scaled` clears it.  Polynomial values combine on
+    ints (`poly._int_mul`, `_int_sum`), unreduced, with a scalar cleared
+    where it meets one; the caller builds one Poly or scalar at the end.
+    Names resolve through env (a Poly there is coerced into the field),
+    then x and, over a number field, its generator t."""
+    op, e = tree[0], field.degree
     if op == "num":
         return field.coerce(tree[1])
     if op == "name":
@@ -163,37 +169,56 @@ def _evaluate(tree, env, field):
         if name in env:
             value = env[name]
             if isinstance(value, Poly):
-                return value.coerce_to(field) if value.field is QQ else value
+                return value.coerce_to(field).cleared()
             return field.coerce(value)
         if name == "x":
-            return Poly.x(field)
+            return [0] * e + [1] + [0] * (e - 1), 1
         if name == "t":
             if field is QQ:
                 raise UnknownSymbol(
                     "generator 't' used without a declared field")
             return field.gen()
         raise UnknownSymbol(f"unknown symbol {name!r}")
-    value = _evaluate(tree[1], env, field)
+    a = _evaluate(tree[1], env, field)
     if op == "neg":
-        return -value
+        return ([-c for c in a[0]], a[1]) if isinstance(a, tuple) else -a
     if op == "^":
-        return value ** tree[2]
-    rhs = _evaluate(tree[2], env, field)
-    if op == "+":
-        return value + rhs
-    if op == "-":
-        return value - rhs
+        if not isinstance(a, tuple):
+            return a ** tree[2]
+        power, mt = [1] + [0] * (e - 1), field.tilde_modulus
+        for _ in range(tree[2]):
+            power = _int_trim(_int_mul(power, a[0], mt), e) if a[0] else []
+        return power, a[1] ** tree[2]
+    b = _evaluate(tree[2], env, field)
+    if op == "/":
+        if isinstance(b, tuple):
+            if len(b[0]) != e:
+                raise ParseError("division by a non-constant" if b[0]
+                                 else "division by zero", position=tree[3])
+            b = field.from_tilde_coordinates(*b)[0]
+        elif is_zero_scalar(b):
+            raise ParseError("division by zero", position=tree[3])
+        if not isinstance(a, tuple):
+            return a / b
+        op, b = "*", field.one / b      # a polynomial times 1/b
+    if not isinstance(a, tuple) and not isinstance(b, tuple):
+        return a + b if op == "+" else a - b if op == "-" else a * b
+    (a, da), (b, db) = (v if isinstance(v, tuple) else _scalar(v, field)
+                        for v in (a, b))
     if op == "*":
-        return value * rhs
-    if isinstance(rhs, Poly):
-        if rhs.degree != 0:
-            raise ParseError("division by zero" if rhs.is_zero()
-                             else "division by a non-constant",
-                             position=tree[3])
-        rhs = rhs.coeff(0)
-    elif is_zero_scalar(rhs):
-        raise ParseError("division by zero", position=tree[3])
-    return value / rhs
+        if not a or not b:
+            return [], 1
+        return _int_trim(_int_mul(a, b, field.tilde_modulus), e), da * db
+    g = gcd(da, db)
+    sa, sb = db // g, (da // g if op == "+" else -da // g)
+    return _int_trim(_int_sum([c * sa for c in a], [c * sb for c in b]),
+                     e), da // g * db
+
+
+def _scalar(value, field):
+    """A scalar of the field, cleared: one block, or [] for zero."""
+    ints, den = _int_scaled((value,), field)
+    return (ints if any(ints) else []), den
 
 
 def parse_expr(src, env=None, field=None):
@@ -203,7 +228,9 @@ def parse_expr(src, env=None, field=None):
     """
     field = field or QQ
     value = _evaluate(_compile(src), env or {}, field)
-    return value if isinstance(value, Poly) else Poly.constant(value, field)
+    if not isinstance(value, tuple):
+        value = _scalar(value, field)
+    return Poly.from_cleared(*value, field)
 
 
 def parse_poly(src, field=None):
@@ -215,8 +242,9 @@ def parse_scalar(src, env=None, field=None):
     """Evaluate an expression that must be constant; returns the scalar."""
     field = field or QQ
     value = _evaluate(_compile(src), env or {}, field)
-    if not isinstance(value, Poly):
+    if not isinstance(value, tuple):
         return value
-    if value.degree > 0:
+    ints, den = value
+    if len(ints) > field.degree:
         raise ParseError("expected a constant expression", position=0)
-    return value.coeff(0)
+    return field.from_tilde_coordinates(ints or [0] * field.degree, den)[0]

@@ -13,6 +13,7 @@ declared field).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial, lcm
 from math import gcd as int_gcd
 from operator import mul
@@ -306,10 +307,37 @@ class Poly:
         return Poly.from_cleared(out, d, self.field)
 
     def order_at(self, point):
-        """How many leading derivatives vanish at the point."""
-        p, k = self, 0
-        while p and is_zero_scalar(p(point)):
-            p, k = p.derivative(), k + 1
+        """How many times x − point divides self (0 for the zero
+        polynomial), the number of leading derivatives that vanish there.
+        With self = Σ A_k·x^k/d cleared, n its degree and the point
+        cleared to z/w, it is the order of z as a root of
+        Â = Σ A_k·w^(n−k)·x^k, since Â(w·x) = w^n·d·self(x).  Synthetic
+        division of Â by x − z (`accumulate` of the Horner steps) stays on
+        ints, one pass per factor and one more.  Over Q a block is one
+        int."""
+        f = common_field(self.field, field_of(point))
+        ints = self.coerce_to(f).cleared()[0]
+        e, mt = f.degree, f.tilde_modulus
+        z, w = _int_scaled((point,), f)
+        if e == 1:
+            blocks = [c * w ** k for k, c in enumerate(reversed(ints))]
+            zero = 0
+
+            def step(acc, c):
+                return acc * z[0] + c
+        else:
+            blocks = [[c * w ** k for c in ints[j:j + e]]
+                      for k, j in enumerate(range(len(ints) - e, -1, -e))]
+            zero = [0] * e
+
+            def step(acc, block):
+                return [a + b for a, b in zip(block, _int_mul(acc, z, mt))]
+        k = 0
+        while blocks:
+            quotient = list(accumulate(blocks, step))
+            if quotient.pop() != zero:
+                return k
+            blocks, k = quotient, k + 1
         return k
 
     def __call__(self, point):

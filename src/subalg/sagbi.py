@@ -267,9 +267,9 @@ def _minimalize(basis):
 
 def read_off_basis(elements):
     """The SAGBI basis of an algebra from elements of it with distinct
-    leading degrees that cover every degree of its semigroup below the
-    conductor plus the smallest positive degree: the elements at the
-    minimal generators of the degrees, which all lie below that sum."""
+    leading degrees that include the minimal generators of its semigroup,
+    as every degree below the conductor plus the smallest positive degree
+    does: the elements at the minimal generators of the degrees."""
     by_degree = {p.degree: p for p in elements if p.degree >= 1}
     semigroup = DegreeSemigroup(by_degree)
     return SagbiBasis([by_degree[d] for d in semigroup.generators],

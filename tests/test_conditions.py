@@ -8,8 +8,8 @@ import fraction_reference as ref
 from case_draws import affine_variants, all_draws, family_draws
 from subalg import conditions, roots, spectrum
 from subalg.classify import construct_case
-from subalg.conditions import (LinearFunctional, Subalgebra, _annihilator,
-                               _closed_under_products, _jet_image, _jet_row,
+from subalg.conditions import (LinearFunctional, Subalgebra, _JetTable,
+                               _annihilator, _jet_image, _jet_row,
                                _normalize_conditions,
                                conditions_from_subalgebra, conductor,
                                intersect_and_join,
@@ -22,12 +22,14 @@ from subalg.fields import (QQ, NumberField, common_field, field_of,
 from subalg.linalg import cleared_nullspace, nullspace
 from subalg.oracle import oracle_codimension, oracle_member
 from subalg.parsing import parse_poly as P
-from subalg.poly import (Poly, _int_scaled, _int_values, _over_lcm,
-                         squarefree_part)
+from subalg.poly import (Poly, _int_combination, _int_scaled, _int_values,
+                         _over_lcm, squarefree_part)
 from subalg.resultants import char_poly_pair
 from subalg.roots import split_roots
-from subalg.sagbi import SagbiBasis, read_off_basis, sagbi_complete
+from subalg.sagbi import (SagbiBasis, read_off_basis, sagbi_complete,
+                          sagbi_extend)
 from test_resultants import _charpoly_items
+from test_sagbi import _extension_inputs
 
 classify_module = importlib.import_module("subalg.classify")
 
@@ -44,6 +46,44 @@ def deriv(*terms):
 def scalars(row, field):
     """The entries of a cleared row (ints, d) as scalars of the field."""
     return field.from_tilde_coordinates(*row)
+
+
+def table_row(L, degree, field):
+    """The cleared monomial row of L up to x^degree, from a jet table of L
+    alone."""
+    return _JetTable([L.terms], field).rows(degree)[0]
+
+
+# `monomial_row` and `_read_terms`: the per-condition rows and the term
+# reading that `_JetTable` replaced, kept verbatim as the reference.
+
+def reference_monomial_row(self, degree, field):
+    """(L(1), L(x), …, L(x^degree)) over `field`, cleared: (ints, d)
+    as `poly._int_scaled` gives, d not always least.  The sum of the
+    terms' jet rows, over one denominator (`poly._over_lcm`), weighted
+    by the cleared coefficients (`poly._int_combination`)."""
+    terms = [term for term in self.terms if term[0] <= degree]
+    jets, dj = _over_lcm([_jet_row(order, point, degree, field)
+                          for order, point, _ in terms])
+    coeffs, dc = _int_scaled([coeff for _, _, coeff in terms], field)
+    row = _int_combination(coeffs, jets, field.tilde_modulus)
+    return row or [0] * (field.degree * (degree + 1)), dc * dj
+
+
+def reference_read_terms(conds, field):
+    """(rows, tops): each condition as {(order, point): coefficient} over
+    `field`, its equal (order, point) terms summed and zero sums dropped,
+    and {p: N_p}, the top order at which some row reads the point p."""
+    rows, tops = [], {}
+    for L in conds:
+        row = {}
+        for order, point, coeff in L.terms:
+            key = (order, field.coerce(point))
+            row[key] = row.get(key, field.zero) + field.coerce(coeff)
+        rows.append({k: a for k, a in row.items() if not is_zero_scalar(a)})
+        for order, point in rows[-1]:
+            tops[point] = max(order, tops.get(point, 0))
+    return rows, tops
 
 
 def test_functional_application():
@@ -72,14 +112,14 @@ def test_monomial_row_matches_apply():
 
     for L in functionals:
         x = Poly.x(L.field)
-        assert scalars(L.monomial_row(12, L.field), L.field) == \
+        assert scalars(table_row(L, 12, L.field), L.field) == \
             [by_derivatives(L, x ** k) for k in range(13)]
         f = P("x^5 - 2*x^3 + x/3 + 4").coerce_to(L.field)
         assert L.apply(f) == by_derivatives(L, f)
     # rows of rational conditions coerced into a number field
     x = Poly.x(qi)
     L = functionals[1]
-    assert scalars(L.monomial_row(9, qi), qi) == \
+    assert scalars(table_row(L, 9, qi), qi) == \
         [by_derivatives(L, x ** k) for k in range(10)]
 
 
@@ -98,7 +138,7 @@ def test_jet_row_reads_derivatives():
 
 
 def test_cleared_rows_match_the_fraction_rows():
-    """`_jet_row` and `monomial_row` agree entry by entry with the Fraction
+    """`_jet_row` and the jet table agree entry by entry with the Fraction
     rows they replaced: at points with denominators, at number-field
     points (t^2 - 1/2 has t̃ = 2t), at degree 0 and with orders above the
     degree, where a term adds nothing."""
@@ -126,7 +166,7 @@ def test_cleared_rows_match_the_fraction_rows():
                 [(7, points[-2], 3 * t), (2, points[2], F(-5, 4))])]
         for L in functionals:
             for degree in (-1, 0, 1, 3, 6, 10):
-                assert scalars(L.monomial_row(degree, field), field) == \
+                assert scalars(table_row(L, degree, field), field) == \
                     ref.monomial_row(L, degree, field), (L, degree)
             for f in (P("x^2 + 1"), P("x^3/7 - 2*x + 5"), Poly.zero()):
                 f = f.coerce_to(field)
@@ -269,12 +309,13 @@ def reference_kernel_subalgebra(conds):
     N, s = _order_and_point_count(conds)
     low = N * s
     bound = low + 2 * n + 2
-    rows = [L.monomial_row(max(bound, 2 * low - 2), field) for L in conds]
+    rows = [reference_monomial_row(L, max(bound, 2 * low - 2), field)
+            for L in conds]
     r, kernel = _monomial_kernel(rows, bound, field)
     if r < n:
         raise DegenerateConditions(
             f"only {r} of {n} conditions are independent", reduced_count=r)
-    if not _closed_under_products(rows, kernel, low, field):
+    if not reference_closed_under_products(rows, kernel, low, field):
         raise NotSubalgebraConditions("kernel is not closed")
     return Subalgebra(conditions=_normalize_conditions(conds),
                       _sagbi=read_off_basis(kernel))
@@ -287,9 +328,9 @@ def reference_is_subalgebra_condition_set(conds):
     field = _conditions_field(conds)
     N, s = _order_and_point_count(conds)
     low = N * s
-    rows = [L.monomial_row(2 * low - 2, field) for L in conds]
+    rows = [reference_monomial_row(L, 2 * low - 2, field) for L in conds]
     _, kernel = _monomial_kernel(rows, low - 1, field)
-    return _closed_under_products(rows, kernel, low, field)
+    return reference_closed_under_products(rows, kernel, low, field)
 
 
 def _random_condition_sets(rng, count):
@@ -344,6 +385,157 @@ def test_the_cut_matches_the_monomial_kernel_on_random_sets(monkeypatch):
         outcomes[name] = outcomes.get(name, 0) + 1
     assert set(outcomes) == {"basis", "DegenerateConditions",
                              "NotSubalgebraConditions"}, outcomes
+
+
+def reference_cut(basis, conds):
+    """`_cut` on the degree products for every algebra, K[x] too: the path
+    that K[x]'s cut on its own condition rows replaced (verbatim, but for
+    the references it calls, `reference_read_terms`,
+    `reference_monomial_row` and `reference_closed_under_products`, and
+    the tops, returned as (point, N_p) pairs as `_cut` returns them)."""
+    field = basis.field
+    for L in conds:
+        field = common_field(field, L.field)
+    tops = reference_read_terms(conds, field)[1]
+    D = basis.conductor().degree + sum(top + 1 for top in tops.values())
+    products = [P.coerce_to(field) for P in basis.degree_products(2 * D - 1)]
+    rows = [reference_monomial_row(L, 2 * D - 1, field) for L in conds]
+    kernel = list(conditions._killed_combinations(products, rows, field))
+    return (len(products) - len(kernel), kernel,
+            reference_closed_under_products(rows, kernel, D, field),
+            list(tops.items()))
+
+
+def _condition_lists():
+    """The 600 random condition sets, then the conditions of every draw
+    and its affine variants (the number-field draws among them)."""
+    yield from _random_condition_sets(random.Random(5), 600)
+    for label, params, _ in all_draws():
+        for moved in [params, *affine_variants(params)]:
+            yield construct_case(label, moved)._conditions
+
+
+def test_the_jet_table_reads_conditions_as_read_terms_did():
+    """A jet table holds each condition as `_read_terms` read it, with its
+    distinct points indexed instead of hashed, and the same top orders.
+    Its rows at the cut's degree 2D − 1, and at lower degrees read
+    afterwards as prefixes, are the rows `monomial_row` gave."""
+    fields = set()
+    for conds in _condition_lists():
+        field = _conditions_field(conds)
+        table = _JetTable([L.terms for L in conds], field)
+        terms, tops = reference_read_terms(conds, field)
+        points = table.points
+        assert all(p != q for i, p in enumerate(points)
+                   for q in points[i + 1:])
+        assert [{(order, points[i]): a for (order, i), a in row.items()}
+                for row in table.terms] == terms
+        assert {points[i]: top for i, top in table.tops.items()} == tops
+        top = 2 * sum(N + 1 for N in tops.values()) - 1
+        for degree in (top, top // 2, 1, 0):
+            assert [scalars(row, field) for row in table.rows(degree)] == \
+                [scalars(reference_monomial_row(L, degree, field), field)
+                 for L in conds], (conds, degree)
+        fields.add(field.degree)
+    assert fields == {1, 2}
+
+
+def test_a_prefix_of_a_top_degree_row_is_the_lower_degree_row():
+    """The jet row at degree T, cut to degree d, is the row at d over a
+    denominator w^(T−d) times larger, w the point's cleared denominator:
+    the same rationals (zero below the order).  A table asked for T, then
+    for d, gives the rows a table asked for d alone gives."""
+    for modulus in (None, [1, 0, 1], [F(-1, 2), 0, 1]):
+        field = QQ if modulus is None else NumberField(modulus)
+        t = field.one if field is QQ else field.gen()
+        e = field.degree
+        points = [field.zero, field.coerce(F(-7, 12)), t / 3 - F(1, 2),
+                  field.coerce(F(5, 2 ** 40))]
+        for p in points:
+            w = _int_scaled((p,), field)[1]
+            for order in range(5):
+                for T in (order, 4, 9):
+                    top, dt = _jet_row(order, p, T, field)
+                    for d in range(T + 1):
+                        low, dd = _jet_row(order, p, d, field)
+                        prefix = top[:e * (d + 1)]
+                        if order > d:
+                            assert not any(prefix) and not any(low)
+                            continue
+                        assert prefix == [c * w ** (T - d) for c in low]
+                        assert dt == dd * w ** (T - d)
+        L = LinearFunctional.derivative_combo(
+            [(1, points[2], t), (3, points[1], F(2, 9)),
+             (0, points[3], F(1, 3)), (0, points[0], F(-1, 3))])
+        table = _JetTable([L.terms, diff(1, 3).terms], field)
+        table.rows(11)
+        for d in (11, 6, 3, 0):
+            assert [scalars(row, field) for row in table.rows(d)] == \
+                [scalars(row, field) for row in _JetTable(
+                    [L.terms, diff(1, 3).terms], field).rows(d)]
+
+
+def test_the_polynomial_ring_cut_matches_the_products_path(monkeypatch):
+    """K[x] cut on its condition rows (an identity product matrix) gives
+    what the degree products gave (`reference_cut` on `_POLYNOMIAL_RING`):
+    the rank, closure, top orders and SAGBI basis.  End to end, on the
+    600 random sets and every draw with its affine variants,
+    `kernel_subalgebra` gives the same cleared elements, conductor roots
+    and conditions, or error types and reduced counts, and
+    `is_subalgebra_condition_set` the same booleans."""
+    lists = list(_condition_lists())
+    for conds in lists:
+        rank, kernel, closed, tops = conditions._cut(
+            conditions._POLYNOMIAL_RING, conds)
+        old = reference_cut(conditions._POLYNOMIAL_RING, conds)
+        assert (rank, closed, sorted(tops, key=str)) == \
+            (old[0], old[2], sorted(old[3], key=str)), conds
+        if closed and rank == len(conds):
+            assert [e.cleared() for e in read_off_basis(kernel).elements] \
+                == [e.cleared() for e in read_off_basis(old[1]).elements]
+
+    def outcomes():
+        out = []
+        for conds in lists:
+            try:
+                A = kernel_subalgebra(conds)
+                basis = A.sagbi_basis()
+                got = ([e.cleared() for e in basis.elements],
+                       basis.conductor_roots, repr(A.conditions()))
+            except (DegenerateConditions, NotSubalgebraConditions) as exc:
+                got = type(exc).__name__, getattr(exc, "reduced_count", None)
+            out.append((got, is_subalgebra_condition_set(conds)))
+        return out
+
+    new = outcomes()
+    monkeypatch.setattr(conditions, "_cut", reference_cut)
+    assert outcomes() == new
+    assert {got[0] for got, _ in new if isinstance(got[0], str)} == \
+        {"DegenerateConditions", "NotSubalgebraConditions"}
+
+
+def test_extension_is_the_cut_it_was(monkeypatch):
+    """`sagbi_extend` cuts by the products path, now reading a jet table:
+    on the 160 extension inputs it gives the cleared elements and error
+    types that `reference_cut` gives."""
+    inputs = list(_extension_inputs(random.Random(20261019)))
+
+    def outcomes():
+        out = []
+        for basis, L in inputs:
+            try:
+                out.append([e.cleared()
+                            for e in sagbi_extend(basis, L).elements])
+            except SubalgError as exc:
+                out.append(type(exc).__name__)
+        return out
+
+    new = outcomes()
+    monkeypatch.setattr(conditions, "_cut", reference_cut)
+    assert outcomes() == new
+    assert len(inputs) == 160 and any(isinstance(x, list) for x in new)
+    assert {x for x in new if isinstance(x, str)} == \
+        {"ConditionVanishesOnB", "NotSubalgebraConditions"}
 
 
 def test_kernel_matches_completion_and_oracle():
@@ -756,7 +948,8 @@ def test_dot_matches_the_field_elem_dot():
         for _ in range(10):
             f = Poly(row(rng.randint(0, 9)), nf)
             assert L.apply(f) == reference_dot(
-                f.coeffs, scalars(L.monomial_row(f.degree, nf), nf), nf)
+                f.coeffs, scalars(reference_monomial_row(L, f.degree, nf),
+                                  nf), nf)
 
 
 # --- algebras cut out by conditions, classified from them -----------------
@@ -775,12 +968,17 @@ def reference_closed_under_products(rows, kernel, low, field):
 
 def test_closure_on_int_products_matches_poly_products(monkeypatch):
     """`_closed_under_products` on `_int_mul` products gives the booleans
-    that re-cleared `Poly` products gave, on every random set and draw."""
+    that re-cleared `Poly` products gave, on every random set and draw.
+    K[x] hands it the cleared kernel vectors below D, which no `Poly` is
+    built for: the reference reads them as Polys."""
     outcomes = []
     real = conditions._closed_under_products
 
-    def spy(rows, kernel, low, field):
-        closed = real(rows, kernel, low, field)
+    def spy(rows, small, field):
+        closed = real(rows, small, field)
+        kernel = [Poly.from_cleared(list(p), 1, field) for p in small]
+        low = max((p.degree for p in kernel), default=0) + 1
+        assert all(p.degree >= 1 for p in kernel)
         assert closed == reference_closed_under_products(rows, kernel, low,
                                                          field)
         outcomes.append(closed)
@@ -933,22 +1131,23 @@ def test_classify_gives_one_answer_from_conditions_and_generators(
     """On every draw and its affine variants, `classify` of the
     `construct_case` algebra and of the same algebra from its SAGBI
     elements agree in label, parameters, type and canonical basis; each
-    call reads the conditions at most once and builds at most one jet
-    image."""
-    calls = {}
+    call reads each condition list once (a jet table per list: A's own
+    conditions for the image, and the fresh list the canonical basis
+    builds) and builds at most one jet image."""
+    calls, tables = {}, []
+    real_image, real_table = classify_module._jet_image, _JetTable.__init__
 
-    def spy(module, name):
-        real = getattr(module, name)
+    def image(*args):
+        calls["_jet_image"] = calls.get("_jet_image", 0) + 1
+        return real_image(*args)
 
-        def counted(*args):
-            calls[name] = calls.get(name, 0) + 1
-            return real(*args)
+    def table(self, term_lists, field):
+        tables.append(list(term_lists))     # kept alive: ids stay unique
+        real_table(self, tables[-1], field)
 
-        monkeypatch.setattr(module, name, counted)
-
-    spy(conditions, "_read_terms")
-    spy(classify_module, "_jet_image")
-    compared = 0
+    monkeypatch.setattr(classify_module, "_jet_image", image)
+    monkeypatch.setattr(_JetTable, "__init__", table)
+    compared = own_reads = 0
     for label, params, _ in all_draws():
         for moved in [params, *affine_variants(params)]:
             A = construct_case(label, moved)
@@ -956,11 +1155,19 @@ def test_classify_gives_one_answer_from_conditions_and_generators(
             answers = []
             for X in (A, B):
                 calls.clear()
+                tables.clear()
                 r = classify_module.classify(X)
-                assert all(n <= 1 for n in calls.values()), (label, calls)
+                assert calls.get("_jet_image", 0) <= 1, (label, calls)
+                read = [id(terms) for lists in tables for terms in lists]
+                assert len(read) == len(set(read)), label
+                own = [L.terms for L in X._conditions or ()]
+                reads = sum(own != [] and len(lists) == len(own) and all(
+                    a is b for a, b in zip(lists, own)) for lists in tables)
+                assert reads <= 1, label
+                own_reads += reads
                 answers.append((r.label, r.parameters, r.type,
                                 r.canonical_basis))
             assert answers[0] == answers[1], (label, moved)
             assert answers[0][0] == label
             compared += 1
-    assert compared == 71 * 5
+    assert compared == 71 * 5 and own_reads > 40

@@ -389,7 +389,7 @@ def _assert_leibniz(A, space):
                 for p in basis.degree_products(bound)[1:]]
     at_alpha = [f(alpha) for f in products]
     for D in space.combo_basis:
-        row = field.from_tilde_coordinates(*D.monomial_row(2 * bound, field))
+        row = ref.monomial_row(D, 2 * bound, field)
 
         def apply(f):
             return sum((c * r for c, r in zip(f.coeffs, row)), field.zero)

@@ -5,11 +5,15 @@ from itertools import islice
 import pytest
 
 import fraction_reference as ref
+from case_draws import all_draws
 from subalg.errors import (DivisionByZeroPoly, FieldMismatch, NonInvertible,
                            SubalgError)
 from subalg import modular, poly
-from subalg.conditions import LinearFunctional
-from subalg.fields import NumberField, QQ, common_field, field_of
+from subalg.classify import construct_case
+from subalg.conditions import LinearFunctional, Subalgebra
+from subalg.derivations import _Jets
+from subalg.fields import NumberField, QQ, common_field, field_of, \
+    is_zero_scalar
 from subalg.modular import modulus_roots, word_primes
 from subalg.parsing import parse_poly
 from subalg.poly import (Poly, _int_combination, _int_mul, _int_scaled,
@@ -637,3 +641,46 @@ def test_int_values_match_the_scalar_dots(field):
                     expected = expected + p * r
                 assert field.from_tilde_coordinates(
                     line[j * e:(j + 1) * e], dp * dr)[0] == expected
+
+
+def reference_order_at(p, point):
+    """How many leading derivatives vanish at the point: `Poly.order_at`
+    as it was, one derivative Poly and one evaluation per order
+    (verbatim)."""
+    k = 0
+    while p and is_zero_scalar(p(point)):
+        p, k = p.derivative(), k + 1
+    return k
+
+
+def test_order_at_counts_the_divisions_by_x_minus_the_point():
+    """`order_at`, one synthetic division on cleared ints per factor x − p,
+    gives the orders of the derivative count on every draw's conductor
+    (from its conditions) at its points and at points off them, and on
+    the H and g of the draws' derivation jets at every spectrum point,
+    over Q and Q(i): rational polynomials are also read at points of
+    Q(i), and coerced into it."""
+    qi = NumberField([1, 0, 1])
+    i = qi.gen()
+    checked, orders = 0, set()
+    for label, params, _ in all_draws():
+        A = construct_case(label, params)
+        points = [p for p, _ in A.sagbi_basis().conductor_roots]
+        polys = [A.conductor()]
+        for alpha in points:
+            jets = _Jets(Subalgebra.from_generators(
+                A.sagbi_basis().elements), alpha)
+            polys += [jets.H, jets.g]
+        for f in polys:
+            tries = [f, f.coerce_to(qi)] if f.field is QQ else [f]
+            extra = points + [p + 1 for p in points] + [F(0), F(1, 3)]
+            for g in tries:
+                for p in extra + ([i, points[0] + i] if g.field is qi
+                                  else []):
+                    order = g.order_at(p)
+                    assert order == reference_order_at(g, p), (label, g, p)
+                    orders.add(order)
+                    checked += 1
+    assert Poly.zero().order_at(F(1)) == reference_order_at(Poly.zero(),
+                                                            F(1)) == 0
+    assert {0, 1, 2, 3, 4} <= orders and checked > 2000

@@ -89,23 +89,63 @@ def test_the_conductor_imports_nothing_from_modular():
 
 
 def test_monomial_rows_feed_only_apply_and_the_cut():
-    """`monomial_row` is named in src/subalg only by
-    `LinearFunctional.apply` and `conditions._cut`: every kernel of
-    conditions in an algebra is one cut of its degree products, with no
-    second monomial-kernel path."""
-    scopes = set()
+    """Condition rows come from one place: inside `conditions.py` only the
+    jet table (`_JetTable`) calls `_jet_row`, and nothing in src/subalg
+    names `monomial_row` or `_read_terms`, the per-condition rows and the
+    term reading it replaced.  `LinearFunctional.apply`, `_cut`,
+    `_jet_image` and `classify.canonical_case_basis` read a jet table."""
+    scopes, retired = set(), []
 
     def walk(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}"
-        if "monomial_row" in _identifiers(node):
+        if isinstance(node, ast.Call) \
+                and "_jet_row" in _identifiers(node.func):
             scopes.add(scope)
+        retired.extend(f"{scope}:{name}" for name in _identifiers(node)
+                       if name in ("monomial_row", "_read_terms"))
         for child in ast.iter_child_nodes(node):
             walk(child, scope)
 
     for path in sorted(SOURCE.glob("*.py")):
         walk(ast.parse(path.read_text("utf-8")), path.stem)
-    assert scopes == {"conditions.LinearFunctional.apply", "conditions._cut"}
+    assert {scope for scope in scopes if scope.startswith("conditions.")} \
+        == {"conditions._JetTable.rows"}
+    assert retired == []
+    readers = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for top in ast.parse(path.read_text("utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) \
+                        and "_JetTable" in _identifiers(node.func):
+                    readers.add(f"{path.stem}.{getattr(top, 'name', '')}")
+    assert readers == {"conditions.LinearFunctional", "conditions._cut",
+                       "conditions._jet_image",
+                       "classify.canonical_case_basis"}
+
+
+def test_the_polynomial_ring_cut_reads_no_degree_products():
+    """`_cut` branches once, on B = K[x] (`_POLYNOMIAL_RING`), whose
+    degree products are the monomials: that branch names no
+    `degree_products`, `_int_values` or `_killed_combinations`, which the
+    other one (every other algebra) does."""
+    tree = ast.parse((SOURCE / "conditions.py").read_text("utf-8"))
+    cut = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_cut")
+    branches = [node for node in ast.walk(cut) if isinstance(node, ast.If)]
+    assert len(branches) == 1
+    (branch,) = branches
+    assert "_POLYNOMIAL_RING" in {name for node in ast.walk(branch.test)
+                                  for name in _identifiers(node)}
+
+    def names(body):
+        return {name for stmt in body for node in ast.walk(stmt)
+                for name in _identifiers(node)}
+
+    products = {"degree_products", "_int_values", "_killed_combinations"}
+    assert names(branch.body) & products == set()
+    assert names(branch.orelse) >= {"degree_products",
+                                    "_killed_combinations"}
 
 
 def test_one_jet_image_feeds_the_annihilators_and_the_conditions():
