@@ -627,9 +627,8 @@ def _jet_image(basis, points, field, conds=None):
             [_int_scaled([terms.get((order, at[j]), field.zero)
                           for order, j in columns], field)[0]
              for terms in table.terms], len(coords), field)]
-    jets, _ = _over_lcm(_JetTable([[(order, p, field.one)]
-                                   for order, p in coords],
-                                  field).rows(degree - 1))
+    jets, _ = _over_lcm([_jet_row(order, p, degree - 1, field)
+                         for order, p in coords])
     return coords, _int_values(
         [P.cleared()[0] for P in basis.degree_products(degree - 1)],
         jets, field)

@@ -20,11 +20,17 @@ remainder sequence on the specialized univariate polynomials, and Newton
 interpolation, all on plain int scalars modulo word-size primes.  Over a
 number field Q[t]/(m), only primes p modulo which the integral modulus m̃
 has e = deg m distinct roots θ_i are used: there F_p[t̃]/(m̃) ≅ F_p^e by
-t̃ ↦ θ_i, so one scalar run per θ_i gives the image, which the inverse
+t̃ ↦ θ_i, so the values at each θ_i give the image, which the inverse
 Vandermonde matrix turns back into t̃-coordinates.  Over Q = Q[t]/(t)
-every prime qualifies, with θ = 0.  The images are combined by Chinese
-remaindering until the product of the primes exceeds twice a proven
-bound on the result's coefficients, so the result is exact (see
+every prime qualifies, with θ = 0.  The points come in pairs ±a, after
+0: every polynomial is E(x²) + x·O(x²), so one evaluation of the even
+and odd parts at a² gives both values of a pair, and the resultant is
+interpolated as E and O, each on about half the points.  Each (θ_i,
+point) is a lane, and all the lanes of a prime run one Euclid in
+lockstep, one vector operation per coefficient and one modular inverse
+per step for all of them (`_lane_euclid`).  The images are combined by
+Chinese remaindering until the product of the primes exceeds twice a
+proven bound on the result's coefficients, so the result is exact (see
 `_resultant`).  The characteristic polynomials are built on it.
 
 The relation F(p, q) = Res_y(p(y) − P, q(y) − Q) takes no resultant: it
@@ -36,13 +42,12 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from math import gcd, isqrt
-from operator import mul
 
 from .errors import (ConstantInput, DegreesNotCoprime, FewerThanTwoGenerators,
                      SubalgError, ZeroPolynomialInY)
 from .fields import QQ, common_field
-from .modular import (_reduced, _trim, coordinate_bound, crt, evaluate_at,
-                      root_radius, split_primes, tilde_images, word_primes)
+from .modular import (coordinate_bound, crt, root_radius, split_primes,
+                      tilde_images, word_primes)
 from .mpoly import MPoly
 from .poly import Poly, _int_mul, _int_sum, _over_lcm, poly_gcd
 
@@ -180,10 +185,16 @@ def _resultant(f_table, g_table, field, bound):
     modulo word-size primes.
 
     Points.  deg_x Res ≤ D = `bound` (see `_degree_bound` and
-    `resultant_y_tables`), so Res is the interpolant of its values at
-    D + 1 points.  They are 0, 1, −1, 2, … where both leading
-    y-coefficients are nonzero (decided exactly), since there
-    Res(f, g)(x0) = Res(f(x0), g(x0)).
+    `resultant_y_tables`), so Res is the interpolant of its values at any
+    D + 1 or more points where both leading y-coefficients are nonzero,
+    since there Res(f, g)(x0) = Res(f(x0), g(x0)).  Whether a point is
+    good is decided exactly, on the two leading entries alone.  The points
+    are 0, when it is good, and then a and −a for a = 1, 2, … wherever
+    both are good, until there are D + 1 or one more.  Write each entry
+    c(x) of F and G below as E(x²) + x·O(x²): then c(±a) = E(a²) ± a·O(a²),
+    so one exact evaluation of the even and odd parts at a² gives the
+    values at both points of a pair, with half the Horner steps of two
+    evaluations (`_pair_values`).
 
     Clearing.  With t̃ = μ·t and m̃ monic and integral (`integral_modulus`),
     F = d_f·f and G = d_g·g have integer t̃-coordinates for the least
@@ -193,13 +204,19 @@ def _resultant(f_table, g_table, field, bound):
     Images.  The primes are those that `split_primes` takes from
     `word_primes` for d_f·d_g·μ: at each, t̃ ↦ θ_i maps
     R_p = F_p[t̃]/(m̃ mod p) onto F_p for each of the e roots θ_i of m̃
-    mod p.  So for each θ_i the values F(x0), G(x0) are mapped to F_p,
-    Res(F(x0), G(x0)) is taken there by Euclid (`_euclid`), and the
-    values are interpolated in F_p (the points differ by less than p, so
-    Newton's divisions exist); the interpolants at the θ_i give the
-    t̃-coordinates (`tilde_images`).  A prime is discarded if, at some
-    point, Euclid would divide by a leading coefficient that is zero or a
-    zero divisor in R_p, that is, zero at some θ_i: the remainder
+    mod p.  So for each θ_i the exact values F(x0), G(x0) are mapped to
+    F_p, Res(F(x0), G(x0)) is taken there by Euclid, every (θ_i, x0) in
+    one lockstep run (`_lane_euclid`), and the values are interpolated in
+    F_p; the interpolants at the θ_i give the t̃-coordinates
+    (`tilde_images`).  Res = E(x²) + x·O(x²) as well, and
+    E(a²) = (Res(a) + Res(−a))/2, O(a²) = (Res(a) − Res(−a))/(2a) and
+    E(0) = Res(0); E has degree ≤ ⌊D/2⌋ and O degree ≤ ⌊(D − 1)/2⌋, and
+    with k pairs E has k or k + 1 points and O has k, enough for both.
+    So Res comes from two Newton interpolants on the squares, each on
+    about half the points (`_newton`; 2a < p for every a, so the
+    divisions exist).  A prime is discarded if, at some point, Euclid
+    would divide by a leading coefficient that is zero or a zero divisor
+    in R_p, that is, zero at some θ_i: the remainder
     sequences at the θ_i are the images of the one in R_p only while
     every divisor's leading coefficient is nonzero at every θ_i, so such
     a coefficient shows as a zero leading coefficient or as divisors of
@@ -238,25 +255,26 @@ def _resultant(f_table, g_table, field, bound):
     mt, mu = field.tilde_modulus, field.mu
     F, df = _cleared(f_table, field)
     G, dg = _cleared(g_table, field)
-    powers = max(_max_x_degree(f_table), _max_x_degree(g_table)) + 1
-    points, at_f, at_g = [], [], []
-    x0 = 0
-    while len(points) < count:
-        xs = [x0 ** i for i in range(powers)]
-        # af[k][u] is coordinate u of F_k(x0)
-        af = [[sum(map(mul, cu, xs)) for cu in c] for c in F]
-        ag = [[sum(map(mul, cu, xs)) for cu in c] for c in G]
-        if any(af[-1]) and any(ag[-1]):
-            points.append(x0)
-            at_f += af
-            at_g += ag
-        x0 = -x0 if x0 > 0 else -x0 + 1  # 0, 1, -1, 2, -2, ...
+
+    def good(x0):
+        return all(any(sum(c * x0 ** i for i, c in enumerate(coord))
+                       for coord in table[-1]) for table in (F, G))
+
+    zero, roots, a = int(good(0)), [], 0
+    while zero + 2 * len(roots) < count:
+        a += 1
+        if good(a) and good(-a):
+            roots.append(a)
+    points = [0] * zero + [x for a in roots for x in (a, -a)]
+    # at_f[k][u] lists coordinate u of F_k at each point in turn
+    at_f, at_g = ([[_pair_values(coord, zero, roots) for coord in entry]
+                   for entry in table] for table in (F, G))
     R = root_radius(mt)
     B = isqrt(_norm2(F, R) ** mg * _norm2(G, R) ** mf) + 1
     H = coordinate_bound(mt, B)
     residues, modulus, checked = None, 1, set()
     for p, thetas in split_primes(mt, df * dg * mu, word_primes()):
-        image = _image(at_f, at_g, mf, mg, points, thetas, p)
+        image = _image(at_f, at_g, zero, roots, count, thetas, p)
         if isinstance(image, int):
             if image not in checked:
                 checked.add(image)
@@ -288,83 +306,189 @@ def _norm2(table, R):
                    for a in col) ** 2 for coeff in table)
 
 
-def _image(at_f, at_g, mf, mg, points, thetas, p):
+def _pair_values(c, zero, roots):
+    """The values of the int polynomial c (ascending) at 0 when `zero`,
+    then at a and −a for each a in `roots`, from its even and odd parts at
+    a² (see `_resultant`)."""
+    squares = [a * a for a in roots]
+    even, odd = [0] * len(roots), [0] * len(roots)
+    for i in range(len(c) - 1, -1, -1):
+        if i % 2:
+            odd = [v * s + c[i] for v, s in zip(odd, squares)]
+        else:
+            even = [v * s + c[i] for v, s in zip(even, squares)]
+    odd = [a * v for a, v in zip(roots, odd)]
+    values = [0] * (2 * len(roots))
+    values[0::2] = [u + v for u, v in zip(even, odd)]
+    values[1::2] = [u - v for u, v in zip(even, odd)]
+    return [c[0] if c else 0] * zero + values
+
+
+def _image(at_f, at_g, zero, roots, count, thetas, p):
     """The coefficients of Res(F, G) mod p, t̃-coordinates flattened per
     x-power, or, when the prime is discarded (see `_resultant`), the index
     of the point where Euclid met a leading coefficient that is no unit:
     zero at some θ_i, or zero at one θ_i but not at another, which shows
-    as divisors of different degrees.  `at_f` and `at_g` list the
-    t̃-coordinates of the y-coefficients at each point in turn."""
-    span = max(points) - min(points)
-    inverse = {d: pow(d, -1, p) for d in range(-span, span + 1) if d}
-    values, shapes = [], [None] * len(points)
-    for theta in thetas:
-        fs, gs = evaluate_at(at_f, theta, p), evaluate_at(at_g, theta, p)
-        vals = []
-        for i, shape in enumerate(shapes):
-            r = _euclid(fs[i * (mf + 1):(i + 1) * (mf + 1)],
-                        gs[i * (mg + 1):(i + 1) * (mg + 1)], p)
-            if r is None or shape is not None and r[1] != shape:
-                return i
-            vals.append(r[0])
-            shapes[i] = r[1]
-        values.append(_interpolate(points, vals, inverse, p))
+    as divisors of different degrees.  `at_f` and `at_g` list the exact
+    t̃-coordinates of the y-coefficients at the points 0 (when `zero`),
+    a_1, −a_1, a_2, … for the a_j of `roots`; `count` coefficients are
+    returned.
+
+    A lane is one (θ_i, point): each y-coefficient becomes one vector of
+    its values mod p over every lane, θ-major, and `_lane_euclid` runs all
+    the lanes at once.  The discard is the first lane in that order that
+    meets a zero leading coefficient or whose degrees differ from those
+    at θ_1 and the same point, as if each θ_i ran its points in turn.
+    The values at each θ_i give E and O on the squares (see
+    `_resultant`); one table of inverses of 1, …, 2·max a serves 1/(2a)
+    and 1/(a² − b²) = 1/(a − b)·1/(a + b)."""
+    lanes = []
+    for at in (at_f, at_g):
+        rows = []
+        for coords in at:
+            row = []
+            for theta in thetas:
+                acc, power = coords[0], 1
+                for col in coords[1:]:
+                    power = power * theta % p
+                    acc = [u + power * v for u, v in zip(acc, col)]
+                row += [v % p for v in acc]
+            rows.append(row)
+        lanes.append(rows)
+    results = _lane_euclid(*lanes, p)
+    n = zero + 2 * len(roots)
+    for i, r in enumerate(results):
+        if r is None or r[1] != results[i % n][1]:
+            return i % n
+    inverse = [0] + _inverses(range(1, 2 * max(roots, default=0) + 1), p)
+    half = (p + 1) // 2
+    values = []
+    for i in range(0, len(results), n):
+        vals = [r[0] for r in results[i:i + n]]
+        plus, minus = vals[zero::2], vals[zero + 1::2]
+        even = _newton([0] * zero + roots, vals[:zero] + [
+            (u + v) * half % p for u, v in zip(plus, minus)], inverse, p)
+        odd = _newton(roots, [(u - v) * inverse[2 * a] % p
+                              for u, v, a in zip(plus, minus, roots)],
+                      inverse, p)
+        coeffs = [0] * (2 * len(even))
+        coeffs[0::2] = even
+        coeffs[1:2 * len(odd):2] = odd
+        values.append(coeffs[:count])
     return tilde_images(values, thetas, p)
 
 
 def _exact_euclid(f_table, g_table, x0, field):
     """Euclid on f(x0), g(x0) over K with `Poly` division, which inverts
-    the leading coefficients that `_euclid` inverts; raises NonInvertible
-    at one that is a zero divisor of K."""
+    the leading coefficients that `_lane_euclid` inverts; raises
+    NonInvertible at one that is a zero divisor of K."""
     a, b = sorted((Poly([c(x0) for c in table], field)
                    for table in (f_table, g_table)), key=lambda q: -q.degree)
     while b.degree > 0:
         a, b = b, a % b
 
 
-def _euclid(A, B, p):
-    """(Res_y(A, B) in F_p, the divisors' degrees ≥ 1 as a bit mask) for
-    the formal y-degrees of y-polynomials as ascending int lists, reduced,
-    or None when a divisor of degree ≥ 1 has a zero leading coefficient.
-    Each such divisor is made monic: with l = lc(B),
-    Res(A, B) = (−1)^(dA·dB)·l^dA·Res(B/l, A mod B), which holds for a
-    formal degree dA as well, and then for the trimmed remainder."""
-    acc, odd, degrees = 1, 0, 0
-    while True:
+def _lane_euclid(A, B, p):
+    """For each lane i, (Res_y(A_i, B_i) in F_p, the divisors' degrees ≥ 1
+    as a bit mask), or None when a divisor of degree ≥ 1 has a zero
+    leading coefficient.  A and B are y-polynomials of the formal degrees
+    len(A) − 1 and len(B) − 1 in every lane, coefficient-major: A[k][i],
+    reduced mod p, is the y^k coefficient of lane i.
+
+    With l = lc(B) nonzero and R = A mod B of degree dR ≥ 0,
+    Res(A, B) = (−1)^(dA·dB)·l^(dA−dR)·Res(B, R), which holds for a formal
+    degree dA as well; Res(A, B) = l^dA when dB = 0, and 0 when R = 0 and
+    dB ≥ 1.  A group of lanes with equal degrees takes each remainder step
+    together: one vector operation per coefficient, and one `pow` for the
+    inverses of all its leads (`_inverses`).  Lanes whose lead is zero end
+    as None; lanes whose remainder drops more than one degree, or is
+    zero, leave the group, and those with equal degrees go on as a group
+    of their own."""
+    out = [None] * len(A[0])
+    odd = 0
+    if len(A) < len(B):
+        A, B = B, A
+        odd = (len(A) - 1) & (len(B) - 1) & 1
+    groups = [(A, B, list(range(len(out))), [1] * len(out), odd, 0)]
+    while groups:
+        A, B, ids, acc, odd, mask = groups.pop()
         dA, dB = len(A) - 1, len(B) - 1
-        if dA < dB:
-            A, B, dA, dB = B, A, dB, dA
-            odd ^= dA & dB & 1
-        lead = B[-1]
-        acc = acc * pow(lead, dA, p) % p
         if dB == 0:
-            return -acc % p if odd else acc, degrees
-        if not lead:
-            return None
-        degrees |= 1 << dB
-        inv = pow(lead, -1, p)
-        B = [b * inv % p for b in B]
-        R = _trim(_reduced(A, B, p))
-        if not R:
-            return 0, degrees
+            for i, a, lead in zip(ids, acc, B[0]):
+                v = a * pow(lead, dA, p) % p
+                out[i] = (-v % p if odd else v, mask)
+            continue
+        if not all(B[-1]):
+            keep = [j for j, lead in enumerate(B[-1]) if lead]
+            if not keep:
+                continue
+            A, B = ([[row[j] for j in keep] for row in rows]
+                    for rows in (A, B))
+            ids, acc = [ids[j] for j in keep], [acc[j] for j in keep]
+        lead = B[-1]
+        mask |= 1 << dB
+        inv = _inverses(lead, p)
+        R = list(A)
+        for k in range(dA, dB - 1, -1):
+            q = [r * v % p for r, v in zip(R[k], inv)]
+            for j in range(dB):
+                R[k - dB + j] = [r - c * b for r, c, b
+                                 in zip(R[k - dB + j], q, B[j])]
+        R = [[r % p for r in row] for row in R[:dB]]
         odd ^= dA & dB & 1
-        A, B = B, R
+        if all(R[-1]):
+            groups.append((B, R, ids, [a * pow(b, dA - dB + 1, p) % p
+                                       for a, b in zip(acc, lead)],
+                           odd, mask))
+            continue
+        degrees = [max((d for d in range(dB) if R[d][j]), default=-1)
+                   for j in range(len(ids))]
+        for d in set(degrees):
+            js = [j for j, dj in enumerate(degrees) if dj == d]
+            if d < 0:
+                for j in js:
+                    out[ids[j]] = (0, mask)
+                continue
+            groups.append(([[row[j] for j in js] for row in B],
+                           [[row[j] for j in js] for row in R[:d + 1]],
+                           [ids[j] for j in js],
+                           [acc[j] * pow(lead[j], dA - d, p) % p
+                            for j in js], odd, mask))
+    return out
 
 
-def _interpolate(points, values, inverse, p):
+def _inverses(values, p):
+    """The inverses mod p of the nonzero `values`, with one `pow`
+    (Montgomery 1987): with the prefix products P_i = v_0·…·v_(i−1),
+    1/v_i = P_i/P_(i+1), and 1/P_i = v_i/P_(i+1) walks back from the one
+    inverse of the full product."""
+    prefix, acc = [], 1
+    for v in values:
+        prefix.append(acc)
+        acc = acc * v % p
+    inv, out = pow(acc, -1, p), [0] * len(prefix)
+    for i in range(len(prefix) - 1, -1, -1):
+        out[i] = prefix[i] * inv % p
+        inv = inv * values[i] % p
+    return out
+
+
+def _newton(roots, values, inverse, p):
     """The coefficients mod p, ascending, of the polynomial of degree
-    < len(points) through the (point, value) pairs: Newton's divided
-    differences (`inverse` maps each point difference to its inverse mod
-    p), then the Newton form expanded."""
-    n = len(points)
+    < len(roots) that takes the `values` at the squares a² of the distinct
+    `roots` a ≥ 0, increasing: Newton's divided differences, each
+    difference a² − b² inverted as `inverse[a − b]·inverse[a + b]`
+    (`inverse[d]` is 1/d mod p), then the Newton form expanded."""
+    n = len(roots)
     coefs = list(values)
     for j in range(1, n):
         coefs[j:] = [(coefs[i] - coefs[i - 1])
-                     * inverse[points[i] - points[i - j]] % p
+                     * inverse[roots[i] - roots[i - j]]
+                     * inverse[roots[i] + roots[i - j]] % p
                      for i in range(j, n)]
-    out = [coefs[-1]]
+    out = coefs[-1:]
     for i in range(n - 2, -1, -1):
-        x = points[i]
+        x = roots[i] * roots[i]
         out = [(a - x * b) % p for a, b in zip([coefs[i]] + out, out + [0])]
     return out
 

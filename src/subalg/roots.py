@@ -234,6 +234,8 @@ def aberth_roots(p):
     deriv = [i * c for i, c in enumerate(coeffs)][1:]
     reversed_coeffs, reversed_deriv = coeffs[::-1], deriv[::-1]
     sizes = [abs(c) for c in coeffs]
+    # Σ|c_k|·|z|^k ≤ Σ|c_k|·max(1, |z|)^n, with room for the rounding
+    cap = 1.01 * RESIDUAL_TOL * sum(sizes)
 
     def horner(reversed_cs, z):
         acc = 0j
@@ -261,12 +263,18 @@ def aberth_roots(p):
         for k in moving:
             z = roots[k]
             pz = horner(reversed_coeffs, z)
-            az, scale, power = abs(z), 0.0, 1.0
-            for size in sizes:
-                scale += size * power
-                power *= az
-            if abs(pz) <= RESIDUAL_TOL * scale:
-                continue
+            az = abs(z)
+            try:
+                passable = abs(pz) <= cap * max(1.0, az) ** n
+            except OverflowError:
+                passable = True
+            if passable:
+                scale, power = 0.0, 1.0
+                for size in sizes:
+                    scale += size * power
+                    power *= az
+                if abs(pz) <= RESIDUAL_TOL * scale:
+                    continue
             moved.append(k)
             new = corrected(k, pz)
             roots[k] = z + 1e-6 * (1 + abs(z)) if new is None else new

@@ -3,8 +3,11 @@ import os
 import random
 import subprocess
 import sys
+from collections import OrderedDict
 from fractions import Fraction as F
 from itertools import chain, takewhile
+from math import isqrt
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -12,9 +15,12 @@ import pytest
 from subalg import resultants, sagbi
 from subalg.conditions import Subalgebra
 from subalg.errors import (ConstantInput, DegreesNotCoprime,
-                           FewerThanTwoGenerators, ZeroPolynomialInY)
+                           FewerThanTwoGenerators, UnpairedRoot,
+                           ZeroPolynomialInY)
 from subalg.fields import QQ, NumberField, common_field, is_zero_scalar
-from subalg.modular import word_primes
+from subalg.modular import (_reduced, _trim, coordinate_bound, crt,
+                            evaluate_at, root_radius, split_primes,
+                            tilde_images, word_primes)
 from subalg.mpoly import MPoly
 from subalg.parsing import parse_poly as P
 from subalg.poly import Poly, poly_gcd
@@ -143,6 +149,116 @@ def reference_unreduced_resultant(f_table, g_table):
         return g_table[0] ** mf
     return resultants._resultant(f_table, g_table, field,
                                  resultants._degree_bound(f_table, g_table))
+
+
+# The point-by-point modular kernel that the lockstep lanes replaced, kept
+# as the reference: its resultant, image, scalar Euclid and Newton
+# interpolation, renamed, bodies as they were.
+
+
+def reference_modular_resultant(f_table, g_table, field, bound):
+    """`resultants._resultant` on the points 0, 1, −1, 2, … with one
+    scalar Euclid per (θ, point) and Newton on all points at once."""
+    mf, mg = len(f_table) - 1, len(g_table) - 1
+    count = bound + 1
+    mt, mu = field.tilde_modulus, field.mu
+    F, df = resultants._cleared(f_table, field)
+    G, dg = resultants._cleared(g_table, field)
+    powers = max(_max_x_degree(f_table), _max_x_degree(g_table)) + 1
+    points, at_f, at_g = [], [], []
+    x0 = 0
+    while len(points) < count:
+        xs = [x0 ** i for i in range(powers)]
+        # af[k][u] is coordinate u of F_k(x0)
+        af = [[sum(map(mul, cu, xs)) for cu in c] for c in F]
+        ag = [[sum(map(mul, cu, xs)) for cu in c] for c in G]
+        if any(af[-1]) and any(ag[-1]):
+            points.append(x0)
+            at_f += af
+            at_g += ag
+        x0 = -x0 if x0 > 0 else -x0 + 1  # 0, 1, -1, 2, -2, ...
+    R = root_radius(mt)
+    B = isqrt(resultants._norm2(F, R) ** mg
+              * resultants._norm2(G, R) ** mf) + 1
+    H = coordinate_bound(mt, B)
+    residues, modulus, checked = None, 1, set()
+    for p, thetas in split_primes(mt, df * dg * mu, word_primes()):
+        image = reference_image(at_f, at_g, mf, mg, points, thetas, p)
+        if isinstance(image, int):
+            if image not in checked:
+                checked.add(image)
+                resultants._exact_euclid(f_table, g_table, points[image],
+                                         field)
+            continue
+        residues = image if residues is None else \
+            crt(residues, modulus, image, p)
+        modulus *= p
+        if modulus > 2 * H:
+            break
+    half = modulus // 2
+    return Poly(field.from_tilde_coordinates(
+        [(r + half) % modulus - half for r in residues],
+        df ** mg * dg ** mf), field)
+
+
+def reference_image(at_f, at_g, mf, mg, points, thetas, p):
+    span = max(points) - min(points)
+    inverse = {d: pow(d, -1, p) for d in range(-span, span + 1) if d}
+    values, shapes = [], [None] * len(points)
+    for theta in thetas:
+        fs, gs = evaluate_at(at_f, theta, p), evaluate_at(at_g, theta, p)
+        vals = []
+        for i, shape in enumerate(shapes):
+            r = reference_euclid(fs[i * (mf + 1):(i + 1) * (mf + 1)],
+                                 gs[i * (mg + 1):(i + 1) * (mg + 1)], p)
+            if r is None or shape is not None and r[1] != shape:
+                return i
+            vals.append(r[0])
+            shapes[i] = r[1]
+        values.append(reference_interpolate(points, vals, inverse, p))
+    return tilde_images(values, thetas, p)
+
+
+def reference_euclid(A, B, p):
+    """(Res_y(A, B) in F_p, the divisors' degrees ≥ 1 as a bit mask) for
+    ascending int lists of formal degrees, or None when a divisor of
+    degree ≥ 1 has a zero leading coefficient; each divisor made monic."""
+    acc, odd, degrees = 1, 0, 0
+    while True:
+        dA, dB = len(A) - 1, len(B) - 1
+        if dA < dB:
+            A, B, dA, dB = B, A, dB, dA
+            odd ^= dA & dB & 1
+        lead = B[-1]
+        acc = acc * pow(lead, dA, p) % p
+        if dB == 0:
+            return -acc % p if odd else acc, degrees
+        if not lead:
+            return None
+        degrees |= 1 << dB
+        inv = pow(lead, -1, p)
+        B = [b * inv % p for b in B]
+        R = _trim(_reduced(A, B, p))
+        if not R:
+            return 0, degrees
+        odd ^= dA & dB & 1
+        A, B = B, R
+
+
+def reference_interpolate(points, values, inverse, p):
+    """Newton on all the points (`inverse` maps each point difference to
+    its inverse mod p)."""
+    n = len(points)
+    coefs = list(values)
+    for j in range(1, n):
+        coefs[j:] = [(coefs[i] - coefs[i - 1])
+                     * inverse[points[i] - points[i - j]] % p
+                     for i in range(j, n)]
+    out = [coefs[-1]]
+    for i in range(n - 2, -1, -1):
+        x = points[i]
+        out = [(a - x * b) % p for a, b in zip([coefs[i]] + out, out + [0])]
+    return out
 
 
 def test_divided_difference_identity():
@@ -395,6 +511,116 @@ def test_a_zero_divisor_leading_coefficient_is_an_error():
                           text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert done.stdout.split() == ["NonInvertible"] * 2, done.stderr
+
+
+def _lanes(rng, p, dA, dB, n):
+    """n lanes of y-polynomials mod p of formal degrees dA and dB, as
+    ascending int lists: generic ones, zero leads of the divisor and of
+    the dividend, and, for dA ≥ dB, dividends Q·B + R whose remainder R
+    drops two or more degrees below dB or is zero."""
+    def poly(d):
+        return [rng.randrange(p) for _ in range(d + 1)]
+
+    lanes = []
+    for i in range(n):
+        A, B = poly(dA), poly(dB)
+        kind = i % 5
+        if kind == 1:
+            B[-1] = 0
+        elif kind == 2:
+            A[-1] = 0
+        elif kind in (3, 4) and dA >= dB >= 1:
+            B[-1] = B[-1] or 1
+            R = poly(dB - 3) if kind == 3 and dB >= 3 else []
+            A = R + [0] * (dA + 1 - len(R))
+            for i, q in enumerate(poly(dA - dB)):
+                for j, b in enumerate(B):
+                    A[i + j] = (A[i + j] + q * b) % p
+        lanes.append((A, B))
+    return lanes
+
+
+def test_the_lane_euclid_is_the_scalar_euclid_lane_by_lane():
+    # every lane gives the reference's value and degree mask, or None
+    # with it; the small primes make zero leads and degree drops common
+    # at every step, not only where the lanes were built to have them
+    rng = random.Random(20261021)
+    kinds = set()
+    for p in (5, 7, 13, (1 << 61) - 1):
+        for dA in range(0, 7):
+            for dB in range(0, 7):
+                lanes = _lanes(rng, p, dA, dB, 40)
+                A = [list(col) for col in zip(*(a for a, _ in lanes))]
+                B = [list(col) for col in zip(*(b for _, b in lanes))]
+                out = resultants._lane_euclid(A, B, p)
+                expected = [reference_euclid(a, b, p) for a, b in lanes]
+                assert out == expected, (p, dA, dB)
+                kinds.update("None" if r is None else
+                             "zero" if r[0] == 0 else "value"
+                             for r in expected)
+    assert kinds == {"None", "zero", "value"}
+
+
+def test_the_resultant_matches_the_point_by_point_reference(monkeypatch):
+    # every `_resultant` call of the benchmark's charpoly items 0-399 at
+    # its default seed and at seed 7, and of random tables over every
+    # field of FIELDS, equals the reference, repr and all
+    calls = []
+    resultant = resultants._resultant
+
+    def recorded(*args):
+        calls.append((args, resultant(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(resultants, "_resultant", recorded)
+    monkeypatch.setattr(resultants, "_lattice_memo", OrderedDict())
+    bench = _bench_workloads()
+    for seed in (BENCH_SEED, 7):
+        stream = bench.CharpolyStream(seed)
+        for k in range(400):
+            resultants._lattice_memo.clear()
+            try:
+                bench.run_charpoly(stream(k))
+            except UnpairedRoot:    # item 36 at seed 7, see test_spectrum
+                pass
+    charpoly = len(calls)
+    rng = random.Random(20261021)
+    for field in FIELDS.values():
+        for trial in range(8):
+            resultant_y_tables(
+                _random_table(rng, field, rng.randint(1, 4), 3,
+                              vanishing=trial % 3 == 0),
+                _random_table(rng, field, rng.randint(1, 4), 3))
+    assert charpoly > 700 and len(calls) > charpoly + 30
+    for args, new in calls:
+        old = reference_modular_resultant(*args)
+        assert new == old and repr(new) == repr(old), args
+
+
+@pytest.mark.parametrize("zero", [0, 1])
+@pytest.mark.parametrize("D", [0, 1, 2, 7, 12, 13])
+def test_the_pair_interpolant_is_newton_on_the_same_points(D, zero):
+    # Res_y(y, y + c(x)) = c(x), so `_image` interpolates c through the
+    # values at the points 0 (with `zero`), a_1, −a_1, …; the reference
+    # Newton on those points gives c, padded with zeros when one point
+    # more than D + 1 is taken
+    rng = random.Random(D * 2 + zero)
+    p = (1 << 61) - 1
+    k = (D + 1 - zero + 1) // 2
+    roots = sorted(rng.sample(range(1, 3 * k + 2), k))
+    points = [0] * zero + [x for a in roots for x in (a, -a)]
+    c = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(D + 1)]
+    one = resultants._pair_values([1], zero, roots)
+    at_f = [[resultants._pair_values([], zero, roots)], [one]]
+    at_g = [[resultants._pair_values(c, zero, roots)], [one]]
+    image = resultants._image(at_f, at_g, zero, roots, D + 1, (0,), p)
+    span = max(points) - min(points)
+    inverse = {d: pow(d, -1, p) for d in range(-span, span + 1) if d}
+    values = [sum(a * x ** i for i, a in enumerate(c)) % p for x in points]
+    newton = reference_interpolate(points, values, inverse, p)
+    assert image == newton[:D + 1] == [a % p for a in c]
+    assert not any(newton[D + 1:])
+    assert len(points) == D + 1 + (len(points) > D + 1)
 
 
 def test_resultant_relation_properties():
@@ -681,15 +907,20 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 BENCH_SEED = 20261017  # bench/run.py DEFAULT_SEED
 
 
-def _charpoly_items(kind, count):
-    """The first `count` items of one kind from the benchmark's charpoly
-    stream at its default seed, as pairs of Polys over Q."""
+def _bench_workloads():
+    """The benchmark's workloads module, loaded from bench/workloads.py."""
     spec = importlib.util.spec_from_file_location("bench_workloads",
                                                   WORKLOADS)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look themselves up
     spec.loader.exec_module(module)
-    stream = module.CharpolyStream(BENCH_SEED)
+    return module
+
+
+def _charpoly_items(kind, count):
+    """The first `count` items of one kind from the benchmark's charpoly
+    stream at its default seed, as pairs of Polys over Q."""
+    stream = _bench_workloads().CharpolyStream(BENCH_SEED)
     k, out = 0, []
     while len(out) < count:
         item = stream(k)

@@ -90,10 +90,12 @@ def test_the_conductor_imports_nothing_from_modular():
 
 def test_monomial_rows_feed_only_apply_and_the_cut():
     """Condition rows come from one place: inside `conditions.py` only the
-    jet table (`_JetTable`) calls `_jet_row`, and nothing in src/subalg
-    names `monomial_row` or `_read_terms`, the per-condition rows and the
-    term reading it replaced.  `LinearFunctional.apply`, `_cut`,
-    `_jet_image` and `classify.canonical_case_basis` read a jet table."""
+    jet table (`_JetTable`) and `_jet_image`, whose jets of a generated
+    algebra are plain jet rows with no condition to combine, call
+    `_jet_row`, and nothing in src/subalg names `monomial_row` or
+    `_read_terms`, the per-condition rows and the term reading it
+    replaced.  `LinearFunctional.apply`, `_cut`, `_jet_image` (on carried
+    conditions) and `classify.canonical_case_basis` read a jet table."""
     scopes, retired = set(), []
 
     def walk(node, scope):
@@ -110,7 +112,7 @@ def test_monomial_rows_feed_only_apply_and_the_cut():
     for path in sorted(SOURCE.glob("*.py")):
         walk(ast.parse(path.read_text("utf-8")), path.stem)
     assert {scope for scope in scopes if scope.startswith("conditions.")} \
-        == {"conditions._JetTable.rows"}
+        == {"conditions._JetTable.rows", "conditions._jet_image"}
     assert retired == []
     readers = set()
     for path in sorted(SOURCE.glob("*.py")):
@@ -190,3 +192,38 @@ def test_every_import_is_read():
                    if (alias.asname or alias.name).partition(".")[0]
                    not in read]
     assert unread == []
+
+
+def test_one_lockstep_euclid_per_prime():
+    """`resultants._image`, which `_resultant` calls once per prime, calls
+    `_lane_euclid` once and outside any loop or comprehension: every
+    (θ, point) lane of a prime runs in one lockstep Euclid.  src/subalg
+    names no `_euclid` or `_interpolate`, the scalar Euclid per lane and
+    the Newton interpolation on all points that it replaced."""
+    tree = ast.parse((SOURCE / "resultants.py").read_text("utf-8"))
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def calls(function, name):
+        return [node for node in ast.walk(functions[function])
+                if isinstance(node, ast.Call)
+                and name in _identifiers(node.func)]
+
+    def looped(function, call):
+        loops = (ast.For, ast.While, ast.ListComp, ast.SetComp,
+                 ast.DictComp, ast.GeneratorExp)
+        return any(call in ast.walk(node)
+                   for node in ast.walk(functions[function])
+                   if isinstance(node, loops))
+
+    (euclid,) = calls("_image", "_lane_euclid")
+    assert not looped("_image", euclid)
+    assert [name for name in functions if calls(name, "_image")] \
+        == ["_resultant"]
+    assert len(calls("_resultant", "_image")) == 1
+    retired = [f"{path.name}:{node.lineno}"
+               for path in sorted(SOURCE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text("utf-8")))
+               if {"_euclid", "_interpolate"} & {
+                   *_identifiers(node), getattr(node, "name", None)}]
+    assert retired == []
